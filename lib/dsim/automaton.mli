@@ -38,8 +38,11 @@ type ('state, 'msg, 'input, 'output) t = {
       (** Duplicate a process state so that {!Engine.clone} can branch a run
           without the two copies aliasing. [Fun.id] is correct whenever the
           state is a pure immutable value — which holds for every protocol
-          in this repository; a protocol that hides mutable structure
+          in this repository; an automaton that hides mutable structure
           (hash tables, arrays) inside its state must deep-copy it here.
+          The SMR replica ([Smr.Replica.make]) is the exception: its hook
+          copies the mutable slot table and lane arrays, and every slot's
+          instance state through the inner protocol's [state_copy].
           Must only read its argument: the parallel explorer clones one
           engine from several domains concurrently. *)
   state_fingerprint : (relabel:(Pid.t -> Pid.t) -> 'state -> Fingerprint.t) option;

@@ -117,9 +117,10 @@ let pp_store fmt store =
     fmt (bindings store)
 
 module Mstore = struct
-  (* Persistent variant for replica-internal state: sharing on
-     [Replica.state_copy] must be O(1), and the previous-value shadow map
-     is what the deliberate stale-read mutation serves reads from. *)
+  (* Persistent variant for replica-internal state: [Replica.state_copy]
+     shares it between a state and its copy instead of copying the whole
+     store, and the previous-value shadow map is what the deliberate
+     stale-read mutation serves reads from. *)
 
   module Imap = Map.Make (Int)
 

@@ -2,7 +2,6 @@ module Pid = Dsim.Pid
 module Time = Dsim.Time
 module Automaton = Dsim.Automaton
 module Value = Proto.Value
-module Imap = Map.Make (Int)
 module Iset = Set.Make (Int)
 
 type mutation = Stale_reads of Pid.t
@@ -22,44 +21,60 @@ let lane_stride = 2048
 
 let max_lanes = 256
 
+(* One consensus slot as this replica sees it. A slot exists once its
+   instance does; [value] and [mine] are meaningful only while [decided]
+   and [inflight] are set. *)
+type 'pstate slot = {
+  mutable inst : 'pstate;
+  mutable decided : bool;
+  mutable value : Value.t;  (* the decided value (possibly a batch) *)
+  mutable inflight : bool;  (* I proposed [mine] here and it is undecided *)
+  mutable mine : Value.t;
+  mutable lane : int;  (* timer lane, or -1 *)
+}
+
 type 'pstate state = {
   self : Pid.t;
   n : int;
-  slots : 'pstate Imap.t;
-  decided : Value.t Imap.t;  (* slot -> decided value (possibly a batch) *)
-  applied_rev : (int * Value.t) list;  (* expanded commands, newest first *)
-  next_apply : int;
-  store : Kv.Mstore.t;  (* KV state after the applied prefix: read results *)
-  (* My submitted commands not yet proposed: a front/back functional queue
-     (front oldest-first, back newest-first) for O(1) amortized enqueue. *)
-  queue_front : Value.t list;
-  queue_back : Value.t list;
-  queue_len : int;
-  inflight : Value.t Imap.t;  (* slot -> value I proposed there *)
-  lane_of_slot : int Imap.t;
-  slot_of_lane : int Imap.t;
-  free_lanes : int list;
-  armed : Iset.t Imap.t;  (* slot -> inner timer ids armed and not cancelled *)
+  mutable slots : 'pstate slot option array;  (* indexed by slot, grown by doubling *)
+  mutable top : int;  (* 1 + the highest slot with an instance *)
+  mutable decided_count : int;
+  mutable inflight_count : int;
+  mutable applied_rev : (int * Value.t) list;  (* expanded commands, newest first *)
+  mutable next_apply : int;
+  mutable store : Kv.Mstore.t;  (* KV state after the applied prefix: read results *)
+  (* My submitted commands not yet proposed: a front/back queue (front
+     oldest-first, back newest-first) for O(1) amortized enqueue. *)
+  mutable queue_front : Value.t list;
+  mutable queue_back : Value.t list;
+  mutable queue_len : int;
+  slot_of_lane : int array;  (* -1 for a free lane *)
+  armed : Iset.t array;  (* per lane: inner timer ids armed and not cancelled *)
+  mutable free_lanes : int list;  (* reused LIFO *)
 }
 
 let applied s = List.rev s.applied_rev
 
-let decided_slots s = Imap.cardinal s.decided
+let decided_slots s = s.decided_count
 
-let queue_push s v =
-  { s with queue_back = v :: s.queue_back; queue_len = s.queue_len + 1 }
+let find s slot = if slot < Array.length s.slots then s.slots.(slot) else None
 
 let queue_push_front s vs =
-  { s with queue_front = vs @ s.queue_front; queue_len = s.queue_len + List.length vs }
+  s.queue_front <- vs @ s.queue_front;
+  s.queue_len <- s.queue_len + List.length vs
 
+(* Requires a non-empty queue. *)
 let queue_pop s =
+  if s.queue_front = [] then begin
+    s.queue_front <- List.rev s.queue_back;
+    s.queue_back <- []
+  end;
   match s.queue_front with
-  | v :: rest -> Some (v, { s with queue_front = rest; queue_len = s.queue_len - 1 })
-  | [] -> (
-      match List.rev s.queue_back with
-      | [] -> None
-      | v :: rest ->
-          Some (v, { s with queue_front = rest; queue_back = []; queue_len = s.queue_len - 1 }))
+  | v :: rest ->
+      s.queue_front <- rest;
+      s.queue_len <- s.queue_len - 1;
+      v
+  | [] -> assert false
 
 let make (type pm ps) ?(pipeline = 1) ?(batch_max = 1) ?pack ?expand ?mutation
     (module P : Proto.Protocol.S with type msg = pm and type state = ps) ~n ~e ~f ~delta =
@@ -73,110 +88,94 @@ let make (type pm ps) ?(pipeline = 1) ?(batch_max = 1) ?pack ?expand ?mutation
   in
   let expand = match expand with Some expand -> expand | None -> fun v -> [ v ] in
   let inner = P.make ~n ~e ~f ~delta in
-  let alloc_lane s slot =
-    match Imap.find_opt slot s.lane_of_slot with
-    | Some lane -> (s, Some lane)
-    | None -> (
-        match s.free_lanes with
-        | [] -> (s, None)
-        | lane :: rest ->
-            ( {
-                s with
-                free_lanes = rest;
-                lane_of_slot = Imap.add slot lane s.lane_of_slot;
-                slot_of_lane = Imap.add lane slot s.slot_of_lane;
-              },
-              Some lane ))
+  let alloc_lane s slot sl =
+    if sl.lane < 0 then
+      match s.free_lanes with
+      | [] -> ()
+      | lane :: rest ->
+          s.free_lanes <- rest;
+          sl.lane <- lane;
+          s.slot_of_lane.(lane) <- slot
   in
   (* Rewrite one instance transition's actions into the multiplexed space;
-     threads the state because timer actions allocate/update lanes. *)
-  let wrap_actions s slot actions =
-    let s, rev =
-      List.fold_left
-        (fun (s, acc) action ->
-          match action with
-          | Automaton.Send (dst, payload) -> (s, Automaton.Send (dst, { slot; payload }) :: acc)
-          | Automaton.Broadcast payload -> (s, Automaton.Broadcast { slot; payload } :: acc)
-          | Automaton.Set_timer { id; after } -> (
-              assert (id >= 0 && id < lane_stride);
-              (* Decided slots get no timers (this is what retires their Ω
-                 heartbeats); losing a timer is liveness-only, so it is
-                 also the safe degradation when lanes run out. *)
-              if Imap.mem slot s.decided then (s, acc)
-              else
-                match alloc_lane s slot with
-                | s, None -> (s, acc)
-                | s, Some lane ->
-                    let armed =
-                      match Imap.find_opt slot s.armed with
-                      | Some set -> set
-                      | None -> Iset.empty
-                    in
-                    let s = { s with armed = Imap.add slot (Iset.add id armed) s.armed } in
-                    (s, Automaton.Set_timer { id = (lane * lane_stride) + id; after } :: acc))
-          | Automaton.Cancel_timer id -> (
-              match Imap.find_opt slot s.lane_of_slot with
-              | None -> (s, acc)
-              | Some lane ->
-                  let s =
-                    match Imap.find_opt slot s.armed with
-                    | Some set -> { s with armed = Imap.add slot (Iset.remove id set) s.armed }
-                    | None -> s
-                  in
-                  (s, Automaton.Cancel_timer ((lane * lane_stride) + id) :: acc))
-          | Automaton.Output _ -> (s, acc) (* decisions are intercepted separately *))
-        (s, []) actions
-    in
-    (s, List.rev rev)
+     timer actions allocate and update the slot's lane. *)
+  let wrap_actions s slot sl actions =
+    List.filter_map
+      (function
+        | Automaton.Send (dst, payload) -> Some (Automaton.Send (dst, { slot; payload }))
+        | Automaton.Broadcast payload -> Some (Automaton.Broadcast { slot; payload })
+        | Automaton.Set_timer { id; after } ->
+            assert (id >= 0 && id < lane_stride);
+            (* Decided slots get no timers (this is what retires their Ω
+               heartbeats); losing a timer is liveness-only, so it is
+               also the safe degradation when lanes run out. *)
+            if sl.decided then None
+            else begin
+              alloc_lane s slot sl;
+              if sl.lane < 0 then None
+              else begin
+                s.armed.(sl.lane) <- Iset.add id s.armed.(sl.lane);
+                Some (Automaton.Set_timer { id = (sl.lane * lane_stride) + id; after })
+              end
+            end
+        | Automaton.Cancel_timer id ->
+            if sl.lane < 0 then None
+            else begin
+              s.armed.(sl.lane) <- Iset.remove id s.armed.(sl.lane);
+              Some (Automaton.Cancel_timer ((sl.lane * lane_stride) + id))
+            end
+        | Automaton.Output _ -> None (* decisions are intercepted separately *))
+      actions
+  in
+  let install s slot sl =
+    let cap = Array.length s.slots in
+    if slot >= cap then begin
+      let slots = Array.make (max (2 * cap) (slot + 1)) None in
+      Array.blit s.slots 0 slots 0 cap;
+      s.slots <- slots
+    end;
+    s.slots.(slot) <- Some sl;
+    s.top <- max s.top (slot + 1)
   in
   (* Run one instance transition, harvesting any decision from its
      actions. *)
   let step_instance s slot transition =
-    let s, pstate, init_actions =
-      match Imap.find_opt slot s.slots with
-      | Some ps -> (s, ps, [])
+    let sl, init_actions =
+      match find s slot with
+      | Some sl -> (sl, [])
       | None ->
           (* Lazy instance creation: the slot's init timers land in a
              freshly borrowed lane. *)
           let ps, actions = inner.init ~self:s.self ~n:s.n in
-          let s, actions = wrap_actions s slot actions in
-          (s, ps, actions)
+          let sl =
+            { inst = ps; decided = false; value = 0; inflight = false; mine = 0; lane = -1 }
+          in
+          install s slot sl;
+          (sl, wrap_actions s slot sl actions)
     in
-    let pstate', actions = transition pstate in
+    let pstate', actions = transition sl.inst in
     let decision =
       List.find_map (function Automaton.Output v -> Some v | _ -> None) actions
     in
-    let s = { s with slots = Imap.add slot pstate' s.slots } in
-    let s, actions = wrap_actions s slot actions in
-    (s, init_actions @ actions, decision)
-  in
-  (* Next slot this replica believes free: above everything it has seen. *)
-  let next_free_slot s =
-    let top m = match Imap.max_binding_opt m with Some (k, _) -> k + 1 | None -> 0 in
-    max (top s.decided) (max (top s.slots) (top s.inflight))
-  in
-  let propose_in_slot s slot value =
-    let s, actions, decision = step_instance s slot (fun ps -> inner.on_input ps value) in
-    assert (decision = None);
-    ({ s with inflight = Imap.add slot value s.inflight }, actions)
+    sl.inst <- pstate';
+    (sl, init_actions @ wrap_actions s slot sl actions, decision)
   in
   let rec take_batch s k acc =
-    if k = 0 then (s, List.rev acc)
-    else
-      match queue_pop s with
-      | None -> (s, List.rev acc)
-      | Some (v, s) -> take_batch s (k - 1) (v :: acc)
+    if k = 0 || s.queue_len = 0 then List.rev acc else take_batch s (k - 1) (queue_pop s :: acc)
   in
   (* Keep proposing while the pipeline window has room: each proposal
-     drains up to [batch_max] queued commands into one value. *)
+     drains up to [batch_max] queued commands into one value, in the next
+     slot this replica believes free (above everything it has seen). *)
   let rec refill s =
-    if Imap.cardinal s.inflight >= pipeline || s.queue_len = 0 then (s, [])
+    if s.inflight_count >= pipeline || s.queue_len = 0 then []
     else begin
-      let s, ops = take_batch s batch_max [] in
-      let value = match ops with [ v ] -> v | ops -> pack ops in
-      let s, actions = propose_in_slot s (next_free_slot s) value in
-      let s, more = refill s in
-      (s, actions @ more)
+      let value = match take_batch s batch_max [] with [ v ] -> v | ops -> pack ops in
+      let sl, actions, decision = step_instance s s.top (fun ps -> inner.on_input ps value) in
+      assert (decision = None);
+      sl.inflight <- true;
+      sl.mine <- value;
+      s.inflight_count <- s.inflight_count + 1;
+      actions @ refill s
     end
   in
   (* The per-command response value: Put returns the value written, Get the
@@ -185,7 +184,7 @@ let make (type pm ps) ?(pipeline = 1) ?(batch_max = 1) ?pack ?expand ?mutation
      write stale), which is exactly the bug the object-level
      linearizability checker exists to catch. *)
   let apply_command s word =
-    if word < 0 || word >= Kv.batch_base then (s, 0)
+    if word < 0 || word >= Kv.batch_base then 0
     else begin
       let op = Kv.decode word in
       let stale_here =
@@ -195,126 +194,122 @@ let make (type pm ps) ?(pipeline = 1) ?(batch_max = 1) ?pack ?expand ?mutation
       in
       let store, ret = Kv.Mstore.eval s.store op in
       let ret = if stale_here then Kv.Mstore.stale s.store op.Kv.key else ret in
-      ({ s with store }, ret)
+      s.store <- store;
+      ret
     end
   in
   (* Apply newly contiguous decisions, expanding batches so every client
      command gets its own (slot, command, response) output. *)
   let rec drain_applies s acc =
-    match Imap.find_opt s.next_apply s.decided with
-    | None -> (s, List.rev acc)
-    | Some value ->
+    match find s s.next_apply with
+    | Some { decided = true; value; _ } ->
         let slot = s.next_apply in
-        let ops = expand value in
-        let s, outputs_rev =
+        let acc =
           List.fold_left
-            (fun (s, acc) op ->
-              let s, ret = apply_command s op in
-              ( { s with applied_rev = (slot, op) :: s.applied_rev },
-                Automaton.Output (slot, op, ret) :: acc ))
-            (s, acc) ops
+            (fun acc op ->
+              let ret = apply_command s op in
+              s.applied_rev <- (slot, op) :: s.applied_rev;
+              Automaton.Output (slot, op, ret) :: acc)
+            acc (expand value)
         in
-        drain_applies { s with next_apply = slot + 1 } outputs_rev
+        s.next_apply <- slot + 1;
+        drain_applies s acc
+    | _ -> List.rev acc
   in
   (* Reclaim the slot's timer lane, cancelling everything still armed so
      the lane can be reused without stale fires crossing slots. *)
-  let cancel_slot_lane s slot =
-    match Imap.find_opt slot s.lane_of_slot with
-    | None -> (s, [])
-    | Some lane ->
-        let armed =
-          match Imap.find_opt slot s.armed with Some set -> set | None -> Iset.empty
-        in
-        let cancels =
-          Iset.fold
-            (fun id acc -> Automaton.Cancel_timer ((lane * lane_stride) + id) :: acc)
-            armed []
-        in
-        ( {
-            s with
-            lane_of_slot = Imap.remove slot s.lane_of_slot;
-            slot_of_lane = Imap.remove lane s.slot_of_lane;
-            armed = Imap.remove slot s.armed;
-            free_lanes = lane :: s.free_lanes;
-          },
-          cancels )
+  let cancel_slot_lane s sl =
+    let lane = sl.lane in
+    if lane < 0 then []
+    else begin
+      let cancels =
+        Iset.fold
+          (fun id acc -> Automaton.Cancel_timer ((lane * lane_stride) + id) :: acc)
+          s.armed.(lane) []
+      in
+      sl.lane <- -1;
+      s.slot_of_lane.(lane) <- -1;
+      s.armed.(lane) <- Iset.empty;
+      s.free_lanes <- lane :: s.free_lanes;
+      cancels
+    end
   in
   (* A slot decided: record, reclaim its lane, apply, and refill the
      pipeline (reproposing our commands first if the slot went to someone
      else's value). *)
-  let handle_decision s slot value =
-    if Imap.mem slot s.decided then (s, [])
+  let handle_decision s sl value =
+    if sl.decided then []
     else begin
-      let s = { s with decided = Imap.add slot value s.decided } in
-      let s, cancels = cancel_slot_lane s slot in
-      let s, applies = drain_applies s [] in
-      let s, proposals =
-        match Imap.find_opt slot s.inflight with
-        | None -> (s, [])
-        | Some mine ->
-            let s = { s with inflight = Imap.remove slot s.inflight } in
-            let s =
-              if Value.equal mine value then s
-              else
-                (* Lost the slot: the batched commands go back to the front
-                   of the queue, in order, for rebatching. *)
-                queue_push_front s (expand mine)
-            in
-            refill s
+      sl.decided <- true;
+      sl.value <- value;
+      s.decided_count <- s.decided_count + 1;
+      let cancels = cancel_slot_lane s sl in
+      let applies = drain_applies s [] in
+      let proposals =
+        if not sl.inflight then []
+        else begin
+          sl.inflight <- false;
+          s.inflight_count <- s.inflight_count - 1;
+          (* Lost the slot: the batched commands go back to the front of
+             the queue, in order, for rebatching. *)
+          if not (Value.equal sl.mine value) then queue_push_front s (expand sl.mine);
+          refill s
+        end
       in
-      (s, cancels @ applies @ proposals)
+      cancels @ applies @ proposals
     end
   in
   let init ~self ~n:n' =
     assert (n = n');
-    let rec lanes k = if k < 0 then [] else k :: lanes (k - 1) in
     ( {
         self;
         n;
-        slots = Imap.empty;
-        decided = Imap.empty;
+        slots = Array.make 64 None;
+        top = 0;
+        decided_count = 0;
+        inflight_count = 0;
         applied_rev = [];
         next_apply = 0;
         store = Kv.Mstore.empty;
         queue_front = [];
         queue_back = [];
         queue_len = 0;
-        inflight = Imap.empty;
-        lane_of_slot = Imap.empty;
-        slot_of_lane = Imap.empty;
-        free_lanes = List.rev (lanes (max_lanes - 1));
-        armed = Imap.empty;
+        slot_of_lane = Array.make max_lanes (-1);
+        armed = Array.make max_lanes Iset.empty;
+        free_lanes = List.init max_lanes Fun.id;
       },
       [] )
   in
-  let on_message s ~src { slot; payload } =
-    let s, actions, decision =
-      step_instance s slot (fun ps -> inner.on_message ps ~src payload)
-    in
+  let step s slot transition =
+    let sl, actions, decision = step_instance s slot transition in
     match decision with
     | None -> (s, actions)
-    | Some value ->
-        let s, more = handle_decision s slot value in
-        (s, actions @ more)
+    | Some value -> (s, actions @ handle_decision s sl value)
   in
-  let on_input s cmd = refill (queue_push s cmd) in
+  let on_message s ~src { slot; payload } =
+    step s slot (fun ps -> inner.on_message ps ~src payload)
+  in
+  let on_input s cmd =
+    s.queue_back <- cmd :: s.queue_back;
+    s.queue_len <- s.queue_len + 1;
+    (s, refill s)
+  in
   let on_timer s id =
-    let lane = id / lane_stride in
-    match Imap.find_opt lane s.slot_of_lane with
-    | None -> (s, []) (* stale fire from a reclaimed lane *)
-    | Some slot -> (
-        let s, actions, decision =
-          step_instance s slot (fun ps -> inner.on_timer ps (id mod lane_stride))
-        in
-        match decision with
-        | None -> (s, actions)
-        | Some value ->
-            let s, more = handle_decision s slot value in
-            (s, actions @ more))
+    let slot = s.slot_of_lane.(id / lane_stride) in
+    if slot < 0 then (s, []) (* stale fire from a reclaimed lane *)
+    else step s slot (fun ps -> inner.on_timer ps (id mod lane_stride))
   in
-  (* The record itself is immutable; only the inner per-slot states may
-     need deep-copying, which the inner automaton knows how to do. *)
-  let state_copy s = { s with slots = Imap.map inner.Automaton.state_copy s.slots } in
+  (* The state is mutable: copy the slot table, every slot record (with its
+     instance state, through the inner automaton) and the lane arrays. *)
+  let copy_slot sl = { sl with inst = inner.Automaton.state_copy sl.inst } in
+  let state_copy s =
+    {
+      s with
+      slots = Array.map (Option.map copy_slot) s.slots;
+      slot_of_lane = Array.copy s.slot_of_lane;
+      armed = Array.copy s.armed;
+    }
+  in
   (* Not explored with dedup: the SMR wrapper runs under stochastic
      networks, where engine fingerprints must not key a visited set. *)
   { Automaton.init; on_message; on_input; on_timer; state_copy; state_fingerprint = None }

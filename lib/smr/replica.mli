@@ -24,6 +24,18 @@
     a slot decides, so long pipelined runs do not accumulate timer state
     (or Ω heartbeat chatter) for decided slots.
 
+    Per-slot bookkeeping is one flat slot table: a growable array indexed
+    by slot number whose entries are mutable records holding the slot's
+    instance state, its decided flag and value, this replica's in-flight
+    proposal (if any) and the slot's timer lane. Lanes map back to their
+    slots and armed timers through arrays of one entry per lane, and the
+    in-flight count, decided count and next free slot are plain counters,
+    so a transition does O(1) bookkeeping around the instance transition it
+    wraps. The replica state is therefore mutable: the engine threads it
+    linearly, and the automaton's [state_copy] deep-copies the table, every
+    slot record (through the inner protocol's [state_copy]) and the lane
+    arrays, which is what {!Dsim.Engine.clone} needs to branch a run.
+
     Commands are [Proto.Value.t] (integers); {!Kv} provides a command codec
     and a replicated key-value store. *)
 

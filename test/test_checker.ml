@@ -564,11 +564,16 @@ let test_explore_por_prunes_and_agrees () =
     true
     (red.Explore.explored * 2 <= off.Explore.explored)
 
-(* Soundness property: with an ample budget, [Sleep] POR reaches the same
-   verdict as [No_por] and preserves first-violation existence, across
-   protocols, configurations, seeds and explored fault bounds. The witness
-   schedule itself may differ (POR keeps one representative per commuting
-   class), so only its existence is compared. *)
+(* Soundness property: [Sleep] POR reaches the same verdict as [No_por] and
+   preserves first-violation existence, across protocols, configurations,
+   seeds and explored fault bounds. The witness schedule itself may differ
+   (POR keeps one representative per commuting class), so only its
+   existence is compared. POR explores a subset of the unreduced tree, so
+   it must finish wherever [No_por] finished, but not conversely: some
+   draws inflate the unreduced tree far past the budget while the reduced
+   one finishes in a few hundred schedules. Verdicts are therefore
+   compared where both searches are exhaustive; where only POR is, a
+   violation the unreduced sample found must be found by POR too. *)
 let explore_por_sound_property =
   QCheck.Test.make ~name:"explore: POR preserves verdict and violation existence"
     ~count:12
@@ -594,14 +599,18 @@ let explore_por_sound_property =
       in
       let proposals = Scenario.all_proposals_at_zero ~n values in
       let go por =
-        Explore.synchronous protocol ~n ~e ~f ~delta ~proposals ~rounds
-          ~budget:1_000_000 ~faults ~por ~check ()
+        Explore.synchronous protocol ~n ~e ~f ~delta ~proposals ~rounds ~budget:20_000
+          ~faults ~por ~check ()
       in
       let off = go Explore.No_por in
       let red = go Explore.Sleep in
-      (off.Explore.violations > 0) = (red.Explore.violations > 0)
-      && (off.Explore.first_violation <> None) = (red.Explore.first_violation <> None)
-      && off.Explore.truncated = red.Explore.truncated)
+      let verdict (r : Explore.result) =
+        (r.Explore.violations > 0, r.Explore.first_violation <> None)
+      in
+      (off.Explore.truncated || not red.Explore.truncated)
+      && (red.Explore.truncated
+         || (if off.Explore.truncated then (not (fst (verdict off))) || fst (verdict red)
+            else verdict off = verdict red)))
 
 let test_explore_por_timer_between_deliveries () =
   (* A timer firing between deliveries is NOT treated as commuting: trial

@@ -335,6 +335,185 @@ let drop_dup_faults =
   Network.Fault.random ~drop_rate:0.05 ~dup_rate:0.1 ~max_drops:4 ~max_dups:6
     ~max_extra_delay:delta ()
 
+(* -- golden replica outputs ---------------------------------------------- *)
+
+(* Golden digests of [Instance.outputs]: every (time, pid, slot, command,
+   response) a replica emits, for each protocol x pipeline/batch shape x
+   fault plan, over an open-loop client fleet on planet5. The digests were
+   captured from the persistent-map replica; any change to the replica's
+   action order, lane reuse, batching or apply path fails here with the
+   offending cell's label.
+
+   Regenerate (only when a behaviour change is intended) with:
+     GOLDEN_PRINT=1 dune exec test/test_smr.exe 2>/dev/null *)
+
+let golden_protocols =
+  [
+    ("rgs-task", Core.Rgs.task);
+    ("rgs-object", Core.Rgs.obj);
+    ("paxos", Baselines.Paxos.protocol);
+    ("fast-paxos", Baselines.Fast_paxos.protocol);
+    ("epaxos", Epaxos.protocol);
+  ]
+
+let golden_shapes = [ ("p1b1", 1, 1); ("p16b64", 16, 64) ]
+
+let golden_seeds = [ 1; 2 ]
+
+let planet5 = Workload.Topology.planet5
+
+let planet5_delta = Workload.Topology.max_oneway planet5 + 10
+
+(* A fault budget large enough to reach the decisive messages, not just the
+   first few broadcasts of the run. *)
+let golden_faults =
+  Network.Fault.random ~drop_rate:0.02 ~dup_rate:0.05 ~max_drops:64 ~max_dups:64
+    ~max_extra_delay:planet5_delta ()
+
+(* 48 Poisson clients offering 40 cmd/s in total for 8 s, a quarter of the
+   commands reads, a quarter on a hot key; client c submits to replica
+   c mod n. Arrivals never depend on completions. *)
+let open_loop_commands ~n ~seed =
+  let rng = Stdext.Rng.create ~seed in
+  let clients = 48 and horizon = 8_000 in
+  let mean_gap = 1000.0 *. float_of_int clients /. 40.0 in
+  List.concat
+    (List.init clients (fun c ->
+         let rec arrivals t acc =
+           let t = t +. (mean_gap *. -.log (1.0 -. Stdext.Rng.float rng 1.0)) in
+           if t >= float_of_int horizon then List.rev acc
+           else
+             let key = if Stdext.Rng.int rng 4 = 0 then 0 else Stdext.Rng.int rng 16 in
+             let word =
+               if Stdext.Rng.int rng 4 = 0 then rd c key else cmd c key (Stdext.Rng.int rng 1024)
+             in
+             arrivals t ((int_of_float t, c mod n, word) :: acc)
+         in
+         arrivals 0.0 []))
+
+let golden_run (module P : Proto.Protocol.S) ~pipeline ~batch_max ?faults ~seed () =
+  let n = P.min_n ~e:2 ~f:2 in
+  let t =
+    Instance.create
+      ~protocol:(module P)
+      ~n ~e:2 ~f:2 ~delta:planet5_delta
+      ~net:(Checker.Scenario.Wan { latency = Workload.Topology.latency_fn planet5; jitter = 0 })
+      ~seed ~pipeline ~batch_max ?faults
+      ~commands:(open_loop_commands ~n ~seed)
+      ()
+  in
+  ignore (Instance.run ~until:20_000 t);
+  t
+
+let outputs_text t =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun (time, pid, (slot, command, ret)) ->
+      Printf.bprintf buf "%d %d %d %d %d\n" time pid slot command ret)
+    (Instance.outputs t);
+  Buffer.contents buf
+
+let golden_cells () =
+  List.concat_map
+    (fun (pname, proto) ->
+      List.concat_map
+        (fun (shape, pipeline, batch_max) ->
+          List.map
+            (fun (fname, faults) ->
+              let label = Printf.sprintf "%s/%s/%s" pname shape fname in
+              let digest =
+                lazy
+                  (Digest.to_hex
+                     (Digest.string
+                        (String.concat ""
+                           (List.map
+                              (fun seed ->
+                                outputs_text
+                                  (golden_run proto ~pipeline ~batch_max ?faults ~seed ()))
+                              golden_seeds))))
+              in
+              (label, digest))
+            [ ("none", None); ("dropdup", Some golden_faults) ])
+        golden_shapes)
+    golden_protocols
+
+(* Captured from the persistent-map replica; see the comment above. *)
+let golden =
+  [
+    ("rgs-task/p1b1/none", "e9bcdb9d422471d59da325563cbeec9a");
+    ("rgs-task/p1b1/dropdup", "e4a949826bce778d7c43822663c1ba12");
+    ("rgs-task/p16b64/none", "cb6a8943cfd5312963a867a6fba587df");
+    ("rgs-task/p16b64/dropdup", "b8042fbd445e5ae4ce5a5fa0d2a70b1d");
+    ("rgs-object/p1b1/none", "2ed248834a9f62b4a155e80968f1010f");
+    ("rgs-object/p1b1/dropdup", "e850e94ca3f574d0b2a556314b49e586");
+    ("rgs-object/p16b64/none", "d128d7eab4db1c4d270f656f78aa3174");
+    ("rgs-object/p16b64/dropdup", "3d3f98a61904c535e0ec03584e0b9844");
+    ("paxos/p1b1/none", "2b7def99ee818dd5a875ac8e1abd6273");
+    ("paxos/p1b1/dropdup", "23606764afb9cccdbe67f04790bf5c98");
+    ("paxos/p16b64/none", "1d3427df2edda6ef78b60609b508add3");
+    ("paxos/p16b64/dropdup", "f75d0f0327249793bc98b91c25347ab2");
+    ("fast-paxos/p1b1/none", "f4d0d499bc008b647c5fd5d703299d9e");
+    ("fast-paxos/p1b1/dropdup", "31f786f38b4eaa217fc608f79367d065");
+    ("fast-paxos/p16b64/none", "6f7eafc03a043ae1bb2b84a89ac18b3d");
+    ("fast-paxos/p16b64/dropdup", "86b8584edc254ef841318dde350fb4bf");
+    ("epaxos/p1b1/none", "781d956573efcba129b1a88803f682d4");
+    ("epaxos/p1b1/dropdup", "65e44bd539668f8fee4d37eb1b8dbde1");
+    ("epaxos/p16b64/none", "fe455a19b545b7c5c98fcf90651a77ce");
+    ("epaxos/p16b64/dropdup", "224e0eb8f7b956950b4f5b5a84871aec");
+  ]
+
+let test_golden_outputs () =
+  List.iter
+    (fun (label, digest) ->
+      match List.assoc_opt label golden with
+      | None -> Alcotest.failf "no golden digest for %s" label
+      | Some expect -> Alcotest.(check string) label expect (Lazy.force digest))
+    (golden_cells ())
+
+(* The replica state is mutable, so branching an SMR run with
+   [Engine.clone] is sound only if the replica's [state_copy] deep-copies
+   it. Branch a busy run at 4 s, run the clone to the horizon first and the
+   original after it: both must emit exactly what an unbranched run
+   emits. *)
+let test_clone_independence () =
+  let (module P : Proto.Protocol.S) = Core.Rgs.task in
+  let n = P.min_n ~e:2 ~f:2 in
+  let build () =
+    let batches = Kv.Batch.create () in
+    let automaton =
+      Smr.Replica.make ~pipeline:16 ~batch_max:64 ~pack:(Kv.Batch.pack batches)
+        ~expand:(Kv.Batch.expand batches) (module P) ~n ~e:2 ~f:2 ~delta:planet5_delta
+    in
+    Dsim.Engine.create ~automaton ~n
+      ~network:(Network.Wan { latency = Workload.Topology.latency_fn planet5; jitter = 0 })
+      ~seed:3 ~record_trace:false ~faults:golden_faults
+      ~inputs:(open_loop_commands ~n ~seed:3)
+      ()
+  in
+  let finish engine =
+    ignore (Dsim.Engine.run ~until:20_000 engine : Dsim.Engine.run_result);
+    Dsim.Engine.outputs engine
+  in
+  let unbranched = finish (build ()) in
+  let original = build () in
+  ignore (Dsim.Engine.run ~until:4_000 original : Dsim.Engine.run_result);
+  let branch = Dsim.Engine.clone original in
+  let from_clone = finish branch in
+  let from_original = finish original in
+  let outputs = Alcotest.(list (triple int int (triple int int int))) in
+  Alcotest.(check bool) "run is busy" true (List.length unbranched > 1000);
+  Alcotest.check outputs "clone = unbranched" unbranched from_clone;
+  Alcotest.check outputs "original after clone = unbranched" unbranched from_original
+
+let () =
+  match Sys.getenv_opt "GOLDEN_PRINT" with
+  | Some _ ->
+      List.iter
+        (fun (label, digest) -> Printf.printf "    (%S, %S);\n" label (Lazy.force digest))
+        (golden_cells ());
+      exit 0
+  | None -> ()
+
 let () =
   Alcotest.run "smr"
     [
@@ -359,7 +538,11 @@ let () =
           Alcotest.test_case "drain exactly once" `Quick test_drain_outputs_exactly_once;
           Alcotest.test_case "read results + stale mutation" `Quick
             test_read_results_and_stale_mutation;
+          Alcotest.test_case "clone independence" `Quick test_clone_independence;
         ] );
+      ( "golden",
+        [ Alcotest.test_case "replica output digests (protocol x shape x faults)" `Quick
+            test_golden_outputs ] );
       ( "convergence",
         [
           QCheck_alcotest.to_alcotest (smr_convergence_property Core.Rgs.obj "rgs-object");
