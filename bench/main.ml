@@ -74,7 +74,7 @@ let distinct_states_per_sec s =
 (* n=5..7 at fixed rounds: the (e, f) pairs keep n exactly at the task
    bound 2e+f so the configurations match the T2/T3 grids. The extra
    10k-budget n=7 row exercises a deeper cut of the same tree, where the
-   shared-budget fan-out has enough work per domain to matter. *)
+   parallel subtree split has enough work per domain to matter. *)
 let explore_configs = [ (5, 2, 1, 1_000); (6, 2, 2, 1_000); (7, 2, 3, 1_000); (7, 2, 3, 10_000) ]
 
 let explore_rounds = 3

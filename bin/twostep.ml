@@ -154,6 +154,12 @@ let pairs_conv ~what =
   in
   Arg.conv (parse, print)
 
+let crashes_arg ?(doc = "Crash schedule as time:pid pairs.") () =
+  Arg.(
+    value
+    & opt (pairs_conv ~what:"crashes") []
+    & info [ "crashes" ] ~docv:"T:P,..." ~doc)
+
 let run_cmd =
   let proposals_arg =
     Arg.(
@@ -161,12 +167,6 @@ let run_cmd =
       & opt (pairs_conv ~what:"proposals") []
       & info [ "proposals" ] ~docv:"P:V,..."
           ~doc:"Proposals as pid:value pairs (default: every process proposes its pid).")
-  in
-  let crashes_arg =
-    Arg.(
-      value
-      & opt (pairs_conv ~what:"crashes") []
-      & info [ "crashes" ] ~docv:"T:P,..." ~doc:"Crash schedule as time:pid pairs.")
   in
   let net_arg =
     Arg.(
@@ -207,7 +207,7 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Run one consensus scenario and print decisions and verdict.")
     Term.(
-      const run $ protocol_arg $ n_arg $ e_arg $ f_arg $ proposals_arg $ crashes_arg
+      const run $ protocol_arg $ n_arg $ e_arg $ f_arg $ proposals_arg $ crashes_arg ()
       $ net_arg $ until_arg $ seed_arg)
 
 (* -- check -------------------------------------------------------------- *)
@@ -316,12 +316,6 @@ let explore_cmd =
       & info [ "rounds" ] ~docv:"R"
           ~doc:"Synchronous round horizon to branch delivery orders over.")
   in
-  let crashes_arg =
-    Arg.(
-      value
-      & opt (pairs_conv ~what:"crashes") []
-      & info [ "crashes" ] ~docv:"T:P,..." ~doc:"Crash schedule as time:pid pairs.")
-  in
   let por_arg =
     Arg.(
       value
@@ -415,48 +409,45 @@ let explore_cmd =
     Term.(
       const run $ protocol_arg $ n_arg $ e_arg $ f_arg $ rounds_arg $ budget_arg
       $ mode_arg $ domains_arg $ dedup_arg $ por_arg $ swarm_arg $ seed_arg
-      $ crashes_arg $ metrics_out_arg)
+      $ crashes_arg () $ metrics_out_arg)
+
+(* -- seeded fault-plan flags --------------------------------------------- *)
+
+(* Shared by [faults] and [lin], which pass different defaults. *)
+
+let drop_rate_arg default =
+  Arg.(
+    value
+    & opt float default
+    & info [ "drop-rate" ] ~docv:"P"
+        ~doc:"Per-message drop probability in [0,1] (applied within --max-drops).")
+
+let dup_rate_arg default =
+  Arg.(
+    value
+    & opt float default
+    & info [ "dup-rate" ] ~docv:"P"
+        ~doc:"Per-message duplication probability in [0,1] (within --max-dups).")
+
+let max_drops_arg default =
+  Arg.(
+    value & opt int default
+    & info [ "max-drops" ] ~docv:"K" ~doc:"Budget of dropped messages per run.")
+
+let max_dups_arg default =
+  Arg.(
+    value & opt int default
+    & info [ "max-dups" ] ~docv:"K" ~doc:"Budget of duplicated messages per run.")
 
 (* -- faults -------------------------------------------------------------- *)
 
 let faults_cmd =
-  let drop_rate_arg =
-    Arg.(
-      value
-      & opt float 0.1
-      & info [ "drop-rate" ] ~docv:"P"
-          ~doc:"Per-message drop probability in [0,1] (applied within --max-drops).")
-  in
-  let dup_rate_arg =
-    Arg.(
-      value
-      & opt float 0.1
-      & info [ "dup-rate" ] ~docv:"P"
-          ~doc:"Per-message duplication probability in [0,1] (within --max-dups).")
-  in
-  let max_drops_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "max-drops" ] ~docv:"K" ~doc:"Budget of dropped messages per run.")
-  in
-  let max_dups_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "max-dups" ] ~docv:"K" ~doc:"Budget of duplicated messages per run.")
-  in
   let max_extra_delay_arg =
     Arg.(
       value
       & opt int (2 * delta)
       & info [ "max-extra-delay" ] ~docv:"T"
           ~doc:"A duplicate's copy is re-sent up to this many ticks later.")
-  in
-  let crashes_arg =
-    Arg.(
-      value
-      & opt (pairs_conv ~what:"crashes") []
-      & info [ "crashes" ] ~docv:"T:P,..."
-          ~doc:"Crash schedule as time:pid pairs (composes with the fault plan).")
   in
   let seeds_arg =
     Arg.(
@@ -512,9 +503,10 @@ let faults_cmd =
          "Sweep seeded loss/duplication/crash fault plans over one protocol and check \
           safety on every run.")
     Term.(
-      const run $ protocol_arg $ n_arg $ e_arg $ f_arg $ drop_rate_arg $ dup_rate_arg
-      $ max_drops_arg $ max_dups_arg $ max_extra_delay_arg $ crashes_arg $ seeds_arg
-      $ seed_arg $ until_arg $ dedup_arg $ metrics_out_arg)
+      const run $ protocol_arg $ n_arg $ e_arg $ f_arg $ drop_rate_arg 0.1 $ dup_rate_arg 0.1
+      $ max_drops_arg 8 $ max_dups_arg 8 $ max_extra_delay_arg
+      $ crashes_arg ~doc:"Crash schedule as time:pid pairs (composes with the fault plan)." ()
+      $ seeds_arg $ seed_arg $ until_arg $ dedup_arg $ metrics_out_arg)
 
 (* -- report -------------------------------------------------------------- *)
 
@@ -694,28 +686,6 @@ let lin_cmd =
       & opt float 0.3
       & info [ "read-rate" ] ~docv:"P" ~doc:"Probability a command is a read (in [0,1]).")
   in
-  let drop_rate_arg =
-    Arg.(
-      value & opt float 0.0
-      & info [ "drop-rate" ] ~docv:"P"
-          ~doc:"Per-message drop probability in [0,1] (applied within --max-drops).")
-  in
-  let dup_rate_arg =
-    Arg.(
-      value & opt float 0.0
-      & info [ "dup-rate" ] ~docv:"P"
-          ~doc:"Per-message duplication probability in [0,1] (within --max-dups).")
-  in
-  let max_drops_arg =
-    Arg.(
-      value & opt int 64
-      & info [ "max-drops" ] ~docv:"K" ~doc:"Budget of dropped messages per run.")
-  in
-  let max_dups_arg =
-    Arg.(
-      value & opt int 64
-      & info [ "max-dups" ] ~docv:"K" ~doc:"Budget of duplicated messages per run.")
-  in
   let mutate_arg =
     Arg.(
       value
@@ -844,7 +814,7 @@ let lin_cmd =
       const run $ protocol_arg $ n_arg $ e_arg $ f_arg $ topology_arg $ clients_arg
       $ rate_arg $ mode_arg $ think_arg $ pipeline_arg $ batch_max_arg $ keys_arg
       $ hot_rate_arg $ read_rate_arg $ horizon_arg $ jitter_arg $ seed_arg
-      $ drop_rate_arg $ dup_rate_arg $ max_drops_arg $ max_dups_arg $ mutate_arg
+      $ drop_rate_arg 0.0 $ dup_rate_arg 0.0 $ max_drops_arg 64 $ max_dups_arg 64 $ mutate_arg
       $ history_out_arg $ witness_out_arg $ witness_chrome_arg $ monolithic_arg)
 
 (* -- spans ---------------------------------------------------------------- *)

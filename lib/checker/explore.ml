@@ -45,12 +45,18 @@ type fault_bounds = { max_drops : int; max_dups : int }
 
 let no_faults = { max_drops = 0; max_dups = 0 }
 
-(* Per-run facts captured at evaluation time. They ride in the branch
-   stats in subtree DFS order, so the deterministic merge can count
-   exactly the sequential prefix of every subtree — which is what makes
-   all [Run_report.totals] fields identical across modes, domain counts
-   and scheduling interleavings, not just [explored]/[violations]. *)
-type run_rec = { r_depth : int; r_drops : int; r_dups : int; r_fast : bool }
+(* Per-run facts captured at evaluation time. They ride in the chunk
+   results in DFS order, so the merge can count exactly the sequential
+   prefix of the search — which is what makes all [Run_report.totals]
+   fields identical across modes, domain counts and scheduling
+   interleavings, not just [explored]/[violations]. *)
+type run_rec = {
+  r_depth : int;
+  r_drops : int;
+  r_dups : int;
+  r_fast : bool;
+  r_violation : bool;
+}
 
 module Run_report = struct
   type totals = {
@@ -69,17 +75,7 @@ module Run_report = struct
     sleep_hits : int;  (* per-destination orders suppressed by trial equivalence *)
   }
 
-  type sched = {
-    domains : int;
-    budget : int;
-    leased : int;
-    evals : int;
-    wasted : int;
-    top_ups : int;
-    max_fanout : int;
-    tasks_per_domain : int array;
-    stolen : int;
-  }
+  type sched = { domains : int; budget : int; evals : int; wasted : int; max_fanout : int }
 
   type t = { totals : totals; sched : sched }
 
@@ -109,16 +105,13 @@ module Run_report = struct
        fast runs: %d (rate %.3f); fault runs: %d (drops %d, dups %d)@,\
        dedup: distinct states %d, hits %d, pruned subtrees %d@,\
        por: pruned %d, sleep hits %d@,\
-       sched: domains %d, budget %d, leased %d, evals %d, wasted %d (%.1f%%), \
-       top-ups %d, max fan-out %d@,\
-       tasks/domain: [%a], stolen %d@]"
+       sched: domains %d, budget %d, evals %d, wasted %d (%.1f%%), max fan-out %d@]"
       t.totals.explored t.totals.violations t.totals.truncated pp_arr
       t.totals.depth_histogram (mean_depth t.totals) t.totals.fast_runs
       (fast_path_rate t.totals) t.totals.fault_runs t.totals.drops t.totals.dups
       t.totals.distinct_states t.totals.dedup_hits t.totals.pruned_subtrees
-      t.totals.por_pruned t.totals.sleep_hits t.sched.domains t.sched.budget t.sched.leased t.sched.evals t.sched.wasted
-      (budget_waste_pct t.sched) t.sched.top_ups t.sched.max_fanout pp_arr
-      t.sched.tasks_per_domain t.sched.stolen
+      t.totals.por_pruned t.totals.sleep_hits t.sched.domains t.sched.budget t.sched.evals
+      t.sched.wasted (budget_waste_pct t.sched) t.sched.max_fanout
 
   let record registry t =
     let c name v = Metrics.add (Metrics.counter registry name) v in
@@ -134,11 +127,8 @@ module Run_report = struct
     c "explore.pruned_subtrees" t.totals.pruned_subtrees;
     c "explore.por_pruned" t.totals.por_pruned;
     c "explore.sleep_hits" t.totals.sleep_hits;
-    c "explore.leased" t.sched.leased;
     c "explore.evals" t.sched.evals;
     c "explore.wasted" t.sched.wasted;
-    c "explore.top_ups" t.sched.top_ups;
-    c "explore.stolen" t.sched.stolen;
     Metrics.record_max (Metrics.gauge registry "explore.max_fanout") t.sched.max_fanout;
     Metrics.record_max (Metrics.gauge registry "explore.domains") t.sched.domains;
     let nbuckets = Array.length t.totals.depth_histogram in
@@ -181,60 +171,30 @@ type ('s, 'm) node =
   | Path of round_choice list  (* reversed: innermost round first *)
   | Engine of ('s, 'm, Proto.Value.t, Proto.Value.t) Dsim.Engine.t
 
-(* Shared run budget: a pool of evaluation tokens that all domains lease
-   from in chunks. Total tokens handed out never exceed the budget, so the
-   engine work done across all domains is bounded by one sequential
-   exploration's worth — the old fan-out ran every branch against the full
-   budget and discarded the surplus at merge time (worst case k× budget). *)
-module Budget = struct
-  type t = int Atomic.t
-
-  let create budget : t = Atomic.make (max budget 0)
-
-  let rec lease (t : t) k =
-    let a = Atomic.get t in
-    if a <= 0 || k <= 0 then 0
-    else begin
-      let take = min k a in
-      if Atomic.compare_and_set t a (a - take) then take else lease t k
-    end
-
-  let refund (t : t) k = if k > 0 then ignore (Atomic.fetch_and_add t k)
-
-  let exhausted (t : t) = Atomic.get t <= 0
-end
-
-(* Per-subtree statistics. Violations are recorded by their 0-based run
-   index within the subtree so the deterministic merge can re-apply the
-   sequential budget cut exactly (see [merge]). [b_cut] distinguishes "the
-   shared budget denied a lease while work remained" from natural
-   completion; the difference decides both the [truncated] flag and
-   whether a starved subtree must be topped up. *)
-type branch = {
-  b_explored : int;  (* runs traversed, including a top-up's skipped prefix *)
-  b_violation_indices : int list;  (* ascending *)
-  b_first_violation : Scenario.outcome option;
-  b_fallback : bool;  (* perm_limit fallback hit while expanding *)
-  b_cut : bool;  (* lease denied with work remaining *)
-  b_runs : run_rec list;  (* evaluated runs, DFS order (skipped prefix omitted) *)
+(* The root of a subtree still to explore. [build] materialises the node
+   lazily, in whichever task reaches it after the budget check, so a
+   fault-branching node's thousands of children cost nothing until they
+   are explored. [checked]: the split already admitted this node through
+   the visited set and found it a leaf. *)
+type ('s, 'm) subtree = {
+  build : unit -> ('s, 'm) node;
+  round : int;
+  drops_left : int;
+  dups_left : int;
+  checked : bool;
 }
 
-(* The unit of parallel work: a task owns the subtree below one node.
-   Shallow tasks fan their children back into the pool (so idle domains
-   steal them) and return the child promises; deeper tasks explore inline
-   against the shared budget. [rev_path] identifies the subtree root so a
-   starved task can be re-run sequentially during the merge. *)
-type ('s, 'm) task_result =
-  | Leaf of round_choice list * int * branch  (* rev_path, root round, stats *)
-  | Chunk of (round_choice list * int * branch) list  (* adjacent leaves, DFS order *)
-  | Fanned of ('s, 'm) task_result Pool.promise list
-
-(* Fault budgets already spent along a (reversed) path; a starved
-   subtree's top-up re-run recovers its remaining bounds from this. *)
-let faults_spent rev_path =
-  List.fold_left
-    (fun (d, u) c -> (d + List.length c.drop, u + List.length c.dup))
-    (0, 0) rev_path
+(* What one chunk of adjacent subtrees explored. [c_runs] are its
+   evaluated runs in DFS order; [c_first_violation] carries its run index
+   so the merge can tell whether it falls inside the counted prefix;
+   [c_cut] means [allow] refused while work remained. *)
+type chunk = {
+  c_explored : int;
+  c_runs : run_rec list;
+  c_first_violation : (int * Scenario.outcome) option;
+  c_cut : bool;
+  c_fallback : bool;  (* perm_limit fallback hit while expanding *)
+}
 
 let rec take_n n = function
   | x :: tl when n > 0 -> x :: take_n (n - 1) tl
@@ -377,15 +337,15 @@ let round_choices_of ~perm_limit ~por ~truncated ~sleep_hits ~por_pruned ~bounda
 
 let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
     ?(crashes = []) ~rounds ?(budget = 20_000) ?(perm_limit = 4) ?(disable_timers = true)
-    ?(mode = (`Snapshot : mode)) ?(domains = 1) ?(clamp_domains = true) ?eval_counter
+    ?(mode = (`Snapshot : mode)) ?(domains = 1) ?(clamp_domains = true)
     ?(faults = no_faults) ?(dedup = Off) ?(por = No_por) ?stateset_capacity
     ?(metrics = Metrics.disabled) ~check () =
   if faults.max_drops < 0 || faults.max_dups < 0 then
     invalid_arg "Explore.synchronous: fault bounds must be non-negative";
+  let budget = max budget 0 in
   (* Scheduling telemetry. These are observability-only: nothing below
      branches on them, so they cannot perturb the deterministic result. *)
   let evals_total = Atomic.make 0 in
-  let leased_total = Atomic.make 0 in
   let max_fan_seen = Atomic.make 0 in
   let rec record_fanout v =
     let cur = Atomic.get max_fan_seen in
@@ -477,15 +437,6 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
     engine
   in
   let materialize = function Path rev_path -> replay rev_path | Engine e -> e in
-  let count_eval =
-    match eval_counter with
-    | None -> fun () -> Atomic.incr evals_total
-    | Some c ->
-        fun () ->
-          Atomic.incr evals_total;
-          Atomic.incr c
-  in
-  let outcome_of engine = outcome_of ~n engine in
   let round_choices ~truncated engine ~round ~drops_left ~dups_left =
     let r =
       round_choices_of ~perm_limit ~por ~truncated ~sleep_hits:sleep_total
@@ -495,138 +446,275 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
     (match r with Some choices -> record_fanout (List.length choices) | None -> ());
     r
   in
-  (* Sequential DFS over the subtree below [node], evaluating runs against
-     tokens obtained through [lease] (0 = denied). The traversal order —
-     and, given the same token supply, the cut point — is identical to a
-     global sequential exploration restricted to this subtree, which makes
-     the merge exact. The cut is sticky: once a lease is denied the task
-     stops, so the evaluated runs are always a DFS-order prefix of the
-     subtree. The first [skip] runs are traversed but not evaluated
-     (top-up re-runs resume a starved subtree behind its recorded prefix).
-
-     Snapshot hot path: a node's *last* child reuses the parent engine in
-     place instead of cloning it — after the final child is built the
-     parent is dead, so interior nodes cost (children - 1) clones, not
-     children. Only inline traversal may do this; fanned children share
-     their parent engine across tasks and must clone (see [go_task]). *)
-  let explore_subtree ~lease ~refund ~skip ~fallback0 ?(root_checked = false) ~drops_left
-      ~dups_left node round =
-    let explored = ref 0 in
-    let tokens = ref 0 in
-    let cut = ref false in
-    let fallback = ref fallback0 in
-    let violations_rev = ref [] in
-    let runs_rev = ref [] in
-    let first_violation = ref None in
-    let have_token () =
-      !tokens > 0
-      || ((not !cut)
-         &&
-         let got = lease () in
-         tokens := got;
-         if got = 0 then cut := true;
-         got > 0)
+  (* The child of [node] (whose engine is [engine]) that [choice] leads
+     to. With [reuse] it extends the parent engine in place instead of a
+     clone — sound only once the parent is dead, i.e. for its last child
+     in a sequential DFS; an interior node with [k] children then costs
+     [k - 1] clones. *)
+  let extend ~reuse node engine round choice =
+    match node with
+    | Path rev_path -> Path (choice :: rev_path)
+    | Engine _ ->
+        let c = if reuse then engine else Dsim.Engine.clone engine in
+        apply_choice c round choice;
+        advance c (round + 1);
+        Engine c
+  in
+  (* Sequential DFS over adjacent subtrees, in order. [allow k] answers
+     whether the chunk may go on after [k] evaluated runs; the first
+     refusal cuts it for good, so its evaluated runs are always a
+     DFS-order prefix of its subtrees. That prefix property is all the
+     merge needs to re-impose the sequential budget cut exactly. *)
+  let explore_chunk ~allow subtrees =
+    let explored = ref 0 and cut = ref false and fallback = ref false in
+    let runs_rev = ref [] and first_violation = ref None in
+    let allowed () =
+      if (not !cut) && not (allow !explored) then cut := true;
+      not !cut
     in
     let evaluate engine ~depth =
-      tokens := !tokens - 1;
-      let index = !explored in
-      incr explored;
-      if index >= skip then begin
-        count_eval ();
-        let outcome = outcome_of engine in
-        let lat = Dsim.Engine.decision_latencies engine in
-        let fast = lat <> [] && List.for_all (fun (_, l) -> l <= 2 * delta) lat in
-        runs_rev :=
-          {
-            r_depth = depth;
-            r_drops = outcome.Scenario.dropped;
-            r_dups = outcome.Scenario.duplicated;
-            r_fast = fast;
-          }
-          :: !runs_rev;
-        if not (check outcome) then begin
-          violations_rev := index :: !violations_rev;
-          if !first_violation = None then first_violation := Some outcome
-        end
+      Atomic.incr evals_total;
+      let outcome = outcome_of ~n engine in
+      let violation = not (check outcome) in
+      if violation && !first_violation = None then
+        first_violation := Some (!explored, outcome);
+      runs_rev :=
+        {
+          r_depth = depth;
+          r_drops = outcome.Scenario.dropped;
+          r_dups = outcome.Scenario.duplicated;
+          r_fast =
+            outcome.Scenario.latencies <> []
+            && List.for_all (fun (_, l) -> l <= 2 * delta) outcome.Scenario.latencies;
+          r_violation = violation;
+        }
+        :: !runs_rev;
+      incr explored
+    in
+    (* Callers check [allowed] before building [node], so a cut never pays
+       for the engine work of a node it will not visit. *)
+    let rec dfs ~checked node round ~drops_left ~dups_left =
+      let engine = materialize node in
+      if checked || check_visited engine round then begin
+        if round > rounds then evaluate engine ~depth:rounds
+        else
+          match round_choices ~truncated:fallback engine ~round ~drops_left ~dups_left with
+          | None -> evaluate engine ~depth:(round - 1)
+          | Some choices ->
+              let last = List.length choices - 1 in
+              List.iteri
+                (fun i choice ->
+                  if allowed () then
+                    dfs ~checked:false
+                      (extend ~reuse:(i = last) node engine round choice)
+                      (round + 1)
+                      ~drops_left:(drops_left - List.length choice.drop)
+                      ~dups_left:(dups_left - List.length choice.dup))
+                choices
       end
     in
-    (* [checked] means the caller already ran this node through the
-       visited set (the fan path in [go_task] checks before enumerating
-       children); re-checking would find the node's own insertion and
-       wrongly prune it. A pruned node spends no token — the lease taken
-       by [have_token] stays in [tokens] for the next node, and any
-       surplus is refunded below — so pruned subtrees cost nothing from
-       the shared budget. *)
-    let rec dfs ~checked node round ~drops_left ~dups_left =
-      if have_token () then begin
-        let engine = materialize node in
-        if checked || check_visited engine round then begin
-          if round > rounds then evaluate engine ~depth:rounds
+    List.iter
+      (fun t ->
+        if allowed () then
+          dfs ~checked:t.checked (t.build ()) t.round ~drops_left:t.drops_left
+            ~dups_left:t.dups_left)
+      subtrees;
+    {
+      c_explored = !explored;
+      c_runs = List.rev !runs_rev;
+      c_first_violation = !first_violation;
+      c_cut = !cut;
+      c_fallback = !fallback;
+    }
+  in
+  (* Domains beyond the hardware's parallelism add stop-the-world GC
+     handshakes and context switches without adding throughput: on a
+     single-core host, 4 domains time-slicing one CPU run the same work
+     several times slower than one. [domains] is therefore a ceiling, not
+     a demand — clamped to [Domain.recommended_domain_count ()] unless the
+     caller (in practice: the determinism tests, which want real OS-thread
+     interleaving regardless of host size) opts out. *)
+  let domains =
+    max 1 (if clamp_domains then min domains (Domain.recommended_domain_count ()) else domains)
+  in
+  (* Static split: expand the top of the tree level by level, in DFS
+     order, until there are at least [4 * domains] subtrees (one domain
+     keeps the root whole). Expansion runs the same visited check and
+     choice enumeration as [dfs], so every node is still admitted and
+     expanded exactly once, and nodes of one level never share a visited
+     key with another level's. A node the split admits as a leaf becomes
+     a [checked] subtree holding its node. Children of an expanded node
+     may be built concurrently by different chunks, so each clones. *)
+  let split_fallback = ref false in
+  let rec split level =
+    if domains <= 1 || List.length level >= 4 * domains then level
+    else begin
+      let grew = ref false in
+      let expand t =
+        if t.checked then [ t ]
+        else begin
+          let node = t.build () in
+          let engine = materialize node in
+          if not (check_visited engine t.round) then []
           else begin
-            match round_choices ~truncated:fallback engine ~round ~drops_left ~dups_left with
-            | None -> evaluate engine ~depth:(round - 1)
-            | Some choices ->
-                let last = List.length choices - 1 in
-                List.iteri
-                  (fun i choice ->
-                    if have_token () then begin
-                      let child =
-                        match node with
-                        | Path rev_path -> Path (choice :: rev_path)
-                        | Engine _ when i = last ->
-                            apply_choice engine round choice;
-                            advance engine (round + 1);
-                            Engine engine
-                        | Engine _ ->
-                            let c = Dsim.Engine.clone engine in
-                            apply_choice c round choice;
-                            advance c (round + 1);
-                            Engine c
-                      in
-                      dfs ~checked:false child (round + 1)
-                        ~drops_left:(drops_left - List.length choice.drop)
-                        ~dups_left:(dups_left - List.length choice.dup)
-                    end)
-                  choices
+            let leaf = [ { t with build = (fun () -> node); checked = true } ] in
+            if t.round > rounds then leaf
+            else
+              match
+                round_choices ~truncated:split_fallback engine ~round:t.round
+                  ~drops_left:t.drops_left ~dups_left:t.dups_left
+              with
+              | None -> leaf
+              | Some choices ->
+                  grew := true;
+                  List.map
+                    (fun choice ->
+                      {
+                        build = (fun () -> extend ~reuse:false node engine t.round choice);
+                        round = t.round + 1;
+                        drops_left = t.drops_left - List.length choice.drop;
+                        dups_left = t.dups_left - List.length choice.dup;
+                        checked = false;
+                      })
+                    choices
           end
         end
+      in
+      let next = List.concat_map expand level in
+      if !grew then split next else next
+    end
+  in
+  let root =
+    {
+      build =
+        (fun () ->
+          match mode with
+          | `Replay -> Path []
+          | `Snapshot ->
+              let engine = fresh () in
+              advance engine 1;
+              Engine engine);
+      round = 1;
+      drops_left = faults.max_drops;
+      dups_left = faults.max_dups;
+      checked = false;
+    }
+  in
+  let subtrees = split [ root ] in
+  let chunks =
+    let per_chunk = max 1 ((List.length subtrees + (8 * domains) - 1) / (8 * domains)) in
+    Array.of_list (Combinat.chunks per_chunk subtrees)
+  in
+  let nchunks = Array.length chunks in
+  (* The budget across chunks. Chunk [j] may count [cap j] runs: the
+     budget minus the runs counted by the chunks before it, known once [j]
+     is the leftmost unfinished chunk. Until then it runs ahead, drawing
+     one token per evaluation from a shared allowance of [budget / 4]
+     ([ahead]), and waits for its cap when the allowance is spent. So a
+     chunk is never cut before its cap and nothing is ever re-run. When
+     the leftmost chunk finishes, each chunk the frontier passes returns
+     its tokens except those spent on runs beyond its cap; the merge
+     discards those runs, and they never exceed [budget / 4] in total.
+     The leftmost unfinished chunk never waits, and the pool starts tasks
+     in FIFO order, so it is always running and the waiting chunks cannot
+     deadlock. *)
+  let lock = Mutex.create () and wake = Condition.create () in
+  let ahead = ref (budget / 4) and leftmost = ref 0 and remaining = ref budget in
+  let finished = Array.make nchunks (-1) in
+  let drawn = Array.make nchunks 0 in
+  let allow j =
+    let cap = ref (-1) in
+    fun k ->
+      if !cap >= 0 then k < !cap
+      else if k < drawn.(j) then true
+      else begin
+        Mutex.lock lock;
+        let rec decide () =
+          if !leftmost = j then begin
+            cap := !remaining;
+            k < !cap
+          end
+          else if !ahead > 0 then begin
+            decr ahead;
+            drawn.(j) <- drawn.(j) + 1;
+            true
+          end
+          else begin
+            Condition.wait wake lock;
+            decide ()
+          end
+        in
+        let ok = decide () in
+        Mutex.unlock lock;
+        ok
       end
-    in
-    dfs ~checked:root_checked node round ~drops_left ~dups_left;
-    if !tokens > 0 then refund !tokens;
+  in
+  let finish j explored =
+    Mutex.lock lock;
+    finished.(j) <- explored;
+    while !leftmost < nchunks && finished.(!leftmost) >= 0 do
+      let e = finished.(!leftmost) in
+      let take = min e !remaining in
+      ahead := !ahead + drawn.(!leftmost) - (e - take);
+      remaining := !remaining - take;
+      incr leftmost
+    done;
+    Condition.broadcast wake;
+    Mutex.unlock lock
+  in
+  let run_chunk j =
+    match explore_chunk ~allow:(allow j) chunks.(j) with
+    | c ->
+        finish j c.c_explored;
+        c
+    | exception ex ->
+        finish j 0;
+        raise ex
+  in
+  let results =
+    Pool.run ~domains:(min domains nchunks) (fun pool ->
+        Pool.map_list pool run_chunk (List.init nchunks Fun.id))
+  in
+  (* Merge in DFS order: each chunk counts what its cap allows, so the
+     counted runs are exactly the sequential exploration's. A chunk marks
+     the cut if it is reached with nothing remaining, counted only in
+     part, or cut by its cap. *)
+  let remaining = ref budget and cut = ref false and fallback = ref !split_fallback in
+  let counted_rev = ref [] and first_violation = ref None in
+  List.iter
+    (fun c ->
+      let take = min c.c_explored !remaining in
+      if !remaining = 0 || take < c.c_explored || c.c_cut then cut := true;
+      if c.c_fallback then fallback := true;
+      counted_rev := List.rev_append (take_n take c.c_runs) !counted_rev;
+      (match c.c_first_violation with
+      | Some (i, o) when i < take && !first_violation = None -> first_violation := Some o
+      | _ -> ());
+      remaining := !remaining - take)
+    results;
+  let depth_histogram = Array.make (rounds + 1) 0 in
+  let explored = ref 0 and violations = ref 0 and fast = ref 0 in
+  let fault_runs = ref 0 and drops = ref 0 and dups = ref 0 in
+  List.iter
+    (fun r ->
+      incr explored;
+      depth_histogram.(r.r_depth) <- depth_histogram.(r.r_depth) + 1;
+      if r.r_violation then incr violations;
+      if r.r_fast then incr fast;
+      if r.r_drops + r.r_dups > 0 then incr fault_runs;
+      drops := !drops + r.r_drops;
+      dups := !dups + r.r_dups)
+    !counted_rev;
+  let res =
     {
-      b_explored = !explored;
-      b_violation_indices = List.rev !violations_rev;
-      b_first_violation = !first_violation;
-      b_fallback = !fallback;
-      b_cut = !cut;
-      b_runs = List.rev !runs_rev;
+      explored = !explored;
+      violations = !violations;
+      first_violation = !first_violation;
+      truncated = !cut || !fallback;
     }
   in
-  let result_of_branch b =
-    {
-      explored = b.b_explored;
-      violations = List.length b.b_violation_indices;
-      first_violation = b.b_first_violation;
-      truncated = b.b_cut || b.b_fallback;
-    }
-  in
-  (* [runs] must be exactly the counted runs in global DFS order; the
-     totals derived from them are then mode/domain-independent by the same
-     argument as [explored]. The sched block is a faithful record of what
-     this particular execution did and is expected to vary. *)
-  let make_report ~domains ~tasks_per_domain ~stolen ~top_ups ~runs res =
-    let depth_histogram = Array.make (rounds + 1) 0 in
-    let fast = ref 0 and fault_runs = ref 0 and drops = ref 0 and dups = ref 0 in
-    List.iter
-      (fun r ->
-        depth_histogram.(r.r_depth) <- depth_histogram.(r.r_depth) + 1;
-        if r.r_fast then incr fast;
-        if r.r_drops + r.r_dups > 0 then incr fault_runs;
-        drops := !drops + r.r_drops;
-        dups := !dups + r.r_dups)
-      runs;
-    let evals = Atomic.get evals_total in
+  let evals = Atomic.get evals_total in
+  ( res,
     {
       Run_report.totals =
         {
@@ -648,388 +736,19 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
         {
           Run_report.domains;
           budget;
-          leased = Atomic.get leased_total;
           evals;
-          wasted = max 0 (evals - res.explored);
-          top_ups;
+          wasted = evals - res.explored;
           max_fanout = Atomic.get max_fan_seen;
-          tasks_per_domain;
-          stolen;
         };
-    }
-  in
-  let root_node () =
-    match mode with
-    | `Replay -> Path []
-    | `Snapshot ->
-        let engine = fresh () in
-        advance engine 1;
-        Engine engine
-  in
-  let bpool = Budget.create budget in
-  (* Domains beyond the hardware's parallelism add stop-the-world GC
-     handshakes and context switches without adding throughput: on a
-     single-core host, 4 domains time-slicing one CPU run the same work
-     several times slower than one. [domains] is therefore a ceiling, not
-     a demand — clamped to [Domain.recommended_domain_count ()] unless the
-     caller (in practice: the determinism tests, which want real OS-thread
-     interleaving regardless of host size) opts out. *)
-  let domains =
-    if clamp_domains then min domains (max 1 (Domain.recommended_domain_count ()))
-    else domains
-  in
-  if domains <= 1 then begin
-    (* One lease of the whole budget: the shared-pool machinery reduces to
-       the plain sequential DFS (a single atomic op end to end). *)
-    let lease () =
-      let g = Budget.lease bpool budget in
-      if g > 0 then ignore (Atomic.fetch_and_add leased_total g);
-      g
-    in
-    let refund = Budget.refund bpool in
-    let b =
-      explore_subtree ~lease ~refund ~skip:0 ~fallback0:false ~drops_left:faults.max_drops
-        ~dups_left:faults.max_dups (root_node ()) 1
-    in
-    let res = result_of_branch b in
-    (res, make_report ~domains:1 ~tasks_per_domain:[||] ~stolen:0 ~top_ups:0 ~runs:b.b_runs res)
-  end
-  else begin
-    (* Chunked leases: coarse enough to amortise the atomic, fine enough
-       that a domain never hoards a meaningful share of the budget. The
-       chunk size only shifts work between domains; results are exact for
-       any value. *)
-    let chunk = max 1 (min 128 (budget / (8 * domains))) in
-    (* Speculation cap. Tokens spent by the DFS-leftmost live task are
-       always within the sequential prefix (everything to its left is
-       finished), so they are never re-evaluated; only DFS-later tasks can
-       spend tokens beyond the eventual cut, which the merge then spends
-       again topping up the starved prefix. Metering those speculative
-       leases through this side pool bounds the total property evaluations
-       at budget + budget/4 for ANY scheduling — while exhaustive runs
-       (budget comfortably above the tree size) never feel the gate, since
-       the main pool outlives the tree. *)
-    let spec = Budget.create (budget / 4) in
-    (* Registry of live tasks (queued or running) keyed by their DFS rank:
-       the child-index path of the subtree root. Lexicographic order on
-       ranks is subtree DFS order; a task may lease unmetered iff no
-       registered rank is smaller. Children are registered *before* they
-       are submitted and their parent deregisters after, so the leftmost
-       unexplored subtree is covered by a registered rank at all times. *)
-    let reg_m = Mutex.create () in
-    let active = ref ([] : int list list) in
-    let register rank =
-      Mutex.lock reg_m;
-      active := rank :: !active;
-      Mutex.unlock reg_m
-    in
-    let deregister rank =
-      Mutex.lock reg_m;
-      let rec remove_first = function
-        | [] -> []
-        | r :: rest -> if r = rank then rest else r :: remove_first rest
-      in
-      active := remove_first !active;
-      Mutex.unlock reg_m
-    in
-    let is_leftmost rank =
-      Mutex.lock reg_m;
-      let lm = List.for_all (fun r -> compare rank r <= 0) !active in
-      Mutex.unlock reg_m;
-      lm
-    in
-    let lease_for rank () =
-      let g =
-        if is_leftmost rank then Budget.lease bpool chunk
-        else begin
-          (* Speculative: account against [spec] first, then draw the same
-             number of real tokens. Failed draws are handed back. *)
-          let s = Budget.lease spec chunk in
-          if s = 0 then 0
-          else begin
-            let g = Budget.lease bpool s in
-            if g < s then Budget.refund spec (s - g);
-            g
-          end
-        end
-      in
-      if g > 0 then ignore (Atomic.fetch_and_add leased_total g);
-      g
-    in
-    (* Fan subtrees at the first [fan_rounds] levels into the pool, but
-       only while the queue is hungry and budget remains; everything else
-       runs inline. The policy is heuristic and scheduling-dependent —
-       correctness never depends on which subtrees got their own task. *)
-    let fan_rounds = 2 in
-    Pool.run ~domains (fun pool ->
-        (* Fanning one node floods the stack with all its children, so the
-           cap only needs to detect "workers are hungry", not provision a
-           deep backlog: a shallow queue keeps the task count (and the
-           per-task promise/condvar traffic) proportional to the domain
-           count instead of the tree width. *)
-        let queue_cap = 2 * max 1 (Pool.size pool) in
-        let refund = Budget.refund bpool in
-        let rec go_task node rev_path rank round fallback0 ~drops_left ~dups_left () =
-          let fanable =
-            round <= fan_rounds && round <= rounds
-            && (not (Budget.exhausted bpool))
-            && Pool.queued pool < queue_cap
-          in
-          let inline ~checked () =
-            let b =
-              explore_subtree ~lease:(lease_for rank) ~refund ~skip:0 ~fallback0
-                ~root_checked:checked ~drops_left ~dups_left node round
-            in
-            deregister rank;
-            Leaf (rev_path, round, b)
-          in
-          if not fanable then inline ~checked:false ()
-          else begin
-            let fallback = ref false in
-            let engine = materialize node in
-            (* The fan path expands this node itself, so it must run the
-               visited check explore_subtree would have run — and its
-               children must NOT re-check it (hence [~checked:true] on the
-               inline fallback below, which re-enters the same node). An
-               already-visited fan node prunes to an empty leaf; only the
-               perm-limit flag it was carrying survives for the merge. *)
-            if not (check_visited engine round) then begin
-              deregister rank;
-              Leaf
-                ( rev_path,
-                  round,
-                  {
-                    b_explored = 0;
-                    b_violation_indices = [];
-                    b_first_violation = None;
-                    b_fallback = fallback0;
-                    b_cut = false;
-                    b_runs = [];
-                  } )
-            end
-            else begin
-              match round_choices ~truncated:fallback engine ~round ~drops_left ~dups_left with
-              | None -> inline ~checked:true ()
-              | Some combos ->
-                (* Workers clone the (now quiescent, shared) parent engine
-                   inside their own task, off the coordinator's critical
-                   path. Tasks are submitted in *reverse* DFS order: the
-                   pool is a LIFO stack, so the DFS-first task lands on top
-                   and domains consume the frontier in roughly sequential
-                   order — under a tight budget the tokens then go to the
-                   runs a sequential exploration would have evaluated,
-                   keeping merge-time top-ups marginal. The fan node's
-                   fallback flag rides with its first child: if that
-                   child's subtree is even partially cut the merge reports
-                   truncation anyway, and if it is fully counted the flag
-                   lands exactly as in a sequential exploration. *)
-                let indexed = List.mapi (fun i choice -> (i, choice)) combos in
-                let make_child choice =
-                  match node with
-                  | Path _ -> Path (choice :: rev_path)
-                  | Engine _ ->
-                      let c = Dsim.Engine.clone engine in
-                      apply_choice c round choice;
-                      advance c (round + 1);
-                      Engine c
-                in
-                let fb_for i = if i = 0 then fallback0 || !fallback else false in
-                (* Fault branching can make a node hundreds of children
-                   wide. One task per child would swamp the registry and
-                   promise machinery with far more tasks than there are
-                   domains — and, worse, let every one of those tasks
-                   re-fan its own children whenever the queue momentarily
-                   drains, a quadratic task cascade. Above [max_fan]
-                   children, adjacent children are grouped into at most
-                   [max_fan] chunk tasks instead; a chunk explores its
-                   children inline, in DFS order, under its leading rank.
-                   At or below the cap (every no-fault exploration) the
-                   per-child fan is unchanged. *)
-                let ncombos = List.length indexed in
-                let max_fan = max (2 * queue_cap) 8 in
-                if ncombos <= max_fan then begin
-                  (* All children enter the rank registry before any of
-                     them can run (and before the parent's covering rank
-                     leaves), so [is_leftmost] never under-approximates. *)
-                  List.iter (fun (i, _) -> register (rank @ [ i ])) indexed;
-                  deregister rank;
-                  Fanned
-                    (List.rev_map
-                       (fun (i, choice) ->
-                         let child_rank = rank @ [ i ] in
-                         let child_drops = drops_left - List.length choice.drop in
-                         let child_dups = dups_left - List.length choice.dup in
-                         Pool.submit pool (fun () ->
-                             go_task (make_child choice) (choice :: rev_path) child_rank
-                               (round + 1) (fb_for i) ~drops_left:child_drops
-                               ~dups_left:child_dups ()))
-                       (List.rev indexed))
-                end
-                else begin
-                  let per_chunk = (ncombos + max_fan - 1) / max_fan in
-                  let chunks = Combinat.chunks per_chunk indexed in
-                  let chunk_rank = function
-                    | (i, _) :: _ -> rank @ [ i ]
-                    | [] -> rank
-                  in
-                  List.iter (fun chunk -> register (chunk_rank chunk)) chunks;
-                  deregister rank;
-                  Fanned
-                    (List.rev_map
-                       (fun chunk ->
-                         let crank = chunk_rank chunk in
-                         Pool.submit pool (fun () ->
-                             let leaves =
-                               List.map
-                                 (fun (i, choice) ->
-                                   (* Materialising a child is engine work;
-                                      don't pay it when every lease is bound
-                                      to be denied anyway ([lease_for] always
-                                      draws real tokens from [bpool], so an
-                                      empty pool cuts leftmost and
-                                      speculative tasks alike). The merge
-                                      tops starved subtrees up from the
-                                      recorded path, so a fabricated cut
-                                      here is indistinguishable from one
-                                      discovered inside [explore_subtree]. *)
-                                   let b =
-                                     if Budget.exhausted bpool then
-                                       {
-                                         b_explored = 0;
-                                         b_violation_indices = [];
-                                         b_first_violation = None;
-                                         b_fallback = fb_for i;
-                                         b_cut = true;
-                                         b_runs = [];
-                                       }
-                                     else
-                                       explore_subtree ~lease:(lease_for crank) ~refund
-                                         ~skip:0 ~fallback0:(fb_for i)
-                                         ~drops_left:(drops_left - List.length choice.drop)
-                                         ~dups_left:(dups_left - List.length choice.dup)
-                                         (make_child choice) (round + 1)
-                                   in
-                                   (choice :: rev_path, round + 1, b))
-                                 chunk
-                             in
-                             deregister crank;
-                             Chunk leaves))
-                       (List.rev chunks))
-                end
-            end
-          end
-        in
-        (* Collect every leaf in DFS order; the coordinator steals queued
-           subtree tasks while it waits instead of sleeping. *)
-        let rec collect acc = function
-          | Leaf (rev_path, round, b) -> (rev_path, round, b) :: acc
-          | Chunk leaves -> List.fold_left (fun acc leaf -> leaf :: acc) acc leaves
-          | Fanned children ->
-              List.fold_left
-                (fun acc p -> collect acc (Pool.await_helping pool p))
-                acc children
-        in
-        register [];
-        let leaves =
-          List.rev
-            (collect []
-               (go_task (root_node ()) [] [] 1 false ~drops_left:faults.max_drops
-                  ~dups_left:faults.max_dups ()))
-        in
-        (* Re-impose the global budget in DFS order, exactly as a
-           sequential exploration would have spent it. A subtree that the
-           shared pool cut short of its sequential entitlement — possible
-           when a DFS-later task leased tokens first — is topped up by
-           re-running it with the missing suffix evaluated and the already
-           counted prefix merely traversed, so every run is still evaluated
-           exactly once. *)
-        let remaining = ref budget in
-        let explored = ref 0 in
-        let violations = ref 0 in
-        let first_violation = ref None in
-        let truncated = ref false in
-        let top_ups = ref 0 in
-        let counted_runs_rev = ref [] in
-        List.iter
-          (fun (rev_path, round, b) ->
-            if !remaining <= 0 then begin
-              (* With dedup off every subtree holds >= 1 run; with dedup on
-                 a fully pruned subtree is empty and cuts nothing. *)
-              if b.b_explored > 0 || b.b_cut then truncated := true
-            end
-            else begin
-              let b =
-                (* Top-up re-runs are only sound with dedup off: the
-                   visited set already contains the starved subtree's
-                   states, so a re-run would be pruned at the root instead
-                   of resuming. Under dedup a cut subtree just reports
-                   truncation — the byte-identical-totals contract is
-                   scoped to explorations that finish within budget. *)
-                if b.b_cut && b.b_explored < !remaining && dedup = Off then begin
-                  incr top_ups;
-                  let node =
-                    match mode with
-                    | `Replay -> Path rev_path
-                    | `Snapshot -> Engine (replay rev_path)
-                  in
-                  let local = ref !remaining in
-                  let lease () =
-                    let g = !local in
-                    local := 0;
-                    g
-                  in
-                  let d_spent, u_spent = faults_spent rev_path in
-                  let t =
-                    explore_subtree ~lease ~refund:ignore ~skip:b.b_explored
-                      ~fallback0:false ~drops_left:(faults.max_drops - d_spent)
-                      ~dups_left:(faults.max_dups - u_spent) node round
-                  in
-                  {
-                    t with
-                    b_violation_indices = b.b_violation_indices @ t.b_violation_indices;
-                    b_first_violation =
-                      (match b.b_first_violation with
-                      | Some _ as v -> v
-                      | None -> t.b_first_violation);
-                    b_fallback = b.b_fallback || t.b_fallback;
-                    b_runs = b.b_runs @ t.b_runs;
-                  }
-                end
-                else b
-              in
-              let take = min b.b_explored !remaining in
-              explored := !explored + take;
-              remaining := !remaining - take;
-              counted_runs_rev := List.rev_append (take_n take b.b_runs) !counted_runs_rev;
-              let counted = List.filter (fun i -> i < take) b.b_violation_indices in
-              violations := !violations + List.length counted;
-              if !first_violation = None && counted <> [] then
-                first_violation := b.b_first_violation;
-              if take < b.b_explored || b.b_cut then truncated := true
-              else truncated := !truncated || b.b_fallback
-            end)
-          leaves;
-        let res =
-          {
-            explored = !explored;
-            violations = !violations;
-            first_violation = !first_violation;
-            truncated = !truncated;
-          }
-        in
-        let tasks_per_domain, stolen = Pool.stats pool in
-        ( res,
-          make_report ~domains ~tasks_per_domain ~stolen ~top_ups:!top_ups
-            ~runs:(List.rev !counted_runs_rev) res ))
-  end
+    } )
 
 let synchronous protocol ~n ~e ~f ~delta ~proposals ?crashes ~rounds ?budget ?perm_limit
-    ?disable_timers ?mode ?domains ?clamp_domains ?eval_counter ?faults ?dedup ?por
-    ?stateset_capacity ?metrics ~check () =
+    ?disable_timers ?mode ?domains ?clamp_domains ?faults ?dedup ?por ?stateset_capacity
+    ?metrics ~check () =
   fst
     (synchronous_report protocol ~n ~e ~f ~delta ~proposals ?crashes ~rounds ?budget
-       ?perm_limit ?disable_timers ?mode ?domains ?clamp_domains ?eval_counter ?faults
-       ?dedup ?por ?stateset_capacity ?metrics ~check ())
+       ?perm_limit ?disable_timers ?mode ?domains ?clamp_domains ?faults ?dedup ?por
+       ?stateset_capacity ?metrics ~check ())
 
 module Swarm_report = struct
   type t = {
@@ -1058,11 +777,11 @@ end
 (* Randomized swarm search: [walkers] seeded random walkers, each
    descending the schedule tree from the root by picking uniformly among
    the (POR-reduced) choices at every boundary, sharing one visited set —
-   used to *count* coverage, never to prune, so every walk completes —
-   and one budget pool of run tokens. Walker [w]'s trajectory depends
-   only on [(seed, w)] and its fixed share of the budget
-   (ceil-division), so the whole report is deterministic for a given
-   configuration regardless of how the domains schedule the walkers. *)
+   used to *count* coverage, never to prune, so every walk completes.
+   Walker [w]'s trajectory depends only on [(seed, w)] and its fixed
+   share of the budget (ceil-division), so the whole report is
+   deterministic for a given configuration regardless of how the domains
+   schedule the walkers. *)
 let swarm_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals ?(crashes = [])
     ~rounds ?(budget = 20_000) ?(perm_limit = 4) ?(disable_timers = true) ?(walkers = 4)
     ?(seed = 0) ?domains ?(clamp_domains = true) ?(faults = no_faults) ?(por = Sleep)
@@ -1138,50 +857,29 @@ let swarm_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals ?(cras
     if !truncated then Atomic.set fallback_any true;
     outcome_of ~n engine
   in
-  let bpool = Budget.create budget in
-  (* Fixed ceil-division share per walker: the shared pool still caps the
-     global total, but no walker can hoard another's share, so
-     trajectories — hence all the coverage counters — do not depend on
-     domain scheduling. *)
-  let quota w = (budget / walkers) + (if w < budget mod walkers then 1 else 0) in
+  (* Fixed ceil-division share per walker: the shares sum to the budget,
+     and no walker can take another's, so trajectories — hence all the
+     coverage counters — do not depend on domain scheduling. *)
+  let quota w = max 0 ((budget / walkers) + if w < budget mod walkers then 1 else 0) in
   let walker w =
     let rng = Stdext.Rng.stream ~seed w in
-    let q = quota w in
-    let runs = ref 0 in
     let violations = ref 0 in
     let first = ref None in
-    let tokens = ref 0 in
-    let have_token () =
-      !tokens > 0
-      ||
-      let g = Budget.lease bpool (max 1 (min 64 (q - !runs))) in
-      tokens := g;
-      g > 0
-    in
-    while !runs < q && have_token () do
-      tokens := !tokens - 1;
+    for _ = 1 to quota w do
       let outcome = walk_one rng in
-      incr runs;
       if not (check outcome) then begin
         incr violations;
         if !first = None then first := Some outcome
       end
     done;
-    if !tokens > 0 then Budget.refund bpool !tokens;
-    (!runs, !violations, !first)
+    (quota w, !violations, !first)
   in
   let domains =
     let d = match domains with Some d -> d | None -> walkers in
     if clamp_domains then min d (max 1 (Domain.recommended_domain_count ())) else d
   in
   let results =
-    if domains <= 1 then List.init walkers walker
-    else
-      Pool.run ~domains (fun pool ->
-          let promises =
-            List.map (fun w -> Pool.submit pool (fun () -> walker w)) (List.init walkers Fun.id)
-          in
-          List.map (fun p -> Pool.await_helping pool p) promises)
+    Pool.run ~domains (fun pool -> Pool.map_list pool walker (List.init walkers Fun.id))
   in
   let runs = List.fold_left (fun a (r, _, _) -> a + r) 0 results in
   let violations = List.fold_left (fun a (_, v, _) -> a + v) 0 results in

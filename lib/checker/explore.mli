@@ -20,23 +20,23 @@
     Both visit the exact same runs in the same order and return identical
     results.
 
-    With [domains > 1] the search is fanned across a {!Stdext.Pool} of
-    OCaml domains: subtrees at the first levels of the tree become pool
-    tasks (workers re-submit sub-subtrees, and the coordinator steals
-    queued tasks while it waits), and all domains draw evaluation tokens in
-    chunks from one shared budget pool — the total engine work across all
-    domains is bounded by one budget's worth, instead of every branch
-    racing the full budget and most of the work being discarded. Results
-    are merged deterministically in DFS order: explored/violation counts,
-    the (canonical) first violation and the truncation flag are identical
-    to a [domains = 1] exploration — including when the run budget cuts
-    the search short — independent of worker scheduling. (In the rare case
-    scheduling starves a DFS-early subtree of tokens that a sequential
-    exploration would have granted it, the merge re-runs just that
-    subtree's missing suffix sequentially; every run is still evaluated
-    exactly once.) The [check] predicate then runs concurrently in several
-    domains and must be thread-safe (pure predicates, like all the
-    checkers in this repository, are).
+    With [domains > 1] the search is split statically: the top of the
+    tree is expanded in DFS order until there are at least [4 * domains]
+    subtrees, adjacent subtrees are grouped into at most [8 * domains]
+    chunks, and a {!Stdext.Pool} of OCaml domains runs each chunk through
+    the same sequential DFS a one-domain exploration runs over the whole
+    tree. Chunk [i] may count the budget minus the runs counted by the
+    chunks before it. It learns that cap once every chunk to its left has
+    finished, and until then runs ahead on a shared allowance of
+    [budget / 4] evaluations. Results are merged in DFS order:
+    explored/violation counts, the (canonical) first violation and the
+    truncation flag are identical to a [domains = 1] exploration —
+    including when the run budget cuts the search short — independent of
+    worker scheduling. Runs evaluated past a chunk's cap are discarded,
+    so property evaluations stay within [1.25 * budget]. The [check]
+    predicate then runs concurrently in several domains and must be
+    thread-safe (pure predicates, like all the checkers in this
+    repository, are).
 
     Batches larger than [perm_limit] messages fall back to two
     representative orders (arrival and reversed) to keep the product
@@ -50,17 +50,17 @@
     {!Stdext.Stateset} and prunes the subtree under a state it has
     already expanded — turning the search over {e schedules} into a search
     over {e distinct states}, which is what makes deep horizons exhaustive
-    within real budgets. Pruned branches spend no budget tokens (their
-    lease is kept for the next node or refunded). Soundness: exact dedup
-    can only merge genuinely identical states (up to the 62-bit
-    hash-compaction collision probability of {!Stdext.Stateset});
+    within real budgets. Pruned branches evaluate no run, so they spend
+    no budget. Soundness: exact dedup can only merge genuinely identical
+    states (up to the 62-bit hash-compaction collision probability of
+    {!Stdext.Stateset});
     [Symmetry] additionally merges states equal up to a permutation of the
     non-distinguished pids, which preserves the verdict of any
     pid-agnostic property (agreement, validity) but may report a
     different — permuted — [first_violation]. The byte-identical-totals
     contract across modes/domains holds for explorations that complete
-    within budget; when the budget cuts a dedup'd search, merge top-ups
-    are disabled (a re-run would be pruned by its own earlier visit), so
+    within budget; when the budget cuts a dedup'd search, which subtree
+    reaches a shared state first decides where its runs are counted, so
     totals near the cut can vary with scheduling. *)
 
 type result = {
@@ -75,9 +75,9 @@ type result = {
     order under the sequential budget cut, so it is {e identical} across
     [`Replay]/[`Snapshot], any [domains] count and any worker scheduling —
     the byte-identical contract the determinism tests assert. [sched]
-    records what this particular execution did (token leases, speculation
-    waste, merge top-ups, per-domain load) and legitimately varies from run
-    to run; it is the budget-leasing observability story. *)
+    records what this particular execution did — how much work the
+    parallel split evaluated beyond the counted runs — and legitimately
+    varies from run to run. *)
 module Run_report : sig
   type totals = {
     explored : int;
@@ -115,15 +115,14 @@ module Run_report : sig
   type sched = {
     domains : int;  (** after clamping *)
     budget : int;
-    leased : int;  (** evaluation tokens leased from the shared budget *)
-    evals : int;  (** property evaluations, including merge top-ups *)
-    wasted : int;  (** [evals - explored]: speculative work discarded *)
-    top_ups : int;  (** starved subtrees re-run during the merge *)
+    evals : int;  (** property evaluations across all domains *)
+    wasted : int;
+        (** [evals - explored]: runs a chunk evaluated past its budget cap,
+            discarded by the merge; 0 whenever the budget does not bind,
+            at most [budget / 4] when it does *)
     max_fanout : int;
         (** widest round-boundary branching observed (delivery orders ×
             fault subsets) — the fault-branch fan-out *)
-    tasks_per_domain : int array;  (** pool tasks completed per worker *)
-    stolen : int;  (** tasks executed by the coordinator while waiting *)
   }
 
   type t = { totals : totals; sched : sched }
@@ -203,7 +202,6 @@ val synchronous :
   ?mode:mode ->
   ?domains:int ->
   ?clamp_domains:bool ->
-  ?eval_counter:int Atomic.t ->
   ?faults:fault_bounds ->
   ?dedup:dedup ->
   ?por:por ->
@@ -248,13 +246,7 @@ val synchronous :
     slower). Pass [~clamp_domains:false] to spawn exactly [domains]
     domains regardless — the determinism tests do, to exercise the
     parallel merge under real thread interleaving on any host. Results
-    are identical either way.
-
-    [eval_counter], when given, is incremented once per property
-    evaluation across all domains — a test/diagnostic hook for asserting
-    that parallel exploration does not duplicate budget (the count stays
-    within a small factor of [min budget size], where a sequential run
-    costs exactly [min budget size]). *)
+    are identical either way. *)
 
 val synchronous_report :
   Proto.Protocol.t ->
@@ -271,7 +263,6 @@ val synchronous_report :
   ?mode:mode ->
   ?domains:int ->
   ?clamp_domains:bool ->
-  ?eval_counter:int Atomic.t ->
   ?faults:fault_bounds ->
   ?dedup:dedup ->
   ?por:por ->
@@ -340,8 +331,8 @@ val swarm :
     boundary, until the shared [budget] of complete runs is spent. All
     walkers share one {!Stdext.Stateset} — used to {e count} coverage
     (distinct (state, round) pairs, comparable with the exhaustive
-    explorer's [distinct_states]), never to prune — and one budget lease
-    pool, split in fixed ceil-division shares so trajectories are
+    explorer's [distinct_states]), never to prune — and split the budget
+    in fixed ceil-division shares so trajectories are
     scheduling-independent. Walker [w] draws from
     [Stdext.Rng.stream ~seed w], so the whole run is reproducible from
     [seed] alone. [domains] defaults to [walkers] (clamped like

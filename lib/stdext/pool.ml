@@ -9,42 +9,26 @@ type 'a promise = {
   mutable st : 'a state;
 }
 
-(* Pending jobs form a LIFO stack: the most recently submitted job runs
-   first. Recursive fan-out (tasks submitting subtree tasks) then unfolds
-   depth-first — a domain keeps descending into the subtree it just split,
-   and the stack bottom holds the biggest, oldest subtrees for other
-   domains to pick up. This is the scheduling order a work-stealing deque
-   gives the owning worker, with the single shared stack standing in for
-   per-worker deques (task granularity in this repository is coarse enough
-   that the one mutex is not contended). *)
+(* Pending jobs form a FIFO queue: no job starts before one submitted
+   earlier has started. *)
 type t = {
   m : Mutex.t;
   work_available : Condition.t;
-  mutable jobs : (unit -> unit) list;
-  mutable njobs : int;
+  jobs : (unit -> unit) Queue.t;
   mutable closed : bool;
   mutable workers : unit Domain.t list;
-  (* Telemetry: jobs completed per worker domain, plus jobs executed by
-     non-worker callers through [try_run_one] ("stolen" — in inline mode,
-     submitted jobs also run in the caller and count here). Written by the
-     executing domain only (atomically), read by {!stats} at any time. *)
-  tasks_run : int Atomic.t array;
-  stolen : int Atomic.t;
 }
 
 let size t = List.length t.workers
 
 (* Jobs never raise: submit wraps the task so that any exception is stored
    in the promise instead of killing the worker. *)
-let rec worker_loop t index =
+let rec worker_loop t =
   Mutex.lock t.m;
   let rec next () =
-    match t.jobs with
-    | job :: rest ->
-        t.jobs <- rest;
-        t.njobs <- t.njobs - 1;
-        Some job
-    | [] ->
+    match Queue.take_opt t.jobs with
+    | Some _ as job -> job
+    | None ->
         if t.closed then None
         else begin
           Condition.wait t.work_available t.m;
@@ -56,29 +40,20 @@ let rec worker_loop t index =
   | Some job ->
       Mutex.unlock t.m;
       job ();
-      Atomic.incr t.tasks_run.(index);
-      worker_loop t index
+      worker_loop t
 
 let create ~domains =
   let t =
     {
       m = Mutex.create ();
       work_available = Condition.create ();
-      jobs = [];
-      njobs = 0;
+      jobs = Queue.create ();
       closed = false;
       workers = [];
-      tasks_run = Array.init (max domains 0) (fun _ -> Atomic.make 0);
-      stolen = Atomic.make 0;
     }
   in
-  if domains > 1 then
-    t.workers <- List.init domains (fun i -> Domain.spawn (fun () -> worker_loop t i));
+  if domains > 1 then t.workers <- List.init domains (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
-
-let stats t =
-  ( Array.map Atomic.get (Array.sub t.tasks_run 0 (List.length t.workers)),
-    Atomic.get t.stolen )
 
 let fulfill promise st =
   Mutex.lock promise.pm;
@@ -95,8 +70,7 @@ let submit t f =
   in
   if t.workers = [] then begin
     if t.closed then invalid_arg "Pool.submit: pool is shut down";
-    job ();
-    Atomic.incr t.stolen
+    job ()
   end
   else begin
     Mutex.lock t.m;
@@ -104,36 +78,11 @@ let submit t f =
       Mutex.unlock t.m;
       invalid_arg "Pool.submit: pool is shut down"
     end;
-    t.jobs <- job :: t.jobs;
-    t.njobs <- t.njobs + 1;
+    Queue.push job t.jobs;
     Condition.signal t.work_available;
     Mutex.unlock t.m
   end;
   promise
-
-let queued t =
-  Mutex.lock t.m;
-  let n = t.njobs in
-  Mutex.unlock t.m;
-  n
-
-let try_run_one t =
-  Mutex.lock t.m;
-  let job =
-    match t.jobs with
-    | [] -> None
-    | job :: rest ->
-        t.jobs <- rest;
-        t.njobs <- t.njobs - 1;
-        Some job
-  in
-  Mutex.unlock t.m;
-  match job with
-  | None -> false
-  | Some job ->
-      job ();
-      Atomic.incr t.stolen;
-      true
 
 let await promise =
   Mutex.lock promise.pm;
@@ -150,30 +99,6 @@ let await promise =
   | Done v -> v
   | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
   | Pending -> assert false
-
-let await_helping t promise =
-  let rec loop () =
-    Mutex.lock promise.pm;
-    let st = promise.st in
-    Mutex.unlock promise.pm;
-    match st with
-    | Done v -> v
-    | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
-    | Pending ->
-        if try_run_one t then loop ()
-        else begin
-          (* Nothing stealable right now: park on the promise. Re-check the
-             state under the lock so a fulfil between the peek above and
-             this wait cannot be missed. *)
-          Mutex.lock promise.pm;
-          (match promise.st with
-          | Pending -> Condition.wait promise.pc promise.pm
-          | _ -> ());
-          Mutex.unlock promise.pm;
-          loop ()
-        end
-  in
-  loop ()
 
 let map_list t f xs =
   let promises = List.map (fun x -> submit t (fun () -> f x)) xs in

@@ -1,25 +1,20 @@
 (** Fixed-size domain pool: a work-queue executor over raw [Domain]s.
 
     The checkers fan independent, deterministic units of work (exploration
-    branches, experiment grid cells) across OCaml 5 domains. Tasks must not
-    share mutable state with each other; determinism is recovered by
-    awaiting results in submission order, never in completion order.
+    chunks, experiment grid cells) across OCaml 5 domains. Determinism is
+    recovered by awaiting results in submission order, never in completion
+    order.
 
     With [domains <= 1] no domain is spawned and every task runs inline in
     the caller at submission time, so sequential and parallel callers share
     one code path.
 
-    Tasks may {!submit} further tasks from inside a worker (subtree
-    fan-out); {!try_run_one} and {!await_helping} let an otherwise idle
-    domain — typically the coordinator blocked on a result — steal queued
-    work instead of sleeping on a condition variable.
-
-    Pending tasks run in LIFO order (newest first), the order a
-    work-stealing deque gives its owning worker: recursive fan-out unfolds
-    depth-first, which keeps domains on the DFS frontier and matters to
-    callers that impose a global budget in DFS order. Callers needing
-    deterministic results must await promises in submission order
-    regardless — completion order is scheduling-dependent either way. *)
+    Tasks start in FIFO order: no task starts before every task submitted
+    earlier has started. A task may therefore wait for something only an
+    earlier task provides, since that task is already running (the
+    explorer's chunks wait for their budget caps this way). A task must
+    not {!await} another task of the same pool: a waiting task holds its
+    worker, and with every worker waiting no queued task can start. *)
 
 type t
 
@@ -34,37 +29,14 @@ val size : t -> int
 (** Number of worker domains (0 in inline mode). *)
 
 val submit : t -> (unit -> 'a) -> 'a promise
-(** Push a task (LIFO: it is the next one picked up). Raises
+(** Queue a task behind every task submitted before it. Raises
     [Invalid_argument] on a shut-down pool. In inline mode the task runs
     immediately in the caller. *)
-
-val queued : t -> int
-(** Number of submitted tasks not yet picked up by any domain (always 0 in
-    inline mode). A load signal for adaptive fan-out policies. *)
-
-val stats : t -> int array * int
-(** [(per_worker, stolen)]: tasks completed by each worker domain (indexed
-    by spawn order; [[||]] in inline mode), and tasks executed by
-    non-worker callers — {!try_run_one} steals, plus inline-mode submits.
-    Monotonic; safe to read concurrently with running tasks, in which case
-    the numbers are a moment's lower bound. *)
-
-val try_run_one : t -> bool
-(** Steal the newest queued task and run it in the calling domain; [false]
-    if the queue was empty. Never blocks. Safe to call from any domain,
-    including from inside a running task. *)
 
 val await : 'a promise -> 'a
 (** Block until the task finished. An exception raised by the task is
     re-raised here (with its backtrace), never swallowed by a worker. May
     be called multiple times; every call returns/raises the same result. *)
-
-val await_helping : t -> 'a promise -> 'a
-(** Like {!await}, but instead of blocking while the task is pending, the
-    calling domain repeatedly steals queued work with {!try_run_one} — so a
-    coordinator waiting on a fanned-out computation contributes cycles to
-    draining it. Falls back to blocking only when the queue is momentarily
-    empty. *)
 
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map_list pool f xs] submits [f x] for every element and awaits the

@@ -344,13 +344,13 @@ let test_explore_parallel_deterministic () =
   let par = go ~mode:`Snapshot ~domains:3 ~budget:100 p0_undecided in
   check_explore_results_equal "budget-cut merge" cut par
 
-(* Property: the shared-budget, work-stealing parallel explorer is
-   *byte-identical* to the sequential one on every result field — explored,
-   violations, first_violation and truncated — over random small
-   configurations covering both execution modes, crash schedules, unclamped
-   domain counts and budgets that cut mid-branch. This is the determinism
-   contract the merge logic (DFS-order budget re-imposition + subtree
-   top-up) must uphold under arbitrary worker scheduling. *)
+(* Property: the parallel subtree split is *byte-identical* to the
+   sequential explorer on every result field — explored, violations,
+   first_violation and truncated — over random small configurations
+   covering both execution modes, crash schedules, unclamped domain counts
+   and budgets that cut mid-branch. This is the determinism contract the
+   per-chunk budget caps and the DFS-order merge must uphold under
+   arbitrary worker scheduling. *)
 let explore_parallel_equiv_property =
   QCheck.Test.make ~name:"explore: parallel == sequential on all fields" ~count:14
     QCheck.(int_bound 1_000_000)
@@ -379,24 +379,22 @@ let explore_parallel_equiv_property =
       && a.first_violation = b.first_violation)
 
 let test_explore_budget_not_duplicated () =
-  (* The shared budget pool bounds the total work: across all domains the
-     property must be evaluated at most a small factor more often than the
-     budget (top-up re-runs of lease-starved subtrees are the only source
-     of re-evaluation), where the old per-branch budgets cost up to
-     domains x budget. *)
+  (* The per-chunk budget caps bound the total work: across all domains
+     the property must be evaluated at most a small factor more often than
+     the budget (runs a chunk evaluates past its cap are the only waste),
+     where per-branch budgets would cost up to domains x budget. *)
   (* n = 6 at the task bound: the 3-round tree holds 572 runs, so budget
      400 cuts mid-branch. *)
   let n = 6 and e = 2 and f = 2 in
   let proposals = Scenario.all_proposals_at_zero ~n [ 5; 4; 3; 2; 1; 0 ] in
   let go ~budget ~domains ~clamp =
-    let evals = Atomic.make 0 in
-    let r =
-      Explore.synchronous Core.Rgs.task ~n ~e ~f ~delta ~proposals ~rounds:3 ~budget
-        ~domains ~clamp_domains:clamp ~eval_counter:evals
+    let r, report =
+      Explore.synchronous_report Core.Rgs.task ~n ~e ~f ~delta ~proposals ~rounds:3 ~budget
+        ~domains ~clamp_domains:clamp
         ~check:(fun _ -> true)
         ()
     in
-    (r, Atomic.get evals)
+    (r, report.Explore.Run_report.sched.evals)
   in
   (* Budget cuts mid-tree: evaluations stay within 1.25x budget. *)
   let r, evals = go ~budget:400 ~domains:4 ~clamp:false in
@@ -499,43 +497,63 @@ let test_explore_symmetry_merges_more () =
     (rs.Explore.Run_report.totals.distinct_states
     < re.Explore.Run_report.totals.distinct_states)
 
+(* The configurations of the totals-identical tests: (n, e, f, rounds,
+   explored fault bounds, dedup), with pid i proposing n - 1 - i and a
+   property that fails wherever p0 decides. Budget ample: the contract is
+   scoped to within-budget-exhaustive explorations. *)
+let explore_totals ~mode ~domains ?(por = Explore.No_por) (n, e, f, rounds, faults, dedup) =
+  let proposals = Scenario.all_proposals_at_zero ~n (List.init n (fun i -> n - 1 - i)) in
+  snd
+    (Explore.synchronous_report Core.Rgs.task ~n ~e ~f ~delta ~proposals ~rounds
+       ~budget:1_000_000 ~mode ~domains ~clamp_domains:false ~faults ~dedup ~por
+       ~check:(fun o -> Scenario.decided_value o 0 = None)
+       ())
+
+(* Every strategy the totals must agree across besides the sequential
+   snapshot baseline: Replay / Snapshot x sequential / parallel, with
+   unclamped parallel runs at 2, 3 and 4 domains. *)
+let totals_strategies =
+  [
+    ("replay seq", `Replay, 1);
+    ("snapshot par", `Snapshot, 4);
+    ("replay par", `Replay, 3);
+    ("snapshot par 2", `Snapshot, 2);
+  ]
+
+let drop_dup = { Explore.max_drops = 1; max_dups = 1 }
+
 let test_explore_dedup_totals_identical () =
   (* The byte-identical-totals contract extended to dedup'd explorations:
-     for a fixed dedup mode, all four strategy combinations (Replay /
-     Snapshot x sequential / parallel) must report the same totals —
-     including the distinct_states / dedup_hits / pruned_subtrees counts,
-     which only stay deterministic because exactly one Stateset.add wins
-     per key and arrivals are the edges of the (schedule-independent)
-     dedup'd state graph. Budget ample: the contract is scoped to
-     within-budget-exhaustive explorations. *)
-  let n = 6 and e = 2 and f = 2 in
-  let proposals = Scenario.all_proposals_at_zero ~n [ 5; 4; 3; 2; 1; 0 ] in
-  let go ~mode ~domains dedup =
-    snd
-      (Explore.synchronous_report Core.Rgs.task ~n ~e ~f ~delta ~proposals ~rounds:3
-         ~budget:1_000_000 ~mode ~domains ~clamp_domains:false ~dedup
-         ~check:(fun o -> Scenario.decided_value o 0 = None)
-         ())
-  in
+     for a fixed dedup mode, all strategy combinations (Replay / Snapshot
+     x sequential / parallel) must report the same totals — including the
+     distinct_states / dedup_hits / pruned_subtrees counts, which only
+     stay deterministic because exactly one Stateset.add wins per key and
+     arrivals are the edges of the (schedule-independent) dedup'd state
+     graph. Two more shapes the parallel split must not disturb: the
+     n = 4 search with an explored drop and duplication, whose root fans
+     out into fault branches, and the n = 3 one, which reaches 17
+     distinct states over ~14k arrivals. *)
+  let go ~mode ~domains cfg = explore_totals ~mode ~domains cfg in
   List.iter
-    (fun (name, dedup) ->
-      let base = go ~mode:`Snapshot ~domains:1 dedup in
+    (fun (name, cfg) ->
+      let base = go ~mode:`Snapshot ~domains:1 cfg in
       Alcotest.(check bool)
         (name ^ ": dedup active") true
         (base.Explore.Run_report.totals.distinct_states > 0);
       List.iter
         (fun (label, mode, domains) ->
-          let r = go ~mode ~domains dedup in
+          let r = go ~mode ~domains cfg in
           Alcotest.(check bool)
             (Printf.sprintf "%s %s: totals byte-identical" name label)
             true
             (base.Explore.Run_report.totals = r.Explore.Run_report.totals))
-        [
-          ("replay seq", `Replay, 1);
-          ("snapshot par", `Snapshot, 4);
-          ("replay par", `Replay, 3);
-        ])
-    [ ("exact", Explore.Exact); ("symmetry", Explore.Symmetry) ]
+        totals_strategies)
+    [
+      ("exact", (6, 2, 2, 3, Explore.no_faults, Explore.Exact));
+      ("symmetry", (6, 2, 2, 3, Explore.no_faults, Explore.Symmetry));
+      ("exact n=4 drop+dup", (4, 1, 2, 2, drop_dup, Explore.Exact));
+      ("exact n=3", (3, 1, 1, 2, Explore.no_faults, Explore.Exact));
+    ]
 
 (* -- por: sleep-set partial-order reduction soundness ------------------- *)
 
@@ -656,36 +674,28 @@ let test_explore_por_totals_identical () =
      sequential / parallel) must report the same totals — including the
      new por_pruned / sleep_hits counters, which stay deterministic
      because trial classification depends only on engine state, never on
-     scheduling. Budget ample: scoped to within-budget explorations. *)
-  let n = 6 and e = 2 and f = 2 in
-  let proposals = Scenario.all_proposals_at_zero ~n [ 5; 4; 3; 2; 1; 0 ] in
-  let go ~mode ~domains dedup =
-    snd
-      (Explore.synchronous_report Core.Rgs.task ~n ~e ~f ~delta ~proposals ~rounds:3
-         ~budget:1_000_000 ~mode ~domains ~clamp_domains:false ~dedup ~por:Explore.Sleep
-         ~check:(fun o -> Scenario.decided_value o 0 = None)
-         ())
-  in
+     scheduling. *)
+  let go ~mode ~domains cfg = explore_totals ~mode ~domains ~por:Explore.Sleep cfg in
   List.iter
-    (fun (name, dedup) ->
-      let base = go ~mode:`Snapshot ~domains:1 dedup in
+    (fun (name, cfg) ->
+      let base = go ~mode:`Snapshot ~domains:1 cfg in
       Alcotest.(check bool)
         (name ^ ": POR active") true
         (base.Explore.Run_report.totals.sleep_hits > 0
         || base.Explore.Run_report.totals.por_pruned > 0);
       List.iter
         (fun (label, mode, domains) ->
-          let r = go ~mode ~domains dedup in
+          let r = go ~mode ~domains cfg in
           Alcotest.(check bool)
             (Printf.sprintf "%s %s: totals byte-identical" name label)
             true
             (base.Explore.Run_report.totals = r.Explore.Run_report.totals))
-        [
-          ("replay seq", `Replay, 1);
-          ("snapshot par", `Snapshot, 4);
-          ("replay par", `Replay, 3);
-        ])
-    [ ("por only", Explore.Off); ("por + exact dedup", Explore.Exact) ]
+        totals_strategies)
+    [
+      ("por only", (6, 2, 2, 3, Explore.no_faults, Explore.Off));
+      ("por + exact dedup", (6, 2, 2, 3, Explore.no_faults, Explore.Exact));
+      ("por + exact dedup n=4 drop+dup", (4, 1, 2, 2, drop_dup, Explore.Exact));
+    ]
 
 (* -- swarm: seeded randomized walkers ----------------------------------- *)
 

@@ -305,58 +305,39 @@ let test_pool_shutdown_rejects () =
     (Invalid_argument "Pool.submit: pool is shut down") (fun () ->
       ignore (Pool.submit pool (fun () -> 2)))
 
-let test_pool_steal_api () =
-  (* Inline mode: nothing ever queues. *)
-  Pool.run ~domains:1 (fun pool ->
-      Alcotest.(check int) "inline queued" 0 (Pool.queued pool);
-      Alcotest.(check bool) "inline try_run_one" false (Pool.try_run_one pool));
-  (* Occupy both workers with gated blockers so further submissions stay
-     queued, then observe them via [queued], steal them LIFO via
-     [try_run_one], and drain the rest from the caller via [await_helping]. *)
+let test_pool_fifo_order () =
+  (* Tasks start in submission order. The explorer depends on it: its
+     leftmost unfinished chunk must always be running, or the chunks
+     waiting for their budget caps deadlock. One worker stays held by a
+     gated blocker while the other, once released, drains five recording
+     tasks that were all queued before it could take any. *)
   Pool.run ~domains:2 (fun pool ->
-      let gate = Atomic.make false in
-      let blockers =
-        List.init 2 (fun _ ->
-            Pool.submit pool (fun () ->
-                while not (Atomic.get gate) do
-                  Domain.cpu_relax ()
-                done))
+      let started = Atomic.make 0 in
+      let blocker gate =
+        Pool.submit pool (fun () ->
+            Atomic.incr started;
+            while not (Atomic.get gate) do
+              Domain.cpu_relax ()
+            done)
       in
-      while Pool.queued pool > 0 do
+      let held = Atomic.make false and drainer = Atomic.make false in
+      let b1 = blocker held and b2 = blocker drainer in
+      while Atomic.get started < 2 do
         Domain.cpu_relax ()
       done;
-      (* Both workers now spin inside a blocker; [order] is only ever
-         touched from this thread below. *)
-      let order = ref [] in
-      let p1 = Pool.submit pool (fun () -> order := 1 :: !order) in
-      let p2 = Pool.submit pool (fun () -> order := 2 :: !order) in
-      ignore (p2 : unit Pool.promise);
-      Alcotest.(check int) "two queued" 2 (Pool.queued pool);
-      Alcotest.(check bool) "stole one" true (Pool.try_run_one pool);
-      Alcotest.(check (list int)) "newest stolen first (LIFO)" [ 2 ] !order;
-      Pool.await_helping pool p1;
-      Alcotest.(check (list int)) "await_helping drained the rest" [ 1; 2 ] !order;
-      Alcotest.(check bool) "queue empty again" false (Pool.try_run_one pool);
-      Atomic.set gate true;
-      List.iter (Pool.await_helping pool) blockers)
-
-let test_pool_tasks_submit_tasks () =
-  (* Subtree fan-out: tasks submit sub-tasks and await them helpingly, so
-     no worker ever sleeps while work is queued and recursion cannot
-     deadlock a finite pool. Counts the nodes of a 3-ary tree of depth 3. *)
-  let total =
-    Pool.run ~domains:3 (fun pool ->
-        let rec spawn depth =
-          if depth = 0 then 1
-          else
-            let kids =
-              List.init 3 (fun _ -> Pool.submit pool (fun () -> spawn (depth - 1)))
-            in
-            List.fold_left (fun acc p -> acc + Pool.await_helping pool p) 1 kids
-        in
-        spawn 3)
-  in
-  Alcotest.(check int) "1 + 3 + 9 + 27 nodes" 40 total
+      let order = Mutex.create () and seen = ref [] in
+      let record i () =
+        Mutex.lock order;
+        seen := i :: !seen;
+        Mutex.unlock order
+      in
+      let tasks = List.init 5 (fun i -> Pool.submit pool (record i)) in
+      Atomic.set drainer true;
+      List.iter Pool.await tasks;
+      Atomic.set held true;
+      Pool.await b1;
+      Pool.await b2;
+      Alcotest.(check (list int)) "FIFO start order" [ 0; 1; 2; 3; 4 ] (List.rev !seen))
 
 let test_subsets_count () =
   let l = List.init 6 Fun.id in
@@ -781,9 +762,7 @@ let () =
           Alcotest.test_case "exception re-raised" `Quick test_pool_exception_reraised;
           Alcotest.test_case "inline mode" `Quick test_pool_inline_mode;
           Alcotest.test_case "shutdown" `Quick test_pool_shutdown_rejects;
-          Alcotest.test_case "steal API (queued/try_run_one/await_helping)" `Quick
-            test_pool_steal_api;
-          Alcotest.test_case "tasks submit tasks" `Quick test_pool_tasks_submit_tasks;
+          Alcotest.test_case "FIFO start order" `Quick test_pool_fifo_order;
         ] );
       ( "combinat",
         [
