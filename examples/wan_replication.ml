@@ -48,7 +48,10 @@ let () =
           in
           ignore (Smr.Replica.Instance.run ~until:(40 * delta) t);
           assert (Smr.Replica.Instance.converged t);
-          match Smr.Replica.Instance.commit_time t ~proxy ~command with
+          let committed_at_proxy (time, pid, (_slot, cmd, _ret)) =
+            if pid = proxy && cmd = command then Some time else None
+          in
+          match List.find_map committed_at_proxy (Smr.Replica.Instance.outputs t) with
           | Some ms -> Format.printf " %10d" ms
           | None -> Format.printf " %10s" "-")
         regions;

@@ -83,15 +83,19 @@ type ('msg, 'input) event =
   | Ev_deliver of { src : Pid.t; dst : Pid.t; msg : 'msg; sent_at : Time.t; origin : int }
   | Ev_timer of { pid : Pid.t; id : Automaton.timer_id; epoch : int; origin : int }
 
+let input_rank = 2
+
 (* Events at equal time are processed by rank; see the .mli. *)
 let rank = function
   | Ev_crash _ -> 0
   | Ev_init _ -> 1
-  | Ev_input _ -> 2
+  | Ev_input _ -> input_rank
   | Ev_deliver _ -> 3
   | Ev_timer _ -> 4
 
 let priority ~time ev = (time * 8) + rank ev
+
+let input_priority time = (time * 8) + input_rank
 
 (* Times are non-negative, so the arithmetic shift is exact. *)
 let time_of_priority prio = prio asr 3
@@ -113,6 +117,19 @@ let pd_slot_limit = 1 lsl pd_slot_bits
 
 let no_slot = -1
 
+(* The inputs given to [create] never enter the heap: they are stable-
+   sorted by time into this immutable calendar, which [run] reads through
+   the engine's [cal_next] cursor and merges with the heap by priority.
+   The engine pushed them at creation, right after the Ev_init events, so
+   they carry the smallest sequence stamps of their priority — a heap
+   entry never precedes a calendar entry of equal priority (both are then
+   inputs, and the heap's was scheduled later). Clones share the arrays. *)
+type 'input calendar = {
+  cal_times : Time.t array;
+  cal_pids : Pid.t array;
+  cal_inputs : 'input array;
+}
+
 (* The timer table is a flat int array: [(pid, timer_id)] packs to index
    [pid * tt_stride + timer_id], epoch 0 means "never armed" (live epochs
    start at 1). The stride grows to the next power of two when a larger
@@ -128,6 +145,8 @@ type ('state, 'msg, 'input, 'output) t = {
   states : 'state option array;  (* None until Ev_init ran *)
   crashed_flags : bool array;
   queue : (('msg, 'input) event) Pqueue.t;
+  calendar : 'input calendar;
+  mutable cal_next : int;  (* first unread calendar entry *)
   mutable tt_epochs : int array;
   mutable tt_stride : int;
   mutable now : Time.t;
@@ -204,12 +223,34 @@ type ('state, 'msg, 'input, 'output) t = {
 
 type run_result = Quiescent | Reached_until | Step_budget_exhausted
 
-let record t entry = if t.record_trace then t.trace_rev <- entry :: t.trace_rev
+(* Callers test [t.record_trace] first, so an untraced run never builds
+   the entry. *)
+let record t entry = t.trace_rev <- entry :: t.trace_rev
+
+let unread_inputs t = Array.length t.calendar.cal_times - t.cal_next
 
 let push_event t ~at ev =
   Pqueue.push t.queue ~priority:(priority ~time:at ev) ev;
-  let len = Pqueue.length t.queue in
+  let len = Pqueue.length t.queue + unread_inputs t in
   if len > t.p_queue_hwm then t.p_queue_hwm <- len
+
+(* Same range as the heap's packed keys (see {!Pqueue}). *)
+let prio_limit = 1 lsl 38
+
+let calendar_of inputs =
+  let entries = Array.of_list inputs in
+  Array.stable_sort (fun (a, _, _) (b, _, _) -> Int.compare a b) entries;
+  let time_of (at, _, _) =
+    let prio = input_priority at in
+    if prio < -prio_limit || prio >= prio_limit then
+      invalid_arg "Engine.create: input time outside the event-queue packing range";
+    at
+  in
+  {
+    cal_times = Array.map time_of entries;
+    cal_pids = Array.map (fun (_, p, _) -> p) entries;
+    cal_inputs = Array.map (fun (_, _, i) -> i) entries;
+  }
 
 (* Offset mixing the engine seed into the fault stream's seed: the two
    SplitMix64 streams must differ even for seed 0, and stay reproducible
@@ -230,6 +271,8 @@ let create ~automaton ~n ~network ?(seed = 0) ?(record_trace = true)
       states = Array.make n None;
       crashed_flags = Array.make n false;
       queue = Pqueue.create ();
+      calendar = calendar_of inputs;
+      cal_next = 0;
       tt_epochs = [||];
       tt_stride = 0;
       now = Time.zero;
@@ -276,12 +319,12 @@ let create ~automaton ~n ~network ?(seed = 0) ?(record_trace = true)
     }
   in
   List.iter (fun p -> push_event t ~at:Time.zero (Ev_init p)) (Pid.all ~n);
-  List.iter (fun (at, p, i) -> push_event t ~at (Ev_input (p, i))) inputs;
   List.iter (fun (at, p) -> push_event t ~at (Ev_crash p)) crashes;
   t
 
 (* Branch a run: duplicate every piece of mutable engine state. Immutable
-   payloads (trace entries, queued events, pending payloads) are shared;
+   payloads (trace entries, queued events, pending payloads, the input
+   calendar — its cursor is a plain int) are shared;
    process states go through the automaton's [state_copy] hook. The flat
    pool and timer table are copied up to their live prefix — straight-line
    [Array.sub]/[Array.copy] blits of unboxed ints, sized by what the run
@@ -394,7 +437,7 @@ let do_crash t pid =
           (Causality.record spec.Causality.store ~kind:Causality.Crash ~pid
              ~parent:t.cur_node ~start:t.now ~finish:t.now ~payload:(-1) ~aux:(-1)
             : int));
-    record t (Trace.Crashed { time = t.now; pid })
+    if t.record_trace then record t (Trace.Crashed { time = t.now; pid })
   end
 
 (* -- pending pool ------------------------------------------------------- *)
@@ -519,13 +562,26 @@ let pending_delivery_groups t =
 
 (* -- sending ------------------------------------------------------------ *)
 
+(* Queue a send for delivery at [at] — or, under [Manual] timing, park it
+   in the pending pool, where [at] is meaningless. *)
+let enqueue_send t ~src ~dst ~msg ~origin ~at =
+  match t.network with
+  | Network.Manual -> ignore (add_pending t ~src ~dst ~sent_at:t.now ~origin msg : int)
+  | _ -> push_event t ~at (Ev_deliver { src; dst; msg; sent_at = t.now; origin })
+
+(* [Manual] timing draws nothing from [rng]: its sends wait in the pool. *)
+let sample_delivery t ~rng ~now ~src ~dst =
+  match t.network with
+  | Network.Manual -> now
+  | net -> Network.delivery_time net ~rng ~now ~src ~dst
+
 let send t ~src ~dst msg =
   (* A crashed process sends nothing: [Crash_sender] flips the flag
      mid-transition, suppressing the remainder of a broadcast. *)
   if not t.crashed_flags.(src) then begin
     let index = t.sends in
     t.sends <- index + 1;
-    record t (Trace.Sent { time = t.now; src; dst; msg });
+    if t.record_trace then record t (Trace.Sent { time = t.now; src; dst; msg });
     (* [cur_node] is the span of the event whose transition is sending —
        always [-1] when no tracer is attached, so the stamp is free. *)
     let origin = t.cur_node in
@@ -536,34 +592,30 @@ let send t ~src ~dst msg =
     (* The original's delivery time is sampled unconditionally — also when
        the message is then dropped — so the base model consumes the exact
        same RNG stream with and without a fault plan. *)
-    let delivery = Network.delivery_time t.network ~rng:t.rng ~now:t.now ~src ~dst in
-    let schedule_original () =
-      match delivery with
-      | Some at -> push_event t ~at (Ev_deliver { src; dst; msg; sent_at = t.now; origin })
-      | None -> ignore (add_pending t ~src ~dst ~sent_at:t.now ~origin msg : int)
-    in
+    let at = sample_delivery t ~rng:t.rng ~now:t.now ~src ~dst in
     match action with
-    | Network.Fault.Deliver -> schedule_original ()
+    | Network.Fault.Deliver -> enqueue_send t ~src ~dst ~msg ~origin ~at
     | Network.Fault.Drop ->
         t.faults_dropped <- t.faults_dropped + 1;
-        record t (Trace.Dropped { time = t.now; src; dst; msg; sent_at = t.now })
+        if t.record_trace then
+          record t (Trace.Dropped { time = t.now; src; dst; msg; sent_at = t.now })
     | Network.Fault.Duplicate { extra_delay } ->
         t.faults_duplicated <- t.faults_duplicated + 1;
-        record t (Trace.Duplicated { time = t.now; src; dst; msg; sent_at = t.now; extra_delay });
-        schedule_original ();
+        if t.record_trace then
+          record t
+            (Trace.Duplicated { time = t.now; src; dst; msg; sent_at = t.now; extra_delay });
+        enqueue_send t ~src ~dst ~msg ~origin ~at;
         (* The copy is timed as if re-sent [extra_delay] ticks later, and
            samples from the fault stream so the base stream stays aligned.
            It cannot precede the original under Sync_rounds/Manual, and may
            under the stochastic models — duplication makes no ordering
            promise between the two copies. *)
-        (match
-           Network.delivery_time t.network ~rng:t.fault_rng
-             ~now:(t.now + extra_delay) ~src ~dst
-         with
-        | Some at -> push_event t ~at (Ev_deliver { src; dst; msg; sent_at = t.now; origin })
-        | None -> ignore (add_pending t ~src ~dst ~sent_at:t.now ~origin msg : int))
+        let at =
+          sample_delivery t ~rng:t.fault_rng ~now:(t.now + extra_delay) ~src ~dst
+        in
+        enqueue_send t ~src ~dst ~msg ~origin ~at
     | Network.Fault.Crash_sender ->
-        schedule_original ();
+        enqueue_send t ~src ~dst ~msg ~origin ~at;
         do_crash t src
   end
 
@@ -609,54 +661,57 @@ let cancel_timer t ~pid ~id =
 
 (* -- event processing --------------------------------------------------- *)
 
-let apply_actions t ~pid actions =
-  let apply = function
-    | Automaton.Send (dst, msg) -> send t ~src:pid ~dst msg
-    | Automaton.Broadcast msg ->
-        (* Same order as [Pid.others] (ascending, skipping self), without
-           materialising the recipient list per broadcast. *)
-        for dst = 0 to t.n - 1 do
-          if dst <> pid then send t ~src:pid ~dst msg
-        done
-    | Automaton.Set_timer { id; after } -> set_timer t ~pid ~id ~after
-    | Automaton.Cancel_timer id -> cancel_timer t ~pid ~id
-    | Automaton.Output output ->
-        t.outputs_rev <- (t.now, pid, output) :: t.outputs_rev;
-        t.p_decides <- t.p_decides + 1;
-        if t.first_output.(pid) = None then t.first_output.(pid) <- Some t.now;
-        (match t.causality with
-        | None -> ()
-        | Some spec ->
-            ignore
-              (Causality.record spec.Causality.store ~kind:Causality.Output ~pid
-                 ~parent:t.cur_node ~start:t.now ~finish:t.now
-                 ~payload:(spec.Causality.output_payload output) ~aux:(-1)
-                : int));
-        record t (Trace.Output { time = t.now; pid; output })
-  in
-  List.iter apply actions
+(* A recursive walk rather than [List.iter] over a closure: no allocation
+   per step. *)
+let rec apply_actions t ~pid = function
+  | [] -> ()
+  | action :: rest ->
+      (match action with
+      | Automaton.Send (dst, msg) -> send t ~src:pid ~dst msg
+      | Automaton.Broadcast msg ->
+          (* Same order as [Pid.others] (ascending, skipping self), without
+             materialising the recipient list per broadcast. *)
+          for dst = 0 to t.n - 1 do
+            if dst <> pid then send t ~src:pid ~dst msg
+          done
+      | Automaton.Set_timer { id; after } -> set_timer t ~pid ~id ~after
+      | Automaton.Cancel_timer id -> cancel_timer t ~pid ~id
+      | Automaton.Output output ->
+          t.outputs_rev <- (t.now, pid, output) :: t.outputs_rev;
+          t.p_decides <- t.p_decides + 1;
+          if Option.is_none t.first_output.(pid) then t.first_output.(pid) <- Some t.now;
+          (match t.causality with
+          | None -> ()
+          | Some spec ->
+              ignore
+                (Causality.record spec.Causality.store ~kind:Causality.Output ~pid
+                   ~parent:t.cur_node ~start:t.now ~finish:t.now
+                   ~payload:(spec.Causality.output_payload output) ~aux:(-1)
+                  : int));
+          if t.record_trace then record t (Trace.Output { time = t.now; pid; output }));
+      apply_actions t ~pid rest
 
-let step_process t ~pid transition =
-  if not t.crashed_flags.(pid) then begin
-    match t.states.(pid) with
-    | None -> ()  (* not initialised: crashed before init *)
-    | Some s ->
-        let s', actions = transition s in
-        t.states.(pid) <- Some s';
-        apply_actions t ~pid actions
-  end
+(* Store a transition's new state and run its actions. A state handed back
+   physically unchanged (mutable states are) is already stored, so the
+   [Some] box is skipped. *)
+let commit_step t ~pid s (s', actions) =
+  if s' != s then t.states.(pid) <- Some s';
+  apply_actions t ~pid actions
 
 let handle_deliver t ~src ~dst ~msg ~sent_at ~origin =
   if not t.crashed_flags.(dst) then begin
     t.p_delivered <- t.p_delivered + 1;
-    record t (Trace.Delivered { time = t.now; src; dst; msg; sent_at });
+    if t.record_trace then
+      record t (Trace.Delivered { time = t.now; src; dst; msg; sent_at });
     (match t.causality with
     | None -> ()
     | Some spec ->
         t.cur_node <-
           Causality.record spec.Causality.store ~kind:Causality.Deliver ~pid:dst
             ~parent:origin ~start:sent_at ~finish:t.now ~payload:(-1) ~aux:src);
-    step_process t ~pid:dst (fun s -> t.automaton.on_message s ~src msg)
+    match t.states.(dst) with
+    | None -> ()  (* not initialised: crashed before init *)
+    | Some s -> commit_step t ~pid:dst s (t.automaton.on_message s ~src msg)
   end
 
 (* Collect every further Ev_deliver sharing [prio] (same instant, and the
@@ -694,6 +749,22 @@ let handle_deliver_batch t ~order ~src ~dst ~msg ~sent_at ~origin ~prio =
           ordered
   done
 
+let handle_input t pid input =
+  if not t.crashed_flags.(pid) then begin
+    if Option.is_none t.first_input.(pid) then t.first_input.(pid) <- Some t.now;
+    if t.record_trace then record t (Trace.Input { time = t.now; pid; input });
+    (match t.causality with
+    | None -> ()
+    | Some spec ->
+        t.cur_node <-
+          Causality.record spec.Causality.store ~kind:Causality.Input ~pid ~parent:(-1)
+            ~start:t.now ~finish:t.now ~payload:(spec.Causality.input_payload input)
+            ~aux:(-1));
+    match t.states.(pid) with
+    | None -> ()
+    | Some s -> commit_step t ~pid s (t.automaton.on_input s input)
+  end
+
 let handle_event t ~prio ev =
   match ev with
   | Ev_crash pid ->
@@ -713,19 +784,7 @@ let handle_event t ~prio ev =
         t.states.(pid) <- Some s;
         apply_actions t ~pid actions
       end
-  | Ev_input (pid, input) ->
-      if not t.crashed_flags.(pid) then begin
-        if t.first_input.(pid) = None then t.first_input.(pid) <- Some t.now;
-        record t (Trace.Input { time = t.now; pid; input });
-        (match t.causality with
-        | None -> ()
-        | Some spec ->
-            t.cur_node <-
-              Causality.record spec.Causality.store ~kind:Causality.Input ~pid
-                ~parent:(-1) ~start:t.now ~finish:t.now
-                ~payload:(spec.Causality.input_payload input) ~aux:(-1));
-        step_process t ~pid (fun s -> t.automaton.on_input s input)
-      end
+  | Ev_input (pid, input) -> handle_input t pid input
   | Ev_deliver { src; dst; msg; sent_at; origin } -> begin
       match t.network with
       | Network.Sync_rounds { order; _ } ->
@@ -735,14 +794,16 @@ let handle_event t ~prio ev =
   | Ev_timer { pid; id; epoch; origin } ->
       if timer_epoch t ~pid ~id = epoch && not t.crashed_flags.(pid) then begin
         t.p_timer_fires <- t.p_timer_fires + 1;
-        record t (Trace.Timer_fired { time = t.now; pid; id });
+        if t.record_trace then record t (Trace.Timer_fired { time = t.now; pid; id });
         (match t.causality with
         | None -> ()
         | Some spec ->
             t.cur_node <-
               Causality.record spec.Causality.store ~kind:Causality.Timer ~pid
                 ~parent:origin ~start:t.now ~finish:t.now ~payload:id ~aux:(-1));
-        step_process t ~pid (fun s -> t.automaton.on_timer s id)
+        match t.states.(pid) with
+        | None -> ()
+        | Some s -> commit_step t ~pid s (t.automaton.on_timer s id)
       end
 
 (* Push the registry the delta accumulated since the previous flush. One
@@ -769,22 +830,36 @@ let flush_meters t =
 
 (* The stepping loop allocates nothing per event: the bound is hoisted to
    a plain int, the next event's time is read off the packed priority
-   without building an option, and pop returns the payload directly. *)
+   without building an option, and pop returns the payload directly. The
+   calendar's head goes first when its priority is at most the heap's:
+   a tie is input against input, and calendar inputs were scheduled
+   first. Real priorities stay below 2^38, so [max_int] marks a drained
+   source. *)
 let run ?until t =
   let ubound = match until with None -> max_int | Some u -> u in
+  let cal = t.calendar in
+  let cal_len = Array.length cal.cal_times in
   let rec loop () =
     if t.steps >= t.max_steps then Step_budget_exhausted
-    else if Pqueue.is_empty t.queue then Quiescent
     else begin
-      let prio = Pqueue.peek_prio t.queue in
-      let time = time_of_priority prio in
-      if time > ubound then Reached_until
+      let c = t.cal_next in
+      let cal_prio = if c < cal_len then input_priority cal.cal_times.(c) else max_int in
+      let heap_prio = if Pqueue.is_empty t.queue then max_int else Pqueue.peek_prio t.queue in
+      let prio = Int.min cal_prio heap_prio in
+      if prio = max_int then Quiescent
       else begin
-        let ev = Pqueue.pop_exn t.queue in
-        t.steps <- t.steps + 1;
-        if time > t.now then t.now <- time;
-        handle_event t ~prio ev;
-        loop ()
+        let time = time_of_priority prio in
+        if time > ubound then Reached_until
+        else begin
+          t.steps <- t.steps + 1;
+          if time > t.now then t.now <- time;
+          if cal_prio <= heap_prio then begin
+            t.cal_next <- c + 1;
+            handle_input t cal.cal_pids.(c) cal.cal_inputs.(c)
+          end
+          else handle_event t ~prio (Pqueue.pop_exn t.queue);
+          loop ()
+        end
       end
     end
   in
@@ -806,8 +881,9 @@ let deliver_pending t ~id ~at =
 let drop_pending t ~id =
   if pending_live t id then begin
     t.faults_dropped <- t.faults_dropped + 1;
-    record t
-      (Trace.Dropped
+    if t.record_trace then
+      record t
+        (Trace.Dropped
          {
            time = t.now;
            src = t.pd_src.(id);
@@ -824,7 +900,8 @@ let duplicate_pending t ~id =
   let src = t.pd_src.(id) and dst = t.pd_dst.(id) and sent_at = t.pd_sent.(id) in
   let msg = t.pd_msgs.(id) in
   t.faults_duplicated <- t.faults_duplicated + 1;
-  record t (Trace.Duplicated { time = t.now; src; dst; msg; sent_at; extra_delay = 0 });
+  if t.record_trace then
+    record t (Trace.Duplicated { time = t.now; src; dst; msg; sent_at; extra_delay = 0 });
   (* The copy keeps the original's sent_at (and causal origin): it is the
      same message on the wire twice, not a re-send by the automaton. *)
   add_pending t ~src ~dst ~sent_at ~origin:(t.pd_origin.(id)) msg
@@ -852,10 +929,13 @@ module Fp = Fingerprint
 
 (* Constructor tags below are small odd constants; each case mixes its tag
    first so different event shapes can't alias. *)
+let input_fp ~relabel pid input =
+  Fp.mix (Fp.mix 41L (Fp.int (relabel pid))) (Fp.structural input)
+
 let event_fp ~relabel = function
   | Ev_crash pid -> Fp.mix 31L (Fp.int (relabel pid))
   | Ev_init pid -> Fp.mix 37L (Fp.int (relabel pid))
-  | Ev_input (pid, input) -> Fp.mix (Fp.mix 41L (Fp.int (relabel pid))) (Fp.structural input)
+  | Ev_input (pid, input) -> input_fp ~relabel pid input
   (* [origin] is excluded everywhere below: span ids are observability
      bookkeeping with no influence on future behaviour (and always -1 in
      the explorer, which never attaches a tracer). *)
@@ -885,8 +965,9 @@ let local_fp t state_fp ~relabel pid =
    observable behaviour under a deterministic network model: clock, fault
    bookkeeping (the send index keys fault scripts), per-process local
    state, the pending pool (a multiset folded commutatively — slot ids
-   and seq stamps are allocation accidents), the event queue in pop order
-   (the only order with semantics), and live timer epochs (epoch 0 cells
+   and seq stamps are allocation accidents), the event queue — heap and
+   unread calendar merged — in pop order (the only order with semantics;
+   an input digests the same from either source), and live timer epochs (epoch 0 cells
    are never-armed, i.e. absent). Excluded: step/trace/output history
    (past, not future) and the RNG streams (opaque; under the explorer's
    [Manual] network and scripted faults they are never consulted, see the
@@ -913,8 +994,21 @@ let fold_engine t state_fp ~relabel ~order =
   done;
   let fp = Fp.mix fp !pend in
   let qfp = ref fp in
+  let cal = t.calendar in
+  let c = ref t.cal_next in
+  let fold_calendar_upto bound =
+    while !c < Array.length cal.cal_times && input_priority cal.cal_times.(!c) <= bound do
+      let prio = input_priority cal.cal_times.(!c) in
+      qfp :=
+        Fp.mix (Fp.mix !qfp (Fp.int prio))
+          (input_fp ~relabel cal.cal_pids.(!c) cal.cal_inputs.(!c));
+      incr c
+    done
+  in
   Pqueue.iter_in_order t.queue (fun prio ev ->
+      fold_calendar_upto prio;
       qfp := Fp.mix (Fp.mix !qfp (Fp.int prio)) (event_fp ~relabel ev));
+  fold_calendar_upto max_int;
   let fp = !qfp in
   let timers = ref 73L in
   for pid = 0 to t.n - 1 do

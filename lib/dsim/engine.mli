@@ -19,10 +19,19 @@
     {!state}, {!clone} and {!correct_pids} agree on crashed processes.
 
     {b Hot-path representation (packing invariants).} The stepping core is
-    flat-array and int-packed, which fixes a few widths: event priorities
-    pack as [time * 8 + rank] into {!Stdext.Pqueue}'s keys (priorities
-    within ±2^38, i.e. virtual times up to ~2^35 ticks); the pending pool
-    is a slot-indexed structure of arrays whose send-order recovery packs
+    flat-array and int-packed. The inputs given to {!create} never enter
+    the event heap: they are stable-sorted by time into an immutable input
+    calendar (parallel time, pid and input arrays) that {!run} reads
+    through a per-engine cursor, taking the calendar's head whenever its
+    priority is at most the heap's. The heap thus holds only in-flight
+    events: deliveries, timers, crashes, initialisations and inputs added
+    by {!schedule_input}. It is {!Stdext.Pqueue}'s index heap, which
+    writes each payload once into a slot and sifts only unboxed ints.
+    The representation fixes a few widths: event priorities pack as
+    [time * 8 + rank] into {!Stdext.Pqueue}'s keys (priorities within
+    ±2^38, i.e. virtual times up to ~2^35 ticks; {!create} checks its
+    input times against the same range); the pending pool is a
+    slot-indexed structure of arrays whose send-order recovery packs
     [(seq, slot)] into one int, capping {e live} pending messages at 2^20;
     the timer table is a flat array indexed by [pid * stride + timer_id]
     with epoch 0 meaning "never armed" (the stride grows to cover the
@@ -48,7 +57,9 @@ module Probe : sig
     timer_fires : int;
     crashes : int;
     decides : int;  (** environment outputs, = {!Trace.decide_count} *)
-    queue_hwm : int;  (** event-queue high-water mark *)
+    queue_hwm : int;
+        (** event-queue high-water mark: heap entries plus unread calendar
+            inputs, sampled at every push *)
   }
 
   val zero : t
@@ -84,7 +95,8 @@ val create :
     mid-broadcast sender crashes on top of [network]'s timing.
     [record_trace] defaults to [true]; [max_steps] defaults to 5_000_000
     events. Raises [Invalid_argument] if [network] fails
-    {!Network.validate}.
+    {!Network.validate} or an input's time is outside the event-queue
+    packing range (see the header).
 
     [metrics] (default {!Stdext.Metrics.disabled}) mirrors the {!Probe}
     counters into a shared registry under the [engine.*] names ([steps],
@@ -122,11 +134,13 @@ val clone : ('state, 'msg, 'input, 'output) t -> ('state, 'msg, 'input, 'output)
     (via {!Automaton.t}'s [state_copy]), event queue, pending pool, timer
     epochs, RNGs (including the fault stream), fault counters and trace.
     Stepping either engine never affects the other, and running both
-    identically gives bit-identical results. O(n + queued events + live
-    prefix): the event queue, pending pool and timer table are flat arrays
-    copied up to their high-water mark with straight blits of unboxed ints
-    (message payloads, trace entries and outputs stay shared — they are
-    immutable). [clone] only reads its argument, so multiple domains may
+    identically gives bit-identical results. O(n + heap entries + live
+    prefix): the heap's live entries are copied densely, and the pending
+    pool and timer table are flat arrays copied up to their high-water
+    mark with straight blits of unboxed ints. The input calendar costs
+    nothing: clones share its arrays and copy its cursor. Message
+    payloads, trace entries and outputs stay shared too — they are
+    immutable. [clone] only reads its argument, so multiple domains may
     clone the same engine concurrently as long as nobody steps it
     meanwhile (and [state_copy] is pure, which the {!Automaton.t} contract
     requires). *)
@@ -277,13 +291,15 @@ val fingerprint : ?symmetry:bool -> ('state, 'msg, 'input, 'output) t -> Fingerp
     every process's state (via the automaton hook), crash flag and
     first-input/first-output instants, the pending pool as a multiset
     (pending {e ids} are allocation accidents with no semantics), the
-    event queue in pop order, and live timer epochs. Excluded: step count,
-    trace and output history (past, not future), and the RNG streams —
-    they are opaque, and under the explorer's setting ({!Network.Manual}
-    timing with scripted faults) never consulted, so two engines with
-    equal fingerprints behave identically there. Under a {e stochastic}
-    network model equal fingerprints do not imply equal futures; don't key
-    dedup on them in that setting.
+    event queue in pop order — including the unread inputs of the input
+    calendar, merged in as {!run} would take them — and live timer
+    epochs. Excluded: step count, trace and output history (past, not
+    future), and the RNG streams — they are opaque, and under the
+    explorer's setting ({!Network.Manual} timing with scripted faults)
+    never consulted, so two engines with equal fingerprints behave
+    identically there. Under a {e stochastic} network model equal
+    fingerprints do not imply equal futures; don't key dedup on them in
+    that setting.
 
     With [symmetry] (default [false]), processes [1 .. n-1] are first
     relabelled to a canonical order — sorted by their pid-blind local

@@ -24,22 +24,21 @@ let delivery_time t ~rng ~now ~src ~dst =
   match t with
   | Sync_rounds { delta; _ } ->
       (* Delivered precisely at the next round boundary. *)
-      Some (((now / delta) + 1) * delta)
+      ((now / delta) + 1) * delta
   | Partial_sync { delta; gst; max_pre_gst } ->
-      if now >= gst then Some (now + Stdext.Rng.int_in rng 1 delta)
+      if now >= gst then now + Stdext.Rng.int_in rng 1 delta
       else
         (* Chaotic delay, capped by the documented contract: every message
            is delivered by [gst + delta] at the latest. The cap is the
            deterministic contract bound itself, not a per-message sample —
            resampling it would deliver some pre-GST messages earlier than
            the model promises to force, weakening the adversary. *)
-        Some (min (now + Stdext.Rng.int_in rng 1 max_pre_gst) (gst + delta))
-  | Uniform { min_delay; max_delay } ->
-      Some (now + Stdext.Rng.int_in rng min_delay max_delay)
+        min (now + Stdext.Rng.int_in rng 1 max_pre_gst) (gst + delta)
+  | Uniform { min_delay; max_delay } -> now + Stdext.Rng.int_in rng min_delay max_delay
   | Wan { latency; jitter } ->
       let j = if jitter <= 0 then 0 else Stdext.Rng.int rng (jitter + 1) in
-      Some (now + max 1 (latency ~src ~dst) + j)
-  | Manual -> None
+      now + max 1 (latency ~src ~dst) + j
+  | Manual -> invalid_arg "Network.delivery_time: Manual sends have no delivery time"
 
 (* Generic over the batch element: the engine passes (src, msg, sent_at)
    triples straight through instead of projecting to pairs and matching

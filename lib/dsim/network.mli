@@ -64,12 +64,13 @@ val validate : 'msg t -> unit
     at construction rather than at the first send. *)
 
 val delivery_time :
-  'msg t -> rng:Stdext.Rng.t -> now:Time.t -> src:Pid.t -> dst:Pid.t -> Time.t option
-(** Delivery time for a message sent at [now], or [None] for {!Manual}
-    (pending pool). The result is always [> now]. Called once per send on
-    the engine's hot path, so it does {e not} re-validate the model —
-    construct engines through {!Engine.create} (which calls {!validate})
-    or call {!validate} yourself. *)
+  'msg t -> rng:Stdext.Rng.t -> now:Time.t -> src:Pid.t -> dst:Pid.t -> Time.t
+(** Delivery time for a message sent at [now]; always [> now]. Called
+    once per send on the engine's hot path, so it neither allocates nor
+    re-validates the model — construct engines through {!Engine.create}
+    (which calls {!validate}) or call {!validate} yourself. Raises
+    [Invalid_argument] for {!Manual}, whose sends wait in the engine's
+    pending pool instead. *)
 
 val order_batch_by :
   'msg order ->

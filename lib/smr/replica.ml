@@ -1,5 +1,4 @@
 module Pid = Dsim.Pid
-module Time = Dsim.Time
 module Automaton = Dsim.Automaton
 module Value = Proto.Value
 module Iset = Set.Make (Int)
@@ -321,12 +320,7 @@ module Instance = struct
   type t = {
     packed : packed;
     n : int;
-    (* (pid, command) -> first apply time, filled incrementally so the
-       fleet's per-command latency lookup is O(1) instead of a scan of the
-       whole output log. *)
-    commit_index : (Pid.t * Value.t, Time.t) Hashtbl.t;
-    mutable indexed : int;  (* engine outputs consumed into the index *)
-    pending : (Time.t * Pid.t * (int * Value.t * int)) Queue.t;
+    mutable drained : int;  (* engine outputs already handed to [drain_new_outputs] *)
   }
 
   let create ~protocol ~n ~e ~f ~delta ~net ?(seed = 0) ?(pipeline = 1) ?(batch_max = 1)
@@ -371,13 +365,7 @@ module Instance = struct
       Dsim.Engine.create ~automaton ~n ~network ~seed ~record_trace:false ~max_steps
         ~inputs:commands ~crashes ?faults ?metrics ?causality ()
     in
-    {
-      packed = E engine;
-      n;
-      commit_index = Hashtbl.create 4096;
-      indexed = 0;
-      pending = Queue.create ();
-    }
+    { packed = E engine; n; drained = 0 }
 
   let run ?until t =
     let (E engine) = t.packed in
@@ -399,32 +387,14 @@ module Instance = struct
     let (E engine) = t.packed in
     Dsim.Engine.schedule_input engine ~at proxy cmd
 
-  (* Sweep engine outputs emitted since the last sweep into both the
-     commit-time index and the pending buffer for [drain_new_outputs]. *)
-  let pull t =
+  let drain_new_outputs t ~f =
     let (E engine) = t.packed in
     let total = Dsim.Engine.output_count engine in
-    if total > t.indexed then begin
-      let fresh = Dsim.Engine.recent_outputs engine ~since:t.indexed in
-      t.indexed <- total;
-      List.iter
-        (fun ((time, pid, (_, cmd, _)) as event) ->
-          if not (Hashtbl.mem t.commit_index (pid, cmd)) then
-            Hashtbl.add t.commit_index (pid, cmd) time;
-          Queue.add event t.pending)
-        fresh
+    if total > t.drained then begin
+      let fresh = Dsim.Engine.recent_outputs engine ~since:t.drained in
+      t.drained <- total;
+      List.iter (fun (time, pid, (slot, cmd, ret)) -> f time pid slot cmd ret) fresh
     end
-
-  let drain_new_outputs t ~f =
-    pull t;
-    while not (Queue.is_empty t.pending) do
-      let time, pid, (slot, cmd, ret) = Queue.pop t.pending in
-      f time pid slot cmd ret
-    done
-
-  let commit_time t ~proxy ~command =
-    pull t;
-    Hashtbl.find_opt t.commit_index (proxy, command)
 
   let converged t =
     let (E engine) = t.packed in

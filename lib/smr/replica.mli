@@ -137,10 +137,6 @@ module Instance : sig
       drained (chronological); each event is delivered exactly once across
       calls. O(new events) per call. *)
 
-  val commit_time : t -> proxy:Dsim.Pid.t -> command:Proto.Value.t -> Dsim.Time.t option
-  (** When [proxy] first applied [command], if it has. O(1) amortized:
-      backed by an incrementally maintained index, not a log scan. *)
-
   val converged : t -> bool
   (** Every pair of replicas' applied logs agree on their common prefix
       (the fundamental SMR safety property). *)

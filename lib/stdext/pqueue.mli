@@ -3,16 +3,21 @@
     Entries with equal priority are returned in insertion order, which the
     simulation engine relies on for determinism.
 
-    {b Packing contract.} The heap is a structure of arrays: one unboxed
-    int array holds [(priority lsl 24) lor sequence] per entry — ordering
-    is a single monomorphic int [<] — and a parallel array holds the
-    payloads. Two width invariants follow: priorities must lie within
-    [-2^38, 2^38) ({!push} raises [Invalid_argument] otherwise; the
+    {b Packing contract.} The heap is an index heap over unboxed ints: one
+    int array holds [(priority lsl 24) lor sequence] per heap position —
+    ordering is a single monomorphic int [<] — and a second int array maps
+    each heap position to the payload's {e slot}. {!push} writes the
+    payload once into a free slot of a third array, and sifts move only the
+    two ints per level, so neither {!push} nor {!pop_exn} allocates
+    (outside amortised array growth) or runs the write barrier on a sift.
+    Freed slots are reused most recently freed first, and a popped payload
+    stays reachable from its slot until a later push reuses that slot.
+    Two width invariants follow from the key packing: priorities must lie
+    within [-2^38, 2^38) ({!push} raises [Invalid_argument] otherwise; the
     simulation engine's [time * 8 + rank] priorities stay far below this
     for any realistic horizon), and the 24-bit sequence counter is
     transparently renumbered in pop order when 2^24 pushes accumulate, so
-    FIFO-within-priority holds for arbitrarily long runs. Neither {!push}
-    nor {!pop_exn} allocates (outside amortised array growth). *)
+    FIFO-within-priority holds for arbitrarily long runs. *)
 
 type 'a t
 
@@ -20,8 +25,9 @@ val create : unit -> 'a t
 
 val copy : 'a t -> 'a t
 (** Independent copy: pushes and pops on either queue do not affect the
-    other. Used by {!Dsim.Engine}'s snapshots. Copies the live prefix
-    only, O(length). *)
+    other. Used by {!Dsim.Engine}'s snapshots. Copies the live entries
+    only, laid out densely (payload slot [i] = heap position [i]),
+    O(length). *)
 
 val is_empty : 'a t -> bool
 

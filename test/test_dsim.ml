@@ -784,6 +784,65 @@ let test_engine_fingerprint_stability () =
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
+(* The inputs given to [create] wait in a sorted calendar outside the event
+   heap; nothing observable may tell the two apart. Inputs arrive out of
+   time order with ties at t=20, where a create-time crash and a later
+   [schedule_input] meet them. *)
+let test_input_calendar_invisible () =
+  let fp_echo : (echo_state, int, int, Pid.t * int) Automaton.t =
+    { echo with state_fingerprint = Some (fun ~relabel s -> Fp.int (relabel s.self)) }
+  in
+  let inputs = [ (20, 1, 5); (7, 2, 6); (20, 0, 7); (3, 0, 8); (20, 2, 9) ] in
+  let make ?(inputs = inputs) () =
+    Engine.create ~automaton:fp_echo ~n:4 ~network:sync_net ~inputs ~crashes:[ (20, 3) ] ()
+  in
+  let engine = make () in
+  Alcotest.(check int) "queue hwm after create = n + inputs + crashes" (4 + 5 + 1)
+    (Engine.probe engine).Engine.Probe.queue_hwm;
+  Engine.schedule_input engine ~at:20 0 11;
+  ignore (Engine.run engine);
+  let at_20 =
+    List.filter_map
+      (function
+        | Trace.Crashed { time = 20; pid } -> Some (Printf.sprintf "crash %d" pid)
+        | Trace.Input { time = 20; pid; input } -> Some (Printf.sprintf "input %d:%d" pid input)
+        | _ -> None)
+      (Engine.trace engine)
+  in
+  Alcotest.(check (list string))
+    "crash, then create-time inputs in list order, then the scheduled input"
+    [ "crash 3"; "input 1:5"; "input 0:7"; "input 2:9"; "input 0:11" ]
+    at_20;
+  (* A clone taken between the t=3 and t=7 calendar entries. *)
+  let source = make () in
+  ignore (Engine.run ~until:5 source);
+  let copy = Engine.clone source in
+  Alcotest.(check int64) "clone fingerprints like its source" (Engine.fingerprint source)
+    (Engine.fingerprint copy);
+  ignore (Engine.run source);
+  ignore (Engine.run copy);
+  Alcotest.(check bool) "clone runs to the same trace" true
+    (Engine.trace source = Engine.trace copy);
+  Alcotest.(check int64) "clone ends on the same fingerprint" (Engine.fingerprint source)
+    (Engine.fingerprint copy);
+  (* An unread input is part of the future: it must reach the digest. *)
+  let a = make ()
+  and b = make ~inputs:[ (20, 1, 5); (7, 2, 6); (20, 0, 7); (3, 0, 8); (20, 2, 10) ] () in
+  ignore (Engine.run ~until:5 a);
+  ignore (Engine.run ~until:5 b);
+  Alcotest.(check bool) "one unread future input separates fingerprints" true
+    (Engine.fingerprint a <> Engine.fingerprint b);
+  (* Given at create or scheduled later, the same input digests the same. *)
+  let scheduled = make ~inputs:[ (7, 2, 6); (3, 0, 8) ] () in
+  List.iter (fun (at, p, v) -> Engine.schedule_input scheduled ~at p v)
+    [ (20, 1, 5); (20, 0, 7); (20, 2, 9) ];
+  ignore (Engine.run ~until:5 scheduled);
+  Alcotest.(check int64) "calendar and heap inputs digest alike" (Engine.fingerprint a)
+    (Engine.fingerprint scheduled);
+  Alcotest.check_raises "input time outside the packing range"
+    (Invalid_argument "Engine.create: input time outside the event-queue packing range")
+    (fun () -> ignore (make ~inputs:[ (1 lsl 40, 0, 1) ] ()))
+
 let () =
   Alcotest.run "dsim"
     [
@@ -807,6 +866,7 @@ let () =
           Alcotest.test_case "clone independence" `Quick test_clone_independent;
           Alcotest.test_case "clone same future" `Quick test_clone_same_future;
           Alcotest.test_case "snapshot/restore" `Quick test_snapshot_restore;
+          Alcotest.test_case "input calendar invisible" `Quick test_input_calendar_invisible;
         ] );
       ( "networks",
         [

@@ -210,30 +210,6 @@ let test_pipelined_batched_burst () =
     true
     (List.length slots < count)
 
-let test_commit_time_matches_output_scan () =
-  let n = 5 and e = 2 and f = 2 in
-  let commands = List.init 12 (fun i -> (i * 20, i mod n, cmd i (i mod 5) (i + 1))) in
-  let t =
-    run_instance ~protocol:Core.Rgs.task ~n ~e ~f ~pipeline:4 ~batch_max:4 ~commands
-      ~until:(200 * delta) ()
-  in
-  let outputs = Instance.outputs t in
-  let scan ~proxy ~command =
-    List.find_map
-      (fun (time, pid, (_, c, _)) ->
-        if Pid.equal pid proxy && c = command then Some time else None)
-      outputs
-  in
-  List.iter
-    (fun (_, proxy, command) ->
-      Alcotest.(check (option int))
-        (Printf.sprintf "commit_time agrees with scan for %d" command)
-        (scan ~proxy ~command)
-        (Instance.commit_time t ~proxy ~command))
-    commands;
-  Alcotest.(check (option int)) "absent command" None
-    (Instance.commit_time t ~proxy:0 ~command:(cmd 999 0 0))
-
 let test_drain_outputs_exactly_once () =
   let n = 5 and e = 2 and f = 2 in
   let commands = List.init 8 (fun i -> (i * 10, 0, cmd i 1 (i + 1))) in
@@ -534,7 +510,6 @@ let () =
           Alcotest.test_case "replica crash" `Quick test_replica_crash_mid_stream;
           Alcotest.test_case "kv replay agreement" `Quick test_kv_replay_agreement;
           Alcotest.test_case "pipelined batched burst" `Quick test_pipelined_batched_burst;
-          Alcotest.test_case "commit_time index" `Quick test_commit_time_matches_output_scan;
           Alcotest.test_case "drain exactly once" `Quick test_drain_outputs_exactly_once;
           Alcotest.test_case "read results + stale mutation" `Quick
             test_read_results_and_stale_mutation;

@@ -190,6 +190,63 @@ let pqueue_copy_independence_property =
       ignore (Pqueue.pop q);
       q_unmoved && Pqueue.to_list c = c_after)
 
+(* Random interleavings of push, pop and copy-then-diverge against a
+   reference model: a list kept stable-sorted by priority. Priorities come
+   from a small range so ties are common, and every payload is unique, so
+   a payload read from the wrong slot shows. A copy is a new branch that
+   later operations drive independently of its source; a copy starts at
+   its exact live size, so its next pushes grow it past that capacity.
+   This exercises slot reuse under random priorities and after a copy. *)
+type pqueue_op = Push of int | Pop | Copy
+
+let pqueue_model_property =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [ (6, map (fun p -> Push p) (int_bound 5)); (3, return Pop); (1, return Copy) ])
+  in
+  let print_op = function
+    | Push p -> Printf.sprintf "push %d" p
+    | Pop -> "pop"
+    | Copy -> "copy"
+  in
+  let ops =
+    QCheck.make
+      ~print:QCheck.Print.(list (pair int print_op))
+      QCheck.Gen.(list_size (int_range 0 400) (pair (int_bound 3) op))
+  in
+  QCheck.Test.make ~name:"pqueue matches a stable-sorted model under push/pop/copy"
+    ~count:300 ops (fun ops ->
+      (* Insert after every entry of priority <= p: FIFO among ties. *)
+      let rec insert p v = function
+        | (q, _) as x :: rest when q <= p -> x :: insert p v rest
+        | rest -> (p, v) :: rest
+      in
+      let branches = ref [| (Pqueue.create (), ref []) |] in
+      let next = ref 0 in
+      let ok = ref true in
+      List.iter
+        (fun (b, op) ->
+          let q, model = !branches.(b mod Array.length !branches) in
+          (match op with
+          | Push p ->
+              Pqueue.push q ~priority:p !next;
+              model := insert p !next !model;
+              incr next
+          | Pop -> (
+              match (Pqueue.pop q, !model) with
+              | None, [] -> ()
+              | Some got, want :: rest ->
+                  if got <> want then ok := false;
+                  model := rest
+              | _ -> ok := false)
+          | Copy ->
+              if Array.length !branches < 4 then
+                branches := Array.append !branches [| (Pqueue.copy q, ref !model) |]);
+          if Pqueue.length q <> List.length !model then ok := false)
+        ops;
+      !ok && Array.for_all (fun (q, model) -> Pqueue.to_list q = !model) !branches)
+
 let test_pqueue_nonalloc_api () =
   (* peek_prio/pop_exn agree with pop/peek; both raise on empty. *)
   let q = Pqueue.create () in
@@ -750,6 +807,7 @@ let () =
           QCheck_alcotest.to_alcotest pqueue_heap_property;
           QCheck_alcotest.to_alcotest pqueue_stable_order_property;
           QCheck_alcotest.to_alcotest pqueue_copy_independence_property;
+          QCheck_alcotest.to_alcotest pqueue_model_property;
           Alcotest.test_case "non-allocating API" `Quick test_pqueue_nonalloc_api;
           Alcotest.test_case "priority packing range" `Quick
             test_pqueue_priority_packing_range;
