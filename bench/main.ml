@@ -5,6 +5,7 @@
      dune exec bench/main.exe -- t3 f2     # selected experiments
      dune exec bench/main.exe -- bechamel  # microbenchmarks only
      dune exec bench/main.exe -- explore   # exploration perf suite -> BENCH_explore.json
+     dune exec bench/main.exe -- engine    # engine throughput suite -> BENCH_engine.json
      dune exec bench/main.exe -- --domains 4 t2 t3   # parallel sweep grids
      dune exec bench/main.exe -- --domains-list 1,2,4 explore   # explicit domain counts
      dune exec bench/main.exe -- --explore-budget 200 explore   # CI smoke sizing
@@ -43,11 +44,11 @@ type explore_sample = {
   dedup : string;
   distinct_states : int;
   dedup_hit_rate : float;
-  (* Engine-throughput columns (schema v6), filled by the [engine] suite
-     (zero elsewhere): raw engine events processed by the row's workload
-     and the minor-heap words it allocated, from which the JSON derives
-     events_per_sec and minor_words_per_event — the two numbers the
-     hot-path rewrites are steered by. *)
+  (* Engine-throughput columns (schema v6), filled in the [engine] suite's
+     BENCH_engine.json rows (zero elsewhere): raw engine events processed
+     by the row's workload and the minor-heap words it allocated, from
+     which the JSON derives events_per_sec and minor_words_per_event — the
+     two numbers the hot-path rewrites are steered by. *)
   events : int;
   minor_words : float;
   (* Partial-order-reduction columns (schema v7): the row's POR policy,
@@ -246,11 +247,16 @@ let events_per_sec s =
 let minor_words_per_event s =
   if s.events = 0 then 0.0 else s.minor_words /. float_of_int s.events
 
-let write_explore_json path samples =
+(* One row writer for the suites that share [explore_sample] rows: the
+   explore, faults and overhead suites write BENCH_explore.json, the engine
+   suite BENCH_engine.json. [header] holds the file's extra int fields:
+   the exploration sweep's rounds and recommended domain count mean
+   nothing for engine rows. *)
+let write_rows_json ~suite ~header path samples =
   let oc = open_out path in
   let out fmt = Printf.fprintf oc fmt in
   out "{\n";
-  out "  \"suite\": \"explore\",\n";
+  out "  \"suite\": %S,\n" suite;
   out "  \"schema_version\": 7,\n";
   out
     "  \"schema\": [\"experiment\", \"protocol\", \"n\", \"mode\", \"domains\", \
@@ -259,8 +265,7 @@ let write_explore_json path samples =
      \"budget_waste_pct\", \"dedup\", \"distinct_states\", \"dedup_hit_rate\", \
      \"events_per_sec\", \"minor_words_per_event\", \"por\", \"por_pruned\", \
      \"distinct_states_per_sec\"],\n";
-  out "  \"rounds\": %d,\n" explore_rounds;
-  out "  \"recommended_domains\": %d,\n" (recommended_domains samples);
+  List.iter (fun (key, v) -> out "  %S: %d,\n" key v) header;
   out "  \"results\": [\n";
   List.iteri
     (fun i s ->
@@ -313,7 +318,10 @@ let print_sample_table samples =
 let emit_samples samples =
   all_samples := !all_samples @ samples;
   print_sample_table samples;
-  write_explore_json "BENCH_explore.json" !all_samples;
+  write_rows_json ~suite:"explore"
+    ~header:
+      [ ("rounds", explore_rounds); ("recommended_domains", recommended_domains !all_samples) ]
+    "BENCH_explore.json" !all_samples;
   Format.fprintf fmt "(written to BENCH_explore.json)@."
 
 let run_explore_suite ~domains_list ~budget_override () =
@@ -539,9 +547,12 @@ let run_metrics_overhead_suite ?(iters = 3_000) () =
                          mid-run engine, deliver its pending round, run to
                          quiescence (Manual network, trace on);
      engine-n6-timers    partial synchrony with live timers (exercises the
-                         timer table and the stochastic-delay path).
-   Events are the engine's own probe steps, so the number is comparable
-   across engine rewrites by construction. *)
+                         timer heap and the stochastic-delay path; a
+                         cancelled or re-armed timer is not an event, so
+                         this row counts no stale timer pops).
+   Events are the engine's own probe steps: comparable across engine
+   rewrites as long as the event definition holds. The suite writes its
+   own BENCH_engine.json. *)
 
 let engine_iters_default = 2_000
 
@@ -663,7 +674,8 @@ let run_engine_suite ~engine_iters () =
       Format.fprintf fmt "%-20s | %12d %12.0f %14.2f@." s.experiment s.events
         (events_per_sec s) (minor_words_per_event s))
     samples;
-  emit_samples samples;
+  write_rows_json ~suite:"engine" ~header:[] "BENCH_engine.json" samples;
+  Format.fprintf fmt "(written to BENCH_engine.json)@.";
   samples
 
 (* Regression guard for CI: compare the engine suite's events/sec against

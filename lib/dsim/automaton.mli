@@ -20,6 +20,10 @@ type ('msg, 'output) action =
       (** (Re)arm timer [id] to fire [after] ticks from now. Re-arming an
           already-armed timer replaces its deadline. *)
   | Cancel_timer of timer_id
+      (** Disarm timer [id]; a no-op when it is not armed. A cancelled
+          timer never fires, and neither does the old deadline of a
+          re-armed one: the engine drops them at once, so neither is an
+          event ({!Engine.probe}'s [steps] does not count them). *)
   | Output of 'output  (** Deliver a value to the environment (recorded in the trace). *)
 
 type ('state, 'msg, 'input, 'output) t = {

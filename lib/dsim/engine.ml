@@ -1,5 +1,6 @@
 module Rng = Stdext.Rng
 module Pqueue = Stdext.Pqueue
+module Iheap = Stdext.Iheap
 module Metrics = Stdext.Metrics
 
 module Probe = struct
@@ -70,9 +71,9 @@ let meters_of registry =
 let disabled_meters = meters_of Metrics.disabled
 
 (* [origin] is the causal-span id of the event during which the delivery
-   was sent / the timer armed, or [-1] when no tracer is attached.  It
-   rides outside the priority packing, so stamping it never perturbs
-   scheduling. *)
+   was sent, or [-1] when no tracer is attached.  It rides outside the
+   priority packing, so stamping it never perturbs scheduling. Timers are
+   not events of this heap: see the timer heap below. *)
 type ('msg, 'input) event =
   | Ev_crash of Pid.t
   | Ev_init of Pid.t
@@ -81,17 +82,19 @@ type ('msg, 'input) event =
      at a separate record. Deliveries dominate the queue, so this halves
      the hot path's event allocations. *)
   | Ev_deliver of { src : Pid.t; dst : Pid.t; msg : 'msg; sent_at : Time.t; origin : int }
-  | Ev_timer of { pid : Pid.t; id : Automaton.timer_id; epoch : int; origin : int }
 
 let input_rank = 2
 
-(* Events at equal time are processed by rank; see the .mli. *)
+(* Events at equal time are processed by rank; see the .mli. Rank 4 is the
+   timers', which live in their own heap, so no two sources ever tie at a
+   timer's priority. *)
 let rank = function
   | Ev_crash _ -> 0
   | Ev_init _ -> 1
   | Ev_input _ -> input_rank
   | Ev_deliver _ -> 3
-  | Ev_timer _ -> 4
+
+let timer_rank = 4
 
 let priority ~time ev = (time * 8) + rank ev
 
@@ -130,12 +133,11 @@ type 'input calendar = {
   cal_inputs : 'input array;
 }
 
-(* The timer table is a flat int array: [(pid, timer_id)] packs to index
-   [pid * tt_stride + timer_id], epoch 0 means "never armed" (live epochs
-   start at 1). The stride grows to the next power of two when a larger
-   timer id first appears, so lookups are two loads and no comparison
-   function — the Map this replaces compared keys with the polymorphic
-   [Stdlib.compare]. *)
+(* Armed timers live in an indexed heap, one entry per (pid, timer id)
+   cell [id * n + pid] at priority [deadline * 8 + timer_rank]: arming
+   re-keys the cell in place and cancelling removes it, so a cancelled or
+   superseded timer is never popped. A larger timer id only extends the
+   heap's position array — existing cells keep their numbers. *)
 
 type ('state, 'msg, 'input, 'output) t = {
   automaton : ('state, 'msg, 'input, 'output) Automaton.t;
@@ -147,8 +149,10 @@ type ('state, 'msg, 'input, 'output) t = {
   queue : (('msg, 'input) event) Pqueue.t;
   calendar : 'input calendar;
   mutable cal_next : int;  (* first unread calendar entry *)
-  mutable tt_epochs : int array;
-  mutable tt_stride : int;
+  timers : Iheap.t;  (* armed timers by cell *)
+  (* Causal origin of each cell's last arm. Stays empty unless a tracer is
+     attached: cells run past 10^5 on long SMR runs. *)
+  mutable timer_origins : int array;
   mutable now : Time.t;
   mutable trace_rev : ('msg, 'input, 'output) Trace.entry list;
   record_trace : bool;
@@ -229,10 +233,17 @@ let record t entry = t.trace_rev <- entry :: t.trace_rev
 
 let unread_inputs t = Array.length t.calendar.cal_times - t.cal_next
 
+(* Timer-free engines (the checkers' default) never call into the timer
+   heap on the hot path: the [disable_timers] guard is a field read, a
+   call into another library is not. *)
+let note_queue_len t =
+  let armed = if t.disable_timers then 0 else Iheap.length t.timers in
+  let len = Pqueue.length t.queue + unread_inputs t + armed in
+  if len > t.p_queue_hwm then t.p_queue_hwm <- len
+
 let push_event t ~at ev =
   Pqueue.push t.queue ~priority:(priority ~time:at ev) ev;
-  let len = Pqueue.length t.queue + unread_inputs t in
-  if len > t.p_queue_hwm then t.p_queue_hwm <- len
+  note_queue_len t
 
 (* Same range as the heap's packed keys (see {!Pqueue}). *)
 let prio_limit = 1 lsl 38
@@ -273,8 +284,8 @@ let create ~automaton ~n ~network ?(seed = 0) ?(record_trace = true)
       queue = Pqueue.create ();
       calendar = calendar_of inputs;
       cal_next = 0;
-      tt_epochs = [||];
-      tt_stride = 0;
+      timers = Iheap.create ();
+      timer_origins = [||];
       now = Time.zero;
       trace_rev = [];
       record_trace;
@@ -326,10 +337,10 @@ let create ~automaton ~n ~network ?(seed = 0) ?(record_trace = true)
    payloads (trace entries, queued events, pending payloads, the input
    calendar — its cursor is a plain int) are shared;
    process states go through the automaton's [state_copy] hook. The flat
-   pool and timer table are copied up to their live prefix — straight-line
-   [Array.sub]/[Array.copy] blits of unboxed ints, sized by what the run
-   actually used, not by retained capacity. Reads the source engine only,
-   so several domains may clone the same (quiescent) engine concurrently. *)
+   pool is copied up to its live prefix and the timer heap as live entries
+   plus its position array — straight-line [Array.sub]/[Array.copy] blits
+   of unboxed ints. Reads the source engine only, so several domains may
+   clone the same (quiescent) engine concurrently. *)
 let clone t =
   {
     t with
@@ -338,7 +349,8 @@ let clone t =
     states = Array.map (Option.map t.automaton.Automaton.state_copy) t.states;
     crashed_flags = Array.copy t.crashed_flags;
     queue = Pqueue.copy t.queue;
-    tt_epochs = Array.copy t.tt_epochs;
+    timers = Iheap.copy t.timers;
+    timer_origins = Array.copy t.timer_origins;
     pd_src = Array.sub t.pd_src 0 t.pd_hwm;
     pd_dst = Array.sub t.pd_dst 0 t.pd_hwm;
     pd_sent = Array.sub t.pd_sent 0 t.pd_hwm;
@@ -621,43 +633,29 @@ let send t ~src ~dst msg =
 
 (* -- timers ------------------------------------------------------------- *)
 
-let grow_timers t ~id =
-  let stride = ref (max 4 t.tt_stride) in
-  while !stride <= id do
-    stride := 2 * !stride
-  done;
-  let stride = !stride in
-  let arr = Array.make (t.n * stride) 0 in
-  for p = 0 to t.n - 1 do
-    Array.blit t.tt_epochs (p * t.tt_stride) arr (p * stride) t.tt_stride
-  done;
-  t.tt_epochs <- arr;
-  t.tt_stride <- stride
-
-(* Both arming and cancelling bump the epoch: a queued Ev_timer fires only
-   when it still carries the current epoch. *)
-let bump_timer_epoch t ~pid ~id =
+let timer_cell t ~pid ~id =
   if id < 0 then invalid_arg "Engine: negative timer id";
-  if id >= t.tt_stride then grow_timers t ~id;
-  let k = (pid * t.tt_stride) + id in
-  let epoch = t.tt_epochs.(k) + 1 in
-  t.tt_epochs.(k) <- epoch;
-  epoch
+  (id * t.n) + pid
 
-let timer_epoch t ~pid ~id =
-  if id < t.tt_stride then t.tt_epochs.((pid * t.tt_stride) + id) else 0
+let set_timer_origin t cell =
+  let cap = Array.length t.timer_origins in
+  if cell >= cap then begin
+    let origins = Array.make (max (cell + 1) (2 * cap)) (-1) in
+    Array.blit t.timer_origins 0 origins 0 cap;
+    t.timer_origins <- origins
+  end;
+  t.timer_origins.(cell) <- t.cur_node
 
 let set_timer t ~pid ~id ~after =
   if not t.disable_timers then begin
-    let epoch = bump_timer_epoch t ~pid ~id in
-    push_event t ~at:(t.now + max 0 after)
-      (Ev_timer { pid; id; epoch; origin = t.cur_node })
+    let cell = timer_cell t ~pid ~id in
+    Iheap.set t.timers ~id:cell ~priority:(((t.now + max 0 after) * 8) + timer_rank);
+    if Option.is_some t.causality then set_timer_origin t cell;
+    note_queue_len t
   end
 
 let cancel_timer t ~pid ~id =
-  (* With timers disabled no Ev_timer is ever queued, so the epoch
-     bookkeeping would be dead weight cloned into every snapshot. *)
-  if not t.disable_timers then ignore (bump_timer_epoch t ~pid ~id : int)
+  if not t.disable_timers then Iheap.remove t.timers ~id:(timer_cell t ~pid ~id)
 
 (* -- event processing --------------------------------------------------- *)
 
@@ -791,20 +789,25 @@ let handle_event t ~prio ev =
           handle_deliver_batch t ~order ~src ~dst ~msg ~sent_at ~origin ~prio
       | _ -> handle_deliver t ~src ~dst ~msg ~sent_at ~origin
     end
-  | Ev_timer { pid; id; epoch; origin } ->
-      if timer_epoch t ~pid ~id = epoch && not t.crashed_flags.(pid) then begin
-        t.p_timer_fires <- t.p_timer_fires + 1;
-        if t.record_trace then record t (Trace.Timer_fired { time = t.now; pid; id });
-        (match t.causality with
-        | None -> ()
-        | Some spec ->
-            t.cur_node <-
-              Causality.record spec.Causality.store ~kind:Causality.Timer ~pid
-                ~parent:origin ~start:t.now ~finish:t.now ~payload:id ~aux:(-1));
-        match t.states.(pid) with
-        | None -> ()
-        | Some s -> commit_step t ~pid s (t.automaton.on_timer s id)
-      end
+
+(* A popped cell is always live; a crashed process's timer is a step
+   without a fire. *)
+let fire_timer t cell =
+  let pid = cell mod t.n in
+  if not t.crashed_flags.(pid) then begin
+    let id = cell / t.n in
+    t.p_timer_fires <- t.p_timer_fires + 1;
+    if t.record_trace then record t (Trace.Timer_fired { time = t.now; pid; id });
+    (match t.causality with
+    | None -> ()
+    | Some spec ->
+        t.cur_node <-
+          Causality.record spec.Causality.store ~kind:Causality.Timer ~pid
+            ~parent:t.timer_origins.(cell) ~start:t.now ~finish:t.now ~payload:id ~aux:(-1));
+    match t.states.(pid) with
+    | None -> ()
+    | Some s -> commit_step t ~pid s (t.automaton.on_timer s id)
+  end
 
 (* Push the registry the delta accumulated since the previous flush. One
    fetch-and-add per counter per [run] call replaces one per event; probes
@@ -830,22 +833,29 @@ let flush_meters t =
 
 (* The stepping loop allocates nothing per event: the bound is hoisted to
    a plain int, the next event's time is read off the packed priority
-   without building an option, and pop returns the payload directly. The
-   calendar's head goes first when its priority is at most the heap's:
-   a tie is input against input, and calendar inputs were scheduled
-   first. Real priorities stay below 2^38, so [max_int] marks a drained
-   source. *)
+   without building an option, and pop returns the payload directly. It
+   merges three sources by priority. The timer heap's head goes first only
+   when strictly below both others (rank 4 is the timers' alone, so it
+   never ties). Between the other two the calendar's head goes first when
+   its priority is at most the heap's: a tie is input against input, and
+   calendar inputs were scheduled first. Real priorities stay below 2^38,
+   so [max_int] marks a drained source. *)
 let run ?until t =
   let ubound = match until with None -> max_int | Some u -> u in
   let cal = t.calendar in
   let cal_len = Array.length cal.cal_times in
+  let timers = t.timers and timers_off = t.disable_timers in
   let rec loop () =
     if t.steps >= t.max_steps then Step_budget_exhausted
     else begin
       let c = t.cal_next in
       let cal_prio = if c < cal_len then input_priority cal.cal_times.(c) else max_int in
       let heap_prio = if Pqueue.is_empty t.queue then max_int else Pqueue.peek_prio t.queue in
-      let prio = Int.min cal_prio heap_prio in
+      let timer_prio =
+        if timers_off || Iheap.is_empty timers then max_int else Iheap.min_priority timers
+      in
+      let event_prio = Int.min cal_prio heap_prio in
+      let prio = Int.min event_prio timer_prio in
       if prio = max_int then Quiescent
       else begin
         let time = time_of_priority prio in
@@ -853,7 +863,8 @@ let run ?until t =
         else begin
           t.steps <- t.steps + 1;
           if time > t.now then t.now <- time;
-          if cal_prio <= heap_prio then begin
+          if timer_prio < event_prio then fire_timer t (Iheap.pop_min timers)
+          else if cal_prio <= heap_prio then begin
             t.cal_next <- c + 1;
             handle_input t cal.cal_pids.(c) cal.cal_inputs.(c)
           end
@@ -944,8 +955,6 @@ let event_fp ~relabel = function
         (Fp.mix (Fp.mix (Fp.mix 43L (Fp.int (relabel src))) (Fp.int (relabel dst)))
            (Fp.structural msg))
         (Fp.int sent_at)
-  | Ev_timer { pid; id; epoch; origin = _ } ->
-      Fp.mix (Fp.mix (Fp.mix 47L (Fp.int (relabel pid))) (Fp.int id)) (Fp.int epoch)
 
 (* Everything pid-local: protocol state, crash flag, latency probes. Also
    the symmetry sort key (with a pid-blind [relabel]) — so two processes
@@ -967,11 +976,12 @@ let local_fp t state_fp ~relabel pid =
    state, the pending pool (a multiset folded commutatively — slot ids
    and seq stamps are allocation accidents), the event queue — heap and
    unread calendar merged — in pop order (the only order with semantics;
-   an input digests the same from either source), and live timer epochs (epoch 0 cells
-   are never-armed, i.e. absent). Excluded: step/trace/output history
-   (past, not future) and the RNG streams (opaque; under the explorer's
-   [Manual] network and scripted faults they are never consulted, see the
-   .mli). *)
+   an input digests the same from either source), and the armed timers as
+   (pid, id, deadline) in pop order. With no timer armed the timer fold
+   is its bare tag 73. Excluded: step/trace/output history (past, not
+   future), including how the armed timers came to be armed, and the RNG
+   streams (opaque; under the explorer's [Manual] network and scripted
+   faults they are never consulted, see the .mli). *)
 let fold_engine t state_fp ~relabel ~order =
   let fp = Fp.mix (Fp.int t.n) (Fp.int t.now) in
   let fp = Fp.mix fp (Fp.int t.sends) in
@@ -1011,16 +1021,13 @@ let fold_engine t state_fp ~relabel ~order =
   fold_calendar_upto max_int;
   let fp = !qfp in
   let timers = ref 73L in
-  for pid = 0 to t.n - 1 do
-    for id = 0 to t.tt_stride - 1 do
-      let epoch = t.tt_epochs.((pid * t.tt_stride) + id) in
-      if epoch > 0 then
+  if not (Iheap.is_empty t.timers) then
+    Iheap.iter_in_order t.timers (fun ~id:cell ~priority ->
         timers :=
-          Fp.commute !timers
-            (Fp.mix (Fp.mix (Fp.mix 71L (Fp.int (relabel pid))) (Fp.int id))
-               (Fp.int epoch))
-    done
-  done;
+          Fp.mix !timers
+            (Fp.mix
+               (Fp.mix (Fp.mix 71L (Fp.int (relabel (cell mod t.n)))) (Fp.int (cell / t.n)))
+               (Fp.int (time_of_priority priority))));
   Fp.mix fp !timers
 
 let fingerprint ?(symmetry = false) t =

@@ -19,25 +19,27 @@
     {!state}, {!clone} and {!correct_pids} agree on crashed processes.
 
     {b Hot-path representation (packing invariants).} The stepping core is
-    flat-array and int-packed. The inputs given to {!create} never enter
-    the event heap: they are stable-sorted by time into an immutable input
-    calendar (parallel time, pid and input arrays) that {!run} reads
-    through a per-engine cursor, taking the calendar's head whenever its
-    priority is at most the heap's. The heap thus holds only in-flight
-    events: deliveries, timers, crashes, initialisations and inputs added
-    by {!schedule_input}. It is {!Stdext.Pqueue}'s index heap, which
-    writes each payload once into a slot and sifts only unboxed ints.
-    The representation fixes a few widths: event priorities pack as
-    [time * 8 + rank] into {!Stdext.Pqueue}'s keys (priorities within
-    ±2^38, i.e. virtual times up to ~2^35 ticks; {!create} checks its
-    input times against the same range); the pending pool is a
-    slot-indexed structure of arrays whose send-order recovery packs
-    [(seq, slot)] into one int, capping {e live} pending messages at 2^20;
-    the timer table is a flat array indexed by [pid * stride + timer_id]
-    with epoch 0 meaning "never armed" (the stride grows to cover the
-    largest timer id seen, so huge sparse timer ids waste space —
-    automata should number timers densely from 0). Exceeding a width
-    raises [Invalid_argument] rather than corrupting state. *)
+    flat-array and int-packed, and {!run} merges three sources by
+    priority. The inputs given to {!create} never enter the event heap:
+    they are stable-sorted by time into an immutable input calendar
+    (parallel time, pid and input arrays) read through a per-engine
+    cursor, whose head goes first whenever its priority is at most the
+    heap's. The event heap holds only in-flight events: deliveries,
+    crashes, initialisations and inputs added by {!schedule_input}. It is
+    {!Stdext.Pqueue}'s index heap, which writes each payload once into a
+    slot and sifts only unboxed ints. Armed timers are the third source:
+    a {!Stdext.Iheap} with one entry per [(pid, timer id)] cell, numbered
+    [timer_id * n + pid]. Arming re-keys the cell in place and cancelling
+    removes it, so a cancelled or superseded timer is never popped and is
+    not an event. The representation fixes a few widths: priorities pack
+    as [time * 8 + rank] into both heaps' keys (priorities within ±2^38,
+    i.e. virtual times up to ~2^35 ticks; {!create} checks its input times
+    against the same range); the pending pool is a slot-indexed structure
+    of arrays whose send-order recovery packs [(seq, slot)] into one int,
+    capping {e live} pending messages at 2^20; the timer heap's position
+    array grows to cover the largest cell armed, so huge sparse timer ids
+    waste space — automata should number timers densely from 0. Exceeding
+    a width raises [Invalid_argument] rather than corrupting state. *)
 
 type ('state, 'msg, 'input, 'output) t
 
@@ -49,7 +51,10 @@ type ('state, 'msg, 'input, 'output) t
     and replay-mode re-execution reproduces the identical probe. *)
 module Probe : sig
   type t = {
-    steps : int;  (** events processed by {!run} *)
+    steps : int;
+        (** events processed by {!run}; a cancelled or superseded timer
+            is not an event, while a timer popped for a crashed process
+            is (it fires nothing) *)
     sent : int;  (** = {!Trace.message_count} of the trace *)
     delivered : int;
     dropped : int;  (** fault-injected losses, = {!Trace.drop_count} *)
@@ -58,8 +63,9 @@ module Probe : sig
     crashes : int;
     decides : int;  (** environment outputs, = {!Trace.decide_count} *)
     queue_hwm : int;
-        (** event-queue high-water mark: heap entries plus unread calendar
-            inputs, sampled at every push *)
+        (** high-water mark of pending events: event-heap entries, unread
+            calendar inputs and armed timers, sampled at every push and
+            every arm *)
   }
 
   val zero : t
@@ -93,8 +99,8 @@ val create :
     crashed, and its scheduled inputs are dropped). [faults] (default
     {!Network.Fault.none}) injects per-send drops, duplications and
     mid-broadcast sender crashes on top of [network]'s timing.
-    [record_trace] defaults to [true]; [max_steps] defaults to 5_000_000
-    events. Raises [Invalid_argument] if [network] fails
+    [record_trace] defaults to [true]; [max_steps] (default 5_000_000)
+    bounds {!Probe.steps}, so it counts effective events only. Raises [Invalid_argument] if [network] fails
     {!Network.validate} or an input's time is outside the event-queue
     packing range (see the header).
 
@@ -119,9 +125,12 @@ val create :
     tracers to single runs, not branched explorations. *)
 
 val run : ?until:Time.t -> ('state, 'msg, 'input, 'output) t -> run_result
-(** Process events until the queue is empty, the next event is strictly
-    after [until], or the step budget runs out. Can be called repeatedly
-    with increasing [until]. *)
+(** Process events until the queue is empty and no timer is armed, the
+    next event is strictly after [until], or the step budget runs out.
+    Can be called repeatedly with increasing [until]. Afterwards {!now} is
+    the time of the last event processed: [run] advances it neither to
+    [until] nor to the deadline of a timer that was cancelled or
+    re-armed. *)
 
 (** {2 Snapshots}
 
@@ -131,13 +140,15 @@ val run : ?until:Time.t -> ('state, 'msg, 'input, 'output) t -> run_result
 
 val clone : ('state, 'msg, 'input, 'output) t -> ('state, 'msg, 'input, 'output) t
 (** Independent deep copy of the engine at its current instant: states
-    (via {!Automaton.t}'s [state_copy]), event queue, pending pool, timer
-    epochs, RNGs (including the fault stream), fault counters and trace.
+    (via {!Automaton.t}'s [state_copy]), event queue, pending pool, armed
+    timers, RNGs (including the fault stream), fault counters and trace.
     Stepping either engine never affects the other, and running both
     identically gives bit-identical results. O(n + heap entries + live
-    prefix): the heap's live entries are copied densely, and the pending
-    pool and timer table are flat arrays copied up to their high-water
-    mark with straight blits of unboxed ints. The input calendar costs
+    prefix + largest timer cell): the event heap's live entries are
+    copied densely, the pending pool is copied up to its high-water mark,
+    and the timer heap as its armed entries plus its cell-indexed
+    position array, all with straight blits of unboxed ints. With timers
+    disabled the timer heap is empty. The input calendar costs
     nothing: clones share its arrays and copy its cursor. Message
     payloads, trace entries and outputs stay shared too — they are
     immutable. [clone] only reads its argument, so multiple domains may
@@ -158,6 +169,7 @@ val restore : ('state, 'msg, 'input, 'output) snapshot -> ('state, 'msg, 'input,
     taken. Each call returns an independent copy. *)
 
 val now : ('state, 'msg, 'input, 'output) t -> Time.t
+(** Time of the last event processed ({!Time.zero} before the first). *)
 
 val n : ('state, 'msg, 'input, 'output) t -> int
 
@@ -292,10 +304,12 @@ val fingerprint : ?symmetry:bool -> ('state, 'msg, 'input, 'output) t -> Fingerp
     first-input/first-output instants, the pending pool as a multiset
     (pending {e ids} are allocation accidents with no semantics), the
     event queue in pop order — including the unread inputs of the input
-    calendar, merged in as {!run} would take them — and live timer
-    epochs. Excluded: step count, trace and output history (past, not
-    future), and the RNG streams — they are opaque, and under the
-    explorer's setting ({!Network.Manual} timing with scripted faults)
+    calendar, merged in as {!run} would take them — and the armed timers
+    as (pid, timer id, deadline) in pop order. Excluded: step count,
+    trace and output history (past, not future), including the arm and
+    cancel history behind the armed timers (two engines with the same
+    armed deadlines digest equal), and the RNG streams — they are opaque,
+    and under the explorer's setting ({!Network.Manual} timing with scripted faults)
     never consulted, so two engines with equal fingerprints behave
     identically there. Under a {e stochastic} network model equal
     fingerprints do not imply equal futures; don't key dedup on them in

@@ -843,6 +843,93 @@ let test_input_calendar_invisible () =
     (Invalid_argument "Engine.create: input time outside the event-queue packing range")
     (fun () -> ignore (make ~inputs:[ (1 lsl 40, 0, 1) ] ()))
 
+(* Armed timers live in an indexed heap: a re-arm moves the timer, a
+   cancel removes it, and neither leaves an event behind. A scripted
+   process p0 (p1 idle) arms x (id 0) for 100, y (id 5) for 300, a (id 2)
+   and then b (id 9) for 60 at t=0. An input at t=30 re-arms x for 50
+   (deadline 80, earlier than before) and re-arms a for 30 (deadline 60
+   again, so a now fires after b); an input at t=40 cancels y. *)
+type timer_cmd = Arm of Automaton.timer_id * Time.t | Cancel of Automaton.timer_id
+
+let timer_script ~init : (unit, int, timer_cmd list, unit) Automaton.t =
+  let actions =
+    List.map (function
+      | Arm (id, after) -> Automaton.Set_timer { id; after }
+      | Cancel id -> Automaton.Cancel_timer id)
+  in
+  {
+    init = (fun ~self ~n:_ -> ((), if self = 0 then actions init else []));
+    on_message = (fun s ~src:_ _ -> (s, []));
+    on_input = (fun s cmds -> (s, actions cmds));
+    on_timer = (fun s _ -> (s, []));
+    state_copy = Fun.id;
+    state_fingerprint = Some (fun ~relabel:_ () -> Fp.int 0);
+  }
+
+let test_timer_heap_semantics () =
+  let make () =
+    Engine.create
+      ~automaton:(timer_script ~init:[ Arm (0, 100); Arm (5, 300); Arm (2, 60); Arm (9, 60) ])
+      ~n:2 ~network:sync_net
+      ~inputs:[ (30, 0, [ Arm (0, 50); Arm (2, 30) ]); (40, 0, [ Cancel 5 ]) ]
+      ()
+  in
+  let engine = make () in
+  Alcotest.(check bool) "quiescent" true (Engine.run engine = Engine.Quiescent);
+  let fired =
+    List.filter_map
+      (function Trace.Timer_fired { time; pid; id } -> Some (time, pid, id) | _ -> None)
+      (Engine.trace engine)
+  in
+  Alcotest.(check (list (triple int int int)))
+    "b before a at 60 (a re-set last), x moved to 80, y never"
+    [ (60, 0, 9); (60, 0, 2); (80, 0, 0) ]
+    fired;
+  let p = Engine.probe engine in
+  Alcotest.(check int) "timer fires" 3 p.Engine.Probe.timer_fires;
+  (* 2 inits + 2 inputs + 3 fires: superseded and cancelled timers are not
+     events. *)
+  Alcotest.(check int) "steps count effective events only" 7 p.Engine.Probe.steps;
+  (* After p0's init: p1's init, 2 unread inputs and 4 armed timers. *)
+  Alcotest.(check int) "queue hwm counts armed timers" 7 p.Engine.Probe.queue_hwm;
+  Alcotest.(check int) "clock stops at the last effective event" 80 (Engine.now engine);
+  (* A clone taken while x, a and b are armed (y already cancelled). *)
+  let source = make () in
+  ignore (Engine.run ~until:45 source);
+  let copy = Engine.clone source in
+  Alcotest.(check int64) "clone fingerprints like its source" (Engine.fingerprint source)
+    (Engine.fingerprint copy);
+  ignore (Engine.run source);
+  ignore (Engine.run copy);
+  Alcotest.(check bool) "clone runs to the same trace" true
+    (Engine.trace source = Engine.trace copy && Engine.trace copy = Engine.trace engine);
+  Alcotest.(check int64) "clone ends on the same fingerprint" (Engine.fingerprint source)
+    (Engine.fingerprint copy);
+  (* Equal armed deadlines digest equal whatever the arm history: x armed
+     once for 100, against x armed for 50, cancelled and re-armed for 80
+     at t=20. A different deadline must still separate them. *)
+  let history ~init ~at10 ~at20 =
+    let e =
+      Engine.create ~automaton:(timer_script ~init) ~n:2 ~network:sync_net
+        ~inputs:[ (10, 0, at10); (20, 0, at20) ]
+        ()
+    in
+    ignore (Engine.run ~until:20 e);
+    Engine.fingerprint e
+  in
+  let once = history ~init:[ Arm (0, 100) ] ~at10:[] ~at20:[] in
+  Alcotest.(check int64) "arm history is not part of the digest" once
+    (history ~init:[ Arm (0, 50) ] ~at10:[ Cancel 0 ] ~at20:[ Arm (0, 80) ]);
+  Alcotest.(check bool) "the armed deadline is" true
+    (once <> history ~init:[ Arm (0, 50) ] ~at10:[ Cancel 0 ] ~at20:[ Arm (0, 81) ]);
+  Alcotest.check_raises "negative timer id" (Invalid_argument "Engine: negative timer id")
+    (fun () ->
+      ignore
+        (Engine.run
+           (Engine.create ~automaton:(timer_script ~init:[ Arm (-1, 10) ]) ~n:2
+              ~network:sync_net ())
+          : Engine.run_result))
+
 let () =
   Alcotest.run "dsim"
     [
@@ -867,6 +954,7 @@ let () =
           Alcotest.test_case "clone same future" `Quick test_clone_same_future;
           Alcotest.test_case "snapshot/restore" `Quick test_snapshot_restore;
           Alcotest.test_case "input calendar invisible" `Quick test_input_calendar_invisible;
+          Alcotest.test_case "timer heap semantics" `Quick test_timer_heap_semantics;
         ] );
       ( "networks",
         [

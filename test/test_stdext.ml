@@ -1,9 +1,10 @@
 (* Unit and property tests for the stdext utilities: the deterministic RNG,
-   the priority queue the engine is built on, and the combinatorics helpers
-   the checkers rely on. *)
+   the event and timer heaps the engine is built on, and the combinatorics
+   helpers the checkers rely on. *)
 
 module Rng = Stdext.Rng
 module Pqueue = Stdext.Pqueue
+module Iheap = Stdext.Iheap
 module Combinat = Stdext.Combinat
 module Pool = Stdext.Pool
 module Metrics = Stdext.Metrics
@@ -310,6 +311,154 @@ let test_pqueue_seq_compaction () =
     incr expect
   done;
   Alcotest.(check int) "window retained" window (Pqueue.length q)
+
+(* -- iheap -------------------------------------------------------------- *)
+
+(* Random set/remove/pop/copy sequences against a reference model that
+   keeps one (priority, stamp) per id and pops the least pair. A case
+   draws at most 8 ids from 0-2000, first set in a random order, so the
+   position array grows mid-run. Priorities come from 0-5, so ties
+   (broken by the latest [set]) are common, and a re-[set] moves an id to
+   a later or an earlier priority. A copy is a new branch that later
+   operations drive independently of its source. *)
+type iheap_op = Set of int * int | Remove of int | Pop_min | Copy_heap
+
+let iheap_model_property =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map2 (fun i p -> Set (i, p)) (int_bound 7) (int_bound 5));
+          (2, map (fun i -> Remove i) (int_bound 7));
+          (2, return Pop_min);
+          (1, return Copy_heap);
+        ])
+  in
+  let print_op = function
+    | Set (i, p) -> Printf.sprintf "set #%d %d" i p
+    | Remove i -> Printf.sprintf "remove #%d" i
+    | Pop_min -> "pop"
+    | Copy_heap -> "copy"
+  in
+  let case =
+    QCheck.make
+      ~print:QCheck.Print.(pair (list int) (list (pair int print_op)))
+      QCheck.Gen.(
+        pair
+          (list_size (int_range 1 8) (int_bound 2000))
+          (list_size (int_range 0 300) (pair (int_bound 3) op)))
+  in
+  QCheck.Test.make ~name:"iheap matches a (priority, last set) model" ~count:300 case
+    (fun (ids, ops) ->
+      let ids = Array.of_list (List.sort_uniq compare ids) in
+      let id_of i = ids.(i mod Array.length ids) in
+      (* Model: id -> (priority, stamp); stamps grow across branches. *)
+      let stamp = ref 0 in
+      let model_min m =
+        List.fold_left
+          (fun best (id, (p, s)) ->
+            match best with
+            | Some (_, (bp, bs)) when (bp, bs) <= (p, s) -> best
+            | _ -> Some (id, (p, s)))
+          None m
+      in
+      let rec drain_model m =
+        match model_min m with
+        | None -> []
+        | Some (id, (p, _)) -> (id, p) :: drain_model (List.remove_assoc id m)
+      in
+      let branches = ref [| (Iheap.create (), ref []) |] in
+      let ok = ref true in
+      let check cond = if not cond then ok := false in
+      List.iter
+        (fun (b, op) ->
+          let h, model = !branches.(b mod Array.length !branches) in
+          (match op with
+          | Set (i, p) ->
+              let id = id_of i in
+              Iheap.set h ~id ~priority:p;
+              model := (id, (p, !stamp)) :: List.remove_assoc id !model;
+              incr stamp
+          | Remove i ->
+              let id = id_of i in
+              Iheap.remove h ~id;
+              model := List.remove_assoc id !model
+          | Pop_min -> (
+              match model_min !model with
+              | None -> check (Iheap.is_empty h)
+              | Some (id, (p, _)) ->
+                  check (Iheap.min_priority h = p);
+                  check (Iheap.pop_min h = id);
+                  model := List.remove_assoc id !model)
+          | Copy_heap ->
+              if Array.length !branches < 4 then
+                branches := Array.append !branches [| (Iheap.copy h, ref !model) |]);
+          check (Iheap.length h = List.length !model);
+          Array.iter (fun id -> check (Iheap.mem h ~id = List.mem_assoc id !model)) ids)
+        ops;
+      Array.iter
+        (fun (h, model) ->
+          let seen = ref [] in
+          Iheap.iter_in_order h (fun ~id ~priority -> seen := (id, priority) :: !seen);
+          let want = drain_model !model in
+          check (List.rev !seen = want);
+          let popped = List.map (fun (_, p) -> (Iheap.pop_min h, p)) want in
+          check (popped = want && Iheap.is_empty h))
+        !branches;
+      !ok)
+
+let test_iheap_basics () =
+  let h = Iheap.create () in
+  Alcotest.check_raises "min_priority empty"
+    (Invalid_argument "Iheap.min_priority: empty heap") (fun () ->
+      ignore (Iheap.min_priority h : int));
+  Alcotest.check_raises "pop_min empty" (Invalid_argument "Iheap.pop_min: empty heap")
+    (fun () -> ignore (Iheap.pop_min h : int));
+  Iheap.remove h ~id:3;
+  Alcotest.(check bool) "absent id: remove is a no-op" true (Iheap.is_empty h);
+  Alcotest.check_raises "negative id" (Invalid_argument "Iheap.set: negative id") (fun () ->
+      Iheap.set h ~id:(-1) ~priority:0);
+  let lim = 1 lsl 38 in
+  Alcotest.check_raises "priority outside the packing range"
+    (Invalid_argument "Iheap.set: priority outside +-2^38 (packing invariant)") (fun () ->
+      Iheap.set h ~id:0 ~priority:lim);
+  Iheap.set h ~id:4 ~priority:(lim - 1);
+  Iheap.set h ~id:1000 ~priority:(-lim);
+  Iheap.set h ~id:7 ~priority:(-3);
+  let order = ref [] in
+  Iheap.iter_in_order h (fun ~id ~priority -> order := (id, priority) :: !order);
+  Alcotest.(check (list (pair int int)))
+    "full packing range, negative priorities first"
+    [ (1000, -lim); (7, -3); (4, lim - 1) ]
+    (List.rev !order);
+  Alcotest.(check int) "iter_in_order non-destructive" 3 (Iheap.length h);
+  (* Removing from one subtree re-seats the last entry, taken from the
+     other, which may have to move up: id 6 (priority 2) lands under id 1
+     (priority 4) when id 3 is removed, and must pop before it. *)
+  let h = Iheap.create () in
+  List.iter
+    (fun (id, priority) -> Iheap.set h ~id ~priority)
+    [ (0, 0); (1, 4); (2, 1); (3, 6); (4, 6); (5, 7); (6, 2) ];
+  Iheap.remove h ~id:3;
+  Alcotest.(check (list int)) "remove sifts the re-seated entry up" [ 0; 2; 6; 1; 4; 5 ]
+    (List.init (Iheap.length h) (fun _ -> Iheap.pop_min h))
+
+let test_iheap_seq_compaction () =
+  (* One id re-set 2^24 + 64 times, alternating below and above three
+     others, drives the 24-bit stamp counter through its renumbering: the
+     pop order must still follow (priority, last set). *)
+  let h = Iheap.create () in
+  Iheap.set h ~id:1 ~priority:3;
+  Iheap.set h ~id:2 ~priority:5;
+  Iheap.set h ~id:3 ~priority:5;
+  let total = (1 lsl 24) + 64 in
+  for k = 0 to total - 1 do
+    Iheap.set h ~id:0 ~priority:(if k land 1 = 0 then 4 else 6);
+    if k = total / 2 then Iheap.set h ~id:2 ~priority:5
+  done;
+  Alcotest.(check int) "min across renumbering" 3 (Iheap.min_priority h);
+  let drain () = List.init (Iheap.length h) (fun _ -> Iheap.pop_min h) in
+  Alcotest.(check (list int)) "pop order across renumbering" [ 1; 3; 2; 0 ] (drain ())
 
 (* -- pool --------------------------------------------------------------- *)
 
@@ -812,6 +961,12 @@ let () =
           Alcotest.test_case "priority packing range" `Quick
             test_pqueue_priority_packing_range;
           Alcotest.test_case "seq compaction" `Quick test_pqueue_seq_compaction;
+        ] );
+      ( "iheap",
+        [
+          Alcotest.test_case "basics and packing range" `Quick test_iheap_basics;
+          QCheck_alcotest.to_alcotest iheap_model_property;
+          Alcotest.test_case "seq compaction" `Quick test_iheap_seq_compaction;
         ] );
       ( "pool",
         [
