@@ -13,9 +13,9 @@
    Each T/F experiment regenerates one claim of the paper as a table or
    series (see DESIGN.md section 3 and EXPERIMENTS.md). The bechamel suite
    measures the cost of the building blocks themselves; the explore suite
-   times the state-space explorer's replay vs snapshot modes and its
-   multi-domain fan-out, and records the trajectory machine-readably so
-   successive PRs can compare. *)
+   times the state-space explorer and its multi-domain fan-out, and
+   records the trajectory machine-readably so successive runs can
+   compare. *)
 
 let fmt = Format.std_formatter
 
@@ -97,7 +97,7 @@ let dedup_name = function
 
 let por_name = function Checker.Explore.No_por -> "off" | Checker.Explore.Sleep -> "sleep"
 
-let time_explore ~experiment ~n ~e ~f ~budget ~rounds ~faults ~mode ~domains
+let time_explore ~experiment ~n ~e ~f ~budget ~rounds ~faults ~domains
     ?(dedup = Checker.Explore.Off) ?(por = Checker.Explore.No_por) () =
   let proposals =
     Checker.Scenario.all_proposals_at_zero ~n (List.init n (fun i -> n - 1 - i))
@@ -105,7 +105,7 @@ let time_explore ~experiment ~n ~e ~f ~budget ~rounds ~faults ~mode ~domains
   let t0 = Unix.gettimeofday () in
   let r, report =
     Checker.Explore.synchronous_report Core.Rgs.task ~n ~e ~f ~delta:100 ~proposals
-      ~rounds ~budget ~faults ~mode ~domains ~dedup ~por
+      ~rounds ~budget ~faults ~domains ~dedup ~por
       ~check:(fun o -> Checker.Safety.safe o)
       ()
   in
@@ -121,7 +121,7 @@ let time_explore ~experiment ~n ~e ~f ~budget ~rounds ~faults ~mode ~domains
     experiment;
     protocol = "rgs-task";
     n;
-    mode = (match mode with `Replay -> "replay" | `Snapshot -> "snapshot");
+    mode = "snapshot" (* the cloned-engine DFS: the explorer's only strategy *);
     domains;
     budget;
     rounds;
@@ -209,11 +209,9 @@ let speedup_vs_seq samples s =
          if s.wall_ns = 0 then 1.0 else float_of_int b.wall_ns /. float_of_int s.wall_ns)
 
 (* The header's recommendation, derived from the rows actually emitted
-   instead of the host's core count (which the old header reported even
-   when every measured multi-domain row lost to sequential): the domains
-   value with the best mean measured speedup_vs_seq, 1 when nothing beats
-   the sequential baseline, and the host count only as a fallback when
-   the sweep measured no multi-domain rows at all. *)
+   instead of the host's core count: the domains value with the best mean
+   measured speedup_vs_seq, and 1 when nothing beats the sequential
+   baseline or the sweep measured no multi-domain row at all. *)
 let recommended_domains samples =
   let tbl = Hashtbl.create 8 in
   List.iter
@@ -227,17 +225,12 @@ let recommended_domains samples =
             Hashtbl.replace tbl s.domains (sum +. sp, count + 1)
         | None -> ())
     samples;
-  if Hashtbl.length tbl = 0 then max 1 (Domain.recommended_domain_count ())
-  else begin
-    let best_d, best_mean =
-      Hashtbl.fold
-        (fun d (sum, count) (bd, bm) ->
-          let m = sum /. float_of_int count in
-          if m > bm || (m = bm && d < bd) then (d, m) else (bd, bm))
-        tbl (1, 1.0)
-    in
-    if best_mean > 1.0 then best_d else 1
-  end
+  Hashtbl.fold
+    (fun d (sum, count) (bd, bm) ->
+      let m = sum /. float_of_int count in
+      if m > bm || (m = bm && d < bd) then (d, m) else (bd, bm))
+    tbl (1, 1.0)
+  |> fst
 
 (* events/sec of an engine-suite row; 0 for rows without engine columns. *)
 let events_per_sec s =
@@ -248,8 +241,8 @@ let minor_words_per_event s =
   if s.events = 0 then 0.0 else s.minor_words /. float_of_int s.events
 
 (* One row writer for the suites that share [explore_sample] rows: the
-   explore, faults and overhead suites write BENCH_explore.json, the engine
-   suite BENCH_engine.json. [header] holds the file's extra int fields:
+   explore and faults suites write BENCH_explore.json, the engine suite
+   BENCH_engine.json. [header] holds the file's extra int fields:
    the exploration sweep's rounds and recommended domain count mean
    nothing for engine rows. *)
 let write_rows_json ~suite ~header path samples =
@@ -328,7 +321,7 @@ let run_explore_suite ~domains_list ~budget_override () =
   let domains_list =
     match domains_list with Some l -> l | None -> default_domains_list ()
   in
-  Format.fprintf fmt "@.%s@.B2. Exploration: replay vs snapshot, domains {%s}@.%s@."
+  Format.fprintf fmt "@.%s@.B2. Exploration, domains {%s}@.%s@."
     (String.make 78 '-')
     (String.concat "," (List.map string_of_int domains_list))
     (String.make 78 '-');
@@ -342,9 +335,7 @@ let run_explore_suite ~domains_list ~budget_override () =
   in
   let cases =
     List.concat_map
-      (fun (n, e, f, b) ->
-        ((n, e, f, b), `Replay, 1, Checker.Explore.Off)
-        :: List.map (fun d -> ((n, e, f, b), `Snapshot, d, Checker.Explore.Off)) domains_list)
+      (fun cfg -> List.map (fun d -> (cfg, d, Checker.Explore.Off)) domains_list)
       configs
   in
   (* The dedup trajectory: an explicit on-vs-off pair at every n >= 6
@@ -354,18 +345,18 @@ let run_explore_suite ~domains_list ~budget_override () =
   let dedup_cases =
     List.filter_map
       (fun (n, e, f, b) ->
-        if n >= 6 then Some ((n, e, f, b), `Snapshot, 1, Checker.Explore.Exact) else None)
+        if n >= 6 then Some ((n, e, f, b), 1, Checker.Explore.Exact) else None)
       configs
   in
   let samples =
     List.map
-      (fun ((n, e, f, budget), mode, domains, dedup) ->
+      (fun ((n, e, f, budget), domains, dedup) ->
         let experiment =
           Printf.sprintf "explore-n%d%s" n
             (if budget = 1_000 then "" else Printf.sprintf "-b%d" budget)
         in
         time_explore ~experiment ~n ~e ~f ~budget ~rounds:explore_rounds
-          ~faults:Checker.Explore.no_faults ~mode ~domains ~dedup ())
+          ~faults:Checker.Explore.no_faults ~domains ~dedup ())
       (cases @ dedup_cases)
   in
   (* POR trajectory: a fixed-budget on/off pair per n >= 6 config, run at
@@ -383,8 +374,8 @@ let run_explore_suite ~domains_list ~budget_override () =
           List.map
             (fun (dedup, por) ->
               time_explore ~experiment ~n ~e ~f ~budget:por_budget
-                ~rounds:explore_rounds ~faults:Checker.Explore.no_faults
-                ~mode:`Snapshot ~domains:1 ~dedup ~por ())
+                ~rounds:explore_rounds ~faults:Checker.Explore.no_faults ~domains:1
+                ~dedup ~por ())
             [
               (Checker.Explore.Off, Checker.Explore.No_por);
               (Checker.Explore.Off, Checker.Explore.Sleep);
@@ -457,20 +448,16 @@ let run_faults_suite ~domains_list ~budget_override () =
     | None -> fault_configs
     | Some b -> List.sort_uniq compare (List.map (fun (n, e, f, _) -> (n, e, f, b)) fault_configs)
   in
-  let cases =
-    List.concat_map
-      (fun (n, e, f, b) ->
-        ((n, e, f, b), `Replay, 1)
-        :: List.map (fun d -> ((n, e, f, b), `Snapshot, d)) domains_list)
-      configs
-  in
   let samples =
-    List.map
-      (fun ((n, e, f, budget), mode, domains) ->
-        time_explore
-          ~experiment:(Printf.sprintf "faults-n%d" n)
-          ~n ~e ~f ~budget ~rounds:fault_rounds ~faults:fault_bounds ~mode ~domains ())
-      cases
+    List.concat_map
+      (fun (n, e, f, budget) ->
+        List.map
+          (fun domains ->
+            time_explore
+              ~experiment:(Printf.sprintf "faults-n%d" n)
+              ~n ~e ~f ~budget ~rounds:fault_rounds ~faults:fault_bounds ~domains ())
+          domains_list)
+      configs
   in
   emit_samples samples
 
@@ -479,10 +466,9 @@ let run_faults_suite ~domains_list ~budget_override () =
 (* The telemetry contract is "zero overhead when disabled": every engine
    probe mirror is a single branch on an immutable bool when the registry
    is {!Stdext.Metrics.disabled}. These two rows measure the same
-   fast-path scenario loop with the disabled registry and with a live one;
-   the off-row states/sec lands in BENCH_explore.json's trajectory so a
-   regression of the disabled path shows up across PRs, and the printed
-   overhead line quantifies the enabled path's cost. *)
+   fast-path scenario loop with the disabled registry and with a live one.
+   They are printed, not written to any BENCH file; the overhead line
+   quantifies the enabled path's cost. *)
 let run_metrics_overhead_suite ?(iters = 3_000) () =
   Format.fprintf fmt "@.%s@.B4. Metrics overhead (engine probe mirror, %d scenario runs)@.%s@."
     (String.make 78 '-') iters (String.make 78 '-');
@@ -529,8 +515,8 @@ let run_metrics_overhead_suite ?(iters = 3_000) () =
     else 100. *. (float_of_int on_.wall_ns -. float_of_int off.wall_ns)
          /. float_of_int off.wall_ns
   in
-  Format.fprintf fmt "enabled-registry overhead vs disabled: %+.1f%%@." overhead_pct;
-  emit_samples [ off; on_ ]
+  print_sample_table [ off; on_ ];
+  Format.fprintf fmt "enabled-registry overhead vs disabled: %+.1f%%@." overhead_pct
 
 (* -- Engine throughput suite -------------------------------------------- *)
 
@@ -678,11 +664,12 @@ let run_engine_suite ~engine_iters () =
   Format.fprintf fmt "(written to BENCH_engine.json)@.";
   samples
 
-(* Regression guard for CI: compare the engine suite's events/sec against
-   the committed baseline rows (BENCH_baseline.json at the repo root,
-   deliberately conservative so runner-to-runner noise does not trip it)
-   and fail the run on a >30% drop. *)
-let check_engine_baseline ~baseline_path samples =
+(* Regression guard for CI: every row whose experiment has an entry
+   carrying [field] in the committed baseline file (BENCH_baseline.json at
+   the repo root, deliberately conservative so runner-to-runner noise does
+   not trip it) must reach 70% of that floor; the run fails otherwise.
+   [rows] pairs each experiment with its measured [field]. *)
+let check_baseline_floor ~baseline_path ~field rows =
   let fail msg =
     Printf.eprintf "baseline check: %s\n" msg;
     exit 1
@@ -696,40 +683,36 @@ let check_engine_baseline ~baseline_path samples =
     | Ok j -> j
     | Error e -> fail (Printf.sprintf "cannot parse %s: %s" baseline_path e)
   in
-  let rows =
+  let baseline =
     match Stdext.Json.member "baseline" json with
-    | Some (Stdext.Json.List rows) -> rows
+    | Some (Stdext.Json.List baseline) -> baseline
     | _ -> fail (Printf.sprintf "%s: missing \"baseline\" array" baseline_path)
   in
-  let baseline_of name =
+  let floor_of name =
     List.find_map
       (fun row ->
-        match
-          ( Stdext.Json.member "experiment" row,
-            Stdext.Json.member "events_per_sec" row )
-        with
+        match (Stdext.Json.member "experiment" row, Stdext.Json.member field row) with
         | Some (Stdext.Json.String e), Some (Stdext.Json.Float v) when e = name -> Some v
         | Some (Stdext.Json.String e), Some (Stdext.Json.Int v) when e = name ->
             Some (float_of_int v)
         | _ -> None)
-      rows
+      baseline
   in
   List.iter
-    (fun s ->
-      match baseline_of s.experiment with
-      | None -> Format.fprintf fmt "baseline check: %s has no baseline row, skipped@." s.experiment
+    (fun (experiment, current) ->
+      match floor_of experiment with
+      | None ->
+          Format.fprintf fmt "baseline check: %s has no %s baseline, skipped@." experiment
+            field
       | Some base ->
-          let current = events_per_sec s in
-          let floor = 0.7 *. base in
-          if current < floor then
+          if current < 0.7 *. base then
             fail
-              (Printf.sprintf
-                 "%s regressed: %.0f events/sec < 70%% of baseline %.0f" s.experiment
-                 current base)
+              (Printf.sprintf "%s regressed: %.1f %s < 70%% of baseline %.1f" experiment
+                 current field base)
           else
-            Format.fprintf fmt "baseline check: %s ok (%.0f events/sec vs baseline %.0f)@."
-              s.experiment current base)
-    samples
+            Format.fprintf fmt "baseline check: %s ok (%.1f %s vs baseline %.1f)@."
+              experiment current field base)
+    rows
 
 (* -- SMR deployment suite ----------------------------------------------- *)
 
@@ -987,66 +970,13 @@ let run_smr_suite ~smr_clients ~smr_horizon () =
   smr_conflict_free_checks ();
   samples
 
-(* Same 70%-floor discipline as the engine suite, over commits/sec: rows
-   are matched by experiment name against BENCH_baseline.json entries
-   carrying a "commits_per_sec" field. *)
-let check_smr_baseline ~baseline_path samples =
-  let fail msg =
-    Printf.eprintf "smr baseline check: %s\n" msg;
-    exit 1
-  in
-  let contents =
-    try In_channel.with_open_text baseline_path In_channel.input_all
-    with Sys_error e -> fail (Printf.sprintf "cannot read %s: %s" baseline_path e)
-  in
-  let json =
-    match Stdext.Json.parse contents with
-    | Ok j -> j
-    | Error e -> fail (Printf.sprintf "cannot parse %s: %s" baseline_path e)
-  in
-  let rows =
-    match Stdext.Json.member "baseline" json with
-    | Some (Stdext.Json.List rows) -> rows
-    | _ -> fail (Printf.sprintf "%s: missing \"baseline\" array" baseline_path)
-  in
-  let baseline_of name =
-    List.find_map
-      (fun row ->
-        match
-          ( Stdext.Json.member "experiment" row,
-            Stdext.Json.member "commits_per_sec" row )
-        with
-        | Some (Stdext.Json.String e), Some (Stdext.Json.Float v) when e = name -> Some v
-        | Some (Stdext.Json.String e), Some (Stdext.Json.Int v) when e = name ->
-            Some (float_of_int v)
-        | _ -> None)
-      rows
-  in
-  List.iter
-    (fun s ->
-      match baseline_of s.s_experiment with
-      | None -> ()
-      | Some base ->
-          let floor = 0.7 *. base in
-          if s.s_commits_per_sec < floor then
-            fail
-              (Printf.sprintf "%s regressed: %.1f commits/sec < 70%% of baseline %.1f"
-                 s.s_experiment s.s_commits_per_sec base)
-          else
-            Format.fprintf fmt
-              "smr baseline check: %s ok (%.1f commits/sec vs baseline %.1f)@."
-              s.s_experiment s.s_commits_per_sec base;
-          if not s.s_converged then
-            fail (Printf.sprintf "%s: replicas failed to converge" s.s_experiment))
-    samples
-
 (* -- Linearizability suite --------------------------------------------- *)
 
 (* B7: object-level correctness as a benchmark. Every protocol's fleet run
    — fault-free and under message loss/duplication — must yield a
-   linearizable client history, the run-length history encoding must beat
-   its own JSONL rendering by >= 4x, and per-key decomposition must beat
-   the monolithic search. Each is asserted, not just printed. *)
+   linearizable client history, and the run-length history encoding must
+   beat its own JSONL rendering by >= 4x. Both are asserted, not just
+   printed. *)
 
 type lin_sample = {
   l_experiment : string;  (* lin-<protocol>-<faults> *)
@@ -1174,48 +1104,6 @@ let run_lin_suite ~smr_clients ~smr_horizon () =
         exit 1
       end)
     samples;
-  (* Per-key vs monolithic on a deliberately small fleet: the monolithic
-     search must explore the cross-key interleavings the decomposition
-     never builds, and it blows up out of all proportion on anything
-     bigger. *)
-  let small : Workload.Fleet.config =
-    {
-      clients = 24;
-      arrival = Open { rate_per_client = smr_rate };
-      keys = 8;
-      hot_rate = 0.1;
-      read_rate = lin_read_rate;
-      horizon = 3_000;
-      tick = 50;
-    }
-  in
-  let r =
-    Workload.Fleet.run ~protocol:Core.Rgs.task ~e:2 ~f:2
-      ~topology:Workload.Topology.planet5 ~pipeline:16 ~batch_max:64 ~seed:1 small
-  in
-  let timed mode =
-    let t0 = Unix.gettimeofday () in
-    let o = Checker.Linearizability.check_history ~mode r.history in
-    let t1 = Unix.gettimeofday () in
-    (o, (t1 -. t0) *. 1000.0)
-  in
-  let per_key, per_key_ms = timed `Per_key in
-  let mono, mono_ms = timed `Monolithic in
-  Format.fprintf fmt
-    "decomposition: %d ops / %d keys -> per-key %d states (%.1f ms) vs monolithic %d \
-     states (%.1f ms)@."
-    (List.length r.history) per_key.stats.keys per_key.stats.states per_key_ms
-    mono.stats.states mono_ms;
-  if per_key.ok <> mono.ok then begin
-    Printf.eprintf "lin suite: per-key and monolithic verdicts disagree\n";
-    exit 1
-  end;
-  if mono.stats.states < per_key.stats.states then begin
-    Printf.eprintf
-      "lin suite: monolithic search explored fewer states than per-key (%d < %d)\n"
-      mono.stats.states per_key.stats.states;
-    exit 1
-  end;
   write_lin_json "BENCH_lin.json" samples;
   samples
 
@@ -1346,11 +1234,25 @@ let run_experiment ~domains ~domains_list ~budget_override ~engine_iters ~smr_cl
   | "overhead" -> run_metrics_overhead_suite ()
   | "engine" ->
       let samples = run_engine_suite ~engine_iters () in
-      Option.iter (fun baseline_path -> check_engine_baseline ~baseline_path samples)
+      Option.iter
+        (fun baseline_path ->
+          check_baseline_floor ~baseline_path ~field:"events_per_sec"
+            (List.map (fun s -> (s.experiment, events_per_sec s)) samples))
         check_baseline
   | "smr" ->
       let samples = run_smr_suite ~smr_clients ~smr_horizon () in
-      Option.iter (fun baseline_path -> check_smr_baseline ~baseline_path samples)
+      Option.iter
+        (fun baseline_path ->
+          List.iter
+            (fun s ->
+              if not s.s_converged then begin
+                Printf.eprintf "baseline check: %s: replicas failed to converge\n"
+                  s.s_experiment;
+                exit 1
+              end)
+            samples;
+          check_baseline_floor ~baseline_path ~field:"commits_per_sec"
+            (List.map (fun s -> (s.s_experiment, s.s_commits_per_sec)) samples))
         check_baseline
   | "lin" -> ignore (run_lin_suite ~smr_clients ~smr_horizon () : lin_sample list)
   | "all" ->

@@ -290,16 +290,6 @@ let audit_cmd =
 (* -- explore ------------------------------------------------------------- *)
 
 let explore_cmd =
-  let mode_arg =
-    Arg.(
-      value
-      & opt (enum [ ("snapshot", `Snapshot); ("replay", `Replay) ]) `Snapshot
-      & info [ "mode" ] ~docv:"MODE"
-          ~doc:
-            "DFS strategy (explorer default: snapshot). $(b,snapshot) extends a cloned \
-             engine per branch; $(b,replay) re-executes each path from time 0 — same \
-             runs, same order, different time/space trade-off.")
-  in
   let budget_arg =
     Arg.(
       value
@@ -338,8 +328,7 @@ let explore_cmd =
              budget; coverage is reported as distinct states. A violation found is a \
              genuine witness; a clean sweep is evidence, not proof.")
   in
-  let run protocol n e f rounds budget mode domains dedup por swarm seed crashes
-      metrics_out =
+  let run protocol n e f rounds budget domains dedup por swarm seed crashes metrics_out =
     let (module P : Proto.Protocol.S) = protocol in
     let n = Option.value ~default:(P.min_n ~e ~f) n in
     let proposals = Checker.Scenario.all_proposals_at_zero ~n (List.init n Fun.id) in
@@ -375,7 +364,7 @@ let explore_cmd =
         with_metrics metrics_out (fun registry ->
             let r, report =
               Checker.Explore.synchronous_report protocol ~n ~e ~f ~delta ~proposals
-                ~crashes ~rounds ~budget ~mode ~domains ~dedup:(explore_dedup dedup)
+                ~crashes ~rounds ~budget ~domains ~dedup:(explore_dedup dedup)
                 ~por ~metrics:registry
                 ~check:(fun o -> Checker.Safety.safe o)
                 ()
@@ -384,11 +373,8 @@ let explore_cmd =
               Checker.Explore.Run_report.record registry report;
             (r, report))
       in
-      Format.printf
-        "%s n=%d e=%d f=%d rounds=%d (%s, budget %d, domains %d, dedup %s, por %s)@."
-        P.name n e f rounds
-        (match mode with `Snapshot -> "snapshot" | `Replay -> "replay")
-        budget domains (dedup_name dedup) (por_name por);
+      Format.printf "%s n=%d e=%d f=%d rounds=%d (budget %d, domains %d, dedup %s, por %s)@."
+        P.name n e f rounds budget domains (dedup_name dedup) (por_name por);
       Format.printf "explored: %d schedules%s@." r.Checker.Explore.explored
         (if r.Checker.Explore.truncated then " (truncated)" else " (exhaustive)");
       Format.printf "%a@." Checker.Explore.Run_report.pp report;
@@ -408,8 +394,8 @@ let explore_cmd =
           to seeded random walkers for sizes beyond exhaustive reach.")
     Term.(
       const run $ protocol_arg $ n_arg $ e_arg $ f_arg $ rounds_arg $ budget_arg
-      $ mode_arg $ domains_arg $ dedup_arg $ por_arg $ swarm_arg $ seed_arg
-      $ crashes_arg () $ metrics_out_arg)
+      $ domains_arg $ dedup_arg $ por_arg $ swarm_arg $ seed_arg $ crashes_arg ()
+      $ metrics_out_arg)
 
 (* -- seeded fault-plan flags --------------------------------------------- *)
 
@@ -725,12 +711,6 @@ let lin_cmd =
              open in Perfetto or about://tracing to see the overlap the checker \
              could not linearize.")
   in
-  let monolithic_arg =
-    Arg.(
-      value & flag
-      & info [ "monolithic" ]
-          ~doc:"Search the whole history as one object instead of per key.")
-  in
   let write_history path history =
     if Filename.check_suffix path ".jsonl" then begin
       let oc = open_out path in
@@ -748,7 +728,7 @@ let lin_cmd =
   in
   let run protocol n e f topology clients rate mode think pipeline batch_max keys
       hot_rate read_rate horizon jitter seed drop_rate dup_rate max_drops max_dups
-      mutate history_out witness_out witness_chrome monolithic =
+      mutate history_out witness_out witness_chrome =
     let (module P : Proto.Protocol.S) = protocol in
     let n = match n with Some n -> n | None -> P.min_n ~e ~f in
     let arrival =
@@ -784,11 +764,9 @@ let lin_cmd =
       (List.length r.history) r.completed
       (r.submitted - r.completed);
     let t0 = Sys.time () in
-    let mode = if monolithic then `Monolithic else `Per_key in
-    let outcome = Checker.Linearizability.check_history ~mode r.history in
+    let outcome = Checker.Linearizability.check_history r.history in
     let elapsed_ms = (Sys.time () -. t0) *. 1000.0 in
-    printf "check        %s: %d keys, %d states explored, %.1f ms@."
-      (match mode with `Per_key -> "per-key" | `Monolithic -> "monolithic")
+    printf "check        per-key: %d keys, %d states explored, %.1f ms@."
       outcome.stats.keys outcome.stats.states elapsed_ms;
     if outcome.ok then printf "linearizable yes@."
     else begin
@@ -815,7 +793,7 @@ let lin_cmd =
       $ rate_arg $ mode_arg $ think_arg $ pipeline_arg $ batch_max_arg $ keys_arg
       $ hot_rate_arg $ read_rate_arg $ horizon_arg $ jitter_arg $ seed_arg
       $ drop_rate_arg 0.0 $ dup_rate_arg 0.0 $ max_drops_arg 64 $ max_dups_arg 64 $ mutate_arg
-      $ history_out_arg $ witness_out_arg $ witness_chrome_arg $ monolithic_arg)
+      $ history_out_arg $ witness_out_arg $ witness_chrome_arg)
 
 (* -- spans ---------------------------------------------------------------- *)
 

@@ -13,8 +13,6 @@ type result = {
   truncated : bool;
 }
 
-type mode = [ `Replay | `Snapshot ]
-
 (* Visited-set policy. [Exact] keys each search-tree node on its engine
    fingerprint and prunes the subtree below an already-seen state — sound
    up to 62-bit hash-compaction collisions (see {!Stdext.Stateset}).
@@ -48,8 +46,8 @@ let no_faults = { max_drops = 0; max_dups = 0 }
 (* Per-run facts captured at evaluation time. They ride in the chunk
    results in DFS order, so the merge can count exactly the sequential
    prefix of the search — which is what makes all [Run_report.totals]
-   fields identical across modes, domain counts and scheduling
-   interleavings, not just [explored]/[violations]. *)
+   fields identical across domain counts and scheduling interleavings,
+   not just [explored]/[violations]. *)
 type run_rec = {
   r_depth : int;
   r_drops : int;
@@ -78,8 +76,6 @@ module Run_report = struct
   type sched = { domains : int; budget : int; evals : int; wasted : int; max_fanout : int }
 
   type t = { totals : totals; sched : sched }
-
-  let totals_equal (a : totals) (b : totals) = a = b
 
   let fast_path_rate t =
     if t.explored = 0 then 0. else float_of_int t.fast_runs /. float_of_int t.explored
@@ -153,31 +149,15 @@ end
    degenerates to the pure delivery-order choice. *)
 type round_choice = { drop : int list; dup : int list; deliver : int list }
 
-(* A path prescribes one {!round_choice} per round boundary. Pending ids
-   are deterministic for a fixed path — duplication allocates fresh ids in
-   choice order — so replaying a path always reconstructs the same run.
-   Paths are stored as *reversed* prefixes (deepest round first):
-   extending a node is then a single cons instead of an O(depth) append,
-   and {!replay} reverses once. In [`Replay] mode every DFS node is
-   materialised by re-executing its whole path from time 0 (O(depth²)
-   engine work along a branch); in [`Snapshot] mode a node keeps its live
-   engine and each child extends an {!Dsim.Engine.clone} by one round
-   (O(depth)). Both modes visit the exact same nodes in the same order.
-
-   A DFS node carries either representation; the engine of a node has
-   processed everything strictly before the coming round boundary, so its
-   pending pool holds exactly that round's messages. *)
-type ('s, 'm) node =
-  | Path of round_choice list  (* reversed: innermost round first *)
-  | Engine of ('s, 'm, Proto.Value.t, Proto.Value.t) Dsim.Engine.t
-
-(* The root of a subtree still to explore. [build] materialises the node
+(* The root of a subtree still to explore. [build] makes its engine
    lazily, in whichever task reaches it after the budget check, so a
    fault-branching node's thousands of children cost nothing until they
-   are explored. [checked]: the split already admitted this node through
-   the visited set and found it a leaf. *)
+   are explored. An engine has processed everything strictly before the
+   coming round boundary, so its pending pool holds exactly that round's
+   messages. [checked]: the split already admitted this node through the
+   visited set and found it a leaf. *)
 type ('s, 'm) subtree = {
-  build : unit -> ('s, 'm) node;
+  build : unit -> ('s, 'm, Proto.Value.t, Proto.Value.t) Dsim.Engine.t;
   round : int;
   drops_left : int;
   dups_left : int;
@@ -193,7 +173,7 @@ type chunk = {
   c_runs : run_rec list;
   c_first_violation : (int * Scenario.outcome) option;
   c_cut : bool;
-  c_fallback : bool;  (* perm_limit fallback hit while expanding *)
+  c_fallback : bool;  (* [perm_limit] fallback hit while expanding *)
 }
 
 let rec take_n n = function
@@ -215,6 +195,41 @@ let outcome_of ~n engine =
     latencies = Dsim.Engine.decision_latencies engine;
     engine_result = Dsim.Engine.Quiescent;
   }
+
+(* Batches larger than this fall back to two representative delivery
+   orders (arrival and reversed) instead of all permutations. *)
+let perm_limit = 4
+
+(* Process everything strictly before [round]'s boundary (init and inputs
+   at the first level, timers in between later). *)
+let advance ~delta engine round = ignore (Dsim.Engine.run ~until:((round * delta) - 1) engine)
+
+(* The engine every exploration starts from, positioned just before the
+   first round boundary. *)
+let root_engine automaton ~n ~delta ~proposals ~crashes ~disable_timers =
+  let engine =
+    Dsim.Engine.create ~automaton ~n ~network:Dsim.Network.Manual ~seed:0 ~disable_timers
+      ~record_trace:true ~inputs:proposals ~crashes ()
+  in
+  advance ~delta engine 1;
+  engine
+
+(* The child that [choice] leads to, advanced to just before the next
+   boundary. Drops and duplications go first (order matters only for id
+   determinism — duplication allocates fresh pending ids in [dup] order),
+   then the prescribed delivery order. With [reuse] it extends [engine] in
+   place instead of a clone — sound only once the parent is dead, i.e. for
+   its last child in a sequential DFS or for a random walk; an interior
+   node with [k] children then costs [k - 1] clones. *)
+let extend ~delta ~reuse engine round { drop; dup; deliver } =
+  let c = if reuse then engine else Dsim.Engine.clone engine in
+  let at = round * delta in
+  List.iter (fun id -> Dsim.Engine.drop_pending c ~id) drop;
+  List.iter (fun id -> ignore (Dsim.Engine.duplicate_pending c ~id : int)) dup;
+  List.iter (fun id -> Dsim.Engine.deliver_pending c ~id ~at) deliver;
+  ignore (Dsim.Engine.run ~until:at c);
+  advance ~delta c (round + 1);
+  c
 
 (* Enumerate one round's scheduling decisions: which live pending messages
    to drop (within the remaining drop bound), which of the kept ones to
@@ -243,7 +258,7 @@ let outcome_of ~n engine =
    [por_pruned] counts the order combinations never multiplied out.
    Trials are memoized per kept batch, so a batch's orders are trialled
    once per node even across fault branches that keep it intact. *)
-let round_choices_of ~perm_limit ~por ~truncated ~sleep_hits ~por_pruned ~boundary_at
+let round_choices_of ~por ~truncated ~sleep_hits ~por_pruned ~boundary_at
     engine ~drops_left ~dups_left =
   if Dsim.Engine.pending_count engine = 0 then None
   else begin
@@ -336,12 +351,11 @@ let round_choices_of ~perm_limit ~por ~truncated ~sleep_hits ~por_pruned ~bounda
   end
 
 let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
-    ?(crashes = []) ~rounds ?(budget = 20_000) ?(perm_limit = 4) ?(disable_timers = true)
-    ?(mode = (`Snapshot : mode)) ?(domains = 1) ?(clamp_domains = true)
-    ?(faults = no_faults) ?(dedup = Off) ?(por = No_por) ?stateset_capacity
+    ?(crashes = []) ~rounds ?(budget = 20_000) ?(disable_timers = true) ?(domains = 1)
+    ?(clamp_domains = true) ?(faults = no_faults) ?(dedup = Off) ?(por = No_por)
     ?(metrics = Metrics.disabled) ~check () =
   if faults.max_drops < 0 || faults.max_dups < 0 then
-    invalid_arg "Explore.synchronous: fault bounds must be non-negative";
+    invalid_arg "Explore.synchronous_report: fault bounds must be non-negative";
   let budget = max budget 0 in
   (* Scheduling telemetry. These are observability-only: nothing below
      branches on them, so they cannot perturb the deterministic result. *)
@@ -351,10 +365,8 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
     let cur = Atomic.get max_fan_seen in
     if v > cur && not (Atomic.compare_and_set max_fan_seen cur v) then record_fanout v
   in
-  let fresh () =
-    let automaton = P.make ~n ~e ~f ~delta in
-    Dsim.Engine.create ~automaton ~n ~network:Dsim.Network.Manual ~seed:0
-      ~disable_timers ~record_trace:true ~inputs:proposals ~crashes ()
+  let root =
+    root_engine (P.make ~n ~e ~f ~delta) ~n ~delta ~proposals ~crashes ~disable_timers
   in
   (* Visited set shared by every domain, plus the dedup totals. The
      counters are schedule-independent whenever the traversal is
@@ -363,25 +375,21 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
      prunes — equal the edge count of the deduplicated state graph no
      matter how domains interleave. *)
   let symmetry = dedup = Symmetry in
-  if por = Sleep && not (Dsim.Engine.has_fingerprint (fresh ())) then
+  if por = Sleep && not (Dsim.Engine.has_fingerprint root) then
     invalid_arg
-      "Explore.synchronous: POR requires the automaton to supply state_fingerprint";
-  (* Pre-size the visited set so a full-budget exploration never resizes
-     mid-search: every evaluated run inserts at most a handful of interior
-     nodes beyond its leaf, so 2x the run budget is a comfortable ceiling
-     (capped — capacity is performance-only, the set still grows). *)
-  let capacity =
-    match stateset_capacity with
-    | Some c -> c
-    | None -> min (1 lsl 22) (Stateset.recommended_capacity ~expected:(2 * budget))
-  in
+      "Explore.synchronous_report: POR requires the automaton to supply state_fingerprint";
   let visited =
     match dedup with
     | Off -> None
     | Exact | Symmetry ->
-        if not (Dsim.Engine.has_fingerprint (fresh ())) then
+        if not (Dsim.Engine.has_fingerprint root) then
           invalid_arg
-            "Explore.synchronous: dedup requires the automaton to supply state_fingerprint";
+            "Explore.synchronous_report: dedup requires the automaton to supply state_fingerprint";
+        (* Pre-sized so a full-budget exploration never resizes mid-search:
+           every evaluated run inserts at most a handful of interior nodes
+           beyond its leaf, so 2x the run budget is a comfortable ceiling
+           (capped — capacity is performance-only, the set still grows). *)
+        let capacity = min (1 lsl 22) (Stateset.recommended_capacity ~expected:(2 * budget)) in
         Some (Stateset.create ~capacity ~metrics ())
   in
   let distinct_total = Atomic.make 0 in
@@ -409,57 +417,15 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
           false
         end
   in
-  let boundary round = round * delta in
-  (* Process everything strictly before [round]'s boundary (init and inputs
-     at the first level, timers in between later). *)
-  let advance engine round = ignore (Dsim.Engine.run ~until:(boundary round - 1) engine) in
-  (* Apply one round boundary's decisions: drops and duplications first
-     (order matters only for id determinism — duplication allocates fresh
-     pending ids in [dup] order), then the prescribed delivery order. *)
-  let apply_choice engine round { drop; dup; deliver } =
-    List.iter (fun id -> Dsim.Engine.drop_pending engine ~id) drop;
-    List.iter (fun id -> ignore (Dsim.Engine.duplicate_pending engine ~id : int)) dup;
-    List.iter
-      (fun id -> Dsim.Engine.deliver_pending engine ~id ~at:(boundary round))
-      deliver;
-    ignore (Dsim.Engine.run ~until:(boundary round) engine)
-  in
-  (* Replay [rev_path] from scratch, then advance to just before round
-     [length rev_path + 1]'s boundary. *)
-  let replay rev_path =
-    let engine = fresh () in
-    List.iteri
-      (fun i choice ->
-        advance engine (i + 1);
-        apply_choice engine (i + 1) choice)
-      (List.rev rev_path);
-    advance engine (List.length rev_path + 1);
-    engine
-  in
-  let materialize = function Path rev_path -> replay rev_path | Engine e -> e in
   let round_choices ~truncated engine ~round ~drops_left ~dups_left =
     let r =
-      round_choices_of ~perm_limit ~por ~truncated ~sleep_hits:sleep_total
-        ~por_pruned:por_pruned_total ~boundary_at:(boundary round) engine ~drops_left
-        ~dups_left
+      round_choices_of ~por ~truncated ~sleep_hits:sleep_total ~por_pruned:por_pruned_total
+        ~boundary_at:(round * delta) engine ~drops_left ~dups_left
     in
     (match r with Some choices -> record_fanout (List.length choices) | None -> ());
     r
   in
-  (* The child of [node] (whose engine is [engine]) that [choice] leads
-     to. With [reuse] it extends the parent engine in place instead of a
-     clone — sound only once the parent is dead, i.e. for its last child
-     in a sequential DFS; an interior node with [k] children then costs
-     [k - 1] clones. *)
-  let extend ~reuse node engine round choice =
-    match node with
-    | Path rev_path -> Path (choice :: rev_path)
-    | Engine _ ->
-        let c = if reuse then engine else Dsim.Engine.clone engine in
-        apply_choice c round choice;
-        advance c (round + 1);
-        Engine c
-  in
+  let extend = extend ~delta in
   (* Sequential DFS over adjacent subtrees, in order. [allow k] answers
      whether the chunk may go on after [k] evaluated runs; the first
      refusal cuts it for good, so its evaluated runs are always a
@@ -491,10 +457,9 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
         :: !runs_rev;
       incr explored
     in
-    (* Callers check [allowed] before building [node], so a cut never pays
-       for the engine work of a node it will not visit. *)
-    let rec dfs ~checked node round ~drops_left ~dups_left =
-      let engine = materialize node in
+    (* Callers check [allowed] before building a child, so a cut never
+       pays for the engine work of a node it will not visit. *)
+    let rec dfs ~checked engine round ~drops_left ~dups_left =
       if checked || check_visited engine round then begin
         if round > rounds then evaluate engine ~depth:rounds
         else
@@ -506,7 +471,7 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
                 (fun i choice ->
                   if allowed () then
                     dfs ~checked:false
-                      (extend ~reuse:(i = last) node engine round choice)
+                      (extend ~reuse:(i = last) engine round choice)
                       (round + 1)
                       ~drops_left:(drops_left - List.length choice.drop)
                       ~dups_left:(dups_left - List.length choice.dup))
@@ -543,7 +508,7 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
      choice enumeration as [dfs], so every node is still admitted and
      expanded exactly once, and nodes of one level never share a visited
      key with another level's. A node the split admits as a leaf becomes
-     a [checked] subtree holding its node. Children of an expanded node
+     a [checked] subtree holding its engine. Children of an expanded node
      may be built concurrently by different chunks, so each clones. *)
   let split_fallback = ref false in
   let rec split level =
@@ -553,11 +518,10 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
       let expand t =
         if t.checked then [ t ]
         else begin
-          let node = t.build () in
-          let engine = materialize node in
+          let engine = t.build () in
           if not (check_visited engine t.round) then []
           else begin
-            let leaf = [ { t with build = (fun () -> node); checked = true } ] in
+            let leaf = [ { t with build = (fun () -> engine); checked = true } ] in
             if t.round > rounds then leaf
             else
               match
@@ -570,7 +534,7 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
                   List.map
                     (fun choice ->
                       {
-                        build = (fun () -> extend ~reuse:false node engine t.round choice);
+                        build = (fun () -> extend ~reuse:false engine t.round choice);
                         round = t.round + 1;
                         drops_left = t.drops_left - List.length choice.drop;
                         dups_left = t.dups_left - List.length choice.dup;
@@ -584,23 +548,18 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
       if !grew then split next else next
     end
   in
-  let root =
-    {
-      build =
-        (fun () ->
-          match mode with
-          | `Replay -> Path []
-          | `Snapshot ->
-              let engine = fresh () in
-              advance engine 1;
-              Engine engine);
-      round = 1;
-      drops_left = faults.max_drops;
-      dups_left = faults.max_dups;
-      checked = false;
-    }
+  let subtrees =
+    split
+      [
+        {
+          build = (fun () -> root);
+          round = 1;
+          drops_left = faults.max_drops;
+          dups_left = faults.max_dups;
+          checked = false;
+        };
+      ]
   in
-  let subtrees = split [ root ] in
   let chunks =
     let per_chunk = max 1 ((List.length subtrees + (8 * domains) - 1) / (8 * domains)) in
     Array.of_list (Combinat.chunks per_chunk subtrees)
@@ -742,14 +701,6 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
         };
     } )
 
-let synchronous protocol ~n ~e ~f ~delta ~proposals ?crashes ~rounds ?budget ?perm_limit
-    ?disable_timers ?mode ?domains ?clamp_domains ?faults ?dedup ?por ?stateset_capacity
-    ?metrics ~check () =
-  fst
-    (synchronous_report protocol ~n ~e ~f ~delta ~proposals ?crashes ~rounds ?budget
-       ?perm_limit ?disable_timers ?mode ?domains ?clamp_domains ?faults ?dedup ?por
-       ?stateset_capacity ?metrics ~check ())
-
 module Swarm_report = struct
   type t = {
     walkers : int;
@@ -783,25 +734,21 @@ end
    deterministic for a given configuration regardless of how the domains
    schedule the walkers. *)
 let swarm_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals ?(crashes = [])
-    ~rounds ?(budget = 20_000) ?(perm_limit = 4) ?(disable_timers = true) ?(walkers = 4)
-    ?(seed = 0) ?domains ?(clamp_domains = true) ?(faults = no_faults) ?(por = Sleep)
-    ?stateset_capacity ?(metrics = Metrics.disabled) ~check () =
+    ~rounds ?(budget = 20_000) ?(disable_timers = true) ?(walkers = 4) ?(seed = 0) ?domains
+    ?(clamp_domains = true) ?(faults = no_faults) ?(por = Sleep) ?(metrics = Metrics.disabled)
+    ~check () =
   if faults.max_drops < 0 || faults.max_dups < 0 then
-    invalid_arg "Explore.swarm: fault bounds must be non-negative";
-  if walkers <= 0 then invalid_arg "Explore.swarm: walkers must be positive";
-  let fresh () =
-    let automaton = P.make ~n ~e ~f ~delta in
-    Dsim.Engine.create ~automaton ~n ~network:Dsim.Network.Manual ~seed:0
-      ~disable_timers ~record_trace:true ~inputs:proposals ~crashes ()
+    invalid_arg "Explore.swarm_report: fault bounds must be non-negative";
+  if walkers <= 0 then invalid_arg "Explore.swarm_report: walkers must be positive";
+  let root =
+    root_engine (P.make ~n ~e ~f ~delta) ~n ~delta ~proposals ~crashes ~disable_timers
   in
-  if not (Dsim.Engine.has_fingerprint (fresh ())) then
-    invalid_arg "Explore.swarm: swarm search requires the automaton to supply state_fingerprint";
+  if not (Dsim.Engine.has_fingerprint root) then
+    invalid_arg
+      "Explore.swarm_report: swarm search requires the automaton to supply state_fingerprint";
   (* Each walk inserts at most [rounds + 1] keys. *)
   let capacity =
-    match stateset_capacity with
-    | Some c -> c
-    | None ->
-        min (1 lsl 22) (Stateset.recommended_capacity ~expected:((rounds + 1) * budget))
+    min (1 lsl 22) (Stateset.recommended_capacity ~expected:((rounds + 1) * budget))
   in
   let visited = Stateset.create ~capacity ~metrics () in
   let distinct_total = Atomic.make 0 in
@@ -814,48 +761,34 @@ let swarm_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals ?(cras
     if Stateset.add visited key then Atomic.incr distinct_total
     else Atomic.incr hits_total
   in
-  let boundary round = round * delta in
-  let advance engine round = ignore (Dsim.Engine.run ~until:(boundary round - 1) engine) in
-  let apply_choice engine round { drop; dup; deliver } =
-    List.iter (fun id -> Dsim.Engine.drop_pending engine ~id) drop;
-    List.iter (fun id -> ignore (Dsim.Engine.duplicate_pending engine ~id : int)) dup;
-    List.iter
-      (fun id -> Dsim.Engine.deliver_pending engine ~id ~at:(boundary round))
-      deliver;
-    ignore (Dsim.Engine.run ~until:(boundary round) engine)
-  in
-  let root =
-    let engine = fresh () in
-    advance engine 1;
-    engine
-  in
   (* One random descent; visits count coverage at every node, including
      the terminal one, mirroring the exhaustive explorer's per-node
      visited check so the two [distinct_states] figures are comparable. *)
   let walk_one rng =
-    let engine = Dsim.Engine.clone root in
     let truncated = ref false in
-    let rec go round ~drops_left ~dups_left =
+    let rec go engine round ~drops_left ~dups_left =
       visit engine round;
-      if round <= rounds then begin
+      if round > rounds then engine
+      else
         match
-          round_choices_of ~perm_limit ~por ~truncated ~sleep_hits:sleep_total
-            ~por_pruned:por_pruned_total ~boundary_at:(boundary round) engine ~drops_left
+          round_choices_of ~por ~truncated ~sleep_hits:sleep_total
+            ~por_pruned:por_pruned_total ~boundary_at:(round * delta) engine ~drops_left
             ~dups_left
         with
-        | None -> ()
+        | None -> engine
         | Some choices ->
             let choice = Stdext.Rng.pick rng choices in
-            apply_choice engine round choice;
-            advance engine (round + 1);
-            go (round + 1)
+            go
+              (extend ~delta ~reuse:true engine round choice)
+              (round + 1)
               ~drops_left:(drops_left - List.length choice.drop)
               ~dups_left:(dups_left - List.length choice.dup)
-      end
     in
-    go 1 ~drops_left:faults.max_drops ~dups_left:faults.max_dups;
+    let leaf =
+      go (Dsim.Engine.clone root) 1 ~drops_left:faults.max_drops ~dups_left:faults.max_dups
+    in
     if !truncated then Atomic.set fallback_any true;
-    outcome_of ~n engine
+    outcome_of ~n leaf
   in
   (* Fixed ceil-division share per walker: the shares sum to the budget,
      and no walker can take another's, so trajectories — hence all the
@@ -902,11 +835,3 @@ let swarm_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals ?(cras
       por_pruned = Atomic.get por_pruned_total;
       fallback = Atomic.get fallback_any;
     } )
-
-let swarm protocol ~n ~e ~f ~delta ~proposals ?crashes ~rounds ?budget ?perm_limit
-    ?disable_timers ?walkers ?seed ?domains ?clamp_domains ?faults ?por
-    ?stateset_capacity ?metrics ~check () =
-  fst
-    (swarm_report protocol ~n ~e ~f ~delta ~proposals ?crashes ~rounds ?budget ?perm_limit
-       ?disable_timers ?walkers ?seed ?domains ?clamp_domains ?faults ?por
-       ?stateset_capacity ?metrics ~check ())

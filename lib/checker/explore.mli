@@ -8,17 +8,13 @@
     behind the tightness experiments: at the bound the property holds on
     every explored schedule, below the bound a violating schedule is found.
 
-    Two execution strategies materialise the same search tree:
-    {ul
-    {- [`Replay] re-executes the deterministic engine from time 0 along
-       each path — O(depth²) engine work per branch, no state copying;}
-    {- [`Snapshot] (the default) extends an {!Dsim.Engine.clone} of the
-       parent node by one round per branch — O(depth) incremental
-       stepping. A node's last child additionally reuses the parent engine
-       in place (it is dead afterwards), so an interior node with [k]
-       children costs [k - 1] clones.}}
-    Both visit the exact same runs in the same order and return identical
-    results.
+    Each branch extends an {!Dsim.Engine.clone} of its parent node by one
+    round — O(depth) incremental stepping instead of re-executing every
+    path from time 0. A node's last child reuses the parent engine in
+    place (it is dead afterwards), so an interior node with [k] children
+    costs [k - 1] clones. The test suite cross-validates this search
+    against a brute-force oracle that does re-execute every schedule from
+    time 0.
 
     With [domains > 1] the search is split statically: the top of the
     tree is expanded in DFS order until there are at least [4 * domains]
@@ -38,7 +34,7 @@
     thread-safe (pure predicates, like all the checkers in this
     repository, are).
 
-    Batches larger than [perm_limit] messages fall back to two
+    A destination's batch of more than 4 messages falls back to two
     representative orders (arrival and reversed) to keep the product
     tractable; [truncated] reports whether any fallback or budget cut
     occurred, i.e. whether the exploration was exhaustive.
@@ -58,7 +54,7 @@
     non-distinguished pids, which preserves the verdict of any
     pid-agnostic property (agreement, validity) but may report a
     different — permuted — [first_violation]. The byte-identical-totals
-    contract across modes/domains holds for explorations that complete
+    contract across domain counts holds for explorations that complete
     within budget; when the budget cuts a dedup'd search, which subtree
     reaches a shared state first decides where its runs are counted, so
     totals near the cut can vary with scheduling. *)
@@ -73,8 +69,8 @@ type result = {
 (** Structured account of one exploration, split along the determinism
     boundary. [totals] is derived from per-run facts counted in global DFS
     order under the sequential budget cut, so it is {e identical} across
-    [`Replay]/[`Snapshot], any [domains] count and any worker scheduling —
-    the byte-identical contract the determinism tests assert. [sched]
+    any [domains] count and any worker scheduling — the byte-identical
+    contract the determinism tests assert. [sched]
     records what this particular execution did — how much work the
     parallel split evaluated beyond the counted runs — and legitimately
     varies from run to run. *)
@@ -127,8 +123,6 @@ module Run_report : sig
 
   type t = { totals : totals; sched : sched }
 
-  val totals_equal : totals -> totals -> bool
-
   val fast_path_rate : totals -> float
   (** [fast_runs / explored] (0 when nothing was explored). *)
 
@@ -147,8 +141,6 @@ module Run_report : sig
       recording reports with different [rounds] into one registry raises
       [Invalid_argument] (histogram bounds conflict). *)
 end
-
-type mode = [ `Replay | `Snapshot ]
 
 (** Visited-set policy: [Off] explores every schedule (the historical
     behaviour and the library default); [Exact] prunes subtrees under
@@ -187,7 +179,7 @@ type fault_bounds = { max_drops : int; max_dups : int }
 val no_faults : fault_bounds
 (** [{ max_drops = 0; max_dups = 0 }]: the classic order-only search. *)
 
-val synchronous :
+val synchronous_report :
   Proto.Protocol.t ->
   n:int ->
   e:int ->
@@ -197,29 +189,27 @@ val synchronous :
   ?crashes:(Dsim.Time.t * Dsim.Pid.t) list ->
   rounds:int ->
   ?budget:int ->
-  ?perm_limit:int ->
   ?disable_timers:bool ->
-  ?mode:mode ->
   ?domains:int ->
   ?clamp_domains:bool ->
   ?faults:fault_bounds ->
   ?dedup:dedup ->
   ?por:por ->
-  ?stateset_capacity:int ->
   ?metrics:Stdext.Metrics.t ->
   check:(Scenario.outcome -> bool) ->
   unit ->
-  result
+  result * Run_report.t
 (** [check] returns [false] on a violating run. [budget] defaults to 20_000
-    runs, [perm_limit] to 4, [disable_timers] to [true], [mode] to
-    [`Snapshot], [domains] to 1 (sequential), [faults] to {!no_faults},
-    [dedup] to {!Off}, [por] to {!No_por}. [stateset_capacity] overrides
-    the visited set's initial slot count, which otherwise is pre-sized
-    from [budget] ({!Stdext.Stateset.recommended_capacity} on twice the
-    run budget, capped) so a full-budget dedup exploration never pays a
-    resize stall. [metrics] (default disabled) receives the visited
-    set's [stateset.*] counters; the [explore.*] report metrics are still
-    recorded separately via {!Run_report.record}.
+    runs, [disable_timers] to [true], [domains] to 1 (sequential),
+    [faults] to {!no_faults}, [dedup] to {!Off}, [por] to {!No_por}. The
+    visited set is pre-sized from [budget]
+    ({!Stdext.Stateset.recommended_capacity} on twice the run budget,
+    capped) so a full-budget dedup exploration never pays a resize stall.
+    [metrics] (default disabled) receives the visited set's [stateset.*]
+    counters; the [explore.*] report metrics are still recorded
+    separately via {!Run_report.record}. The report's [totals] agree with
+    [result] and are domain/scheduling-independent, while [sched]
+    describes this execution.
 
     With [por = Sleep] the explored tree is a sub-tree of the [No_por]
     one with the same reachable verdicts: violation/no-violation and the
@@ -235,8 +225,8 @@ val synchronous :
     subject to the remaining per-run bounds. Fault subsets are enumerated
     smallest-first with the no-fault choice first, so a tight [budget]
     covers all fault-free schedules before spending runs on faulty ones.
-    Fault choices compose with both [mode]s and with [domains > 1]
-    unchanged: results stay deterministic and mode/domain-independent.
+    Fault choices compose with [domains > 1] unchanged: results stay
+    deterministic and domain-independent.
 
     [domains] is a ceiling, not a demand: by default it is clamped to
     [Domain.recommended_domain_count ()], because extra domains on an
@@ -247,34 +237,6 @@ val synchronous :
     domains regardless — the determinism tests do, to exercise the
     parallel merge under real thread interleaving on any host. Results
     are identical either way. *)
-
-val synchronous_report :
-  Proto.Protocol.t ->
-  n:int ->
-  e:int ->
-  f:int ->
-  delta:int ->
-  proposals:(Dsim.Time.t * Dsim.Pid.t * Proto.Value.t) list ->
-  ?crashes:(Dsim.Time.t * Dsim.Pid.t) list ->
-  rounds:int ->
-  ?budget:int ->
-  ?perm_limit:int ->
-  ?disable_timers:bool ->
-  ?mode:mode ->
-  ?domains:int ->
-  ?clamp_domains:bool ->
-  ?faults:fault_bounds ->
-  ?dedup:dedup ->
-  ?por:por ->
-  ?stateset_capacity:int ->
-  ?metrics:Stdext.Metrics.t ->
-  check:(Scenario.outcome -> bool) ->
-  unit ->
-  result * Run_report.t
-(** {!synchronous} plus the structured {!Run_report}. Same arguments, same
-    [result]; the report's [totals] agree with [result] and are
-    mode/domain/scheduling-independent, while [sched] describes this
-    execution. [synchronous] is [fst] of this function. *)
 
 (** Coverage account of one {!swarm_report} run. Deterministic for a
     given configuration — each walker's trajectory depends only on
@@ -301,7 +263,7 @@ module Swarm_report : sig
   val pp : Format.formatter -> t -> unit
 end
 
-val swarm :
+val swarm_report :
   Proto.Protocol.t ->
   n:int ->
   e:int ->
@@ -311,7 +273,6 @@ val swarm :
   ?crashes:(Dsim.Time.t * Dsim.Pid.t) list ->
   rounds:int ->
   ?budget:int ->
-  ?perm_limit:int ->
   ?disable_timers:bool ->
   ?walkers:int ->
   ?seed:int ->
@@ -319,11 +280,10 @@ val swarm :
   ?clamp_domains:bool ->
   ?faults:fault_bounds ->
   ?por:por ->
-  ?stateset_capacity:int ->
   ?metrics:Stdext.Metrics.t ->
   check:(Scenario.outcome -> bool) ->
   unit ->
-  result
+  result * Swarm_report.t
 (** Randomized swarm search for configurations beyond exhaustive reach
     (n ≥ 8): [walkers] (default 4) seeded walkers each perform random
     root-to-leaf descents of the schedule tree, picking uniformly among
@@ -336,32 +296,6 @@ val swarm :
     scheduling-independent. Walker [w] draws from
     [Stdext.Rng.stream ~seed w], so the whole run is reproducible from
     [seed] alone. [domains] defaults to [walkers] (clamped like
-    {!synchronous}). The result is always [truncated] — a swarm run is a
-    sample, not a proof; a clean sweep raises confidence, a violation is
-    a genuine witness. *)
-
-val swarm_report :
-  Proto.Protocol.t ->
-  n:int ->
-  e:int ->
-  f:int ->
-  delta:int ->
-  proposals:(Dsim.Time.t * Dsim.Pid.t * Proto.Value.t) list ->
-  ?crashes:(Dsim.Time.t * Dsim.Pid.t) list ->
-  rounds:int ->
-  ?budget:int ->
-  ?perm_limit:int ->
-  ?disable_timers:bool ->
-  ?walkers:int ->
-  ?seed:int ->
-  ?domains:int ->
-  ?clamp_domains:bool ->
-  ?faults:fault_bounds ->
-  ?por:por ->
-  ?stateset_capacity:int ->
-  ?metrics:Stdext.Metrics.t ->
-  check:(Scenario.outcome -> bool) ->
-  unit ->
-  result * Swarm_report.t
-(** {!swarm} plus the coverage report. [swarm] is [fst] of this
-    function. *)
+    {!synchronous_report}). The result is always [truncated] — a swarm
+    run is a sample, not a proof; a clean sweep raises confidence, a
+    violation is a genuine witness. *)

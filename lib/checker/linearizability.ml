@@ -38,7 +38,7 @@ let check (o : Scenario.outcome) =
 type stats = { ops : int; keys : int; states : int }
 
 type witness = {
-  key : int option;
+  key : int;
   window_start : Dsim.Time.t;
   window_end : Dsim.Time.t;
   events : History.t;
@@ -52,12 +52,7 @@ type outcome = {
 }
 
 let pp_witness fmt w =
-  let header =
-    match w.key with
-    | Some k -> Printf.sprintf "key %d" k
-    | None -> "history"
-  in
-  Format.fprintf fmt "@[<v>%s not linearizable in window [%d, %d]:@,%a@]" header
+  Format.fprintf fmt "@[<v>key %d not linearizable in window [%d, %d]:@,%a@]" w.key
     w.window_start w.window_end
     (Format.pp_print_list ~pp_sep:Format.pp_print_cut History.pp_event)
     w.events
@@ -301,7 +296,7 @@ let search ~free_init ~states (ops : sop array) : bool =
    before [s] with the initial value left free only removes constraints,
    so suffix failure is monotone (downward) in [s]: the largest still-
    failing [s] is the window's start. *)
-let minimize ~states (ops : sop array) =
+let minimize ~states ~key (ops : sop array) =
   let finite_resps =
     Array.to_list ops
     |> List.filter_map (fun o -> if o.respond = max_int then None else Some o.respond)
@@ -350,11 +345,11 @@ let minimize ~states (ops : sop array) =
     end
   in
   let events = History.sort (Array.to_list window_ops |> List.map (fun o -> o.ev)) in
-  { key = None; window_start; window_end; events }
+  { key; window_start; window_end; events }
 
 let empty_stats = { ops = 0; keys = 0; states = 0 }
 
-let check_history ?(mode = `Per_key) (events : History.t) : outcome =
+let check_history (events : History.t) : outcome =
   match flatten events with
   | Error reason -> { ok = false; reason = Some ("malformed history: " ^ reason); witness = None; stats = empty_stats }
   | Ok sops ->
@@ -368,31 +363,18 @@ let check_history ?(mode = `Per_key) (events : History.t) : outcome =
       let stats () =
         { ops = List.length events; keys = Imap.cardinal by_key; states = !states }
       in
-      let groups =
-        match mode with
-        | `Per_key -> Imap.bindings by_key |> List.map (fun (k, l) -> (Some k, List.rev l))
-        | `Monolithic -> [ (None, sops) ]
-      in
-      let debug = Sys.getenv_opt "TWOSTEP_LIN_DEBUG" <> None in
       let failure =
-        List.find_map
-          (fun (key, group) ->
-            let arr = Array.of_list group in
-            let before = !states in
-            let ok = search ~free_init:false ~states arr in
-            if debug && !states - before > 1000 then
-              Printf.eprintf "[lin] key %s: %d ops, %d states\n%!"
-                (match key with Some k -> string_of_int k | None -> "-")
-                (Array.length arr) (!states - before);
-            if ok then None else Some { (minimize ~states arr) with key })
-          groups
+        Imap.bindings by_key
+        |> List.find_map (fun (key, group) ->
+               let arr = Array.of_list (List.rev group) in
+               if search ~free_init:false ~states arr then None
+               else Some (minimize ~states ~key arr))
       in
       match failure with
       | None -> { ok = true; reason = None; witness = None; stats = stats () }
       | Some w ->
           let reason =
-            Format.asprintf "%s: no valid linearization of %d ops in window [%d, %d]"
-              (match w.key with Some k -> Printf.sprintf "key %d" k | None -> "history")
-              (List.length w.events) w.window_start w.window_end
+            Printf.sprintf "key %d: no valid linearization of %d ops in window [%d, %d]"
+              w.key (List.length w.events) w.window_start w.window_end
           in
           { ok = false; reason = Some reason; witness = Some w; stats = stats () }

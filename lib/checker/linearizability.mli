@@ -27,9 +27,8 @@
     never.
 
     KV histories are {e P-compositional}: linearizable iff every per-key
-    subhistory is, so the default mode checks each key independently —
-    exponentially smaller searches — and [`Monolithic] exists to measure
-    exactly that effect.
+    subhistory is, so the checker searches each key independently —
+    exponentially smaller searches than one over the whole history.
 
     On failure the checker shrinks the offending subhistory to a witness
     window by time truncation (truncating at time [t] keeps operations
@@ -54,12 +53,12 @@ val check : Scenario.outcome -> verdict
 
 type stats = {
   ops : int;  (** history events checked *)
-  keys : int;  (** distinct keys (search partitions in per-key mode) *)
+  keys : int;  (** distinct keys, i.e. independent searches *)
   states : int;  (** memoized search states explored, all searches summed *)
 }
 
 type witness = {
-  key : int option;  (** the offending key; [None] in monolithic mode *)
+  key : int;  (** the offending key *)
   window_start : Dsim.Time.t;
   window_end : Dsim.Time.t;
   events : History.t;  (** the minimal window's operations, invoke order *)
@@ -72,8 +71,8 @@ type outcome = {
   stats : stats;
 }
 
-val check_history : ?mode:[ `Per_key | `Monolithic ] -> History.t -> outcome
-(** Default [`Per_key]. Both modes agree on [ok] (P-compositionality);
-    they differ in search cost and in witness localization. *)
+val check_history : History.t -> outcome
+(** Check every key's subhistory; the first failing key (in key order)
+    yields the witness. *)
 
 val pp_witness : Format.formatter -> witness -> unit

@@ -373,12 +373,6 @@ let clone t =
     f_decides = t.p_decides;
   }
 
-type ('state, 'msg, 'input, 'output) snapshot = ('state, 'msg, 'input, 'output) t
-
-let snapshot t = clone t
-
-let restore s = clone s
-
 let now t = t.now
 
 let n t = t.n

@@ -46,9 +46,9 @@ type ('state, 'msg, 'input, 'output) t
 (** Per-engine telemetry probe: event counters the engine maintains
     unconditionally (plain field increments — they cost nothing measurable
     and make every run self-describing). Probe state is part of the
-    engine's cloneable state: {!clone}/{!snapshot}/{!restore} copy it by
-    value, so branched explorations carry independent per-branch probes
-    and replay-mode re-execution reproduces the identical probe. *)
+    engine's cloneable state: {!clone} copies it by value, so branched
+    explorations carry independent per-branch probes, and a clone run to
+    the end reports the same probe as re-executing the run from time 0. *)
 module Probe : sig
   type t = {
     steps : int;
@@ -132,11 +132,14 @@ val run : ?until:Time.t -> ('state, 'msg, 'input, 'output) t -> run_result
     [until] nor to the deadline of a timer that was cancelled or
     re-armed. *)
 
-(** {2 Snapshots}
+(** {2 Branching}
 
     Branching a partially-run simulation without replaying its prefix: the
     exhaustive checkers extend one cloned engine per explored schedule
-    branch, turning O(depth²) replay into O(depth) incremental stepping. *)
+    branch, turning O(depth²) re-execution into O(depth) incremental
+    stepping. An engine that is cloned but never stepped serves as an
+    immutable capture: clone it again to resume from it any number of
+    times. *)
 
 val clone : ('state, 'msg, 'input, 'output) t -> ('state, 'msg, 'input, 'output) t
 (** Independent deep copy of the engine at its current instant: states
@@ -155,18 +158,6 @@ val clone : ('state, 'msg, 'input, 'output) t -> ('state, 'msg, 'input, 'output)
     clone the same engine concurrently as long as nobody steps it
     meanwhile (and [state_copy] is pure, which the {!Automaton.t} contract
     requires). *)
-
-type ('state, 'msg, 'input, 'output) snapshot
-(** An immutable capture of an engine, taken with {!snapshot} and
-    re-animated (any number of times) with {!restore}. *)
-
-val snapshot : ('state, 'msg, 'input, 'output) t -> ('state, 'msg, 'input, 'output) snapshot
-(** Capture the engine's current state; later mutations of the engine do
-    not affect the snapshot. *)
-
-val restore : ('state, 'msg, 'input, 'output) snapshot -> ('state, 'msg, 'input, 'output) t
-(** A fresh runnable engine positioned exactly where {!snapshot} was
-    taken. Each call returns an independent copy. *)
 
 val now : ('state, 'msg, 'input, 'output) t -> Time.t
 (** Time of the last event processed ({!Time.zero} before the first). *)

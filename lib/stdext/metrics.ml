@@ -193,7 +193,7 @@ let merge (m : metric) =
       done;
       Histogram { bounds = Array.copy m.bounds; counts; sum = !sum; count = !count }
 
-let snapshot t =
+let to_list t =
   Mutex.lock t.lock;
   let metrics = t.by_name in
   Mutex.unlock t.lock;
@@ -227,7 +227,7 @@ let value_to_json name = function
 let dump_jsonl fmt t =
   List.iter
     (fun (name, v) -> Format.fprintf fmt "%s@." (Json.to_string (value_to_json name v)))
-    (snapshot t)
+    (to_list t)
 
 let pp_table fmt t =
   List.iter
@@ -250,4 +250,4 @@ let pp_table fmt t =
                   in
                   Format.fprintf fmt "%-40s    > %-8s %8d@." "" last c)
             counts)
-    (snapshot t)
+    (to_list t)

@@ -6,7 +6,7 @@
     concurrently — every metric is sharded into a small fixed number of
     atomic cells indexed by the calling domain, so parallel explorer
     domains never contend on one cache line — and the shards are merged
-    only on the read side ({!snapshot}, {!dump_jsonl}, {!pp_table}).
+    only on the read side ({!to_list}, {!dump_jsonl}, {!pp_table}).
 
     Merge semantics per kind:
     {ul
@@ -31,7 +31,7 @@ val create : ?enabled:bool -> unit -> t
 
 val disabled : t
 (** A shared always-disabled registry: all updates are no-ops and
-    {!snapshot} is empty. Useful as a default argument. *)
+    {!to_list} is empty. Useful as a default argument. *)
 
 val is_enabled : t -> bool
 
@@ -71,9 +71,9 @@ type value =
   | Histogram of { bounds : int array; counts : int array; sum : int; count : int }
       (** [counts] has [length bounds + 1] entries; the last is overflow. *)
 
-val snapshot : t -> (string * value) list
+val to_list : t -> (string * value) list
 (** All registered metrics with shards merged, sorted by name. A disabled
-    registry always snapshots to []. *)
+    registry always yields []. *)
 
 val find : t -> string -> value option
 
@@ -92,4 +92,4 @@ val dump_jsonl : Format.formatter -> t -> unit
     CI by the [jsonl_check] tool. *)
 
 val pp_table : Format.formatter -> t -> unit
-(** Human-readable name/value table of {!snapshot}. *)
+(** Human-readable name/value table of {!to_list}. *)

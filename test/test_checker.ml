@@ -113,22 +113,25 @@ let test_wgl_incomplete_ops () =
   Alcotest.(check bool) "incomplete read ignored" true
     (ok [ w 0 1 0 10; ev 2 0 History.Read 5 ])
 
-let test_wgl_per_key_composition () =
-  (* Per-key and monolithic must agree — linearizability is
-     P-compositional over keys. *)
-  let histories =
-    [
-      [ w 0 1 0 10; w 1 5 0 10; r 0 1 20 30; r 1 5 20 30 ];
-      [ w 0 1 0 10; w 1 5 0 10; r 0 1 20 30; r 1 9 20 30 ];
-      [ w 0 3 0 50; w 1 4 0 50; r ~client:2 0 3 60 70; r ~client:3 1 4 60 70 ];
-    ]
-  in
-  List.iter
-    (fun h ->
-      let pk = check ~mode:`Per_key h and mono = check ~mode:`Monolithic h in
-      Alcotest.(check bool) "verdicts agree" pk.Linearizability.ok
-        mono.Linearizability.ok)
-    histories
+let test_wgl_per_key_decomposition () =
+  (* Keys are checked independently (linearizability is P-compositional
+     over keys): a bad read on one key fails the history, names that key
+     in the witness, and leaves every other key's operations out of it. *)
+  let verdict h = (check h).Linearizability.ok in
+  Alcotest.(check bool) "independent keys" true
+    (verdict [ w 0 1 0 10; w 1 5 0 10; r 0 1 20 30; r 1 5 20 30 ]);
+  Alcotest.(check bool) "concurrent writers on two keys" true
+    (verdict [ w 0 3 0 50; w 1 4 0 50; r ~client:2 0 3 60 70; r ~client:3 1 4 60 70 ]);
+  let o = check [ w 0 1 0 10; w 1 5 0 10; r 0 1 20 30; r 1 9 20 30 ] in
+  Alcotest.(check bool) "unwritten value read" false o.Linearizability.ok;
+  match o.Linearizability.witness with
+  | None -> Alcotest.fail "no witness"
+  | Some wit ->
+      Alcotest.(check int) "witness names the bad key" 1 wit.Linearizability.key;
+      Alcotest.(check bool) "witness holds only that key" true
+        (List.for_all
+           (fun (e : History.event) -> e.History.key = 1)
+           wit.Linearizability.events)
 
 let test_wgl_witness () =
   let h =
@@ -139,7 +142,7 @@ let test_wgl_witness () =
   match o.Linearizability.witness with
   | None -> Alcotest.fail "no witness"
   | Some wit ->
-      Alcotest.(check (option int)) "offending key" (Some 0) wit.Linearizability.key;
+      Alcotest.(check int) "offending key" 0 wit.Linearizability.key;
       (* The stale read responds at 70; nothing after it is needed. *)
       Alcotest.(check int) "window ends at the stale read" 70
         wit.Linearizability.window_end;
@@ -228,9 +231,10 @@ let test_explore_exhaustive_agreement () =
   let n = 3 and e = 1 and f = 1 in
   let proposals = Scenario.all_proposals_at_zero ~n [ 2; 1; 0 ] in
   let r =
-    Explore.synchronous Core.Rgs.task ~n ~e ~f ~delta ~proposals ~rounds:4
-      ~check:(fun o -> Safety.safe o)
-      ()
+    fst
+      (Explore.synchronous_report Core.Rgs.task ~n ~e ~f ~delta ~proposals ~rounds:4
+         ~check:(fun o -> Safety.safe o)
+         ())
   in
   Alcotest.(check int) "no violations" 0 r.violations;
   Alcotest.(check bool) "non-trivial exploration" true (r.explored > 10)
@@ -242,9 +246,10 @@ let test_explore_finds_seeded_bug () =
   let n = 3 and e = 1 and f = 1 in
   let proposals = Scenario.all_proposals_at_zero ~n [ 5; 5; 5 ] in
   let r =
-    Explore.synchronous Core.Rgs.task ~n ~e ~f ~delta ~proposals ~rounds:3
-      ~check:(fun o -> Scenario.decided_value o 0 = None)
-      ()
+    fst
+      (Explore.synchronous_report Core.Rgs.task ~n ~e ~f ~delta ~proposals ~rounds:3
+         ~check:(fun o -> Scenario.decided_value o 0 = None)
+         ())
   in
   Alcotest.(check bool) "violation found" true (r.violations > 0)
 
@@ -252,8 +257,9 @@ let test_explore_budget_truncation () =
   let n = 4 and e = 1 and f = 1 in
   let proposals = Scenario.all_proposals_at_zero ~n [ 0; 1; 2; 3 ] in
   let r =
-    Explore.synchronous Core.Rgs.task ~n ~e ~f ~delta ~proposals ~rounds:4 ~budget:50
-      ~check:(fun _ -> true) ()
+    fst
+      (Explore.synchronous_report Core.Rgs.task ~n ~e ~f ~delta ~proposals ~rounds:4 ~budget:50
+         ~check:(fun _ -> true) ())
   in
   Alcotest.(check bool) "budget respected" true (r.explored <= 50);
   Alcotest.(check bool) "truncation reported" true r.truncated
@@ -264,17 +270,15 @@ let test_explore_crashes_mid_run () =
   let n = 3 and e = 1 and f = 1 in
   let proposals = Scenario.all_proposals_at_zero ~n [ 0; 1; 2 ] in
   let r =
-    Explore.synchronous Core.Rgs.task ~n ~e ~f ~delta ~proposals
-      ~crashes:[ ((2 * delta) + 1, 2) ]
-      ~rounds:5 ~disable_timers:false
-      ~check:(fun o -> Safety.safe o)
-      ()
+    fst
+      (Explore.synchronous_report Core.Rgs.task ~n ~e ~f ~delta ~proposals
+         ~crashes:[ ((2 * delta) + 1, 2) ]
+         ~rounds:5 ~disable_timers:false
+         ~check:(fun o -> Safety.safe o)
+         ())
   in
   Alcotest.(check int) "no violations with mid-run crash" 0 r.violations
 
-(* Cross-validation of the explorer's execution strategies: `Replay
-   re-executes every run from time 0, `Snapshot extends cloned engines
-   incrementally — they must visit the exact same outcome sets. *)
 let check_explore_results_equal label (a : Explore.result) (b : Explore.result) =
   Alcotest.(check int) (label ^ ": explored") a.explored b.explored;
   Alcotest.(check int) (label ^ ": violations") a.violations b.violations;
@@ -284,73 +288,40 @@ let check_explore_results_equal label (a : Explore.result) (b : Explore.result) 
     true
     (a.first_violation = b.first_violation)
 
-let test_explore_snapshot_matches_replay () =
-  (* T2-style configuration at the task bound (n = 2e + f). *)
-  let n = 6 and e = 2 and f = 2 in
-  let proposals = Scenario.all_proposals_at_zero ~n [ 5; 4; 3; 2; 1; 0 ] in
-  let go mode check =
-    Explore.synchronous Core.Rgs.task ~n ~e ~f ~delta ~proposals ~rounds:3 ~budget:400
-      ~mode ~check ()
-  in
-  (* Safety holds everywhere: identical explored counts and no violation. *)
-  let safe o = Safety.safe o in
-  check_explore_results_equal "safe property" (go `Replay safe) (go `Snapshot safe);
-  (* A property that is violated on many runs: the first violation (the
-     canonical DFS-order witness) must also coincide. *)
-  let p0_undecided o = Scenario.decided_value o 0 = None in
-  let r = go `Replay p0_undecided and s = go `Snapshot p0_undecided in
-  Alcotest.(check bool) "violations found" true (r.violations > 0);
-  check_explore_results_equal "violating property" r s
-
-let test_explore_snapshot_matches_replay_with_crashes () =
-  (* T3-flavoured configuration: a mid-run crash of the fast decider, with
-     timers enabled. *)
-  let n = 3 and e = 1 and f = 1 in
-  let proposals = Scenario.all_proposals_at_zero ~n [ 0; 1; 2 ] in
-  let go mode =
-    Explore.synchronous Core.Rgs.task ~n ~e ~f ~delta ~proposals
-      ~crashes:[ ((2 * delta) + 1, 2) ]
-      ~rounds:5 ~disable_timers:false ~mode
-      ~check:(fun o -> Safety.safe o)
-      ()
-  in
-  let r = go `Replay and s = go `Snapshot in
-  Alcotest.(check bool) "non-trivial" true (r.explored > 10);
-  check_explore_results_equal "crash config" r s
-
 let test_explore_parallel_deterministic () =
   let n = 6 and e = 2 and f = 2 in
   let proposals = Scenario.all_proposals_at_zero ~n [ 5; 4; 3; 2; 1; 0 ] in
   (* [clamp_domains:false]: the point is real multi-domain interleaving,
      also on hosts whose recommended domain count would clamp it away. *)
-  let go ~mode ~domains ~budget check =
-    Explore.synchronous Core.Rgs.task ~n ~e ~f ~delta ~proposals ~rounds:3 ~budget ~mode
-      ~domains ~clamp_domains:false ~check ()
+  let go ~domains ~budget check =
+    fst
+      (Explore.synchronous_report Core.Rgs.task ~n ~e ~f ~delta ~proposals ~rounds:3
+         ~budget ~domains ~clamp_domains:false ~check ())
   in
   let p0_undecided o = Scenario.decided_value o 0 = None in
-  (* Without a binding budget: every (mode, domains) combination agrees. *)
-  let base = go ~mode:`Snapshot ~domains:1 ~budget:2_000 p0_undecided in
+  (* Without a binding budget: every domain count agrees. *)
+  let base = go ~domains:1 ~budget:2_000 p0_undecided in
   List.iter
-    (fun (mode, domains) ->
-      let r = go ~mode ~domains ~budget:2_000 p0_undecided in
+    (fun domains ->
+      let r = go ~domains ~budget:2_000 p0_undecided in
       check_explore_results_equal
         (Printf.sprintf "domains=%d" domains)
         base r)
-    [ (`Snapshot, 2); (`Snapshot, 4); (`Replay, 2) ];
+    [ 2; 4 ];
   (* With a budget cut mid-branch: the deterministic merge re-imposes the
      sequential cut exactly, so counts and witness still coincide. *)
-  let cut = go ~mode:`Snapshot ~domains:1 ~budget:100 p0_undecided in
+  let cut = go ~domains:1 ~budget:100 p0_undecided in
   Alcotest.(check bool) "budget binds" true cut.truncated;
-  let par = go ~mode:`Snapshot ~domains:3 ~budget:100 p0_undecided in
+  let par = go ~domains:3 ~budget:100 p0_undecided in
   check_explore_results_equal "budget-cut merge" cut par
 
 (* Property: the parallel subtree split is *byte-identical* to the
    sequential explorer on every result field — explored, violations,
    first_violation and truncated — over random small configurations
-   covering both execution modes, crash schedules, unclamped domain counts
-   and budgets that cut mid-branch. This is the determinism contract the
-   per-chunk budget caps and the DFS-order merge must uphold under
-   arbitrary worker scheduling. *)
+   covering crash schedules, unclamped domain counts and budgets that cut
+   mid-branch. This is the determinism contract the per-chunk budget caps
+   and the DFS-order merge must uphold under arbitrary worker
+   scheduling. *)
 let explore_parallel_equiv_property =
   QCheck.Test.make ~name:"explore: parallel == sequential on all fields" ~count:14
     QCheck.(int_bound 1_000_000)
@@ -361,15 +332,15 @@ let explore_parallel_equiv_property =
       (* Small budgets land the cut mid-branch; the large one is only
          binding for the wider configurations. *)
       let budget = pick [ 23; 97; 400 ] 4 in
-      let mode = pick [ `Snapshot; `Replay ] 12 in
-      let domains = pick [ 2; 3; 4 ] 24 in
-      let crashes = pick [ []; [ (delta + 1, n - 1) ] ] 72 in
+      let domains = pick [ 2; 3; 4 ] 12 in
+      let crashes = pick [ []; [ (delta + 1, n - 1) ] ] 36 in
       let proposals = Scenario.all_proposals_at_zero ~n (List.init n (fun i -> n - i)) in
       let go ~domains ~clamp =
-        Explore.synchronous Core.Rgs.task ~n ~e ~f ~delta ~proposals ~crashes ~rounds
-          ~budget ~mode ~domains ~clamp_domains:clamp
-          ~check:(fun o -> Scenario.decided_value o 0 = None)
-          ()
+        fst
+          (Explore.synchronous_report Core.Rgs.task ~n ~e ~f ~delta ~proposals ~crashes
+             ~rounds ~budget ~domains ~clamp_domains:clamp
+             ~check:(fun o -> Scenario.decided_value o 0 = None)
+             ())
       in
       let a = go ~domains:1 ~clamp:true in
       let b = go ~domains ~clamp:false in
@@ -463,8 +434,9 @@ let explore_dedup_sound_property =
       in
       let proposals = Scenario.all_proposals_at_zero ~n values in
       let go dedup =
-        Explore.synchronous Core.Rgs.task ~n ~e ~f ~delta ~proposals ~crashes ~rounds
-          ~budget:1_000_000 ~dedup ~check ()
+        fst
+          (Explore.synchronous_report Core.Rgs.task ~n ~e ~f ~delta ~proposals ~crashes ~rounds
+             ~budget:1_000_000 ~dedup ~check ())
       in
       let off = go Explore.Off in
       let exact = go Explore.Exact in
@@ -501,31 +473,24 @@ let test_explore_symmetry_merges_more () =
    explored fault bounds, dedup), with pid i proposing n - 1 - i and a
    property that fails wherever p0 decides. Budget ample: the contract is
    scoped to within-budget-exhaustive explorations. *)
-let explore_totals ~mode ~domains ?(por = Explore.No_por) (n, e, f, rounds, faults, dedup) =
+let explore_totals ~domains ?(por = Explore.No_por) (n, e, f, rounds, faults, dedup) =
   let proposals = Scenario.all_proposals_at_zero ~n (List.init n (fun i -> n - 1 - i)) in
   snd
     (Explore.synchronous_report Core.Rgs.task ~n ~e ~f ~delta ~proposals ~rounds
-       ~budget:1_000_000 ~mode ~domains ~clamp_domains:false ~faults ~dedup ~por
+       ~budget:1_000_000 ~domains ~clamp_domains:false ~faults ~dedup ~por
        ~check:(fun o -> Scenario.decided_value o 0 = None)
        ())
 
-(* Every strategy the totals must agree across besides the sequential
-   snapshot baseline: Replay / Snapshot x sequential / parallel, with
-   unclamped parallel runs at 2, 3 and 4 domains. *)
-let totals_strategies =
-  [
-    ("replay seq", `Replay, 1);
-    ("snapshot par", `Snapshot, 4);
-    ("replay par", `Replay, 3);
-    ("snapshot par 2", `Snapshot, 2);
-  ]
+(* The unclamped domain counts whose totals must agree with the
+   sequential baseline. *)
+let parallel_domains = [ 2; 3; 4 ]
 
 let drop_dup = { Explore.max_drops = 1; max_dups = 1 }
 
 let test_explore_dedup_totals_identical () =
   (* The byte-identical-totals contract extended to dedup'd explorations:
-     for a fixed dedup mode, all strategy combinations (Replay / Snapshot
-     x sequential / parallel) must report the same totals — including the
+     for a fixed dedup mode, sequential and parallel explorations must
+     report the same totals — including the
      distinct_states / dedup_hits / pruned_subtrees counts, which only
      stay deterministic because exactly one Stateset.add wins per key and
      arrivals are the edges of the (schedule-independent) dedup'd state
@@ -533,21 +498,20 @@ let test_explore_dedup_totals_identical () =
      n = 4 search with an explored drop and duplication, whose root fans
      out into fault branches, and the n = 3 one, which reaches 17
      distinct states over ~14k arrivals. *)
-  let go ~mode ~domains cfg = explore_totals ~mode ~domains cfg in
   List.iter
     (fun (name, cfg) ->
-      let base = go ~mode:`Snapshot ~domains:1 cfg in
+      let base = explore_totals ~domains:1 cfg in
       Alcotest.(check bool)
         (name ^ ": dedup active") true
         (base.Explore.Run_report.totals.distinct_states > 0);
       List.iter
-        (fun (label, mode, domains) ->
-          let r = go ~mode ~domains cfg in
+        (fun domains ->
+          let r = explore_totals ~domains cfg in
           Alcotest.(check bool)
-            (Printf.sprintf "%s %s: totals byte-identical" name label)
+            (Printf.sprintf "%s domains=%d: totals byte-identical" name domains)
             true
             (base.Explore.Run_report.totals = r.Explore.Run_report.totals))
-        totals_strategies)
+        parallel_domains)
     [
       ("exact", (6, 2, 2, 3, Explore.no_faults, Explore.Exact));
       ("symmetry", (6, 2, 2, 3, Explore.no_faults, Explore.Symmetry));
@@ -617,8 +581,9 @@ let explore_por_sound_property =
       in
       let proposals = Scenario.all_proposals_at_zero ~n values in
       let go por =
-        Explore.synchronous protocol ~n ~e ~f ~delta ~proposals ~rounds ~budget:20_000
-          ~faults ~por ~check ()
+        fst
+          (Explore.synchronous_report protocol ~n ~e ~f ~delta ~proposals ~rounds ~budget:20_000
+             ~faults ~por ~check ())
       in
       let off = go Explore.No_por in
       let red = go Explore.Sleep in
@@ -644,9 +609,10 @@ let test_explore_por_timer_between_deliveries () =
   let n = 3 and e = 1 and f = 1 in
   let proposals = Scenario.all_proposals_at_zero ~n [ 0; 1; 2 ] in
   let go ~budget por check =
-    Explore.synchronous Core.Rgs.task ~n ~e ~f ~delta ~proposals
-      ~crashes:[ ((2 * delta) + 1, 2) ]
-      ~rounds:3 ~disable_timers:false ~budget ~por ~check ()
+    fst
+      (Explore.synchronous_report Core.Rgs.task ~n ~e ~f ~delta ~proposals
+         ~crashes:[ ((2 * delta) + 1, 2) ]
+         ~rounds:3 ~disable_timers:false ~budget ~por ~check ())
   in
   let safe o = Safety.safe o in
   let off = go ~budget:20_000 Explore.No_por safe in
@@ -670,27 +636,27 @@ let test_explore_por_timer_between_deliveries () =
 
 let test_explore_por_totals_identical () =
   (* The byte-identical-totals contract extended to POR: for a fixed
-     (dedup, por) pair, all strategy combinations (Replay / Snapshot x
-     sequential / parallel) must report the same totals — including the
+     (dedup, por) pair, sequential and parallel explorations must report
+     the same totals — including the
      new por_pruned / sleep_hits counters, which stay deterministic
      because trial classification depends only on engine state, never on
      scheduling. *)
-  let go ~mode ~domains cfg = explore_totals ~mode ~domains ~por:Explore.Sleep cfg in
+  let go ~domains cfg = explore_totals ~domains ~por:Explore.Sleep cfg in
   List.iter
     (fun (name, cfg) ->
-      let base = go ~mode:`Snapshot ~domains:1 cfg in
+      let base = go ~domains:1 cfg in
       Alcotest.(check bool)
         (name ^ ": POR active") true
         (base.Explore.Run_report.totals.sleep_hits > 0
         || base.Explore.Run_report.totals.por_pruned > 0);
       List.iter
-        (fun (label, mode, domains) ->
-          let r = go ~mode ~domains cfg in
+        (fun domains ->
+          let r = go ~domains cfg in
           Alcotest.(check bool)
-            (Printf.sprintf "%s %s: totals byte-identical" name label)
+            (Printf.sprintf "%s domains=%d: totals byte-identical" name domains)
             true
             (base.Explore.Run_report.totals = r.Explore.Run_report.totals))
-        totals_strategies)
+        parallel_domains)
     [
       ("por only", (6, 2, 2, 3, Explore.no_faults, Explore.Off));
       ("por + exact dedup", (6, 2, 2, 3, Explore.no_faults, Explore.Exact));
@@ -772,40 +738,34 @@ module Report = Checker.Report
 module Metrics = Stdext.Metrics
 
 (* The Run_report determinism contract: [totals] is byte-identical across
-   sequential, parallel (unclamped domains), `Replay and `Snapshot
-   executions — with and without a budget cut mid-branch. [sched] is
-   explicitly scheduling-dependent and not compared. *)
+   sequential and parallel (unclamped domains) executions — with and
+   without a budget cut mid-branch. [sched] is explicitly
+   scheduling-dependent and not compared. *)
 let test_run_report_totals_identical () =
   let n = 6 and e = 2 and f = 2 in
   let proposals = Scenario.all_proposals_at_zero ~n [ 5; 4; 3; 2; 1; 0 ] in
-  let go ~mode ~domains ~budget =
+  let go ~domains ~budget =
     snd
       (Explore.synchronous_report Core.Rgs.task ~n ~e ~f ~delta ~proposals ~rounds:3
-         ~budget ~mode ~domains ~clamp_domains:false
+         ~budget ~domains ~clamp_domains:false
          ~check:(fun o -> Scenario.decided_value o 0 = None)
          ())
   in
   List.iter
     (fun budget ->
-      let base = go ~mode:`Snapshot ~domains:1 ~budget in
+      let base = go ~domains:1 ~budget in
       Alcotest.(check bool) "non-trivial" true (base.Explore.Run_report.totals.explored > 10);
       List.iter
-        (fun (label, mode, domains) ->
-          let r = go ~mode ~domains ~budget in
+        (fun domains ->
+          let r = go ~domains ~budget in
           Alcotest.(check bool)
-            (Printf.sprintf "budget=%d %s: totals byte-identical" budget label)
+            (Printf.sprintf "budget=%d domains=%d: totals byte-identical" budget domains)
             true
-            (Explore.Run_report.totals_equal base.Explore.Run_report.totals
-               r.Explore.Run_report.totals
-            && base.Explore.Run_report.totals = r.Explore.Run_report.totals))
-        [
-          ("replay seq", `Replay, 1);
-          ("snapshot par", `Snapshot, 4);
-          ("replay par", `Replay, 3);
-        ])
+            (base.Explore.Run_report.totals = r.Explore.Run_report.totals))
+        [ 3; 4 ])
     [ 400; 2_000 ];
   (* Derived figures come out of the shared totals. *)
-  let r = go ~mode:`Snapshot ~domains:2 ~budget:2_000 in
+  let r = go ~domains:2 ~budget:2_000 in
   let t = r.Explore.Run_report.totals in
   Alcotest.(check bool) "fast rate in [0,1]" true
     (Explore.Run_report.fast_path_rate t >= 0. && Explore.Run_report.fast_path_rate t <= 1.);
@@ -894,7 +854,7 @@ let () =
         [
           Alcotest.test_case "register basics" `Quick test_wgl_register_basics;
           Alcotest.test_case "incomplete ops" `Quick test_wgl_incomplete_ops;
-          Alcotest.test_case "per-key = monolithic" `Quick test_wgl_per_key_composition;
+          Alcotest.test_case "per-key decomposition" `Quick test_wgl_per_key_decomposition;
           Alcotest.test_case "witness minimization" `Quick test_wgl_witness;
           Alcotest.test_case "malformed never asserts" `Quick
             test_wgl_malformed_never_asserts;
@@ -915,10 +875,6 @@ let () =
           Alcotest.test_case "detects violations" `Quick test_explore_finds_seeded_bug;
           Alcotest.test_case "budget truncation" `Quick test_explore_budget_truncation;
           Alcotest.test_case "mid-run crashes" `Quick test_explore_crashes_mid_run;
-          Alcotest.test_case "snapshot matches replay" `Quick
-            test_explore_snapshot_matches_replay;
-          Alcotest.test_case "snapshot matches replay (crashes)" `Quick
-            test_explore_snapshot_matches_replay_with_crashes;
           Alcotest.test_case "parallel determinism" `Quick
             test_explore_parallel_deterministic;
           Alcotest.test_case "shared budget not duplicated" `Quick

@@ -345,16 +345,19 @@ let test_clone_same_future () =
     (Engine.outputs engine = Engine.outputs copy)
 
 let test_snapshot_restore () =
+  (* A clone that is never stepped is a snapshot: it is unaffected by the
+     original running on, and cloning it again restores the capture any
+     number of times. *)
   let engine =
     Engine.create ~automaton:echo ~n:3 ~network:sync_net ~inputs:[ (0, 0, 4); (15, 1, 5) ] ()
   in
   ignore (Engine.run ~until:12 engine);
-  let snap = Engine.snapshot engine in
+  let snap = Engine.clone engine in
   ignore (Engine.run engine);
   let final = Engine.outputs engine in
   (* Two restores from the same snapshot reach the same final outputs,
      independently of each other and of the original. *)
-  let a = Engine.restore snap and b = Engine.restore snap in
+  let a = Engine.clone snap and b = Engine.clone snap in
   ignore (Engine.run a);
   Alcotest.(check bool) "restore a replays" true (Engine.outputs a = final);
   ignore (Engine.run b);
@@ -668,8 +671,9 @@ let test_probe_matches_trace () =
     (Trace.decision_latencies trace)
     (Engine.decision_latencies engine)
 
-(* Probe state is part of the execution state: clone and snapshot/restore
-   must carry it, so replay and snapshot exploration see identical totals. *)
+(* Probe state is part of the execution state: a clone must carry it, so
+   the explorer's cloned branches report the probe that re-executing each
+   run from time 0 would. *)
 let test_probe_survives_clone_and_snapshot () =
   let make () =
     Engine.create ~automaton:echo ~n:3 ~network:sync_net
@@ -679,14 +683,10 @@ let test_probe_survives_clone_and_snapshot () =
   let base = make () in
   ignore (Engine.run ~until:10 base);
   let cloned = Engine.clone base in
-  let restored = Engine.restore (Engine.snapshot base) in
   Alcotest.(check bool) "clone copies mid-run probe" true
     (Engine.probe cloned = Engine.probe base);
-  Alcotest.(check bool) "restore copies mid-run probe" true
-    (Engine.probe restored = Engine.probe base);
   ignore (Engine.run base);
   ignore (Engine.run cloned);
-  ignore (Engine.run restored);
   let fresh = make () in
   ignore (Engine.run fresh);
   Alcotest.(check bool) "probe nonzero" true (Engine.probe base <> Engine.Probe.zero);
@@ -698,7 +698,6 @@ let test_probe_survives_clone_and_snapshot () =
         (Engine.decision_latencies base)
         (Engine.decision_latencies e))
     [ ("clone finishes identically", cloned);
-      ("restore finishes identically", restored);
       ("replay from scratch finishes identically", fresh);
     ]
 

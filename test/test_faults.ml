@@ -112,10 +112,11 @@ let test_explore_faults_extend_search () =
   let n = 3 and e = 1 and f = 1 in
   let proposals = Scenario.all_proposals_at_zero ~n [ 0; 1; 2 ] in
   let go faults =
-    Explore.synchronous Core.Rgs.task ~n ~e ~f ~delta ~proposals ~rounds:2
-      ~budget:100_000 ~faults
-      ~check:(fun o -> Safety.safe o)
-      ()
+    fst
+      (Explore.synchronous_report Core.Rgs.task ~n ~e ~f ~delta ~proposals ~rounds:2
+         ~budget:100_000 ~faults
+         ~check:(fun o -> Safety.safe o)
+         ())
   in
   let base = go Explore.no_faults in
   let faulty = go { max_drops = 1; max_dups = 1 } in
@@ -126,13 +127,14 @@ let test_explore_faults_extend_search () =
   (* Some explored runs actually exercised faults. *)
   let saw_faults = ref false in
   let r =
-    Explore.synchronous Core.Rgs.task ~n ~e ~f ~delta ~proposals ~rounds:2
-      ~budget:100_000
-      ~faults:{ max_drops = 1; max_dups = 1 }
-      ~check:(fun o ->
-        if o.Scenario.dropped > 0 || o.Scenario.duplicated > 0 then saw_faults := true;
-        true)
-      ()
+    fst
+      (Explore.synchronous_report Core.Rgs.task ~n ~e ~f ~delta ~proposals ~rounds:2
+         ~budget:100_000
+         ~faults:{ max_drops = 1; max_dups = 1 }
+         ~check:(fun o ->
+           if o.Scenario.dropped > 0 || o.Scenario.duplicated > 0 then saw_faults := true;
+           true)
+         ())
   in
   Alcotest.(check int) "same space" faulty.explored r.explored;
   Alcotest.(check bool) "faulty runs were visited" true !saw_faults
@@ -147,10 +149,11 @@ let test_explore_faults_safety_sweep () =
         Scenario.all_proposals_at_zero ~n (List.init n (fun i -> i mod 2))
       in
       let r =
-        Explore.synchronous protocol ~n ~e ~f ~delta ~proposals ~rounds:3 ~budget
-          ~faults:{ max_drops = 1; max_dups = 1 }
-          ~check:(fun o -> Safety.safe o)
-          ()
+        fst
+          (Explore.synchronous_report protocol ~n ~e ~f ~delta ~proposals ~rounds:3 ~budget
+             ~faults:{ max_drops = 1; max_dups = 1 }
+             ~check:(fun o -> Safety.safe o)
+             ())
       in
       Alcotest.(check int)
         (Proto.Protocol.name protocol ^ ": no safety violation under faults")
@@ -163,41 +166,32 @@ let test_explore_faults_safety_sweep () =
       (Baselines.Fast_paxos.protocol, 4, 1, 1, 4_000);
     ]
 
-let test_explore_faults_modes_and_domains_agree () =
+let test_explore_faults_domains_agree () =
   let n = 3 and e = 1 and f = 1 in
   let proposals = Scenario.all_proposals_at_zero ~n [ 0; 1; 2 ] in
-  let go ~mode ~domains ~budget check =
-    Explore.synchronous Core.Rgs.task ~n ~e ~f ~delta ~proposals ~rounds:2 ~budget
-      ~faults:{ max_drops = 1; max_dups = 1 }
-      ~mode ~domains ~clamp_domains:false ~check ()
+  let go ~domains ~budget check =
+    fst
+      (Explore.synchronous_report Core.Rgs.task ~n ~e ~f ~delta ~proposals ~rounds:2 ~budget
+         ~faults:{ max_drops = 1; max_dups = 1 }
+         ~domains ~clamp_domains:false ~check ())
   in
   (* A property violated on many (but not all) runs: any divergence in
      visit order or fault accounting would show in the canonical first
      violation. Runs that lost a message are "violations" here. *)
   let lossless o = o.Scenario.dropped = 0 in
-  let base = go ~mode:`Snapshot ~domains:1 ~budget:3_000 lossless in
+  let base = go ~domains:1 ~budget:3_000 lossless in
   Alcotest.(check bool) "violations found" true (base.violations > 0);
   List.iter
-    (fun (mode, domains) ->
+    (fun domains ->
       check_explore_results_equal
-        (Printf.sprintf "mode=%s domains=%d"
-           (match mode with `Replay -> "replay" | `Snapshot -> "snapshot")
-           domains)
+        (Printf.sprintf "domains=%d" domains)
         base
-        (go ~mode ~domains ~budget:3_000 lossless))
-    [ (`Replay, 1); (`Snapshot, 2); (`Replay, 3); (`Snapshot, 4) ];
+        (go ~domains ~budget:3_000 lossless))
+    [ 2; 3; 4 ];
   (* Under a binding budget the DFS-order cut must also coincide. *)
-  let tight = go ~mode:`Snapshot ~domains:1 ~budget:400 lossless in
+  let tight = go ~domains:1 ~budget:400 lossless in
   Alcotest.(check bool) "budget binds" true tight.truncated;
-  List.iter
-    (fun (mode, domains) ->
-      check_explore_results_equal
-        (Printf.sprintf "tight mode=%s domains=%d"
-           (match mode with `Replay -> "replay" | `Snapshot -> "snapshot")
-           domains)
-        tight
-        (go ~mode ~domains ~budget:400 lossless))
-    [ (`Replay, 1); (`Snapshot, 3) ]
+  check_explore_results_equal "tight domains=3" tight (go ~domains:3 ~budget:400 lossless)
 
 (* -- mutation test: duplicate-vote suppression is load-bearing ---------- *)
 
@@ -260,8 +254,7 @@ let () =
             test_explore_faults_extend_search;
           Alcotest.test_case "bounded fault sweep is safe" `Quick
             test_explore_faults_safety_sweep;
-          Alcotest.test_case "modes and domains agree" `Quick
-            test_explore_faults_modes_and_domains_agree;
+          Alcotest.test_case "domains agree" `Quick test_explore_faults_domains_agree;
         ] );
       ( "mutation",
         [

@@ -638,7 +638,7 @@ let test_metrics_disabled () =
   let h = Metrics.histogram Metrics.disabled ~buckets:[| 1 |] "h" in
   Metrics.observe h 5;
   Alcotest.(check bool) "disabled" false (Metrics.is_enabled Metrics.disabled);
-  Alcotest.(check int) "no registrations" 0 (List.length (Metrics.snapshot Metrics.disabled))
+  Alcotest.(check int) "no registrations" 0 (List.length (Metrics.to_list Metrics.disabled))
 
 let test_metrics_kind_conflict () =
   let r = Metrics.create () in
