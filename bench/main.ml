@@ -1,7 +1,7 @@
 (* Benchmark and experiment harness.
 
    Usage:
-     dune exec bench/main.exe              # everything: T1-T4, F1-F4, microbenches
+     dune exec bench/main.exe              # everything: T1-T4, F1-F5, the perf suites
      dune exec bench/main.exe -- t3 f2     # selected experiments
      dune exec bench/main.exe -- bechamel  # microbenchmarks only
      dune exec bench/main.exe -- explore   # exploration perf suite -> BENCH_explore.json
@@ -9,53 +9,77 @@
      dune exec bench/main.exe -- --domains 4 t2 t3   # parallel sweep grids
      dune exec bench/main.exe -- --domains-list 1,2,4 explore   # explicit domain counts
      dune exec bench/main.exe -- --explore-budget 200 explore   # CI smoke sizing
+     dune exec bench/main.exe -- --help    # every flag and name
 
    Each T/F experiment regenerates one claim of the paper as a table or
    series (see DESIGN.md section 3 and EXPERIMENTS.md). The bechamel suite
-   measures the cost of the building blocks themselves; the explore suite
-   times the state-space explorer and its multi-domain fan-out, and
-   records the trajectory machine-readably so successive runs can
-   compare. *)
+   measures the cost of the building blocks themselves; the explore,
+   faults, engine, smr and lin suites time the explorer, the engine and
+   the SMR deployment and record their rows machine-readably in a
+   BENCH_<suite>.json file so successive runs can compare. *)
+
+module Json = Stdext.Json
 
 let fmt = Format.std_formatter
 
+(* -- BENCH files -------------------------------------------------------- *)
+
+(* The one writer of every BENCH_<suite>.json: [suite], [schema_version],
+   a [schema] listing the row keys, the [header] fields, then [rows] with
+   one object per line. Every row carries the first row's keys in order. *)
+let write_bench ~suite ~version ?(header = []) rows =
+  let path = Printf.sprintf "BENCH_%s.json" suite in
+  let schema = match rows with [] -> [] | row :: _ -> List.map fst row in
+  let rows_text =
+    List.map (fun row -> "    " ^ Json.to_string (Json.Obj row)) rows |> String.concat ",\n"
+  in
+  let fields =
+    List.map
+      (fun (key, v) -> (key, Json.to_string v))
+      ([
+         ("suite", Json.String suite);
+         ("schema_version", Json.Int version);
+         ("schema", Json.List (List.map (fun key -> Json.String key) schema));
+       ]
+      @ header)
+    @ [ ("rows", "[\n" ^ rows_text ^ "\n  ]") ]
+  in
+  Out_channel.with_open_text path (fun oc ->
+      Printf.fprintf oc "{\n%s\n}\n"
+        (String.concat ",\n"
+           (List.map
+              (fun (key, text) -> Printf.sprintf "  %s: %s" (Json.to_string (Json.String key)) text)
+              fields)));
+  Format.fprintf fmt "(wrote %d rows to %s)@." (List.length rows) path
+
+(* A float column at the precision it is read at: [digits] decimals. *)
+let fixed digits x = Json.Float (float_of_string (Printf.sprintf "%.*f" digits x))
+
+let per_sec count wall_ns =
+  if wall_ns = 0 then 0.0 else float_of_int count /. (float_of_int wall_ns /. 1e9)
+
+let elapsed_ns t0 = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9)
+
 (* -- Exploration performance suite -------------------------------------- *)
 
-type explore_sample = {
+(* One row of the explore, faults and swarm suites. On the swarm row
+   [domains] is the walker count, [explored] the completed random walks,
+   and the run-report columns it has no report for read 0. *)
+type explore_row = {
   experiment : string;
-  protocol : string;
   n : int;
-  mode : string;
   domains : int;
   budget : int;
   rounds : int;
-  max_drops : int;
-  max_dups : int;
+  faults : Checker.Explore.fault_bounds;
   explored : int;
   wall_ns : int;
-  (* Run_report-derived telemetry columns (schema v4). The overhead rows
-     (mode "scenario") have no exploration report and carry zeros. *)
   fast_path_rate : float;
   mean_depth : float;
   budget_waste_pct : float;
-  (* Deduplication columns (schema v5): visited-set policy of the row and
-     what it saw. [dedup_hit_rate] is the fraction of search-tree arrivals
-     that landed on an already-visited state — 0 with dedup off. *)
   dedup : string;
   distinct_states : int;
-  dedup_hit_rate : float;
-  (* Engine-throughput columns (schema v6), filled in the [engine] suite's
-     BENCH_engine.json rows (zero elsewhere): raw engine events processed
-     by the row's workload and the minor-heap words it allocated, from
-     which the JSON derives events_per_sec and minor_words_per_event — the
-     two numbers the hot-path rewrites are steered by. *)
-  events : int;
-  minor_words : float;
-  (* Partial-order-reduction columns (schema v7): the row's POR policy,
-     the order combinations pruned before expansion, and — derived —
-     distinct_states_per_sec, the coverage rate that is the headline
-     metric for swarm rows (mode "swarm", where [domains] carries the
-     walker count and [explored] the completed random walks). *)
+  dedup_hits : int;
   por : string;
   por_pruned : int;
 }
@@ -63,14 +87,13 @@ type explore_sample = {
 (* Suites append here and each writes the union, so one invocation running
    both [explore] and [faults] produces a single BENCH_explore.json with
    every row. *)
-let all_samples : explore_sample list ref = ref []
+let all_samples : explore_row list ref = ref []
 
-let states_per_sec s =
-  if s.wall_ns = 0 then 0.0 else float_of_int s.explored /. (float_of_int s.wall_ns /. 1e9)
-
-let distinct_states_per_sec s =
-  if s.wall_ns = 0 then 0.0
-  else float_of_int s.distinct_states /. (float_of_int s.wall_ns /. 1e9)
+(* The fraction of search-tree arrivals that landed on an already-visited
+   state — 0 with dedup off. *)
+let dedup_hit_rate r =
+  let arrivals = r.distinct_states + r.dedup_hits in
+  if arrivals = 0 then 0. else float_of_int r.dedup_hits /. float_of_int arrivals
 
 (* n=5..7 at fixed rounds: the (e, f) pairs keep n exactly at the task
    bound 2e+f so the configurations match the T2/T3 grids. The extra
@@ -109,46 +132,32 @@ let time_explore ~experiment ~n ~e ~f ~budget ~rounds ~faults ~domains
       ~check:(fun o -> Checker.Safety.safe o)
       ()
   in
-  let t1 = Unix.gettimeofday () in
+  let wall_ns = elapsed_ns t0 in
   if r.Checker.Explore.violations > 0 then
     failwith "explore bench: unexpected safety violation";
   let totals = report.Checker.Explore.Run_report.totals in
-  let arrivals =
-    totals.Checker.Explore.Run_report.distinct_states
-    + totals.Checker.Explore.Run_report.dedup_hits
-  in
   {
     experiment;
-    protocol = "rgs-task";
     n;
-    mode = "snapshot" (* the cloned-engine DFS: the explorer's only strategy *);
     domains;
     budget;
     rounds;
-    max_drops = faults.Checker.Explore.max_drops;
-    max_dups = faults.Checker.Explore.max_dups;
+    faults;
     explored = r.Checker.Explore.explored;
-    wall_ns = int_of_float ((t1 -. t0) *. 1e9);
+    wall_ns;
     fast_path_rate = Checker.Explore.Run_report.fast_path_rate totals;
     mean_depth = Checker.Explore.Run_report.mean_depth totals;
     budget_waste_pct =
       Checker.Explore.Run_report.budget_waste_pct report.Checker.Explore.Run_report.sched;
     dedup = dedup_name dedup;
     distinct_states = totals.Checker.Explore.Run_report.distinct_states;
-    dedup_hit_rate =
-      (if arrivals = 0 then 0.
-       else
-         float_of_int totals.Checker.Explore.Run_report.dedup_hits
-         /. float_of_int arrivals);
-    events = 0;
-    minor_words = 0.;
+    dedup_hits = totals.Checker.Explore.Run_report.dedup_hits;
     por = por_name por;
     por_pruned = totals.Checker.Explore.Run_report.por_pruned;
   }
 
 (* A swarm row: K seeded walkers sharing a visited set and the run budget.
-   [domains] carries the walker count, [explored] the completed walks;
-   the coverage signal is distinct_states (and, derived in the JSON,
+   The coverage signal is distinct_states (and, derived in the JSON,
    distinct_states_per_sec). The dedup column reads "count": the shared
    set counts coverage but never prunes a walk. *)
 let time_swarm ~experiment ~n ~e ~f ~budget ~rounds ~walkers ~seed () =
@@ -162,48 +171,36 @@ let time_swarm ~experiment ~n ~e ~f ~budget ~rounds ~walkers ~seed () =
       ~check:(fun o -> Checker.Safety.safe o)
       ()
   in
-  let t1 = Unix.gettimeofday () in
+  let wall_ns = elapsed_ns t0 in
   if r.Checker.Explore.violations > 0 then
     failwith "swarm bench: unexpected safety violation";
-  let arrivals =
-    s.Checker.Explore.Swarm_report.distinct_states
-    + s.Checker.Explore.Swarm_report.dedup_hits
-  in
   {
     experiment;
-    protocol = "rgs-task";
     n;
-    mode = "swarm";
     domains = walkers;
     budget;
     rounds;
-    max_drops = 0;
-    max_dups = 0;
+    faults = Checker.Explore.no_faults;
     explored = s.Checker.Explore.Swarm_report.runs;
-    wall_ns = int_of_float ((t1 -. t0) *. 1e9);
+    wall_ns;
     fast_path_rate = 0.;
     mean_depth = 0.;
     budget_waste_pct = 0.;
     dedup = "count";
     distinct_states = s.Checker.Explore.Swarm_report.distinct_states;
-    dedup_hit_rate =
-      (if arrivals = 0 then 0.
-       else
-         float_of_int s.Checker.Explore.Swarm_report.dedup_hits /. float_of_int arrivals);
-    events = 0;
-    minor_words = 0.;
+    dedup_hits = s.Checker.Explore.Swarm_report.dedup_hits;
     por = "sleep";
     por_pruned = s.Checker.Explore.Swarm_report.por_pruned;
   }
 
-(* Wall-clock of the domains=1 row with the same experiment/mode/budget,
+(* Wall-clock of the domains=1 row with the same experiment/budget/policy,
    over this row's wall-clock: > 1 is a speedup, < 1 a regression. [None]
    when the sweep contains no sequential baseline. *)
 let speedup_vs_seq samples s =
   List.find_opt
     (fun b ->
-      b.domains = 1 && b.experiment = s.experiment && b.mode = s.mode
-      && b.budget = s.budget && b.dedup = s.dedup && b.por = s.por)
+      b.domains = 1 && b.experiment = s.experiment && b.budget = s.budget
+      && b.dedup = s.dedup && b.por = s.por)
     samples
   |> Option.map (fun b ->
          if s.wall_ns = 0 then 1.0 else float_of_int b.wall_ns /. float_of_int s.wall_ns)
@@ -232,90 +229,58 @@ let recommended_domains samples =
     tbl (1, 1.0)
   |> fst
 
-(* events/sec of an engine-suite row; 0 for rows without engine columns. *)
-let events_per_sec s =
-  if s.wall_ns = 0 || s.events = 0 then 0.0
-  else float_of_int s.events /. (float_of_int s.wall_ns /. 1e9)
-
-let minor_words_per_event s =
-  if s.events = 0 then 0.0 else s.minor_words /. float_of_int s.events
-
-(* One row writer for the suites that share [explore_sample] rows: the
-   explore and faults suites write BENCH_explore.json, the engine suite
-   BENCH_engine.json. [header] holds the file's extra int fields:
-   the exploration sweep's rounds and recommended domain count mean
-   nothing for engine rows. *)
-let write_rows_json ~suite ~header path samples =
-  let oc = open_out path in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n";
-  out "  \"suite\": %S,\n" suite;
-  out "  \"schema_version\": 7,\n";
-  out
-    "  \"schema\": [\"experiment\", \"protocol\", \"n\", \"mode\", \"domains\", \
-     \"budget\", \"rounds\", \"max_drops\", \"max_dups\", \"explored\", \"wall_ns\", \
-     \"states_per_sec\", \"speedup_vs_seq\", \"fast_path_rate\", \"mean_depth\", \
-     \"budget_waste_pct\", \"dedup\", \"distinct_states\", \"dedup_hit_rate\", \
-     \"events_per_sec\", \"minor_words_per_event\", \"por\", \"por_pruned\", \
-     \"distinct_states_per_sec\"],\n";
-  List.iter (fun (key, v) -> out "  %S: %d,\n" key v) header;
-  out "  \"results\": [\n";
-  List.iteri
-    (fun i s ->
-      let speedup =
-        match speedup_vs_seq samples s with
-        | None -> "null"
-        | Some x -> Printf.sprintf "%.2f" x
-      in
-      out
-        "    {\"experiment\": %S, \"protocol\": %S, \"n\": %d, \"mode\": %S, \"domains\": \
-         %d, \"budget\": %d, \"rounds\": %d, \"max_drops\": %d, \"max_dups\": %d, \
-         \"explored\": %d, \"wall_ns\": %d, \"states_per_sec\": %.1f, \
-         \"speedup_vs_seq\": %s, \"fast_path_rate\": %.4f, \"mean_depth\": %.2f, \
-         \"budget_waste_pct\": %.2f, \"dedup\": %S, \"distinct_states\": %d, \
-         \"dedup_hit_rate\": %.4f, \"events_per_sec\": %.1f, \
-         \"minor_words_per_event\": %.2f, \"por\": %S, \"por_pruned\": %d, \
-         \"distinct_states_per_sec\": %.1f}%s\n"
-        s.experiment s.protocol s.n s.mode s.domains s.budget s.rounds s.max_drops
-        s.max_dups s.explored s.wall_ns (states_per_sec s) speedup s.fast_path_rate
-        s.mean_depth s.budget_waste_pct s.dedup s.distinct_states s.dedup_hit_rate
-        (events_per_sec s) (minor_words_per_event s) s.por s.por_pruned
-        (distinct_states_per_sec s)
-        (if i = List.length samples - 1 then "" else ","))
-    samples;
-  out "  ]\n}\n";
-  close_out oc
+let explore_json samples s =
+  [
+    ("experiment", Json.String s.experiment);
+    ("protocol", Json.String (Proto.Protocol.name Core.Rgs.task));
+    ("n", Json.Int s.n);
+    ("domains", Json.Int s.domains);
+    ("budget", Json.Int s.budget);
+    ("rounds", Json.Int s.rounds);
+    ("max_drops", Json.Int s.faults.max_drops);
+    ("max_dups", Json.Int s.faults.max_dups);
+    ("explored", Json.Int s.explored);
+    ("wall_ns", Json.Int s.wall_ns);
+    ("states_per_sec", fixed 1 (per_sec s.explored s.wall_ns));
+    ("speedup_vs_seq", Option.fold ~none:Json.Null ~some:(fixed 2) (speedup_vs_seq samples s));
+    ("fast_path_rate", fixed 4 s.fast_path_rate);
+    ("mean_depth", fixed 2 s.mean_depth);
+    ("budget_waste_pct", fixed 2 s.budget_waste_pct);
+    ("dedup", Json.String s.dedup);
+    ("distinct_states", Json.Int s.distinct_states);
+    ("dedup_hit_rate", fixed 4 (dedup_hit_rate s));
+    ("por", Json.String s.por);
+    ("por_pruned", Json.Int s.por_pruned);
+    ("distinct_states_per_sec", fixed 1 (per_sec s.distinct_states s.wall_ns));
+  ]
 
 let print_sample_table samples =
   Format.fprintf fmt
-    "%-20s %3s %-9s %7s %7s %5s %5s %-8s %-6s | %8s %10s %11s %8s %5s %6s %6s %9s %6s \
-     %9s@."
-    "experiment" "n" "mode" "domains" "budget" "drops" "dups" "dedup" "por" "explored"
-    "wall-ms" "states/sec" "speedup" "fast" "depth" "waste%" "distinct" "hit%" "pruned";
+    "%-20s %3s %7s %7s %5s %5s %-8s %-6s | %8s %10s %11s %8s %5s %6s %6s %9s %6s %9s@."
+    "experiment" "n" "domains" "budget" "drops" "dups" "dedup" "por" "explored" "wall-ms"
+    "states/sec" "speedup" "fast" "depth" "waste%" "distinct" "hit%" "pruned";
   List.iter
     (fun s ->
       Format.fprintf fmt
-        "%-20s %3d %-9s %7d %7d %5d %5d %-8s %-6s | %8d %10.1f %11.0f %8s %5.2f %6.2f \
-         %6.2f %9d %6.1f %9d@."
-        s.experiment s.n s.mode s.domains s.budget s.max_drops s.max_dups s.dedup s.por
-        s.explored
+        "%-20s %3d %7d %7d %5d %5d %-8s %-6s | %8d %10.1f %11.0f %8s %5.2f %6.2f %6.2f \
+         %9d %6.1f %9d@."
+        s.experiment s.n s.domains s.budget s.faults.max_drops s.faults.max_dups s.dedup
+        s.por s.explored
         (float_of_int s.wall_ns /. 1e6)
-        (states_per_sec s)
+        (per_sec s.explored s.wall_ns)
         (match speedup_vs_seq samples s with
         | None -> "-"
         | Some x -> Printf.sprintf "%.2fx" x)
         s.fast_path_rate s.mean_depth s.budget_waste_pct s.distinct_states
-        (100. *. s.dedup_hit_rate) s.por_pruned)
+        (100. *. dedup_hit_rate s) s.por_pruned)
     samples
 
 let emit_samples samples =
   all_samples := !all_samples @ samples;
   print_sample_table samples;
-  write_rows_json ~suite:"explore"
-    ~header:
-      [ ("rounds", explore_rounds); ("recommended_domains", recommended_domains !all_samples) ]
-    "BENCH_explore.json" !all_samples;
-  Format.fprintf fmt "(written to BENCH_explore.json)@."
+  write_bench ~suite:"explore" ~version:8
+    ~header:[ ("recommended_domains", Json.Int (recommended_domains !all_samples)) ]
+    (List.map (explore_json !all_samples) !all_samples)
 
 let run_explore_suite ~domains_list ~budget_override () =
   let domains_list =
@@ -465,15 +430,16 @@ let run_faults_suite ~domains_list ~budget_override () =
 
 (* The telemetry contract is "zero overhead when disabled": every engine
    probe mirror is a single branch on an immutable bool when the registry
-   is {!Stdext.Metrics.disabled}. These two rows measure the same
-   fast-path scenario loop with the disabled registry and with a live one.
-   They are printed, not written to any BENCH file; the overhead line
+   is {!Stdext.Metrics.disabled}. This suite times the same fast-path
+   scenario loop with the disabled registry and with a live one and prints
+   both timings, not written to any BENCH file; the overhead line
    quantifies the enabled path's cost. *)
-let run_metrics_overhead_suite ?(iters = 3_000) () =
+let run_metrics_overhead_suite () =
+  let iters = 3_000 in
   Format.fprintf fmt "@.%s@.B4. Metrics overhead (engine probe mirror, %d scenario runs)@.%s@."
     (String.make 78 '-') iters (String.make 78 '-');
   let proposals = Checker.Scenario.all_proposals_at_zero ~n:6 [ 5; 4; 3; 2; 1; 0 ] in
-  let run_case experiment registry =
+  let time_runs registry =
     let t0 = Unix.gettimeofday () in
     for seed = 1 to iters do
       ignore
@@ -481,42 +447,16 @@ let run_metrics_overhead_suite ?(iters = 3_000) () =
            ~net:(Checker.Scenario.Sync `Arrival) ~proposals ~disable_timers:true ~seed
            ~metrics:registry ~until:300 ())
     done;
-    let t1 = Unix.gettimeofday () in
-    {
-      experiment;
-      protocol = "rgs-task";
-      n = 6;
-      mode = "scenario";
-      domains = 1;
-      budget = iters;
-      rounds = 0;
-      max_drops = 0;
-      max_dups = 0;
-      explored = iters;
-      wall_ns = int_of_float ((t1 -. t0) *. 1e9);
-      fast_path_rate = 0.;
-      mean_depth = 0.;
-      budget_waste_pct = 0.;
-      dedup = "off";
-      distinct_states = 0;
-      dedup_hit_rate = 0.;
-      events = 0;
-      minor_words = 0.;
-      por = "off";
-      por_pruned = 0;
-    }
+    float_of_int (elapsed_ns t0) /. 1e6
   in
   (* Warm-up evens out allocator/cache state so off vs on is a fair pair. *)
-  ignore (run_case "warmup" Stdext.Metrics.disabled : explore_sample);
-  let off = run_case "metrics-overhead-off" Stdext.Metrics.disabled in
-  let on_ = run_case "metrics-overhead-on" (Stdext.Metrics.create ()) in
-  let overhead_pct =
-    if off.wall_ns = 0 then 0.
-    else 100. *. (float_of_int on_.wall_ns -. float_of_int off.wall_ns)
-         /. float_of_int off.wall_ns
-  in
-  print_sample_table [ off; on_ ];
-  Format.fprintf fmt "enabled-registry overhead vs disabled: %+.1f%%@." overhead_pct
+  ignore (time_runs Stdext.Metrics.disabled : float);
+  let off = time_runs Stdext.Metrics.disabled in
+  let on_ = time_runs (Stdext.Metrics.create ()) in
+  Format.fprintf fmt "metrics-overhead-off %10.1f ms@.metrics-overhead-on  %10.1f ms@." off
+    on_;
+  Format.fprintf fmt "enabled-registry overhead vs disabled: %+.1f%%@."
+    (100. *. (on_ -. off) /. off)
 
 (* -- Engine throughput suite -------------------------------------------- *)
 
@@ -539,8 +479,6 @@ let run_metrics_overhead_suite ?(iters = 3_000) () =
    Events are the engine's own probe steps: comparable across engine
    rewrites as long as the event definition holds. The suite writes its
    own BENCH_engine.json. *)
-
-let engine_iters_default = 2_000
 
 let delta = 100
 
@@ -602,6 +540,19 @@ let run_engine_workload (module P : Proto.Protocol.S) ~kind ~iters =
       done);
   !events
 
+type engine_row = {
+  e_experiment : string;
+  e_iters : int;
+  e_events : int;
+  e_wall_ns : int;
+  e_minor_words : float;
+}
+
+let events_per_sec r = per_sec r.e_events r.e_wall_ns
+
+let minor_words_per_event r =
+  if r.e_events = 0 then 0.0 else r.e_minor_words /. float_of_int r.e_events
+
 let time_engine_workload ~experiment ~kind ~iters =
   (* One untimed pass warms caches and stretches the minor heap so the
      measured pass sees the steady state. *)
@@ -610,31 +561,27 @@ let time_engine_workload ~experiment ~kind ~iters =
   let w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   let events = run_engine_workload engine_protocol ~kind ~iters in
-  let t1 = Unix.gettimeofday () in
+  let wall_ns = elapsed_ns t0 in
   let w1 = Gc.minor_words () in
   {
-    experiment;
-    protocol = "rgs-task";
-    n = engine_n;
-    mode = "engine";
-    domains = 1;
-    budget = iters;
-    rounds = 0;
-    max_drops = 0;
-    max_dups = 0;
-    explored = 0;
-    wall_ns = int_of_float ((t1 -. t0) *. 1e9);
-    fast_path_rate = 0.;
-    mean_depth = 0.;
-    budget_waste_pct = 0.;
-    dedup = "off";
-    distinct_states = 0;
-    dedup_hit_rate = 0.;
-    events;
-    minor_words = w1 -. w0;
-    por = "off";
-    por_pruned = 0;
+    e_experiment = experiment;
+    e_iters = iters;
+    e_events = events;
+    e_wall_ns = wall_ns;
+    e_minor_words = w1 -. w0;
   }
+
+let engine_json r =
+  [
+    ("experiment", Json.String r.e_experiment);
+    ("protocol", Json.String (Proto.Protocol.name engine_protocol));
+    ("n", Json.Int engine_n);
+    ("iters", Json.Int r.e_iters);
+    ("events", Json.Int r.e_events);
+    ("wall_ns", Json.Int r.e_wall_ns);
+    ("events_per_sec", fixed 1 (events_per_sec r));
+    ("minor_words_per_event", fixed 2 (minor_words_per_event r));
+  ]
 
 let engine_workloads =
   [
@@ -643,26 +590,6 @@ let engine_workloads =
     ("engine-n6-snapshot", `Snapshot);
     ("engine-n6-timers", `Timers);
   ]
-
-let run_engine_suite ~engine_iters () =
-  let iters = Option.value ~default:engine_iters_default engine_iters in
-  Format.fprintf fmt "@.%s@.B5. Engine throughput (events/sec, minor words/event; %d iters)@.%s@."
-    (String.make 78 '-') iters (String.make 78 '-');
-  let samples =
-    List.map
-      (fun (experiment, kind) -> time_engine_workload ~experiment ~kind ~iters)
-      engine_workloads
-  in
-  Format.fprintf fmt "%-20s | %12s %12s %14s@." "workload" "events" "events/sec"
-    "minor w/event";
-  List.iter
-    (fun s ->
-      Format.fprintf fmt "%-20s | %12d %12.0f %14.2f@." s.experiment s.events
-        (events_per_sec s) (minor_words_per_event s))
-    samples;
-  write_rows_json ~suite:"engine" ~header:[] "BENCH_engine.json" samples;
-  Format.fprintf fmt "(written to BENCH_engine.json)@.";
-  samples
 
 (* Regression guard for CI: every row whose experiment has an entry
    carrying [field] in the committed baseline file (BENCH_baseline.json at
@@ -679,22 +606,21 @@ let check_baseline_floor ~baseline_path ~field rows =
     with Sys_error e -> fail (Printf.sprintf "cannot read %s: %s" baseline_path e)
   in
   let json =
-    match Stdext.Json.parse contents with
+    match Json.parse contents with
     | Ok j -> j
     | Error e -> fail (Printf.sprintf "cannot parse %s: %s" baseline_path e)
   in
   let baseline =
-    match Stdext.Json.member "baseline" json with
-    | Some (Stdext.Json.List baseline) -> baseline
+    match Json.member "baseline" json with
+    | Some (Json.List baseline) -> baseline
     | _ -> fail (Printf.sprintf "%s: missing \"baseline\" array" baseline_path)
   in
   let floor_of name =
     List.find_map
       (fun row ->
-        match (Stdext.Json.member "experiment" row, Stdext.Json.member field row) with
-        | Some (Stdext.Json.String e), Some (Stdext.Json.Float v) when e = name -> Some v
-        | Some (Stdext.Json.String e), Some (Stdext.Json.Int v) when e = name ->
-            Some (float_of_int v)
+        match (Json.member "experiment" row, Json.member field row) with
+        | Some (Json.String e), Some (Json.Float v) when e = name -> Some v
+        | Some (Json.String e), Some (Json.Int v) when e = name -> Some (float_of_int v)
         | _ -> None)
       baseline
   in
@@ -714,6 +640,28 @@ let check_baseline_floor ~baseline_path ~field rows =
               experiment current field base)
     rows
 
+let run_engine_suite ~iters ~check_baseline () =
+  Format.fprintf fmt "@.%s@.B5. Engine throughput (events/sec, minor words/event; %d iters)@.%s@."
+    (String.make 78 '-') iters (String.make 78 '-');
+  let rows =
+    List.map
+      (fun (experiment, kind) -> time_engine_workload ~experiment ~kind ~iters)
+      engine_workloads
+  in
+  Format.fprintf fmt "%-20s | %12s %12s %14s@." "workload" "events" "events/sec"
+    "minor w/event";
+  List.iter
+    (fun r ->
+      Format.fprintf fmt "%-20s | %12d %12.0f %14.2f@." r.e_experiment r.e_events
+        (events_per_sec r) (minor_words_per_event r))
+    rows;
+  write_bench ~suite:"engine" ~version:8 (List.map engine_json rows);
+  Option.iter
+    (fun baseline_path ->
+      check_baseline_floor ~baseline_path ~field:"events_per_sec"
+        (List.map (fun r -> (r.e_experiment, events_per_sec r)) rows))
+    check_baseline
+
 (* -- SMR deployment suite ----------------------------------------------- *)
 
 (* End-to-end throughput/latency of the replicated KV store under an
@@ -722,7 +670,7 @@ let check_baseline_floor ~baseline_path ~field rows =
    + batching ("tuned") — so the printed speedup is the payoff of
    amortizing consensus instances, not of admitting more work. *)
 
-type smr_sample = {
+type smr_row = {
   s_experiment : string;  (* smr-<protocol>-<topology>-<mode> *)
   s_protocol : string;
   s_topology : string;
@@ -750,22 +698,9 @@ type smr_sample = {
   s_p99_dominant : string option;
 }
 
-let smr_protocols =
-  [
-    ("rgs-task", Core.Rgs.task);
-    ("rgs-object", Core.Rgs.obj);
-    ("paxos", Baselines.Paxos.protocol);
-    ("fast-paxos", Baselines.Fast_paxos.protocol);
-    ("epaxos", Epaxos.protocol);
-  ]
-
 let smr_topologies = [ Workload.Topology.planet5; Workload.Topology.planet9 ]
 
 let smr_modes = [ ("baseline", 1, 1); ("tuned", 16, 64) ]
-
-let smr_clients_default = 120
-
-let smr_horizon_default = 10_000
 
 let smr_rate = 4.0
 
@@ -788,7 +723,7 @@ let time_smr ~protocol_name ~protocol ~topology ~mode ~pipeline ~batch_max ~clie
     Workload.Fleet.run ~protocol ~e:2 ~f:2 ~topology ~pipeline ~batch_max ~seed:1
       ~causality cfg
   in
-  let t1 = Unix.gettimeofday () in
+  let wall_ns = elapsed_ns t0 in
   let attr = Smr.Spans.attribution (Smr.Spans.command_paths causality) in
   let topology_name = Workload.Topology.name topology in
   (* -1 = no completions: percentiles of an empty sample set are undefined
@@ -812,104 +747,42 @@ let time_smr ~protocol_name ~protocol ~topology ~mode ~pipeline ~batch_max ~clie
     s_mean_batch = r.mean_batch;
     s_max_batch = r.max_batch;
     s_converged = r.converged;
-    s_wall_ns = int_of_float ((t1 -. t0) *. 1e9);
+    s_wall_ns = wall_ns;
     s_path_commits = attr.Smr.Spans.commits;
     s_two_step = attr.Smr.Spans.two_step;
     s_steps_hist = attr.Smr.Spans.steps_hist;
     s_p99_dominant = attr.Smr.Spans.p99_dominant;
   }
 
-let write_smr_json path samples =
-  Out_channel.with_open_text path (fun oc ->
-      let p format = Printf.fprintf oc format in
-      p "{\n";
-      p "  \"suite\": \"smr\",\n";
-      p "  \"schema_version\": 2,\n";
-      p
-        "  \"schema\": [\"experiment\", \"protocol\", \"topology\", \"mode\", \
-         \"pipeline\", \"batch_max\", \"clients\", \"rate_per_client\", \"horizon_ms\", \
-         \"submitted\", \"completed\", \"commits_per_sec\", \"p50_ms\", \"p99_ms\", \
-         \"mean_batch\", \"max_batch\", \"converged\", \"wall_ns\", \"path_commits\", \
-         \"two_step\", \"delay_steps_hist\", \"p99_dominant\"],\n";
-      p "  \"samples\": [\n";
-      List.iteri
-        (fun i s ->
-          let hist =
-            String.concat ", "
-              (List.map (fun (k, v) -> Printf.sprintf "\"%d\": %d" k v) s.s_steps_hist)
-          in
-          p
-            "    {\"experiment\": %S, \"protocol\": %S, \"topology\": %S, \"mode\": %S, \
-             \"pipeline\": %d, \"batch_max\": %d, \"clients\": %d, \"rate_per_client\": \
-             %.2f, \"horizon_ms\": %d, \"submitted\": %d, \"completed\": %d, \
-             \"commits_per_sec\": %.2f, \"p50_ms\": %d, \"p99_ms\": %d, \"mean_batch\": \
-             %.3f, \"max_batch\": %d, \"converged\": %b, \"wall_ns\": %d, \
-             \"path_commits\": %d, \"two_step\": %d, \"delay_steps_hist\": {%s}, \
-             \"p99_dominant\": %s}%s\n"
-            s.s_experiment s.s_protocol s.s_topology s.s_mode s.s_pipeline s.s_batch_max
-            s.s_clients s.s_rate s.s_horizon s.s_submitted s.s_completed
-            s.s_commits_per_sec s.s_p50 s.s_p99 s.s_mean_batch s.s_max_batch s.s_converged
-            s.s_wall_ns s.s_path_commits s.s_two_step hist
-            (match s.s_p99_dominant with
-            | Some c -> Printf.sprintf "%S" c
-            | None -> "null")
-            (if i = List.length samples - 1 then "" else ","))
-        samples;
-      p "  ]\n";
-      p "}\n");
-  Format.fprintf fmt "@.wrote %d smr samples to %s@." (List.length samples) path
+let smr_json s =
+  [
+    ("experiment", Json.String s.s_experiment);
+    ("protocol", Json.String s.s_protocol);
+    ("topology", Json.String s.s_topology);
+    ("mode", Json.String s.s_mode);
+    ("pipeline", Json.Int s.s_pipeline);
+    ("batch_max", Json.Int s.s_batch_max);
+    ("clients", Json.Int s.s_clients);
+    ("rate_per_client", fixed 2 s.s_rate);
+    ("horizon_ms", Json.Int s.s_horizon);
+    ("submitted", Json.Int s.s_submitted);
+    ("completed", Json.Int s.s_completed);
+    ("commits_per_sec", fixed 2 s.s_commits_per_sec);
+    ("p50_ms", Json.Int s.s_p50);
+    ("p99_ms", Json.Int s.s_p99);
+    ("mean_batch", fixed 3 s.s_mean_batch);
+    ("max_batch", Json.Int s.s_max_batch);
+    ("converged", Json.Bool s.s_converged);
+    ("wall_ns", Json.Int s.s_wall_ns);
+    ("path_commits", Json.Int s.s_path_commits);
+    ("two_step", Json.Int s.s_two_step);
+    ( "delay_steps_hist",
+      Json.Obj (List.map (fun (k, v) -> (string_of_int k, Json.Int v)) s.s_steps_hist) );
+    ( "p99_dominant",
+      Option.fold ~none:Json.Null ~some:(fun c -> Json.String c) s.s_p99_dominant );
+  ]
 
-(* Conflict-free cross-check: one closed-loop client with no hot key keeps
-   exactly one command in flight, so every commit's causal chain is the
-   textbook diagram and its measured delay_steps must be exactly 2 for the
-   two-step protocols at their bound — Checker.Report.conflict_free's
-   fast-path claim, read off real critical paths instead of the protocol's
-   own accounting. Asserted, not just printed. *)
-let smr_conflict_free_checks () =
-  let cases =
-    [
-      ("rgs-task", Core.Rgs.task, 6);
-      ("rgs-object", Core.Rgs.obj, 5);
-      ("fast-paxos", Baselines.Fast_paxos.protocol, 7);
-    ]
-  in
-  List.iter
-    (fun (name, protocol, n) ->
-      let cfg : Workload.Fleet.config =
-        {
-          clients = 1;
-          arrival = Workload.Fleet.Closed { think = 100 };
-          keys = 16;
-          hot_rate = 0.0;
-          read_rate = 0.0;
-          horizon = 4000;
-          tick = 50;
-        }
-      in
-      let causality = Dsim.Causality.create () in
-      let r =
-        Workload.Fleet.run ~protocol ~e:2 ~f:2 ~n ~topology:Workload.Topology.planet5
-          ~seed:11 ~causality cfg
-      in
-      let attr = Smr.Spans.attribution (Smr.Spans.command_paths causality) in
-      let ok =
-        r.converged
-        && attr.Smr.Spans.commits > 0
-        && attr.Smr.Spans.two_step = attr.Smr.Spans.commits
-        && List.for_all (fun (k, _) -> k = 2) attr.Smr.Spans.steps_hist
-      in
-      Format.fprintf fmt "conflict-free %-12s n=%d: %d commits, all at delay_steps = 2: %b@."
-        name n attr.Smr.Spans.commits ok;
-      if not ok then begin
-        Printf.eprintf
-          "smr conflict-free check: %s measured off the two-step fast path\n" name;
-        exit 1
-      end)
-    cases
-
-let run_smr_suite ~smr_clients ~smr_horizon () =
-  let clients = Option.value ~default:smr_clients_default smr_clients in
-  let horizon = Option.value ~default:smr_horizon_default smr_horizon in
+let run_smr_suite ~clients ~horizon ~check_baseline () =
   Format.fprintf fmt
     "@.%s@.B6. SMR under load (open loop: %d clients x %.1f cmd/s, %d virtual ms, e = f \
      = 2)@.%s@."
@@ -924,7 +797,7 @@ let run_smr_suite ~smr_clients ~smr_horizon () =
                 time_smr ~protocol_name ~protocol ~topology ~mode ~pipeline ~batch_max
                   ~clients ~horizon)
               smr_modes)
-          smr_protocols)
+          Experiments.protocols)
       smr_topologies
   in
   Format.fprintf fmt "%-32s | %9s %7s %7s | %6s %5s | %8s %-10s | %5s@." "experiment"
@@ -949,7 +822,7 @@ let run_smr_suite ~smr_clients ~smr_horizon () =
   (* The acceptance check the suite exists for: batching + pipelining must
      pay at equal offered load, on every protocol and topology. *)
   List.iter
-    (fun (base : smr_sample) ->
+    (fun (base : smr_row) ->
       if base.s_mode = "baseline" then
         let tuned_name =
           Printf.sprintf "smr-%s-%s-tuned" base.s_protocol base.s_topology
@@ -966,9 +839,19 @@ let run_smr_suite ~smr_clients ~smr_horizon () =
               (Printf.sprintf "%s-%s:" base.s_protocol base.s_topology)
               speedup base.s_commits_per_sec tuned.s_commits_per_sec)
     samples;
-  write_smr_json "BENCH_smr.json" samples;
-  smr_conflict_free_checks ();
-  samples
+  write_bench ~suite:"smr" ~version:3 (List.map smr_json samples);
+  Option.iter
+    (fun baseline_path ->
+      List.iter
+        (fun s ->
+          if not s.s_converged then begin
+            Printf.eprintf "baseline check: %s: replicas failed to converge\n" s.s_experiment;
+            exit 1
+          end)
+        samples;
+      check_baseline_floor ~baseline_path ~field:"commits_per_sec"
+        (List.map (fun s -> (s.s_experiment, s.s_commits_per_sec)) samples))
+    check_baseline
 
 (* -- Linearizability suite --------------------------------------------- *)
 
@@ -978,7 +861,7 @@ let run_smr_suite ~smr_clients ~smr_horizon () =
    beat its own JSONL rendering by >= 4x. Both are asserted, not just
    printed. *)
 
-type lin_sample = {
+type lin_row = {
   l_experiment : string;  (* lin-<protocol>-<faults> *)
   l_protocol : string;
   l_faults : string;
@@ -1030,35 +913,22 @@ let time_lin ~protocol_name ~protocol ~faults_name ~faults ~clients ~horizon =
 
 let lin_ratio s = float_of_int s.l_jsonl_bytes /. float_of_int (max 1 s.l_rle_bytes)
 
-let write_lin_json path samples =
-  Out_channel.with_open_text path (fun oc ->
-      let p format = Printf.fprintf oc format in
-      p "{\n";
-      p "  \"suite\": \"lin\",\n";
-      p "  \"schema_version\": 1,\n";
-      p
-        "  \"schema\": [\"experiment\", \"protocol\", \"faults\", \"ops\", \"complete\", \
-         \"jsonl_bytes\", \"rle_bytes\", \"compression_ratio\", \"check_ms\", \
-         \"states\", \"linearizable\"],\n";
-      p "  \"samples\": [\n";
-      List.iteri
-        (fun i s ->
-          p
-            "    {\"experiment\": %S, \"protocol\": %S, \"faults\": %S, \"ops\": %d, \
-             \"complete\": %d, \"jsonl_bytes\": %d, \"rle_bytes\": %d, \
-             \"compression_ratio\": %.2f, \"check_ms\": %.2f, \"states\": %d, \
-             \"linearizable\": %b}%s\n"
-            s.l_experiment s.l_protocol s.l_faults s.l_ops s.l_complete s.l_jsonl_bytes
-            s.l_rle_bytes (lin_ratio s) s.l_check_ms s.l_states s.l_linearizable
-            (if i = List.length samples - 1 then "" else ","))
-        samples;
-      p "  ]\n";
-      p "}\n");
-  Format.fprintf fmt "@.wrote %d lin samples to %s@." (List.length samples) path
+let lin_json s =
+  [
+    ("experiment", Json.String s.l_experiment);
+    ("protocol", Json.String s.l_protocol);
+    ("faults", Json.String s.l_faults);
+    ("ops", Json.Int s.l_ops);
+    ("complete", Json.Int s.l_complete);
+    ("jsonl_bytes", Json.Int s.l_jsonl_bytes);
+    ("rle_bytes", Json.Int s.l_rle_bytes);
+    ("compression_ratio", fixed 2 (lin_ratio s));
+    ("check_ms", fixed 2 s.l_check_ms);
+    ("states", Json.Int s.l_states);
+    ("linearizable", Json.Bool s.l_linearizable);
+  ]
 
-let run_lin_suite ~smr_clients ~smr_horizon () =
-  let clients = Option.value ~default:smr_clients_default smr_clients in
-  let horizon = Option.value ~default:smr_horizon_default smr_horizon in
+let run_lin_suite ~clients ~horizon () =
   Format.fprintf fmt
     "@.%s@.B7. Linearizability of fleet histories (read rate %.1f, %d clients, %d \
      virtual ms)@.%s@."
@@ -1079,7 +949,7 @@ let run_lin_suite ~smr_clients ~smr_horizon () =
           (fun (faults_name, faults) ->
             time_lin ~protocol_name ~protocol ~faults_name ~faults ~clients ~horizon)
           fault_plans)
-      smr_protocols
+      Experiments.protocols
   in
   Format.fprintf fmt "%-28s | %6s %6s | %8s %8s %6s | %8s %8s | %3s@." "experiment" "ops"
     "done" "jsonl" "rle" "ratio" "check ms" "states" "lin";
@@ -1104,8 +974,7 @@ let run_lin_suite ~smr_clients ~smr_horizon () =
         exit 1
       end)
     samples;
-  write_lin_json "BENCH_lin.json" samples;
-  samples
+  write_bench ~suite:"lin" ~version:2 (List.map lin_json samples)
 
 (* -- Bechamel microbenchmarks ------------------------------------------ *)
 
@@ -1199,175 +1068,75 @@ let run_bechamel () =
 
 (* -- dispatch ----------------------------------------------------------- *)
 
-let usage () =
-  print_endline
-    "usage: main.exe [--domains N] [--domains-list N,N,...] [--explore-budget N] \
-     [--engine-iters N] [--smr-clients N] [--smr-horizon MS] [--check-baseline FILE] \
-     [t1|t2|t3|t4|f1|f2|f3|f4|f5|tables|figures|bechamel|explore|faults|overhead|engine|smr|lin|all]...";
-  exit 1
-
-let run_experiment ~domains ~domains_list ~budget_override ~engine_iters ~smr_clients
-    ~smr_horizon ~check_baseline = function
-  | "t1" -> Experiments.t1_bounds_table fmt
-  | "t2" -> Experiments.t2_twostep_verification ~domains fmt
-  | "t3" -> Experiments.t3_tightness_witnesses ~domains fmt
-  | "t4" -> Experiments.t4_recovery_audit ~domains fmt
-  | "f1" -> Experiments.f1_fast_rate_vs_crashes ~domains fmt
-  | "f2" -> Experiments.f2_latency_vs_conflict fmt
-  | "f3" -> Experiments.f3_wan_latency fmt
-  | "f4" -> Experiments.f4_smr_throughput fmt
-  | "f5" -> Experiments.f5_epaxos_motivation fmt
-  | "tables" ->
-      Experiments.t1_bounds_table fmt;
-      Experiments.t2_twostep_verification ~domains fmt;
-      Experiments.t3_tightness_witnesses ~domains fmt;
-      Experiments.t4_recovery_audit ~domains fmt
-  | "figures" ->
-      Experiments.f1_fast_rate_vs_crashes ~domains fmt;
-      Experiments.f2_latency_vs_conflict fmt;
-      Experiments.f3_wan_latency fmt;
-      Experiments.f4_smr_throughput fmt;
-      Experiments.f5_epaxos_motivation fmt
-  | "bechamel" -> run_bechamel ()
-  | "explore" -> run_explore_suite ~domains_list ~budget_override ()
-  | "faults" -> run_faults_suite ~domains_list ~budget_override ()
-  | "overhead" -> run_metrics_overhead_suite ()
-  | "engine" ->
-      let samples = run_engine_suite ~engine_iters () in
-      Option.iter
-        (fun baseline_path ->
-          check_baseline_floor ~baseline_path ~field:"events_per_sec"
-            (List.map (fun s -> (s.experiment, events_per_sec s)) samples))
-        check_baseline
-  | "smr" ->
-      let samples = run_smr_suite ~smr_clients ~smr_horizon () in
-      Option.iter
-        (fun baseline_path ->
-          List.iter
-            (fun s ->
-              if not s.s_converged then begin
-                Printf.eprintf "baseline check: %s: replicas failed to converge\n"
-                  s.s_experiment;
-                exit 1
-              end)
-            samples;
-          check_baseline_floor ~baseline_path ~field:"commits_per_sec"
-            (List.map (fun s -> (s.s_experiment, s.s_commits_per_sec)) samples))
-        check_baseline
-  | "lin" -> ignore (run_lin_suite ~smr_clients ~smr_horizon () : lin_sample list)
-  | "all" ->
-      Experiments.all ~domains fmt;
-      run_bechamel ();
-      run_explore_suite ~domains_list ~budget_override ();
-      run_faults_suite ~domains_list ~budget_override ();
-      run_metrics_overhead_suite ();
-      ignore (run_engine_suite ~engine_iters () : explore_sample list);
-      ignore (run_smr_suite ~smr_clients ~smr_horizon () : smr_sample list);
-      ignore (run_lin_suite ~smr_clients ~smr_horizon () : lin_sample list)
-  | arg ->
-      Printf.eprintf "unknown experiment %S\n" arg;
-      usage ()
-
-(* Extract leading/interspersed [--domains N], [--domains-list N,N,...],
-   [--explore-budget N], [--engine-iters N], [--smr-clients N],
-   [--smr-horizon MS] and [--check-baseline FILE] flags; everything else is
-   an experiment name. *)
-let rec parse_args ~domains ~domains_list ~budget_override ~engine_iters ~smr_clients
-    ~smr_horizon ~check_baseline acc = function
-  | [] ->
-      ( domains,
-        domains_list,
-        budget_override,
-        engine_iters,
-        smr_clients,
-        smr_horizon,
-        check_baseline,
-        List.rev acc )
-  | "--domains" :: value :: rest -> begin
-      match int_of_string_opt value with
-      | Some d when d >= 1 ->
-          parse_args ~domains:d ~domains_list ~budget_override ~engine_iters ~smr_clients
-            ~smr_horizon ~check_baseline acc rest
-      | _ ->
-          Printf.eprintf "--domains expects a positive integer, got %S\n" value;
-          usage ()
-    end
-  | "--domains-list" :: value :: rest -> begin
-      let parsed =
-        List.map int_of_string_opt (String.split_on_char ',' value)
-        |> List.map (function Some d when d >= 1 -> Some d | _ -> None)
-      in
-      if List.exists (( = ) None) parsed || parsed = [] then begin
-        Printf.eprintf "--domains-list expects positive integers, got %S\n" value;
-        usage ()
-      end;
-      let l = List.filter_map Fun.id parsed in
-      parse_args ~domains ~domains_list:(Some l) ~budget_override ~engine_iters
-        ~smr_clients ~smr_horizon ~check_baseline acc rest
-    end
-  | "--explore-budget" :: value :: rest -> begin
-      match int_of_string_opt value with
-      | Some b when b >= 1 ->
-          parse_args ~domains ~domains_list ~budget_override:(Some b) ~engine_iters
-            ~smr_clients ~smr_horizon ~check_baseline acc rest
-      | _ ->
-          Printf.eprintf "--explore-budget expects a positive integer, got %S\n" value;
-          usage ()
-    end
-  | "--engine-iters" :: value :: rest -> begin
-      match int_of_string_opt value with
-      | Some b when b >= 1 ->
-          parse_args ~domains ~domains_list ~budget_override ~engine_iters:(Some b)
-            ~smr_clients ~smr_horizon ~check_baseline acc rest
-      | _ ->
-          Printf.eprintf "--engine-iters expects a positive integer, got %S\n" value;
-          usage ()
-    end
-  | "--smr-clients" :: value :: rest -> begin
-      match int_of_string_opt value with
-      | Some c when c >= 1 ->
-          parse_args ~domains ~domains_list ~budget_override ~engine_iters
-            ~smr_clients:(Some c) ~smr_horizon ~check_baseline acc rest
-      | _ ->
-          Printf.eprintf "--smr-clients expects a positive integer, got %S\n" value;
-          usage ()
-    end
-  | "--smr-horizon" :: value :: rest -> begin
-      match int_of_string_opt value with
-      | Some h when h >= 1 ->
-          parse_args ~domains ~domains_list ~budget_override ~engine_iters ~smr_clients
-            ~smr_horizon:(Some h) ~check_baseline acc rest
-      | _ ->
-          Printf.eprintf "--smr-horizon expects a positive integer, got %S\n" value;
-          usage ()
-    end
-  | "--check-baseline" :: value :: rest ->
-      parse_args ~domains ~domains_list ~budget_override ~engine_iters ~smr_clients
-        ~smr_horizon ~check_baseline:(Some value) acc rest
-  | (("--domains" | "--domains-list" | "--explore-budget" | "--engine-iters"
-     | "--smr-clients" | "--smr-horizon" | "--check-baseline") as flag)
-    :: [] ->
-      Printf.eprintf "%s expects a value\n" flag;
-      usage ()
-  | arg :: rest ->
-      parse_args ~domains ~domains_list ~budget_override ~engine_iters ~smr_clients
-        ~smr_horizon ~check_baseline (arg :: acc) rest
-
 let () =
-  let ( domains,
-        domains_list,
-        budget_override,
-        engine_iters,
-        smr_clients,
-        smr_horizon,
-        check_baseline,
-        args ) =
-    parse_args ~domains:1 ~domains_list:None ~budget_override:None ~engine_iters:None
-      ~smr_clients:None ~smr_horizon:None ~check_baseline:None []
-      (List.tl (Array.to_list Sys.argv))
+  let domains = ref 1 and domains_list = ref None and explore_budget = ref None in
+  let engine_iters = ref 2_000 and smr_clients = ref 120 in
+  let smr_horizon = ref 10_000 and check_baseline = ref None and names = ref [] in
+  let suites =
+    [
+      ("bechamel", run_bechamel);
+      ( "explore",
+        fun () ->
+          run_explore_suite ~domains_list:!domains_list ~budget_override:!explore_budget () );
+      ( "faults",
+        fun () ->
+          run_faults_suite ~domains_list:!domains_list ~budget_override:!explore_budget () );
+      ("overhead", run_metrics_overhead_suite);
+      ( "engine",
+        fun () -> run_engine_suite ~iters:!engine_iters ~check_baseline:!check_baseline () );
+      ( "smr",
+        fun () ->
+          run_smr_suite ~clients:!smr_clients ~horizon:!smr_horizon
+            ~check_baseline:!check_baseline () );
+      ("lin", fun () -> run_lin_suite ~clients:!smr_clients ~horizon:!smr_horizon ());
+    ]
   in
-  let run =
-    run_experiment ~domains ~domains_list ~budget_override ~engine_iters ~smr_clients
-      ~smr_horizon ~check_baseline
+  let experiments =
+    List.map (fun (name, run) -> (name, fun () -> run ~domains:!domains fmt)) Experiments.table
   in
-  match args with [] -> run "all" | args -> List.iter run args
+  (* Bench's [all] adds every perf suite to the experiments' [all]. *)
+  let all () =
+    List.assoc "all" experiments ();
+    List.iter (fun (_, run) -> run ()) suites
+  in
+  let commands = List.remove_assoc "all" experiments @ suites @ [ ("all", all) ] in
+  let positive flag set doc =
+    ( flag,
+      Arg.Int
+        (fun v -> if v >= 1 then set v else raise (Arg.Bad (flag ^ " expects a positive integer"))),
+      doc )
+  in
+  let domain_counts s =
+    match List.map int_of_string_opt (String.split_on_char ',' s) with
+    | counts when List.for_all (function Some d -> d >= 1 | None -> false) counts ->
+        domains_list := Some (List.filter_map Fun.id counts)
+    | _ -> raise (Arg.Bad ("--domains-list expects positive integers, got " ^ s))
+  in
+  Arg.parse
+    (Arg.align
+       [
+         positive "--domains" (( := ) domains) "N worker domains of the sweep grids (default 1)";
+         ( "--domains-list",
+           Arg.String domain_counts,
+           "N,N,... domain counts of the explore and faults sweeps" );
+         positive "--explore-budget"
+           (fun b -> explore_budget := Some b)
+           "N run budget of every explore and faults row";
+         positive "--engine-iters" (( := ) engine_iters)
+           "N runs per engine workload (default 2000)";
+         positive "--smr-clients" (( := ) smr_clients)
+           "N clients of the smr and lin suites (default 120)";
+         positive "--smr-horizon" (( := ) smr_horizon)
+           "MS virtual horizon of the smr and lin suites (default 10000)";
+         ( "--check-baseline",
+           Arg.String (fun path -> check_baseline := Some path),
+           "FILE fail engine and smr rows below 70% of FILE's floors" );
+       ])
+    (fun name ->
+      if List.mem_assoc name commands then names := name :: !names
+      else raise (Arg.Bad ("unknown experiment " ^ name)))
+    (Printf.sprintf "usage: main.exe [FLAG]... [%s]... (default all)"
+       (String.concat "|" (List.map fst commands)));
+  List.iter
+    (fun name -> List.assoc name commands ())
+    (match List.rev !names with [] -> [ "all" ] | l -> l)

@@ -4,24 +4,15 @@
 
 open Cmdliner
 
-let protocols =
-  [
-    ("rgs-task", Core.Rgs.task);
-    ("rgs-object", Core.Rgs.obj);
-    ("paxos", Baselines.Paxos.protocol);
-    ("fast-paxos", Baselines.Fast_paxos.protocol);
-    ("epaxos", Epaxos.protocol);
-  ]
-
 let protocol_conv =
   let parse s =
-    match List.assoc_opt s protocols with
+    match List.assoc_opt s Experiments.protocols with
     | Some p -> Ok p
     | None ->
         Error
           (`Msg
              (Printf.sprintf "unknown protocol %S (expected %s)" s
-                (String.concat ", " (List.map fst protocols))))
+                (String.concat ", " (List.map fst Experiments.protocols))))
   in
   let print fmt p = Format.pp_print_string fmt (Proto.Protocol.name p) in
   Arg.conv (parse, print)
@@ -185,7 +176,6 @@ let run_cmd =
       | [] -> Checker.Scenario.all_proposals_at_zero ~n (List.init n Fun.id)
       | l -> List.map (fun (p, v) -> (0, p, v)) l
     in
-    let crashes = List.map (fun (t, p) -> (t, p)) crashes in
     let net =
       match net with
       | `Sync -> Checker.Scenario.Sync `Arrival
@@ -519,7 +509,7 @@ let report_cmd =
               Format.printf "%a@." Checker.Report.pp r;
               pp_dedup Format.std_formatter
             end)
-          protocols)
+          Experiments.protocols)
   in
   Cmd.v
     (Cmd.info "report"
@@ -529,7 +519,7 @@ let report_cmd =
           histogram — the two-step claim as numbers.")
     Term.(const run $ n_arg $ e_arg $ f_arg $ json_arg $ dedup_arg $ metrics_out_arg)
 
-(* -- smr / lin shared fleet arguments ------------------------------------ *)
+(* -- smr / lin / spans shared fleet arguments ---------------------------- *)
 
 let topology_conv =
   let parse s =
@@ -608,35 +598,75 @@ let jitter_arg =
     value & opt int 0
     & info [ "jitter" ] ~docv:"MS" ~doc:"Random extra one-way delay (uniform 0..MS).")
 
-(* -- smr ----------------------------------------------------------------- *)
+type fleet = {
+  protocol : Proto.Protocol.t;
+  n : int;
+  e : int;
+  f : int;
+  topology : Workload.Topology.t;
+  jitter : int;
+  pipeline : int;
+  batch_max : int;
+  seed : int;
+  config : Workload.Fleet.config;  (* read_rate is set per run by [run_fleet] *)
+}
 
-let smr_cmd =
-  let run protocol n e f topology clients rate mode think pipeline batch_max keys
-      hot_rate horizon jitter seed metrics_out =
+let fleet_term =
+  let make protocol n e f topology clients rate mode think pipeline batch_max keys hot_rate
+      horizon jitter seed =
     let (module P : Proto.Protocol.S) = protocol in
-    let n = match n with Some n -> n | None -> P.min_n ~e ~f in
     let arrival =
       match mode with
       | `Open -> Workload.Fleet.Open { rate_per_client = rate }
       | `Closed -> Workload.Fleet.Closed { think }
     in
-    let cfg : Workload.Fleet.config =
-      { clients; arrival; keys; hot_rate; read_rate = 0.0; horizon; tick = 50 }
-    in
-    let r =
-      with_metrics metrics_out (fun registry ->
-          Workload.Fleet.run ~protocol ~e ~f ~n ~topology ~jitter ~pipeline ~batch_max
-            ~seed ~metrics:registry cfg)
-    in
+    {
+      protocol;
+      n = Option.value ~default:(P.min_n ~e ~f) n;
+      e;
+      f;
+      topology;
+      jitter;
+      pipeline;
+      batch_max;
+      seed;
+      config = { clients; arrival; keys; hot_rate; read_rate = 0.0; horizon; tick = 50 };
+    }
+  in
+  Term.(
+    const make $ protocol_arg $ n_arg $ e_arg $ f_arg $ topology_arg $ clients_arg $ rate_arg
+    $ mode_arg $ think_arg $ pipeline_arg $ batch_max_arg $ keys_arg $ hot_rate_arg
+    $ horizon_arg $ jitter_arg $ seed_arg)
+
+let run_fleet ?(read_rate = 0.0) ?faults ?metrics ?causality ?mutation fl =
+  Workload.Fleet.run ~protocol:fl.protocol ~e:fl.e ~f:fl.f ~n:fl.n ~topology:fl.topology
+    ~jitter:fl.jitter ~pipeline:fl.pipeline ~batch_max:fl.batch_max ~seed:fl.seed ?faults
+    ?metrics ?causality ?mutation { fl.config with read_rate }
+
+(* The deployment line every fleet command opens with; [detail] ends it
+   and defaults to the arrival process. *)
+let print_deployment ?detail fl =
+  let detail =
+    match (detail, fl.config.arrival) with
+    | Some d, _ -> d
+    | None, Open { rate_per_client } ->
+        Printf.sprintf " (open loop, %.2f cmd/s each)" rate_per_client
+    | None, Closed { think } -> Printf.sprintf " (closed loop, think %d ms)" think
+  in
+  Format.printf "SMR deployment: %s n=%d (e=%d f=%d) on %s, %d clients%s@."
+    (Proto.Protocol.name fl.protocol) fl.n fl.e fl.f
+    (Workload.Topology.name fl.topology)
+    fl.config.clients detail
+
+(* -- smr ----------------------------------------------------------------- *)
+
+let smr_cmd =
+  let run fl metrics_out =
+    let r = with_metrics metrics_out (fun registry -> run_fleet ~metrics:registry fl) in
     let open Format in
-    printf "SMR deployment: %s n=%d (e=%d f=%d) on %s, %d clients (%s)@." P.name n e f
-      (Workload.Topology.name topology)
-      clients
-      (match mode with
-      | `Open -> Printf.sprintf "open loop, %.2f cmd/s each" rate
-      | `Closed -> Printf.sprintf "closed loop, think %d ms" think);
-    printf "pipeline %d, batch-max %d, horizon %d ms, seed %d@.@." pipeline batch_max
-      horizon seed;
+    print_deployment fl;
+    printf "pipeline %d, batch-max %d, horizon %d ms, seed %d@.@." fl.pipeline fl.batch_max
+      fl.config.horizon fl.seed;
     printf "submitted    %8d commands@." r.submitted;
     printf "completed    %8d (%.1f commits/sec)@." r.completed
       (Workload.Fleet.commits_per_sec r);
@@ -658,10 +688,7 @@ let smr_cmd =
          "Drive the replicated KV store with a simulated client fleet over a WAN \
           topology and report commits/sec and client-visible p50/p99 latency at the \
           proxy (the paper's §1 cost model).")
-    Term.(
-      const run $ protocol_arg $ n_arg $ e_arg $ f_arg $ topology_arg $ clients_arg
-      $ rate_arg $ mode_arg $ think_arg $ pipeline_arg $ batch_max_arg $ keys_arg
-      $ hot_rate_arg $ horizon_arg $ jitter_arg $ seed_arg $ metrics_out_arg)
+    Term.(const run $ fleet_term $ metrics_out_arg)
 
 (* -- lin ------------------------------------------------------------------ *)
 
@@ -726,19 +753,8 @@ let lin_cmd =
     Format.pp_print_flush fmt ();
     close_out oc
   in
-  let run protocol n e f topology clients rate mode think pipeline batch_max keys
-      hot_rate read_rate horizon jitter seed drop_rate dup_rate max_drops max_dups
-      mutate history_out witness_out witness_chrome =
-    let (module P : Proto.Protocol.S) = protocol in
-    let n = match n with Some n -> n | None -> P.min_n ~e ~f in
-    let arrival =
-      match mode with
-      | `Open -> Workload.Fleet.Open { rate_per_client = rate }
-      | `Closed -> Workload.Fleet.Closed { think }
-    in
-    let cfg : Workload.Fleet.config =
-      { clients; arrival; keys; hot_rate; read_rate; horizon; tick = 50 }
-    in
+  let run fl read_rate drop_rate dup_rate max_drops max_dups mutate history_out
+      witness_out witness_chrome =
     let faults =
       if drop_rate > 0.0 || dup_rate > 0.0 then
         Some
@@ -747,16 +763,10 @@ let lin_cmd =
       else None
     in
     let mutation = Option.map (fun pid -> Smr.Replica.Stale_reads pid) mutate in
-    let r =
-      Workload.Fleet.run ~protocol ~e ~f ~n ~topology ~jitter ~pipeline ~batch_max ~seed
-        ?faults ?mutation cfg
-    in
+    let r = run_fleet ~read_rate ?faults ?mutation fl in
     Option.iter (fun path -> write_history path r.history) history_out;
     let open Format in
-    printf "SMR deployment: %s n=%d (e=%d f=%d) on %s, %d clients, read-rate %.2f@."
-      P.name n e f
-      (Workload.Topology.name topology)
-      clients read_rate;
+    print_deployment fl ~detail:(Printf.sprintf ", read-rate %.2f" read_rate);
     (match mutation with
     | Some (Smr.Replica.Stale_reads pid) -> printf "mutation     stale reads at replica %d@." pid
     | None -> ());
@@ -789,11 +799,9 @@ let lin_cmd =
           linearizability with the WGL search. Exits non-zero on a \
           non-linearizable history.")
     Term.(
-      const run $ protocol_arg $ n_arg $ e_arg $ f_arg $ topology_arg $ clients_arg
-      $ rate_arg $ mode_arg $ think_arg $ pipeline_arg $ batch_max_arg $ keys_arg
-      $ hot_rate_arg $ read_rate_arg $ horizon_arg $ jitter_arg $ seed_arg
-      $ drop_rate_arg 0.0 $ dup_rate_arg 0.0 $ max_drops_arg 64 $ max_dups_arg 64 $ mutate_arg
-      $ history_out_arg $ witness_out_arg $ witness_chrome_arg)
+      const run $ fleet_term $ read_rate_arg $ drop_rate_arg 0.0 $ dup_rate_arg 0.0
+      $ max_drops_arg 64 $ max_dups_arg 64 $ mutate_arg $ history_out_arg $ witness_out_arg
+      $ witness_chrome_arg)
 
 (* -- spans ---------------------------------------------------------------- *)
 
@@ -827,37 +835,18 @@ let spans_cmd =
              conflict-free runs of the two-step protocols — the CI cross-check \
              that the measured critical paths match the paper's table.")
   in
-  let run protocol n e f topology clients rate mode think pipeline batch_max keys
-      hot_rate horizon jitter seed chrome_out spans_out assert_fast =
-    let (module P : Proto.Protocol.S) = protocol in
-    let n = match n with Some n -> n | None -> P.min_n ~e ~f in
-    let arrival =
-      match mode with
-      | `Open -> Workload.Fleet.Open { rate_per_client = rate }
-      | `Closed -> Workload.Fleet.Closed { think }
-    in
-    let cfg : Workload.Fleet.config =
-      { clients; arrival; keys; hot_rate; read_rate = 0.0; horizon; tick = 50 }
-    in
+  let run fl chrome_out spans_out assert_fast =
     let causality = Dsim.Causality.create () in
-    let r =
-      Workload.Fleet.run ~protocol ~e ~f ~n ~topology ~jitter ~pipeline ~batch_max
-        ~seed ~causality cfg
-    in
+    let r = run_fleet ~causality fl in
     let paths = Smr.Spans.command_paths causality in
     let attr = Smr.Spans.attribution paths in
     let open Format in
-    printf "SMR deployment: %s n=%d (e=%d f=%d) on %s, %d clients (%s)@." P.name n e f
-      (Workload.Topology.name topology)
-      clients
-      (match mode with
-      | `Open -> Printf.sprintf "open loop, %.2f cmd/s each" rate
-      | `Closed -> Printf.sprintf "closed loop, think %d ms" think);
+    print_deployment fl;
     printf "spans        %d recorded, %d command paths (%d completed)@."
       (Dsim.Causality.length causality)
       (List.length paths) r.completed;
     printf "attribution  %a@." Smr.Spans.pp_attribution attr;
-    (match Smr.Spans.predicate P.name with
+    (match Smr.Spans.predicate (Proto.Protocol.name fl.protocol) with
     | Some p -> printf "theory       %s@." (Smr.Spans.predicate_name p)
     | None -> ());
     Option.iter
@@ -907,33 +896,21 @@ let spans_cmd =
           attribution against the protocol's theoretical two-step predicate. \
           Optionally export the span store as Chrome trace JSON or a columnar \
           table.")
-    Term.(
-      const run $ protocol_arg $ n_arg $ e_arg $ f_arg $ topology_arg $ clients_arg
-      $ rate_arg $ mode_arg $ think_arg $ pipeline_arg $ batch_max_arg $ keys_arg
-      $ hot_rate_arg $ horizon_arg $ jitter_arg $ seed_arg $ chrome_out_arg
-      $ spans_out_arg $ assert_fast_arg)
+    Term.(const run $ fleet_term $ chrome_out_arg $ spans_out_arg $ assert_fast_arg)
 
 (* -- experiments --------------------------------------------------------- *)
 
 let experiments_cmd =
+  let names = List.map fst Experiments.table in
   let which_arg =
-    Arg.(value & pos_all string [ "all" ] & info [] ~docv:"EXPERIMENT" ~doc:"t1..t4, f1..f4 or all.")
+    Arg.(
+      value
+      & pos_all (enum (List.combine names names)) [ "all" ]
+      & info [] ~docv:"EXPERIMENT" ~doc:(Printf.sprintf "Experiments to run, each %s." (doc_alts ~quoted:false names)))
   in
   let run domains which =
-    let fmt = Format.std_formatter in
     List.iter
-      (function
-        | "t1" -> Experiments.t1_bounds_table fmt
-        | "t2" -> Experiments.t2_twostep_verification ~domains fmt
-        | "t3" -> Experiments.t3_tightness_witnesses ~domains fmt
-        | "t4" -> Experiments.t4_recovery_audit ~domains fmt
-        | "f1" -> Experiments.f1_fast_rate_vs_crashes ~domains fmt
-        | "f2" -> Experiments.f2_latency_vs_conflict fmt
-        | "f3" -> Experiments.f3_wan_latency fmt
-        | "f4" -> Experiments.f4_smr_throughput fmt
-        | "f5" -> Experiments.f5_epaxos_motivation fmt
-        | "all" -> Experiments.all ~domains fmt
-        | other -> Format.printf "unknown experiment %S@." other)
+      (fun name -> List.assoc name Experiments.table ~domains Format.std_formatter)
       which
   in
   Cmd.v (Cmd.info "experiments" ~doc:"Run the evaluation experiments (see EXPERIMENTS.md).")

@@ -27,6 +27,9 @@ type outcome = {
   engine_result : Dsim.Engine.run_result;
 }
 
+val to_network : delta:int -> net -> 'msg Dsim.Network.t
+(** The engine network model of [net] with message delay bound [delta]. *)
+
 val run :
   Proto.Protocol.t ->
   n:int ->

@@ -19,8 +19,17 @@ let header fmt title =
   Format.fprintf fmt "%s@." title;
   hline fmt
 
-(* Protocols under comparison, at their minimal n for given (e, f). *)
 let protocols : (string * Proto.Protocol.t) list =
+  [
+    ("rgs-task", Core.Rgs.task);
+    ("rgs-object", Core.Rgs.obj);
+    ("paxos", Baselines.Paxos.protocol);
+    ("fast-paxos", Baselines.Fast_paxos.protocol);
+    ("epaxos", Epaxos.protocol);
+  ]
+
+(* Protocols under comparison, at their minimal n for given (e, f). *)
+let compared : (string * Proto.Protocol.t) list =
   [
     ("paxos", Baselines.Paxos.protocol);
     ("fast-paxos", Baselines.Fast_paxos.protocol);
@@ -215,7 +224,7 @@ let f1_fast_rate_vs_crashes ?(seeds = 300) ?(domains = 1) fmt =
                   Pool.submit pool (fun () -> cell (name, protocol, crashes)))
             in
             (name, min_n protocol ~e ~f, cells))
-          protocols
+          compared
       in
       List.iter
         (fun (name, n, cells) ->
@@ -269,7 +278,7 @@ let f2_latency_vs_conflict ?(seeds = 200) fmt =
             Format.fprintf fmt " %11.1f" m)
           rates;
         Format.fprintf fmt "@.")
-      (List.filter (fun (name, _) -> name <> "rgs-task") protocols)
+      (List.filter (fun (name, _) -> name <> "rgs-task") compared)
   in
   run_case ~crash_leader:false "-- initial leader (p0) alive --";
   run_case ~crash_leader:true "-- initial leader (p0) crashed at t=0 --";
@@ -311,7 +320,7 @@ let f3_wan_latency fmt =
           | None -> Format.fprintf fmt " %10s" "-")
         regions;
       Format.fprintf fmt "@.")
-    (List.filter (fun (name, _) -> name <> "rgs-task") protocols);
+    (List.filter (fun (name, _) -> name <> "rgs-task") compared);
   Format.fprintf fmt
     "(rgs-object needs n-e-1 = 2 remote votes; Fast Paxos runs 7 replicas for the@.";
   Format.fprintf fmt
@@ -323,7 +332,7 @@ let f3_wan_latency fmt =
 (* The SMR comparison adds EPaxos: it only exists as a deployment-level
    contender (the paper's §1 motivation), so it joins here rather than in
    the single-shot sweeps above. *)
-let smr_protocols = protocols @ [ ("epaxos", Epaxos.protocol) ]
+let smr_protocols = compared @ [ ("epaxos", Epaxos.protocol) ]
 
 let f4_smr_throughput ?(seeds = 3) fmt =
   header fmt "F4. SMR under load: pipelined/batched replicas vs one-command slots (e = f = 2)";
@@ -443,13 +452,33 @@ let f5_epaxos_motivation ?(seeds = 200) fmt =
     " the classical bound says needs 2e+f+1 processes runs here on 2f+1 = 2e+f-1,@.";
   Format.fprintf fmt " which is exactly the paper's object bound)@."
 
-let all ?(domains = 1) fmt =
-  t1_bounds_table fmt;
-  t2_twostep_verification ~domains fmt;
-  t3_tightness_witnesses ~domains fmt;
-  t4_recovery_audit ~domains fmt;
-  f1_fast_rate_vs_crashes ~domains fmt;
-  f2_latency_vs_conflict fmt;
-  f3_wan_latency fmt;
-  f4_smr_throughput fmt;
-  f5_epaxos_motivation fmt
+(* Name table ---------------------------------------------------------- *)
+
+type runner = domains:int -> Format.formatter -> unit
+
+let tables : (string * runner) list =
+  [
+    ("t1", fun ~domains:_ fmt -> t1_bounds_table fmt);
+    ("t2", fun ~domains fmt -> t2_twostep_verification ~domains fmt);
+    ("t3", fun ~domains fmt -> t3_tightness_witnesses ~domains fmt);
+    ("t4", fun ~domains fmt -> t4_recovery_audit ~domains fmt);
+  ]
+
+let figures : (string * runner) list =
+  [
+    ("f1", fun ~domains fmt -> f1_fast_rate_vs_crashes ~domains fmt);
+    ("f2", fun ~domains:_ fmt -> f2_latency_vs_conflict fmt);
+    ("f3", fun ~domains:_ fmt -> f3_wan_latency fmt);
+    ("f4", fun ~domains:_ fmt -> f4_smr_throughput fmt);
+    ("f5", fun ~domains:_ fmt -> f5_epaxos_motivation fmt);
+  ]
+
+let run_each runners ~domains fmt = List.iter (fun (_, run) -> run ~domains fmt) runners
+
+let table =
+  tables @ figures
+  @ [
+      ("tables", run_each tables);
+      ("figures", run_each figures);
+      ("all", run_each (tables @ figures));
+    ]

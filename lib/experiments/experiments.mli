@@ -12,6 +12,10 @@
     byte-identical for every [domains] value (default 1: fully
     sequential, no domain spawned). *)
 
+val protocols : (string * Proto.Protocol.t) list
+(** The protocols the front ends accept by name, in the order they list
+    them: rgs-task, rgs-object, paxos, fast-paxos, epaxos. *)
+
 val t1_bounds_table : Format.formatter -> unit
 (** T1 — the headline bounds: required [n] per formulation over an
     (e, f) grid (Theorems 5, 6 vs Lamport's bound). *)
@@ -58,5 +62,7 @@ val f5_epaxos_motivation : ?seeds:int -> Format.formatter -> unit
     [e = ceil((f+1)/2)] crashes when commands do not interfere, and
     degrades with the interference rate. *)
 
-val all : ?domains:int -> Format.formatter -> unit
-(** Run T1-T4 and F1-F5 in order. *)
+val table : (string * (domains:int -> Format.formatter -> unit)) list
+(** Every experiment by the name the front ends take: [t1]-[t4], [f1]-[f5],
+    then [tables] (T1-T4), [figures] (F1-F5) and [all] (T1-T4 and F1-F5,
+    in order). [domains] reaches the sweep-grid experiments. *)

@@ -334,22 +334,6 @@ module Instance = struct
         (module P)
         ~n ~e ~f ~delta
     in
-    let network : _ Dsim.Network.t =
-      match (net : Checker.Scenario.net) with
-      | Checker.Scenario.Sync order ->
-          let order =
-            match order with
-            | `Arrival -> Dsim.Network.Arrival
-            | `Random -> Dsim.Network.Random_order
-            | `Favor p -> Dsim.Network.Favor p
-          in
-          Dsim.Network.Sync_rounds { delta; order }
-      | Checker.Scenario.Partial { gst; max_pre_gst } ->
-          Dsim.Network.Partial_sync { delta; gst; max_pre_gst }
-      | Checker.Scenario.Uniform { min_delay; max_delay } ->
-          Dsim.Network.Uniform { min_delay; max_delay }
-      | Checker.Scenario.Wan { latency; jitter } -> Dsim.Network.Wan { latency; jitter }
-    in
     (* Commands are already packed int words, so the span payload encoders
        are identity on inputs and project the command out of apply
        outputs — (pid, payload) then keys submit/apply span matching. *)
@@ -362,7 +346,9 @@ module Instance = struct
         causality
     in
     let engine =
-      Dsim.Engine.create ~automaton ~n ~network ~seed ~record_trace:false ~max_steps
+      Dsim.Engine.create ~automaton ~n
+        ~network:(Checker.Scenario.to_network ~delta net)
+        ~seed ~record_trace:false ~max_steps
         ~inputs:commands ~crashes ?faults ?metrics ?causality ()
     in
     { packed = E engine; n; drained = 0 }

@@ -32,10 +32,18 @@ let rec write b = function
   | Bool false -> Buffer.add_string b "false"
   | Int n -> Buffer.add_string b (string_of_int n)
   | Float f ->
-      (* %.17g survives a parse round-trip; trim the common integral case. *)
-      if Float.is_integer f && Float.abs f < 1e15 then
+      (* Integral values print exactly with a ".0" that keeps them floats
+         on re-parse; below 1e17 %g could drop both the point and the
+         exponent. Others take the shortest %g text that parses back
+         equal: %.17g always does. *)
+      if Float.is_integer f && Float.abs f < 1e17 then
         Buffer.add_string b (Printf.sprintf "%.1f" f)
-      else Buffer.add_string b (Printf.sprintf "%.17g" f)
+      else
+        let text p = Printf.sprintf "%.*g" p f in
+        let round_trips s = Float.equal (float_of_string s) f in
+        Buffer.add_string b
+          (List.find_opt round_trips [ text 15; text 16 ]
+          |> Option.value ~default:(text 17))
   | String s -> escape_string b s
   | List l ->
       Buffer.add_char b '[';

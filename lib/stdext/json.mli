@@ -9,7 +9,11 @@
     Numbers are split into [Int] and [Float]: every quantity the telemetry
     layer records is integral (ticks, counts), and keeping them exact makes
     round-trip equality checks meaningful. [to_string] of a parsed value
-    re-parses to an equal value for every value this library emits. *)
+    re-parses to an equal value for every value this library emits. A
+    finite [Float] prints as the shortest of [%.15g], [%.16g] and [%.17g]
+    that parses back equal ([0.1], not [0.10000000000000001]); an integral
+    one below 1e17 in magnitude prints with [%.1f], so it re-parses as a
+    [Float]. *)
 
 type t =
   | Null

@@ -162,10 +162,12 @@ let test_conflict_free_two_step () =
     (fun (name, proto, n, e, f) ->
       let result, store = fleet_run ~proto ~n ~e ~f ~clients:1 ~seed:11 in
       Alcotest.(check bool) (name ^ ": commands completed") true (result.completed > 0);
+      Alcotest.(check bool) (name ^ ": replicas converged") true result.converged;
       check_store_invariants store;
       let paths = Smr.Spans.command_paths store in
       Alcotest.(check bool) (name ^ ": paths reconstructed") true (List.length paths > 0);
       let a = Smr.Spans.attribution paths in
+      Alcotest.(check bool) (name ^ ": commits attributed") true (a.commits > 0);
       Alcotest.(check int) (name ^ ": every commit two-step") a.commits a.two_step;
       List.iter
         (fun (steps, _) -> Alcotest.(check int) (name ^ ": delay_steps") 2 steps)

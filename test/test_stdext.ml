@@ -838,6 +838,26 @@ let test_json_parse_basics () =
   bad "\"unterminated";
   bad "{\"a\" 1}"
 
+let test_json_float_text () =
+  List.iter
+    (fun (f, text) -> Alcotest.(check string) text text (Json.to_string (Json.Float f)))
+    [
+      (0.1, "0.1");
+      (0.95, "0.95");
+      (1. /. 3., "0.3333333333333333");
+      (2.0, "2.0");
+      (1234567890123456., "1234567890123456.0");
+    ]
+
+(* Every finite float, integral or not and at any magnitude, prints to a
+   text that parses back to the same [Float]. *)
+let json_float_property =
+  QCheck.Test.make ~name:"json floats round-trip" ~count:2000
+    QCheck.(map Int64.float_of_bits int64)
+    (fun f ->
+      QCheck.assume (Float.is_finite f);
+      Json.parse (Json.to_string (Json.Float f)) = Ok (Json.Float f))
+
 (* -- Rle: run-length integer tables ------------------------------------ *)
 
 module Rle = Stdext.Rle
@@ -1009,6 +1029,8 @@ let () =
         [
           Alcotest.test_case "round-trip" `Quick test_json_roundtrip;
           Alcotest.test_case "parse basics and errors" `Quick test_json_parse_basics;
+          Alcotest.test_case "shortest float text" `Quick test_json_float_text;
+          QCheck_alcotest.to_alcotest json_float_property;
         ] );
       ( "rle",
         [
