@@ -197,7 +197,7 @@ let fingerprint ~relabel s =
   let module Fp = Dsim.Fingerprint in
   let pid p = Fp.int (relabel p) in
   let leading_fp l =
-    let fp = Fp.mix 113L (Fp.int l.lballot) in
+    let fp = Fp.mix 113 (Fp.int l.lballot) in
     let fp =
       Fp.mix fp
         (Fp.map
@@ -207,7 +207,7 @@ let fingerprint ~relabel s =
     let fp = Fp.mix fp (Fp.option Fp.int l.lvalue) in
     Fp.mix fp (Fp.set pid ~fold:Pid.Set.fold l.two_bs)
   in
-  let fp = Fp.mix 127L (pid s.self) in
+  let fp = Fp.mix 127 (pid s.self) in
   let fp = Fp.mix fp (Fp.int s.f) in
   let fp = Fp.mix fp (Fp.int s.bal) in
   let fp = Fp.mix fp (Fp.int s.vbal) in

@@ -142,12 +142,29 @@ module Run_report = struct
     end
 end
 
+type ('s, 'm) engine = ('s, 'm, Proto.Value.t, Proto.Value.t) Dsim.Engine.t
+
+(* One destination's delivery order at a round boundary, with the trial
+   engine that delivered exactly that order, when one was run. *)
+type ('s, 'm) leg = { order : int list; trial : (Pid.t * ('s, 'm) engine) option }
+
 (* One round boundary's worth of scheduling decisions: which pending
    messages the adversary loses, which it duplicates (the copy stays in
    the pool and is delivered at a later boundary), and the exact delivery
-   order of the rest (as pending ids). With fault bounds at zero this
-   degenerates to the pure delivery-order choice. *)
-type round_choice = { drop : int list; dup : int list; deliver : int list }
+   order of the rest (as pending ids): one leg per correct destination,
+   ascending, then the messages to crashed processes in arrival order.
+   With fault bounds at zero this degenerates to the pure delivery-order
+   choice. *)
+type ('s, 'm) round_choice = {
+  drop : int list;
+  dup : int list;
+  legs : ('s, 'm) leg list;
+  to_crashed : int list;
+}
+
+let deliver_list c = List.concat_map (fun l -> l.order) c.legs @ c.to_crashed
+
+let trials c = List.filter_map (fun l -> l.trial) c.legs
 
 (* The root of a subtree still to explore. [build] makes its engine
    lazily, in whichever task reaches it after the budget check, so a
@@ -157,7 +174,7 @@ type round_choice = { drop : int list; dup : int list; deliver : int list }
    messages. [checked]: the split already admitted this node through the
    visited set and found it a leaf. *)
 type ('s, 'm) subtree = {
-  build : unit -> ('s, 'm, Proto.Value.t, Proto.Value.t) Dsim.Engine.t;
+  build : unit -> ('s, 'm) engine;
   round : int;
   drops_left : int;
   dups_left : int;
@@ -221,7 +238,7 @@ let root_engine automaton ~n ~delta ~proposals ~crashes ~disable_timers =
    place instead of a clone — sound only once the parent is dead, i.e. for
    its last child in a sequential DFS or for a random walk; an interior
    node with [k] children then costs [k - 1] clones. *)
-let extend ~delta ~reuse engine round { drop; dup; deliver } =
+let extend ~delta ~reuse engine round { drop; dup; _ } ~deliver =
   let c = if reuse then engine else Dsim.Engine.clone engine in
   let at = round * delta in
   List.iter (fun id -> Dsim.Engine.drop_pending c ~id) drop;
@@ -239,27 +256,39 @@ let extend ~delta ~reuse engine round { drop; dup; deliver } =
    choice first, so under a tight budget the no-fault schedules are
    explored before any faulty ones. Messages to crashed processes are
    irrelevant and are appended in arrival order. Returns [None] when
-   nothing is pending. Shared by the exhaustive DFS and the swarm walkers
+   nothing is pending, else the number of choices and the choices
+   themselves. Shared by the exhaustive DFS and the swarm walkers
    (fan-out telemetry stays with the caller).
 
-   With [por = Sleep], each destination's order list is first reduced to
-   trial-outcome representatives: a scratch clone of [engine] delivers
-   only that destination's kept batch in the candidate order and runs to
-   the boundary; orders landing on an (engine fingerprint, output
-   history) pair already claimed by an earlier sibling are suppressed and
-   counted in [sleep_hits]. Any boundary-instant timer fire or crash step
-   runs inside the trial (deliveries rank before timers at an instant),
-   so an event that breaks commutation differentiates the trial outcomes
-   and keeps both orders. The child a kept order generates is determined,
+   Each drop subset's per-destination orders, and the trials and POR
+   bookkeeping behind them, are computed here, eagerly, so [sleep_hits]
+   and [por_pruned] do not depend on how much of the product a budget
+   lets the caller visit. The drop × dup × order product itself is a
+   lazy sequence: a node's fan-out can run to hundreds of thousands of
+   choices, and only the one being explored needs to exist.
+
+   A trial delivers one destination's kept batch, in one order, to a
+   scratch clone of [engine] and runs it to the boundary. With [por =
+   Sleep], each destination's order list is first reduced to
+   trial-outcome representatives: orders landing on an (engine
+   fingerprint, output history) pair already claimed by an earlier
+   sibling are suppressed and counted in [sleep_hits]. Any
+   boundary-instant timer fire or crash step runs inside the trial
+   (deliveries rank before timers at an instant), so an event that
+   breaks commutation differentiates the trial outcomes and keeps both
+   orders. The child a kept order generates is determined,
    process-locally, by the per-destination trial classes jointly —
    delivering a message only steps its destination — so every suppressed
    combination would have rebuilt an already-generated child state (up to
    the fingerprint's hash compaction, exactly like [Exact] dedup).
-   [por_pruned] counts the order combinations never multiplied out.
-   Trials are memoized per kept batch, so a batch's orders are trialled
-   once per node even across fault branches that keep it intact. *)
-let round_choices_of ~por ~truncated ~sleep_hits ~por_pruned ~boundary_at
-    engine ~drops_left ~dups_left =
+   [por_pruned] counts the order combinations never multiplied out. With
+   [trial_all], every kept order is trialled — single-order batches and,
+   without POR, every order — and its leg keeps the trial for
+   {!Dsim.Engine.child_fingerprint}. Trials are memoized per kept batch,
+   so a batch's orders are trialled once per node even across fault
+   branches that keep it intact. *)
+let round_choices_of ~por ~trial_all ~truncated ~sleep_hits ~por_pruned ~boundary_at engine
+    ~drops_left ~dups_left =
   if Dsim.Engine.pending_count engine = 0 then None
   else begin
     let orders_for_batch ids =
@@ -279,75 +308,80 @@ let round_choices_of ~por ~truncated ~sleep_hits ~por_pruned ~boundary_at
            ~f:(fun acc ~id ~src:_ ~dst ~msg:_ ~sent_at:_ ->
              if Dsim.Engine.crashed engine dst then acc else id :: acc))
     in
-    let reduce_orders =
-      match por with
-      | No_por -> fun ~batch:_ orders -> orders
-      | Sleep ->
-          let memo = Hashtbl.create 8 in
-          fun ~batch orders ->
-            (match orders with
-            | [] | [ _ ] -> orders
-            | _ -> (
-                match Hashtbl.find_opt memo batch with
-                | Some reps -> reps
-                | None ->
-                    let seen = Hashtbl.create 8 in
-                    let reps =
-                      List.filter
-                        (fun order ->
-                          let scratch = Dsim.Engine.clone engine in
-                          List.iter
-                            (fun id ->
-                              Dsim.Engine.deliver_pending scratch ~id ~at:boundary_at)
-                            order;
-                          ignore (Dsim.Engine.run ~until:boundary_at scratch);
-                          let key =
-                            (Dsim.Engine.fingerprint scratch, Dsim.Engine.outputs scratch)
-                          in
-                          if Hashtbl.mem seen key then begin
-                            Atomic.incr sleep_hits;
-                            false
-                          end
-                          else begin
-                            Hashtbl.add seen key ();
-                            true
-                          end)
-                        orders
-                    in
-                    Hashtbl.add memo batch reps;
-                    reps))
+    let trial dst order =
+      let scratch = Dsim.Engine.clone engine in
+      List.iter (fun id -> Dsim.Engine.deliver_pending scratch ~id ~at:boundary_at) order;
+      ignore (Dsim.Engine.run ~until:boundary_at scratch);
+      (dst, scratch)
     in
+    (* A kept batch's order count before POR, and its legs after. *)
+    let memo = Hashtbl.create 8 in
+    let legs_for dst batch =
+      match Hashtbl.find_opt memo batch with
+      | Some entry -> entry
+      | None ->
+          let orders = orders_for_batch batch in
+          let legs =
+            match (por, orders) with
+            | Sleep, _ :: _ :: _ ->
+                let seen = Hashtbl.create 8 in
+                List.filter_map
+                  (fun order ->
+                    let ((_, scratch) as tried) = trial dst order in
+                    let key = (Dsim.Engine.fingerprint scratch, Dsim.Engine.outputs scratch) in
+                    if Hashtbl.mem seen key then begin
+                      Atomic.incr sleep_hits;
+                      None
+                    end
+                    else begin
+                      Hashtbl.add seen key ();
+                      Some { order; trial = (if trial_all then Some tried else None) }
+                    end)
+                  orders
+            | _ ->
+                List.map
+                  (fun order ->
+                    { order; trial = (if trial_all then Some (trial dst order) else None) })
+                  orders
+          in
+          let entry = (List.length orders, legs) in
+          Hashtbl.add memo batch entry;
+          entry
+    in
+    let block drop =
+      let kept = List.filter (fun id -> not (List.mem id drop)) live_ids in
+      let dup_sets = Combinat.subsets_up_to dups_left kept in
+      let full = ref 1 in
+      let per_dst =
+        List.filter_map
+          (fun (dst, batch) ->
+            match List.filter (fun id -> not (List.mem id drop)) batch with
+            | [] -> None
+            | kept_batch ->
+                let orders, legs = legs_for dst kept_batch in
+                full := !full * orders;
+                Some legs)
+          groups
+      in
+      let reduced = List.fold_left (fun a l -> a * List.length l) 1 per_dst in
+      if !full > reduced then
+        ignore (Atomic.fetch_and_add por_pruned ((!full - reduced) * List.length dup_sets));
+      (drop, dup_sets, per_dst, List.length dup_sets * reduced)
+    in
+    let blocks = List.map block (Combinat.subsets_up_to drops_left live_ids) in
+    let count = List.fold_left (fun a (_, _, _, c) -> a + c) 0 blocks in
     let choices =
-      List.concat_map
-        (fun drop ->
-          let kept = List.filter (fun id -> not (List.mem id drop)) live_ids in
-          let dup_sets = Combinat.subsets_up_to dups_left kept in
-          let full = ref 1 in
-          let per_dst_orders =
-            List.filter_map
-              (fun (_dst, batch) ->
-                match List.filter (fun id -> not (List.mem id drop)) batch with
-                | [] -> None
-                | kept_batch ->
-                    let orders = orders_for_batch kept_batch in
-                    full := !full * List.length orders;
-                    Some (reduce_orders ~batch:kept_batch orders))
-              groups
-          in
-          let reduced = List.fold_left (fun a o -> a * List.length o) 1 per_dst_orders in
-          if !full > reduced then
-            ignore (Atomic.fetch_and_add por_pruned ((!full - reduced) * List.length dup_sets));
-          let delivers =
-            List.map
-              (fun combo -> List.concat combo @ crashed_ids)
-              (Combinat.cartesian per_dst_orders)
-          in
-          List.concat_map
-            (fun dup -> List.map (fun deliver -> { drop; dup; deliver }) delivers)
-            dup_sets)
-        (Combinat.subsets_up_to drops_left live_ids)
+      Seq.flat_map
+        (fun (drop, dup_sets, per_dst, _) ->
+          Seq.flat_map
+            (fun dup ->
+              Seq.map
+                (fun legs -> { drop; dup; legs; to_crashed = crashed_ids })
+                (Combinat.cartesian_seq per_dst))
+            (List.to_seq dup_sets))
+        (List.to_seq blocks)
     in
-    Some choices
+    Some (count, choices)
   end
 
 let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
@@ -397,16 +431,15 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
   let pruned_total = Atomic.make 0 in
   let sleep_total = Atomic.make 0 in
   let por_pruned_total = Atomic.make 0 in
-  (* [true] = first arrival (or dedup off): expand this node. The round
-     number is mixed into the key so a quiescent engine reached at two
-     different depths cannot alias (its clock may not have advanced). *)
-  let check_visited engine round =
+  (* A node's visited-set key. The round number is mixed in so a quiescent
+     engine reached at two different depths cannot alias (its clock may
+     not have advanced). *)
+  let key_of fp round = Fingerprint.mix fp (Fingerprint.int round) in
+  (* [true] = first arrival (or dedup off): expand this node. *)
+  let admit key round =
     match visited with
     | None -> true
     | Some vs ->
-        let key =
-          Fingerprint.mix (Dsim.Engine.fingerprint ~symmetry engine) (Fingerprint.int round)
-        in
         if Stateset.add vs key then begin
           Atomic.incr distinct_total;
           true
@@ -417,12 +450,30 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
           false
         end
   in
-  let round_choices ~truncated engine ~round ~drops_left ~dups_left =
+  let check_visited engine round =
+    Option.is_none visited
+    || admit (key_of (Dsim.Engine.fingerprint ~symmetry engine) round) round
+  in
+  (* Under [Exact] dedup a node's children are keyed before they are
+     built: [Dsim.Engine.child_fingerprint] predicts each child's exact
+     fingerprint from the node and its per-destination trials, and only a
+     child whose key is new is built. [None] — another dedup policy, or a
+     node where more than the boundary's deliveries could happen before
+     the next one — leaves the node on the build-then-check path. *)
+  let child_keys engine round =
+    match dedup with
+    | Exact ->
+        Dsim.Engine.child_fingerprint engine ~at:(round * delta)
+          ~until:(((round + 1) * delta) - 1)
+    | Off | Symmetry -> None
+  in
+  let round_choices ~trial_all ~truncated engine ~round ~drops_left ~dups_left =
     let r =
-      round_choices_of ~por ~truncated ~sleep_hits:sleep_total ~por_pruned:por_pruned_total
-        ~boundary_at:(round * delta) engine ~drops_left ~dups_left
+      round_choices_of ~por ~trial_all ~truncated ~sleep_hits:sleep_total
+        ~por_pruned:por_pruned_total ~boundary_at:(round * delta) engine ~drops_left
+        ~dups_left
     in
-    (match r with Some choices -> record_fanout (List.length choices) | None -> ());
+    Option.iter (fun (count, _) -> record_fanout count) r;
     r
   in
   let extend = extend ~delta in
@@ -457,25 +508,53 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
         :: !runs_rev;
       incr explored
     in
-    (* Callers check [allowed] before building a child, so a cut never
-       pays for the engine work of a node it will not visit. *)
+    (* Callers check [allowed] before keying or building a child, so a
+       cut never pays for the engine work of a node it will not visit. A
+       refusal is final, so the walk over a node's choices stops there.
+       The last choice reuses the node's engine, whether or not an earlier
+       choice was built. *)
     let rec dfs ~checked engine round ~drops_left ~dups_left =
-      if checked || check_visited engine round then begin
-        if round > rounds then evaluate engine ~depth:rounds
-        else
-          match round_choices ~truncated:fallback engine ~round ~drops_left ~dups_left with
-          | None -> evaluate engine ~depth:(round - 1)
-          | Some choices ->
-              let last = List.length choices - 1 in
-              List.iteri
-                (fun i choice ->
-                  if allowed () then
-                    dfs ~checked:false
-                      (extend ~reuse:(i = last) engine round choice)
+      if checked || check_visited engine round then expand engine round ~drops_left ~dups_left
+    and expand engine round ~drops_left ~dups_left =
+      if round > rounds then evaluate engine ~depth:rounds
+      else begin
+        let keys = child_keys engine round in
+        match
+          round_choices ~trial_all:(Option.is_some keys) ~truncated:fallback engine ~round
+            ~drops_left ~dups_left
+        with
+        | None -> evaluate engine ~depth:(round - 1)
+        | Some (_, choices) ->
+            let child ~last choice =
+              let deliver = deliver_list choice in
+              let drops_left = drops_left - List.length choice.drop
+              and dups_left = dups_left - List.length choice.dup in
+              let build () = extend ~reuse:last engine round choice ~deliver in
+              match keys with
+              | None -> dfs ~checked:false (build ()) (round + 1) ~drops_left ~dups_left
+              | Some key ->
+                  let predicted =
+                    key_of
+                      (key ~drop:choice.drop ~dup:choice.dup ~deliver ~trials:(trials choice))
                       (round + 1)
-                      ~drops_left:(drops_left - List.length choice.drop)
-                      ~dups_left:(dups_left - List.length choice.dup))
-                choices
+                  in
+                  if admit predicted (round + 1) then begin
+                    let built = build () in
+                    if key_of (Dsim.Engine.fingerprint built) (round + 1) <> predicted then
+                      failwith "Explore: a built child's fingerprint differs from its prediction";
+                    expand built (round + 1) ~drops_left ~dups_left
+                  end
+            in
+            let rec walk = function
+              | Seq.Nil -> ()
+              | Seq.Cons (choice, rest) ->
+                  if allowed () then begin
+                    let next = rest () in
+                    child ~last:(match next with Seq.Nil -> true | Seq.Cons _ -> false) choice;
+                    walk next
+                  end
+            in
+            walk (choices ())
       end
     in
     List.iter
@@ -525,22 +604,26 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
             if t.round > rounds then leaf
             else
               match
-                round_choices ~truncated:split_fallback engine ~round:t.round
+                round_choices ~trial_all:false ~truncated:split_fallback engine ~round:t.round
                   ~drops_left:t.drops_left ~dups_left:t.dups_left
               with
               | None -> leaf
-              | Some choices ->
+              | Some (_, choices) ->
                   grew := true;
-                  List.map
-                    (fun choice ->
-                      {
-                        build = (fun () -> extend ~reuse:false engine t.round choice);
-                        round = t.round + 1;
-                        drops_left = t.drops_left - List.length choice.drop;
-                        dups_left = t.dups_left - List.length choice.dup;
-                        checked = false;
-                      })
-                    choices
+                  List.of_seq
+                    (Seq.map
+                       (fun choice ->
+                         {
+                           build =
+                             (fun () ->
+                               extend ~reuse:false engine t.round choice
+                                 ~deliver:(deliver_list choice));
+                           round = t.round + 1;
+                           drops_left = t.drops_left - List.length choice.drop;
+                           dups_left = t.dups_left - List.length choice.dup;
+                           checked = false;
+                         })
+                       choices)
           end
         end
       in
@@ -771,15 +854,20 @@ let swarm_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals ?(cras
       if round > rounds then engine
       else
         match
-          round_choices_of ~por ~truncated ~sleep_hits:sleep_total
+          round_choices_of ~por ~trial_all:false ~truncated ~sleep_hits:sleep_total
             ~por_pruned:por_pruned_total ~boundary_at:(round * delta) engine ~drops_left
             ~dups_left
         with
         | None -> engine
-        | Some choices ->
-            let choice = Stdext.Rng.pick rng choices in
+        | Some (count, choices) ->
+            (* The draw [Stdext.Rng.pick] makes on the materialised list. *)
+            let choice =
+              match Seq.uncons (Seq.drop (Stdext.Rng.int rng count) choices) with
+              | Some (choice, _) -> choice
+              | None -> assert false
+            in
             go
-              (extend ~delta ~reuse:true engine round choice)
+              (extend ~delta ~reuse:true engine round choice ~deliver:(deliver_list choice))
               (round + 1)
               ~drops_left:(drops_left - List.length choice.drop)
               ~dups_left:(dups_left - List.length choice.dup)

@@ -34,6 +34,11 @@
     thread-safe (pure predicates, like all the checkers in this
     repository, are).
 
+    A round boundary's choices — drop subsets × duplication subsets ×
+    per-destination delivery orders — are generated lazily, one child at
+    a time; only the per-destination orders and their POR trials are
+    computed up front for each node.
+
     A destination's batch of more than 4 messages falls back to two
     representative orders (arrival and reversed) to keep the product
     tractable; [truncated] reports whether any fallback or budget cut
@@ -47,7 +52,23 @@
     already expanded — turning the search over {e schedules} into a search
     over {e distinct states}, which is what makes deep horizons exhaustive
     within real budgets. Pruned branches evaluate no run, so they spend
-    no budget. Soundness: exact dedup can only merge genuinely identical
+    no budget.
+
+    Under [Exact] dedup, children are keyed before they are built: at a
+    node where nothing but the boundary's deliveries can happen before
+    the next boundary (timers disabled, no crash or input due — the
+    condition {!Dsim.Engine.child_fingerprint} checks), each child's
+    exact fingerprint is predicted from the node and per-destination trial
+    engines (one per kept batch and delivery order, memoised per node, the
+    same trials [Sleep] POR runs), entered into the visited set, and only
+    a child whose key is new is built. A built child whose fingerprint
+    differs from its prediction raises [Failure]. Every other node — and
+    every node under [Off] or [Symmetry] dedup, or in the multi-domain
+    split's expansion of the top of the tree — builds each child and then
+    checks it. Either way the same keys enter the visited set in the same
+    order, so every count in {!Run_report.totals} is the same.
+
+    Soundness: exact dedup can only merge genuinely identical
     states (up to the 62-bit hash-compaction collision probability of
     {!Stdext.Stateset});
     [Symmetry] additionally merges states equal up to a permutation of the

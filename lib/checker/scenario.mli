@@ -43,7 +43,7 @@ val run :
   ?disable_timers:bool ->
   ?faults:Dsim.Network.Fault.plan ->
   ?metrics:Stdext.Metrics.t ->
-  ?final_fingerprint:bool * (int64 -> unit) ->
+  ?final_fingerprint:bool * (Dsim.Fingerprint.t -> unit) ->
   until:Dsim.Time.t ->
   unit ->
   outcome

@@ -239,20 +239,20 @@ let fingerprint ~relabel s =
   let module Fp = Dsim.Fingerprint in
   let pid p = Fp.int (relabel p) in
   let reply (r : Recovery.reply) =
-    let fp = Fp.mix 103L (pid r.sender) in
+    let fp = Fp.mix 103 (pid r.sender) in
     let fp = Fp.mix fp (Fp.int r.vbal) in
     let fp = Fp.mix fp (Fp.option Fp.int r.value) in
     let fp = Fp.mix fp (Fp.option pid r.proposer) in
     Fp.mix fp (Fp.option Fp.int r.decided)
   in
   let slow_fp sl =
-    let fp = Fp.mix 107L (Fp.int sl.sballot) in
+    let fp = Fp.mix 107 (Fp.int sl.sballot) in
     let fp = Fp.mix fp (Fp.map (fun p r -> Fp.mix (pid p) (reply r)) ~fold:Pid.Map.fold sl.one_bs) in
     let fp = Fp.mix fp (Fp.bool sl.computed) in
     let fp = Fp.mix fp (Fp.option Fp.int sl.svalue) in
     Fp.mix fp (Fp.set pid ~fold:Pid.Set.fold sl.two_bs)
   in
-  let fp = Fp.mix 109L (pid s.self) in
+  let fp = Fp.mix 109 (pid s.self) in
   let fp = Fp.mix fp (Fp.int s.e) in
   let fp = Fp.mix fp (Fp.int s.f) in
   let fp = Fp.mix fp (Fp.int (match s.mode with Task -> 0 | Object -> 1)) in

@@ -223,7 +223,26 @@ type ('state, 'msg, 'input, 'output) t = {
   mutable p_queue_hwm : int;
   first_input : Time.t option array;
   first_output : Time.t option array;
+  (* Digest caches behind the exact {!fingerprint}, allocated by its first
+     call: until then both arrays are empty, and the upkeep below is one
+     length test per step or send. [loc_fp.(p)] is p's local digest, reset
+     to [stale] whenever p steps, initialises or crashes; [pd_fp.(s)] is
+     slot s's message digest, reset when the slot is claimed again (slots
+     past its length are stale). [pend_fp] is the pool's multiset digest,
+     valid while [(pd_next_seq, pd_live)] still equals [(pend_fp_seq,
+     pend_fp_live)]: a send raises the first and a delivery or drop lowers
+     the second, so no pool change leaves the pair as it was. Clones copy
+     all of it — a clone's digests are its source's. *)
+  mutable loc_fp : int array;
+  mutable pd_fp : int array;
+  mutable pend_fp : int;
+  mutable pend_fp_seq : int;
+  mutable pend_fp_live : int;
 }
+
+(* Marks a cache cell as not computed. A real digest that happens to equal
+   it is merely recomputed on every use. *)
+let stale = min_int
 
 type run_result = Quiescent | Reached_until | Step_budget_exhausted
 
@@ -327,6 +346,11 @@ let create ~automaton ~n ~network ?(seed = 0) ?(record_trace = true)
       p_queue_hwm = 0;
       first_input = Array.make n None;
       first_output = Array.make n None;
+      loc_fp = [||];
+      pd_fp = [||];
+      pend_fp = 0;
+      pend_fp_seq = -1;
+      pend_fp_live = 0;
     }
   in
   List.iter (fun p -> push_event t ~at:Time.zero (Ev_init p)) (Pid.all ~n);
@@ -360,6 +384,8 @@ let clone t =
     batch_scratch = Array.make t.n [];
     first_input = Array.copy t.first_input;
     first_output = Array.copy t.first_output;
+    loc_fp = Array.copy t.loc_fp;
+    pd_fp = Array.sub t.pd_fp 0 (Int.min (Array.length t.pd_fp) t.pd_hwm);
     (* The clone's flush watermarks start at the source's current counters:
        whatever the source has not flushed yet remains the source's delta
        to flush, and the clone reports only its own post-branch activity. *)
@@ -387,6 +413,9 @@ let state t p =
       invalid_arg "Engine.state: process not initialised (run the engine first)"
 
 let crashed t p = t.crashed_flags.(p)
+
+(* [pid]'s local content is about to change. *)
+let touch t pid = if Array.length t.loc_fp > 0 then t.loc_fp.(pid) <- stale
 
 let correct_pids t = List.filter (fun p -> not t.crashed_flags.(p)) (Pid.all ~n:t.n)
 
@@ -433,6 +462,7 @@ let do_crash t pid =
         t.states.(pid) <- Some s
     | Some _ -> ());
     t.crashed_flags.(pid) <- true;
+    touch t pid;
     t.p_crashes <- t.p_crashes + 1;
     (* [cur_node] is [-1] for scheduled crashes (root spans) and the
        in-flight event's span for mid-transition [Crash_sender] faults. *)
@@ -482,6 +512,7 @@ let add_pending t ~src ~dst ~sent_at ~origin msg =
     end
   in
   t.pd_live <- t.pd_live + 1;
+  if s < Array.length t.pd_fp then t.pd_fp.(s) <- stale;
   t.pd_src.(s) <- src;
   t.pd_dst.(s) <- dst;
   t.pd_sent.(s) <- sent_at;
@@ -687,6 +718,7 @@ let rec apply_actions t ~pid = function
    physically unchanged (mutable states are) is already stored, so the
    [Some] box is skipped. *)
 let commit_step t ~pid s (s', actions) =
+  touch t pid;
   if s' != s then t.states.(pid) <- Some s';
   apply_actions t ~pid actions
 
@@ -743,6 +775,7 @@ let handle_deliver_batch t ~order ~src ~dst ~msg ~sent_at ~origin ~prio =
 
 let handle_input t pid input =
   if not t.crashed_flags.(pid) then begin
+    touch t pid;
     if Option.is_none t.first_input.(pid) then t.first_input.(pid) <- Some t.now;
     if t.record_trace then record t (Trace.Input { time = t.now; pid; input });
     (match t.causality with
@@ -773,6 +806,7 @@ let handle_event t ~prio ev =
               Causality.record spec.Causality.store ~kind:Causality.Init ~pid
                 ~parent:(-1) ~start:t.now ~finish:t.now ~payload:(-1) ~aux:(-1));
         let s, actions = t.automaton.init ~self:pid ~n:t.n in
+        touch t pid;
         t.states.(pid) <- Some s;
         apply_actions t ~pid actions
       end
@@ -932,21 +966,26 @@ let has_fingerprint t = Option.is_some t.automaton.Automaton.state_fingerprint
 
 module Fp = Fingerprint
 
+let state_fp_of t ~caller =
+  match t.automaton.Automaton.state_fingerprint with
+  | Some state_fp -> state_fp
+  | None -> invalid_arg (caller ^ ": automaton has no state_fingerprint hook")
+
 (* Constructor tags below are small odd constants; each case mixes its tag
    first so different event shapes can't alias. *)
 let input_fp ~relabel pid input =
-  Fp.mix (Fp.mix 41L (Fp.int (relabel pid))) (Fp.structural input)
+  Fp.mix (Fp.mix 41 (Fp.int (relabel pid))) (Fp.structural input)
 
 let event_fp ~relabel = function
-  | Ev_crash pid -> Fp.mix 31L (Fp.int (relabel pid))
-  | Ev_init pid -> Fp.mix 37L (Fp.int (relabel pid))
+  | Ev_crash pid -> Fp.mix 31 (Fp.int (relabel pid))
+  | Ev_init pid -> Fp.mix 37 (Fp.int (relabel pid))
   | Ev_input (pid, input) -> input_fp ~relabel pid input
   (* [origin] is excluded everywhere below: span ids are observability
      bookkeeping with no influence on future behaviour (and always -1 in
      the explorer, which never attaches a tracer). *)
   | Ev_deliver { src; dst; msg; sent_at; origin = _ } ->
       Fp.mix
-        (Fp.mix (Fp.mix (Fp.mix 43L (Fp.int (relabel src))) (Fp.int (relabel dst)))
+        (Fp.mix (Fp.mix (Fp.mix 43 (Fp.int (relabel src))) (Fp.int (relabel dst)))
            (Fp.structural msg))
         (Fp.int sent_at)
 
@@ -957,12 +996,61 @@ let event_fp ~relabel = function
 let local_fp t state_fp ~relabel pid =
   let st =
     match t.states.(pid) with
-    | None -> 53L
-    | Some s -> Fp.mix 59L (state_fp ~relabel s)
+    | None -> 53
+    | Some s -> Fp.mix 59 (state_fp ~relabel s)
   in
   let fp = Fp.mix st (Fp.bool t.crashed_flags.(pid)) in
   let fp = Fp.mix fp (Fp.option Fp.int t.first_input.(pid)) in
   Fp.mix fp (Fp.option Fp.int t.first_output.(pid))
+
+(* One pending message; the pool folds these commutatively. *)
+let pending_fp t ~relabel s =
+  Fp.mix
+    (Fp.mix
+       (Fp.mix (Fp.mix 61 (Fp.int (relabel t.pd_src.(s)))) (Fp.int (relabel t.pd_dst.(s))))
+       (Fp.structural t.pd_msgs.(s)))
+    (Fp.int t.pd_sent.(s))
+
+let header_fp ~n ~now ~sends ~dropped ~duplicated =
+  let fp = Fp.mix (Fp.int n) (Fp.int now) in
+  let fp = Fp.mix fp (Fp.int sends) in
+  let fp = Fp.mix fp (Fp.int dropped) in
+  Fp.mix fp (Fp.int duplicated)
+
+(* Feed [f] the event queue — heap and unread calendar merged — in pop
+   order, as (priority digest, event digest) pairs. *)
+let fold_queue t ~relabel f init =
+  let acc = ref init in
+  let cal = t.calendar in
+  let c = ref t.cal_next in
+  let fold_calendar_upto bound =
+    while !c < Array.length cal.cal_times && input_priority cal.cal_times.(!c) <= bound do
+      let prio = input_priority cal.cal_times.(!c) in
+      acc := f !acc (Fp.int prio) (input_fp ~relabel cal.cal_pids.(!c) cal.cal_inputs.(!c));
+      incr c
+    done
+  in
+  if not (Pqueue.is_empty t.queue) then
+    Pqueue.iter_in_order t.queue (fun prio ev ->
+        fold_calendar_upto prio;
+        acc := f !acc (Fp.int prio) (event_fp ~relabel ev));
+  fold_calendar_upto max_int;
+  !acc
+
+let queue_step acc prio ev = Fp.mix (Fp.mix acc prio) ev
+
+(* Armed timers as (pid, id, deadline) in pop order; the bare tag 73 when
+   none is armed. *)
+let timers_fp t ~relabel =
+  let timers = ref 73 in
+  if not (Iheap.is_empty t.timers) then
+    Iheap.iter_in_order t.timers (fun ~id:cell ~priority ->
+        timers :=
+          Fp.mix !timers
+            (Fp.mix
+               (Fp.mix (Fp.mix 71 (Fp.int (relabel (cell mod t.n)))) (Fp.int (cell / t.n)))
+               (Fp.int (time_of_priority priority))));
+  !timers
 
 (* The digest covers every field that can influence the engine's future
    observable behaviour under a deterministic network model: clock, fault
@@ -970,87 +1058,183 @@ let local_fp t state_fp ~relabel pid =
    state, the pending pool (a multiset folded commutatively — slot ids
    and seq stamps are allocation accidents), the event queue — heap and
    unread calendar merged — in pop order (the only order with semantics;
-   an input digests the same from either source), and the armed timers as
-   (pid, id, deadline) in pop order. With no timer armed the timer fold
-   is its bare tag 73. Excluded: step/trace/output history (past, not
-   future), including how the armed timers came to be armed, and the RNG
-   streams (opaque; under the explorer's [Manual] network and scripted
-   faults they are never consulted, see the .mli). *)
+   an input digests the same from either source), and the armed timers.
+   Excluded: step/trace/output history (past, not future), including how
+   the armed timers came to be armed, and the RNG streams (opaque; under
+   the explorer's [Manual] network and scripted faults they are never
+   consulted, see the .mli). This general form serves the symmetry
+   relabelling; {!exact_fingerprint} computes the same digest for
+   [relabel = Fun.id] from the caches. *)
 let fold_engine t state_fp ~relabel ~order =
-  let fp = Fp.mix (Fp.int t.n) (Fp.int t.now) in
-  let fp = Fp.mix fp (Fp.int t.sends) in
-  let fp = Fp.mix fp (Fp.int t.faults_dropped) in
-  let fp = Fp.mix fp (Fp.int t.faults_duplicated) in
+  let fp =
+    header_fp ~n:t.n ~now:t.now ~sends:t.sends ~dropped:t.faults_dropped
+      ~duplicated:t.faults_duplicated
+  in
   let fp =
     Array.fold_left (fun acc pid -> Fp.mix acc (local_fp t state_fp ~relabel pid)) fp order
   in
-  let pend = ref 67L in
+  let pend = ref 67 in
   for s = 0 to t.pd_hwm - 1 do
-    if t.pd_src.(s) >= 0 then
-      pend :=
-        Fp.commute !pend
-          (Fp.mix
-             (Fp.mix
-                (Fp.mix (Fp.mix 61L (Fp.int (relabel t.pd_src.(s))))
-                   (Fp.int (relabel t.pd_dst.(s))))
-                (Fp.structural t.pd_msgs.(s)))
-             (Fp.int t.pd_sent.(s)))
+    if t.pd_src.(s) >= 0 then pend := Fp.commute !pend (pending_fp t ~relabel s)
   done;
-  let fp = Fp.mix fp !pend in
-  let qfp = ref fp in
-  let cal = t.calendar in
-  let c = ref t.cal_next in
-  let fold_calendar_upto bound =
-    while !c < Array.length cal.cal_times && input_priority cal.cal_times.(!c) <= bound do
-      let prio = input_priority cal.cal_times.(!c) in
-      qfp :=
-        Fp.mix (Fp.mix !qfp (Fp.int prio))
-          (input_fp ~relabel cal.cal_pids.(!c) cal.cal_inputs.(!c));
-      incr c
-    done
+  let fp = fold_queue t ~relabel queue_step (Fp.mix fp !pend) in
+  Fp.mix fp (timers_fp t ~relabel)
+
+(* -- digest caches (exact fingerprint only) -- *)
+
+let ensure_caches t =
+  if Array.length t.loc_fp = 0 then t.loc_fp <- Array.make t.n stale;
+  let len = Array.length t.pd_fp in
+  if len < t.pd_hwm then begin
+    let cells = Array.make (Int.max t.pd_hwm (2 * len)) stale in
+    Array.blit t.pd_fp 0 cells 0 len;
+    t.pd_fp <- cells
+  end
+
+let cached_local t state_fp pid =
+  let v = t.loc_fp.(pid) in
+  if v <> stale then v
+  else begin
+    let v = local_fp t state_fp ~relabel:Fun.id pid in
+    t.loc_fp.(pid) <- v;
+    v
+  end
+
+let cached_slot t s =
+  let v = t.pd_fp.(s) in
+  if v <> stale then v
+  else begin
+    let v = pending_fp t ~relabel:Fun.id s in
+    t.pd_fp.(s) <- v;
+    v
+  end
+
+let cached_pool t =
+  if t.pend_fp_seq = t.pd_next_seq && t.pend_fp_live = t.pd_live then t.pend_fp
+  else begin
+    let pend = ref 67 in
+    for s = 0 to t.pd_hwm - 1 do
+      if t.pd_src.(s) >= 0 then pend := Fp.commute !pend (cached_slot t s)
+    done;
+    t.pend_fp <- !pend;
+    t.pend_fp_seq <- t.pd_next_seq;
+    t.pend_fp_live <- t.pd_live;
+    !pend
+  end
+
+let exact_fingerprint t state_fp =
+  ensure_caches t;
+  let fp =
+    ref
+      (header_fp ~n:t.n ~now:t.now ~sends:t.sends ~dropped:t.faults_dropped
+         ~duplicated:t.faults_duplicated)
   in
-  Pqueue.iter_in_order t.queue (fun prio ev ->
-      fold_calendar_upto prio;
-      qfp := Fp.mix (Fp.mix !qfp (Fp.int prio)) (event_fp ~relabel ev));
-  fold_calendar_upto max_int;
-  let fp = !qfp in
-  let timers = ref 73L in
-  if not (Iheap.is_empty t.timers) then
-    Iheap.iter_in_order t.timers (fun ~id:cell ~priority ->
-        timers :=
-          Fp.mix !timers
-            (Fp.mix
-               (Fp.mix (Fp.mix 71L (Fp.int (relabel (cell mod t.n)))) (Fp.int (cell / t.n)))
-               (Fp.int (time_of_priority priority))));
-  Fp.mix fp !timers
+  for pid = 0 to t.n - 1 do
+    fp := Fp.mix !fp (cached_local t state_fp pid)
+  done;
+  let fp = fold_queue t ~relabel:Fun.id queue_step (Fp.mix !fp (cached_pool t)) in
+  Fp.mix fp (timers_fp t ~relabel:Fun.id)
 
 let fingerprint ?(symmetry = false) t =
-  match t.automaton.Automaton.state_fingerprint with
-  | None -> invalid_arg "Engine.fingerprint: automaton has no state_fingerprint hook"
-  | Some state_fp ->
-      if (not symmetry) || t.n <= 2 then
-        (* n <= 2 has no non-distinguished pair to permute. *)
-        fold_engine t state_fp ~relabel:Fun.id ~order:(Array.init t.n Fun.id)
-      else begin
-        (* Canonical orbit representative: pid 0 (the distinguished
-           proposer proxy / default coordinator) keeps its identity; pids
-           1..n-1 are sorted by their pid-blind local content. [relabel]
-           collapsing every pid to -1 makes the key depend only on content,
-           never on the labels being permuted away. *)
-        let blind _ = -1 in
-        let keys = Array.init t.n (fun p -> local_fp t state_fp ~relabel:blind p) in
-        let rest = Array.init (t.n - 1) (fun i -> i + 1) in
-        Array.sort
-          (fun a b ->
-            let c = Int64.compare keys.(a) keys.(b) in
-            if c <> 0 then c else compare a b)
-          rest;
-        let order = Array.make t.n 0 in
-        Array.iteri (fun i old -> order.(i + 1) <- old) rest;
-        let perm = Array.make t.n 0 in
-        Array.iteri (fun canonical old -> perm.(old) <- canonical) order;
-        fold_engine t state_fp ~relabel:(fun p -> perm.(p)) ~order
-      end
+  let state_fp = state_fp_of t ~caller:"Engine.fingerprint" in
+  if (not symmetry) || t.n <= 2 then
+    (* n <= 2 has no non-distinguished pair to permute. *)
+    exact_fingerprint t state_fp
+  else begin
+    (* Canonical orbit representative: pid 0 (the distinguished
+       proposer proxy / default coordinator) keeps its identity; pids
+       1..n-1 are sorted by their pid-blind local content. [relabel]
+       collapsing every pid to -1 makes the key depend only on content,
+       never on the labels being permuted away. *)
+    let blind _ = -1 in
+    let keys = Array.init t.n (fun p -> local_fp t state_fp ~relabel:blind p) in
+    let rest = Array.init (t.n - 1) (fun i -> i + 1) in
+    Array.sort
+      (fun a b ->
+        let c = Int.compare keys.(a) keys.(b) in
+        if c <> 0 then c else compare a b)
+      rest;
+    let order = Array.make t.n 0 in
+    Array.iteri (fun i old -> order.(i + 1) <- old) rest;
+    let perm = Array.make t.n 0 in
+    Array.iteri (fun canonical old -> perm.(old) <- canonical) order;
+    fold_engine t state_fp ~relabel:(fun p -> perm.(p)) ~order
+  end
+
+(* The child of [t] that drops [drop], duplicates [dup], delivers
+   [deliver] at [at] and runs until [until] changes [t] in few places:
+   the clock (if anything is delivered), the send and fault counters, the
+   local content of each destination that took a delivery, and the pool —
+   which loses the dropped and delivered messages and gains the copies
+   and whatever the destinations sent. Each destination's part is read off
+   its trial, a clone of [t] that delivered only that destination's
+   batch: a delivery steps its destination alone and its sends land in the
+   pool, so the parts do not interact. The pool is a sum of slot digests,
+   so it is updated by adding and subtracting; a trial's pool is [t]'s
+   minus its batch plus its sends, which gives the pool formula below.
+   Everything else — the queue beyond [until], the timers (none armed),
+   the other processes — is [t]'s. *)
+let child_fingerprint t ~at ~until =
+  let state_fp = state_fp_of t ~caller:"Engine.child_fingerprint" in
+  let horizon = Int.max at until in
+  let quiet =
+    (Pqueue.is_empty t.queue || time_of_priority (Pqueue.peek_prio t.queue) > horizon)
+    && (t.cal_next >= Array.length t.calendar.cal_times
+       || t.calendar.cal_times.(t.cal_next) > horizon)
+  in
+  let predictable =
+    t.disable_timers
+    && (match t.network with Network.Manual -> true | _ -> false)
+    && (match t.fault_plan with Network.Fault.No_faults -> true | _ -> false)
+    && at >= t.now && quiet
+    && t.steps + t.pd_live <= t.max_steps
+  in
+  if not predictable then None
+  else begin
+    ensure_caches t;
+    let pool = cached_pool t in
+    let locals = Array.init t.n (cached_local t state_fp) in
+    let tail = List.rev (fold_queue t ~relabel:Fun.id (fun acc p e -> (p, e) :: acc) []) in
+    let timers = timers_fp t ~relabel:Fun.id in
+    Some
+      (fun ~drop ~dup ~deliver ~trials ->
+        let slots ids = List.fold_left (fun acc id -> acc + cached_slot t id) 0 ids in
+        let to_crashed =
+          List.fold_left
+            (fun acc id -> if t.crashed_flags.(t.pd_dst.(id)) then acc + cached_slot t id else acc)
+            0 deliver
+        in
+        let sends = ref t.sends and pend = ref (pool - slots drop + slots dup - to_crashed) in
+        List.iter
+          (fun (_, trial) ->
+            ensure_caches trial;
+            sends := !sends + trial.sends - t.sends;
+            pend := !pend + cached_pool trial - pool)
+          trials;
+        let fp =
+          ref
+            (header_fp ~n:t.n
+               ~now:(if deliver = [] then t.now else at)
+               ~sends:!sends
+               ~dropped:(t.faults_dropped + List.length drop)
+               ~duplicated:(t.faults_duplicated + List.length dup))
+        in
+        let rec mix_locals pid trials =
+          if pid < t.n then
+            match trials with
+            | (dst, trial) :: rest when dst = pid ->
+                fp := Fp.mix !fp (cached_local trial state_fp pid);
+                mix_locals (pid + 1) rest
+            | _ ->
+                fp := Fp.mix !fp locals.(pid);
+                mix_locals (pid + 1) trials
+          else if trials <> [] then
+            invalid_arg "Engine.child_fingerprint: trials not in ascending destination order"
+        in
+        mix_locals 0 trials;
+        let fp = List.fold_left (fun acc (p, e) -> queue_step acc p e) (Fp.mix !fp !pend) tail in
+        Fp.mix fp timers)
+  end
 
 let decision_latencies t =
   let acc = ref [] in

@@ -154,10 +154,11 @@ val clone : ('state, 'msg, 'input, 'output) t -> ('state, 'msg, 'input, 'output)
     disabled the timer heap is empty. The input calendar costs
     nothing: clones share its arrays and copy its cursor. Message
     payloads, trace entries and outputs stay shared too — they are
-    immutable. [clone] only reads its argument, so multiple domains may
-    clone the same engine concurrently as long as nobody steps it
-    meanwhile (and [state_copy] is pure, which the {!Automaton.t} contract
-    requires). *)
+    immutable. The fingerprint caches (see {!fingerprint}) are copied, so
+    a clone digests like its source without re-hashing. [clone] only reads
+    its argument, so multiple domains may clone the same engine
+    concurrently as long as nobody steps or fingerprints it meanwhile (and
+    [state_copy] is pure, which the {!Automaton.t} contract requires). *)
 
 val now : ('state, 'msg, 'input, 'output) t -> Time.t
 (** Time of the last event processed ({!Time.zero} before the first). *)
@@ -319,5 +320,51 @@ val fingerprint : ?symmetry:bool -> ('state, 'msg, 'input, 'output) t -> Fingerp
     state-space-reduction notes); ties in the sort keep original order,
     which at worst under-merges.
 
+    {b Caches.} The exact digest ([symmetry = false]) is assembled from
+    two caches that the first call allocates: each process's local digest
+    (state, crash flag, first input and output), recomputed only after
+    that process steps, initialises or crashes, and each pending slot's
+    message digest, computed once per message. {!clone} copies both, so a
+    clone of a fingerprinted engine re-hashes only what changed since the
+    branch. An engine that is never fingerprinted never allocates them and
+    pays one length test per step. Because it fills the caches,
+    [fingerprint] writes to [t]: do not call it while another domain
+    clones or fingerprints the same engine. The symmetry digest is not
+    cached.
+
     Raises [Invalid_argument] when the automaton has no
     [state_fingerprint] hook ({!has_fingerprint} is [false]). *)
+
+val child_fingerprint :
+  ('state, 'msg, 'input, 'output) t ->
+  at:Time.t ->
+  until:Time.t ->
+  (drop:int list ->
+  dup:int list ->
+  deliver:int list ->
+  trials:(Pid.t * ('state, 'msg, 'input, 'output) t) list ->
+  Fingerprint.t)
+  option
+(** Predict the exact {!fingerprint} of a child of [t] without building
+    it. The child is what these steps make of a {!clone} of [t]:
+    {!drop_pending} each id of [drop], {!duplicate_pending} each id of
+    [dup], {!deliver_pending} each id of [deliver] at [at], in that order,
+    then [run ~until:at] and [run ~until]. [child_fingerprint t ~at
+    ~until] returns [Some key] when [t] admits the prediction, and [key
+    ~drop ~dup ~deliver ~trials] is that child's fingerprint.
+
+    [trials] holds one [(dst, trial)] pair for every correct destination
+    of [deliver], in ascending [dst] order. [trial] is a clone of [t] that
+    delivered (with {!deliver_pending} at [at]) exactly the ids of
+    [deliver] addressed to [dst], in their order in [deliver], and then ran
+    [run ~until:at]. Ids must be live, distinct, and [drop] disjoint from
+    [dup] and [deliver]. Nothing checks this contract: a violation yields
+    a wrong key, not an error.
+
+    Returns [None] unless nothing but those deliveries can happen before
+    [until]: timers disabled, a {!Network.Manual} network, no fault plan,
+    [at >= now t], no event in the heap or the input calendar at or before
+    [max at until], and at least {!pending_count} steps left in the
+    [max_steps] budget. [key] fills [t]'s and the trials' caches, and
+    stays valid until [t] is next stepped or mutated. Raises
+    [Invalid_argument] without a [state_fingerprint] hook. *)

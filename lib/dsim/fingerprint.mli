@@ -1,4 +1,10 @@
-(** 64-bit structural fingerprint combinators.
+(** 63-bit structural fingerprint combinators.
+
+    A fingerprint is an OCaml native [int]: all 63 bits carry hash
+    entropy, and no combinator allocates. {!Stdext.Stateset} stores 62 of
+    those bits (it reserves the top one to tell keys from its empty and
+    sealed sentinels), which is the hash-compaction width the explorer's
+    soundness notes refer to.
 
     The building blocks for {!Automaton.t}'s [state_fingerprint] hook and
     {!Engine.fingerprint}: protocols fold their state fields through these
@@ -22,7 +28,7 @@
        collapsing function it becomes pid-blind (the sort key); with a
        permutation it is the canonical orbit representative.}} *)
 
-type t = int64
+type t = int
 
 val zero : t
 
@@ -34,7 +40,9 @@ val commute : t -> t -> t
 (** Commutative, associative combiner for multisets: fold container
     elements' fingerprints with [commute] and the result is independent of
     iteration order. Absorb the result into the running accumulator with
-    {!mix} afterwards. *)
+    {!mix} afterwards. It is integer addition (modulo 2{^63}), so a
+    multiset's digest can be updated by adding and subtracting element
+    digests; {!Engine.child_fingerprint} relies on this. *)
 
 val int : int -> t
 

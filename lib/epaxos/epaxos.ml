@@ -545,7 +545,7 @@ let fingerprint ~relabel s =
     | S_executed -> 3
   in
   let inst_fp i =
-    let fp = Fp.mix 137L (Fp.option cmd i.cmd) in
+    let fp = Fp.mix 137 (Fp.option cmd i.cmd) in
     let fp = Fp.mix fp (attrs_fp i.attrs) in
     let fp = Fp.mix fp (Fp.int (status_fp i.status)) in
     let fp = Fp.mix fp (Fp.int i.ballot) in
@@ -553,19 +553,19 @@ let fingerprint ~relabel s =
     Fp.mix fp (Fp.bool i.pristine)
   in
   let phase_fp = function
-    | Idle -> 139L
+    | Idle -> 139
     | Collecting { attrs; oks } ->
         Fp.mix
-          (Fp.mix 149L (attrs_fp attrs))
+          (Fp.mix 149 (attrs_fp attrs))
           (Fp.map (fun p a -> Fp.mix (pid p) (attrs_fp a)) ~fold:Pid.Map.fold oks)
     | Accepting { attrs; cmd = c; bal; oks } ->
         Fp.mix
-          (Fp.mix (Fp.mix (Fp.mix 151L (attrs_fp attrs)) (Fp.option cmd c)) (Fp.int bal))
+          (Fp.mix (Fp.mix (Fp.mix 151 (attrs_fp attrs)) (Fp.option cmd c)) (Fp.int bal))
           (Fp.set pid ~fold:Pid.Set.fold oks)
-    | Settled -> 157L
+    | Settled -> 157
   in
   let recovery_fp r =
-    let fp = Fp.mix 163L (Fp.int r.rbal) in
+    let fp = Fp.mix 163 (Fp.int r.rbal) in
     let fp =
       Fp.mix fp
         (Fp.map
@@ -580,7 +580,7 @@ let fingerprint ~relabel s =
     in
     Fp.mix fp (Fp.bool r.acted)
   in
-  let fp = Fp.mix 167L (pid s.self) in
+  let fp = Fp.mix 167 (pid s.self) in
   let fp = Fp.mix fp (Fp.int s.f) in
   let fp = Fp.mix fp (Fp.map (fun j i -> Fp.mix (pid j) (inst_fp i)) ~fold:Pid.Map.fold s.instances) in
   let fp = Fp.mix fp (phase_fp s.phase) in

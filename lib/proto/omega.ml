@@ -35,7 +35,7 @@ let init ~self ~n ~delta ?(suspicion_multiplier = 3) () =
 
 let fingerprint ~relabel state =
   let module Fp = Dsim.Fingerprint in
-  let fp = Fp.mix 101L (Fp.int (relabel state.self)) in
+  let fp = Fp.mix 101 (Fp.int (relabel state.self)) in
   let fp = Fp.mix fp (Fp.int state.delta) in
   let fp = Fp.mix fp (Fp.int state.suspicion_delay) in
   Fp.mix fp (Fp.set (fun p -> Fp.int (relabel p)) ~fold:Pid.Set.fold state.suspected)

@@ -28,6 +28,11 @@ let rec cartesian = function
       let tails = cartesian rest in
       List.concat_map (fun c -> List.map (fun t -> c :: t) tails) choices
 
+let rec cartesian_seq = function
+  | [] -> Seq.return []
+  | choices :: rest ->
+      Seq.flat_map (fun c -> Seq.map (fun t -> c :: t) (cartesian_seq rest)) (List.to_seq choices)
+
 let chunks size l =
   if size <= 0 then invalid_arg "Combinat.chunks: size must be positive";
   let rec take k acc = function

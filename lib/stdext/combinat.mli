@@ -18,6 +18,10 @@ val cartesian : 'a list list -> 'a list list
 (** [cartesian [xs1; xs2; ...]] is the cartesian product, each choice list
     picking one element per input list. [cartesian [] = [[]]]. *)
 
+val cartesian_seq : 'a list list -> 'a list Seq.t
+(** The same product as {!cartesian}, in the same order, built on demand:
+    only the choice lists still to be visited are ever allocated. *)
+
 val chunks : int -> 'a list -> 'a list list
 (** [chunks size l] partitions [l] into consecutive runs of [size] elements
     (the last chunk may be shorter), preserving order; [chunks _ [] = []].

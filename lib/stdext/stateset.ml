@@ -1,15 +1,15 @@
 (* Slot states: 0 = empty, 1 = sealed (resize in progress), anything with
    the sign bit set = a stored key. [encode] forces the sign bit on, so a
-   key can never collide with the two sentinels; the price is that bit 62
-   of the fingerprint is lost on top of bit 63 (Int64.to_int keeps the low
-   63), leaving 62 significant bits — see the .mli on why that is an
-   acceptable hash-compaction trade. *)
+   key can never collide with the two sentinels; the price is that bit 62,
+   the top bit of a 63-bit fingerprint, is lost, leaving 62 significant
+   bits — see the .mli on why that is an acceptable hash-compaction
+   trade. *)
 
 let empty_slot = 0
 
 let sealed_slot = 1
 
-let encode (fp : int64) = Int64.to_int fp lor min_int
+let encode fp = fp lor min_int
 
 (* Where a key starts probing. Mixing rather than taking the raw low bits
    keeps probe sequences spread out even if the fingerprints themselves

@@ -1,4 +1,5 @@
-(** Domain-sharded, lock-free visited set over 64-bit state fingerprints.
+(** Domain-sharded, lock-free visited set over 63-bit state fingerprints
+    (native [int]s, as [Dsim.Fingerprint.t] produces them).
 
     The explorer's duplicate-state filter: every domain inserts the
     fingerprint of each search-tree node it reaches, and a subtree is
@@ -12,10 +13,10 @@
     copies the occupied slots — they are write-once, so no writer can be
     mutating them — and installs the new table with a single atomic store.
 
-    {b Key encoding.} Slots store fingerprints as native ints with the
-    sign bit forced on, reserving [0] (empty) and [1] (sealed). A stored
-    key therefore retains 62 bits of the fingerprint: two states whose
-    fingerprints agree on those bits are identified. This is the same
+    {b Key encoding.} Slots store fingerprints with the sign bit (bit 62)
+    forced on, reserving [0] (empty) and [1] (sealed). A stored key
+    therefore retains the low 62 of the fingerprint's 63 bits: two states
+    whose fingerprints differ only in bit 62 are identified. This is the same
     deliberate trade as SPIN-style hash-compaction — a false "already
     visited" answer prunes a subtree that was actually new, with
     probability ~[states² / 2^63]; it can mask a violation but never
@@ -45,12 +46,12 @@ val recommended_capacity : expected:int -> int
     pre-size a visited set from a search budget instead of paying resize
     stalls mid-exploration. *)
 
-val add : t -> int64 -> bool
+val add : t -> int -> bool
 (** Insert a fingerprint. [true] = newly added (this caller won the
     insertion race), [false] = already present. Lock-free except while the
     target shard is mid-resize. *)
 
-val mem : t -> int64 -> bool
+val mem : t -> int -> bool
 (** Membership without inserting. *)
 
 val cardinal : t -> int

@@ -716,14 +716,14 @@ let test_fingerprint_order_independence () =
      Pid.Map folds safe regardless of internal tree shape. *)
   let elems = [ 3; 1; 4; 1; 5; 9; 2; 6 ] in
   let shuffled = [ 6; 2; 9; 5; 1; 4; 1; 3 ] in
-  Alcotest.(check int64)
+  Alcotest.(check int)
     "set: iteration order invisible"
     (Fp.set Fp.int ~fold:fold_list elems)
     (Fp.set Fp.int ~fold:fold_list shuffled);
   let bindings = [ (1, 10); (2, 20); (3, 30) ] in
   let binding (k, v) = Fp.mix (Fp.int k) (Fp.int v) in
   let fold_bindings f l init = List.fold_left (fun acc kv -> f kv () acc) init l in
-  Alcotest.(check int64)
+  Alcotest.(check int)
     "map: iteration order invisible"
     (Fp.map (fun kv () -> binding kv) ~fold:fold_bindings bindings)
     (Fp.map (fun kv () -> binding kv) ~fold:fold_bindings (List.rev bindings));
@@ -737,13 +737,16 @@ let test_fingerprint_order_independence () =
 let test_fingerprint_golden () =
   (* Hard-coded values pin the fingerprint function itself: any change to
      the mixing constants or fold order silently invalidates every visited
-     set written by other components, so it must be deliberate and loud. *)
-  Alcotest.(check int64) "int 1" 0x5692161D100B05E5L (Fp.int 1);
-  Alcotest.(check int64) "int 42" 0xA759EA27D4727622L (Fp.int 42);
-  Alcotest.(check int64) "mix 1 2" 0x8675A45D4D251026L (Fp.mix (Fp.int 1) (Fp.int 2));
-  Alcotest.(check int64) "list [1;2;3]" 0x3A44398B6D263063L (Fp.list Fp.int [ 1; 2; 3 ]);
-  Alcotest.(check int64) "option None" 7L (Fp.option Fp.int None);
-  Alcotest.(check int64) "bool true" 3L (Fp.bool true)
+     set written by other components, so it must be deliberate and loud.
+     Fingerprints are 63-bit native ints (SplitMix64's finalizer with the
+     multipliers reduced to 63 bits). *)
+  Alcotest.(check int) "int 1" 0x2380F76DFA2EC705 (Fp.int 1);
+  Alcotest.(check int) "int 42" 0x2759EA26D4727622 (Fp.int 42);
+  Alcotest.(check int) "mix 1 2" 0x006E9A89B3A0DB74 (Fp.mix (Fp.int 1) (Fp.int 2));
+  Alcotest.(check int) "list [1;2;3]" 0x09EF9A3BCBFA67F6 (Fp.list Fp.int [ 1; 2; 3 ]);
+  Alcotest.(check int) "int -1 (sign bit set)" 0x5A682AFE7965DEBD (Fp.int (-1));
+  Alcotest.(check int) "option None" 7 (Fp.option Fp.int None);
+  Alcotest.(check int) "bool true" 3 (Fp.bool true)
 
 let test_engine_fingerprint_stability () =
   (* Same construction, run to the same point -> same fingerprint;
@@ -760,13 +763,13 @@ let test_engine_fingerprint_stability () =
   in
   let a = make [ (0, 0, 7) ] and b = make [ (0, 0, 7) ] in
   Alcotest.(check bool) "hook detected" true (Engine.has_fingerprint a);
-  Alcotest.(check int64) "fresh engines agree" (Engine.fingerprint a) (Engine.fingerprint b);
+  Alcotest.(check int) "fresh engines agree" (Engine.fingerprint a) (Engine.fingerprint b);
   ignore (Engine.run ~until:10 a);
   ignore (Engine.run ~until:10 b);
-  Alcotest.(check int64) "same run, same fingerprint" (Engine.fingerprint a)
+  Alcotest.(check int) "same run, same fingerprint" (Engine.fingerprint a)
     (Engine.fingerprint b);
   let c = Engine.clone a in
-  Alcotest.(check int64) "clone fingerprints like source" (Engine.fingerprint a)
+  Alcotest.(check int) "clone fingerprints like source" (Engine.fingerprint a)
     (Engine.fingerprint c);
   (* Echo state records nothing, so divergent histories only show while
      their messages are still in flight: stop before the round boundary
@@ -816,13 +819,13 @@ let test_input_calendar_invisible () =
   let source = make () in
   ignore (Engine.run ~until:5 source);
   let copy = Engine.clone source in
-  Alcotest.(check int64) "clone fingerprints like its source" (Engine.fingerprint source)
+  Alcotest.(check int) "clone fingerprints like its source" (Engine.fingerprint source)
     (Engine.fingerprint copy);
   ignore (Engine.run source);
   ignore (Engine.run copy);
   Alcotest.(check bool) "clone runs to the same trace" true
     (Engine.trace source = Engine.trace copy);
-  Alcotest.(check int64) "clone ends on the same fingerprint" (Engine.fingerprint source)
+  Alcotest.(check int) "clone ends on the same fingerprint" (Engine.fingerprint source)
     (Engine.fingerprint copy);
   (* An unread input is part of the future: it must reach the digest. *)
   let a = make ()
@@ -836,7 +839,7 @@ let test_input_calendar_invisible () =
   List.iter (fun (at, p, v) -> Engine.schedule_input scheduled ~at p v)
     [ (20, 1, 5); (20, 0, 7); (20, 2, 9) ];
   ignore (Engine.run ~until:5 scheduled);
-  Alcotest.(check int64) "calendar and heap inputs digest alike" (Engine.fingerprint a)
+  Alcotest.(check int) "calendar and heap inputs digest alike" (Engine.fingerprint a)
     (Engine.fingerprint scheduled);
   Alcotest.check_raises "input time outside the packing range"
     (Invalid_argument "Engine.create: input time outside the event-queue packing range")
@@ -896,13 +899,13 @@ let test_timer_heap_semantics () =
   let source = make () in
   ignore (Engine.run ~until:45 source);
   let copy = Engine.clone source in
-  Alcotest.(check int64) "clone fingerprints like its source" (Engine.fingerprint source)
+  Alcotest.(check int) "clone fingerprints like its source" (Engine.fingerprint source)
     (Engine.fingerprint copy);
   ignore (Engine.run source);
   ignore (Engine.run copy);
   Alcotest.(check bool) "clone runs to the same trace" true
     (Engine.trace source = Engine.trace copy && Engine.trace copy = Engine.trace engine);
-  Alcotest.(check int64) "clone ends on the same fingerprint" (Engine.fingerprint source)
+  Alcotest.(check int) "clone ends on the same fingerprint" (Engine.fingerprint source)
     (Engine.fingerprint copy);
   (* Equal armed deadlines digest equal whatever the arm history: x armed
      once for 100, against x armed for 50, cancelled and re-armed for 80
@@ -917,7 +920,7 @@ let test_timer_heap_semantics () =
     Engine.fingerprint e
   in
   let once = history ~init:[ Arm (0, 100) ] ~at10:[] ~at20:[] in
-  Alcotest.(check int64) "arm history is not part of the digest" once
+  Alcotest.(check int) "arm history is not part of the digest" once
     (history ~init:[ Arm (0, 50) ] ~at10:[ Cancel 0 ] ~at20:[ Arm (0, 80) ]);
   Alcotest.(check bool) "the armed deadline is" true
     (once <> history ~init:[ Arm (0, 50) ] ~at10:[ Cancel 0 ] ~at20:[ Arm (0, 81) ]);
@@ -928,6 +931,176 @@ let test_timer_heap_semantics () =
            (Engine.create ~automaton:(timer_script ~init:[ Arm (-1, 10) ]) ~n:2
               ~network:sync_net ())
           : Engine.run_result))
+
+(* -- child keys ------------------------------------------------------------ *)
+
+(* [Engine.child_fingerprint] against the children it describes. A
+   protocol at its minimal n for e = f = 1 runs on a manual network; the
+   seed picks the proposers and their values, and optionally a process
+   crashed at time 0. At each of the first two round boundaries, every
+   drop subset and every duplication subset (at most one of each per run)
+   is combined with per-destination delivery orders: the whole product of
+   the destinations' orders when it has at most 64 members, otherwise the
+   k-th order of every destination for each k, which still puts every
+   order of every destination in some child. Each child is built with
+   [clone], [drop_pending], [duplicate_pending], [deliver_pending] and
+   [run], and its fingerprint must equal the key; so must the fingerprint
+   of the same child rebuilt from time 0, which starts with no digest
+   caches. The second boundary is reached through a seed-chosen child of
+   the first. *)
+
+let key_delta = 100
+
+let key_protocols =
+  [|
+    ("rgs-task", Core.Rgs.task);
+    ("fast-paxos", Baselines.Fast_paxos.protocol);
+    ("paxos", Baselines.Paxos.protocol);
+    ("epaxos", Epaxos.protocol);
+  |]
+
+let orders batch =
+  if List.length batch <= 4 then Stdext.Combinat.permutations batch
+  else [ batch; List.rev batch ]
+
+(* Per-destination order combinations: the full product when small, the
+   "k-th order everywhere" diagonal otherwise. *)
+let order_combos per_dst =
+  let product = List.fold_left (fun a l -> a * List.length l) 1 per_dst in
+  if product <= 64 then Stdext.Combinat.cartesian per_dst
+  else
+    let widest = List.fold_left (fun a l -> max a (List.length l)) 0 per_dst in
+    List.init widest (fun k -> List.map (fun l -> List.nth l (k mod List.length l)) per_dst)
+
+(* Check every child of [engine] at boundary [round]; returns the choices
+   made, each with the child it builds and a function rebuilding that
+   child from time 0. [fresh] rebuilds [engine] from time 0: an engine
+   never fingerprinted has no digest caches, so its first digest is
+   computed from scratch and must equal the child's, which the clone
+   inherited mostly from caches. *)
+let check_boundary ~fresh engine ~round ~drops_left ~dups_left =
+  let at = round * key_delta and until = ((round + 1) * key_delta) - 1 in
+  let key =
+    match Engine.child_fingerprint engine ~at ~until with
+    | Some key -> key
+    | None -> QCheck.Test.fail_reportf "boundary %d: no key function" round
+  in
+  let groups, to_crashed = Engine.pending_delivery_groups engine in
+  let live = List.concat_map snd groups in
+  let trials = Hashtbl.create 16 in
+  let trial dst order =
+    match Hashtbl.find_opt trials order with
+    | Some t -> (dst, t)
+    | None ->
+        let t = Engine.clone engine in
+        List.iter (fun id -> Engine.deliver_pending t ~id ~at) order;
+        ignore (Engine.run ~until:at t);
+        Hashtbl.add trials order t;
+        (dst, t)
+  in
+  List.concat_map
+    (fun drop ->
+      let kept = List.filter (fun id -> not (List.mem id drop)) live in
+      let per_dst =
+        List.filter_map
+          (fun (dst, batch) ->
+            match List.filter (fun id -> not (List.mem id drop)) batch with
+            | [] -> None
+            | kept_batch -> Some (List.map (fun o -> (dst, o)) (orders kept_batch)))
+          groups
+      in
+      List.concat_map
+        (fun dup ->
+          List.map
+            (fun combo ->
+              let deliver = List.concat_map snd combo @ to_crashed in
+              let predicted =
+                key ~drop ~dup ~deliver ~trials:(List.map (fun (d, o) -> trial d o) combo)
+              in
+              let extend node =
+                List.iter (fun id -> Engine.drop_pending node ~id) drop;
+                List.iter (fun id -> ignore (Engine.duplicate_pending node ~id : int)) dup;
+                List.iter (fun id -> Engine.deliver_pending node ~id ~at) deliver;
+                ignore (Engine.run ~until:at node);
+                ignore (Engine.run ~until node);
+                node
+              in
+              let child = extend (Engine.clone engine) in
+              let replay () = extend (fresh ()) in
+              let fail what digest =
+                QCheck.Test.fail_reportf
+                  "boundary %d, drop [%s], dup [%s], deliver [%s]: key %d, %s %d" round
+                  (String.concat ";" (List.map string_of_int drop))
+                  (String.concat ";" (List.map string_of_int dup))
+                  (String.concat ";" (List.map string_of_int deliver))
+                  predicted what digest
+              in
+              if Engine.fingerprint child <> predicted then
+                fail "child" (Engine.fingerprint child);
+              let direct = Engine.fingerprint (replay ()) in
+              if direct <> predicted then fail "child rebuilt from time 0" direct;
+              ((drop, dup), child, replay))
+            (order_combos per_dst))
+        (Stdext.Combinat.subsets_up_to dups_left kept))
+    (Stdext.Combinat.subsets_up_to drops_left live)
+
+let child_key_property =
+  QCheck.Test.make ~name:"child key = fingerprint of the built child" ~count:30
+    QCheck.(
+      make
+        ~print:(fun (p, seed, crash) ->
+          Printf.sprintf "%s, seed %d, crash at 0: %b" (fst key_protocols.(p)) seed crash)
+        Gen.(triple (int_bound (Array.length key_protocols - 1)) (int_bound 1_000_000) bool))
+    (fun (p, seed, crash) ->
+      let (module P : Proto.Protocol.S) = snd key_protocols.(p) in
+      let n = P.min_n ~e:1 ~f:1 in
+      let rng = Random.State.make [| seed |] in
+      let proposers =
+        match List.filter (fun _ -> Random.State.bool rng) (Pid.all ~n) with
+        | [] -> [ Random.State.int rng n ]
+        | l -> l
+      in
+      let proposals = List.map (fun pid -> (0, pid, Random.State.int rng 3)) proposers in
+      let crashes = if crash then [ (0, Random.State.int rng n) ] else [] in
+      let positioned ?(disable_timers = true) ?(crashes = crashes) ?faults () =
+        let engine =
+          Engine.create ~automaton:(P.make ~n ~e:1 ~f:1 ~delta:key_delta) ~n
+            ~network:Network.Manual ~disable_timers ~inputs:proposals ~crashes ?faults ()
+        in
+        ignore (Engine.run ~until:(key_delta - 1) engine);
+        engine
+      in
+      let engine = positioned () in
+      if Engine.pending_count engine > 0 then begin
+        let first =
+          check_boundary ~fresh:positioned engine ~round:1 ~drops_left:1 ~dups_left:1
+        in
+        let (drop, dup), next, replay =
+          List.nth first (Random.State.int rng (List.length first))
+        in
+        if Engine.pending_count next > 0 then
+          ignore
+            (check_boundary ~fresh:replay next ~round:2 ~drops_left:(1 - List.length drop)
+               ~dups_left:(1 - List.length dup)
+              : _ list)
+      end;
+      (* Anything but the boundary's deliveries before the next boundary
+         rules the key out. *)
+      let no_key ?disable_timers ?crashes ?faults why =
+        match
+          Engine.child_fingerprint
+            (positioned ?disable_timers ?crashes ?faults ())
+            ~at:key_delta
+            ~until:((2 * key_delta) - 1)
+        with
+        | None -> ()
+        | Some _ -> QCheck.Test.fail_reportf "a key despite %s" why
+      in
+      no_key ~disable_timers:false "timers";
+      no_key ~crashes:((key_delta + Random.State.int rng key_delta, 0) :: crashes) "a crash due";
+      no_key ~crashes:((key_delta, 0) :: crashes) "a crash at the boundary";
+      no_key ~faults:(Network.Fault.random ~drop_rate:0.5 ()) "a fault plan";
+      true)
 
 let () =
   Alcotest.run "dsim"
@@ -996,4 +1169,5 @@ let () =
           Alcotest.test_case "engine fingerprint stability" `Quick
             test_engine_fingerprint_stability;
         ] );
+      ("child-key", [ QCheck_alcotest.to_alcotest child_key_property ]);
     ]

@@ -18,7 +18,16 @@
    same explored and violation counts, the same multiset of leaf outcomes
    and the same first violation; its [truncated] flag must be set exactly
    when the oracle hit the budget with schedules left or used the
-   two-order fallback. *)
+   two-order fallback.
+
+   With a visited set the oracle still rebuilds every node from time 0,
+   keys it with Engine.fingerprint and its round, and expands it only on
+   the key's first arrival. The explorer with exact dedup (POR off) must
+   then also agree on distinct states, dedup hits and pruned subtrees.
+   That explorer keys most children before building them
+   (Engine.child_fingerprint) and never builds a child whose predicted
+   key was seen, so these counts are what checks the predictions it
+   never verifies itself. *)
 
 module Engine = Dsim.Engine
 module Combinat = Stdext.Combinat
@@ -49,8 +58,21 @@ let outcome_of ~n engine =
 (* What one oracle search saw: the leaf outcomes in DFS order, whether
    the budget stopped it with schedules left, whether some batch needed
    the two-order fallback, and how many expanded boundaries had messages
-   addressed to a crashed process. *)
-type oracle = { leaves : Scenario.outcome list; cut : bool; fallback : bool; to_crashed : int }
+   addressed to a crashed process. With a visited set: first arrivals at
+   a key, later arrivals, later arrivals at interior nodes (each cuts a
+   subtree), and how many expanded boundaries Engine.child_fingerprint
+   would and would not key. *)
+type oracle = {
+  leaves : Scenario.outcome list;
+  cut : bool;
+  fallback : bool;
+  to_crashed : int;
+  distinct : int;
+  hits : int;
+  pruned : int;
+  keyed : int;
+  unkeyed : int;
+}
 
 (* Every scheduling decision at the coming round boundary of [engine]. *)
 let choices ~fallback ~to_crashed engine ~drops_left ~dups_left =
@@ -102,33 +124,69 @@ let replay fresh path =
     path;
   engine
 
-(* The first [budget] schedules in DFS order, each re-executed. *)
-let brute (module P : Proto.Protocol.S) ~n ~e ~f ~proposals ~crashes ~rounds
-    ~disable_timers ~(faults : Explore.fault_bounds) ~budget =
+(* The first [budget] schedules in DFS order, each re-executed; with
+   [dedup], only the first arrival at each (fingerprint, round) key is
+   expanded. *)
+let brute ?(dedup = false) (module P : Proto.Protocol.S) ~n ~e ~f ~proposals ~crashes
+    ~rounds ~disable_timers ~(faults : Explore.fault_bounds) ~budget =
   let fresh () =
     Engine.create ~automaton:(P.make ~n ~e ~f ~delta) ~n ~network:Dsim.Network.Manual
       ~seed:0 ~disable_timers ~record_trace:true ~inputs:proposals ~crashes ()
   in
   let fallback = ref false and cut = ref false and to_crashed = ref 0 in
   let leaves = ref [] and count = ref 0 in
+  let visited = Stdext.Stateset.create () in
+  let distinct = ref 0 and hits = ref 0 and pruned = ref 0 in
+  let keyed = ref 0 and unkeyed = ref 0 in
+  let first_arrival engine round =
+    (not dedup)
+    ||
+    let key = Dsim.Fingerprint.mix (Engine.fingerprint engine) (Dsim.Fingerprint.int round) in
+    if Stdext.Stateset.add visited key then begin
+      incr distinct;
+      true
+    end
+    else begin
+      incr hits;
+      if round <= rounds then incr pruned;
+      false
+    end
+  in
   let rec go rev_path round ~drops_left ~dups_left =
     let engine = replay fresh (List.rev rev_path) in
-    if round > rounds || Engine.pending_count engine = 0 then begin
-      leaves := outcome_of ~n engine :: !leaves;
-      incr count
-    end
-    else
-      List.iter
-        (fun c ->
-          if !count >= budget then cut := true
-          else
-            go (c :: rev_path) (round + 1)
-              ~drops_left:(drops_left - List.length c.drop)
-              ~dups_left:(dups_left - List.length c.dup))
-        (choices ~fallback ~to_crashed engine ~drops_left ~dups_left)
+    if first_arrival engine round then
+      if round > rounds || Engine.pending_count engine = 0 then begin
+        leaves := outcome_of ~n engine :: !leaves;
+        incr count
+      end
+      else begin
+        (match
+           Engine.child_fingerprint engine ~at:(round * delta) ~until:(((round + 1) * delta) - 1)
+         with
+        | Some _ -> incr keyed
+        | None -> incr unkeyed);
+        List.iter
+          (fun c ->
+            if !count >= budget then cut := true
+            else
+              go (c :: rev_path) (round + 1)
+                ~drops_left:(drops_left - List.length c.drop)
+                ~dups_left:(dups_left - List.length c.dup))
+          (choices ~fallback ~to_crashed engine ~drops_left ~dups_left)
+      end
   in
   go [] 1 ~drops_left:faults.max_drops ~dups_left:faults.max_dups;
-  { leaves = List.rev !leaves; cut = !cut; fallback = !fallback; to_crashed = !to_crashed }
+  {
+    leaves = List.rev !leaves;
+    cut = !cut;
+    fallback = !fallback;
+    to_crashed = !to_crashed;
+    distinct = !distinct;
+    hits = !hits;
+    pruned = !pruned;
+    keyed = !keyed;
+    unkeyed = !unkeyed;
+  }
 
 let check_against_oracle ?(crashes = []) ?(disable_timers = true)
     ?(faults = Explore.no_faults) ?(budget = 1_000_000) ~label protocol ~n ~e ~f ~proposals
@@ -160,6 +218,53 @@ let check_against_oracle ?(crashes = []) ?(disable_timers = true)
     true
     (r.Explore.first_violation = List.nth_opt violating 0);
   (r, o)
+
+(* The explorer with exact dedup against the oracle with a visited set.
+   [keyed]: whether Engine.child_fingerprint must key every expanded node
+   (timers off, no crash pending) or none (timers on). *)
+let check_dedup_against_oracle ?(crashes = []) ?(disable_timers = true)
+    ?(faults = Explore.no_faults) ?(budget = 1_000_000) ~keyed ~label protocol ~n ~e ~f
+    ~proposals ~rounds check =
+  let label = label ^ ", exact dedup" in
+  let seen = ref [] in
+  let r, report =
+    Explore.synchronous_report protocol ~n ~e ~f ~delta ~proposals ~crashes ~rounds ~budget
+      ~disable_timers ~faults ~dedup:Explore.Exact ~por:Explore.No_por
+      ~check:(fun o ->
+        seen := o :: !seen;
+        check o)
+      ()
+  in
+  let t = report.Explore.Run_report.totals in
+  let o =
+    brute ~dedup:true protocol ~n ~e ~f ~proposals ~crashes ~rounds ~disable_timers ~faults
+      ~budget
+  in
+  let violating = List.filter (fun o -> not (check o)) o.leaves in
+  Alcotest.(check int) (label ^ ": explored") (List.length o.leaves) r.Explore.explored;
+  Alcotest.(check int) (label ^ ": violations") (List.length violating) r.Explore.violations;
+  Alcotest.(check int) (label ^ ": distinct states") o.distinct t.distinct_states;
+  Alcotest.(check int) (label ^ ": dedup hits") o.hits t.dedup_hits;
+  Alcotest.(check int) (label ^ ": pruned subtrees") o.pruned t.pruned_subtrees;
+  Alcotest.(check bool)
+    (label ^ ": truncated iff cut or fallback")
+    (o.cut || o.fallback) r.Explore.truncated;
+  Alcotest.(check bool)
+    (label ^ ": same leaf outcomes")
+    true
+    (List.sort compare o.leaves = List.sort compare !seen);
+  Alcotest.(check bool)
+    (label ^ ": same first violation")
+    true
+    (r.Explore.first_violation = List.nth_opt violating 0);
+  Alcotest.(check bool) (label ^ ": dedup hit something") true (o.hits > 0);
+  if keyed then
+    Alcotest.(check (pair bool int))
+      (label ^ ": every expanded node keys its children")
+      (true, 0)
+      (o.keyed > 0, o.unkeyed)
+  else Alcotest.(check int) (label ^ ": no node keys its children") 0 o.keyed;
+  o
 
 let safe o = Safety.safe o
 
@@ -228,6 +333,53 @@ let test_drop_dup () =
   let r, _ = go "lossless" (fun o -> o.Scenario.dropped = 0) in
   Alcotest.(check bool) "lossy runs found" true (r.Explore.violations > 0)
 
+(* The three configurations above, with exact dedup on both sides. *)
+let test_dedup_task_bound () =
+  let n = 6 and e = 2 and f = 2 in
+  let proposals = Scenario.all_proposals_at_zero ~n [ 5; 4; 3; 2; 1; 0 ] in
+  let go ?budget label check =
+    check_dedup_against_oracle ?budget ~keyed:true ~label Core.Rgs.task ~n ~e ~f ~proposals
+      ~rounds:3 check
+  in
+  ignore (go "safe" safe : oracle);
+  ignore (go "p0 undecided" p0_undecided : oracle);
+  (* Dedup leaves 64 of the 3-round search's runs: budgets below that cut
+     it. *)
+  Alcotest.(check bool) "budget 40 cuts" true (go ~budget:40 "safe, budget 40" safe).cut;
+  Alcotest.(check bool) "budget 20 cuts" true
+    (go ~budget:20 "p0 undecided, budget 20" p0_undecided).cut
+
+let test_dedup_crash_with_timers () =
+  let n = 3 and e = 1 and f = 1 in
+  let go ~crash_at ~proposals ~rounds ?budget label check =
+    check_dedup_against_oracle ~keyed:false ~label ~crashes:[ (crash_at, 2) ]
+      ~disable_timers:false ?budget Core.Rgs.task ~n ~e ~f ~proposals ~rounds check
+  in
+  (* Dedup leaves 32 runs of the three-proposer search; a budget of 16
+     cuts it halfway, and keeps the oracle, which replays every arrival
+     from time 0, quick. *)
+  let o =
+    go ~crash_at:((2 * delta) + 1)
+      ~proposals:(Scenario.all_proposals_at_zero ~n [ 0; 1; 2 ])
+      ~rounds:5 ~budget:16 "three proposers, budget 16" safe
+  in
+  Alcotest.(check bool) "budget 16 cuts" true o.cut;
+  List.iter
+    (fun (label, check) ->
+      ignore
+        (go ~crash_at:(delta + 1) ~proposals:[ (0, 0, 7) ] ~rounds:2 label check : oracle))
+    [ ("one proposer, safe", safe); ("one proposer, p0 undecided", p0_undecided) ]
+
+let test_dedup_drop_dup () =
+  let n = 3 and e = 1 and f = 1 in
+  let faults = { Explore.max_drops = 1; max_dups = 1 } in
+  let go label check =
+    check_dedup_against_oracle ~keyed:true ~label ~faults Core.Rgs.task ~n ~e ~f
+      ~proposals:[ (0, 0, 7) ] ~rounds:2 check
+  in
+  ignore (go "safe" safe : oracle);
+  ignore (go "lossless" (fun o -> o.Scenario.dropped = 0) : oracle)
+
 let () =
   Alcotest.run "explore_brute"
     [
@@ -236,5 +388,13 @@ let () =
           Alcotest.test_case "snapshot matches replay" `Quick test_task_bound;
           Alcotest.test_case "snapshot matches replay (crashes)" `Quick test_crash_with_timers;
           Alcotest.test_case "snapshot matches replay (drop+dup)" `Quick test_drop_dup;
+        ] );
+      ( "exact-dedup",
+        [
+          Alcotest.test_case "visited set matches exact dedup" `Quick test_dedup_task_bound;
+          Alcotest.test_case "visited set matches exact dedup (crashes)" `Quick
+            test_dedup_crash_with_timers;
+          Alcotest.test_case "visited set matches exact dedup (drop+dup)" `Quick
+            test_dedup_drop_dup;
         ] );
     ]

@@ -591,7 +591,14 @@ let test_cartesian () =
     [ [ 1; 3 ]; [ 1; 4 ]; [ 2; 3 ]; [ 2; 4 ] ]
     (Combinat.cartesian [ [ 1; 2 ]; [ 3; 4 ] ]);
   Alcotest.(check (list (list int))) "nullary product" [ [] ] (Combinat.cartesian []);
-  Alcotest.(check (list (list int))) "empty factor" [] (Combinat.cartesian [ [ 1 ]; [] ])
+  Alcotest.(check (list (list int))) "empty factor" [] (Combinat.cartesian [ [ 1 ]; [] ]);
+  List.iter
+    (fun factors ->
+      Alcotest.(check (list (list int)))
+        "cartesian_seq lists the same product in the same order"
+        (Combinat.cartesian factors)
+        (List.of_seq (Combinat.cartesian_seq factors)))
+    [ [ [ 1; 2 ]; [ 3; 4 ] ]; []; [ [ 1 ]; [] ]; [ [ 1; 2; 3 ]; [ 4 ]; [ 5; 6 ] ] ]
 
 let test_choose_edges () =
   Alcotest.(check int) "C(5,-1)" 0 (Combinat.choose 5 (-1));
@@ -717,35 +724,34 @@ module Stateset = Stdext.Stateset
 
 let test_stateset_add_mem () =
   let s = Stateset.create () in
-  Alcotest.(check bool) "absent before add" false (Stateset.mem s 42L);
-  Alcotest.(check bool) "first add wins" true (Stateset.add s 42L);
-  Alcotest.(check bool) "second add loses" false (Stateset.add s 42L);
-  Alcotest.(check bool) "member after add" true (Stateset.mem s 42L);
-  Alcotest.(check bool) "other key absent" false (Stateset.mem s 43L);
-  Alcotest.(check bool) "negative fingerprints work" true (Stateset.add s (-7L));
+  Alcotest.(check bool) "absent before add" false (Stateset.mem s 42);
+  Alcotest.(check bool) "first add wins" true (Stateset.add s 42);
+  Alcotest.(check bool) "second add loses" false (Stateset.add s 42);
+  Alcotest.(check bool) "member after add" true (Stateset.mem s 42);
+  Alcotest.(check bool) "other key absent" false (Stateset.mem s 43);
+  Alcotest.(check bool) "negative fingerprints work" true (Stateset.add s (-7));
   Alcotest.(check bool) "zero works (remapped off the empty slot)" true
-    (Stateset.add s 0L);
+    (Stateset.add s 0);
   Alcotest.(check int) "cardinal" 3 (Stateset.cardinal s)
 
 let test_stateset_hash_compaction () =
-  (* Slots retain 62 bits of the fingerprint: keys differing only in bits
-     62/63 are deliberately identified (SPIN-style hash compaction). *)
+  (* Slots retain 62 of a fingerprint's 63 bits: keys differing only in
+     bit 62, the top bit, are deliberately identified (SPIN-style hash
+     compaction); every lower bit still separates keys. *)
   let s = Stateset.create () in
-  let base = 0x123456789ABCL in
+  let base = 0x123456789ABC in
   Alcotest.(check bool) "base inserts" true (Stateset.add s base);
-  Alcotest.(check bool) "bit 62 aliases" false
-    (Stateset.add s (Int64.logor base (Int64.shift_left 1L 62)));
-  Alcotest.(check bool) "bit 63 aliases" false
-    (Stateset.add s (Int64.logor base (Int64.shift_left 1L 63)));
-  Alcotest.(check bool) "bit 61 does not alias" true
-    (Stateset.add s (Int64.logor base (Int64.shift_left 1L 61)))
+  Alcotest.(check bool) "bit 62 aliases" false (Stateset.add s (base lor (1 lsl 62)));
+  Alcotest.(check bool) "bit 61 does not alias" true (Stateset.add s (base lor (1 lsl 61)));
+  Alcotest.(check bool) "bit 0 does not alias" true (Stateset.add s (base lxor 1));
+  Alcotest.(check int) "cardinal" 3 (Stateset.cardinal s)
 
 let test_stateset_probing_and_resize () =
   (* A single tiny shard forces long probe chains and repeated doublings;
      contents must survive both. *)
   let metrics = Metrics.create () in
   let s = Stateset.create ~shards:1 ~capacity:2 ~metrics () in
-  let key i = Int64.of_int ((i * 2654435761) + 17) in
+  let key i = (i * 2654435761) + 17 in
   for i = 0 to 999 do
     Alcotest.(check bool) "new key inserts" true (Stateset.add s (key i))
   done;
@@ -764,7 +770,7 @@ let test_stateset_concurrent_determinism () =
      may win across all domains, and the final membership is the key set —
      regardless of scheduling. Tiny initial capacity keeps resizes in the
      race window. *)
-  let keys = Array.init 5_000 (fun i -> Int64.of_int ((i * 0x9E3779B1) + 3)) in
+  let keys = Array.init 5_000 (fun i -> (i * 0x9E3779B1) + 3) in
   let s = Stateset.create ~shards:4 ~capacity:8 () in
   let domains = 4 in
   let wins = Array.make domains 0 in
@@ -788,7 +794,7 @@ let test_stateset_concurrent_disjoint () =
   let s = Stateset.create ~shards:2 ~capacity:4 () in
   let worker d () =
     for i = 0 to per_domain - 1 do
-      let k = Int64.of_int ((d * per_domain) + i + 1) in
+      let k = (d * per_domain) + i + 1 in
       assert (Stateset.add s k)
     done
   in
@@ -799,8 +805,8 @@ let test_stateset_concurrent_disjoint () =
     (Stateset.cardinal s);
   for d = 0 to domains - 1 do
     for i = 0 to per_domain - 1 do
-      let k = Int64.of_int ((d * per_domain) + i + 1) in
-      if not (Stateset.mem s k) then Alcotest.failf "lost key %Ld" k
+      let k = (d * per_domain) + i + 1 in
+      if not (Stateset.mem s k) then Alcotest.failf "lost key %d" k
     done
   done
 
