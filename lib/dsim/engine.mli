@@ -18,6 +18,20 @@
     state (its init actions are dropped — it never takes a step), so
     {!state}, {!clone} and {!correct_pids} agree on crashed processes.
 
+    {b Inputs due at a crashed process.} An input whose process is
+    already crashed when it comes due is dropped without a trace. Crashes
+    rank before inputs at equal instants, so this covers every input of a
+    process crashed at time 0. The dropped input leaves no trace entry,
+    draws nothing from either RNG, and changes no process state, output,
+    first-input instant or fault count. It is still an event: {!Probe.steps}
+    counts it, and while it waits it counts toward {!Probe.queue_hwm} like
+    any pending event. Both depend only on how many such inputs there are
+    and when they are due. So the {e values} given to processes crashed at
+    time 0 cannot change a run: outputs, trace, fault counts, {!now} and
+    the whole probe stay the same. The two-step checker's run memo
+    ({!Checker.Twostep}) relies on this, and a qcheck property in the
+    engine tests ([crash-input]) checks it.
+
     {b Hot-path representation (packing invariants).} The stepping core is
     flat-array and int-packed, and {!run} merges three sources by
     priority. The inputs given to {!create} never enter the event heap:
@@ -96,7 +110,8 @@ val create :
 (** Build a simulation of [n] processes. [inputs] schedules environment
     inputs (e.g. proposals); [crashes] schedules crash-stop failures
     (time-0 crashes are valid: the process is initialised then immediately
-    crashed, and its scheduled inputs are dropped). [faults] (default
+    crashed, and its scheduled inputs are dropped without a trace, as the
+    header describes). [faults] (default
     {!Network.Fault.none}) injects per-send drops, duplications and
     mid-broadcast sender crashes on top of [network]'s timing.
     [record_trace] defaults to [true]; [max_steps] (default 5_000_000)

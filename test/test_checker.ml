@@ -225,6 +225,186 @@ let test_paxos_not_two_step () =
   let r1 = Twostep.check_task Baselines.Paxos.protocol ~n:3 ~e:1 ~f:1 ~delta ~values:[ 0 ] () in
   Alcotest.(check bool) "paxos fails for e=1" false (Twostep.ok r1)
 
+(* A mutant of the paper's protocol that is unsafe in some delivery orders
+   and two-step in others. p0 never decides by the protocol's rule: it
+   decides the value of the first [Propose] it receives. Under [Favor q]
+   that is q's value, decided at Δ, while the others decide by the rule. *)
+module P0_decides_first_propose : Proto.Protocol.S = struct
+  type state = { self : Pid.t; inner : Core.Rgs.state; heard : bool }
+
+  type msg = Core.Rgs.msg
+
+  let name = "rgs-task, p0 decides the first proposal it hears"
+
+  let pp_msg = Core.Rgs.pp_msg
+
+  let describe = name
+
+  let min_n ~e ~f = Proto.Bounds.required Proto.Bounds.Task ~e ~f
+
+  let make ~n ~e ~f ~delta =
+    let rgs = Core.Rgs.make ~mode:Core.Rgs.Task ~n ~e ~f ~delta in
+    let wrap self heard (inner, actions) =
+      let kept = function Dsim.Automaton.Output _ -> self <> 0 | _ -> true in
+      ({ self; inner; heard }, List.filter kept actions)
+    in
+    {
+      Dsim.Automaton.init = (fun ~self ~n -> wrap self false (rgs.init ~self ~n));
+      on_message =
+        (fun s ~src msg ->
+          let s', actions = wrap s.self s.heard (rgs.on_message s.inner ~src msg) in
+          match msg with
+          | Core.Rgs.Propose v when s.self = 0 && not s.heard ->
+              ({ s' with heard = true }, actions @ [ Dsim.Automaton.Output v ])
+          | _ -> (s', actions));
+      on_input = (fun s v -> wrap s.self s.heard (rgs.on_input s.inner v));
+      on_timer = (fun s id -> wrap s.self s.heard (rgs.on_timer s.inner id));
+      state_copy = (fun s -> { s with inner = rgs.state_copy s.inner });
+      state_fingerprint = None;
+    }
+end
+
+let p0_mutant : Proto.Protocol.t = (module P0_decides_first_propose)
+
+let replay protocol ~n ~e ~f (run : Twostep.run) =
+  Scenario.run protocol ~n ~e ~f ~delta
+    ~net:(Scenario.Sync (run.order :> [ `Arrival | `Random | `Favor of Pid.t ]))
+    ~proposals:(List.map (fun (p, v) -> (0, p, v)) run.proposals)
+    ~crashes:(Scenario.crash_at_start run.crashed) ~seed:run.seed ~disable_timers:true
+    ~until:(3 * delta) ()
+
+(* Every configuration of the mutant has a safe two-step run in some order,
+   which is how it used to pass; the unsafe runs the search meets on the
+   way now fail the check. *)
+let test_unsafe_mutant_fails () =
+  let n = 6 and e = 2 and f = 2 in
+  let r = Twostep.check_task p0_mutant ~n ~e ~f ~delta ~values:[ 0; 1 ] () in
+  let report = Format.asprintf "%a" Twostep.pp_report r in
+  Alcotest.(check int) "every configuration has a two-step run" 0 (List.length r.failures);
+  Alcotest.(check bool) ("unsafe runs met: " ^ report) true (r.unsafe_runs > 0);
+  Alcotest.(check bool) "not e-two-step" false (Twostep.ok r);
+  match r.first_unsafe with
+  | None -> Alcotest.fail "no unsafe run kept"
+  | Some run ->
+      Alcotest.(check bool) "the kept run replays to an agreement violation" false
+        (Safety.check (replay p0_mutant ~n ~e ~f run)).agreement
+
+(* The two-step search without the run memo, as the checker ran before it
+   had one: every candidate run is simulated, in the checker's order, and
+   unsafe runs are tallied the way the checker tallies them. It also
+   counts the distinct engine inputs it meets: runs under one crash set
+   whose proposals agree once the crashed processes' values are blanked.
+   That is the number of runs the memo must simulate, no fewer (a key
+   that merges different runs) and no more (a repeat it missed). *)
+type oracle = {
+  configs : int;
+  runs : int;
+  distinct : int;
+  unsafe : int;
+  first_unsafe : Twostep.run option;
+  failures : Twostep.failure list;
+}
+
+let oracle_check ~kind protocol ~n ~e ~f ~values =
+  let configs = ref 0 and runs = ref 0 and unsafe = ref 0 in
+  let first_unsafe = ref None and failures = ref [] in
+  let seen = Hashtbl.create 1024 in
+  let everyone v = List.map (fun p -> (0, p, v)) (Pid.all ~n) in
+  List.iter
+    (fun crashed ->
+      let correct = List.filter (fun p -> not (List.mem p crashed)) (Pid.all ~n) in
+      let each_correct item proposals_of =
+        List.concat_map
+          (fun v -> List.map (fun p -> (item, proposals_of v p, Some p)) correct)
+          values
+      in
+      let items =
+        match kind with
+        | `Task ->
+            List.map
+              (fun vs -> (1, List.mapi (fun p v -> (0, p, v)) vs, None))
+              (Stdext.Combinat.cartesian (List.init n (fun _ -> values)))
+            @ each_correct 2 (fun v _ -> everyone v)
+        | `Object ->
+            each_correct 1 (fun v p -> [ (0, p, v) ])
+            @ each_correct 2 (fun v _ -> List.map (fun q -> (0, q, v)) correct)
+      in
+      List.iter
+        (fun (item, proposals, target) ->
+          incr configs;
+          let config = List.map (fun (_, p, v) -> (p, v)) proposals in
+          let blanked =
+            List.map (fun (t, p, v) -> (t, p, if List.mem p crashed then -1 else v)) proposals
+          in
+          let two_step (order, seed) =
+            incr runs;
+            Hashtbl.replace seen (crashed, blanked, order, seed) ();
+            let run = { Twostep.crashed; proposals = config; order; seed } in
+            let o = replay protocol ~n ~e ~f run in
+            if not (Safety.safe o) then begin
+              incr unsafe;
+              if !first_unsafe = None then first_unsafe := Some run;
+              false
+            end
+            else
+              let early = Scenario.decided_by o ~deadline:(2 * delta) in
+              match target with Some p -> List.mem p early | None -> early <> []
+          in
+          let favored = match target with Some p -> p :: correct | None -> correct in
+          let orders =
+            List.map (fun q -> (`Favor q, 0)) favored
+            @ List.init 5 (fun i -> (`Random, i + 1))
+          in
+          if not (List.exists two_step orders) then
+            failures := { Twostep.witness_e = crashed; config; target; item } :: !failures)
+        items)
+    (Stdext.Combinat.subsets_of_size e (Pid.all ~n));
+  {
+    configs = !configs;
+    runs = !runs;
+    distinct = Hashtbl.length seen;
+    unsafe = !unsafe;
+    first_unsafe = !first_unsafe;
+    failures = List.rev !failures;
+  }
+
+(* The cases of the checker's memo against the oracle: the paper's protocol
+   (task and object), failing Paxos, Fast Paxos, failing EPaxos (its
+   seeded random orders run) and the unsafe mutant. Two cases pin how
+   many runs the memo simulates. *)
+let oracle_cases =
+  [
+    ("rgs-task n=6", `Task, Core.Rgs.task, 6, 2, 2, [ 0; 1 ], Some (480, 1_680));
+    ("rgs-task n=3 |V|=3", `Task, Core.Rgs.task, 3, 1, 1, [ 0; 1; 2 ], None);
+    ("rgs-object n=5", `Object, Core.Rgs.obj, 5, 2, 2, [ 0; 1 ], None);
+    ("paxos n=5", `Task, Baselines.Paxos.protocol, 5, 2, 2, [ 0; 1 ], Some (388, 1_660));
+    ("paxos n=5 |V|=3", `Task, Baselines.Paxos.protocol, 5, 2, 2, [ 0; 1; 2 ], None);
+    ("fast-paxos task n=6", `Task, Baselines.Fast_paxos.protocol, 6, 2, 1, [ 0; 1 ], None);
+    ("fast-paxos object n=5", `Object, Baselines.Fast_paxos.protocol, 5, 1, 2, [ 0; 1 ], None);
+    ("epaxos task n=5", `Task, Epaxos.protocol, 5, 2, 2, [ 0; 1 ], None);
+    ("epaxos object n=5", `Object, Epaxos.protocol, 5, 2, 2, [ 0; 1 ], None);
+    ("unsafe mutant n=6", `Task, p0_mutant, 6, 2, 2, [ 0; 1 ], None);
+  ]
+
+let test_memo_matches_oracle (label, kind, protocol, n, e, f, values, pinned) =
+  Alcotest.test_case label `Quick (fun () ->
+      let check = match kind with `Task -> Twostep.check_task | `Object -> Twostep.check_object in
+      let r = check protocol ~n ~e ~f ~delta ~values () in
+      let o = oracle_check ~kind protocol ~n ~e ~f ~values in
+      Alcotest.(check int) "configurations" o.configs r.checked_configs;
+      Alcotest.(check int) "runs" o.runs r.checked_runs;
+      Alcotest.(check int) "unsafe runs" o.unsafe r.unsafe_runs;
+      Alcotest.(check bool) "first unsafe run" true (o.first_unsafe = r.first_unsafe);
+      Alcotest.(check bool) "failures, in order" true (o.failures = r.failures);
+      Alcotest.(check int) "simulated = distinct engine inputs" o.distinct r.simulated_runs;
+      if o.distinct < o.runs then
+        Alcotest.(check bool) "repeats are not simulated" true (r.simulated_runs < r.checked_runs);
+      Option.iter
+        (fun (simulated, runs) ->
+          Alcotest.(check (pair int int)) "simulated of checked" (simulated, runs)
+            (r.simulated_runs, r.checked_runs))
+        pinned)
+
 (* Explorer: every synchronous schedule of a small unanimous run decides
    correctly; conflicting schedules never violate safety. *)
 let test_explore_exhaustive_agreement () =
@@ -869,6 +1049,12 @@ let () =
           Alcotest.test_case "fast paxos at Lamport bound" `Quick test_fast_paxos_two_step_at_lamport_bound;
           Alcotest.test_case "paxos is not two-step" `Quick test_paxos_not_two_step;
         ] );
+      (* Labels no longer than "telemetry": alcotest pads every label to the
+         longest one and truncates test names to fit, so a longer label
+         would change how every long test name prints. *)
+      ("memo", List.map test_memo_matches_oracle oracle_cases);
+      ( "unsafe",
+        [ Alcotest.test_case "an unsafe run fails the check" `Quick test_unsafe_mutant_fails ] );
       ( "explore",
         [
           Alcotest.test_case "exhaustive agreement" `Quick test_explore_exhaustive_agreement;

@@ -1102,6 +1102,78 @@ let child_key_property =
       no_key ~faults:(Network.Fault.random ~drop_rate:0.5 ()) "a fault plan";
       true)
 
+(* Inputs due at a crashed process. The engine drops them without a
+   trace, so the values that processes crashed at time 0 propose cannot
+   change a run; Checker.Twostep's run memo relies on this. For each of
+   the protocols above, a seed, a time-0 crash set (never empty) and an
+   intra-round order, two runs whose inputs differ only in the crashed
+   processes' values must agree on the outputs, the whole trace, the fault
+   counts, the final instant and every probe counter. Every process
+   proposes at time 0; each crashed one also gets a second input later in
+   the run, so inputs are due at a crashed process at more than one
+   instant. Timers are on in half the cases. *)
+let crashed_input_property =
+  QCheck.Test.make ~name:"values of crashed processes change nothing" ~count:100
+    QCheck.(
+      make
+        ~print:(fun (p, seed, order, timers) ->
+          Printf.sprintf "%s, seed %d, order %d, timers %b" (fst key_protocols.(p)) seed order
+            timers)
+        Gen.(
+          quad (int_bound (Array.length key_protocols - 1)) (int_bound 1_000_000) (int_bound 9)
+            bool))
+    (fun (p, seed, order, timers) ->
+      let (module P : Proto.Protocol.S) = snd key_protocols.(p) in
+      let rng = Random.State.make [| seed |] in
+      let e, f = if Random.State.bool rng then (1, 1) else (2, 2) in
+      let n = P.min_n ~e ~f in
+      let crashed =
+        match List.filter (fun _ -> Random.State.int rng 3 = 0) (Pid.all ~n) with
+        | [] -> [ Random.State.int rng n ]
+        | l -> l
+      in
+      let order =
+        match order with
+        | 0 -> Network.Arrival
+        | 1 -> Network.Random_order
+        | k -> Network.Favor (k mod n)
+      in
+      let values = List.map (fun _ -> Random.State.int rng 3) (Pid.all ~n) in
+      let late = List.map (fun pid -> (1 + Random.State.int rng (3 * key_delta), pid)) crashed in
+      let inputs values =
+        List.mapi (fun pid v -> (0, pid, v)) values
+        @ List.map (fun (at, pid) -> (at, pid, List.nth values pid)) late
+      in
+      let changed =
+        List.mapi
+          (fun pid v -> if List.mem pid crashed then v + 1 + Random.State.int rng 3 else v)
+          values
+      in
+      let run values =
+        let engine =
+          Engine.create ~automaton:(P.make ~n ~e ~f ~delta:key_delta) ~n
+            ~network:(Network.Sync_rounds { delta = key_delta; order })
+            ~seed ~disable_timers:(not timers) ~inputs:(inputs values)
+            ~crashes:(List.map (fun pid -> (0, pid)) crashed)
+            ()
+        in
+        let result = Engine.run ~until:(10 * key_delta) engine in
+        ( result,
+          Engine.outputs engine,
+          Engine.trace engine,
+          Engine.fault_counts engine,
+          Engine.now engine,
+          Engine.probe engine )
+      in
+      let ((_, outputs, trace, _, _, probe) as a) = run values in
+      let b = run changed in
+      if a <> b then
+        QCheck.Test.fail_reportf
+          "crashed [%s]: %d outputs, %d trace entries, %a; the changed run differs"
+          (String.concat ";" (List.map string_of_int crashed))
+          (List.length outputs) (List.length trace) Engine.Probe.pp probe;
+      true)
+
 let () =
   Alcotest.run "dsim"
     [
@@ -1170,4 +1242,7 @@ let () =
             test_engine_fingerprint_stability;
         ] );
       ("child-key", [ QCheck_alcotest.to_alcotest child_key_property ]);
+      (* Labels no longer than "fingerprint": alcotest pads every label to
+         the longest one and truncates test names to fit. *)
+      ("crash-input", [ QCheck_alcotest.to_alcotest crashed_input_property ]);
     ]
