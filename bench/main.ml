@@ -113,10 +113,7 @@ let default_domains_list () =
   | [] -> [ 1 ]
   | l -> l
 
-let dedup_name = function
-  | Checker.Explore.Off -> "off"
-  | Checker.Explore.Exact -> "exact"
-  | Checker.Explore.Symmetry -> "symmetry"
+let dedup_name = function Checker.Explore.Off -> "off" | Checker.Explore.Exact -> "exact"
 
 let por_name = function Checker.Explore.No_por -> "off" | Checker.Explore.Sleep -> "sleep"
 

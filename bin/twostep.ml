@@ -53,20 +53,15 @@ let delta = 100
 let dedup_arg =
   Arg.(
     value
-    & opt (enum [ ("off", `Off); ("exact", `Exact); ("symmetry", `Symmetry) ]) `Exact
+    & opt (enum [ ("off", Checker.Explore.Off); ("exact", Checker.Explore.Exact) ])
+        Checker.Explore.Exact
     & info [ "dedup" ] ~docv:"MODE"
         ~doc:
-          "State deduplication: $(b,off), $(b,exact) (the default) or $(b,symmetry). \
-           The explorer prunes subtrees rooted at already-visited engine states; the \
-           faults and report sweeps count distinct terminal states. $(b,symmetry) \
-           additionally canonicalises non-distinguished process ids before hashing.")
+          "State deduplication: $(b,off) or $(b,exact) (the default). The explorer \
+           prunes subtrees rooted at already-visited engine states; the faults and \
+           report sweeps count distinct terminal states.")
 
-let explore_dedup = function
-  | `Off -> Checker.Explore.Off
-  | `Exact -> Checker.Explore.Exact
-  | `Symmetry -> Checker.Explore.Symmetry
-
-let dedup_name = function `Off -> "off" | `Exact -> "exact" | `Symmetry -> "symmetry"
+let dedup_name = function Checker.Explore.Off -> "off" | Checker.Explore.Exact -> "exact"
 
 (* Terminal-state dedup for seed/target sweeps: collect each run's final
    engine fingerprint in a Stateset and summarise distinct-vs-repeated end
@@ -74,18 +69,18 @@ let dedup_name = function `Off -> "off" | `Exact -> "exact" | `Symmetry -> "symm
    and a printer for the summary line. *)
 let final_dedup dedup =
   match dedup with
-  | `Off -> (None, fun _fmt -> ())
-  | (`Exact | `Symmetry) as d ->
+  | Checker.Explore.Off -> (None, fun _fmt -> ())
+  | Checker.Explore.Exact ->
       let set = Stdext.Stateset.create () in
       let runs = ref 0 and distinct = ref 0 in
       let record fp =
         incr runs;
         if Stdext.Stateset.add set fp then incr distinct
       in
-      ( Some (d = `Symmetry, record),
+      ( Some record,
         fun fmt ->
           Format.fprintf fmt "end states (%s dedup): %d distinct over %d runs, %d hits@."
-            (dedup_name d) !distinct !runs (!runs - !distinct) )
+            (dedup_name dedup) !distinct !runs (!runs - !distinct) )
 
 (* -- metrics plumbing --------------------------------------------------- *)
 
@@ -329,15 +324,15 @@ let explore_cmd =
       let r, sreport =
         with_metrics metrics_out (fun registry ->
             Checker.Explore.swarm_report protocol ~n ~e ~f ~delta ~proposals ~crashes
-              ~rounds ~budget ~walkers:swarm ~seed
-              ~domains:(if domains = 1 then swarm else domains)
-              ~por ~metrics:registry
+              ~rounds ~budget ~walkers:swarm ~seed ~domains ~por ~metrics:registry
               ~check:(fun o -> Checker.Safety.safe o)
               ())
       in
       let wall_s = Unix.gettimeofday () -. t0 in
-      Format.printf "%s n=%d e=%d f=%d rounds=%d (swarm, budget %d, walkers %d, seed %d, por %s)@."
-        P.name n e f rounds budget swarm seed (por_name por);
+      Format.printf
+        "%s n=%d e=%d f=%d rounds=%d (swarm, budget %d, walkers %d, domains %d, seed %d, por \
+         %s)@."
+        P.name n e f rounds budget swarm domains seed (por_name por);
       Format.printf "%a@." Checker.Explore.Swarm_report.pp sreport;
       Format.printf "distinct states/sec: %.0f (%.2fs)@."
         (Checker.Explore.Swarm_report.distinct_states_per_sec sreport ~wall_s)
@@ -354,7 +349,7 @@ let explore_cmd =
         with_metrics metrics_out (fun registry ->
             let r, report =
               Checker.Explore.synchronous_report protocol ~n ~e ~f ~delta ~proposals
-                ~crashes ~rounds ~budget ~domains ~dedup:(explore_dedup dedup)
+                ~crashes ~rounds ~budget ~domains ~dedup
                 ~por ~metrics:registry
                 ~check:(fun o -> Checker.Safety.safe o)
                 ()
@@ -384,7 +379,12 @@ let explore_cmd =
           to seeded random walkers for sizes beyond exhaustive reach.")
     Term.(
       const run $ protocol_arg $ n_arg $ e_arg $ f_arg $ rounds_arg $ budget_arg
-      $ domains_arg $ dedup_arg $ por_arg $ swarm_arg $ seed_arg $ crashes_arg ()
+      $ domains_arg $ dedup_arg $ por_arg $ swarm_arg $ seed_arg
+      $ crashes_arg
+          ~doc:
+            "Crash schedule as time:pid pairs. The search runs with timers off, so no \
+             recovery runs: no timeout fires, and no leader change or slow ballot starts."
+          ()
       $ metrics_out_arg)
 
 (* -- seeded fault-plan flags --------------------------------------------- *)

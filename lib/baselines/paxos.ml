@@ -192,22 +192,21 @@ let on_ballot_timer s =
   end
 
 (* Structural hash for the explorer's dedup (see {!Dsim.Fingerprint}):
-   pids through [relabel], unordered containers folded commutatively. *)
-let fingerprint ~relabel s =
+   unordered containers folded commutatively. *)
+let fingerprint s =
   let module Fp = Dsim.Fingerprint in
-  let pid p = Fp.int (relabel p) in
   let leading_fp l =
     let fp = Fp.mix 113 (Fp.int l.lballot) in
     let fp =
       Fp.mix fp
         (Fp.map
-           (fun p (vbal, v) -> Fp.mix (Fp.mix (pid p) (Fp.int vbal)) (Fp.option Fp.int v))
+           (fun p (vbal, v) -> Fp.mix (Fp.mix (Fp.int p) (Fp.int vbal)) (Fp.option Fp.int v))
            ~fold:Pid.Map.fold l.one_bs)
     in
     let fp = Fp.mix fp (Fp.option Fp.int l.lvalue) in
-    Fp.mix fp (Fp.set pid ~fold:Pid.Set.fold l.two_bs)
+    Fp.mix fp (Fp.set Fp.int ~fold:Pid.Set.fold l.two_bs)
   in
-  let fp = Fp.mix 127 (pid s.self) in
+  let fp = Fp.mix 127 (Fp.int s.self) in
   let fp = Fp.mix fp (Fp.int s.f) in
   let fp = Fp.mix fp (Fp.int s.bal) in
   let fp = Fp.mix fp (Fp.int s.vbal) in
@@ -217,7 +216,7 @@ let fingerprint ~relabel s =
   let fp = Fp.mix fp (Fp.option Fp.int s.decided) in
   let fp = Fp.mix fp (Fp.option leading_fp s.leading) in
   let fp = Fp.mix fp (Fp.bool s.grace_used) in
-  Fp.mix fp (Omega.fingerprint ~relabel s.omega)
+  Fp.mix fp (Omega.fingerprint s.omega)
 
 let make ~n ~f ~delta =
   let init ~self ~n:n' =
@@ -273,7 +272,7 @@ let make ~n ~f ~delta =
     on_input;
     on_timer;
     state_copy = Fun.id;
-    state_fingerprint = Some (fun ~relabel s -> fingerprint ~relabel s);
+    state_fingerprint = Some fingerprint;
   }
 
 let protocol : Proto.Protocol.t =

@@ -15,11 +15,8 @@ type result = {
 
 (* Visited-set policy. [Exact] keys each search-tree node on its engine
    fingerprint and prunes the subtree below an already-seen state — sound
-   up to 62-bit hash-compaction collisions (see {!Stdext.Stateset}).
-   [Symmetry] additionally canonicalises the non-distinguished pids before
-   hashing ({!Dsim.Engine.fingerprint}'s [symmetry]), merging states equal
-   up to a pid permutation. *)
-type dedup = Off | Exact | Symmetry
+   up to 62-bit hash-compaction collisions (see {!Stdext.Stateset}). *)
+type dedup = Off | Exact
 
 (* Partial-order reduction policy. [Sleep] cuts, per destination, the
    delivery orders of one round's batch down to outcome representatives:
@@ -408,14 +405,13 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
      (the {!Stateset.add} CAS winner), so arrivals — and hence hits and
      prunes — equal the edge count of the deduplicated state graph no
      matter how domains interleave. *)
-  let symmetry = dedup = Symmetry in
   if por = Sleep && not (Dsim.Engine.has_fingerprint root) then
     invalid_arg
       "Explore.synchronous_report: POR requires the automaton to supply state_fingerprint";
   let visited =
     match dedup with
     | Off -> None
-    | Exact | Symmetry ->
+    | Exact ->
         if not (Dsim.Engine.has_fingerprint root) then
           invalid_arg
             "Explore.synchronous_report: dedup requires the automaton to supply state_fingerprint";
@@ -452,20 +448,20 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
   in
   let check_visited engine round =
     Option.is_none visited
-    || admit (key_of (Dsim.Engine.fingerprint ~symmetry engine) round) round
+    || admit (key_of (Dsim.Engine.fingerprint engine) round) round
   in
   (* Under [Exact] dedup a node's children are keyed before they are
      built: [Dsim.Engine.child_fingerprint] predicts each child's exact
      fingerprint from the node and its per-destination trials, and only a
-     child whose key is new is built. [None] — another dedup policy, or a
-     node where more than the boundary's deliveries could happen before
-     the next one — leaves the node on the build-then-check path. *)
+     child whose key is new is built. [None] — dedup off, or a node where
+     more than the boundary's deliveries could happen before the next one
+     — leaves the node on the build-then-check path. *)
   let child_keys engine round =
     match dedup with
     | Exact ->
         Dsim.Engine.child_fingerprint engine ~at:(round * delta)
           ~until:(((round + 1) * delta) - 1)
-    | Off | Symmetry -> None
+    | Off -> None
   in
   let round_choices ~trial_all ~truncated engine ~round ~drops_left ~dups_left =
     let r =

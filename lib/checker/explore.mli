@@ -5,8 +5,15 @@
     recipient's delivery order. This module enumerates those orders
     (depth-first) up to a round horizon and a run budget, and evaluates a
     property on every complete run. It is the small-scope model checker
-    behind the tightness experiments: at the bound the property holds on
-    every explored schedule, below the bound a violating schedule is found.
+    behind the tightness experiments {e at} the bound, where the property
+    holds on every explored schedule. It does not find the violations
+    below the bound. Timers are off by default ([disable_timers]), so no
+    recovery runs, and the only crashes are the caller's fixed
+    [crashes]. The T3 violations come from the scripted choreography in
+    [lib/lowerbound/witness.ml], and the explorer's own violation tests
+    check seeded predicates. A search that reaches recovery and finds the
+    lower-bound runs itself is an open item ("An explorer that reaches
+    recovery" in ROADMAP.md).
 
     Each branch extends an {!Dsim.Engine.clone} of its parent node by one
     round — O(depth) incremental stepping instead of re-executing every
@@ -46,7 +53,7 @@
 
     {b Deduplication.} Many schedules converge to the same simulation
     state (deliver two messages to different recipients in either order,
-    say). With [dedup] other than {!Off} the explorer keys every
+    say). With [dedup = Exact] the explorer keys every
     search-tree node on its {!Dsim.Engine.fingerprint} in a shared
     {!Stdext.Stateset} and prunes the subtree under a state it has
     already expanded — turning the search over {e schedules} into a search
@@ -63,18 +70,14 @@
     same trials [Sleep] POR runs), entered into the visited set, and only
     a child whose key is new is built. A built child whose fingerprint
     differs from its prediction raises [Failure]. Every other node — and
-    every node under [Off] or [Symmetry] dedup, or in the multi-domain
-    split's expansion of the top of the tree — builds each child and then
-    checks it. Either way the same keys enter the visited set in the same
+    every node under [Off] dedup, or in the multi-domain split's
+    expansion of the top of the tree — builds each child and then checks
+    it. Either way the same keys enter the visited set in the same
     order, so every count in {!Run_report.totals} is the same.
 
     Soundness: exact dedup can only merge genuinely identical
     states (up to the 62-bit hash-compaction collision probability of
-    {!Stdext.Stateset});
-    [Symmetry] additionally merges states equal up to a permutation of the
-    non-distinguished pids, which preserves the verdict of any
-    pid-agnostic property (agreement, validity) but may report a
-    different — permuted — [first_violation]. The byte-identical-totals
+    {!Stdext.Stateset}). The byte-identical-totals
     contract across domain counts holds for explorations that complete
     within budget; when the budget cuts a dedup'd search, which subtree
     reaches a shared state first decides where its runs are counted, so
@@ -165,11 +168,10 @@ end
 
 (** Visited-set policy: [Off] explores every schedule (the historical
     behaviour and the library default); [Exact] prunes subtrees under
-    states already expanded; [Symmetry] also canonicalises
-    non-distinguished pids before hashing. Requires the protocol's
-    automaton to supply a [state_fingerprint] hook (all bundled protocols
-    do); [Invalid_argument] otherwise. *)
-type dedup = Off | Exact | Symmetry
+    states already expanded. [Exact] requires the protocol's automaton to
+    supply a [state_fingerprint] hook (all bundled protocols do);
+    [Invalid_argument] otherwise. *)
+type dedup = Off | Exact
 
 (** Partial-order reduction policy: [No_por] (the default) enumerates
     every delivery-order combination; [Sleep] prunes commuting orders

@@ -40,7 +40,7 @@ val conflict_free :
   delta:int ->
   ?value:Proto.Value.t ->
   ?metrics:Stdext.Metrics.t ->
-  ?final_fingerprint:bool * (Dsim.Fingerprint.t -> unit) ->
+  ?final_fingerprint:(Dsim.Fingerprint.t -> unit) ->
   unit ->
   t
 (** Run the conflict-free synchronous scenario once per target process

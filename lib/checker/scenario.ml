@@ -47,8 +47,7 @@ let run (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~net ~proposals ?(crashes 
   in
   let engine_result = Dsim.Engine.run ~until engine in
   (match final_fingerprint with
-  | Some (symmetry, k) when Dsim.Engine.has_fingerprint engine ->
-      k (Dsim.Engine.fingerprint ~symmetry engine)
+  | Some k when Dsim.Engine.has_fingerprint engine -> k (Dsim.Engine.fingerprint engine)
   | Some _ | None -> ());
   let trace = Dsim.Engine.trace engine in
   let dropped, duplicated = Dsim.Engine.fault_counts engine in

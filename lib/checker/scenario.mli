@@ -43,7 +43,7 @@ val run :
   ?disable_timers:bool ->
   ?faults:Dsim.Network.Fault.plan ->
   ?metrics:Stdext.Metrics.t ->
-  ?final_fingerprint:bool * (Dsim.Fingerprint.t -> unit) ->
+  ?final_fingerprint:(Dsim.Fingerprint.t -> unit) ->
   until:Dsim.Time.t ->
   unit ->
   outcome
@@ -53,10 +53,9 @@ val run :
     duplications and mid-broadcast crashes on top of [net]'s timing; the
     fault trace is a pure function of [seed]. [metrics] (default disabled)
     is handed to the engine, which mirrors its probe into the [engine.*]
-    registry names. [final_fingerprint], when given as
-    [(symmetry, k)], calls [k] with the {!Dsim.Engine.fingerprint} of the
-    terminal engine state (pid-canonicalised when [symmetry]) — a cheap
-    way for sweep drivers to count distinct end states across seeds; it is
+    registry names. [final_fingerprint], when given, is called with the
+    {!Dsim.Engine.fingerprint} of the terminal engine state — a cheap way
+    for sweep drivers to count distinct end states across seeds; it is
     silently skipped for automatons without a [state_fingerprint] hook. *)
 
 val decided_value : outcome -> Dsim.Pid.t -> (Dsim.Time.t * Proto.Value.t) option

@@ -20,11 +20,15 @@ type run = {
   seed : int;
 }
 
-let pp_pids = Format.pp_print_list ~pp_sep:Format.pp_print_space Pid.pp
+(* Literal separators, not break hints: a report prints one failure per
+   line however long the lists grow. *)
+let pp_space fmt () = Format.pp_print_char fmt ' '
+
+let pp_pids = Format.pp_print_list ~pp_sep:pp_space Pid.pp
 
 let pp_config =
   let pp_pair fmt (p, v) = Format.fprintf fmt "%a:%a" Pid.pp p Value.pp v in
-  Format.pp_print_list ~pp_sep:Format.pp_print_space pp_pair
+  Format.pp_print_list ~pp_sep:pp_space pp_pair
 
 let pp_failure fmt f =
   Format.fprintf fmt "item %d: E=[%a] config=[%a]%a" f.item pp_pids f.witness_e pp_config
@@ -60,13 +64,11 @@ let pp_report fmt r =
   in
   if ok r then Format.fprintf fmt "OK (%a)" counts r
   else begin
-    Format.fprintf fmt "FAILED (%a):@," counts r;
+    Format.fprintf fmt "FAILED (%a):" counts r;
     Option.iter
-      (fun run ->
-        Format.fprintf fmt "%d unsafe runs, first: %a" r.unsafe_runs pp_run run;
-        if r.failures <> [] then Format.pp_print_newline fmt ())
+      (fun run -> Format.fprintf fmt "@\n%d unsafe runs, first: %a" r.unsafe_runs pp_run run)
       r.first_unsafe;
-    Format.pp_print_list ~pp_sep:Format.pp_print_newline pp_failure fmt r.failures
+    List.iter (Format.fprintf fmt "@\n%a" pp_failure) r.failures
   end
 
 (* The memo's key: everything the engine reads of one candidate run under

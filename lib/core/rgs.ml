@@ -232,40 +232,40 @@ let on_new_ballot_timer s =
   else (s, [ rearm ])
 
 (* Structural hash for the explorer's dedup. Per the {!Dsim.Fingerprint}
-   contract: every pid (self, proposer, ack/vote sets, 1B-reply map keys
-   and senders) goes through [relabel]; sets and maps fold commutatively
-   so the digest is independent of construction order. *)
-let fingerprint ~relabel s =
+   contract, sets and maps fold commutatively so the digest is
+   independent of construction order. *)
+let fingerprint s =
   let module Fp = Dsim.Fingerprint in
-  let pid p = Fp.int (relabel p) in
   let reply (r : Recovery.reply) =
-    let fp = Fp.mix 103 (pid r.sender) in
+    let fp = Fp.mix 103 (Fp.int r.sender) in
     let fp = Fp.mix fp (Fp.int r.vbal) in
     let fp = Fp.mix fp (Fp.option Fp.int r.value) in
-    let fp = Fp.mix fp (Fp.option pid r.proposer) in
+    let fp = Fp.mix fp (Fp.option Fp.int r.proposer) in
     Fp.mix fp (Fp.option Fp.int r.decided)
   in
   let slow_fp sl =
     let fp = Fp.mix 107 (Fp.int sl.sballot) in
-    let fp = Fp.mix fp (Fp.map (fun p r -> Fp.mix (pid p) (reply r)) ~fold:Pid.Map.fold sl.one_bs) in
+    let fp =
+      Fp.mix fp (Fp.map (fun p r -> Fp.mix (Fp.int p) (reply r)) ~fold:Pid.Map.fold sl.one_bs)
+    in
     let fp = Fp.mix fp (Fp.bool sl.computed) in
     let fp = Fp.mix fp (Fp.option Fp.int sl.svalue) in
-    Fp.mix fp (Fp.set pid ~fold:Pid.Set.fold sl.two_bs)
+    Fp.mix fp (Fp.set Fp.int ~fold:Pid.Set.fold sl.two_bs)
   in
-  let fp = Fp.mix 109 (pid s.self) in
+  let fp = Fp.mix 109 (Fp.int s.self) in
   let fp = Fp.mix fp (Fp.int s.e) in
   let fp = Fp.mix fp (Fp.int s.f) in
   let fp = Fp.mix fp (Fp.int (match s.mode with Task -> 0 | Object -> 1)) in
   let fp = Fp.mix fp (Fp.int s.bal) in
   let fp = Fp.mix fp (Fp.int s.vbal) in
   let fp = Fp.mix fp (Fp.option Fp.int s.value) in
-  let fp = Fp.mix fp (Fp.option pid s.proposer) in
+  let fp = Fp.mix fp (Fp.option Fp.int s.proposer) in
   let fp = Fp.mix fp (Fp.option Fp.int s.initial) in
   let fp = Fp.mix fp (Fp.option Fp.int s.heard) in
   let fp = Fp.mix fp (Fp.option Fp.int s.decided) in
-  let fp = Fp.mix fp (Fp.set pid ~fold:Pid.Set.fold s.fast_acks) in
+  let fp = Fp.mix fp (Fp.set Fp.int ~fold:Pid.Set.fold s.fast_acks) in
   let fp = Fp.mix fp (Fp.option slow_fp s.slow) in
-  Fp.mix fp (Omega.fingerprint ~relabel s.omega)
+  Fp.mix fp (Omega.fingerprint s.omega)
 
 let make ~mode ~n ~e ~f ~delta =
   let init ~self ~n:n' =
@@ -326,7 +326,7 @@ let make ~mode ~n ~e ~f ~delta =
     on_input;
     on_timer;
     state_copy = Fun.id;
-    state_fingerprint = Some (fun ~relabel s -> fingerprint ~relabel s);
+    state_fingerprint = Some fingerprint;
   }
 
 let package mode name describe formulation : Proto.Protocol.t =

@@ -13,7 +13,7 @@ type ('state, 'msg, 'input, 'output) t = {
   on_input : 'state -> 'input -> 'state * ('msg, 'output) action list;
   on_timer : 'state -> timer_id -> 'state * ('msg, 'output) action list;
   state_copy : 'state -> 'state;
-  state_fingerprint : (relabel:(Pid.t -> Pid.t) -> 'state -> Fingerprint.t) option;
+  state_fingerprint : ('state -> Fingerprint.t) option;
 }
 
 let no_input state _ = (state, [])

@@ -49,16 +49,12 @@ type ('state, 'msg, 'input, 'output) t = {
           instance state through the inner protocol's [state_copy].
           Must only read its argument: the parallel explorer clones one
           engine from several domains concurrently. *)
-  state_fingerprint : (relabel:(Pid.t -> Pid.t) -> 'state -> Fingerprint.t) option;
+  state_fingerprint : ('state -> Fingerprint.t) option;
       (** Optional structural hash of a process state, enabling
           {!Engine.fingerprint} and hence the explorer's visited-set
           deduplication. Must be a pure function of the state's logical
-          content — independent of construction history (fold unordered
-          containers commutatively, see {!Fingerprint}) — and must route
-          {e every} pid-valued field (including [self] and pids inside
-          sets, maps and options) through [relabel], which the engine
-          instantiates as the identity for exact dedup and as a pid
-          permutation for symmetry reduction. [None] disables
+          content, independent of construction history (fold unordered
+          containers commutatively, see {!Fingerprint}). [None] disables
           fingerprinting for this automaton. *)
 }
 

@@ -223,9 +223,9 @@ type ('state, 'msg, 'input, 'output) t = {
   mutable p_queue_hwm : int;
   first_input : Time.t option array;
   first_output : Time.t option array;
-  (* Digest caches behind the exact {!fingerprint}, allocated by its first
-     call: until then both arrays are empty, and the upkeep below is one
-     length test per step or send. [loc_fp.(p)] is p's local digest, reset
+  (* Digest caches behind {!fingerprint}, allocated by its first call:
+     until then both arrays are empty, and the upkeep below is one length
+     test per step or send. [loc_fp.(p)] is p's local digest, reset
      to [stale] whenever p steps, initialises or crashes; [pd_fp.(s)] is
      slot s's message digest, reset when the slot is claimed again (slots
      past its length are stale). [pend_fp] is the pool's multiset digest,
@@ -973,43 +973,19 @@ let state_fp_of t ~caller =
 
 (* Constructor tags below are small odd constants; each case mixes its tag
    first so different event shapes can't alias. *)
-let input_fp ~relabel pid input =
-  Fp.mix (Fp.mix 41 (Fp.int (relabel pid))) (Fp.structural input)
+let input_fp pid input = Fp.mix (Fp.mix 41 (Fp.int pid)) (Fp.structural input)
 
-let event_fp ~relabel = function
-  | Ev_crash pid -> Fp.mix 31 (Fp.int (relabel pid))
-  | Ev_init pid -> Fp.mix 37 (Fp.int (relabel pid))
-  | Ev_input (pid, input) -> input_fp ~relabel pid input
+let event_fp = function
+  | Ev_crash pid -> Fp.mix 31 (Fp.int pid)
+  | Ev_init pid -> Fp.mix 37 (Fp.int pid)
+  | Ev_input (pid, input) -> input_fp pid input
   (* [origin] is excluded everywhere below: span ids are observability
      bookkeeping with no influence on future behaviour (and always -1 in
      the explorer, which never attaches a tracer). *)
   | Ev_deliver { src; dst; msg; sent_at; origin = _ } ->
       Fp.mix
-        (Fp.mix (Fp.mix (Fp.mix 43 (Fp.int (relabel src))) (Fp.int (relabel dst)))
-           (Fp.structural msg))
+        (Fp.mix (Fp.mix (Fp.mix 43 (Fp.int src)) (Fp.int dst)) (Fp.structural msg))
         (Fp.int sent_at)
-
-(* Everything pid-local: protocol state, crash flag, latency probes. Also
-   the symmetry sort key (with a pid-blind [relabel]) — so two processes
-   tie only when their whole local content matches, and ties keep their
-   original relative order, which at worst under-merges (sound). *)
-let local_fp t state_fp ~relabel pid =
-  let st =
-    match t.states.(pid) with
-    | None -> 53
-    | Some s -> Fp.mix 59 (state_fp ~relabel s)
-  in
-  let fp = Fp.mix st (Fp.bool t.crashed_flags.(pid)) in
-  let fp = Fp.mix fp (Fp.option Fp.int t.first_input.(pid)) in
-  Fp.mix fp (Fp.option Fp.int t.first_output.(pid))
-
-(* One pending message; the pool folds these commutatively. *)
-let pending_fp t ~relabel s =
-  Fp.mix
-    (Fp.mix
-       (Fp.mix (Fp.mix 61 (Fp.int (relabel t.pd_src.(s)))) (Fp.int (relabel t.pd_dst.(s))))
-       (Fp.structural t.pd_msgs.(s)))
-    (Fp.int t.pd_sent.(s))
 
 let header_fp ~n ~now ~sends ~dropped ~duplicated =
   let fp = Fp.mix (Fp.int n) (Fp.int now) in
@@ -1019,21 +995,21 @@ let header_fp ~n ~now ~sends ~dropped ~duplicated =
 
 (* Feed [f] the event queue — heap and unread calendar merged — in pop
    order, as (priority digest, event digest) pairs. *)
-let fold_queue t ~relabel f init =
+let fold_queue t f init =
   let acc = ref init in
   let cal = t.calendar in
   let c = ref t.cal_next in
   let fold_calendar_upto bound =
     while !c < Array.length cal.cal_times && input_priority cal.cal_times.(!c) <= bound do
       let prio = input_priority cal.cal_times.(!c) in
-      acc := f !acc (Fp.int prio) (input_fp ~relabel cal.cal_pids.(!c) cal.cal_inputs.(!c));
+      acc := f !acc (Fp.int prio) (input_fp cal.cal_pids.(!c) cal.cal_inputs.(!c));
       incr c
     done
   in
   if not (Pqueue.is_empty t.queue) then
     Pqueue.iter_in_order t.queue (fun prio ev ->
         fold_calendar_upto prio;
-        acc := f !acc (Fp.int prio) (event_fp ~relabel ev));
+        acc := f !acc (Fp.int prio) (event_fp ev));
   fold_calendar_upto max_int;
   !acc
 
@@ -1041,46 +1017,18 @@ let queue_step acc prio ev = Fp.mix (Fp.mix acc prio) ev
 
 (* Armed timers as (pid, id, deadline) in pop order; the bare tag 73 when
    none is armed. *)
-let timers_fp t ~relabel =
+let timers_fp t =
   let timers = ref 73 in
   if not (Iheap.is_empty t.timers) then
     Iheap.iter_in_order t.timers (fun ~id:cell ~priority ->
         timers :=
           Fp.mix !timers
             (Fp.mix
-               (Fp.mix (Fp.mix 71 (Fp.int (relabel (cell mod t.n)))) (Fp.int (cell / t.n)))
+               (Fp.mix (Fp.mix 71 (Fp.int (cell mod t.n))) (Fp.int (cell / t.n)))
                (Fp.int (time_of_priority priority))));
   !timers
 
-(* The digest covers every field that can influence the engine's future
-   observable behaviour under a deterministic network model: clock, fault
-   bookkeeping (the send index keys fault scripts), per-process local
-   state, the pending pool (a multiset folded commutatively — slot ids
-   and seq stamps are allocation accidents), the event queue — heap and
-   unread calendar merged — in pop order (the only order with semantics;
-   an input digests the same from either source), and the armed timers.
-   Excluded: step/trace/output history (past, not future), including how
-   the armed timers came to be armed, and the RNG streams (opaque; under
-   the explorer's [Manual] network and scripted faults they are never
-   consulted, see the .mli). This general form serves the symmetry
-   relabelling; {!exact_fingerprint} computes the same digest for
-   [relabel = Fun.id] from the caches. *)
-let fold_engine t state_fp ~relabel ~order =
-  let fp =
-    header_fp ~n:t.n ~now:t.now ~sends:t.sends ~dropped:t.faults_dropped
-      ~duplicated:t.faults_duplicated
-  in
-  let fp =
-    Array.fold_left (fun acc pid -> Fp.mix acc (local_fp t state_fp ~relabel pid)) fp order
-  in
-  let pend = ref 67 in
-  for s = 0 to t.pd_hwm - 1 do
-    if t.pd_src.(s) >= 0 then pend := Fp.commute !pend (pending_fp t ~relabel s)
-  done;
-  let fp = fold_queue t ~relabel queue_step (Fp.mix fp !pend) in
-  Fp.mix fp (timers_fp t ~relabel)
-
-(* -- digest caches (exact fingerprint only) -- *)
+(* -- digest caches -- *)
 
 let ensure_caches t =
   if Array.length t.loc_fp = 0 then t.loc_fp <- Array.make t.n stale;
@@ -1091,20 +1039,31 @@ let ensure_caches t =
     t.pd_fp <- cells
   end
 
+(* Everything pid-local: protocol state, crash flag, latency probes. *)
 let cached_local t state_fp pid =
   let v = t.loc_fp.(pid) in
   if v <> stale then v
   else begin
-    let v = local_fp t state_fp ~relabel:Fun.id pid in
+    let st = match t.states.(pid) with None -> 53 | Some s -> Fp.mix 59 (state_fp s) in
+    let fp = Fp.mix st (Fp.bool t.crashed_flags.(pid)) in
+    let fp = Fp.mix fp (Fp.option Fp.int t.first_input.(pid)) in
+    let v = Fp.mix fp (Fp.option Fp.int t.first_output.(pid)) in
     t.loc_fp.(pid) <- v;
     v
   end
 
+(* One pending message; the pool folds these commutatively. *)
 let cached_slot t s =
   let v = t.pd_fp.(s) in
   if v <> stale then v
   else begin
-    let v = pending_fp t ~relabel:Fun.id s in
+    let v =
+      Fp.mix
+        (Fp.mix
+           (Fp.mix (Fp.mix 61 (Fp.int t.pd_src.(s))) (Fp.int t.pd_dst.(s)))
+           (Fp.structural t.pd_msgs.(s)))
+        (Fp.int t.pd_sent.(s))
+    in
     t.pd_fp.(s) <- v;
     v
   end
@@ -1122,7 +1081,11 @@ let cached_pool t =
     !pend
   end
 
-let exact_fingerprint t state_fp =
+(* Header, then each process's local digest, the pool (a multiset: slot
+   ids and seq stamps are allocation accidents), the event queue in pop
+   order and the armed timers; the .mli lists what is left out and why. *)
+let fingerprint t =
+  let state_fp = state_fp_of t ~caller:"Engine.fingerprint" in
   ensure_caches t;
   let fp =
     ref
@@ -1132,34 +1095,8 @@ let exact_fingerprint t state_fp =
   for pid = 0 to t.n - 1 do
     fp := Fp.mix !fp (cached_local t state_fp pid)
   done;
-  let fp = fold_queue t ~relabel:Fun.id queue_step (Fp.mix !fp (cached_pool t)) in
-  Fp.mix fp (timers_fp t ~relabel:Fun.id)
-
-let fingerprint ?(symmetry = false) t =
-  let state_fp = state_fp_of t ~caller:"Engine.fingerprint" in
-  if (not symmetry) || t.n <= 2 then
-    (* n <= 2 has no non-distinguished pair to permute. *)
-    exact_fingerprint t state_fp
-  else begin
-    (* Canonical orbit representative: pid 0 (the distinguished
-       proposer proxy / default coordinator) keeps its identity; pids
-       1..n-1 are sorted by their pid-blind local content. [relabel]
-       collapsing every pid to -1 makes the key depend only on content,
-       never on the labels being permuted away. *)
-    let blind _ = -1 in
-    let keys = Array.init t.n (fun p -> local_fp t state_fp ~relabel:blind p) in
-    let rest = Array.init (t.n - 1) (fun i -> i + 1) in
-    Array.sort
-      (fun a b ->
-        let c = Int.compare keys.(a) keys.(b) in
-        if c <> 0 then c else compare a b)
-      rest;
-    let order = Array.make t.n 0 in
-    Array.iteri (fun i old -> order.(i + 1) <- old) rest;
-    let perm = Array.make t.n 0 in
-    Array.iteri (fun canonical old -> perm.(old) <- canonical) order;
-    fold_engine t state_fp ~relabel:(fun p -> perm.(p)) ~order
-  end
+  let fp = fold_queue t queue_step (Fp.mix !fp (cached_pool t)) in
+  Fp.mix fp (timers_fp t)
 
 (* The child of [t] that drops [drop], duplicates [dup], delivers
    [deliver] at [at] and runs until [until] changes [t] in few places:
@@ -1194,8 +1131,8 @@ let child_fingerprint t ~at ~until =
     ensure_caches t;
     let pool = cached_pool t in
     let locals = Array.init t.n (cached_local t state_fp) in
-    let tail = List.rev (fold_queue t ~relabel:Fun.id (fun acc p e -> (p, e) :: acc) []) in
-    let timers = timers_fp t ~relabel:Fun.id in
+    let tail = List.rev (fold_queue t (fun acc p e -> (p, e) :: acc) []) in
+    let timers = timers_fp t in
     Some
       (fun ~drop ~dup ~deliver ~trials ->
         let slots ids = List.fold_left (fun acc id -> acc + cached_slot t id) 0 ids in

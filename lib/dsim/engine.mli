@@ -303,7 +303,7 @@ val decision_latencies : ('state, 'msg, 'input, 'output) t -> (Pid.t * int) list
 val has_fingerprint : ('state, 'msg, 'input, 'output) t -> bool
 (** Whether the automaton supplies a [state_fingerprint] hook. *)
 
-val fingerprint : ?symmetry:bool -> ('state, 'msg, 'input, 'output) t -> Fingerprint.t
+val fingerprint : ('state, 'msg, 'input, 'output) t -> Fingerprint.t
 (** Digest of everything that can influence the engine's remaining
     behaviour under a deterministic network model: the clock, [n], the
     send index and fault counters (they key fault scripts and budgets),
@@ -322,30 +322,16 @@ val fingerprint : ?symmetry:bool -> ('state, 'msg, 'input, 'output) t -> Fingerp
     fingerprints do not imply equal futures; don't key dedup on them in
     that setting.
 
-    With [symmetry] (default [false]), processes [1 .. n-1] are first
-    relabelled to a canonical order — sorted by their pid-blind local
-    content — and every pid occurrence (including inside protocol states,
-    via the hook's [relabel] argument) is rewritten accordingly, so any
-    two engines equal up to a permutation of the non-distinguished pids
-    digest identically. Pid 0 is never relabelled: it is the proposal
-    proxy / default coordinator in this repository's protocols, so it is
-    not interchangeable with the rest. Sound when initial states are
-    pid-symmetric and message payloads carry no pid values (true for the
-    explorer's timer-free runs of the bundled protocols — see the README's
-    state-space-reduction notes); ties in the sort keep original order,
-    which at worst under-merges.
-
-    {b Caches.} The exact digest ([symmetry = false]) is assembled from
-    two caches that the first call allocates: each process's local digest
-    (state, crash flag, first input and output), recomputed only after
-    that process steps, initialises or crashes, and each pending slot's
-    message digest, computed once per message. {!clone} copies both, so a
+    {b Caches.} The digest is assembled from two caches that the first
+    call allocates: each process's local digest (state, crash flag, first
+    input and output), recomputed only after that process steps,
+    initialises or crashes, and each pending slot's message digest,
+    computed once per message. {!clone} copies both, so a
     clone of a fingerprinted engine re-hashes only what changed since the
     branch. An engine that is never fingerprinted never allocates them and
     pays one length test per step. Because it fills the caches,
     [fingerprint] writes to [t]: do not call it while another domain
-    clones or fingerprints the same engine. The symmetry digest is not
-    cached.
+    clones or fingerprints the same engine.
 
     Raises [Invalid_argument] when the automaton has no
     [state_fingerprint] hook ({!has_fingerprint} is [false]). *)
@@ -360,7 +346,7 @@ val child_fingerprint :
   trials:(Pid.t * ('state, 'msg, 'input, 'output) t) list ->
   Fingerprint.t)
   option
-(** Predict the exact {!fingerprint} of a child of [t] without building
+(** Predict the {!fingerprint} of a child of [t] without building
     it. The child is what these steps make of a {!clone} of [t]:
     {!drop_pending} each id of [drop], {!duplicate_pending} each id of
     [dup], {!deliver_pending} each id of [deliver] at [at], in that order,

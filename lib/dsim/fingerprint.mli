@@ -11,22 +11,13 @@
     to produce a fast structural hash that the explorer's visited set
     ({!Stdext.Stateset}) keys on.
 
-    Two disciplines matter for soundness of the resulting dedup:
-    {ul
-    {- {b Order-independence for unordered containers.} [Pid.Set]/[Pid.Map]
-       values must be folded with the {e commutative} combiner ({!commute},
-       or the [set]/[map] helpers), never with the sequential {!mix} over
-       the container's internal iteration order — balanced-tree shapes
-       depend on insertion history, and [relabel] (below) can reorder keys.
-       Ordered content (lists, sequential fields) uses {!mix}, which is
-       order-{e sensitive} by design.}
-    {- {b Pid relabelling.} Hooks receive a [relabel : Pid.t -> Pid.t]
-       function and must apply it to {e every} pid-valued field (including
-       [self] and pids inside sets/maps/options). The engine uses it to
-       canonicalise process identities for symmetry reduction: with
-       [relabel = Fun.id] the fingerprint is the exact one; with a
-       collapsing function it becomes pid-blind (the sort key); with a
-       permutation it is the canonical orbit representative.}} *)
+    One discipline matters for soundness of the resulting dedup:
+    unordered containers ([Pid.Set]/[Pid.Map] values) must be folded with
+    the {e commutative} combiner ({!commute}, or the [set]/[map] helpers),
+    never with the sequential {!mix} over the container's internal
+    iteration order, because balanced-tree shapes depend on insertion
+    history. Ordered content (lists, sequential fields) uses {!mix}, which
+    is order-{e sensitive} by design. *)
 
 type t = int
 

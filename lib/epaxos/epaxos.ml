@@ -529,15 +529,13 @@ let on_progress_timer s =
   (s, rearm :: actions)
 
 (* Structural hash for the explorer's dedup (see {!Dsim.Fingerprint}):
-   pids through [relabel] — instance ids are origin pids, so map keys and
-   dependency sets are relabelled too; unordered containers fold
-   commutatively, the executed log sequentially (execution order is
-   semantics). *)
-let fingerprint ~relabel s =
+   unordered containers fold commutatively, the executed log sequentially
+   (execution order is semantics). *)
+let fingerprint s =
   let module Fp = Dsim.Fingerprint in
-  let pid p = Fp.int (relabel p) in
-  let cmd (c : Cmd.t) = Fp.mix (Fp.mix (pid c.origin) (Fp.int c.key)) (Fp.int c.payload) in
-  let attrs_fp a = Fp.mix (Fp.int a.seq) (Fp.set pid ~fold:Pid.Set.fold a.deps) in
+  let cmd (c : Cmd.t) = Fp.mix (Fp.mix (Fp.int c.origin) (Fp.int c.key)) (Fp.int c.payload) in
+  let attrs_fp a = Fp.mix (Fp.int a.seq) (Fp.set Fp.int ~fold:Pid.Set.fold a.deps) in
+  let by_pid fp m = Fp.map (fun p x -> Fp.mix (Fp.int p) (fp x)) ~fold:Pid.Map.fold m in
   let status_fp = function
     | S_preaccepted -> 0
     | S_accepted -> 1
@@ -555,13 +553,11 @@ let fingerprint ~relabel s =
   let phase_fp = function
     | Idle -> 139
     | Collecting { attrs; oks } ->
-        Fp.mix
-          (Fp.mix 149 (attrs_fp attrs))
-          (Fp.map (fun p a -> Fp.mix (pid p) (attrs_fp a)) ~fold:Pid.Map.fold oks)
+        Fp.mix (Fp.mix 149 (attrs_fp attrs)) (by_pid attrs_fp oks)
     | Accepting { attrs; cmd = c; bal; oks } ->
         Fp.mix
           (Fp.mix (Fp.mix (Fp.mix 151 (attrs_fp attrs)) (Fp.option cmd c)) (Fp.int bal))
-          (Fp.set pid ~fold:Pid.Set.fold oks)
+          (Fp.set Fp.int ~fold:Pid.Set.fold oks)
     | Settled -> 157
   in
   let recovery_fp r =
@@ -572,7 +568,7 @@ let fingerprint ~relabel s =
            (fun p (st, c, a, vb, pr) ->
              Fp.mix
                (Fp.mix
-                  (Fp.mix (Fp.mix (Fp.mix (pid p) (Fp.int (status_fp st))) (Fp.option cmd c))
+                  (Fp.mix (Fp.mix (Fp.mix (Fp.int p) (Fp.int (status_fp st))) (Fp.option cmd c))
                      (attrs_fp a))
                   (Fp.int vb))
                (Fp.bool pr))
@@ -580,11 +576,11 @@ let fingerprint ~relabel s =
     in
     Fp.mix fp (Fp.bool r.acted)
   in
-  let fp = Fp.mix 167 (pid s.self) in
+  let fp = Fp.mix 167 (Fp.int s.self) in
   let fp = Fp.mix fp (Fp.int s.f) in
-  let fp = Fp.mix fp (Fp.map (fun j i -> Fp.mix (pid j) (inst_fp i)) ~fold:Pid.Map.fold s.instances) in
+  let fp = Fp.mix fp (by_pid inst_fp s.instances) in
   let fp = Fp.mix fp (phase_fp s.phase) in
-  let fp = Fp.mix fp (Fp.map (fun j r -> Fp.mix (pid j) (recovery_fp r)) ~fold:Pid.Map.fold s.recoveries) in
+  let fp = Fp.mix fp (by_pid recovery_fp s.recoveries) in
   Fp.mix fp (Fp.list cmd s.executed_rev)
 
 let make ~n ~f ~delta =
@@ -649,7 +645,7 @@ let make ~n ~f ~delta =
     on_input;
     on_timer;
     state_copy = Fun.id;
-    state_fingerprint = Some (fun ~relabel s -> fingerprint ~relabel s);
+    state_fingerprint = Some fingerprint;
   }
 
 let debug_instances s =
@@ -716,8 +712,7 @@ module Consensus = struct
     let state_copy s = { s with inner = inner.Automaton.state_copy s.inner } in
     let state_fingerprint =
       Option.map
-        (fun fp ~relabel s ->
-          Dsim.Fingerprint.mix (fp ~relabel s.inner) (Dsim.Fingerprint.bool s.decided))
+        (fun fp s -> Dsim.Fingerprint.mix (fp s.inner) (Dsim.Fingerprint.bool s.decided))
         inner.Automaton.state_fingerprint
     in
     { Automaton.init; on_message; on_input; on_timer; state_copy; state_fingerprint }

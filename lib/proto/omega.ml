@@ -33,12 +33,12 @@ let init ~self ~n ~delta ?(suspicion_multiplier = 3) () =
   in
   (state, actions)
 
-let fingerprint ~relabel state =
+let fingerprint state =
   let module Fp = Dsim.Fingerprint in
-  let fp = Fp.mix 101 (Fp.int (relabel state.self)) in
+  let fp = Fp.mix 101 (Fp.int state.self) in
   let fp = Fp.mix fp (Fp.int state.delta) in
   let fp = Fp.mix fp (Fp.int state.suspicion_delay) in
-  Fp.mix fp (Fp.set (fun p -> Fp.int (relabel p)) ~fold:Pid.Set.fold state.suspected)
+  Fp.mix fp (Fp.set Fp.int ~fold:Pid.Set.fold state.suspected)
 
 let leader state =
   let candidates =

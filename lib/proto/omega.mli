@@ -31,10 +31,9 @@ val init :
   state * (msg, 'output) Dsim.Automaton.action list
 (** [suspicion_multiplier] defaults to 3. *)
 
-val fingerprint : relabel:(Dsim.Pid.t -> Dsim.Pid.t) -> state -> Dsim.Fingerprint.t
-(** Structural hash for the embedding protocol's [state_fingerprint] hook;
-    follows the {!Dsim.Fingerprint} relabelling contract ([self] and every
-    suspected pid go through [relabel]). *)
+val fingerprint : state -> Dsim.Fingerprint.t
+(** Structural hash for the embedding protocol's [state_fingerprint]
+    hook; the suspected set folds commutatively. *)
 
 val leader : state -> Dsim.Pid.t
 (** Current Ω output: smallest pid not suspected (self is never

@@ -21,13 +21,12 @@ let add v pid t =
     { supporters = Dsim.Pid.Set.add pid e.supporters; raw_adds = e.raw_adds + 1 }
     t
 
-let fingerprint ~relabel t =
+let fingerprint t =
   let module Fp = Dsim.Fingerprint in
   Fp.map
     (fun v e ->
       Fp.mix
-        (Fp.mix (Fp.int v)
-           (Fp.set (fun p -> Fp.int (relabel p)) ~fold:Dsim.Pid.Set.fold e.supporters))
+        (Fp.mix (Fp.int v) (Fp.set Fp.int ~fold:Dsim.Pid.Set.fold e.supporters))
         (Fp.int e.raw_adds))
     ~fold:Vmap.fold t
 

@@ -13,10 +13,9 @@ val add : Value.t -> Dsim.Pid.t -> t -> t
     This is the delivery-contract obligation that makes the quorum
     protocols safe under message duplication (see {!Mutation}). *)
 
-val fingerprint : relabel:(Dsim.Pid.t -> Dsim.Pid.t) -> t -> Dsim.Fingerprint.t
+val fingerprint : t -> Dsim.Fingerprint.t
 (** Structural hash (order-independent over both the value map and each
-    supporter set) for [state_fingerprint] hooks; supporter pids go
-    through [relabel]. *)
+    supporter set) for [state_fingerprint] hooks. *)
 
 val count : Value.t -> t -> int
 

@@ -225,6 +225,33 @@ let test_paxos_not_two_step () =
   let r1 = Twostep.check_task Baselines.Paxos.protocol ~n:3 ~e:1 ~f:1 ~delta ~values:[ 0 ] () in
   Alcotest.(check bool) "paxos fails for e=1" false (Twostep.ok r1)
 
+(* A failing report prints one failure per line, so a script can read it
+   line by line: Format must wrap no entry. This is the report [twostep
+   check -p paxos -e 2 -f 2] prints. *)
+let test_report_one_failure_per_line () =
+  let r = Twostep.check_task Baselines.Paxos.protocol ~n:5 ~e:2 ~f:2 ~delta ~values:[ 0; 1 ] () in
+  let lines = String.split_on_char '\n' (Format.asprintf "%a" Twostep.pp_report r) in
+  Alcotest.(check int) "a header, then one line per failure" (1 + List.length r.failures)
+    (List.length lines);
+  let whole line =
+    String.starts_with ~prefix:"item " line
+    &&
+    match String.split_on_char '[' line with
+    | [ head; pids; config ] ->
+        String.ends_with ~suffix:": E=" head
+        && String.ends_with ~suffix:"] config=" pids
+        && String.contains config ']'
+    | _ -> false
+  in
+  List.iter2
+    (fun line failure ->
+      Alcotest.(check bool) ("one whole item N: E=[..] config=[..] entry: " ^ line) true
+        (whole line);
+      Alcotest.(check string) "the entry of the next failure"
+        (Format.asprintf "%a" Twostep.pp_failure failure)
+        line)
+    (List.tl lines) r.failures
+
 (* A mutant of the paper's protocol that is unsafe in some delivery orders
    and two-step in others. p0 never decides by the protocol's rule: it
    decides the value of the first [Propose] it receives. Under [Favor q]
@@ -594,9 +621,7 @@ let test_explore_dedup_prunes_and_agrees () =
 (* Soundness property: with an ample budget, [Exact] dedup reaches the same
    verdict as [Off] AND finds the identical first violation — the pruned
    subtrees hang off states already expanded earlier in DFS order, so the
-   earliest violating schedule is never pruned and is executed identically.
-   [Symmetry] must agree on the verdict for pid-agnostic properties (the
-   witness may be a pid permutation of Off's, so it is not compared). *)
+   earliest violating schedule is never pruned and is executed identically. *)
 let explore_dedup_sound_property =
   QCheck.Test.make ~name:"explore: dedup preserves verdict and canonical witness"
     ~count:12
@@ -620,34 +645,9 @@ let explore_dedup_sound_property =
       in
       let off = go Explore.Off in
       let exact = go Explore.Exact in
-      let sym = go Explore.Symmetry in
       (off.Explore.violations > 0) = (exact.Explore.violations > 0)
       && off.Explore.first_violation = exact.Explore.first_violation
-      && off.Explore.truncated = exact.Explore.truncated
-      && (off.Explore.violations > 0) = (sym.Explore.violations > 0))
-
-let test_explore_symmetry_merges_more () =
-  (* Unanimous proposals leave pids 1..n-1 fully interchangeable, so pid
-     canonicalisation must collapse strictly more states than exact
-     hashing — with the same (clean) verdict. *)
-  let n = 4 and e = 1 and f = 1 in
-  let proposals = Scenario.all_proposals_at_zero ~n [ 5; 5; 5; 5 ] in
-  let go dedup =
-    Explore.synchronous_report Core.Rgs.task ~n ~e ~f ~delta ~proposals ~rounds:3
-      ~budget:1_000_000 ~dedup
-      ~check:(fun o -> Safety.safe o)
-      ()
-  in
-  let exact, re = go Explore.Exact in
-  let sym, rs = go Explore.Symmetry in
-  Alcotest.(check int) "both clean" exact.Explore.violations sym.Explore.violations;
-  Alcotest.(check bool)
-    (Printf.sprintf "symmetry merges more states (%d < %d)"
-       rs.Explore.Run_report.totals.distinct_states
-       re.Explore.Run_report.totals.distinct_states)
-    true
-    (rs.Explore.Run_report.totals.distinct_states
-    < re.Explore.Run_report.totals.distinct_states)
+      && off.Explore.truncated = exact.Explore.truncated)
 
 (* The configurations of the totals-identical tests: (n, e, f, rounds,
    explored fault bounds, dedup), with pid i proposing n - 1 - i and a
@@ -694,7 +694,6 @@ let test_explore_dedup_totals_identical () =
         parallel_domains)
     [
       ("exact", (6, 2, 2, 3, Explore.no_faults, Explore.Exact));
-      ("symmetry", (6, 2, 2, 3, Explore.no_faults, Explore.Symmetry));
       ("exact n=4 drop+dup", (4, 1, 2, 2, drop_dup, Explore.Exact));
       ("exact n=3", (3, 1, 1, 2, Explore.no_faults, Explore.Exact));
     ]
@@ -1048,6 +1047,7 @@ let () =
           Alcotest.test_case "object at bound" `Quick test_object_two_step_at_bound;
           Alcotest.test_case "fast paxos at Lamport bound" `Quick test_fast_paxos_two_step_at_lamport_bound;
           Alcotest.test_case "paxos is not two-step" `Quick test_paxos_not_two_step;
+          Alcotest.test_case "one failure per line" `Quick test_report_one_failure_per_line;
         ] );
       (* Labels no longer than "telemetry": alcotest pads every label to the
          longest one and truncates test names to fit, so a longer label
@@ -1071,7 +1071,6 @@ let () =
         [
           Alcotest.test_case "prunes and agrees at n=6" `Quick
             test_explore_dedup_prunes_and_agrees;
-          Alcotest.test_case "symmetry merges more" `Quick test_explore_symmetry_merges_more;
           Alcotest.test_case "totals identical across strategies" `Quick
             test_explore_dedup_totals_identical;
           QCheck_alcotest.to_alcotest explore_dedup_sound_property;

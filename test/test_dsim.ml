@@ -755,7 +755,7 @@ let test_engine_fingerprint_stability () =
   let fp_automaton : (echo_state, int, int, Pid.t * int) Automaton.t =
     {
       echo with
-      state_fingerprint = Some (fun ~relabel s -> Fp.int (relabel s.self));
+      state_fingerprint = Some (fun s -> Fp.int s.self);
     }
   in
   let make inputs =
@@ -786,13 +786,141 @@ let test_engine_fingerprint_stability () =
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
+(* Every protocol's [state_fingerprint] hook, pinned through the engine
+   digest. The other fingerprint tests compare digests with each other (a
+   clone with its source, a predicted child key with the built child), so
+   they would all still pass if every hook's digest moved; these constants
+   would not. Each protocol runs at its minimal n for e = f = 2 on
+   synchronous rounds, process p proposing p mod 3 at time 0: once with
+   timers off, and once with timers on and p0 crashing at 1.5Δ, so the
+   digests also cover armed timers, heartbeats and whatever the timeouts
+   start. At each instant of [digest_instants], the engine and a clone of
+   it must both digest to the pinned value.
+
+   The explorer's visited sets and pinned counts rest on these digests.
+   Regenerate only when a change is meant to move them (a new field in a
+   protocol's state, a new digest layout in the engine, new [Fingerprint]
+   combinators), and say why in CHANGES.md:
+     GOLDEN_PRINT=1 dune exec test/test_dsim.exe -- test fingerprint *)
+let digest_delta = 100
+
+let digest_instants = [ 0; 100; 150; 200; 400; 1000 ]
+
+let digest_protocols =
+  [
+    ("rgs-task", Core.Rgs.task);
+    ("rgs-object", Core.Rgs.obj);
+    ("paxos", Baselines.Paxos.protocol);
+    ("fast-paxos", Baselines.Fast_paxos.protocol);
+    ("epaxos", Epaxos.protocol);
+  ]
+
+let protocol_digests (module P : Proto.Protocol.S) ~timers =
+  let n = P.min_n ~e:2 ~f:2 in
+  let engine =
+    Engine.create ~automaton:(P.make ~n ~e:2 ~f:2 ~delta:digest_delta) ~n
+      ~network:(Network.Sync_rounds { delta = digest_delta; order = Network.Arrival })
+      ~disable_timers:(not timers)
+      ~inputs:(List.map (fun p -> (0, p, p mod 3)) (Pid.all ~n))
+      ~crashes:(if timers then [ (3 * digest_delta / 2, 0) ] else [])
+      ()
+  in
+  List.split
+    (List.map
+       (fun at ->
+         ignore (Engine.run ~until:at engine : Engine.run_result);
+         (Engine.fingerprint engine, Engine.fingerprint (Engine.clone engine)))
+       digest_instants)
+
+let pinned_protocol_digests =
+  [
+    ( ("rgs-task", false),
+      [
+        0x253CF121770EA3AE; 0x4D989785E6174D50; 0x4D989785E6174D50;
+        0x7B68C5078456F3F3; 0x7B68C5078456F3F3; 0x7B68C5078456F3F3;
+      ] );
+    ( ("rgs-task", true),
+      [
+        0x6FA120A374403FF2; 0x54B72C8D4DB19D9C; 0x3342046AC35CBB4B;
+        0x4E69F1711C59A36F; 0x41BACC3F879AB37C; 0x29B6DB7F358DBD0B;
+      ] );
+    ( ("rgs-object", false),
+      [
+        0x3C244DE2EE8C7671; 0x0E54E11F96EF9BD1; 0x0E54E11F96EF9BD1;
+        0x279EA98AC78D5041; 0x279EA98AC78D5041; 0x279EA98AC78D5041;
+      ] );
+    ( ("rgs-object", true),
+      [
+        0x6C1DC8BD5D420C70; 0x43B75BEE1CA38D04; 0x2BF451577D6ED6BF;
+        0x65C6F3C97D1F4FE2; 0x6A61245C9CA4F608; 0x23C7A309499F3DF9;
+      ] );
+    ( ("paxos", false),
+      [
+        0x32B38261BCC2CC75; 0x5D55604398682FEE; 0x5D55604398682FEE;
+        0x196D826795182D89; 0x5FFFF16FBE7E4505; 0x5FFFF16FBE7E4505;
+      ] );
+    ( ("paxos", true),
+      [
+        0x643377734792A68A; 0x0F08CFE3705B3627; 0x74B0933CFE75E5A1;
+        0x5FCE0B003C839BEA; 0x7C58291CD4BFAFB6; 0x0A1357F084444F9A;
+      ] );
+    ( ("fast-paxos", false),
+      [
+        0x6745C5A3F35EAE21; 0x157ACBABAA3BF772; 0x157ACBABAA3BF772;
+        0x22C30434A7F6E083; 0x09426FC9D5A396CA; 0x09426FC9D5A396CA;
+      ] );
+    ( ("fast-paxos", true),
+      [
+        0x1832769F15A7E53B; 0x22CBBE31B93FD686; 0x7CC1573C8225CEEF;
+        0x53F13382927369F1; 0x30BE4D3430E8074E; 0x7AF97177A5D07AB9;
+      ] );
+    ( ("epaxos", false),
+      [
+        0x18D41B88CBA5C1F5; 0x1553C755118D1D3B; 0x1553C755118D1D3B;
+        0x4BD118A7806E1FC7; 0x1A0C93A3FB55E561; 0x4563120DC6F8E2E8;
+      ] );
+    ( ("epaxos", true),
+      [
+        0x7D85F4B55DD59943; 0x734BB6B8A6B1459F; 0x2AB7CF06B3D6F427;
+        0x7B6069040E80EC77; 0x4386F017386B5AEE; 0x23169B1ADF739E8B;
+      ] );
+  ]
+
+let test_protocol_digests () =
+  let cells =
+    List.concat_map
+      (fun (name, protocol) ->
+        List.map
+          (fun timers -> ((name, timers), protocol_digests protocol ~timers))
+          [ false; true ])
+      digest_protocols
+  in
+  match Sys.getenv_opt "GOLDEN_PRINT" with
+  | Some _ ->
+      List.iter
+        (fun ((name, timers), (digests, _)) ->
+          Printf.printf "    ( (%S, %b),\n      [" name timers;
+          List.iteri
+            (fun i d -> Printf.printf "%s 0x%016X;" (if i mod 3 = 0 then "\n       " else "") d)
+            digests;
+          print_string "\n      ] );\n")
+        cells
+  | None ->
+      List.iter
+        (fun (((name, timers) as cell), (digests, clones)) ->
+          let pinned = List.assoc cell pinned_protocol_digests in
+          let label = Printf.sprintf "%s, timers %b" name timers in
+          Alcotest.(check (list int)) label pinned digests;
+          Alcotest.(check (list int)) (label ^ ", clones") pinned clones)
+        cells
+
 (* The inputs given to [create] wait in a sorted calendar outside the event
    heap; nothing observable may tell the two apart. Inputs arrive out of
    time order with ties at t=20, where a create-time crash and a later
    [schedule_input] meet them. *)
 let test_input_calendar_invisible () =
   let fp_echo : (echo_state, int, int, Pid.t * int) Automaton.t =
-    { echo with state_fingerprint = Some (fun ~relabel s -> Fp.int (relabel s.self)) }
+    { echo with state_fingerprint = Some (fun s -> Fp.int s.self) }
   in
   let inputs = [ (20, 1, 5); (7, 2, 6); (20, 0, 7); (3, 0, 8); (20, 2, 9) ] in
   let make ?(inputs = inputs) () =
@@ -865,7 +993,7 @@ let timer_script ~init : (unit, int, timer_cmd list, unit) Automaton.t =
     on_input = (fun s cmds -> (s, actions cmds));
     on_timer = (fun s _ -> (s, []));
     state_copy = Fun.id;
-    state_fingerprint = Some (fun ~relabel:_ () -> Fp.int 0);
+    state_fingerprint = Some (fun () -> Fp.int 0);
   }
 
 let test_timer_heap_semantics () =
@@ -1240,6 +1368,7 @@ let () =
           Alcotest.test_case "golden constants" `Quick test_fingerprint_golden;
           Alcotest.test_case "engine fingerprint stability" `Quick
             test_engine_fingerprint_stability;
+          Alcotest.test_case "protocol digests" `Quick test_protocol_digests;
         ] );
       ("child-key", [ QCheck_alcotest.to_alcotest child_key_property ]);
       (* Labels no longer than "fingerprint": alcotest pads every label to
