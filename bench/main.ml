@@ -6,8 +6,6 @@
      dune exec bench/main.exe -- bechamel  # microbenchmarks only
      dune exec bench/main.exe -- explore   # exploration perf suite -> BENCH_explore.json
      dune exec bench/main.exe -- engine    # engine throughput suite -> BENCH_engine.json
-     dune exec bench/main.exe -- --domains 4 t2 t3   # parallel sweep grids
-     dune exec bench/main.exe -- --domains-list 1,2,4 explore   # explicit domain counts
      dune exec bench/main.exe -- --explore-budget 200 explore   # CI smoke sizing
      dune exec bench/main.exe -- --help    # every flag and name
 
@@ -63,12 +61,11 @@ let elapsed_ns t0 = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9)
 (* -- Exploration performance suite -------------------------------------- *)
 
 (* One row of the explore, faults and swarm suites. On the swarm row
-   [domains] is the walker count, [explored] the completed random walks,
-   and the run-report columns it has no report for read 0. *)
+   [explored] is the completed random walks, and the run-report columns
+   it has no report for read 0. *)
 type explore_row = {
   experiment : string;
   n : int;
-  domains : int;
   budget : int;
   rounds : int;
   faults : Checker.Explore.fault_bounds;
@@ -76,7 +73,6 @@ type explore_row = {
   wall_ns : int;
   fast_path_rate : float;
   mean_depth : float;
-  budget_waste_pct : float;
   dedup : string;
   distinct_states : int;
   dedup_hits : int;
@@ -96,36 +92,26 @@ let dedup_hit_rate r =
   if arrivals = 0 then 0. else float_of_int r.dedup_hits /. float_of_int arrivals
 
 (* n=5..7 at fixed rounds: the (e, f) pairs keep n exactly at the task
-   bound 2e+f so the configurations match the T2/T3 grids. The extra
-   10k-budget n=7 row exercises a deeper cut of the same tree, where the
-   parallel subtree split has enough work per domain to matter. *)
+   bound 2e+f so the configurations match the T2/T3 grids. The n=7 tree
+   holds 1,292 runs: the 1,000 budget cuts it, and the extra 10k-budget
+   row searches it to the end. *)
 let explore_configs = [ (5, 2, 1, 1_000); (6, 2, 2, 1_000); (7, 2, 3, 1_000); (7, 2, 3, 10_000) ]
 
 let explore_rounds = 3
-
-(* Domain counts above the hardware's parallelism measure nothing useful
-   (the explorer clamps them to a sequential run anyway), so the default
-   sweep stops at [recommended_domain_count]; an explicit --domains-list is
-   honoured verbatim so oversubscription itself can be measured. *)
-let default_domains_list () =
-  let rec_d = max 1 (Domain.recommended_domain_count ()) in
-  match List.filter (fun d -> d = 1 || d <= rec_d) [ 1; 2; 4 ] with
-  | [] -> [ 1 ]
-  | l -> l
 
 let dedup_name = function Checker.Explore.Off -> "off" | Checker.Explore.Exact -> "exact"
 
 let por_name = function Checker.Explore.No_por -> "off" | Checker.Explore.Sleep -> "sleep"
 
-let time_explore ~experiment ~n ~e ~f ~budget ~rounds ~faults ~domains
-    ?(dedup = Checker.Explore.Off) ?(por = Checker.Explore.No_por) () =
+let time_explore ~experiment ~n ~e ~f ~budget ~rounds ~faults ?(dedup = Checker.Explore.Off)
+    ?(por = Checker.Explore.No_por) () =
   let proposals =
     Checker.Scenario.all_proposals_at_zero ~n (List.init n (fun i -> n - 1 - i))
   in
   let t0 = Unix.gettimeofday () in
   let r, report =
     Checker.Explore.synchronous_report Core.Rgs.task ~n ~e ~f ~delta:100 ~proposals
-      ~rounds ~budget ~faults ~domains ~dedup ~por
+      ~rounds ~budget ~faults ~dedup ~por
       ~check:(fun o -> Checker.Safety.safe o)
       ()
   in
@@ -136,7 +122,6 @@ let time_explore ~experiment ~n ~e ~f ~budget ~rounds ~faults ~domains
   {
     experiment;
     n;
-    domains;
     budget;
     rounds;
     faults;
@@ -144,8 +129,6 @@ let time_explore ~experiment ~n ~e ~f ~budget ~rounds ~faults ~domains
     wall_ns;
     fast_path_rate = Checker.Explore.Run_report.fast_path_rate totals;
     mean_depth = Checker.Explore.Run_report.mean_depth totals;
-    budget_waste_pct =
-      Checker.Explore.Run_report.budget_waste_pct report.Checker.Explore.Run_report.sched;
     dedup = dedup_name dedup;
     distinct_states = totals.Checker.Explore.Run_report.distinct_states;
     dedup_hits = totals.Checker.Explore.Run_report.dedup_hits;
@@ -174,7 +157,6 @@ let time_swarm ~experiment ~n ~e ~f ~budget ~rounds ~walkers ~seed () =
   {
     experiment;
     n;
-    domains = walkers;
     budget;
     rounds;
     faults = Checker.Explore.no_faults;
@@ -182,7 +164,6 @@ let time_swarm ~experiment ~n ~e ~f ~budget ~rounds ~walkers ~seed () =
     wall_ns;
     fast_path_rate = 0.;
     mean_depth = 0.;
-    budget_waste_pct = 0.;
     dedup = "count";
     distinct_states = s.Checker.Explore.Swarm_report.distinct_states;
     dedup_hits = s.Checker.Explore.Swarm_report.dedup_hits;
@@ -190,48 +171,11 @@ let time_swarm ~experiment ~n ~e ~f ~budget ~rounds ~walkers ~seed () =
     por_pruned = s.Checker.Explore.Swarm_report.por_pruned;
   }
 
-(* Wall-clock of the domains=1 row with the same experiment/budget/policy,
-   over this row's wall-clock: > 1 is a speedup, < 1 a regression. [None]
-   when the sweep contains no sequential baseline. *)
-let speedup_vs_seq samples s =
-  List.find_opt
-    (fun b ->
-      b.domains = 1 && b.experiment = s.experiment && b.budget = s.budget
-      && b.dedup = s.dedup && b.por = s.por)
-    samples
-  |> Option.map (fun b ->
-         if s.wall_ns = 0 then 1.0 else float_of_int b.wall_ns /. float_of_int s.wall_ns)
-
-(* The header's recommendation, derived from the rows actually emitted
-   instead of the host's core count: the domains value with the best mean
-   measured speedup_vs_seq, and 1 when nothing beats the sequential
-   baseline or the sweep measured no multi-domain row at all. *)
-let recommended_domains samples =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun s ->
-      if s.domains > 1 then
-        match speedup_vs_seq samples s with
-        | Some sp ->
-            let sum, count =
-              Option.value ~default:(0., 0) (Hashtbl.find_opt tbl s.domains)
-            in
-            Hashtbl.replace tbl s.domains (sum +. sp, count + 1)
-        | None -> ())
-    samples;
-  Hashtbl.fold
-    (fun d (sum, count) (bd, bm) ->
-      let m = sum /. float_of_int count in
-      if m > bm || (m = bm && d < bd) then (d, m) else (bd, bm))
-    tbl (1, 1.0)
-  |> fst
-
-let explore_json samples s =
+let explore_json s =
   [
     ("experiment", Json.String s.experiment);
     ("protocol", Json.String (Proto.Protocol.name Core.Rgs.task));
     ("n", Json.Int s.n);
-    ("domains", Json.Int s.domains);
     ("budget", Json.Int s.budget);
     ("rounds", Json.Int s.rounds);
     ("max_drops", Json.Int s.faults.max_drops);
@@ -239,10 +183,8 @@ let explore_json samples s =
     ("explored", Json.Int s.explored);
     ("wall_ns", Json.Int s.wall_ns);
     ("states_per_sec", fixed 1 (per_sec s.explored s.wall_ns));
-    ("speedup_vs_seq", Option.fold ~none:Json.Null ~some:(fixed 2) (speedup_vs_seq samples s));
     ("fast_path_rate", fixed 4 s.fast_path_rate);
     ("mean_depth", fixed 2 s.mean_depth);
-    ("budget_waste_pct", fixed 2 s.budget_waste_pct);
     ("dedup", Json.String s.dedup);
     ("distinct_states", Json.Int s.distinct_states);
     ("dedup_hit_rate", fixed 4 (dedup_hit_rate s));
@@ -253,40 +195,27 @@ let explore_json samples s =
 
 let print_sample_table samples =
   Format.fprintf fmt
-    "%-20s %3s %7s %7s %5s %5s %-8s %-6s | %8s %10s %11s %8s %5s %6s %6s %9s %6s %9s@."
-    "experiment" "n" "domains" "budget" "drops" "dups" "dedup" "por" "explored" "wall-ms"
-    "states/sec" "speedup" "fast" "depth" "waste%" "distinct" "hit%" "pruned";
+    "%-20s %3s %7s %5s %5s %-8s %-6s | %8s %10s %11s %5s %6s %9s %6s %9s@." "experiment" "n"
+    "budget" "drops" "dups" "dedup" "por" "explored" "wall-ms" "states/sec" "fast" "depth"
+    "distinct" "hit%" "pruned";
   List.iter
     (fun s ->
       Format.fprintf fmt
-        "%-20s %3d %7d %7d %5d %5d %-8s %-6s | %8d %10.1f %11.0f %8s %5.2f %6.2f %6.2f \
-         %9d %6.1f %9d@."
-        s.experiment s.n s.domains s.budget s.faults.max_drops s.faults.max_dups s.dedup
-        s.por s.explored
+        "%-20s %3d %7d %5d %5d %-8s %-6s | %8d %10.1f %11.0f %5.2f %6.2f %9d %6.1f %9d@."
+        s.experiment s.n s.budget s.faults.max_drops s.faults.max_dups s.dedup s.por s.explored
         (float_of_int s.wall_ns /. 1e6)
         (per_sec s.explored s.wall_ns)
-        (match speedup_vs_seq samples s with
-        | None -> "-"
-        | Some x -> Printf.sprintf "%.2fx" x)
-        s.fast_path_rate s.mean_depth s.budget_waste_pct s.distinct_states
+        s.fast_path_rate s.mean_depth s.distinct_states
         (100. *. dedup_hit_rate s) s.por_pruned)
     samples
 
 let emit_samples samples =
   all_samples := !all_samples @ samples;
   print_sample_table samples;
-  write_bench ~suite:"explore" ~version:8
-    ~header:[ ("recommended_domains", Json.Int (recommended_domains !all_samples)) ]
-    (List.map (explore_json !all_samples) !all_samples)
+  write_bench ~suite:"explore" ~version:9 (List.map explore_json !all_samples)
 
-let run_explore_suite ~domains_list ~budget_override () =
-  let domains_list =
-    match domains_list with Some l -> l | None -> default_domains_list ()
-  in
-  Format.fprintf fmt "@.%s@.B2. Exploration, domains {%s}@.%s@."
-    (String.make 78 '-')
-    (String.concat "," (List.map string_of_int domains_list))
-    (String.make 78 '-');
+let run_explore_suite ~budget_override () =
+  Format.fprintf fmt "@.%s@.B2. Exploration@.%s@." (String.make 78 '-') (String.make 78 '-');
   let configs =
     let with_budget =
       match budget_override with
@@ -295,11 +224,7 @@ let run_explore_suite ~domains_list ~budget_override () =
     in
     List.sort_uniq compare with_budget
   in
-  let cases =
-    List.concat_map
-      (fun cfg -> List.map (fun d -> (cfg, d, Checker.Explore.Off)) domains_list)
-      configs
-  in
+  let cases = List.map (fun cfg -> (cfg, Checker.Explore.Off)) configs in
   (* The dedup trajectory: an explicit on-vs-off pair at every n >= 6
      config (the off rows are above). The n=7 10k-budget pair is the
      headline — dedup is what turns that budget-truncated search
@@ -307,18 +232,18 @@ let run_explore_suite ~domains_list ~budget_override () =
   let dedup_cases =
     List.filter_map
       (fun (n, e, f, b) ->
-        if n >= 6 then Some ((n, e, f, b), 1, Checker.Explore.Exact) else None)
+        if n >= 6 then Some ((n, e, f, b), Checker.Explore.Exact) else None)
       configs
   in
   let samples =
     List.map
-      (fun ((n, e, f, budget), domains, dedup) ->
+      (fun ((n, e, f, budget), dedup) ->
         let experiment =
           Printf.sprintf "explore-n%d%s" n
             (if budget = 1_000 then "" else Printf.sprintf "-b%d" budget)
         in
         time_explore ~experiment ~n ~e ~f ~budget ~rounds:explore_rounds
-          ~faults:Checker.Explore.no_faults ~domains ~dedup ())
+          ~faults:Checker.Explore.no_faults ~dedup ())
       (cases @ dedup_cases)
   in
   (* POR trajectory: a fixed-budget on/off pair per n >= 6 config, run at
@@ -336,8 +261,7 @@ let run_explore_suite ~domains_list ~budget_override () =
           List.map
             (fun (dedup, por) ->
               time_explore ~experiment ~n ~e ~f ~budget:por_budget
-                ~rounds:explore_rounds ~faults:Checker.Explore.no_faults ~domains:1
-                ~dedup ~por ())
+                ~rounds:explore_rounds ~faults:Checker.Explore.no_faults ~dedup ~por ())
             [
               (Checker.Explore.Off, Checker.Explore.No_por);
               (Checker.Explore.Off, Checker.Explore.Sleep);
@@ -345,7 +269,7 @@ let run_explore_suite ~domains_list ~budget_override () =
             ])
       (List.sort_uniq compare (List.map (fun (n, e, f, _) -> (n, e, f, 0)) configs))
   in
-  (* The acceptance gate: POR on (exact dedup, 1 domain) must enumerate at
+  (* The acceptance gate: POR with exact dedup must enumerate at
      most half the schedules POR-off enumerates, with identical (clean)
      verdicts — time_explore already fails on any violation. *)
   List.iter
@@ -388,37 +312,28 @@ let run_explore_suite ~domains_list ~budget_override () =
    branching enabled. Fault subsets widen the tree by orders of magnitude,
    so these run at [fault_rounds] = 2 and lean on the budget cut; the
    interesting signal is the states/sec cost of fault branching relative
-   to the no-fault rows and the parallel speedup on the wider tree. *)
+   to the no-fault rows. *)
 let fault_configs = [ (5, 2, 1, 2_000); (6, 2, 2, 2_000) ]
 
 let fault_rounds = 2
 
 let fault_bounds = { Checker.Explore.max_drops = 1; max_dups = 1 }
 
-let run_faults_suite ~domains_list ~budget_override () =
-  let domains_list =
-    match domains_list with Some l -> l | None -> default_domains_list ()
-  in
-  Format.fprintf fmt
-    "@.%s@.B3. Fault-injection exploration (<=%d drops, <=%d dups), domains {%s}@.%s@."
+let run_faults_suite ~budget_override () =
+  Format.fprintf fmt "@.%s@.B3. Fault-injection exploration (<=%d drops, <=%d dups)@.%s@."
     (String.make 78 '-') fault_bounds.Checker.Explore.max_drops
-    fault_bounds.Checker.Explore.max_dups
-    (String.concat "," (List.map string_of_int domains_list))
-    (String.make 78 '-');
+    fault_bounds.Checker.Explore.max_dups (String.make 78 '-');
   let configs =
     match budget_override with
     | None -> fault_configs
     | Some b -> List.sort_uniq compare (List.map (fun (n, e, f, _) -> (n, e, f, b)) fault_configs)
   in
   let samples =
-    List.concat_map
+    List.map
       (fun (n, e, f, budget) ->
-        List.map
-          (fun domains ->
-            time_explore
-              ~experiment:(Printf.sprintf "faults-n%d" n)
-              ~n ~e ~f ~budget ~rounds:fault_rounds ~faults:fault_bounds ~domains ())
-          domains_list)
+        time_explore
+          ~experiment:(Printf.sprintf "faults-n%d" n)
+          ~n ~e ~f ~budget ~rounds:fault_rounds ~faults:fault_bounds ())
       configs
   in
   emit_samples samples
@@ -1066,18 +981,14 @@ let run_bechamel () =
 (* -- dispatch ----------------------------------------------------------- *)
 
 let () =
-  let domains = ref 1 and domains_list = ref None and explore_budget = ref None in
+  let explore_budget = ref None in
   let engine_iters = ref 2_000 and smr_clients = ref 120 in
   let smr_horizon = ref 10_000 and check_baseline = ref None and names = ref [] in
   let suites =
     [
       ("bechamel", run_bechamel);
-      ( "explore",
-        fun () ->
-          run_explore_suite ~domains_list:!domains_list ~budget_override:!explore_budget () );
-      ( "faults",
-        fun () ->
-          run_faults_suite ~domains_list:!domains_list ~budget_override:!explore_budget () );
+      ("explore", fun () -> run_explore_suite ~budget_override:!explore_budget ());
+      ("faults", fun () -> run_faults_suite ~budget_override:!explore_budget ());
       ("overhead", run_metrics_overhead_suite);
       ( "engine",
         fun () -> run_engine_suite ~iters:!engine_iters ~check_baseline:!check_baseline () );
@@ -1089,7 +1000,7 @@ let () =
     ]
   in
   let experiments =
-    List.map (fun (name, run) -> (name, fun () -> run ~domains:!domains fmt)) Experiments.table
+    List.map (fun (name, run) -> (name, fun () -> run fmt)) Experiments.table
   in
   (* Bench's [all] adds every perf suite to the experiments' [all]. *)
   let all () =
@@ -1103,19 +1014,9 @@ let () =
         (fun v -> if v >= 1 then set v else raise (Arg.Bad (flag ^ " expects a positive integer"))),
       doc )
   in
-  let domain_counts s =
-    match List.map int_of_string_opt (String.split_on_char ',' s) with
-    | counts when List.for_all (function Some d -> d >= 1 | None -> false) counts ->
-        domains_list := Some (List.filter_map Fun.id counts)
-    | _ -> raise (Arg.Bad ("--domains-list expects positive integers, got " ^ s))
-  in
   Arg.parse
     (Arg.align
        [
-         positive "--domains" (( := ) domains) "N worker domains of the sweep grids (default 1)";
-         ( "--domains-list",
-           Arg.String domain_counts,
-           "N,N,... domain counts of the explore and faults sweeps" );
          positive "--explore-budget"
            (fun b -> explore_budget := Some b)
            "N run budget of every explore and faults row";

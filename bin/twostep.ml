@@ -36,16 +36,6 @@ let n_arg =
 
 let seed_arg = Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
-let domains_arg =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "domains" ] ~docv:"N"
-        ~doc:
-          "Worker domains for the parallel sweep grids (T2-T4, F1) and the explorer. \
-           The output is identical for any N; 1 means fully sequential, and counts \
-           above the hardware's parallelism are clamped.")
-
 let delta = 100
 
 (* -- dedup plumbing ------------------------------------------------------ *)
@@ -313,7 +303,7 @@ let explore_cmd =
              budget; coverage is reported as distinct states. A violation found is a \
              genuine witness; a clean sweep is evidence, not proof.")
   in
-  let run protocol n e f rounds budget domains dedup por swarm seed crashes metrics_out =
+  let run protocol n e f rounds budget dedup por swarm seed crashes metrics_out =
     let (module P : Proto.Protocol.S) = protocol in
     let n = Option.value ~default:(P.min_n ~e ~f) n in
     let proposals = Checker.Scenario.all_proposals_at_zero ~n (List.init n Fun.id) in
@@ -324,15 +314,13 @@ let explore_cmd =
       let r, sreport =
         with_metrics metrics_out (fun registry ->
             Checker.Explore.swarm_report protocol ~n ~e ~f ~delta ~proposals ~crashes
-              ~rounds ~budget ~walkers:swarm ~seed ~domains ~por ~metrics:registry
+              ~rounds ~budget ~walkers:swarm ~seed ~por ~metrics:registry
               ~check:(fun o -> Checker.Safety.safe o)
               ())
       in
       let wall_s = Unix.gettimeofday () -. t0 in
-      Format.printf
-        "%s n=%d e=%d f=%d rounds=%d (swarm, budget %d, walkers %d, domains %d, seed %d, por \
-         %s)@."
-        P.name n e f rounds budget swarm domains seed (por_name por);
+      Format.printf "%s n=%d e=%d f=%d rounds=%d (swarm, budget %d, walkers %d, seed %d, por %s)@."
+        P.name n e f rounds budget swarm seed (por_name por);
       Format.printf "%a@." Checker.Explore.Swarm_report.pp sreport;
       Format.printf "distinct states/sec: %.0f (%.2fs)@."
         (Checker.Explore.Swarm_report.distinct_states_per_sec sreport ~wall_s)
@@ -349,8 +337,7 @@ let explore_cmd =
         with_metrics metrics_out (fun registry ->
             let r, report =
               Checker.Explore.synchronous_report protocol ~n ~e ~f ~delta ~proposals
-                ~crashes ~rounds ~budget ~domains ~dedup
-                ~por ~metrics:registry
+                ~crashes ~rounds ~budget ~dedup ~por ~metrics:registry
                 ~check:(fun o -> Checker.Safety.safe o)
                 ()
             in
@@ -358,8 +345,8 @@ let explore_cmd =
               Checker.Explore.Run_report.record registry report;
             (r, report))
       in
-      Format.printf "%s n=%d e=%d f=%d rounds=%d (budget %d, domains %d, dedup %s, por %s)@."
-        P.name n e f rounds budget domains (dedup_name dedup) (por_name por);
+      Format.printf "%s n=%d e=%d f=%d rounds=%d (budget %d, dedup %s, por %s)@." P.name n e
+        f rounds budget (dedup_name dedup) (por_name por);
       Format.printf "explored: %d schedules%s@." r.Checker.Explore.explored
         (if r.Checker.Explore.truncated then " (truncated)" else " (exhaustive)");
       Format.printf "%a@." Checker.Explore.Run_report.pp report;
@@ -379,7 +366,7 @@ let explore_cmd =
           to seeded random walkers for sizes beyond exhaustive reach.")
     Term.(
       const run $ protocol_arg $ n_arg $ e_arg $ f_arg $ rounds_arg $ budget_arg
-      $ domains_arg $ dedup_arg $ por_arg $ swarm_arg $ seed_arg
+      $ dedup_arg $ por_arg $ swarm_arg $ seed_arg
       $ crashes_arg
           ~doc:
             "Crash schedule as time:pid pairs. The search runs with timers off, so no \
@@ -908,13 +895,11 @@ let experiments_cmd =
       & pos_all (enum (List.combine names names)) [ "all" ]
       & info [] ~docv:"EXPERIMENT" ~doc:(Printf.sprintf "Experiments to run, each %s." (doc_alts ~quoted:false names)))
   in
-  let run domains which =
-    List.iter
-      (fun name -> List.assoc name Experiments.table ~domains Format.std_formatter)
-      which
+  let run which =
+    List.iter (fun name -> List.assoc name Experiments.table Format.std_formatter) which
   in
   Cmd.v (Cmd.info "experiments" ~doc:"Run the evaluation experiments (see EXPERIMENTS.md).")
-    Term.(const run $ domains_arg $ which_arg)
+    Term.(const run $ which_arg)
 
 let () =
   let doc = "Two-step consensus: protocols, checkers and lower-bound witnesses." in

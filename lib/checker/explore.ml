@@ -1,7 +1,6 @@
 module Pid = Dsim.Pid
 module Time = Dsim.Time
 module Combinat = Stdext.Combinat
-module Pool = Stdext.Pool
 module Metrics = Stdext.Metrics
 module Stateset = Stdext.Stateset
 module Fingerprint = Dsim.Fingerprint
@@ -40,19 +39,6 @@ type fault_bounds = { max_drops : int; max_dups : int }
 
 let no_faults = { max_drops = 0; max_dups = 0 }
 
-(* Per-run facts captured at evaluation time. They ride in the chunk
-   results in DFS order, so the merge can count exactly the sequential
-   prefix of the search — which is what makes all [Run_report.totals]
-   fields identical across domain counts and scheduling interleavings,
-   not just [explored]/[violations]. *)
-type run_rec = {
-  r_depth : int;
-  r_drops : int;
-  r_dups : int;
-  r_fast : bool;
-  r_violation : bool;
-}
-
 module Run_report = struct
   type totals = {
     explored : int;
@@ -70,7 +56,7 @@ module Run_report = struct
     sleep_hits : int;  (* per-destination orders suppressed by trial equivalence *)
   }
 
-  type sched = { domains : int; budget : int; evals : int; wasted : int; max_fanout : int }
+  type sched = { budget : int; max_fanout : int }
 
   type t = { totals : totals; sched : sched }
 
@@ -85,9 +71,6 @@ module Run_report = struct
       float_of_int !sum /. float_of_int t.explored
     end
 
-  let budget_waste_pct s =
-    if s.evals = 0 then 0. else 100. *. float_of_int s.wasted /. float_of_int s.evals
-
   let pp fmt t =
     let pp_arr fmt a =
       Array.iteri (fun i v -> Format.fprintf fmt "%s%d" (if i = 0 then "" else " ") v) a
@@ -98,13 +81,12 @@ module Run_report = struct
        fast runs: %d (rate %.3f); fault runs: %d (drops %d, dups %d)@,\
        dedup: distinct states %d, hits %d, pruned subtrees %d@,\
        por: pruned %d, sleep hits %d@,\
-       sched: domains %d, budget %d, evals %d, wasted %d (%.1f%%), max fan-out %d@]"
+       sched: budget %d, max fan-out %d@]"
       t.totals.explored t.totals.violations t.totals.truncated pp_arr
       t.totals.depth_histogram (mean_depth t.totals) t.totals.fast_runs
       (fast_path_rate t.totals) t.totals.fault_runs t.totals.drops t.totals.dups
       t.totals.distinct_states t.totals.dedup_hits t.totals.pruned_subtrees
-      t.totals.por_pruned t.totals.sleep_hits t.sched.domains t.sched.budget t.sched.evals
-      t.sched.wasted (budget_waste_pct t.sched) t.sched.max_fanout
+      t.totals.por_pruned t.totals.sleep_hits t.sched.budget t.sched.max_fanout
 
   let record registry t =
     let c name v = Metrics.add (Metrics.counter registry name) v in
@@ -120,10 +102,7 @@ module Run_report = struct
     c "explore.pruned_subtrees" t.totals.pruned_subtrees;
     c "explore.por_pruned" t.totals.por_pruned;
     c "explore.sleep_hits" t.totals.sleep_hits;
-    c "explore.evals" t.sched.evals;
-    c "explore.wasted" t.sched.wasted;
     Metrics.record_max (Metrics.gauge registry "explore.max_fanout") t.sched.max_fanout;
-    Metrics.record_max (Metrics.gauge registry "explore.domains") t.sched.domains;
     let nbuckets = Array.length t.totals.depth_histogram in
     if nbuckets > 1 then begin
       let h =
@@ -162,37 +141,6 @@ type ('s, 'm) round_choice = {
 let deliver_list c = List.concat_map (fun l -> l.order) c.legs @ c.to_crashed
 
 let trials c = List.filter_map (fun l -> l.trial) c.legs
-
-(* The root of a subtree still to explore. [build] makes its engine
-   lazily, in whichever task reaches it after the budget check, so a
-   fault-branching node's thousands of children cost nothing until they
-   are explored. An engine has processed everything strictly before the
-   coming round boundary, so its pending pool holds exactly that round's
-   messages. [checked]: the split already admitted this node through the
-   visited set and found it a leaf. *)
-type ('s, 'm) subtree = {
-  build : unit -> ('s, 'm) engine;
-  round : int;
-  drops_left : int;
-  dups_left : int;
-  checked : bool;
-}
-
-(* What one chunk of adjacent subtrees explored. [c_runs] are its
-   evaluated runs in DFS order; [c_first_violation] carries its run index
-   so the merge can tell whether it falls inside the counted prefix;
-   [c_cut] means [allow] refused while work remained. *)
-type chunk = {
-  c_explored : int;
-  c_runs : run_rec list;
-  c_first_violation : (int * Scenario.outcome) option;
-  c_cut : bool;
-  c_fallback : bool;  (* [perm_limit] fallback hit while expanding *)
-}
-
-let rec take_n n = function
-  | x :: tl when n > 0 -> x :: take_n (n - 1) tl
-  | _ -> []
 
 let outcome_of ~n engine =
   let trace = Dsim.Engine.trace engine in
@@ -233,7 +181,7 @@ let root_engine automaton ~n ~delta ~proposals ~crashes ~disable_timers =
    determinism — duplication allocates fresh pending ids in [dup] order),
    then the prescribed delivery order. With [reuse] it extends [engine] in
    place instead of a clone — sound only once the parent is dead, i.e. for
-   its last child in a sequential DFS or for a random walk; an interior
+   its last child in the DFS or for a random walk; an interior
    node with [k] children then costs [k - 1] clones. *)
 let extend ~delta ~reuse engine round { drop; dup; _ } ~deliver =
   let c = if reuse then engine else Dsim.Engine.clone engine in
@@ -327,7 +275,7 @@ let round_choices_of ~por ~trial_all ~truncated ~sleep_hits ~por_pruned ~boundar
                     let ((_, scratch) as tried) = trial dst order in
                     let key = (Dsim.Engine.fingerprint scratch, Dsim.Engine.outputs scratch) in
                     if Hashtbl.mem seen key then begin
-                      Atomic.incr sleep_hits;
+                      incr sleep_hits;
                       None
                     end
                     else begin
@@ -362,7 +310,7 @@ let round_choices_of ~por ~trial_all ~truncated ~sleep_hits ~por_pruned ~boundar
       in
       let reduced = List.fold_left (fun a l -> a * List.length l) 1 per_dst in
       if !full > reduced then
-        ignore (Atomic.fetch_and_add por_pruned ((!full - reduced) * List.length dup_sets));
+        por_pruned := !por_pruned + ((!full - reduced) * List.length dup_sets);
       (drop, dup_sets, per_dst, List.length dup_sets * reduced)
     in
     let blocks = List.map block (Combinat.subsets_up_to drops_left live_ids) in
@@ -382,29 +330,15 @@ let round_choices_of ~por ~trial_all ~truncated ~sleep_hits ~por_pruned ~boundar
   end
 
 let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
-    ?(crashes = []) ~rounds ?(budget = 20_000) ?(disable_timers = true) ?(domains = 1)
-    ?(clamp_domains = true) ?(faults = no_faults) ?(dedup = Off) ?(por = No_por)
+    ?(crashes = []) ~rounds ?(budget = 20_000) ?(disable_timers = true) ?domains:_
+    ?clamp_domains:_ ?(faults = no_faults) ?(dedup = Off) ?(por = No_por)
     ?(metrics = Metrics.disabled) ~check () =
   if faults.max_drops < 0 || faults.max_dups < 0 then
     invalid_arg "Explore.synchronous_report: fault bounds must be non-negative";
   let budget = max budget 0 in
-  (* Scheduling telemetry. These are observability-only: nothing below
-     branches on them, so they cannot perturb the deterministic result. *)
-  let evals_total = Atomic.make 0 in
-  let max_fan_seen = Atomic.make 0 in
-  let rec record_fanout v =
-    let cur = Atomic.get max_fan_seen in
-    if v > cur && not (Atomic.compare_and_set max_fan_seen cur v) then record_fanout v
-  in
   let root =
     root_engine (P.make ~n ~e ~f ~delta) ~n ~delta ~proposals ~crashes ~disable_timers
   in
-  (* Visited set shared by every domain, plus the dedup totals. The
-     counters are schedule-independent whenever the traversal is
-     exhaustive: each distinct state is expanded by exactly one arrival
-     (the {!Stateset.add} CAS winner), so arrivals — and hence hits and
-     prunes — equal the edge count of the deduplicated state graph no
-     matter how domains interleave. *)
   if por = Sleep && not (Dsim.Engine.has_fingerprint root) then
     invalid_arg
       "Explore.synchronous_report: POR requires the automaton to supply state_fingerprint";
@@ -422,11 +356,13 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
         let capacity = min (1 lsl 22) (Stateset.recommended_capacity ~expected:(2 * budget)) in
         Some (Stateset.create ~capacity ~metrics ())
   in
-  let distinct_total = Atomic.make 0 in
-  let hits_total = Atomic.make 0 in
-  let pruned_total = Atomic.make 0 in
-  let sleep_total = Atomic.make 0 in
-  let por_pruned_total = Atomic.make 0 in
+  (* The totals, tallied as the search goes. *)
+  let explored = ref 0 and violations = ref 0 and first_violation = ref None in
+  let depth_histogram = Array.make (rounds + 1) 0 in
+  let fast = ref 0 and fault_runs = ref 0 and drops = ref 0 and dups = ref 0 in
+  let distinct = ref 0 and hits = ref 0 and pruned = ref 0 in
+  let sleep_hits = ref 0 and por_pruned = ref 0 and max_fanout = ref 0 in
+  let cut = ref false and fallback = ref false in
   (* A node's visited-set key. The round number is mixed in so a quiescent
      engine reached at two different depths cannot alias (its clock may
      not have advanced). *)
@@ -437,12 +373,12 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
     | None -> true
     | Some vs ->
         if Stateset.add vs key then begin
-          Atomic.incr distinct_total;
+          incr distinct;
           true
         end
         else begin
-          Atomic.incr hits_total;
-          if round <= rounds then Atomic.incr pruned_total;
+          incr hits;
+          if round <= rounds then incr pruned;
           false
         end
   in
@@ -463,286 +399,78 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
           ~until:(((round + 1) * delta) - 1)
     | Off -> None
   in
-  let round_choices ~trial_all ~truncated engine ~round ~drops_left ~dups_left =
-    let r =
-      round_choices_of ~por ~trial_all ~truncated ~sleep_hits:sleep_total
-        ~por_pruned:por_pruned_total ~boundary_at:(round * delta) engine ~drops_left
-        ~dups_left
-    in
-    Option.iter (fun (count, _) -> record_fanout count) r;
-    r
-  in
-  let extend = extend ~delta in
-  (* Sequential DFS over adjacent subtrees, in order. [allow k] answers
-     whether the chunk may go on after [k] evaluated runs; the first
-     refusal cuts it for good, so its evaluated runs are always a
-     DFS-order prefix of its subtrees. That prefix property is all the
-     merge needs to re-impose the sequential budget cut exactly. *)
-  let explore_chunk ~allow subtrees =
-    let explored = ref 0 and cut = ref false and fallback = ref false in
-    let runs_rev = ref [] and first_violation = ref None in
-    let allowed () =
-      if (not !cut) && not (allow !explored) then cut := true;
-      not !cut
-    in
-    let evaluate engine ~depth =
-      Atomic.incr evals_total;
-      let outcome = outcome_of ~n engine in
-      let violation = not (check outcome) in
-      if violation && !first_violation = None then
-        first_violation := Some (!explored, outcome);
-      runs_rev :=
-        {
-          r_depth = depth;
-          r_drops = outcome.Scenario.dropped;
-          r_dups = outcome.Scenario.duplicated;
-          r_fast =
-            outcome.Scenario.latencies <> []
-            && List.for_all (fun (_, l) -> l <= 2 * delta) outcome.Scenario.latencies;
-          r_violation = violation;
-        }
-        :: !runs_rev;
-      incr explored
-    in
-    (* Callers check [allowed] before keying or building a child, so a
-       cut never pays for the engine work of a node it will not visit. A
-       refusal is final, so the walk over a node's choices stops there.
-       The last choice reuses the node's engine, whether or not an earlier
-       choice was built. *)
-    let rec dfs ~checked engine round ~drops_left ~dups_left =
-      if checked || check_visited engine round then expand engine round ~drops_left ~dups_left
-    and expand engine round ~drops_left ~dups_left =
-      if round > rounds then evaluate engine ~depth:rounds
-      else begin
-        let keys = child_keys engine round in
-        match
-          round_choices ~trial_all:(Option.is_some keys) ~truncated:fallback engine ~round
-            ~drops_left ~dups_left
-        with
-        | None -> evaluate engine ~depth:(round - 1)
-        | Some (_, choices) ->
-            let child ~last choice =
-              let deliver = deliver_list choice in
-              let drops_left = drops_left - List.length choice.drop
-              and dups_left = dups_left - List.length choice.dup in
-              let build () = extend ~reuse:last engine round choice ~deliver in
-              match keys with
-              | None -> dfs ~checked:false (build ()) (round + 1) ~drops_left ~dups_left
-              | Some key ->
-                  let predicted =
-                    key_of
-                      (key ~drop:choice.drop ~dup:choice.dup ~deliver ~trials:(trials choice))
-                      (round + 1)
-                  in
-                  if admit predicted (round + 1) then begin
-                    let built = build () in
-                    if key_of (Dsim.Engine.fingerprint built) (round + 1) <> predicted then
-                      failwith "Explore: a built child's fingerprint differs from its prediction";
-                    expand built (round + 1) ~drops_left ~dups_left
-                  end
-            in
-            let rec walk = function
-              | Seq.Nil -> ()
-              | Seq.Cons (choice, rest) ->
-                  if allowed () then begin
-                    let next = rest () in
-                    child ~last:(match next with Seq.Nil -> true | Seq.Cons _ -> false) choice;
-                    walk next
-                  end
-            in
-            walk (choices ())
-      end
-    in
-    List.iter
-      (fun t ->
-        if allowed () then
-          dfs ~checked:t.checked (t.build ()) t.round ~drops_left:t.drops_left
-            ~dups_left:t.dups_left)
-      subtrees;
-    {
-      c_explored = !explored;
-      c_runs = List.rev !runs_rev;
-      c_first_violation = !first_violation;
-      c_cut = !cut;
-      c_fallback = !fallback;
-    }
-  in
-  (* Domains beyond the hardware's parallelism add stop-the-world GC
-     handshakes and context switches without adding throughput: on a
-     single-core host, 4 domains time-slicing one CPU run the same work
-     several times slower than one. [domains] is therefore a ceiling, not
-     a demand — clamped to [Domain.recommended_domain_count ()] unless the
-     caller (in practice: the determinism tests, which want real OS-thread
-     interleaving regardless of host size) opts out. *)
-  let domains =
-    max 1 (if clamp_domains then min domains (Domain.recommended_domain_count ()) else domains)
-  in
-  (* Static split: expand the top of the tree level by level, in DFS
-     order, until there are at least [4 * domains] subtrees (one domain
-     keeps the root whole). Expansion runs the same visited check and
-     choice enumeration as [dfs], so every node is still admitted and
-     expanded exactly once, and nodes of one level never share a visited
-     key with another level's. A node the split admits as a leaf becomes
-     a [checked] subtree holding its engine. Children of an expanded node
-     may be built concurrently by different chunks, so each clones. *)
-  let split_fallback = ref false in
-  let rec split level =
-    if domains <= 1 || List.length level >= 4 * domains then level
-    else begin
-      let grew = ref false in
-      let expand t =
-        if t.checked then [ t ]
-        else begin
-          let engine = t.build () in
-          if not (check_visited engine t.round) then []
-          else begin
-            let leaf = [ { t with build = (fun () -> engine); checked = true } ] in
-            if t.round > rounds then leaf
-            else
-              match
-                round_choices ~trial_all:false ~truncated:split_fallback engine ~round:t.round
-                  ~drops_left:t.drops_left ~dups_left:t.dups_left
-              with
-              | None -> leaf
-              | Some (_, choices) ->
-                  grew := true;
-                  List.of_seq
-                    (Seq.map
-                       (fun choice ->
-                         {
-                           build =
-                             (fun () ->
-                               extend ~reuse:false engine t.round choice
-                                 ~deliver:(deliver_list choice));
-                           round = t.round + 1;
-                           drops_left = t.drops_left - List.length choice.drop;
-                           dups_left = t.dups_left - List.length choice.dup;
-                           checked = false;
-                         })
-                       choices)
-          end
-        end
-      in
-      let next = List.concat_map expand level in
-      if !grew then split next else next
+  let evaluate engine ~depth =
+    let outcome = outcome_of ~n engine in
+    incr explored;
+    depth_histogram.(depth) <- depth_histogram.(depth) + 1;
+    if
+      outcome.Scenario.latencies <> []
+      && List.for_all (fun (_, l) -> l <= 2 * delta) outcome.Scenario.latencies
+    then incr fast;
+    if outcome.Scenario.dropped + outcome.Scenario.duplicated > 0 then incr fault_runs;
+    drops := !drops + outcome.Scenario.dropped;
+    dups := !dups + outcome.Scenario.duplicated;
+    if not (check outcome) then begin
+      incr violations;
+      if Option.is_none !first_violation then first_violation := Some outcome
     end
   in
-  let subtrees =
-    split
-      [
-        {
-          build = (fun () -> root);
-          round = 1;
-          drops_left = faults.max_drops;
-          dups_left = faults.max_dups;
-          checked = false;
-        };
-      ]
+  (* The budget cut. Callers ask before keying or building a child, so a
+     cut never pays for the engine work of a node it will not visit; the
+     first refusal is final. *)
+  let allowed () =
+    if !explored >= budget then cut := true;
+    not !cut
   in
-  let chunks =
-    let per_chunk = max 1 ((List.length subtrees + (8 * domains) - 1) / (8 * domains)) in
-    Array.of_list (Combinat.chunks per_chunk subtrees)
+  (* The last choice of a node reuses its engine, whether or not an
+     earlier choice was built. *)
+  let rec dfs engine round ~drops_left ~dups_left =
+    if check_visited engine round then expand engine round ~drops_left ~dups_left
+  and expand engine round ~drops_left ~dups_left =
+    if round > rounds then evaluate engine ~depth:rounds
+    else begin
+      let keys = child_keys engine round in
+      match
+        round_choices_of ~por ~trial_all:(Option.is_some keys) ~truncated:fallback ~sleep_hits
+          ~por_pruned ~boundary_at:(round * delta) engine ~drops_left ~dups_left
+      with
+      | None -> evaluate engine ~depth:(round - 1)
+      | Some (count, choices) ->
+          max_fanout := max !max_fanout count;
+          let child ~last choice =
+            let deliver = deliver_list choice in
+            let drops_left = drops_left - List.length choice.drop
+            and dups_left = dups_left - List.length choice.dup in
+            let build () = extend ~delta ~reuse:last engine round choice ~deliver in
+            match keys with
+            | None -> dfs (build ()) (round + 1) ~drops_left ~dups_left
+            | Some key ->
+                let predicted =
+                  key_of
+                    (key ~drop:choice.drop ~dup:choice.dup ~deliver ~trials:(trials choice))
+                    (round + 1)
+                in
+                if admit predicted (round + 1) then begin
+                  let built = build () in
+                  if key_of (Dsim.Engine.fingerprint built) (round + 1) <> predicted then
+                    failwith "Explore: a built child's fingerprint differs from its prediction";
+                  expand built (round + 1) ~drops_left ~dups_left
+                end
+          in
+          let rec walk = function
+            | Seq.Nil -> ()
+            | Seq.Cons (choice, rest) ->
+                if allowed () then begin
+                  let next = rest () in
+                  child ~last:(match next with Seq.Nil -> true | Seq.Cons _ -> false) choice;
+                  walk next
+                end
+          in
+          walk (choices ())
+    end
   in
-  let nchunks = Array.length chunks in
-  (* The budget across chunks. Chunk [j] may count [cap j] runs: the
-     budget minus the runs counted by the chunks before it, known once [j]
-     is the leftmost unfinished chunk. Until then it runs ahead, drawing
-     one token per evaluation from a shared allowance of [budget / 4]
-     ([ahead]), and waits for its cap when the allowance is spent. So a
-     chunk is never cut before its cap and nothing is ever re-run. When
-     the leftmost chunk finishes, each chunk the frontier passes returns
-     its tokens except those spent on runs beyond its cap; the merge
-     discards those runs, and they never exceed [budget / 4] in total.
-     The leftmost unfinished chunk never waits, and the pool starts tasks
-     in FIFO order, so it is always running and the waiting chunks cannot
-     deadlock. *)
-  let lock = Mutex.create () and wake = Condition.create () in
-  let ahead = ref (budget / 4) and leftmost = ref 0 and remaining = ref budget in
-  let finished = Array.make nchunks (-1) in
-  let drawn = Array.make nchunks 0 in
-  let allow j =
-    let cap = ref (-1) in
-    fun k ->
-      if !cap >= 0 then k < !cap
-      else if k < drawn.(j) then true
-      else begin
-        Mutex.lock lock;
-        let rec decide () =
-          if !leftmost = j then begin
-            cap := !remaining;
-            k < !cap
-          end
-          else if !ahead > 0 then begin
-            decr ahead;
-            drawn.(j) <- drawn.(j) + 1;
-            true
-          end
-          else begin
-            Condition.wait wake lock;
-            decide ()
-          end
-        in
-        let ok = decide () in
-        Mutex.unlock lock;
-        ok
-      end
-  in
-  let finish j explored =
-    Mutex.lock lock;
-    finished.(j) <- explored;
-    while !leftmost < nchunks && finished.(!leftmost) >= 0 do
-      let e = finished.(!leftmost) in
-      let take = min e !remaining in
-      ahead := !ahead + drawn.(!leftmost) - (e - take);
-      remaining := !remaining - take;
-      incr leftmost
-    done;
-    Condition.broadcast wake;
-    Mutex.unlock lock
-  in
-  let run_chunk j =
-    match explore_chunk ~allow:(allow j) chunks.(j) with
-    | c ->
-        finish j c.c_explored;
-        c
-    | exception ex ->
-        finish j 0;
-        raise ex
-  in
-  let results =
-    Pool.run ~domains:(min domains nchunks) (fun pool ->
-        Pool.map_list pool run_chunk (List.init nchunks Fun.id))
-  in
-  (* Merge in DFS order: each chunk counts what its cap allows, so the
-     counted runs are exactly the sequential exploration's. A chunk marks
-     the cut if it is reached with nothing remaining, counted only in
-     part, or cut by its cap. *)
-  let remaining = ref budget and cut = ref false and fallback = ref !split_fallback in
-  let counted_rev = ref [] and first_violation = ref None in
-  List.iter
-    (fun c ->
-      let take = min c.c_explored !remaining in
-      if !remaining = 0 || take < c.c_explored || c.c_cut then cut := true;
-      if c.c_fallback then fallback := true;
-      counted_rev := List.rev_append (take_n take c.c_runs) !counted_rev;
-      (match c.c_first_violation with
-      | Some (i, o) when i < take && !first_violation = None -> first_violation := Some o
-      | _ -> ());
-      remaining := !remaining - take)
-    results;
-  let depth_histogram = Array.make (rounds + 1) 0 in
-  let explored = ref 0 and violations = ref 0 and fast = ref 0 in
-  let fault_runs = ref 0 and drops = ref 0 and dups = ref 0 in
-  List.iter
-    (fun r ->
-      incr explored;
-      depth_histogram.(r.r_depth) <- depth_histogram.(r.r_depth) + 1;
-      if r.r_violation then incr violations;
-      if r.r_fast then incr fast;
-      if r.r_drops + r.r_dups > 0 then incr fault_runs;
-      drops := !drops + r.r_drops;
-      dups := !dups + r.r_dups)
-    !counted_rev;
+  if allowed () then
+    dfs root 1 ~drops_left:faults.max_drops ~dups_left:faults.max_dups;
   let res =
     {
       explored = !explored;
@@ -751,7 +479,6 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
       truncated = !cut || !fallback;
     }
   in
-  let evals = Atomic.get evals_total in
   ( res,
     {
       Run_report.totals =
@@ -764,20 +491,13 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
           fault_runs = !fault_runs;
           drops = !drops;
           dups = !dups;
-          distinct_states = Atomic.get distinct_total;
-          dedup_hits = Atomic.get hits_total;
-          pruned_subtrees = Atomic.get pruned_total;
-          por_pruned = Atomic.get por_pruned_total;
-          sleep_hits = Atomic.get sleep_total;
+          distinct_states = !distinct;
+          dedup_hits = !hits;
+          pruned_subtrees = !pruned;
+          por_pruned = !por_pruned;
+          sleep_hits = !sleep_hits;
         };
-      sched =
-        {
-          Run_report.domains;
-          budget;
-          evals;
-          wasted = evals - res.explored;
-          max_fanout = Atomic.get max_fan_seen;
-        };
+      sched = { Run_report.budget; max_fanout = !max_fanout };
     } )
 
 module Swarm_report = struct
@@ -809,13 +529,11 @@ end
    the (POR-reduced) choices at every boundary, sharing one visited set —
    used to *count* coverage, never to prune, so every walk completes.
    Walker [w]'s trajectory depends only on [(seed, w)] and its fixed
-   share of the budget (ceil-division), so the whole report is
-   deterministic for a given configuration regardless of how the domains
-   schedule the walkers. *)
+   share of the budget (ceil-division); the walkers run one after
+   another in index order. *)
 let swarm_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals ?(crashes = [])
-    ~rounds ?(budget = 20_000) ?(disable_timers = true) ?(walkers = 4) ?(seed = 0) ?domains
-    ?(clamp_domains = true) ?(faults = no_faults) ?(por = Sleep) ?(metrics = Metrics.disabled)
-    ~check () =
+    ~rounds ?(budget = 20_000) ?(disable_timers = true) ?(walkers = 4) ?(seed = 0)
+    ?(faults = no_faults) ?(por = Sleep) ?(metrics = Metrics.disabled) ~check () =
   if faults.max_drops < 0 || faults.max_dups < 0 then
     invalid_arg "Explore.swarm_report: fault bounds must be non-negative";
   if walkers <= 0 then invalid_arg "Explore.swarm_report: walkers must be positive";
@@ -830,29 +548,23 @@ let swarm_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals ?(cras
     min (1 lsl 22) (Stateset.recommended_capacity ~expected:((rounds + 1) * budget))
   in
   let visited = Stateset.create ~capacity ~metrics () in
-  let distinct_total = Atomic.make 0 in
-  let hits_total = Atomic.make 0 in
-  let sleep_total = Atomic.make 0 in
-  let por_pruned_total = Atomic.make 0 in
-  let fallback_any = Atomic.make false in
+  let distinct = ref 0 and hits = ref 0 and sleep_hits = ref 0 and por_pruned = ref 0 in
+  let fallback = ref false in
   let visit engine round =
     let key = Fingerprint.mix (Dsim.Engine.fingerprint engine) (Fingerprint.int round) in
-    if Stateset.add visited key then Atomic.incr distinct_total
-    else Atomic.incr hits_total
+    if Stateset.add visited key then incr distinct else incr hits
   in
   (* One random descent; visits count coverage at every node, including
      the terminal one, mirroring the exhaustive explorer's per-node
      visited check so the two [distinct_states] figures are comparable. *)
   let walk_one rng =
-    let truncated = ref false in
     let rec go engine round ~drops_left ~dups_left =
       visit engine round;
       if round > rounds then engine
       else
         match
-          round_choices_of ~por ~trial_all:false ~truncated ~sleep_hits:sleep_total
-            ~por_pruned:por_pruned_total ~boundary_at:(round * delta) engine ~drops_left
-            ~dups_left
+          round_choices_of ~por ~trial_all:false ~truncated:fallback ~sleep_hits ~por_pruned
+            ~boundary_at:(round * delta) engine ~drops_left ~dups_left
         with
         | None -> engine
         | Some (count, choices) ->
@@ -868,54 +580,33 @@ let swarm_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals ?(cras
               ~drops_left:(drops_left - List.length choice.drop)
               ~dups_left:(dups_left - List.length choice.dup)
     in
-    let leaf =
-      go (Dsim.Engine.clone root) 1 ~drops_left:faults.max_drops ~dups_left:faults.max_dups
-    in
-    if !truncated then Atomic.set fallback_any true;
-    outcome_of ~n leaf
+    outcome_of ~n
+      (go (Dsim.Engine.clone root) 1 ~drops_left:faults.max_drops ~dups_left:faults.max_dups)
   in
-  (* Fixed ceil-division share per walker: the shares sum to the budget,
-     and no walker can take another's, so trajectories — hence all the
-     coverage counters — do not depend on domain scheduling. *)
+  (* Fixed ceil-division share per walker: the shares sum to the budget. *)
   let quota w = max 0 ((budget / walkers) + if w < budget mod walkers then 1 else 0) in
-  let walker w =
+  let runs = ref 0 and violations = ref 0 and first = ref None in
+  for w = 0 to walkers - 1 do
     let rng = Stdext.Rng.stream ~seed w in
-    let violations = ref 0 in
-    let first = ref None in
     for _ = 1 to quota w do
       let outcome = walk_one rng in
+      incr runs;
       if not (check outcome) then begin
         incr violations;
-        if !first = None then first := Some outcome
+        if Option.is_none !first then first := Some outcome
       end
-    done;
-    (quota w, !violations, !first)
-  in
-  let domains =
-    let d = match domains with Some d -> d | None -> walkers in
-    if clamp_domains then min d (max 1 (Domain.recommended_domain_count ())) else d
-  in
-  let results =
-    Pool.run ~domains (fun pool -> Pool.map_list pool walker (List.init walkers Fun.id))
-  in
-  let runs = List.fold_left (fun a (r, _, _) -> a + r) 0 results in
-  let violations = List.fold_left (fun a (_, v, _) -> a + v) 0 results in
-  let first =
-    List.fold_left
-      (fun acc (_, _, fv) -> match acc with Some _ -> acc | None -> fv)
-      None results
-  in
+    done
+  done;
   (* A swarm run is a sample of the schedule tree, never an exhaustive
      search, so the result is always reported as truncated. *)
-  let res = { explored = runs; violations; first_violation = first; truncated = true } in
-  ( res,
+  ( { explored = !runs; violations = !violations; first_violation = !first; truncated = true },
     {
       Swarm_report.walkers;
-      runs;
-      violations;
-      distinct_states = Atomic.get distinct_total;
-      dedup_hits = Atomic.get hits_total;
-      sleep_hits = Atomic.get sleep_total;
-      por_pruned = Atomic.get por_pruned_total;
-      fallback = Atomic.get fallback_any;
+      runs = !runs;
+      violations = !violations;
+      distinct_states = !distinct;
+      dedup_hits = !hits;
+      sleep_hits = !sleep_hits;
+      por_pruned = !por_pruned;
+      fallback = !fallback;
     } )

@@ -23,23 +23,10 @@
     against a brute-force oracle that does re-execute every schedule from
     time 0.
 
-    With [domains > 1] the search is split statically: the top of the
-    tree is expanded in DFS order until there are at least [4 * domains]
-    subtrees, adjacent subtrees are grouped into at most [8 * domains]
-    chunks, and a {!Stdext.Pool} of OCaml domains runs each chunk through
-    the same sequential DFS a one-domain exploration runs over the whole
-    tree. Chunk [i] may count the budget minus the runs counted by the
-    chunks before it. It learns that cap once every chunk to its left has
-    finished, and until then runs ahead on a shared allowance of
-    [budget / 4] evaluations. Results are merged in DFS order:
-    explored/violation counts, the (canonical) first violation and the
-    truncation flag are identical to a [domains = 1] exploration —
-    including when the run budget cuts the search short — independent of
-    worker scheduling. Runs evaluated past a chunk's cap are discarded,
-    so property evaluations stay within [1.25 * budget]. The [check]
-    predicate then runs concurrently in several domains and must be
-    thread-safe (pure predicates, like all the checkers in this
-    repository, are).
+    The search is one sequential depth-first traversal. It tallies its
+    totals as each run is evaluated, so {!Run_report.totals} covers
+    exactly the runs it evaluated: the first [budget] complete runs in
+    DFS order.
 
     A round boundary's choices — drop subsets × duplication subsets ×
     per-destination delivery orders — are generated lazily, one child at
@@ -54,7 +41,7 @@
     {b Deduplication.} Many schedules converge to the same simulation
     state (deliver two messages to different recipients in either order,
     say). With [dedup = Exact] the explorer keys every
-    search-tree node on its {!Dsim.Engine.fingerprint} in a shared
+    search-tree node on its {!Dsim.Engine.fingerprint} in a
     {!Stdext.Stateset} and prunes the subtree under a state it has
     already expanded — turning the search over {e schedules} into a search
     over {e distinct states}, which is what makes deep horizons exhaustive
@@ -70,18 +57,13 @@
     same trials [Sleep] POR runs), entered into the visited set, and only
     a child whose key is new is built. A built child whose fingerprint
     differs from its prediction raises [Failure]. Every other node — and
-    every node under [Off] dedup, or in the multi-domain split's
-    expansion of the top of the tree — builds each child and then checks
+    every node under [Off] dedup — builds each child and then checks
     it. Either way the same keys enter the visited set in the same
     order, so every count in {!Run_report.totals} is the same.
 
     Soundness: exact dedup can only merge genuinely identical
     states (up to the 62-bit hash-compaction collision probability of
-    {!Stdext.Stateset}). The byte-identical-totals
-    contract across domain counts holds for explorations that complete
-    within budget; when the budget cuts a dedup'd search, which subtree
-    reaches a shared state first decides where its runs are counted, so
-    totals near the cut can vary with scheduling. *)
+    {!Stdext.Stateset}). *)
 
 type result = {
   explored : int;  (** complete runs evaluated *)
@@ -90,14 +72,10 @@ type result = {
   truncated : bool;
 }
 
-(** Structured account of one exploration, split along the determinism
-    boundary. [totals] is derived from per-run facts counted in global DFS
-    order under the sequential budget cut, so it is {e identical} across
-    any [domains] count and any worker scheduling — the byte-identical
-    contract the determinism tests assert. [sched]
-    records what this particular execution did — how much work the
-    parallel split evaluated beyond the counted runs — and legitimately
-    varies from run to run. *)
+(** Structured account of one exploration. [totals] counts the evaluated
+    runs and the visited-set and POR work behind them; [sched] records the
+    budget and the widest branching the search met. Both are deterministic
+    for a given configuration. *)
 module Run_report : sig
   type totals = {
     explored : int;
@@ -133,13 +111,7 @@ module Run_report : sig
   }
 
   type sched = {
-    domains : int;  (** after clamping *)
     budget : int;
-    evals : int;  (** property evaluations across all domains *)
-    wasted : int;
-        (** [evals - explored]: runs a chunk evaluated past its budget cap,
-            discarded by the merge; 0 whenever the budget does not bind,
-            at most [budget / 4] when it does *)
     max_fanout : int;
         (** widest round-boundary branching observed (delivery orders ×
             fault subsets) — the fault-branch fan-out *)
@@ -152,16 +124,12 @@ module Run_report : sig
 
   val mean_depth : totals -> float
 
-  val budget_waste_pct : sched -> float
-  (** [100 * wasted / evals] (0 when nothing was evaluated). *)
-
   val pp : Format.formatter -> t -> unit
 
   val record : Stdext.Metrics.t -> t -> unit
   (** Mirror the report into a metrics registry under [explore.*] names:
-      counters for every totals/sched field, a gauge for
-      [explore.max_fanout] and [explore.domains], and the
-      [explore.depth] histogram. Counters accumulate across calls;
+      counters for the totals' count fields, a gauge for
+      [explore.max_fanout], and the [explore.depth] histogram. Counters accumulate across calls;
       recording reports with different [rounds] into one registry raises
       [Invalid_argument] (histogram bounds conflict). *)
 end
@@ -186,8 +154,8 @@ type dedup = Off | Exact
     branches execute inside the trial context, so an intervening event
     that breaks commutation differentiates the trials and defeats the
     pruning — never the verdict. Composes with [dedup] (POR prunes
-    first, the visited set catches cross-branch convergence), [faults]
-    and [domains]. Sound up to the same 62-bit hash-compaction caveat as
+    first, the visited set catches cross-branch convergence) and
+    [faults]. Sound up to the same 62-bit hash-compaction caveat as
     [Exact] dedup; requires a [state_fingerprint] hook
     ([Invalid_argument] otherwise). *)
 type por = No_por | Sleep
@@ -223,48 +191,43 @@ val synchronous_report :
   unit ->
   result * Run_report.t
 (** [check] returns [false] on a violating run. [budget] defaults to 20_000
-    runs, [disable_timers] to [true], [domains] to 1 (sequential),
-    [faults] to {!no_faults}, [dedup] to {!Off}, [por] to {!No_por}. The
-    visited set is pre-sized from [budget]
+    runs, [disable_timers] to [true], [faults] to {!no_faults}, [dedup] to
+    {!Off}, [por] to {!No_por}. The visited set is pre-sized from [budget]
     ({!Stdext.Stateset.recommended_capacity} on twice the run budget,
     capped) so a full-budget dedup exploration never pays a resize stall.
     [metrics] (default disabled) receives the visited set's [stateset.*]
     counters; the [explore.*] report metrics are still recorded
     separately via {!Run_report.record}. The report's [totals] agree with
-    [result] and are domain/scheduling-independent, while [sched]
-    describes this execution.
+    [result].
+
+    [budget] bounds complete runs, not work. A child pruned as a revisit
+    costs no budget, and one node can have millions of children (the
+    product of its destinations' delivery orders and fault subsets), so
+    a search with a wide fan-out has no time bound: an n = 5 epaxos
+    search with [rounds = 3], [budget = 1500], exact dedup and POR off
+    ran for more than 10 minutes on a 2-core machine without finishing.
+
+    [domains] and [clamp_domains] are accepted and ignored: the search
+    always runs sequentially on the caller's domain. They remain only
+    because the benchmark harness ([benchmark/workloads.ml]) still passes
+    them; the next change to the benchmark drops them.
 
     With [por = Sleep] the explored tree is a sub-tree of the [No_por]
     one with the same reachable verdicts: violation/no-violation and the
     {e existence} of a first violation are preserved (the particular
     witness may differ, as with [dedup]), while [explored] shrinks by the
-    number of commuted order combinations ([totals.por_pruned]). The
-    [totals] byte-identity contract extends to the POR counters for
-    explorations that complete within budget.
+    number of commuted order combinations ([totals.por_pruned]).
 
     With non-zero [faults] bounds, each round boundary additionally
     branches on which pending messages are dropped and which are
     duplicated (the copy stays pending and arrives at a later boundary),
     subject to the remaining per-run bounds. Fault subsets are enumerated
     smallest-first with the no-fault choice first, so a tight [budget]
-    covers all fault-free schedules before spending runs on faulty ones.
-    Fault choices compose with [domains > 1] unchanged: results stay
-    deterministic and domain-independent.
-
-    [domains] is a ceiling, not a demand: by default it is clamped to
-    [Domain.recommended_domain_count ()], because extra domains on an
-    oversubscribed host cost stop-the-world GC handshakes and context
-    switches without adding throughput (on a single-core machine,
-    [~domains:4] then simply runs sequentially instead of several times
-    slower). Pass [~clamp_domains:false] to spawn exactly [domains]
-    domains regardless — the determinism tests do, to exercise the
-    parallel merge under real thread interleaving on any host. Results
-    are identical either way. *)
+    covers all fault-free schedules before spending runs on faulty ones. *)
 
 (** Coverage account of one {!swarm_report} run. Deterministic for a
-    given configuration — each walker's trajectory depends only on
-    [(seed, walker index)] and its fixed budget share — regardless of
-    domain count or scheduling. *)
+    given configuration: each walker's trajectory depends only on
+    [(seed, walker index)] and its fixed budget share. *)
 module Swarm_report : sig
   type t = {
     walkers : int;
@@ -299,8 +262,6 @@ val swarm_report :
   ?disable_timers:bool ->
   ?walkers:int ->
   ?seed:int ->
-  ?domains:int ->
-  ?clamp_domains:bool ->
   ?faults:fault_bounds ->
   ?por:por ->
   ?metrics:Stdext.Metrics.t ->
@@ -315,10 +276,9 @@ val swarm_report :
     walkers share one {!Stdext.Stateset} — used to {e count} coverage
     (distinct (state, round) pairs, comparable with the exhaustive
     explorer's [distinct_states]), never to prune — and split the budget
-    in fixed ceil-division shares so trajectories are
-    scheduling-independent. Walker [w] draws from
-    [Stdext.Rng.stream ~seed w], so the whole run is reproducible from
-    [seed] alone. [domains] defaults to [walkers] (clamped like
-    {!synchronous_report}). The result is always [truncated] — a swarm
+    in fixed ceil-division shares. The walkers run one after another in
+    index order. Walker [w] draws from [Stdext.Rng.stream ~seed w], so
+    the whole run is reproducible from [seed] alone. The result is
+    always [truncated] — a swarm
     run is a sample, not a proof; a clean sweep raises confidence, a
     violation is a genuine witness. *)

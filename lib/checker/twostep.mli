@@ -30,7 +30,7 @@
     unanimous configuration for every target, which the task check's
     item 1 has often run already; and the second [Favor p] try of a
     target [p]. The memo lives for one call; nothing is shared between
-    calls or domains. *)
+    calls. *)
 
 type failure = {
   witness_e : Dsim.Pid.t list;  (** the crashed set E *)

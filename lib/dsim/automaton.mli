@@ -47,8 +47,9 @@ type ('state, 'msg, 'input, 'output) t = {
           The SMR replica ([Smr.Replica.make]) is the exception: its hook
           copies the mutable slot table and lane arrays, and every slot's
           instance state through the inner protocol's [state_copy].
-          Must only read its argument: the parallel explorer clones one
-          engine from several domains concurrently. *)
+          Must only read its argument: the explorer clones one engine
+          into several children, and mutating the source would leak into
+          every one of them. *)
   state_fingerprint : ('state -> Fingerprint.t) option;
       (** Optional structural hash of a process state, enabling
           {!Engine.fingerprint} and hence the explorer's visited-set

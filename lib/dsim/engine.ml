@@ -202,8 +202,8 @@ type ('state, 'msg, 'input, 'output) t = {
      registry totals aggregate across branches while probes stay per-run.
      The registry is fed in batches: [run] flushes the delta between each
      probe counter and its [f_*] last-flushed watermark on exit, instead of
-     one atomic fetch-and-add (plus a [Domain.self] lookup) per event — the
-     per-event cost dominated metrics-on overhead. A clone starts its
+     one registry update per event — the per-event cost dominated
+     metrics-on overhead. A clone starts its
      watermarks at the source's current counters, so the parent flushes its
      own unflushed delta and the clone only flushes what happened after the
      branch point: nothing is double-counted. *)
@@ -363,8 +363,7 @@ let create ~automaton ~n ~network ?(seed = 0) ?(record_trace = true)
    process states go through the automaton's [state_copy] hook. The flat
    pool is copied up to its live prefix and the timer heap as live entries
    plus its position array — straight-line [Array.sub]/[Array.copy] blits
-   of unboxed ints. Reads the source engine only, so several domains may
-   clone the same (quiescent) engine concurrently. *)
+   of unboxed ints. Reads the source engine only. *)
 let clone t =
   {
     t with

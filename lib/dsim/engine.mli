@@ -171,9 +171,8 @@ val clone : ('state, 'msg, 'input, 'output) t -> ('state, 'msg, 'input, 'output)
     payloads, trace entries and outputs stay shared too — they are
     immutable. The fingerprint caches (see {!fingerprint}) are copied, so
     a clone digests like its source without re-hashing. [clone] only reads
-    its argument, so multiple domains may clone the same engine
-    concurrently as long as nobody steps or fingerprints it meanwhile (and
-    [state_copy] is pure, which the {!Automaton.t} contract requires). *)
+    its argument (and [state_copy] must too, as the {!Automaton.t}
+    contract requires). *)
 
 val now : ('state, 'msg, 'input, 'output) t -> Time.t
 (** Time of the last event processed ({!Time.zero} before the first). *)

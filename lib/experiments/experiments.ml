@@ -6,7 +6,6 @@ module Scenario = Checker.Scenario
 module Safety = Checker.Safety
 module Twostep = Checker.Twostep
 module Rng = Stdext.Rng
-module Pool = Stdext.Pool
 module Stats = Stdext.Stats
 
 let delta = 100
@@ -42,14 +41,6 @@ let min_n (module P : Proto.Protocol.S) ~e ~f = P.min_n ~e ~f
 let mean l =
   match l with [] -> nan | _ -> float_of_int (List.fold_left ( + ) 0 l) /. float_of_int (List.length l)
 
-(* Parallel sweep helper: render each independent grid cell to a string on
-   the pool, print in submission order — the output is byte-identical for
-   any [domains], because every cell computation is deterministic and
-   self-contained. *)
-let sweep ~domains fmt render cells =
-  Pool.run ~domains (fun pool ->
-      List.iter (Format.fprintf fmt "%s") (Pool.map_list pool render cells))
-
 (* T1 ---------------------------------------------------------------- *)
 
 let t1_bounds_table fmt =
@@ -70,7 +61,7 @@ let t1_bounds_table fmt =
 
 (* T2 ---------------------------------------------------------------- *)
 
-let t2_twostep_verification ?(domains = 1) fmt =
+let t2_twostep_verification fmt =
   header fmt "T2. e-two-step verification (Defs 4 / A.1) at the minimal n";
   Format.fprintf fmt "%-12s %-7s %3s %3s %3s | %8s %8s | %s@." "protocol" "def" "n" "e" "f"
     "configs" "runs" "verdict";
@@ -82,11 +73,11 @@ let t2_twostep_verification ?(domains = 1) fmt =
     in
     let verdict = if Twostep.ok r then "e-two-step" else "NOT e-two-step" in
     let marker = if Twostep.ok r = expect then "(as proved)" else "(UNEXPECTED!)" in
-    Format.asprintf "%-12s %-7s %3d %3d %3d | %8d %8d | %s %s@." name
+    Format.fprintf fmt "%-12s %-7s %3d %3d %3d | %8d %8d | %s %s@." name
       (match kind with `Task -> "task" | `Object -> "object")
       n e f r.Twostep.checked_configs r.Twostep.checked_runs verdict marker
   in
-  sweep ~domains fmt row
+  List.iter row
     [
       ("rgs-task", `Task, Core.Rgs.task, 3, 1, 1, true);
       ("rgs-task", `Task, Core.Rgs.task, 6, 2, 2, true);
@@ -104,7 +95,7 @@ let t2_twostep_verification ?(domains = 1) fmt =
 
 (* T3 ---------------------------------------------------------------- *)
 
-let t3_tightness_witnesses ?(domains = 1) fmt =
+let t3_tightness_witnesses fmt =
   header fmt "T3. Tightness: adversarial choreography at n = bound vs n = bound-1";
   Format.fprintf fmt "%-8s %3s %3s | %-6s %-10s | %-6s %-10s@." "mode" "e" "f" "n" "at bound"
     "n-1" "below bound";
@@ -120,11 +111,11 @@ let t3_tightness_witnesses ?(domains = 1) fmt =
     let bound = Bounds.required kind ~e ~f in
     let at = scenario ~n:bound ~e ~f () in
     let below = scenario ~n:(bound - 1) ~e ~f () in
-    Format.asprintf "%-8s %3d %3d | %-6d %-10s | %-6d %-10s@."
+    Format.fprintf fmt "%-8s %3d %3d | %-6d %-10s | %-6d %-10s@."
       (match mode with `Task -> "task" | `Object -> "object")
       e f bound (describe at) (bound - 1) (describe below)
   in
-  sweep ~domains fmt row
+  List.iter row
     (List.map (fun (e, f) -> (`Task, e, f)) [ (2, 2); (3, 3); (3, 4); (4, 4) ]
     @ List.map (fun (e, f) -> (`Object, e, f)) [ (3, 3); (4, 4); (4, 5) ]);
   Format.fprintf fmt
@@ -133,14 +124,14 @@ let t3_tightness_witnesses ?(domains = 1) fmt =
 
 (* T4 ---------------------------------------------------------------- *)
 
-let t4_recovery_audit ?(domains = 1) fmt =
+let t4_recovery_audit fmt =
   header fmt "T4. Recovery-rule audit (Lemma 7 / Lemma C.2): exhaustive vote layouts";
   Format.fprintf fmt "%-8s %3s %3s %3s | %8s %9s | %s@." "mode" "n" "e" "f" "layouts"
     "failures" "expected";
   let row (mode, name, n, e, f, expect_ok) =
     let s = Lowerbound.Audit.check ~mode ~n ~e ~f in
     let ok = s.Lowerbound.Audit.failures = 0 in
-    Format.asprintf "%-8s %3d %3d %3d | %8d %9d | %s %s@." name n e f
+    Format.fprintf fmt "%-8s %3d %3d %3d | %8d %9d | %s %s@." name n e f
       s.Lowerbound.Audit.layouts s.Lowerbound.Audit.failures
       (if expect_ok then "holds" else "fails")
       (if ok = expect_ok then "(as proved)" else "(UNEXPECTED!)")
@@ -167,7 +158,7 @@ let t4_recovery_audit ?(domains = 1) fmt =
          else []))
       [ (2, 2); (3, 3); (4, 4); (4, 5); (2, 5) ]
   in
-  sweep ~domains fmt row (task_rows @ object_rows)
+  List.iter row (task_rows @ object_rows)
 
 (* F1 ---------------------------------------------------------------- *)
 
@@ -175,7 +166,7 @@ let t4_recovery_audit ?(domains = 1) fmt =
    proposes it; in task mode the remaining processes propose a low no-op
    value and the schedule favours the proxy (Definition 4 is existential in
    the delivery order — see DESIGN.md). *)
-let f1_fast_rate_vs_crashes ?(seeds = 300) ?(domains = 1) fmt =
+let f1_fast_rate_vs_crashes ?(seeds = 300) fmt =
   header fmt "F1. Two-step decision rate at the proxy vs crashes (e = f = 2)";
   let e = 2 and f = 2 in
   Format.fprintf fmt "%-12s %3s |" "protocol" "n";
@@ -183,9 +174,8 @@ let f1_fast_rate_vs_crashes ?(seeds = 300) ?(domains = 1) fmt =
     Format.fprintf fmt " %8s" (Printf.sprintf "%d crash" c)
   done;
   Format.fprintf fmt "@.";
-  (* One grid cell = one (protocol, crash count) pair; each cell sweeps its
-     seeds independently, so cells parallelise cleanly. *)
-  let cell (name, protocol, crashes) =
+  (* One grid cell = one (protocol, crash count) pair, sweeping its seeds. *)
+  let cell name protocol crashes =
     let n = min_n protocol ~e ~f in
     let fast = ref 0 in
     for seed = 1 to seeds do
@@ -213,25 +203,16 @@ let f1_fast_rate_vs_crashes ?(seeds = 300) ?(domains = 1) fmt =
       | Some (t, _) when t <= 2 * delta -> incr fast
       | _ -> ()
     done;
-    Printf.sprintf " %8.2f" (float_of_int !fast /. float_of_int seeds)
+    Format.fprintf fmt " %8.2f" (float_of_int !fast /. float_of_int seeds)
   in
-  Pool.run ~domains (fun pool ->
-      let rows =
-        List.map
-          (fun (name, protocol) ->
-            let cells =
-              List.init 4 (fun crashes ->
-                  Pool.submit pool (fun () -> cell (name, protocol, crashes)))
-            in
-            (name, min_n protocol ~e ~f, cells))
-          compared
-      in
-      List.iter
-        (fun (name, n, cells) ->
-          Format.fprintf fmt "%-12s %3d |" name n;
-          List.iter (fun c -> Format.fprintf fmt "%s" (Pool.await c)) cells;
-          Format.fprintf fmt "@.")
-        rows);
+  List.iter
+    (fun (name, protocol) ->
+      Format.fprintf fmt "%-12s %3d |" name (min_n protocol ~e ~f);
+      for crashes = 0 to 3 do
+        cell name protocol crashes
+      done;
+      Format.fprintf fmt "@.")
+    compared;
   Format.fprintf fmt
     "(expected shape: fast protocols hold rate 1.0 up to e=2 crashes and drop to 0@.";
   Format.fprintf fmt
@@ -454,26 +435,26 @@ let f5_epaxos_motivation ?(seeds = 200) fmt =
 
 (* Name table ---------------------------------------------------------- *)
 
-type runner = domains:int -> Format.formatter -> unit
+type runner = Format.formatter -> unit
 
 let tables : (string * runner) list =
   [
-    ("t1", fun ~domains:_ fmt -> t1_bounds_table fmt);
-    ("t2", fun ~domains fmt -> t2_twostep_verification ~domains fmt);
-    ("t3", fun ~domains fmt -> t3_tightness_witnesses ~domains fmt);
-    ("t4", fun ~domains fmt -> t4_recovery_audit ~domains fmt);
+    ("t1", t1_bounds_table);
+    ("t2", t2_twostep_verification);
+    ("t3", t3_tightness_witnesses);
+    ("t4", t4_recovery_audit);
   ]
 
 let figures : (string * runner) list =
   [
-    ("f1", fun ~domains fmt -> f1_fast_rate_vs_crashes ~domains fmt);
-    ("f2", fun ~domains:_ fmt -> f2_latency_vs_conflict fmt);
-    ("f3", fun ~domains:_ fmt -> f3_wan_latency fmt);
-    ("f4", fun ~domains:_ fmt -> f4_smr_throughput fmt);
-    ("f5", fun ~domains:_ fmt -> f5_epaxos_motivation fmt);
+    ("f1", fun fmt -> f1_fast_rate_vs_crashes fmt);
+    ("f2", fun fmt -> f2_latency_vs_conflict fmt);
+    ("f3", f3_wan_latency);
+    ("f4", fun fmt -> f4_smr_throughput fmt);
+    ("f5", fun fmt -> f5_epaxos_motivation fmt);
   ]
 
-let run_each runners ~domains fmt = List.iter (fun (_, run) -> run ~domains fmt) runners
+let run_each runners fmt = List.iter (fun (_, run) -> run fmt) runners
 
 let table =
   tables @ figures

@@ -4,13 +4,7 @@
     every claim is a theorem. Each experiment below regenerates one claim
     as a table (T1-T4) or series (F1-F4) — see DESIGN.md §3 and
     EXPERIMENTS.md for the mapping and archived results. All experiments
-    print to the given formatter and are deterministic for a fixed seed.
-
-    The sweep-grid experiments (T2-T4, F1) accept [?domains]: their
-    independent rows/cells are fanned across a {!Stdext.Pool} of that many
-    OCaml domains and printed in submission order, so the output is
-    byte-identical for every [domains] value (default 1: fully
-    sequential, no domain spawned). *)
+    print to the given formatter and are deterministic for a fixed seed. *)
 
 val protocols : (string * Proto.Protocol.t) list
 (** The protocols the front ends accept by name, in the order they list
@@ -20,21 +14,21 @@ val t1_bounds_table : Format.formatter -> unit
 (** T1 — the headline bounds: required [n] per formulation over an
     (e, f) grid (Theorems 5, 6 vs Lamport's bound). *)
 
-val t2_twostep_verification : ?domains:int -> Format.formatter -> unit
+val t2_twostep_verification : Format.formatter -> unit
 (** T2 — upper-bound direction: the protocols satisfy their two-step
     definitions at exactly their minimal [n]; Paxos does not. Exercises
     {!Checker.Twostep} over every E and every small-domain configuration. *)
 
-val t3_tightness_witnesses : ?domains:int -> Format.formatter -> unit
+val t3_tightness_witnesses : Format.formatter -> unit
 (** T3 — lower-bound direction: the adversarial choreography preserves
     agreement at the bound and violates it one process below
     ({!Lowerbound.Witness}). *)
 
-val t4_recovery_audit : ?domains:int -> Format.formatter -> unit
+val t4_recovery_audit : Format.formatter -> unit
 (** T4 — Lemma 7 / Lemma C.2: exhaustive vote-layout audit of the recovery
     rule at and below the bounds ({!Lowerbound.Audit}). *)
 
-val f1_fast_rate_vs_crashes : ?seeds:int -> ?domains:int -> Format.formatter -> unit
+val f1_fast_rate_vs_crashes : ?seeds:int -> Format.formatter -> unit
 (** F1 — fraction of runs with a two-step decision vs number of crashes,
     per protocol at its minimal [n] (e = f = 2), unanimous proposals,
     random synchronous schedules. *)
@@ -62,7 +56,7 @@ val f5_epaxos_motivation : ?seeds:int -> Format.formatter -> unit
     [e = ceil((f+1)/2)] crashes when commands do not interfere, and
     degrades with the interference rate. *)
 
-val table : (string * (domains:int -> Format.formatter -> unit)) list
+val table : (string * (Format.formatter -> unit)) list
 (** Every experiment by the name the front ends take: [t1]-[t4], [f1]-[f5],
     then [tables] (T1-T4), [figures] (F1-F5) and [all] (T1-T4 and F1-F5,
-    in order). [domains] reaches the sweep-grid experiments. *)
+    in order). *)

@@ -36,15 +36,15 @@ let supporters v t =
   | Some e -> e.supporters
 
 module Mutation = struct
-  let suppress = Atomic.make true
+  let suppress = ref true
 
   let without_duplicate_suppression f =
-    Atomic.set suppress false;
-    Fun.protect ~finally:(fun () -> Atomic.set suppress true) f
+    suppress := false;
+    Fun.protect ~finally:(fun () -> suppress := true) f
 end
 
 let entry_count e =
-  if Atomic.get Mutation.suppress then Dsim.Pid.Set.cardinal e.supporters
+  if !Mutation.suppress then Dsim.Pid.Set.cardinal e.supporters
   else e.raw_adds
 
 let count v t = match Vmap.find_opt v t with None -> 0 | Some e -> entry_count e

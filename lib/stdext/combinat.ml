@@ -33,20 +33,6 @@ let rec cartesian_seq = function
   | choices :: rest ->
       Seq.flat_map (fun c -> Seq.map (fun t -> c :: t) (cartesian_seq rest)) (List.to_seq choices)
 
-let chunks size l =
-  if size <= 0 then invalid_arg "Combinat.chunks: size must be positive";
-  let rec take k acc = function
-    | x :: rest when k > 0 -> take (k - 1) (x :: acc) rest
-    | rest -> (List.rev acc, rest)
-  in
-  let rec go = function
-    | [] -> []
-    | l ->
-        let chunk, rest = take size [] l in
-        chunk :: go rest
-  in
-  go l
-
 let choose n k =
   if k < 0 || k > n then 0
   else begin

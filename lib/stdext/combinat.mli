@@ -22,10 +22,5 @@ val cartesian_seq : 'a list list -> 'a list Seq.t
 (** The same product as {!cartesian}, in the same order, built on demand:
     only the choice lists still to be visited are ever allocated. *)
 
-val chunks : int -> 'a list -> 'a list list
-(** [chunks size l] partitions [l] into consecutive runs of [size] elements
-    (the last chunk may be shorter), preserving order; [chunks _ [] = []].
-    Raises [Invalid_argument] when [size <= 0]. *)
-
 val choose : int -> int -> int
 (** Binomial coefficient [choose n k]; 0 when [k < 0] or [k > n]. *)

@@ -29,7 +29,6 @@ type t = {
 
 let create () = { keys = [||]; ids = [||]; pos = [||]; size = 0; next_seq = 0 }
 
-(* Reads [t] only: several domains may copy one heap concurrently. *)
 let copy t =
   {
     keys = Array.sub t.keys 0 t.size;

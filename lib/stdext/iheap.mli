@@ -21,8 +21,7 @@ type t
 val create : unit -> t
 
 val copy : t -> t
-(** Independent copy. Only reads its argument, so several domains may copy
-    one heap concurrently. O(length + largest id). *)
+(** Independent copy; only reads its argument. O(length + largest id). *)
 
 val is_empty : t -> bool
 

@@ -1,33 +1,21 @@
-(* Each metric is a row of [nshards] atomic cells; a writer picks the cell
-   indexed by its domain id, so concurrent domains (the explorer runs a
-   handful) almost always hit distinct cells and the update is one
-   uncontended fetch-and-add. Reads fold over the row. The shard count is a
-   power of two so the index is a mask, and larger than the pool sizes in
-   use; collisions only cost contention, never correctness. *)
-
-let nshards = 16
-
-let shard_index () = (Domain.self () :> int) land (nshards - 1)
+(* Each metric is one row of plain int cells: a counter or gauge has one
+   cell, a histogram one per bucket plus overflow, sum and count. *)
 
 type kind = Kcounter | Kgauge | Khistogram
 
 type metric = {
   kind : kind;
-  cells : int Atomic.t array;  (* counters/gauges: nshards; histograms: nshards * row *)
+  cells : int array;
   bounds : int array;  (* empty unless histogram *)
 }
 
-type t = {
-  reg_enabled : bool;
-  lock : Mutex.t;
-  mutable by_name : (string * metric) list;
-}
+type t = { reg_enabled : bool; mutable by_name : (string * metric) list }
 
 (* Handles resolve the registry lookup once; [enabled] is the only field
    hot paths touch when telemetry is off. *)
-type counter = { c_enabled : bool; c_cells : int Atomic.t array }
+type counter = { c_enabled : bool; c_cells : int array }
 
-type gauge = { g_enabled : bool; g_cells : int Atomic.t array }
+type gauge = { g_enabled : bool; g_cells : int array }
 
 type histogram = {
   h_enabled : bool;
@@ -35,12 +23,10 @@ type histogram = {
   h_table : int array;
       (* direct value -> bucket-index map for values in [0, max bound];
          empty when the bounds don't admit a small dense table *)
-  h_cells : int Atomic.t array;  (* nshards rows of (#bounds + 3): buckets, overflow, sum, count *)
-  h_row : int;
+  h_cells : int array;  (* #bounds + 3 cells: buckets, overflow, sum, count *)
 }
 
-let create ?(enabled = true) () =
-  { reg_enabled = enabled; lock = Mutex.create (); by_name = [] }
+let create ?(enabled = true) () = { reg_enabled = enabled; by_name = [] }
 
 let disabled = create ~enabled:false ()
 
@@ -51,47 +37,28 @@ let kind_name = function
   | Kgauge -> "gauge"
   | Khistogram -> "histogram"
 
-let register t name kind ~bounds ~cells_per_shard =
-  Mutex.lock t.lock;
-  let m =
-    match List.assoc_opt name t.by_name with
-    | Some m ->
-        if m.kind <> kind then begin
-          Mutex.unlock t.lock;
-          invalid_arg
-            (Printf.sprintf "Metrics: %S is a %s, not a %s" name (kind_name m.kind)
-               (kind_name kind))
-        end;
-        if m.bounds <> bounds then begin
-          Mutex.unlock t.lock;
-          invalid_arg (Printf.sprintf "Metrics: %S re-registered with different buckets" name)
-        end;
-        m
-    | None ->
-        let m =
-          {
-            kind;
-            cells = Array.init (nshards * cells_per_shard) (fun _ -> Atomic.make 0);
-            bounds;
-          }
-        in
-        t.by_name <- (name, m) :: t.by_name;
-        m
-  in
-  Mutex.unlock t.lock;
-  m
+let register t name kind ~bounds ~cells =
+  match List.assoc_opt name t.by_name with
+  | Some m ->
+      if m.kind <> kind then
+        invalid_arg
+          (Printf.sprintf "Metrics: %S is a %s, not a %s" name (kind_name m.kind)
+             (kind_name kind));
+      if m.bounds <> bounds then
+        invalid_arg (Printf.sprintf "Metrics: %S re-registered with different buckets" name);
+      m
+  | None ->
+      let m = { kind; cells = Array.make cells 0; bounds } in
+      t.by_name <- (name, m) :: t.by_name;
+      m
 
 let counter t name =
   if not t.reg_enabled then { c_enabled = false; c_cells = [||] }
-  else
-    let m = register t name Kcounter ~bounds:[||] ~cells_per_shard:1 in
-    { c_enabled = true; c_cells = m.cells }
+  else { c_enabled = true; c_cells = (register t name Kcounter ~bounds:[||] ~cells:1).cells }
 
 let gauge t name =
   if not t.reg_enabled then { g_enabled = false; g_cells = [||] }
-  else
-    let m = register t name Kgauge ~bounds:[||] ~cells_per_shard:1 in
-    { g_enabled = true; g_cells = m.cells }
+  else { g_enabled = true; g_cells = (register t name Kgauge ~bounds:[||] ~cells:1).cells }
 
 let scan_bucket bounds v =
   let nb = Array.length bounds in
@@ -114,8 +81,7 @@ let bucket_table bounds =
   end
 
 let histogram t ~buckets name =
-  if not t.reg_enabled then
-    { h_enabled = false; h_bounds = [||]; h_table = [||]; h_cells = [||]; h_row = 0 }
+  if not t.reg_enabled then { h_enabled = false; h_bounds = [||]; h_table = [||]; h_cells = [||] }
   else begin
     Array.iteri
       (fun i b ->
@@ -123,32 +89,15 @@ let histogram t ~buckets name =
           invalid_arg "Metrics.histogram: buckets must be strictly increasing")
       buckets;
     let bounds = Array.copy buckets in
-    (* Row layout per shard: one cell per bound, overflow, sum, count. *)
-    let row = Array.length bounds + 3 in
-    let m = register t name Khistogram ~bounds ~cells_per_shard:row in
-    {
-      h_enabled = true;
-      h_bounds = bounds;
-      h_table = bucket_table bounds;
-      h_cells = m.cells;
-      h_row = row;
-    }
+    let m = register t name Khistogram ~bounds ~cells:(Array.length bounds + 3) in
+    { h_enabled = true; h_bounds = bounds; h_table = bucket_table bounds; h_cells = m.cells }
   end
 
-let add c n =
-  if c.c_enabled then ignore (Atomic.fetch_and_add c.c_cells.(shard_index ()) n)
+let add c n = if c.c_enabled then c.c_cells.(0) <- c.c_cells.(0) + n
 
 let incr c = add c 1
 
-let record_max g v =
-  if g.g_enabled then begin
-    let cell = g.g_cells.(shard_index ()) in
-    let rec loop () =
-      let cur = Atomic.get cell in
-      if v > cur && not (Atomic.compare_and_set cell cur v) then loop ()
-    in
-    loop ()
-  end
+let record_max g v = if g.g_enabled && v > g.g_cells.(0) then g.g_cells.(0) <- v
 
 let observe h v =
   if h.h_enabled then begin
@@ -160,10 +109,10 @@ let observe h v =
       else if nb > 0 && Array.length h.h_table > 0 && v > h.h_bounds.(nb - 1) then nb
       else scan_bucket h.h_bounds v
     in
-    let base = shard_index () * h.h_row in
-    ignore (Atomic.fetch_and_add h.h_cells.(base + bucket) 1);
-    ignore (Atomic.fetch_and_add h.h_cells.(base + nb + 1) v);
-    ignore (Atomic.fetch_and_add h.h_cells.(base + nb + 2) 1)
+    let cells = h.h_cells in
+    cells.(bucket) <- cells.(bucket) + 1;
+    cells.(nb + 1) <- cells.(nb + 1) + v;
+    cells.(nb + 2) <- cells.(nb + 2) + 1
   end
 
 (* -- read side ---------------------------------------------------------- *)
@@ -173,38 +122,25 @@ type value =
   | Gauge of int
   | Histogram of { bounds : int array; counts : int array; sum : int; count : int }
 
-let merge (m : metric) =
+let read (m : metric) =
   match m.kind with
-  | Kcounter -> Counter (Array.fold_left (fun acc c -> acc + Atomic.get c) 0 m.cells)
-  | Kgauge -> Gauge (Array.fold_left (fun acc c -> max acc (Atomic.get c)) 0 m.cells)
+  | Kcounter -> Counter m.cells.(0)
+  | Kgauge -> Gauge m.cells.(0)
   | Khistogram ->
       let nb = Array.length m.bounds in
-      let row = nb + 3 in
-      let counts = Array.make (nb + 1) 0 in
-      let sum = ref 0 in
-      let count = ref 0 in
-      for s = 0 to nshards - 1 do
-        let base = s * row in
-        for b = 0 to nb do
-          counts.(b) <- counts.(b) + Atomic.get m.cells.(base + b)
-        done;
-        sum := !sum + Atomic.get m.cells.(base + nb + 1);
-        count := !count + Atomic.get m.cells.(base + nb + 2)
-      done;
-      Histogram { bounds = Array.copy m.bounds; counts; sum = !sum; count = !count }
+      Histogram
+        {
+          bounds = Array.copy m.bounds;
+          counts = Array.sub m.cells 0 (nb + 1);
+          sum = m.cells.(nb + 1);
+          count = m.cells.(nb + 2);
+        }
 
 let to_list t =
-  Mutex.lock t.lock;
-  let metrics = t.by_name in
-  Mutex.unlock t.lock;
-  List.map (fun (name, m) -> (name, merge m)) metrics
+  List.map (fun (name, m) -> (name, read m)) t.by_name
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let find t name =
-  Mutex.lock t.lock;
-  let m = List.assoc_opt name t.by_name in
-  Mutex.unlock t.lock;
-  Option.map merge m
+let find t name = Option.map read (List.assoc_opt name t.by_name)
 
 let get_counter t name = match find t name with Some (Counter n) -> n | _ -> 0
 

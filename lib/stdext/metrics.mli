@@ -1,28 +1,26 @@
-(** Domain-safe telemetry registry: named counters, high-water gauges and
+(** Telemetry registry: named counters, high-water gauges and
     fixed-bucket histograms.
 
     The simulator's observability substrate. A registry hands out metric
-    handles by name; handles are cheap to update from any domain
-    concurrently — every metric is sharded into a small fixed number of
-    atomic cells indexed by the calling domain, so parallel explorer
-    domains never contend on one cache line — and the shards are merged
-    only on the read side ({!to_list}, {!dump_jsonl}, {!pp_table}).
+    handles by name; each metric is one row of plain int cells that its
+    handles update in place, and the read side ({!to_list},
+    {!dump_jsonl}, {!pp_table}) reports the cells as they stand.
 
-    Merge semantics per kind:
+    Semantics per kind:
     {ul
-    {- counters sum their shards (monotonic totals);}
-    {- gauges keep the {e maximum} value observed across all shards —
+    {- counters are monotonic totals;}
+    {- gauges keep the {e maximum} value recorded (starting from 0) —
        high-water semantics, which is what every gauge in this repository
        records (queue depths, fan-out widths);}
-    {- histograms sum per-bucket counts, plus an exact [sum]/[count] pair
+    {- histograms keep per-bucket counts, plus an exact [sum]/[count] pair
        for mean computation.}}
 
     A registry created with [~enabled:false] (or the shared {!disabled}
     registry) hands out inert handles: every update is a single immediate
-    branch on an immutable bool, no allocation, no atomics — the disabled
-    path costs nothing measurable, which the bench suite's
-    [metrics-overhead] rows verify. Handle lookup ({!counter} etc.) takes
-    a lock and should be done once at set-up, not on hot paths. *)
+    branch on an immutable bool, no allocation — the disabled path costs
+    nothing measurable, which the bench suite's [metrics-overhead] rows
+    verify. Handle lookup ({!counter} etc.) searches the registry by name
+    and should be done once at set-up, not on hot paths. *)
 
 type t
 
@@ -57,7 +55,7 @@ val incr : counter -> unit
 val add : counter -> int -> unit
 
 val record_max : gauge -> int -> unit
-(** Raise the gauge to [v] if [v] exceeds the current shard value. *)
+(** Raise the gauge to [v] if [v] exceeds its current value. *)
 
 val observe : histogram -> int -> unit
 (** Add one observation: bumps the first bucket whose bound is [>= v] (or
@@ -72,13 +70,13 @@ type value =
       (** [counts] has [length bounds + 1] entries; the last is overflow. *)
 
 val to_list : t -> (string * value) list
-(** All registered metrics with shards merged, sorted by name. A disabled
-    registry always yields []. *)
+(** All registered metrics, sorted by name. A disabled registry always
+    yields []. *)
 
 val find : t -> string -> value option
 
 val get_counter : t -> string -> int
-(** Merged value of a registered counter; 0 if absent. *)
+(** Value of a registered counter; 0 if absent. *)
 
 val dump_jsonl : Format.formatter -> t -> unit
 (** One JSON object per line, sorted by name — the stable metrics schema:

@@ -3,7 +3,7 @@
    The oracle shares no code with Checker.Explore: it drives Dsim.Engine
    through its public API only and enumerates with Stdext.Combinat. Every
    schedule is re-executed from time 0 — no clones, no visited set, no
-   partial-order reduction, no parallel split. At each round boundary it
+   partial-order reduction. At each round boundary it
    branches on every subset of the live pending messages to drop (within
    the remaining drop bound), every subset of the kept ones to duplicate
    (within the dup bound; the copy stays pending for a later boundary)
@@ -14,8 +14,9 @@
    reversed), so the n = 6 configuration stays comparable. Like the
    explorer, it stops after [budget] leaves in DFS order.
 
-   The explorer, with dedup and POR off on one domain, must report the
-   same explored and violation counts, the same multiset of leaf outcomes
+   The explorer, with dedup and POR off, must report the same explored
+   and violation counts, the same run tallies (depth histogram, fast
+   runs, fault runs, drops and dups), the same multiset of leaf outcomes
    and the same first violation; its [truncated] flag must be set exactly
    when the oracle hit the budget with schedules left or used the
    two-order fallback.
@@ -27,7 +28,7 @@
    That explorer keys most children before building them
    (Engine.child_fingerprint) and never builds a child whose predicted
    key was seen, so these counts are what checks the predictions it
-   never verifies itself. *)
+   never verifies itself. The run tallies must agree here too. *)
 
 module Engine = Dsim.Engine
 module Combinat = Stdext.Combinat
@@ -55,8 +56,9 @@ let outcome_of ~n engine =
     engine_result = Engine.Quiescent;
   }
 
-(* What one oracle search saw: the leaf outcomes in DFS order, whether
-   the budget stopped it with schedules left, whether some batch needed
+(* What one oracle search saw: the leaf outcomes in DFS order, the round
+   each leaf was reached at (parallel to [leaves]), whether the budget
+   stopped it with schedules left, whether some batch needed
    the two-order fallback, and how many expanded boundaries had messages
    addressed to a crashed process. With a visited set: first arrivals at
    a key, later arrivals, later arrivals at interior nodes (each cuts a
@@ -64,6 +66,7 @@ let outcome_of ~n engine =
    would and would not key. *)
 type oracle = {
   leaves : Scenario.outcome list;
+  leaf_rounds : int list;
   cut : bool;
   fallback : bool;
   to_crashed : int;
@@ -134,7 +137,7 @@ let brute ?(dedup = false) (module P : Proto.Protocol.S) ~n ~e ~f ~proposals ~cr
       ~seed:0 ~disable_timers ~record_trace:true ~inputs:proposals ~crashes ()
   in
   let fallback = ref false and cut = ref false and to_crashed = ref 0 in
-  let leaves = ref [] and count = ref 0 in
+  let leaves = ref [] and leaf_rounds = ref [] and count = ref 0 in
   let visited = Stdext.Stateset.create () in
   let distinct = ref 0 and hits = ref 0 and pruned = ref 0 in
   let keyed = ref 0 and unkeyed = ref 0 in
@@ -157,6 +160,7 @@ let brute ?(dedup = false) (module P : Proto.Protocol.S) ~n ~e ~f ~proposals ~cr
     if first_arrival engine round then
       if round > rounds || Engine.pending_count engine = 0 then begin
         leaves := outcome_of ~n engine :: !leaves;
+        leaf_rounds := round :: !leaf_rounds;
         incr count
       end
       else begin
@@ -178,6 +182,7 @@ let brute ?(dedup = false) (module P : Proto.Protocol.S) ~n ~e ~f ~proposals ~cr
   go [] 1 ~drops_left:faults.max_drops ~dups_left:faults.max_dups;
   {
     leaves = List.rev !leaves;
+    leaf_rounds = List.rev !leaf_rounds;
     cut = !cut;
     fallback = !fallback;
     to_crashed = !to_crashed;
@@ -188,11 +193,31 @@ let brute ?(dedup = false) (module P : Proto.Protocol.S) ~n ~e ~f ~proposals ~cr
     unkeyed = !unkeyed;
   }
 
+(* The explorer's run tallies against the oracle's leaves. A leaf
+   reached at round [r] ended after [min (r - 1) rounds] boundaries; a
+   run is fast when some process decided and every deciding process
+   decided within 2Δ of its proposal. *)
+let check_tallies ~label ~rounds o (t : Explore.Run_report.totals) =
+  let depths = Array.make (rounds + 1) 0 in
+  List.iter (fun r -> depths.(min (r - 1) rounds) <- depths.(min (r - 1) rounds) + 1) o.leaf_rounds;
+  let count p = List.length (List.filter p o.leaves) in
+  let sum f = List.fold_left (fun acc (l : Scenario.outcome) -> acc + f l) 0 o.leaves in
+  let fast (l : Scenario.outcome) =
+    l.latencies <> [] && List.for_all (fun (_, lat) -> lat <= 2 * delta) l.latencies
+  in
+  Alcotest.(check (array int)) (label ^ ": depth histogram") depths t.depth_histogram;
+  Alcotest.(check int) (label ^ ": fast runs") (count fast) t.fast_runs;
+  Alcotest.(check int) (label ^ ": fault runs")
+    (count (fun l -> l.dropped + l.duplicated > 0))
+    t.fault_runs;
+  Alcotest.(check int) (label ^ ": drops") (sum (fun l -> l.dropped)) t.drops;
+  Alcotest.(check int) (label ^ ": dups") (sum (fun l -> l.duplicated)) t.dups
+
 let check_against_oracle ?(crashes = []) ?(disable_timers = true)
     ?(faults = Explore.no_faults) ?(budget = 1_000_000) ~label protocol ~n ~e ~f ~proposals
     ~rounds check =
   let seen = ref [] in
-  let r, _ =
+  let r, report =
     Explore.synchronous_report protocol ~n ~e ~f ~delta ~proposals ~crashes ~rounds ~budget
       ~disable_timers ~faults
       ~check:(fun o ->
@@ -206,6 +231,7 @@ let check_against_oracle ?(crashes = []) ?(disable_timers = true)
   let violating = List.filter (fun o -> not (check o)) o.leaves in
   Alcotest.(check int) (label ^ ": explored") (List.length o.leaves) r.Explore.explored;
   Alcotest.(check int) (label ^ ": violations") (List.length violating) r.Explore.violations;
+  check_tallies ~label ~rounds o report.Explore.Run_report.totals;
   Alcotest.(check bool)
     (label ^ ": truncated iff cut or fallback")
     (o.cut || o.fallback) r.Explore.truncated;
@@ -246,6 +272,7 @@ let check_dedup_against_oracle ?(crashes = []) ?(disable_timers = true)
   Alcotest.(check int) (label ^ ": distinct states") o.distinct t.distinct_states;
   Alcotest.(check int) (label ^ ": dedup hits") o.hits t.dedup_hits;
   Alcotest.(check int) (label ^ ": pruned subtrees") o.pruned t.pruned_subtrees;
+  check_tallies ~label ~rounds o t;
   Alcotest.(check bool)
     (label ^ ": truncated iff cut or fallback")
     (o.cut || o.fallback) r.Explore.truncated;

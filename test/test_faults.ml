@@ -166,32 +166,45 @@ let test_explore_faults_safety_sweep () =
       (Baselines.Fast_paxos.protocol, 4, 1, 1, 4_000);
     ]
 
-let test_explore_faults_domains_agree () =
+let test_explore_faults_pinned () =
   let n = 3 and e = 1 and f = 1 in
   let proposals = Scenario.all_proposals_at_zero ~n [ 0; 1; 2 ] in
-  let go ~domains ~budget check =
+  let go ~budget check =
     fst
       (Explore.synchronous_report Core.Rgs.task ~n ~e ~f ~delta ~proposals ~rounds:2 ~budget
          ~faults:{ max_drops = 1; max_dups = 1 }
-         ~domains ~clamp_domains:false ~check ())
+         ~check ())
   in
-  (* A property violated on many (but not all) runs: any divergence in
-     visit order or fault accounting would show in the canonical first
-     violation. Runs that lost a message are "violations" here. *)
+  (* A property violated on many (but not all) runs: any change in visit
+     order or fault accounting shows in the counts or in the first
+     violation. Runs that lost a message are "violations" here. The
+     results are pinned: the former multi-domain search reported these
+     same results at every domain count, the budget cut of 400
+     included. *)
   let lossless o = o.Scenario.dropped = 0 in
-  let base = go ~domains:1 ~budget:3_000 lossless in
-  Alcotest.(check bool) "violations found" true (base.violations > 0);
+  (* The first run in DFS order that loses a message: one message is
+     dropped, and only p2 decides, on its own value at 2Δ. *)
+  let first =
+    {
+      Scenario.decisions = [ (200, 2, 2) ];
+      proposals = [ (0, 0, 0); (0, 1, 1); (0, 2, 2) ];
+      crashes = [];
+      n = 3;
+      horizon = 200;
+      messages = 16;
+      dropped = 1;
+      duplicated = 0;
+      latencies = [ (2, 200) ];
+      engine_result = Dsim.Engine.Quiescent;
+    }
+  in
   List.iter
-    (fun domains ->
+    (fun (budget, explored, violations) ->
       check_explore_results_equal
-        (Printf.sprintf "domains=%d" domains)
-        base
-        (go ~domains ~budget:3_000 lossless))
-    [ 2; 3; 4 ];
-  (* Under a binding budget the DFS-order cut must also coincide. *)
-  let tight = go ~domains:1 ~budget:400 lossless in
-  Alcotest.(check bool) "budget binds" true tight.truncated;
-  check_explore_results_equal "tight domains=3" tight (go ~domains:3 ~budget:400 lossless)
+        (Printf.sprintf "budget=%d" budget)
+        { Explore.explored; violations; first_violation = Some first; truncated = true }
+        (go ~budget lossless))
+    [ (3_000, 3_000, 1_713); (400, 400, 228) ]
 
 (* -- mutation test: duplicate-vote suppression is load-bearing ---------- *)
 
@@ -254,7 +267,7 @@ let () =
             test_explore_faults_extend_search;
           Alcotest.test_case "bounded fault sweep is safe" `Quick
             test_explore_faults_safety_sweep;
-          Alcotest.test_case "domains agree" `Quick test_explore_faults_domains_agree;
+          Alcotest.test_case "results pinned" `Quick test_explore_faults_pinned;
         ] );
       ( "mutation",
         [

@@ -6,7 +6,6 @@ module Rng = Stdext.Rng
 module Pqueue = Stdext.Pqueue
 module Iheap = Stdext.Iheap
 module Combinat = Stdext.Combinat
-module Pool = Stdext.Pool
 module Metrics = Stdext.Metrics
 module Json = Stdext.Json
 
@@ -460,91 +459,6 @@ let test_iheap_seq_compaction () =
   let drain () = List.init (Iheap.length h) (fun _ -> Iheap.pop_min h) in
   Alcotest.(check (list int)) "pop order across renumbering" [ 1; 3; 2; 0 ] (drain ())
 
-(* -- pool --------------------------------------------------------------- *)
-
-let test_pool_exactly_once () =
-  let hits = Atomic.make 0 in
-  Pool.run ~domains:4 (fun pool ->
-      let promises =
-        List.init 100 (fun i ->
-            Pool.submit pool (fun () ->
-                Atomic.incr hits;
-                i * i))
-      in
-      List.iteri
-        (fun i p -> Alcotest.(check int) "result" (i * i) (Pool.await p))
-        promises);
-  Alcotest.(check int) "each task ran exactly once" 100 (Atomic.get hits)
-
-let test_pool_map_list_order () =
-  let results =
-    Pool.run ~domains:3 (fun pool ->
-        Pool.map_list pool (fun i -> 2 * i) (List.init 50 Fun.id))
-  in
-  Alcotest.(check (list int)) "submission order" (List.init 50 (fun i -> 2 * i)) results
-
-let test_pool_exception_reraised () =
-  Pool.run ~domains:2 (fun pool ->
-      let bad = Pool.submit pool (fun () -> failwith "boom") in
-      Alcotest.check_raises "worker exception surfaces on await" (Failure "boom")
-        (fun () -> ignore (Pool.await bad : int));
-      (* The pool survives a failed task. *)
-      let ok = Pool.submit pool (fun () -> 7) in
-      Alcotest.(check int) "pool still usable" 7 (Pool.await ok))
-
-let test_pool_inline_mode () =
-  (* domains = 1 spawns no domain: jobs run inline on submit. *)
-  let results =
-    Pool.run ~domains:1 (fun pool ->
-        Alcotest.(check int) "no workers" 0 (Pool.size pool);
-        Pool.map_list pool (fun i -> i + 1) [ 1; 2; 3 ])
-  in
-  Alcotest.(check (list int)) "inline results" [ 2; 3; 4 ] results
-
-let test_pool_shutdown_rejects () =
-  let pool = Pool.create ~domains:2 in
-  let p = Pool.submit pool (fun () -> 1) in
-  Alcotest.(check int) "pre-shutdown" 1 (Pool.await p);
-  Pool.shutdown pool;
-  Pool.shutdown pool;
-  Alcotest.check_raises "submit after shutdown"
-    (Invalid_argument "Pool.submit: pool is shut down") (fun () ->
-      ignore (Pool.submit pool (fun () -> 2)))
-
-let test_pool_fifo_order () =
-  (* Tasks start in submission order. The explorer depends on it: its
-     leftmost unfinished chunk must always be running, or the chunks
-     waiting for their budget caps deadlock. One worker stays held by a
-     gated blocker while the other, once released, drains five recording
-     tasks that were all queued before it could take any. *)
-  Pool.run ~domains:2 (fun pool ->
-      let started = Atomic.make 0 in
-      let blocker gate =
-        Pool.submit pool (fun () ->
-            Atomic.incr started;
-            while not (Atomic.get gate) do
-              Domain.cpu_relax ()
-            done)
-      in
-      let held = Atomic.make false and drainer = Atomic.make false in
-      let b1 = blocker held and b2 = blocker drainer in
-      while Atomic.get started < 2 do
-        Domain.cpu_relax ()
-      done;
-      let order = Mutex.create () and seen = ref [] in
-      let record i () =
-        Mutex.lock order;
-        seen := i :: !seen;
-        Mutex.unlock order
-      in
-      let tasks = List.init 5 (fun i -> Pool.submit pool (record i)) in
-      Atomic.set drainer true;
-      List.iter Pool.await tasks;
-      Atomic.set held true;
-      Pool.await b1;
-      Pool.await b2;
-      Alcotest.(check (list int)) "FIFO start order" [ 0; 1; 2; 3; 4 ] (List.rev !seen))
-
 let test_subsets_count () =
   let l = List.init 6 Fun.id in
   List.iter
@@ -658,29 +572,6 @@ let test_metrics_kind_conflict () =
   | _ -> Alcotest.fail "bounds conflict should raise"
   | exception Invalid_argument _ -> ()
 
-let test_metrics_multi_domain () =
-  let r = Metrics.create () in
-  let per_domain = 20_000 and domains = 4 in
-  let c = Metrics.counter r "hammered" in
-  let h = Metrics.histogram r ~buckets:[| 0; 1; 2 |] "lat" in
-  let worker () =
-    for i = 1 to per_domain do
-      Metrics.incr c;
-      Metrics.observe h (i mod 4)
-    done
-  in
-  let spawned = List.init (domains - 1) (fun _ -> Domain.spawn worker) in
-  worker ();
-  List.iter Domain.join spawned;
-  Alcotest.(check int) "all increments merged" (domains * per_domain)
-    (Metrics.get_counter r "hammered");
-  match Metrics.find r "lat" with
-  | Some (Metrics.Histogram { count; counts; _ }) ->
-      Alcotest.(check int) "all observations merged" (domains * per_domain) count;
-      Alcotest.(check int) "bucket totals merged" (domains * per_domain)
-        (Array.fold_left ( + ) 0 counts)
-  | _ -> Alcotest.fail "histogram missing"
-
 let test_metrics_dump_jsonl () =
   let r = Metrics.create () in
   Metrics.add (Metrics.counter r "a.count") 3;
@@ -747,10 +638,10 @@ let test_stateset_hash_compaction () =
   Alcotest.(check int) "cardinal" 3 (Stateset.cardinal s)
 
 let test_stateset_probing_and_resize () =
-  (* A single tiny shard forces long probe chains and repeated doublings;
+  (* A tiny table forces long probe chains and repeated doublings;
      contents must survive both. *)
   let metrics = Metrics.create () in
-  let s = Stateset.create ~shards:1 ~capacity:2 ~metrics () in
+  let s = Stateset.create ~capacity:2 ~metrics () in
   let key i = (i * 2654435761) + 17 in
   for i = 0 to 999 do
     Alcotest.(check bool) "new key inserts" true (Stateset.add s (key i))
@@ -765,50 +656,23 @@ let test_stateset_probing_and_resize () =
   Alcotest.(check bool) "resizes happened" true
     (Metrics.get_counter metrics "stateset.resizes" > 0)
 
-let test_stateset_concurrent_determinism () =
-  (* Every domain races to insert the same key set; exactly one add per key
-     may win across all domains, and the final membership is the key set —
-     regardless of scheduling. Tiny initial capacity keeps resizes in the
-     race window. *)
-  let keys = Array.init 5_000 (fun i -> (i * 0x9E3779B1) + 3) in
-  let s = Stateset.create ~shards:4 ~capacity:8 () in
-  let domains = 4 in
-  let wins = Array.make domains 0 in
-  let worker d () =
-    let w = ref 0 in
-    Array.iter (fun k -> if Stateset.add s k then incr w) keys;
-    wins.(d) <- !w
-  in
-  let spawned = List.init (domains - 1) (fun d -> Domain.spawn (worker (d + 1))) in
-  worker 0 ();
-  List.iter Domain.join spawned;
-  Alcotest.(check int) "exactly one winner per key" (Array.length keys)
-    (Array.fold_left ( + ) 0 wins);
-  Alcotest.(check int) "cardinal = distinct keys" (Array.length keys) (Stateset.cardinal s);
-  Array.iter (fun k -> Alcotest.(check bool) "member" true (Stateset.mem s k)) keys
-
-let test_stateset_concurrent_disjoint () =
-  (* Disjoint ranges from each domain: no insert may be lost to a
-     concurrent resize. *)
-  let per_domain = 4_000 and domains = 4 in
-  let s = Stateset.create ~shards:2 ~capacity:4 () in
-  let worker d () =
-    for i = 0 to per_domain - 1 do
-      let k = (d * per_domain) + i + 1 in
-      assert (Stateset.add s k)
-    done
-  in
-  let spawned = List.init (domains - 1) (fun d -> Domain.spawn (worker (d + 1))) in
-  worker 0 ();
-  List.iter Domain.join spawned;
-  Alcotest.(check int) "nothing lost under resize contention" (domains * per_domain)
-    (Stateset.cardinal s);
-  for d = 0 to domains - 1 do
-    for i = 0 to per_domain - 1 do
-      let k = (d * per_domain) + i + 1 in
-      if not (Stateset.mem s k) then Alcotest.failf "lost key %d" k
-    done
-  done
+let test_stateset_recommended_capacity () =
+  (* A set pre-sized by [recommended_capacity ~expected:k] takes k
+     distinct keys without a single resize. *)
+  List.iter
+    (fun k ->
+      let metrics = Metrics.create () in
+      let s =
+        Stateset.create ~capacity:(Stateset.recommended_capacity ~expected:k) ~metrics ()
+      in
+      for i = 1 to k do
+        ignore (Stateset.add s ((i * 0x9E3779B1) + 3) : bool)
+      done;
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "k = %d: (resizes, cardinal)" k)
+        (0, k)
+        (Metrics.get_counter metrics "stateset.resizes", Stateset.cardinal s))
+    [ 1_000; 10_000; 12_288; 24_576; 49_152; 98_304; 200_000 ]
 
 (* -- json --------------------------------------------------------------- *)
 
@@ -994,15 +858,6 @@ let () =
           QCheck_alcotest.to_alcotest iheap_model_property;
           Alcotest.test_case "seq compaction" `Quick test_iheap_seq_compaction;
         ] );
-      ( "pool",
-        [
-          Alcotest.test_case "tasks run exactly once" `Quick test_pool_exactly_once;
-          Alcotest.test_case "map_list order" `Quick test_pool_map_list_order;
-          Alcotest.test_case "exception re-raised" `Quick test_pool_exception_reraised;
-          Alcotest.test_case "inline mode" `Quick test_pool_inline_mode;
-          Alcotest.test_case "shutdown" `Quick test_pool_shutdown_rejects;
-          Alcotest.test_case "FIFO start order" `Quick test_pool_fifo_order;
-        ] );
       ( "combinat",
         [
           Alcotest.test_case "subset counts" `Quick test_subsets_count;
@@ -1018,7 +873,6 @@ let () =
           Alcotest.test_case "histogram buckets" `Quick test_metrics_histogram;
           Alcotest.test_case "disabled registry" `Quick test_metrics_disabled;
           Alcotest.test_case "kind conflicts" `Quick test_metrics_kind_conflict;
-          Alcotest.test_case "multi-domain merge" `Quick test_metrics_multi_domain;
           Alcotest.test_case "dump_jsonl schema" `Quick test_metrics_dump_jsonl;
         ] );
       ( "stateset",
@@ -1026,10 +880,7 @@ let () =
           Alcotest.test_case "add and mem" `Quick test_stateset_add_mem;
           Alcotest.test_case "62-bit hash compaction" `Quick test_stateset_hash_compaction;
           Alcotest.test_case "probing and resize" `Quick test_stateset_probing_and_resize;
-          Alcotest.test_case "concurrent insert determinism" `Quick
-            test_stateset_concurrent_determinism;
-          Alcotest.test_case "concurrent disjoint inserts" `Quick
-            test_stateset_concurrent_disjoint;
+          Alcotest.test_case "recommended capacity" `Quick test_stateset_recommended_capacity;
         ] );
       ( "json",
         [
