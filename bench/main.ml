@@ -11,10 +11,11 @@
 
    Each T/F experiment regenerates one claim of the paper as a table or
    series (see DESIGN.md section 3 and EXPERIMENTS.md). The bechamel suite
-   measures the cost of the building blocks themselves; the explore,
-   faults, engine, smr and lin suites time the explorer, the engine and
-   the SMR deployment and record their rows machine-readably in a
-   BENCH_<suite>.json file so successive runs can compare. *)
+   measures the cost of the building blocks themselves and prints its
+   estimates; every other perf suite (explore, faults, engine, smr and
+   lin) times the explorer, the engine or the SMR deployment and records
+   its rows machine-readably in a BENCH_<suite>.json file so successive
+   runs can compare. *)
 
 module Json = Stdext.Json
 
@@ -337,38 +338,6 @@ let run_faults_suite ~budget_override () =
       configs
   in
   emit_samples samples
-
-(* -- Metrics overhead --------------------------------------------------- *)
-
-(* The telemetry contract is "zero overhead when disabled": every engine
-   probe mirror is a single branch on an immutable bool when the registry
-   is {!Stdext.Metrics.disabled}. This suite times the same fast-path
-   scenario loop with the disabled registry and with a live one and prints
-   both timings, not written to any BENCH file; the overhead line
-   quantifies the enabled path's cost. *)
-let run_metrics_overhead_suite () =
-  let iters = 3_000 in
-  Format.fprintf fmt "@.%s@.B4. Metrics overhead (engine probe mirror, %d scenario runs)@.%s@."
-    (String.make 78 '-') iters (String.make 78 '-');
-  let proposals = Checker.Scenario.all_proposals_at_zero ~n:6 [ 5; 4; 3; 2; 1; 0 ] in
-  let time_runs registry =
-    let t0 = Unix.gettimeofday () in
-    for seed = 1 to iters do
-      ignore
-        (Checker.Scenario.run Core.Rgs.task ~n:6 ~e:2 ~f:2 ~delta:100
-           ~net:(Checker.Scenario.Sync `Arrival) ~proposals ~disable_timers:true ~seed
-           ~metrics:registry ~until:300 ())
-    done;
-    float_of_int (elapsed_ns t0) /. 1e6
-  in
-  (* Warm-up evens out allocator/cache state so off vs on is a fair pair. *)
-  ignore (time_runs Stdext.Metrics.disabled : float);
-  let off = time_runs Stdext.Metrics.disabled in
-  let on_ = time_runs (Stdext.Metrics.create ()) in
-  Format.fprintf fmt "metrics-overhead-off %10.1f ms@.metrics-overhead-on  %10.1f ms@." off
-    on_;
-  Format.fprintf fmt "enabled-registry overhead vs disabled: %+.1f%%@."
-    (100. *. (on_ -. off) /. off)
 
 (* -- Engine throughput suite -------------------------------------------- *)
 
@@ -989,7 +958,6 @@ let () =
       ("bechamel", run_bechamel);
       ("explore", fun () -> run_explore_suite ~budget_override:!explore_budget ());
       ("faults", fun () -> run_faults_suite ~budget_override:!explore_budget ());
-      ("overhead", run_metrics_overhead_suite);
       ( "engine",
         fun () -> run_engine_suite ~iters:!engine_iters ~check_baseline:!check_baseline () );
       ( "smr",

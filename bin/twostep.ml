@@ -82,10 +82,11 @@ let metrics_out_arg =
         ~doc:
           "Write the command's telemetry registry to $(docv) as JSONL (one \
            {\"metric\", \"type\", ...} object per line; see Stdext.Metrics.dump_jsonl). \
-           Without this flag metric updates are compiled to inert no-ops.")
+           Without this flag nothing is recorded.")
 
-(* An enabled registry only when the caller asked for the dump: the
-   disabled registry is the zero-overhead path the bench suite measures. *)
+(* An enabled registry only when the caller asked for the dump. Each
+   layer records into it once, when its run returns; with the disabled
+   registry those records do nothing. *)
 let with_metrics out k =
   let registry =
     match out with None -> Stdext.Metrics.disabled | Some _ -> Stdext.Metrics.create ()

@@ -142,21 +142,9 @@ let deliver_list c = List.concat_map (fun l -> l.order) c.legs @ c.to_crashed
 
 let trials c = List.filter_map (fun l -> l.trial) c.legs
 
-let outcome_of ~n engine =
-  let trace = Dsim.Engine.trace engine in
-  let dropped, duplicated = Dsim.Engine.fault_counts engine in
-  {
-    Scenario.decisions = Dsim.Engine.outputs engine;
-    proposals = Dsim.Trace.inputs trace;
-    crashes = Dsim.Trace.crashes trace;
-    n;
-    horizon = Dsim.Engine.now engine;
-    messages = Dsim.Trace.message_count trace;
-    dropped;
-    duplicated;
-    latencies = Dsim.Engine.decision_latencies engine;
-    engine_result = Dsim.Engine.Quiescent;
-  }
+(* An explored run ends at a round boundary, not where a [run] call
+   returned, and is reported as [Quiescent]. *)
+let outcome_of engine = Scenario.outcome_of ~engine_result:Dsim.Engine.Quiescent engine
 
 (* Batches larger than this fall back to two representative delivery
    orders (arrival and reversed) instead of all permutations. *)
@@ -354,13 +342,13 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
            beyond its leaf, so 2x the run budget is a comfortable ceiling
            (capped — capacity is performance-only, the set still grows). *)
         let capacity = min (1 lsl 22) (Stateset.recommended_capacity ~expected:(2 * budget)) in
-        Some (Stateset.create ~capacity ~metrics ())
+        Some (Stateset.create ~capacity ())
   in
   (* The totals, tallied as the search goes. *)
   let explored = ref 0 and violations = ref 0 and first_violation = ref None in
   let depth_histogram = Array.make (rounds + 1) 0 in
   let fast = ref 0 and fault_runs = ref 0 and drops = ref 0 and dups = ref 0 in
-  let distinct = ref 0 and hits = ref 0 and pruned = ref 0 in
+  let pruned = ref 0 in
   let sleep_hits = ref 0 and por_pruned = ref 0 and max_fanout = ref 0 in
   let cut = ref false and fallback = ref false in
   (* A node's visited-set key. The round number is mixed in so a quiescent
@@ -372,15 +360,9 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
     match visited with
     | None -> true
     | Some vs ->
-        if Stateset.add vs key then begin
-          incr distinct;
-          true
-        end
-        else begin
-          incr hits;
-          if round <= rounds then incr pruned;
-          false
-        end
+        let fresh = Stateset.add vs key in
+        if (not fresh) && round <= rounds then incr pruned;
+        fresh
   in
   let check_visited engine round =
     Option.is_none visited
@@ -400,7 +382,7 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
     | Off -> None
   in
   let evaluate engine ~depth =
-    let outcome = outcome_of ~n engine in
+    let outcome = outcome_of engine in
     incr explored;
     depth_histogram.(depth) <- depth_histogram.(depth) + 1;
     if
@@ -471,6 +453,7 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
   in
   if allowed () then
     dfs root 1 ~drops_left:faults.max_drops ~dups_left:faults.max_dups;
+  Option.iter (Stateset.record metrics) visited;
   let res =
     {
       explored = !explored;
@@ -491,8 +474,8 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
           fault_runs = !fault_runs;
           drops = !drops;
           dups = !dups;
-          distinct_states = !distinct;
-          dedup_hits = !hits;
+          distinct_states = Option.fold ~none:0 ~some:Stateset.cardinal visited;
+          dedup_hits = Option.fold ~none:0 ~some:Stateset.hits visited;
           pruned_subtrees = !pruned;
           por_pruned = !por_pruned;
           sleep_hits = !sleep_hits;
@@ -547,12 +530,12 @@ let swarm_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals ?(cras
   let capacity =
     min (1 lsl 22) (Stateset.recommended_capacity ~expected:((rounds + 1) * budget))
   in
-  let visited = Stateset.create ~capacity ~metrics () in
-  let distinct = ref 0 and hits = ref 0 and sleep_hits = ref 0 and por_pruned = ref 0 in
+  let visited = Stateset.create ~capacity () in
+  let sleep_hits = ref 0 and por_pruned = ref 0 in
   let fallback = ref false in
   let visit engine round =
     let key = Fingerprint.mix (Dsim.Engine.fingerprint engine) (Fingerprint.int round) in
-    if Stateset.add visited key then incr distinct else incr hits
+    ignore (Stateset.add visited key : bool)
   in
   (* One random descent; visits count coverage at every node, including
      the terminal one, mirroring the exhaustive explorer's per-node
@@ -580,7 +563,7 @@ let swarm_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals ?(cras
               ~drops_left:(drops_left - List.length choice.drop)
               ~dups_left:(dups_left - List.length choice.dup)
     in
-    outcome_of ~n
+    outcome_of
       (go (Dsim.Engine.clone root) 1 ~drops_left:faults.max_drops ~dups_left:faults.max_dups)
   in
   (* Fixed ceil-division share per walker: the shares sum to the budget. *)
@@ -597,6 +580,7 @@ let swarm_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals ?(cras
       end
     done
   done;
+  Stateset.record metrics visited;
   (* A swarm run is a sample of the schedule tree, never an exhaustive
      search, so the result is always reported as truncated. *)
   ( { explored = !runs; violations = !violations; first_violation = !first; truncated = true },
@@ -604,8 +588,8 @@ let swarm_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals ?(cras
       Swarm_report.walkers;
       runs = !runs;
       violations = !violations;
-      distinct_states = !distinct;
-      dedup_hits = !hits;
+      distinct_states = Stateset.cardinal visited;
+      dedup_hits = Stateset.hits visited;
       sleep_hits = !sleep_hits;
       por_pruned = !por_pruned;
       fallback = !fallback;

@@ -127,7 +127,7 @@ module Run_report : sig
   val pp : Format.formatter -> t -> unit
 
   val record : Stdext.Metrics.t -> t -> unit
-  (** Mirror the report into a metrics registry under [explore.*] names:
+  (** Record the report into a metrics registry under [explore.*] names:
       counters for the totals' count fields, a gauge for
       [explore.max_fanout], and the [explore.depth] histogram. Counters accumulate across calls;
       recording reports with different [rounds] into one registry raises
@@ -196,9 +196,11 @@ val synchronous_report :
     ({!Stdext.Stateset.recommended_capacity} on twice the run budget,
     capped) so a full-budget dedup exploration never pays a resize stall.
     [metrics] (default disabled) receives the visited set's [stateset.*]
-    counters; the [explore.*] report metrics are still recorded
+    counters ({!Stdext.Stateset.record}) when the search returns, and
+    none without dedup; the [explore.*] report metrics are still recorded
     separately via {!Run_report.record}. The report's [totals] agree with
-    [result].
+    [result], and its [distinct_states] and [dedup_hits] are the visited
+    set's {!Stdext.Stateset.cardinal} and {!Stdext.Stateset.hits}.
 
     [budget] bounds complete runs, not work. A child pruned as a revisit
     costs no budget, and one node can have millions of children (the
@@ -281,4 +283,6 @@ val swarm_report :
     the whole run is reproducible from [seed] alone. The result is
     always [truncated] — a swarm
     run is a sample, not a proof; a clean sweep raises confidence, a
-    violation is a genuine witness. *)
+    violation is a genuine witness. [metrics] (default disabled) receives
+    the shared set's [stateset.*] counters when the last walker
+    returns. *)

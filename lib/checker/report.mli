@@ -47,9 +47,10 @@ val conflict_free :
     (delivery order favoring the target) and summarise. [n] defaults to
     the protocol's [min_n ~e ~f] — the tight size the paper's bounds are
     about. [value] (default 1) is the common proposal. [metrics] (default
-    disabled) is threaded to the engines (the [engine.*] probe mirror
-    aggregates over the [n] runs) and additionally receives the report
-    itself under [report.<protocol>.*] names (counters for
+    disabled) is handed to each {!Scenario.run}, which records its
+    engine's probe, so the [engine.*] counters sum over the [n] runs
+    ([engine.sent] = [messages]). It then receives the report itself
+    under [report.<protocol>.*] names (counters for
     [decided]/[fast]/[messages] and the [latency_delays] histogram).
     [final_fingerprint] is forwarded to each {!Scenario.run} — the
     callback fires once per target run with the terminal engine

@@ -35,6 +35,22 @@ let to_network ~delta net : _ Dsim.Network.t =
   | Uniform { min_delay; max_delay } -> Dsim.Network.Uniform { min_delay; max_delay }
   | Wan { latency; jitter } -> Dsim.Network.Wan { latency; jitter }
 
+let outcome_of ~engine_result engine =
+  let trace = Dsim.Engine.trace engine in
+  let probe = Dsim.Engine.probe engine in
+  {
+    decisions = Dsim.Engine.outputs engine;
+    proposals = Dsim.Trace.inputs trace;
+    crashes = Dsim.Trace.crashes trace;
+    n = Dsim.Engine.n engine;
+    horizon = Dsim.Engine.now engine;
+    messages = probe.sent;
+    dropped = probe.dropped;
+    duplicated = probe.duplicated;
+    latencies = Dsim.Engine.decision_latencies engine;
+    engine_result;
+  }
+
 let run (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~net ~proposals ?(crashes = [])
     ?(seed = 0) ?(disable_timers = false) ?(faults = Dsim.Network.Fault.none)
     ?(metrics = Stdext.Metrics.disabled) ?final_fingerprint ~until () =
@@ -42,27 +58,15 @@ let run (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~net ~proposals ?(crashes 
   let engine =
     Dsim.Engine.create ~automaton ~n
       ~network:(to_network ~delta net)
-      ~seed ~disable_timers ~record_trace:true ~inputs:proposals ~crashes ~faults ~metrics
-      ()
+      ~seed ~disable_timers ~record_trace:true ~inputs:proposals ~crashes ~faults ()
   in
   let engine_result = Dsim.Engine.run ~until engine in
+  if Stdext.Metrics.is_enabled metrics then
+    Dsim.Engine.Probe.record metrics (Dsim.Engine.probe engine);
   (match final_fingerprint with
   | Some k when Dsim.Engine.has_fingerprint engine -> k (Dsim.Engine.fingerprint engine)
   | Some _ | None -> ());
-  let trace = Dsim.Engine.trace engine in
-  let dropped, duplicated = Dsim.Engine.fault_counts engine in
-  {
-    decisions = Dsim.Engine.outputs engine;
-    proposals = Dsim.Trace.inputs trace;
-    crashes = Dsim.Trace.crashes trace;
-    n;
-    horizon = Dsim.Engine.now engine;
-    messages = Dsim.Trace.message_count trace;
-    dropped;
-    duplicated;
-    latencies = Dsim.Engine.decision_latencies engine;
-    engine_result;
-  }
+  outcome_of ~engine_result engine
 
 let decided_value outcome p =
   List.find_map

@@ -30,6 +30,16 @@ type outcome = {
 val to_network : delta:int -> net -> 'msg Dsim.Network.t
 (** The engine network model of [net] with message delay bound [delta]. *)
 
+val outcome_of :
+  engine_result:Dsim.Engine.run_result ->
+  ('state, 'msg, Proto.Value.t, Proto.Value.t) Dsim.Engine.t ->
+  outcome
+(** The outcome of an engine's run so far, tagged with how its last
+    {!Dsim.Engine.run} returned: outputs, the recorded trace's inputs
+    and crashes, the clock and decision latencies, and the
+    {!Dsim.Engine.probe}'s send and fault counts. The engine must record
+    its trace. *)
+
 val run :
   Proto.Protocol.t ->
   n:int ->
@@ -52,8 +62,9 @@ val run :
     [faults] (default {!Dsim.Network.Fault.none}) injects drops,
     duplications and mid-broadcast crashes on top of [net]'s timing; the
     fault trace is a pure function of [seed]. [metrics] (default disabled)
-    is handed to the engine, which mirrors its probe into the [engine.*]
-    registry names. [final_fingerprint], when given, is called with the
+    receives the engine's probe ({!Dsim.Engine.Probe.record}) once the
+    run returns; nothing is recorded into a disabled registry.
+    [final_fingerprint], when given, is called with the
     {!Dsim.Engine.fingerprint} of the terminal engine state — a cheap way
     for sweep drivers to count distinct end states across seeds; it is
     silently skipped for automatons without a [state_fingerprint] hook. *)

@@ -16,12 +16,12 @@
     queue's priorities, no RNG is consumed, and the trace layer is
     untouched, so a run with tracing enabled is byte-identical (same
     trace, same outputs) to the same run without.  With no spec attached
-    the engine stamps a [-1] origin and skips all recording — the same
-    inert-branch discipline as {!Stdext.Metrics}.
+    the engine stamps a [-1] origin and skips all recording: one inert
+    branch per event.
 
-    The store is append-only and shared by {!Engine.clone}s (like a
-    metrics registry); causal tracing targets single-run observability,
-    not branched exploration — clones interleave their appends. *)
+    The store is append-only and shared by {!Engine.clone}s; causal
+    tracing targets single-run observability, not branched exploration —
+    clones interleave their appends. *)
 
 type kind = Init | Input | Deliver | Timer | Crash | Output
 

@@ -1,7 +1,6 @@
 module Rng = Stdext.Rng
 module Pqueue = Stdext.Pqueue
 module Iheap = Stdext.Iheap
-module Metrics = Stdext.Metrics
 
 module Probe = struct
   type t = {
@@ -35,40 +34,20 @@ module Probe = struct
        %d, decides %d, queue hwm %d"
       p.steps p.sent p.delivered p.dropped p.duplicated p.timer_fires p.crashes p.decides
       p.queue_hwm
+
+  let record registry p =
+    let open Stdext in
+    let c name v = Metrics.add (Metrics.counter registry name) v in
+    c "engine.steps" p.steps;
+    c "engine.sent" p.sent;
+    c "engine.delivered" p.delivered;
+    c "engine.dropped" p.dropped;
+    c "engine.duplicated" p.duplicated;
+    c "engine.timer_fires" p.timer_fires;
+    c "engine.crashes" p.crashes;
+    c "engine.decides" p.decides;
+    Metrics.record_max (Metrics.gauge registry "engine.queue_hwm") p.queue_hwm
 end
-
-(* Registry handles, resolved once at {!create}. When no registry is given
-   they come from {!Metrics.disabled}, so every update below is a single
-   branch on an immutable bool — the engine's hot path does not pay for
-   telemetry that nobody reads. *)
-type meters = {
-  mc_steps : Metrics.counter;
-  mc_sent : Metrics.counter;
-  mc_delivered : Metrics.counter;
-  mc_dropped : Metrics.counter;
-  mc_duplicated : Metrics.counter;
-  mc_timer_fires : Metrics.counter;
-  mc_crashes : Metrics.counter;
-  mc_decides : Metrics.counter;
-  mg_queue_hwm : Metrics.gauge;
-}
-
-let meters_of registry =
-  {
-    mc_steps = Metrics.counter registry "engine.steps";
-    mc_sent = Metrics.counter registry "engine.sent";
-    mc_delivered = Metrics.counter registry "engine.delivered";
-    mc_dropped = Metrics.counter registry "engine.dropped";
-    mc_duplicated = Metrics.counter registry "engine.duplicated";
-    mc_timer_fires = Metrics.counter registry "engine.timer_fires";
-    mc_crashes = Metrics.counter registry "engine.crashes";
-    mc_decides = Metrics.counter registry "engine.decides";
-    mg_queue_hwm = Metrics.gauge registry "engine.queue_hwm";
-  }
-
-(* Disabled handles are inert, so all engines without a registry can share
-   one meters record instead of allocating ten per [create]. *)
-let disabled_meters = meters_of Metrics.disabled
 
 (* [origin] is the causal-span id of the event during which the delivery
    was sent, or [-1] when no tracer is attached.  It rides outside the
@@ -197,25 +176,7 @@ type ('state, 'msg, 'input, 'output) t = {
      per-pid first-input/first-output instants for decision latency. All of
      it is cloned by value — ints via the functional record update, the
      arrays explicitly — so a branched exploration's per-engine probes stay
-     independent. [meters] mirrors the counts into an optional shared
-     {!Metrics} registry (disabled handles by default); clones share it, so
-     registry totals aggregate across branches while probes stay per-run.
-     The registry is fed in batches: [run] flushes the delta between each
-     probe counter and its [f_*] last-flushed watermark on exit, instead of
-     one registry update per event — the per-event cost dominated
-     metrics-on overhead. A clone starts its
-     watermarks at the source's current counters, so the parent flushes its
-     own unflushed delta and the clone only flushes what happened after the
-     branch point: nothing is double-counted. *)
-  meters : meters;
-  mutable f_steps : int;
-  mutable f_sent : int;
-  mutable f_delivered : int;
-  mutable f_dropped : int;
-  mutable f_duplicated : int;
-  mutable f_timer_fires : int;
-  mutable f_crashes : int;
-  mutable f_decides : int;
+     independent. *)
   mutable p_delivered : int;
   mutable p_timer_fires : int;
   mutable p_crashes : int;
@@ -289,7 +250,7 @@ let fault_seed_mix = 0x2545F4914F6CDD1D
 
 let create ~automaton ~n ~network ?(seed = 0) ?(record_trace = true)
     ?(disable_timers = false) ?(max_steps = 5_000_000) ?(inputs = []) ?(crashes = [])
-    ?(faults = Network.Fault.none) ?(metrics = Metrics.disabled) ?causality () =
+    ?(faults = Network.Fault.none) ?causality () =
   if n < 1 then invalid_arg "Engine.create: n must be >= 1";
   Network.validate network;
   let t =
@@ -330,15 +291,6 @@ let create ~automaton ~n ~network ?(seed = 0) ?(record_trace = true)
       sends = 0;
       faults_dropped = 0;
       faults_duplicated = 0;
-      meters = (if metrics == Metrics.disabled then disabled_meters else meters_of metrics);
-      f_steps = 0;
-      f_sent = 0;
-      f_delivered = 0;
-      f_dropped = 0;
-      f_duplicated = 0;
-      f_timer_fires = 0;
-      f_crashes = 0;
-      f_decides = 0;
       p_delivered = 0;
       p_timer_fires = 0;
       p_crashes = 0;
@@ -385,17 +337,6 @@ let clone t =
     first_output = Array.copy t.first_output;
     loc_fp = Array.copy t.loc_fp;
     pd_fp = Array.sub t.pd_fp 0 (Int.min (Array.length t.pd_fp) t.pd_hwm);
-    (* The clone's flush watermarks start at the source's current counters:
-       whatever the source has not flushed yet remains the source's delta
-       to flush, and the clone reports only its own post-branch activity. *)
-    f_steps = t.steps;
-    f_sent = t.sends;
-    f_delivered = t.p_delivered;
-    f_dropped = t.faults_dropped;
-    f_duplicated = t.faults_duplicated;
-    f_timer_fires = t.p_timer_fires;
-    f_crashes = t.p_crashes;
-    f_decides = t.p_decides;
   }
 
 let now t = t.now
@@ -836,28 +777,6 @@ let fire_timer t cell =
     | Some s -> commit_step t ~pid s (t.automaton.on_timer s id)
   end
 
-(* Push the registry the delta accumulated since the previous flush. One
-   fetch-and-add per counter per [run] call replaces one per event; probes
-   and traces are unaffected (they read the live per-engine counters). *)
-let flush_meters t =
-  let flush handle current last set =
-    if current <> last then begin
-      Metrics.add handle (current - last);
-      set current
-    end
-  in
-  flush t.meters.mc_steps t.steps t.f_steps (fun v -> t.f_steps <- v);
-  flush t.meters.mc_sent t.sends t.f_sent (fun v -> t.f_sent <- v);
-  flush t.meters.mc_delivered t.p_delivered t.f_delivered (fun v -> t.f_delivered <- v);
-  flush t.meters.mc_dropped t.faults_dropped t.f_dropped (fun v -> t.f_dropped <- v);
-  flush t.meters.mc_duplicated t.faults_duplicated t.f_duplicated (fun v ->
-      t.f_duplicated <- v);
-  flush t.meters.mc_timer_fires t.p_timer_fires t.f_timer_fires (fun v ->
-      t.f_timer_fires <- v);
-  flush t.meters.mc_crashes t.p_crashes t.f_crashes (fun v -> t.f_crashes <- v);
-  flush t.meters.mc_decides t.p_decides t.f_decides (fun v -> t.f_decides <- v);
-  Metrics.record_max t.meters.mg_queue_hwm t.p_queue_hwm
-
 (* The stepping loop allocates nothing per event: the bound is hoisted to
    a plain int, the next event's time is read off the packed priority
    without building an option, and pop returns the payload directly. It
@@ -901,9 +820,7 @@ let run ?until t =
       end
     end
   in
-  let result = loop () in
-  flush_meters t;
-  result
+  loop ()
 
 (* -- manual network control --------------------------------------------- *)
 

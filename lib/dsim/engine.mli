@@ -62,7 +62,9 @@ type ('state, 'msg, 'input, 'output) t
     and make every run self-describing). Probe state is part of the
     engine's cloneable state: {!clone} copies it by value, so branched
     explorations carry independent per-branch probes, and a clone run to
-    the end reports the same probe as re-executing the run from time 0. *)
+    the end reports the same probe as re-executing the run from time 0.
+    The engine never writes to a metrics registry itself: a caller reads
+    {!probe} when its run returns and hands it to {!Probe.record}. *)
 module Probe : sig
   type t = {
     steps : int;
@@ -85,6 +87,13 @@ module Probe : sig
   val zero : t
 
   val pp : Format.formatter -> t -> unit
+
+  val record : Stdext.Metrics.t -> t -> unit
+  (** Add the probe to a registry: the counters [engine.steps], [sent],
+      [delivered], [dropped], [duplicated], [timer_fires], [crashes] and
+      [decides], and the [engine.queue_hwm] gauge (raised to
+      [queue_hwm]). Recording several runs' probes into one registry sums
+      their counters and keeps the largest high-water mark. *)
 end
 
 type run_result =
@@ -103,7 +112,6 @@ val create :
   ?inputs:(Time.t * Pid.t * 'input) list ->
   ?crashes:(Time.t * Pid.t) list ->
   ?faults:Network.Fault.plan ->
-  ?metrics:Stdext.Metrics.t ->
   ?causality:('input, 'output) Causality.spec ->
   unit ->
   ('state, 'msg, 'input, 'output) t
@@ -119,25 +127,14 @@ val create :
     {!Network.validate} or an input's time is outside the event-queue
     packing range (see the header).
 
-    [metrics] (default {!Stdext.Metrics.disabled}) mirrors the {!Probe}
-    counters into a shared registry under the [engine.*] names ([steps],
-    [sent], [delivered], [dropped], [duplicated], [timer_fires],
-    [crashes], [decides] counters and the [queue_hwm] gauge). {!clone}s
-    share the registry, so registry totals aggregate across branches while
-    {!probe} stays per-engine; with the default disabled registry every
-    mirror update is one branch on an immutable bool. The mirror is fed in
-    batches — {!run} flushes the counter deltas accumulated since the
-    previous flush when it returns — so registry totals lag the live
-    {!probe} between [run] calls but always catch up at the next return.
-
     [causality] (default none) attaches a {!Causality} span tracer: every
     effective event is recorded with a link to the event that caused it
     (see {!Causality} for the exact semantics and the guarantee that
     recording never perturbs the run — traces, outputs and RNG streams
     are byte-identical with and without a tracer). Without a tracer the
     engine stamps inert [-1] origins; the per-event cost is one branch.
-    {!clone}s share the tracer's store, like a metrics registry — attach
-    tracers to single runs, not branched explorations. *)
+    {!clone}s share the tracer's store — attach tracers to single runs,
+    not branched explorations. *)
 
 val run : ?until:Time.t -> ('state, 'msg, 'input, 'output) t -> run_result
 (** Process events until the queue is empty and no timer is armed, the
@@ -284,8 +281,7 @@ val fault_counts : ('state, 'msg, 'input, 'output) t -> int * int
 (** {2 Telemetry} *)
 
 val probe : ('state, 'msg, 'input, 'output) t -> Probe.t
-(** Current probe counters. Available regardless of [record_trace] and of
-    whether a metrics registry was attached. *)
+(** Current probe counters. Available regardless of [record_trace]. *)
 
 val decision_latencies : ('state, 'msg, 'input, 'output) t -> (Pid.t * int) list
 (** For every pid that has both received an input and emitted an output:
@@ -329,8 +325,9 @@ val fingerprint : ('state, 'msg, 'input, 'output) t -> Fingerprint.t
     clone of a fingerprinted engine re-hashes only what changed since the
     branch. An engine that is never fingerprinted never allocates them and
     pays one length test per step. Because it fills the caches,
-    [fingerprint] writes to [t]: do not call it while another domain
-    clones or fingerprints the same engine.
+    [fingerprint] writes them into [t] (and {!clone} copies them); no
+    result of {!run}, {!probe} or a later [fingerprint] depends on
+    whether it was called.
 
     Raises [Invalid_argument] when the automaton has no
     [state_fingerprint] hook ({!has_fingerprint} is [false]). *)

@@ -58,9 +58,6 @@ let order_batch_by order ~rng ~src ~payload batch =
         (fun x y -> Int.compare (key ~src:(src x) (payload x)) (key ~src:(src y) (payload y)))
         batch
 
-let order_batch order ~rng batch =
-  order_batch_by order ~rng ~src:fst ~payload:snd batch
-
 module Fault = struct
   type action =
     | Deliver

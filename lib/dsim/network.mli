@@ -85,13 +85,6 @@ val order_batch_by :
     delivery metadata rides along with the ordering. RNG consumption
     depends only on the batch length, never on the element type. *)
 
-val order_batch :
-  'msg order ->
-  rng:Stdext.Rng.t ->
-  (Pid.t * 'msg) list ->
-  (Pid.t * 'msg) list
-(** [order_batch_by] specialised to [(src, msg)] pairs in arrival order. *)
-
 (** {2 Fault injection}
 
     A fault plan decides, per send, whether the message is delivered

@@ -22,13 +22,6 @@ let outputs t =
     (function Output { time; pid; output } -> Some (time, pid, output) | _ -> None)
     t
 
-let outputs_of t p =
-  List.filter_map
-    (function
-      | Output { time; pid; output } when Pid.equal pid p -> Some (time, output)
-      | _ -> None)
-    t
-
 let first_output t =
   match outputs t with [] -> None | o :: _ -> Some o
 
@@ -134,53 +127,3 @@ let to_jsonl ~msg ~input ~output fmt t =
   List.iter
     (fun entry -> Format.fprintf fmt "%s@." (Json.to_string (entry_to_json ~msg ~input ~output entry)))
     t
-
-(* -- columnar export ----------------------------------------------------- *)
-
-let table_schema = [ "event"; "time"; "src"; "dst"; "pid"; "payload"; "sent_at"; "extra" ]
-
-let event_code = function
-  | Sent _ -> 0
-  | Delivered _ -> 1
-  | Input _ -> 2
-  | Output _ -> 3
-  | Timer_fired _ -> 4
-  | Crashed _ -> 5
-  | Dropped _ -> 6
-  | Duplicated _ -> 7
-
-let event_name = function
-  | 0 -> Some "sent"
-  | 1 -> Some "delivered"
-  | 2 -> Some "input"
-  | 3 -> Some "output"
-  | 4 -> Some "timer_fired"
-  | 5 -> Some "crashed"
-  | 6 -> Some "dropped"
-  | 7 -> Some "duplicated"
-  | _ -> None
-
-let to_table ?msg ?input ?output t =
-  let n = List.length t in
-  let cols = Array.init (List.length table_schema) (fun _ -> Array.make n (-1)) in
-  let enc f x = match f with Some f -> f x | None -> -1 in
-  List.iteri
-    (fun row entry ->
-      let set c v = cols.(c).(row) <- v in
-      set 0 (event_code entry);
-      (match entry with
-      | Sent { time; src; dst; msg = m } ->
-          set 1 time; set 2 src; set 3 dst; set 5 (enc msg m)
-      | Delivered { time; src; dst; msg = m; sent_at } ->
-          set 1 time; set 2 src; set 3 dst; set 5 (enc msg m); set 6 sent_at
-      | Input { time; pid; input = i } -> set 1 time; set 4 pid; set 5 (enc input i)
-      | Output { time; pid; output = o } -> set 1 time; set 4 pid; set 5 (enc output o)
-      | Timer_fired { time; pid; id } -> set 1 time; set 4 pid; set 5 id
-      | Crashed { time; pid } -> set 1 time; set 4 pid
-      | Dropped { time; src; dst; msg = m; sent_at } ->
-          set 1 time; set 2 src; set 3 dst; set 5 (enc msg m); set 6 sent_at
-      | Duplicated { time; src; dst; msg = m; sent_at; extra_delay } ->
-          set 1 time; set 2 src; set 3 dst; set 5 (enc msg m); set 6 sent_at;
-          set 7 extra_delay))
-    t;
-  { Stdext.Rle.schema = table_schema; columns = Array.to_list cols }

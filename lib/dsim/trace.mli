@@ -34,8 +34,6 @@ type ('msg, 'input, 'output) t = ('msg, 'input, 'output) entry list
 val outputs : ('msg, 'input, 'output) t -> (Time.t * Pid.t * 'output) list
 (** All environment outputs, chronological. *)
 
-val outputs_of : ('msg, 'input, 'output) t -> Pid.t -> (Time.t * 'output) list
-
 val first_output : ('msg, 'input, 'output) t -> (Time.t * Pid.t * 'output) option
 
 val inputs : ('msg, 'input, 'output) t -> (Time.t * Pid.t * 'input) list
@@ -100,36 +98,3 @@ val to_jsonl :
   ('msg, 'input, 'output) t ->
   unit
 (** One {!entry_to_json} object per line, chronological. *)
-
-(** {2 Columnar export}
-
-    The run-length table rendering for bulk trace dumps (see
-    {!Stdext.Rle}): eight integer columns
-    [event; time; src; dst; pid; payload; sent_at; extra], one row per
-    entry, [-1] for fields a constructor does not carry.  The [event]
-    column holds {!event_code}; [payload] holds the encoded
-    message/input/output (or the timer id on [Timer_fired]).  Traces are
-    near-sorted integer streams, so the table encodes an order of
-    magnitude smaller than the JSONL form. *)
-
-val table_schema : string list
-(** Column names of {!to_table} output, in order. *)
-
-val event_code : ('msg, 'input, 'output) entry -> int
-(** Stable small-int discriminator: [Sent] = 0, [Delivered] = 1,
-    [Input] = 2, [Output] = 3, [Timer_fired] = 4, [Crashed] = 5,
-    [Dropped] = 6, [Duplicated] = 7. *)
-
-val event_name : int -> string option
-(** The JSONL ["event"] string for an {!event_code}, [None] outside 0..7. *)
-
-val to_table :
-  ?msg:('msg -> int) ->
-  ?input:('input -> int) ->
-  ?output:('output -> int) ->
-  ('msg, 'input, 'output) t ->
-  Stdext.Rle.table
-(** Flatten a trace to a {!Stdext.Rle.table}. The optional [msg], [input]
-    and [output] encoders map payloads to integers; omitted encoders
-    record [-1]. Payloads that already are integers (the SMR layer's
-    packed commands) pass through [Fun.id]. *)

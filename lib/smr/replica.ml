@@ -324,7 +324,7 @@ module Instance = struct
   }
 
   let create ~protocol ~n ~e ~f ~delta ~net ?(seed = 0) ?(pipeline = 1) ?(batch_max = 1)
-      ?(commands = []) ?(crashes = []) ?faults ?metrics ?causality ?mutation
+      ?(commands = []) ?(crashes = []) ?faults ?causality ?mutation
       ?(max_steps = 20_000_000) () =
     let (module P : Proto.Protocol.S) = protocol in
     let batches = Kv.Batch.create () in
@@ -349,7 +349,7 @@ module Instance = struct
       Dsim.Engine.create ~automaton ~n
         ~network:(Checker.Scenario.to_network ~delta net)
         ~seed ~record_trace:false ~max_steps
-        ~inputs:commands ~crashes ?faults ?metrics ?causality ()
+        ~inputs:commands ~crashes ?faults ?causality ()
     in
     { packed = E engine; n; drained = 0 }
 
@@ -360,6 +360,10 @@ module Instance = struct
   let now t =
     let (E engine) = t.packed in
     Dsim.Engine.now engine
+
+  let probe t =
+    let (E engine) = t.packed in
+    Dsim.Engine.probe engine
 
   let applied_log t pid =
     let (E engine) = t.packed in

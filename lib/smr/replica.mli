@@ -99,7 +99,6 @@ module Instance : sig
     ?commands:(Dsim.Time.t * Dsim.Pid.t * Proto.Value.t) list ->
     ?crashes:(Dsim.Time.t * Dsim.Pid.t) list ->
     ?faults:Dsim.Network.Fault.plan ->
-    ?metrics:Stdext.Metrics.t ->
     ?causality:Dsim.Causality.t ->
     ?mutation:mutation ->
     ?max_steps:int ->
@@ -119,6 +118,11 @@ module Instance : sig
   val run : ?until:Dsim.Time.t -> t -> Dsim.Engine.run_result
 
   val now : t -> Dsim.Time.t
+
+  val probe : t -> Dsim.Engine.Probe.t
+  (** The underlying engine's {!Dsim.Engine.probe}: a caller that keeps
+      a metrics registry records it with {!Dsim.Engine.Probe.record}
+      when its run returns. *)
 
   val submit : t -> at:Dsim.Time.t -> proxy:Dsim.Pid.t -> Proto.Value.t -> unit
   (** Schedule a client command at [proxy] ([at >= now]); usable between

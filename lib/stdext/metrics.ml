@@ -11,8 +11,8 @@ type metric = {
 
 type t = { reg_enabled : bool; mutable by_name : (string * metric) list }
 
-(* Handles resolve the registry lookup once; [enabled] is the only field
-   hot paths touch when telemetry is off. *)
+(* Handles resolve the registry lookup once; a disabled handle's updates
+   do nothing. *)
 type counter = { c_enabled : bool; c_cells : int array }
 
 type gauge = { g_enabled : bool; g_cells : int array }
@@ -20,15 +20,12 @@ type gauge = { g_enabled : bool; g_cells : int array }
 type histogram = {
   h_enabled : bool;
   h_bounds : int array;
-  h_table : int array;
-      (* direct value -> bucket-index map for values in [0, max bound];
-         empty when the bounds don't admit a small dense table *)
   h_cells : int array;  (* #bounds + 3 cells: buckets, overflow, sum, count *)
 }
 
-let create ?(enabled = true) () = { reg_enabled = enabled; by_name = [] }
+let create () = { reg_enabled = true; by_name = [] }
 
-let disabled = create ~enabled:false ()
+let disabled = { reg_enabled = false; by_name = [] }
 
 let is_enabled t = t.reg_enabled
 
@@ -60,28 +57,8 @@ let gauge t name =
   if not t.reg_enabled then { g_enabled = false; g_cells = [||] }
   else { g_enabled = true; g_cells = (register t name Kgauge ~bounds:[||] ~cells:1).cells }
 
-let scan_bucket bounds v =
-  let nb = Array.length bounds in
-  let rec bucket i = if i >= nb || v <= bounds.(i) then i else bucket (i + 1) in
-  bucket 0
-
-(* Largest top bound for which [observe] precomputes a direct
-   value -> bucket table. Every histogram in this repository (depth and
-   latency buckets) is far below it; histograms with huge bounds fall
-   back to the linear scan. *)
-let max_bucket_table = 4096
-
-let bucket_table bounds =
-  let nb = Array.length bounds in
-  if nb = 0 then [||]
-  else begin
-    let maxb = bounds.(nb - 1) in
-    if maxb < 0 || maxb > max_bucket_table then [||]
-    else Array.init (maxb + 1) (fun v -> scan_bucket bounds v)
-  end
-
 let histogram t ~buckets name =
-  if not t.reg_enabled then { h_enabled = false; h_bounds = [||]; h_table = [||]; h_cells = [||] }
+  if not t.reg_enabled then { h_enabled = false; h_bounds = [||]; h_cells = [||] }
   else begin
     Array.iteri
       (fun i b ->
@@ -90,7 +67,7 @@ let histogram t ~buckets name =
       buckets;
     let bounds = Array.copy buckets in
     let m = register t name Khistogram ~bounds ~cells:(Array.length bounds + 3) in
-    { h_enabled = true; h_bounds = bounds; h_table = bucket_table bounds; h_cells = m.cells }
+    { h_enabled = true; h_bounds = bounds; h_cells = m.cells }
   end
 
 let add c n = if c.c_enabled then c.c_cells.(0) <- c.c_cells.(0) + n
@@ -102,13 +79,8 @@ let record_max g v = if g.g_enabled && v > g.g_cells.(0) then g.g_cells.(0) <- v
 let observe h v =
   if h.h_enabled then begin
     let nb = Array.length h.h_bounds in
-    (* In-range observations resolve in one branchless array load; only
-       negative values or bounds too large for the table pay the scan. *)
-    let bucket =
-      if v >= 0 && v < Array.length h.h_table then Array.unsafe_get h.h_table v
-      else if nb > 0 && Array.length h.h_table > 0 && v > h.h_bounds.(nb - 1) then nb
-      else scan_bucket h.h_bounds v
-    in
+    let rec bucket i = if i >= nb || v <= h.h_bounds.(i) then i else bucket (i + 1) in
+    let bucket = bucket 0 in
     let cells = h.h_cells in
     cells.(bucket) <- cells.(bucket) + 1;
     cells.(nb + 1) <- cells.(nb + 1) + v;
@@ -163,27 +135,4 @@ let value_to_json name = function
 let dump_jsonl fmt t =
   List.iter
     (fun (name, v) -> Format.fprintf fmt "%s@." (Json.to_string (value_to_json name v)))
-    (to_list t)
-
-let pp_table fmt t =
-  List.iter
-    (fun (name, v) ->
-      match v with
-      | Counter n -> Format.fprintf fmt "%-40s %12d@." name n
-      | Gauge n -> Format.fprintf fmt "%-40s %12d (max)@." name n
-      | Histogram { bounds; counts; sum; count } ->
-          let mean = if count = 0 then 0.0 else float_of_int sum /. float_of_int count in
-          Format.fprintf fmt "%-40s %12d obs, mean %.2f@." name count mean;
-          Array.iteri
-            (fun i c ->
-              if c > 0 then
-                if i < Array.length bounds then
-                  Format.fprintf fmt "%-40s   <= %-8d %8d@." "" bounds.(i) c
-                else
-                  let last =
-                    if Array.length bounds = 0 then "0"
-                    else string_of_int bounds.(Array.length bounds - 1)
-                  in
-                  Format.fprintf fmt "%-40s    > %-8s %8d@." "" last c)
-            counts)
     (to_list t)

@@ -4,7 +4,12 @@
     The simulator's observability substrate. A registry hands out metric
     handles by name; each metric is one row of plain int cells that its
     handles update in place, and the read side ({!to_list},
-    {!dump_jsonl}, {!pp_table}) reports the cells as they stand.
+    {!dump_jsonl}) reports the cells as they stand.
+
+    Every layer that reports here keeps its own plain counts while it
+    runs and writes them into the registry once, when its run returns
+    ([Dsim.Engine.Probe.record], {!Stateset.record}, the explorer's and
+    the fleet's results). No event updates a registry as it happens.
 
     Semantics per kind:
     {ul
@@ -15,17 +20,14 @@
     {- histograms keep per-bucket counts, plus an exact [sum]/[count] pair
        for mean computation.}}
 
-    A registry created with [~enabled:false] (or the shared {!disabled}
-    registry) hands out inert handles: every update is a single immediate
-    branch on an immutable bool, no allocation — the disabled path costs
-    nothing measurable, which the bench suite's [metrics-overhead] rows
-    verify. Handle lookup ({!counter} etc.) searches the registry by name
-    and should be done once at set-up, not on hot paths. *)
+    The shared {!disabled} registry hands out inert handles: every
+    update is one branch on an immutable bool. Handle lookup ({!counter}
+    etc.) searches the registry by name. *)
 
 type t
 
-val create : ?enabled:bool -> unit -> t
-(** Fresh registry; [enabled] defaults to [true]. *)
+val create : unit -> t
+(** Fresh, enabled registry. *)
 
 val disabled : t
 (** A shared always-disabled registry: all updates are no-ops and
@@ -88,6 +90,3 @@ val dump_jsonl : Format.formatter -> t -> unit
     [le] holds the inclusive bucket upper bounds; [counts] has one extra
     trailing overflow entry, and its entries sum to [count]. Validated in
     CI by the [jsonl_check] tool. *)
-
-val pp_table : Format.formatter -> t -> unit
-(** Human-readable name/value table of {!to_list}. *)

@@ -11,7 +11,7 @@
 
     A {!table} is a named list of equal-length integer columns — the
     checker's KV histories ({!Checker.History}), witness windows, and the
-    simulator's trace dumps ({!Dsim.Trace.to_table}) all flatten to one.
+    causal span tables ({!Span.to_table}) all flatten to one.
     The binary format is self-describing (schema names travel in the
     header), so [decode] needs no side channel; the JSONL form renders
     one [{"col": int, ...}] object per row and imports back streamingly,

@@ -17,11 +17,10 @@ let slot_hash key = (key * 0x2545F4914F6CDD1D) lxor (key lsr 29)
 
 type t = {
   mutable table : int array;  (* power-of-two length *)
-  mutable count : int;  (* distinct keys stored *)
-  m_hits : Metrics.counter;
-  m_misses : Metrics.counter;
-  m_collisions : Metrics.counter;
-  m_resizes : Metrics.counter;
+  mutable count : int;  (* distinct keys stored: the adds that inserted *)
+  mutable hits : int;  (* adds that found their key present *)
+  mutable collisions : int;  (* occupied slots probed past, over all adds *)
+  mutable resizes : int;
 }
 
 let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (k * 2)
@@ -31,14 +30,13 @@ let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (k * 2)
    let [create]'s power-of-two rounding only ever round up. *)
 let recommended_capacity ~expected = max 1024 ((max 0 expected * 4 / 3) + 1)
 
-let create ?(capacity = 1024) ?(metrics = Metrics.disabled) () =
+let create ?(capacity = 1024) () =
   {
     table = Array.make (pow2_at_least (max 4 capacity) 4) empty_slot;
     count = 0;
-    m_hits = Metrics.counter metrics "stateset.hits";
-    m_misses = Metrics.counter metrics "stateset.misses";
-    m_collisions = Metrics.counter metrics "stateset.collisions";
-    m_resizes = Metrics.counter metrics "stateset.resizes";
+    hits = 0;
+    collisions = 0;
+    resizes = 0;
   }
 
 (* Insert a key known to be absent. *)
@@ -48,7 +46,7 @@ let insert_fresh table key =
   probe (slot_hash key land mask)
 
 let resize t =
-  Metrics.incr t.m_resizes;
+  t.resizes <- t.resizes + 1;
   let fresh = Array.make (2 * Array.length t.table) empty_slot in
   Array.iter (fun key -> if key <> empty_slot then insert_fresh fresh key) t.table;
   t.table <- fresh
@@ -60,15 +58,14 @@ let add t fp =
   let rec probe i collisions =
     let v = table.(i) in
     if v = key then begin
-      Metrics.incr t.m_hits;
-      if collisions > 0 then Metrics.add t.m_collisions collisions;
+      t.hits <- t.hits + 1;
+      t.collisions <- t.collisions + collisions;
       false
     end
     else if v = empty_slot then begin
       table.(i) <- key;
       t.count <- t.count + 1;
-      Metrics.incr t.m_misses;
-      if collisions > 0 then Metrics.add t.m_collisions collisions;
+      t.collisions <- t.collisions + collisions;
       (* Resize at 3/4 load: linear probing degrades sharply beyond it. *)
       if 4 * t.count > 3 * Array.length table then resize t;
       true
@@ -88,3 +85,12 @@ let mem t fp =
   probe (slot_hash key land mask)
 
 let cardinal t = t.count
+
+let hits t = t.hits
+
+let record registry t =
+  let c name v = Metrics.add (Metrics.counter registry name) v in
+  c "stateset.hits" t.hits;
+  c "stateset.misses" t.count;
+  c "stateset.collisions" t.collisions;
+  c "stateset.resizes" t.resizes

@@ -19,11 +19,9 @@
 
 type t
 
-val create : ?capacity:int -> ?metrics:Metrics.t -> unit -> t
+val create : ?capacity:int -> unit -> t
 (** [capacity] (default 1024, rounded up to a power of two) is the initial
-    slot count; it only affects performance. [metrics] (default
-    {!Metrics.disabled}) receives the [stateset.hits], [stateset.misses],
-    [stateset.collisions] and [stateset.resizes] counters. *)
+    slot count; it only affects performance. *)
 
 val recommended_capacity : expected:int -> int
 (** A [capacity] for {!create} that absorbs [expected] distinct keys
@@ -41,3 +39,13 @@ val mem : t -> int -> bool
 
 val cardinal : t -> int
 (** Number of distinct keys stored. *)
+
+val hits : t -> int
+(** Number of {!add} calls that found their key already present. *)
+
+val record : Metrics.t -> t -> unit
+(** Add the set's counts to a registry's [stateset.hits] ({!hits}),
+    [stateset.misses] (the adds that inserted, = {!cardinal}),
+    [stateset.collisions] (occupied slots probed past, over every add)
+    and [stateset.resizes] counters. Call it once, when the search that
+    fills the set returns. *)

@@ -77,10 +77,6 @@ let run ~protocol ~e ~f ?n ~topology ?(jitter = 0) ?(pipeline = 1) ?(batch_max =
     in
     Smr.Kv.encode { Smr.Kv.client = c; key; action }
   in
-  let m_submitted = Metrics.counter metrics "smr.commands.submitted" in
-  let m_completed = Metrics.counter metrics "smr.commands.completed" in
-  let m_latency = Metrics.histogram metrics ~buckets:latency_buckets "smr.latency_ms" in
-  let m_batch = Metrics.histogram metrics ~buckets:batch_buckets "smr.batch_size" in
   (* Submissions outstanding per command word, FIFO (a client resubmitting
      an identical op is a later queue entry; distinct clients can never
      collide because the client id is part of the word). *)
@@ -114,8 +110,7 @@ let run ~protocol ~e ~f ?n ~topology ?(jitter = 0) ?(pipeline = 1) ?(batch_max =
     in
     history_rev := r :: !history_rev;
     Queue.add (client, at, r) q;
-    incr submitted;
-    Metrics.incr m_submitted
+    incr submitted
   in
   (* Pre-scheduled submissions: closed-loop clients stagger their first
      command over one delta; open-loop clients get their whole Poisson
@@ -151,7 +146,7 @@ let run ~protocol ~e ~f ?n ~topology ?(jitter = 0) ?(pipeline = 1) ?(batch_max =
   in
   let inst =
     Smr.Replica.Instance.create ~protocol ~n ~e ~f ~delta ~net ~seed ~pipeline ~batch_max
-      ~commands:initial_commands ?faults ~metrics ?causality ?mutation
+      ~commands:initial_commands ?faults ?causality ?mutation
       ~max_steps:2_000_000_000 ()
   in
   let latencies_rev = ref [] in
@@ -174,8 +169,6 @@ let run ~protocol ~e ~f ?n ~topology ?(jitter = 0) ?(pipeline = 1) ?(batch_max =
           let latency = time - at in
           latencies_rev := latency :: !latencies_rev;
           incr completed;
-          Metrics.incr m_completed;
-          Metrics.observe m_latency latency;
           match arrival with
           | Open _ -> ()
           | Closed { think } ->
@@ -203,22 +196,24 @@ let run ~protocol ~e ~f ?n ~topology ?(jitter = 0) ?(pipeline = 1) ?(batch_max =
         Smr.Replica.Instance.drain_new_outputs inst ~f:on_apply;
         quiescent := true)
   done;
-  (* Batch-size distribution from one replica's applied slots. *)
-  let slots_applied, mean_batch, max_batch =
-    let log = Smr.Replica.Instance.applied_log inst 0 in
-    let sizes = Hashtbl.create 256 in
-    List.iter
-      (fun (slot, _) ->
-        Hashtbl.replace sizes slot (1 + Option.value ~default:0 (Hashtbl.find_opt sizes slot)))
-      log;
-    let slots = Hashtbl.length sizes in
-    let total = List.length log in
-    let max_batch = Hashtbl.fold (fun _ k acc -> max k acc) sizes 0 in
-    Hashtbl.iter (fun _ k -> Metrics.observe m_batch k) sizes;
-    ( slots,
-      (if slots = 0 then 0.0 else float_of_int total /. float_of_int slots),
-      max_batch )
-  in
+  (* Batch sizes: commands per slot of one replica's applied log. *)
+  let log = Smr.Replica.Instance.applied_log inst 0 in
+  let sizes = Hashtbl.create 256 in
+  List.iter
+    (fun (slot, _) ->
+      Hashtbl.replace sizes slot (1 + Option.value ~default:0 (Hashtbl.find_opt sizes slot)))
+    log;
+  let slots_applied = Hashtbl.length sizes in
+  let latencies = Array.of_list (List.rev !latencies_rev) in
+  if Metrics.is_enabled metrics then begin
+    Dsim.Engine.Probe.record metrics (Smr.Replica.Instance.probe inst);
+    Metrics.add (Metrics.counter metrics "smr.commands.submitted") !submitted;
+    Metrics.add (Metrics.counter metrics "smr.commands.completed") !completed;
+    let latency = Metrics.histogram metrics ~buckets:latency_buckets "smr.latency_ms" in
+    Array.iter (Metrics.observe latency) latencies;
+    let batch = Metrics.histogram metrics ~buckets:batch_buckets "smr.batch_size" in
+    Hashtbl.iter (fun _ k -> Metrics.observe batch k) sizes
+  end;
   let history =
     Checker.History.sort
       (List.rev_map
@@ -236,10 +231,12 @@ let run ~protocol ~e ~f ?n ~topology ?(jitter = 0) ?(pipeline = 1) ?(batch_max =
   {
     submitted = !submitted;
     completed = !completed;
-    latencies = Array.of_list (List.rev !latencies_rev);
+    latencies;
     slots_applied;
-    mean_batch;
-    max_batch;
+    mean_batch =
+      (if slots_applied = 0 then 0.0
+       else float_of_int (List.length log) /. float_of_int slots_applied);
+    max_batch = Hashtbl.fold (fun _ k acc -> max k acc) sizes 0;
     converged = Smr.Replica.Instance.converged inst;
     horizon;
     history;

@@ -74,9 +74,12 @@ val run :
 (** [n] defaults to the protocol's [min_n ~e ~f]; Δ is derived from the
     topology's worst one-way latency plus [jitter] (default 0).
     [pipeline]/[batch_max] (default 1/1) are the replica's knobs. When
-    [metrics] is given, [smr.commands.submitted]/[smr.commands.completed]
-    counters and [smr.latency_ms]/[smr.batch_size] histograms are recorded
-    alongside the engine's own probes. [causality] attaches a causal span
+    the run returns it records into an enabled [metrics] registry the
+    engine's probe ({!Dsim.Engine.Probe.record}), the
+    [smr.commands.submitted]/[smr.commands.completed] counters (the
+    result's [submitted]/[completed]), and the [smr.latency_ms]
+    histogram of [latencies] and [smr.batch_size] histogram of the
+    [slots_applied] batch sizes. [causality] attaches a causal span
     tracer to the run's engine (see {!Smr.Replica.Instance.create}) for
     per-command critical-path reconstruction via {!Smr.Spans}; recording
     never perturbs the run. [mutation] injects a deliberate

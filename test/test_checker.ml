@@ -932,12 +932,15 @@ let test_report_fast_path_rates () =
   let r = Report.conflict_free Core.Rgs.task ~n:6 ~e:2 ~f:2 ~delta ~metrics:registry () in
   Alcotest.(check int) "report.fast counter" r.Report.fast
     (Metrics.get_counter registry "report.rgs-task.fast");
-  Alcotest.(check int) "engine probe mirrored too" r.Report.messages
+  Alcotest.(check int) "engine probe recorded too" r.Report.messages
     (Metrics.get_counter registry "engine.sent")
 
-(* Property: the engine's metrics mirror and the scenario outcome (itself
-   recomputed from the trace) agree on every counter, across protocols,
-   network modes, seeds and random fault plans. *)
+(* Property: the probe [Scenario.run] records into its registry agrees
+   with the scenario outcome and with the counts recomputed from the
+   trace of the same run, across protocols, network modes, seeds and
+   random fault plans. The outcome takes its message and fault counts
+   from the probe, so the trace is what cross-checks them; the run is
+   repeated on a bare engine to read it. *)
 let metrics_match_trace_property =
   QCheck.Test.make ~name:"metrics == trace counts (protocol x net x seed)" ~count:40
     QCheck.(int_bound 1_000_000)
@@ -965,17 +968,83 @@ let metrics_match_trace_property =
           12
       in
       let registry = Metrics.create () in
+      let proposals = Scenario.all_proposals_at_zero ~n [ 0; 1; 2 ] in
+      let until = 10 * delta in
       let outcome =
-        Scenario.run protocol ~n ~e ~f ~delta ~net
-          ~proposals:(Scenario.all_proposals_at_zero ~n [ 0; 1; 2 ])
-          ~seed ~faults ~metrics:registry ~until:(10 * delta) ()
+        Scenario.run protocol ~n ~e ~f ~delta ~net ~proposals ~seed ~faults
+          ~metrics:registry ~until ()
+      in
+      let sent, dropped, duplicated, timer_fires, decides =
+        let (module P : Proto.Protocol.S) = protocol in
+        let engine =
+          Dsim.Engine.create ~automaton:(P.make ~n ~e ~f ~delta) ~n
+            ~network:(Scenario.to_network ~delta net)
+            ~seed ~inputs:proposals ~faults ()
+        in
+        ignore (Dsim.Engine.run ~until engine : Dsim.Engine.run_result);
+        let trace = Dsim.Engine.trace engine in
+        Dsim.Trace.
+          ( message_count trace,
+            drop_count trace,
+            duplicate_count trace,
+            timer_fire_count trace,
+            decide_count trace )
       in
       let c name = Metrics.get_counter registry name in
       c "engine.sent" = outcome.Scenario.messages
+      && c "engine.sent" = sent
       && c "engine.dropped" = outcome.Scenario.dropped
+      && c "engine.dropped" = dropped
       && c "engine.duplicated" = outcome.Scenario.duplicated
+      && c "engine.duplicated" = duplicated
+      && c "engine.timer_fires" = timer_fires
       && c "engine.decides" = List.length outcome.Scenario.decisions
+      && c "engine.decides" = decides
       && c "engine.crashes" = List.length outcome.Scenario.crashes)
+
+(* The explorer records its visited set's counts once, when the search
+   returns: [stateset.misses]/[stateset.hits] restate the report's
+   [distinct_states]/[dedup_hits]. A search without dedup has no visited
+   set and registers no [stateset.*] metric. *)
+let test_stateset_metrics_recorded () =
+  let n = 6 and e = 2 and f = 2 in
+  let proposals = Scenario.all_proposals_at_zero ~n [ 5; 4; 3; 2; 1; 0 ] in
+  let counts metrics =
+    (Metrics.get_counter metrics "stateset.misses", Metrics.get_counter metrics "stateset.hits")
+  in
+  let explore ~dedup ~por metrics =
+    snd
+      (Explore.synchronous_report Core.Rgs.task ~n ~e ~f ~delta ~proposals ~rounds:3
+         ~budget:2_000 ~faults:{ Explore.max_drops = 1; max_dups = 0 } ~dedup ~por ~metrics
+         ~check:Safety.safe ())
+  in
+  List.iter
+    (fun (name, por) ->
+      let metrics = Metrics.create () in
+      let t = (explore ~dedup:Explore.Exact ~por metrics).Explore.Run_report.totals in
+      Alcotest.(check (pair int int))
+        (name ^ ": misses, hits = distinct states, dedup hits")
+        (t.Explore.Run_report.distinct_states, t.Explore.Run_report.dedup_hits)
+        (counts metrics);
+      Alcotest.(check bool) (name ^ ": some hits") true (t.Explore.Run_report.dedup_hits > 0))
+    [ ("exact", Explore.No_por); ("exact + sleep", Explore.Sleep) ];
+  let metrics = Metrics.create () in
+  let _, s =
+    Explore.swarm_report Core.Rgs.task ~n ~e ~f ~delta ~proposals ~rounds:3 ~budget:200
+      ~walkers:4 ~seed:3 ~metrics ~check:Safety.safe ()
+  in
+  Alcotest.(check (pair int int))
+    "swarm: misses, hits = distinct states, dedup hits"
+    (s.Explore.Swarm_report.distinct_states, s.Explore.Swarm_report.dedup_hits)
+    (counts metrics);
+  let metrics = Metrics.create () in
+  ignore (explore ~dedup:Explore.Off ~por:Explore.No_por metrics : Explore.Run_report.t);
+  Alcotest.(check (list string))
+    "off: no stateset metric" []
+    (List.filter_map
+       (fun (name, _) ->
+         if String.starts_with ~prefix:"stateset." name then Some name else None)
+       (Metrics.to_list metrics))
 
 let () =
   Alcotest.run "checker"
@@ -1049,5 +1118,7 @@ let () =
           Alcotest.test_case "fast-path rates at the bounds" `Quick
             test_report_fast_path_rates;
           QCheck_alcotest.to_alcotest metrics_match_trace_property;
+          Alcotest.test_case "visited-set counts recorded" `Quick
+            test_stateset_metrics_recorded;
         ] );
     ]

@@ -640,8 +640,7 @@ let test_stateset_hash_compaction () =
 let test_stateset_probing_and_resize () =
   (* A tiny table forces long probe chains and repeated doublings;
      contents must survive both. *)
-  let metrics = Metrics.create () in
-  let s = Stateset.create ~capacity:2 ~metrics () in
+  let s = Stateset.create ~capacity:2 () in
   let key i = (i * 2654435761) + 17 in
   for i = 0 to 999 do
     Alcotest.(check bool) "new key inserts" true (Stateset.add s (key i))
@@ -651,6 +650,9 @@ let test_stateset_probing_and_resize () =
     Alcotest.(check bool) "re-add refused" false (Stateset.add s (key i))
   done;
   Alcotest.(check int) "cardinal" 1000 (Stateset.cardinal s);
+  Alcotest.(check int) "hits" 1000 (Stateset.hits s);
+  let metrics = Metrics.create () in
+  Stateset.record metrics s;
   Alcotest.(check int) "misses = inserts" 1000 (Metrics.get_counter metrics "stateset.misses");
   Alcotest.(check int) "hits = duplicate adds" 1000 (Metrics.get_counter metrics "stateset.hits");
   Alcotest.(check bool) "resizes happened" true
@@ -661,13 +663,12 @@ let test_stateset_recommended_capacity () =
      distinct keys without a single resize. *)
   List.iter
     (fun k ->
-      let metrics = Metrics.create () in
-      let s =
-        Stateset.create ~capacity:(Stateset.recommended_capacity ~expected:k) ~metrics ()
-      in
+      let s = Stateset.create ~capacity:(Stateset.recommended_capacity ~expected:k) () in
       for i = 1 to k do
         ignore (Stateset.add s ((i * 0x9E3779B1) + 3) : bool)
       done;
+      let metrics = Metrics.create () in
+      Stateset.record metrics s;
       Alcotest.(check (pair int int))
         (Printf.sprintf "k = %d: (resizes, cardinal)" k)
         (0, k)

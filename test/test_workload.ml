@@ -102,11 +102,11 @@ let fleet_cfg ?(read_rate = 0.0) arrival =
   { Workload.Fleet.clients = 12; arrival; keys = 8; hot_rate = 0.2; read_rate;
     horizon = 4_000; tick = 50 }
 
-let run_fleet ?(seed = 1) ?(pipeline = 8) ?(batch_max = 16) ?read_rate ?faults ?mutation
-    ?(protocol = Core.Rgs.obj) arrival =
+let run_fleet ?(seed = 1) ?(pipeline = 8) ?(batch_max = 16) ?read_rate ?faults ?metrics
+    ?mutation ?(protocol = Core.Rgs.obj) arrival =
   Workload.Fleet.run ~protocol ~e:2 ~f:2
-    ~topology:Workload.Topology.planet5 ~pipeline ~batch_max ~seed ?faults ?mutation
-    (fleet_cfg ?read_rate arrival)
+    ~topology:Workload.Topology.planet5 ~pipeline ~batch_max ~seed ?faults ?metrics
+    ?mutation (fleet_cfg ?read_rate arrival)
 
 let test_fleet_closed_loop_completes () =
   let r = run_fleet (Workload.Fleet.Closed { think = 100 }) in
@@ -219,6 +219,50 @@ let test_fleet_stale_reads_flagged () =
       Alcotest.(check bool) "witness window itself fails" false
         (Checker.Linearizability.check_history w.events).ok
 
+(* What a fleet run records into a registry when it returns: the smr.*
+   metrics restate the result, and the engine.* values, pinned for this
+   seeded drop/dup run, are its engine's final probe. *)
+let test_fleet_metrics_recorded () =
+  let module M = Stdext.Metrics in
+  let metrics = M.create () in
+  let r = run_fleet ~faults:drop_dup_faults ~metrics open_arrival in
+  let counter = M.get_counter metrics in
+  Alcotest.(check int) "submitted" r.Workload.Fleet.submitted
+    (counter "smr.commands.submitted");
+  Alcotest.(check int) "completed" r.Workload.Fleet.completed
+    (counter "smr.commands.completed");
+  let histogram name =
+    match M.find metrics name with
+    | Some (M.Histogram { sum; count; _ }) -> (count, sum)
+    | _ -> Alcotest.fail (name ^ " is not a registered histogram")
+  in
+  let latencies = r.Workload.Fleet.latencies in
+  Alcotest.(check (pair int int)) "latency count and sum"
+    (Array.length latencies, Array.fold_left ( + ) 0 latencies)
+    (histogram "smr.latency_ms");
+  Alcotest.(check int) "one batch size per applied slot" r.Workload.Fleet.slots_applied
+    (fst (histogram "smr.batch_size"));
+  Alcotest.(check (list (pair string int)))
+    "engine counts"
+    [
+      ("engine.steps", 5150);
+      ("engine.sent", 4809);
+      ("engine.delivered", 4701);
+      ("engine.dropped", 32);
+      ("engine.duplicated", 32);
+      ("engine.timer_fires", 364);
+      ("engine.crashes", 0);
+      ("engine.decides", 290);
+    ]
+    (List.map
+       (fun name -> (name, counter name))
+       [
+         "engine.steps"; "engine.sent"; "engine.delivered"; "engine.dropped";
+         "engine.duplicated"; "engine.timer_fires"; "engine.crashes"; "engine.decides";
+       ]);
+  Alcotest.(check bool) "engine.queue_hwm" true
+    (M.find metrics "engine.queue_hwm" = Some (M.Gauge 318))
+
 let test_proposer_subset () =
   let rng = Rng.create ~seed:3 in
   let ps = Conflict.proposer_subset ~rng ~n:7 ~count:3 ~rate:0.5 in
@@ -252,6 +296,7 @@ let () =
           Alcotest.test_case "same seed, same samples" `Quick test_fleet_determinism;
           Alcotest.test_case "history recorded" `Quick test_fleet_history_recorded;
           Alcotest.test_case "outstanding reclaimed" `Quick test_fleet_outstanding_reclaimed;
+          Alcotest.test_case "metrics recorded" `Quick test_fleet_metrics_recorded;
         ] );
       ( "linearizability",
         [
