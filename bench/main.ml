@@ -61,9 +61,7 @@ let elapsed_ns t0 = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9)
 
 (* -- Exploration performance suite -------------------------------------- *)
 
-(* One row of the explore, faults and swarm suites. On the swarm row
-   [explored] is the completed random walks, and the run-report columns
-   it has no report for read 0. *)
+(* One row of the explore and faults suites. *)
 type explore_row = {
   experiment : string;
   n : int;
@@ -135,41 +133,6 @@ let time_explore ~experiment ~n ~e ~f ~budget ~rounds ~faults ?(dedup = Checker.
     dedup_hits = totals.Checker.Explore.Run_report.dedup_hits;
     por = por_name por;
     por_pruned = totals.Checker.Explore.Run_report.por_pruned;
-  }
-
-(* A swarm row: K seeded walkers sharing a visited set and the run budget.
-   The coverage signal is distinct_states (and, derived in the JSON,
-   distinct_states_per_sec). The dedup column reads "count": the shared
-   set counts coverage but never prunes a walk. *)
-let time_swarm ~experiment ~n ~e ~f ~budget ~rounds ~walkers ~seed () =
-  let proposals =
-    Checker.Scenario.all_proposals_at_zero ~n (List.init n (fun i -> n - 1 - i))
-  in
-  let t0 = Unix.gettimeofday () in
-  let r, s =
-    Checker.Explore.swarm_report Core.Rgs.task ~n ~e ~f ~delta:100 ~proposals ~rounds
-      ~budget ~walkers ~seed
-      ~check:(fun o -> Checker.Safety.safe o)
-      ()
-  in
-  let wall_ns = elapsed_ns t0 in
-  if r.Checker.Explore.violations > 0 then
-    failwith "swarm bench: unexpected safety violation";
-  {
-    experiment;
-    n;
-    budget;
-    rounds;
-    faults = Checker.Explore.no_faults;
-    explored = s.Checker.Explore.Swarm_report.runs;
-    wall_ns;
-    fast_path_rate = 0.;
-    mean_depth = 0.;
-    dedup = "count";
-    distinct_states = s.Checker.Explore.Swarm_report.distinct_states;
-    dedup_hits = s.Checker.Explore.Swarm_report.dedup_hits;
-    por = "sleep";
-    por_pruned = s.Checker.Explore.Swarm_report.por_pruned;
   }
 
 let explore_json s =
@@ -292,22 +255,17 @@ let run_explore_suite ~budget_override () =
                on.explored off.explored)
       end)
     (List.sort_uniq compare (List.map (fun (n, e, f, _) -> (n, e, f, 0)) configs));
-  (* Swarm coverage row at n=8 — a size where the exhaustive product is out
-     of reach but K random walkers sweep a budget in seconds. Honours
+  (* The reduced search at n=8 (the task bound for e=2, f=4): exact dedup
+     and sleep POR finish its tree in 256 runs, so the budget does not
+     cut it; the perm-limit fallback still marks it truncated. Honours
      --explore-budget for CI smoke sizing. *)
-  let swarm_budget = match budget_override with None -> 2_000 | Some b -> b in
-  let swarm_samples =
-    [ time_swarm ~experiment:"swarm-n8" ~n:8 ~e:2 ~f:4 ~budget:swarm_budget
-        ~rounds:explore_rounds ~walkers:4 ~seed:7 () ]
+  let n8_budget = match budget_override with None -> 2_000 | Some b -> b in
+  let n8_sample =
+    time_explore ~experiment:"por-n8" ~n:8 ~e:2 ~f:4 ~budget:n8_budget ~rounds:explore_rounds
+      ~faults:Checker.Explore.no_faults ~dedup:Checker.Explore.Exact ~por:Checker.Explore.Sleep
+      ()
   in
-  List.iter
-    (fun s ->
-      if s.explored <> s.budget then
-        failwith
-          (Printf.sprintf "swarm bench: %d of %d budgeted walks completed" s.explored
-             s.budget))
-    swarm_samples;
-  emit_samples (samples @ por_samples @ swarm_samples)
+  emit_samples (samples @ por_samples @ [ n8_sample ])
 
 (* Fault-injection exploration: the same explorer with drop/duplication
    branching enabled. Fault subsets widen the tree by orders of magnitude,

@@ -292,82 +292,53 @@ let explore_cmd =
              reduction prunes commuting delivery orders before expansion — same \
              verdict, a fraction of the schedules.")
   in
-  let swarm_arg =
-    Arg.(
-      value
-      & opt int 0
-      & info [ "swarm" ] ~docv:"K"
-          ~doc:
-            "Run $(docv) seeded random walkers over the schedule tree instead of the \
-             exhaustive DFS (0, the default, disables). For configurations beyond \
-             exhaustive reach (n >= 8): walkers share the visited set and the run \
-             budget; coverage is reported as distinct states. A violation found is a \
-             genuine witness; a clean sweep is evidence, not proof.")
-  in
-  let run protocol n e f rounds budget dedup por swarm seed crashes metrics_out =
+  let run protocol n e f rounds budget dedup por crashes metrics_out =
     let (module P : Proto.Protocol.S) = protocol in
     let n = Option.value ~default:(P.min_n ~e ~f) n in
     let proposals = Checker.Scenario.all_proposals_at_zero ~n (List.init n Fun.id) in
     let por = match por with `Off -> Checker.Explore.No_por | `Sleep -> Checker.Explore.Sleep in
     let por_name = function Checker.Explore.No_por -> "off" | Checker.Explore.Sleep -> "sleep" in
-    if swarm > 0 then begin
-      let t0 = Unix.gettimeofday () in
-      let r, sreport =
-        with_metrics metrics_out (fun registry ->
-            Checker.Explore.swarm_report protocol ~n ~e ~f ~delta ~proposals ~crashes
-              ~rounds ~budget ~walkers:swarm ~seed ~por ~metrics:registry
+    let r, report =
+      with_metrics metrics_out (fun registry ->
+          let r, report =
+            Checker.Explore.synchronous_report protocol ~n ~e ~f ~delta ~proposals ~crashes
+              ~rounds ~budget ~dedup ~por ~metrics:registry
               ~check:(fun o -> Checker.Safety.safe o)
-              ())
-      in
-      let wall_s = Unix.gettimeofday () -. t0 in
-      Format.printf "%s n=%d e=%d f=%d rounds=%d (swarm, budget %d, walkers %d, seed %d, por %s)@."
-        P.name n e f rounds budget swarm seed (por_name por);
-      Format.printf "%a@." Checker.Explore.Swarm_report.pp sreport;
-      Format.printf "distinct states/sec: %.0f (%.2fs)@."
-        (Checker.Explore.Swarm_report.distinct_states_per_sec sreport ~wall_s)
-        wall_s;
-      (match r.Checker.Explore.first_violation with
-      | None -> Format.printf "violations: none@."
-      | Some o ->
-          Format.printf "violations: %d, first: %a@." r.Checker.Explore.violations
-            Checker.Safety.pp_verdict (Checker.Safety.check o));
-      if r.Checker.Explore.violations > 0 then exit 1
-    end
-    else begin
-      let r, report =
-        with_metrics metrics_out (fun registry ->
-            let r, report =
-              Checker.Explore.synchronous_report protocol ~n ~e ~f ~delta ~proposals
-                ~crashes ~rounds ~budget ~dedup ~por ~metrics:registry
-                ~check:(fun o -> Checker.Safety.safe o)
-                ()
-            in
-            if Stdext.Metrics.is_enabled registry then
-              Checker.Explore.Run_report.record registry report;
-            (r, report))
-      in
-      Format.printf "%s n=%d e=%d f=%d rounds=%d (budget %d, dedup %s, por %s)@." P.name n e
-        f rounds budget (dedup_name dedup) (por_name por);
-      Format.printf "explored: %d schedules%s@." r.Checker.Explore.explored
-        (if r.Checker.Explore.truncated then " (truncated)" else " (exhaustive)");
-      Format.printf "%a@." Checker.Explore.Run_report.pp report;
-      (match r.Checker.Explore.first_violation with
-      | None -> Format.printf "violations: none@."
-      | Some o ->
-          Format.printf "violations: %d, first: %a@." r.Checker.Explore.violations
-            Checker.Safety.pp_verdict (Checker.Safety.check o));
-      if r.Checker.Explore.violations > 0 then exit 1
-    end
+              ()
+          in
+          if Stdext.Metrics.is_enabled registry then
+            Checker.Explore.Run_report.record registry report;
+          (r, report))
+    in
+    Format.printf "%s n=%d e=%d f=%d rounds=%d (budget %d, dedup %s, por %s)@." P.name n e f
+      rounds budget (dedup_name dedup) (por_name por);
+    let cuts =
+      let sched = report.Checker.Explore.Run_report.sched in
+      List.filter_map
+        (fun (cut, name) -> if cut then Some name else None)
+        [
+          (sched.Checker.Explore.Run_report.budget_cut, "budget");
+          (sched.Checker.Explore.Run_report.fallback, "perm-limit fallback");
+        ]
+    in
+    Format.printf "explored: %d schedules (%s)@." r.Checker.Explore.explored
+      (if cuts = [] then "exhaustive" else "truncated: " ^ String.concat ", " cuts);
+    Format.printf "%a@." Checker.Explore.Run_report.pp report;
+    (match r.Checker.Explore.first_violation with
+    | None -> Format.printf "violations: none@."
+    | Some o ->
+        Format.printf "violations: %d, first: %a@." r.Checker.Explore.violations
+          Checker.Safety.pp_verdict (Checker.Safety.check o));
+    if r.Checker.Explore.violations > 0 then exit 1
   in
   Cmd.v
     (Cmd.info "explore"
        ~doc:
          "Exhaustively explore synchronous delivery schedules and check safety on \
-          every run; $(b,--por sleep) prunes commuting orders, $(b,--swarm K) switches \
-          to seeded random walkers for sizes beyond exhaustive reach.")
+          every run; $(b,--por sleep) prunes commuting orders.")
     Term.(
       const run $ protocol_arg $ n_arg $ e_arg $ f_arg $ rounds_arg $ budget_arg
-      $ dedup_arg $ por_arg $ swarm_arg $ seed_arg
+      $ dedup_arg $ por_arg
       $ crashes_arg
           ~doc:
             "Crash schedule as time:pid pairs. The search runs with timers off, so no \

@@ -56,7 +56,7 @@ module Run_report = struct
     sleep_hits : int;  (* per-destination orders suppressed by trial equivalence *)
   }
 
-  type sched = { budget : int; max_fanout : int }
+  type sched = { budget : int; budget_cut : bool; fallback : bool; max_fanout : int }
 
   type t = { totals : totals; sched : sched }
 
@@ -81,12 +81,13 @@ module Run_report = struct
        fast runs: %d (rate %.3f); fault runs: %d (drops %d, dups %d)@,\
        dedup: distinct states %d, hits %d, pruned subtrees %d@,\
        por: pruned %d, sleep hits %d@,\
-       sched: budget %d, max fan-out %d@]"
+       sched: budget %d (cut %b), perm-limit fallback %b, max fan-out %d@]"
       t.totals.explored t.totals.violations t.totals.truncated pp_arr
       t.totals.depth_histogram (mean_depth t.totals) t.totals.fast_runs
       (fast_path_rate t.totals) t.totals.fault_runs t.totals.drops t.totals.dups
       t.totals.distinct_states t.totals.dedup_hits t.totals.pruned_subtrees
-      t.totals.por_pruned t.totals.sleep_hits t.sched.budget t.sched.max_fanout
+      t.totals.por_pruned t.totals.sleep_hits t.sched.budget t.sched.budget_cut
+      t.sched.fallback t.sched.max_fanout
 
   let record registry t =
     let c name v = Metrics.add (Metrics.counter registry name) v in
@@ -169,8 +170,8 @@ let root_engine automaton ~n ~delta ~proposals ~crashes ~disable_timers =
    determinism — duplication allocates fresh pending ids in [dup] order),
    then the prescribed delivery order. With [reuse] it extends [engine] in
    place instead of a clone — sound only once the parent is dead, i.e. for
-   its last child in the DFS or for a random walk; an interior
-   node with [k] children then costs [k - 1] clones. *)
+   its last child in the DFS; an interior node with [k] children then
+   costs [k - 1] clones. *)
 let extend ~delta ~reuse engine round { drop; dup; _ } ~deliver =
   let c = if reuse then engine else Dsim.Engine.clone engine in
   let at = round * delta in
@@ -190,8 +191,7 @@ let extend ~delta ~reuse engine round { drop; dup; _ } ~deliver =
    explored before any faulty ones. Messages to crashed processes are
    irrelevant and are appended in arrival order. Returns [None] when
    nothing is pending, else the number of choices and the choices
-   themselves. Shared by the exhaustive DFS and the swarm walkers
-   (fan-out telemetry stays with the caller).
+   themselves (fan-out telemetry stays with the caller).
 
    Each drop subset's per-destination orders, and the trials and POR
    bookkeeping behind them, are computed here, eagerly, so [sleep_hits]
@@ -220,14 +220,14 @@ let extend ~delta ~reuse engine round { drop; dup; _ } ~deliver =
    {!Dsim.Engine.child_fingerprint}. Trials are memoized per kept batch,
    so a batch's orders are trialled once per node even across fault
    branches that keep it intact. *)
-let round_choices_of ~por ~trial_all ~truncated ~sleep_hits ~por_pruned ~boundary_at engine
+let round_choices_of ~por ~trial_all ~fallback ~sleep_hits ~por_pruned ~boundary_at engine
     ~drops_left ~dups_left =
   if Dsim.Engine.pending_count engine = 0 then None
   else begin
     let orders_for_batch ids =
       if List.length ids <= perm_limit then Combinat.permutations ids
       else begin
-        truncated := true;
+        fallback := true;
         [ ids; List.rev ids ]
       end
     in
@@ -413,7 +413,7 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
     else begin
       let keys = child_keys engine round in
       match
-        round_choices_of ~por ~trial_all:(Option.is_some keys) ~truncated:fallback ~sleep_hits
+        round_choices_of ~por ~trial_all:(Option.is_some keys) ~fallback ~sleep_hits
           ~por_pruned ~boundary_at:(round * delta) engine ~drops_left ~dups_left
       with
       | None -> evaluate engine ~depth:(round - 1)
@@ -480,117 +480,6 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
           por_pruned = !por_pruned;
           sleep_hits = !sleep_hits;
         };
-      sched = { Run_report.budget; max_fanout = !max_fanout };
-    } )
-
-module Swarm_report = struct
-  type t = {
-    walkers : int;
-    runs : int;
-    violations : int;
-    distinct_states : int;
-    dedup_hits : int;
-    sleep_hits : int;
-    por_pruned : int;
-    fallback : bool;
-  }
-
-  let distinct_states_per_sec t ~wall_s =
-    if wall_s <= 0. then 0. else float_of_int t.distinct_states /. wall_s
-
-  let pp fmt t =
-    Format.fprintf fmt
-      "@[<v>swarm: walkers %d, runs %d, violations %d@,\
-       coverage: distinct states %d, revisits %d@,\
-       por: pruned %d, sleep hits %d, perm-limit fallback %b@]"
-      t.walkers t.runs t.violations t.distinct_states t.dedup_hits t.por_pruned
-      t.sleep_hits t.fallback
-end
-
-(* Randomized swarm search: [walkers] seeded random walkers, each
-   descending the schedule tree from the root by picking uniformly among
-   the (POR-reduced) choices at every boundary, sharing one visited set —
-   used to *count* coverage, never to prune, so every walk completes.
-   Walker [w]'s trajectory depends only on [(seed, w)] and its fixed
-   share of the budget (ceil-division); the walkers run one after
-   another in index order. *)
-let swarm_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals ?(crashes = [])
-    ~rounds ?(budget = 20_000) ?(disable_timers = true) ?(walkers = 4) ?(seed = 0)
-    ?(faults = no_faults) ?(por = Sleep) ?(metrics = Metrics.disabled) ~check () =
-  if faults.max_drops < 0 || faults.max_dups < 0 then
-    invalid_arg "Explore.swarm_report: fault bounds must be non-negative";
-  if walkers <= 0 then invalid_arg "Explore.swarm_report: walkers must be positive";
-  let root =
-    root_engine (P.make ~n ~e ~f ~delta) ~n ~delta ~proposals ~crashes ~disable_timers
-  in
-  if not (Dsim.Engine.has_fingerprint root) then
-    invalid_arg
-      "Explore.swarm_report: swarm search requires the automaton to supply state_fingerprint";
-  (* Each walk inserts at most [rounds + 1] keys. *)
-  let capacity =
-    min (1 lsl 22) (Stateset.recommended_capacity ~expected:((rounds + 1) * budget))
-  in
-  let visited = Stateset.create ~capacity () in
-  let sleep_hits = ref 0 and por_pruned = ref 0 in
-  let fallback = ref false in
-  let visit engine round =
-    let key = Fingerprint.mix (Dsim.Engine.fingerprint engine) (Fingerprint.int round) in
-    ignore (Stateset.add visited key : bool)
-  in
-  (* One random descent; visits count coverage at every node, including
-     the terminal one, mirroring the exhaustive explorer's per-node
-     visited check so the two [distinct_states] figures are comparable. *)
-  let walk_one rng =
-    let rec go engine round ~drops_left ~dups_left =
-      visit engine round;
-      if round > rounds then engine
-      else
-        match
-          round_choices_of ~por ~trial_all:false ~truncated:fallback ~sleep_hits ~por_pruned
-            ~boundary_at:(round * delta) engine ~drops_left ~dups_left
-        with
-        | None -> engine
-        | Some (count, choices) ->
-            (* The draw [Stdext.Rng.pick] makes on the materialised list. *)
-            let choice =
-              match Seq.uncons (Seq.drop (Stdext.Rng.int rng count) choices) with
-              | Some (choice, _) -> choice
-              | None -> assert false
-            in
-            go
-              (extend ~delta ~reuse:true engine round choice ~deliver:(deliver_list choice))
-              (round + 1)
-              ~drops_left:(drops_left - List.length choice.drop)
-              ~dups_left:(dups_left - List.length choice.dup)
-    in
-    outcome_of
-      (go (Dsim.Engine.clone root) 1 ~drops_left:faults.max_drops ~dups_left:faults.max_dups)
-  in
-  (* Fixed ceil-division share per walker: the shares sum to the budget. *)
-  let quota w = max 0 ((budget / walkers) + if w < budget mod walkers then 1 else 0) in
-  let runs = ref 0 and violations = ref 0 and first = ref None in
-  for w = 0 to walkers - 1 do
-    let rng = Stdext.Rng.stream ~seed w in
-    for _ = 1 to quota w do
-      let outcome = walk_one rng in
-      incr runs;
-      if not (check outcome) then begin
-        incr violations;
-        if Option.is_none !first then first := Some outcome
-      end
-    done
-  done;
-  Stateset.record metrics visited;
-  (* A swarm run is a sample of the schedule tree, never an exhaustive
-     search, so the result is always reported as truncated. *)
-  ( { explored = !runs; violations = !violations; first_violation = !first; truncated = true },
-    {
-      Swarm_report.walkers;
-      runs = !runs;
-      violations = !violations;
-      distinct_states = Stateset.cardinal visited;
-      dedup_hits = Stateset.hits visited;
-      sleep_hits = !sleep_hits;
-      por_pruned = !por_pruned;
-      fallback = !fallback;
+      sched =
+        { Run_report.budget; budget_cut = !cut; fallback = !fallback; max_fanout = !max_fanout };
     } )

@@ -36,7 +36,8 @@
     A destination's batch of more than 4 messages falls back to two
     representative orders (arrival and reversed) to keep the product
     tractable; [truncated] reports whether any fallback or budget cut
-    occurred, i.e. whether the exploration was exhaustive.
+    occurred, i.e. whether the exploration was exhaustive, and
+    {!Run_report.sched} says which of the two it was.
 
     {b Deduplication.} Many schedules converge to the same simulation
     state (deliver two messages to different recipients in either order,
@@ -74,13 +75,14 @@ type result = {
 
 (** Structured account of one exploration. [totals] counts the evaluated
     runs and the visited-set and POR work behind them; [sched] records the
-    budget and the widest branching the search met. Both are deterministic
-    for a given configuration. *)
+    budget, which of the two cuts truncated the search, and the widest
+    branching the search met. Both are deterministic for a given
+    configuration. *)
 module Run_report : sig
   type totals = {
     explored : int;
     violations : int;
-    truncated : bool;
+    truncated : bool;  (** [sched.budget_cut || sched.fallback] *)
     depth_histogram : int array;
         (** [depth_histogram.(d)] = runs that ended after [d] round
             boundaries; length [rounds + 1]. Runs end early ([d < rounds])
@@ -112,6 +114,10 @@ module Run_report : sig
 
   type sched = {
     budget : int;
+    budget_cut : bool;  (** the budget stopped the search with choices left *)
+    fallback : bool;
+        (** some batch of more than 4 messages got only the two
+            representative orders (the perm-limit fallback) *)
     max_fanout : int;
         (** widest round-boundary branching observed (delivery orders ×
             fault subsets) — the fault-branch fan-out *)
@@ -226,63 +232,3 @@ val synchronous_report :
     subject to the remaining per-run bounds. Fault subsets are enumerated
     smallest-first with the no-fault choice first, so a tight [budget]
     covers all fault-free schedules before spending runs on faulty ones. *)
-
-(** Coverage account of one {!swarm_report} run. Deterministic for a
-    given configuration: each walker's trajectory depends only on
-    [(seed, walker index)] and its fixed budget share. *)
-module Swarm_report : sig
-  type t = {
-    walkers : int;
-    runs : int;  (** complete random walks evaluated (= budget when > 0) *)
-    violations : int;
-    distinct_states : int;
-        (** distinct (state, round) pairs covered across all walkers —
-            the headline coverage figure; divide by wall time for
-            distinct-states/sec *)
-    dedup_hits : int;  (** node arrivals at an already-covered state *)
-    sleep_hits : int;  (** as in {!Run_report.totals.sleep_hits} *)
-    por_pruned : int;
-        (** order combinations removed from the walkers' choice menus *)
-    fallback : bool;  (** perm-limit fallback hit on some boundary *)
-  }
-
-  val distinct_states_per_sec : t -> wall_s:float -> float
-
-  val pp : Format.formatter -> t -> unit
-end
-
-val swarm_report :
-  Proto.Protocol.t ->
-  n:int ->
-  e:int ->
-  f:int ->
-  delta:int ->
-  proposals:(Dsim.Time.t * Dsim.Pid.t * Proto.Value.t) list ->
-  ?crashes:(Dsim.Time.t * Dsim.Pid.t) list ->
-  rounds:int ->
-  ?budget:int ->
-  ?disable_timers:bool ->
-  ?walkers:int ->
-  ?seed:int ->
-  ?faults:fault_bounds ->
-  ?por:por ->
-  ?metrics:Stdext.Metrics.t ->
-  check:(Scenario.outcome -> bool) ->
-  unit ->
-  result * Swarm_report.t
-(** Randomized swarm search for configurations beyond exhaustive reach
-    (n ≥ 8): [walkers] (default 4) seeded walkers each perform random
-    root-to-leaf descents of the schedule tree, picking uniformly among
-    the POR-reduced choices ([por] defaults to {!Sleep}) at every round
-    boundary, until the shared [budget] of complete runs is spent. All
-    walkers share one {!Stdext.Stateset} — used to {e count} coverage
-    (distinct (state, round) pairs, comparable with the exhaustive
-    explorer's [distinct_states]), never to prune — and split the budget
-    in fixed ceil-division shares. The walkers run one after another in
-    index order. Walker [w] draws from [Stdext.Rng.stream ~seed w], so
-    the whole run is reproducible from [seed] alone. The result is
-    always [truncated] — a swarm
-    run is a sample, not a proof; a clean sweep raises confidence, a
-    violation is a genuine witness. [metrics] (default disabled) receives
-    the shared set's [stateset.*] counters when the last walker
-    returns. *)

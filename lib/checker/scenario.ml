@@ -21,7 +21,7 @@ type outcome = {
   engine_result : Dsim.Engine.run_result;
 }
 
-let to_network ~delta net : _ Dsim.Network.t =
+let to_network ~delta net : Dsim.Network.t =
   match net with
   | Sync order ->
       let order =

@@ -27,7 +27,7 @@ type outcome = {
   engine_result : Dsim.Engine.run_result;
 }
 
-val to_network : delta:int -> net -> 'msg Dsim.Network.t
+val to_network : delta:int -> net -> Dsim.Network.t
 (** The engine network model of [net] with message delay bound [delta]. *)
 
 val outcome_of :

@@ -121,7 +121,7 @@ type 'input calendar = {
 type ('state, 'msg, 'input, 'output) t = {
   automaton : ('state, 'msg, 'input, 'output) Automaton.t;
   n : int;
-  network : 'msg Network.t;
+  network : Network.t;
   rng : Rng.t;
   states : 'state option array;  (* None until Ev_init ran *)
   crashed_flags : bool array;
@@ -701,12 +701,7 @@ let handle_deliver_batch t ~order ~src ~dst ~msg ~sent_at ~origin ~prio =
     | rev_group ->
         scratch.(d) <- [];
         let group = List.rev rev_group in
-        let ordered =
-          Network.order_batch_by order ~rng:t.rng
-            ~src:(fun (s, _, _, _) -> s)
-            ~payload:(fun (_, m, _, _) -> m)
-            group
-        in
+        let ordered = Network.order_batch_by order ~rng:t.rng ~src:(fun (s, _, _, _) -> s) group in
         List.iter
           (fun (src, msg, sent_at, origin) ->
             handle_deliver t ~src ~dst:d ~msg ~sent_at ~origin)
@@ -860,8 +855,6 @@ let duplicate_pending t ~id =
   (* The copy keeps the original's sent_at (and causal origin): it is the
      same message on the wire twice, not a re-send by the automaton. *)
   add_pending t ~src ~dst ~sent_at ~origin:(t.pd_origin.(id)) msg
-
-let fault_counts t = (t.faults_dropped, t.faults_duplicated)
 
 let probe t =
   {

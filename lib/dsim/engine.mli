@@ -104,7 +104,7 @@ type run_result =
 val create :
   automaton:('state, 'msg, 'input, 'output) Automaton.t ->
   n:int ->
-  network:'msg Network.t ->
+  network:Network.t ->
   ?seed:int ->
   ?record_trace:bool ->
   ?disable_timers:bool ->
@@ -260,7 +260,7 @@ val deliver_pending : ('state, 'msg, 'input, 'output) t -> id:int -> at:Time.t -
 val drop_pending : ('state, 'msg, 'input, 'output) t -> id:int -> unit
 (** Discard a pending message (models asynchrony: delayed past the
     horizon, or an explored message-loss fault). Recorded as a
-    {!Trace.entry.Dropped} entry and counted in {!fault_counts}; unknown
+    {!Trace.entry.Dropped} entry and counted in {!Probe.t.dropped}; unknown
     ids are ignored. The id becomes reusable: ids are pool slots,
     deterministically recycled (most recently freed first), so a later
     send or duplication may receive it — treat ids as valid only until
@@ -272,11 +272,7 @@ val duplicate_pending : ('state, 'msg, 'input, 'output) t -> id:int -> int
     the copy's id (a currently-unused slot, possibly one freed earlier —
     see {!drop_pending}). Used by the explorer to enumerate duplication
     faults. Recorded as a {!Trace.entry.Duplicated} entry and counted in
-    {!fault_counts}. Raises [Not_found] for unknown ids. *)
-
-val fault_counts : ('state, 'msg, 'input, 'output) t -> int * int
-(** [(drops, duplications)] injected so far — by the fault plan or via
-    {!drop_pending}/{!duplicate_pending}. *)
+    {!Probe.t.duplicated}. Raises [Not_found] for unknown ids. *)
 
 (** {2 Telemetry} *)
 

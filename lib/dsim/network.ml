@@ -1,11 +1,7 @@
-type 'msg order =
-  | Arrival
-  | Random_order
-  | Favor of Pid.t
-  | Sort_by of (src:Pid.t -> 'msg -> int)
+type order = Arrival | Random_order | Favor of Pid.t
 
-type 'msg t =
-  | Sync_rounds of { delta : int; order : 'msg order }
+type t =
+  | Sync_rounds of { delta : int; order : order }
   | Partial_sync of { delta : int; gst : Time.t; max_pre_gst : int }
   | Uniform of { min_delay : int; max_delay : int }
   | Wan of { latency : src:Pid.t -> dst:Pid.t -> int; jitter : int }
@@ -40,23 +36,18 @@ let delivery_time t ~rng ~now ~src ~dst =
       now + max 1 (latency ~src ~dst) + j
   | Manual -> invalid_arg "Network.delivery_time: Manual sends have no delivery time"
 
-(* Generic over the batch element: the engine passes (src, msg, sent_at)
-   triples straight through instead of projecting to pairs and matching
+(* Generic over the batch element: the engine passes its delivery tuples
+   straight through instead of projecting to pairs and matching
    timestamps back afterwards. RNG consumption depends only on the batch
    length (one shuffle for [Random_order]), so the element type never
    perturbs the stream. *)
-let order_batch_by order ~rng ~src ~payload batch =
+let order_batch_by order ~rng ~src batch =
   match order with
   | Arrival -> batch
   | Random_order -> Stdext.Rng.shuffle rng batch
   | Favor p ->
       let favored, rest = List.partition (fun x -> Pid.equal (src x) p) batch in
       favored @ rest
-  | Sort_by key ->
-      (* Stable sort keeps arrival order among equal keys. *)
-      List.stable_sort
-        (fun x y -> Int.compare (key ~src:(src x) (payload x)) (key ~src:(src y) (payload y)))
-        batch
 
 module Fault = struct
   type action =

@@ -17,7 +17,7 @@
     synchronous runs, and within the synchronous model of Definition 2 the
     only freedom left is this per-recipient order — so checkers search over
     order policies. *)
-type 'msg order =
+type order =
   | Arrival  (** Send order (deterministic default). *)
   | Random_order  (** Seeded shuffle, per batch. *)
   | Favor of Pid.t
@@ -25,11 +25,9 @@ type 'msg order =
           recipient; remaining messages in arrival order. This is the order
           the paper's existence proofs use ("the [Propose] message sent by
           [p] is the first one accepted by all other correct processes"). *)
-  | Sort_by of (src:Pid.t -> 'msg -> int)
-      (** Ascending by key; ties in arrival order. *)
 
-type 'msg t =
-  | Sync_rounds of { delta : int; order : 'msg order }
+type t =
+  | Sync_rounds of { delta : int; order : order }
       (** The E-faulty synchronous model (Definition 2): every message sent
           during round [k] is delivered precisely at the beginning of round
           [k+1], i.e. at time [k * delta]. *)
@@ -58,13 +56,13 @@ type 'msg t =
           fault choices explicitly ({!Checker.Explore}) instead of drawing
           them from an RNG. *)
 
-val validate : 'msg t -> unit
+val validate : t -> unit
 (** Raise [Invalid_argument] on invalid model parameters ({!Partial_sync},
     {!Uniform}); called once by {!Engine.create} so misconfigurations fail
     at construction rather than at the first send. *)
 
 val delivery_time :
-  'msg t -> rng:Stdext.Rng.t -> now:Time.t -> src:Pid.t -> dst:Pid.t -> Time.t
+  t -> rng:Stdext.Rng.t -> now:Time.t -> src:Pid.t -> dst:Pid.t -> Time.t
 (** Delivery time for a message sent at [now]; always [> now]. Called
     once per send on the engine's hot path, so it neither allocates nor
     re-validates the model — construct engines through {!Engine.create}
@@ -72,18 +70,12 @@ val delivery_time :
     [Invalid_argument] for {!Manual}, whose sends wait in the engine's
     pending pool instead. *)
 
-val order_batch_by :
-  'msg order ->
-  rng:Stdext.Rng.t ->
-  src:('a -> Pid.t) ->
-  payload:('a -> 'msg) ->
-  'a list ->
-  'a list
+val order_batch_by : order -> rng:Stdext.Rng.t -> src:('a -> Pid.t) -> 'a list -> 'a list
 (** Reorder one recipient's batch of same-instant deliveries, generic over
-    the batch element ([src]/[payload] project the sender and the message
-    out of an element). The engine passes [(src, msg, sent_at)] triples so
-    delivery metadata rides along with the ordering. RNG consumption
-    depends only on the batch length, never on the element type. *)
+    the batch element ([src] projects the sender out of an element). The
+    engine passes its delivery tuples so delivery metadata rides along
+    with the ordering. RNG consumption depends only on the batch length,
+    never on the element type. *)
 
 (** {2 Fault injection}
 

@@ -19,18 +19,6 @@ let split t =
   let s = bits64 t in
   { state = s }
 
-(* O(1) derivation of the [i]th member of a family of generators sharing
-   one master seed: perturb the seed by an odd multiplier of the stream
-   index, then run one scramble so that adjacent (seed, i) pairs land on
-   decorrelated states. Unlike [split], this neither mutates nor needs a
-   parent generator, so concurrent workers can each build their own
-   stream from the pair (seed, index) alone. *)
-let stream ~seed i =
-  let g =
-    { state = Int64.logxor (Int64.of_int seed) (Int64.mul (Int64.of_int i) 0xD1342543DE82EF95L) }
-  in
-  { state = bits64 g }
-
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Keep 62 bits so the value fits OCaml's 63-bit native int positively. *)

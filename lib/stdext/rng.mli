@@ -2,9 +2,8 @@
 
     Every source of randomness in the simulator flows through an explicit
     [Rng.t] so that runs are replayable from a single integer seed. The
-    generator is mutable but cheap to [split] and [copy], which lets
-    independent components draw from independent streams derived from one
-    master seed. *)
+    generator is mutable but cheap to [copy] (an engine clone copies its
+    generators) and to [split]. *)
 
 type t
 
@@ -18,14 +17,6 @@ val copy : t -> t
 val split : t -> t
 (** [split t] advances [t] and returns a new generator whose stream is
     statistically independent of the remainder of [t]'s stream. *)
-
-val stream : seed:int -> int -> t
-(** [stream ~seed i] is the [i]th generator in a family of independent
-    streams derived from one master [seed]: equal [(seed, i)] pairs give
-    equal streams, distinct indices give decorrelated ones. O(1) and
-    side-effect free (no parent generator to advance), so parallel
-    workers — e.g. the explorer's swarm walkers — can each derive their
-    own stream from their index without coordinating. *)
 
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)

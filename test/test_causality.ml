@@ -27,7 +27,7 @@ let protocols =
    stay local to this function. *)
 let run_engine (module P : Proto.Protocol.S) ~n ~e ~f ~seed ~causality ~record_trace =
   let automaton = P.make ~n ~e ~f ~delta in
-  let network : P.msg Dsim.Network.t = Uniform { min_delay = 30; max_delay = 170 } in
+  let network : Dsim.Network.t = Uniform { min_delay = 30; max_delay = 170 } in
   let inputs = List.init n (fun i -> (0, i, n - 1 - i)) in
   let engine =
     Dsim.Engine.create ~automaton ~n ~network ~seed ~record_trace ~inputs ?causality ()

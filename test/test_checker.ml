@@ -802,71 +802,27 @@ let test_explore_por_totals_identical () =
         } );
     ]
 
-(* -- swarm: seeded randomized walkers ----------------------------------- *)
-
-let test_swarm_deterministic () =
-  (* The swarm contract: walker trajectories depend only on (seed, walker
-     index) and fixed budget shares, so the full Swarm_report — runs,
-     coverage, POR counters — is byte-identical across repeated calls. *)
-  let n = 6 and e = 2 and f = 2 in
-  let proposals = Scenario.all_proposals_at_zero ~n [ 5; 4; 3; 2; 1; 0 ] in
-  let go () =
-    Explore.swarm_report Core.Rgs.task ~n ~e ~f ~delta ~proposals ~rounds:3
-      ~budget:300 ~walkers:4 ~seed:11
-      ~check:(fun o -> Safety.safe o)
-      ()
-  in
-  let r1, s1 = go () in
-  let r2, s2 = go () in
-  Alcotest.(check bool) "repeat run identical" true (s1 = s2);
-  Alcotest.(check bool) "results identical too" true (r1 = r2);
-  Alcotest.(check int) "runs = budget" 300 s1.Explore.Swarm_report.runs;
-  Alcotest.(check bool) "always a sample, never a proof" true r1.Explore.truncated;
-  Alcotest.(check int) "clean sweep" 0 r1.Explore.violations;
-  Alcotest.(check bool) "coverage counted" true
-    (s1.Explore.Swarm_report.distinct_states > 0)
-
-let test_swarm_coverage_and_violations () =
-  let n = 6 and e = 2 and f = 2 in
-  let proposals = Scenario.all_proposals_at_zero ~n [ 5; 4; 3; 2; 1; 0 ] in
-  (* Coverage is measured in the same (state, round) currency as the
-     exhaustive explorer: a swarm sample can never cover more distinct
-     states than the exhaustive search counts. *)
-  let _, exhaustive =
+let test_explore_por_n8_within_budget () =
+  (* n = 8 at the task bound (e = 2, f = 4), three rounds: exact dedup
+     and sleep POR finish the tree in 256 runs, far inside a 2,000-run
+     budget. Batches of more than 4 messages still get only the two
+     representative orders, so the perm-limit fallback, and not the
+     budget, is what marks the search truncated. *)
+  let n = 8 and e = 2 and f = 4 in
+  let proposals = Scenario.all_proposals_at_zero ~n (List.init n (fun i -> n - 1 - i)) in
+  let r, report =
     Explore.synchronous_report Core.Rgs.task ~n ~e ~f ~delta ~proposals ~rounds:3
-      ~budget:1_000_000 ~dedup:Explore.Exact
-      ~check:(fun o -> Safety.safe o)
-      ()
+      ~budget:2_000 ~dedup:Explore.Exact ~por:Explore.Sleep ~check:Safety.safe ()
   in
-  let _, s =
-    Explore.swarm_report Core.Rgs.task ~n ~e ~f ~delta ~proposals ~rounds:3 ~budget:200
-      ~walkers:4 ~seed:3
-      ~check:(fun o -> Safety.safe o)
-      ()
-  in
-  let exhaustive_distinct =
-    exhaustive.Explore.Run_report.totals.Explore.Run_report.distinct_states
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "swarm coverage bounded by state graph (%d <= %d)"
-       s.Explore.Swarm_report.distinct_states exhaustive_distinct)
-    true
-    (s.Explore.Swarm_report.distinct_states <= exhaustive_distinct);
-  (* Violation plumbing: a property false everywhere is flagged on every
-     run and yields a witness. *)
-  let r, sv =
-    Explore.swarm_report Core.Rgs.task ~n ~e ~f ~delta ~proposals ~rounds:3 ~budget:50
-      ~walkers:2 ~seed:5
-      ~check:(fun _ -> false)
-      ()
-  in
-  Alcotest.(check int) "every run violates" sv.Explore.Swarm_report.runs
-    r.Explore.violations;
-  Alcotest.(check bool) "witness produced" true (r.Explore.first_violation <> None);
-  (* distinct-states/sec is a plain division. *)
-  Alcotest.(check (float 0.001)) "coverage rate"
-    (float_of_int sv.Explore.Swarm_report.distinct_states /. 2.0)
-    (Explore.Swarm_report.distinct_states_per_sec sv ~wall_s:2.0)
+  let sched = report.Explore.Run_report.sched in
+  Alcotest.(check int) "explored" 256 r.Explore.explored;
+  Alcotest.(check int) "distinct states" 601
+    report.Explore.Run_report.totals.Explore.Run_report.distinct_states;
+  Alcotest.(check (pair bool bool))
+    "fallback, no budget cut" (true, false)
+    (sched.Explore.Run_report.fallback, sched.Explore.Run_report.budget_cut);
+  Alcotest.(check bool) "truncated" true r.Explore.truncated;
+  Alcotest.(check int) "violations" 0 r.Explore.violations
 
 (* -- telemetry: run reports and the fast-path report -------------------- *)
 
@@ -1029,15 +985,6 @@ let test_stateset_metrics_recorded () =
       Alcotest.(check bool) (name ^ ": some hits") true (t.Explore.Run_report.dedup_hits > 0))
     [ ("exact", Explore.No_por); ("exact + sleep", Explore.Sleep) ];
   let metrics = Metrics.create () in
-  let _, s =
-    Explore.swarm_report Core.Rgs.task ~n ~e ~f ~delta ~proposals ~rounds:3 ~budget:200
-      ~walkers:4 ~seed:3 ~metrics ~check:Safety.safe ()
-  in
-  Alcotest.(check (pair int int))
-    "swarm: misses, hits = distinct states, dedup hits"
-    (s.Explore.Swarm_report.distinct_states, s.Explore.Swarm_report.dedup_hits)
-    (counts metrics);
-  let metrics = Metrics.create () in
   ignore (explore ~dedup:Explore.Off ~por:Explore.No_por metrics : Explore.Run_report.t);
   Alcotest.(check (list string))
     "off: no stateset metric" []
@@ -1103,13 +1050,9 @@ let () =
             test_explore_por_timer_between_deliveries;
           Alcotest.test_case "totals identical across strategies" `Quick
             test_explore_por_totals_identical;
+          Alcotest.test_case "n=8 tree within budget" `Quick
+            test_explore_por_n8_within_budget;
           QCheck_alcotest.to_alcotest explore_por_sound_property;
-        ] );
-      ( "swarm",
-        [
-          Alcotest.test_case "deterministic across runs" `Quick test_swarm_deterministic;
-          Alcotest.test_case "coverage bounded, violations plumbed" `Quick
-            test_swarm_coverage_and_violations;
         ] );
       ( "telemetry",
         [

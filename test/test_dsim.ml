@@ -385,6 +385,11 @@ let test_uniform_validates_bounds () =
 
 (* -- fault injection ---------------------------------------------------- *)
 
+(* The faults injected so far, by the plan or via drop/duplicate_pending. *)
+let fault_counts engine =
+  let p = Engine.probe engine in
+  (p.Engine.Probe.dropped, p.Engine.Probe.duplicated)
+
 let test_fault_script_drop () =
   let engine =
     Engine.create ~automaton:echo ~n:2 ~network:sync_net ~inputs:[ (0, 0, 1) ]
@@ -396,7 +401,7 @@ let test_fault_script_drop () =
   let trace = Engine.trace engine in
   Alcotest.(check int) "sent recorded" 1 (Trace.message_count trace);
   Alcotest.(check int) "drop recorded" 1 (Trace.drop_count trace);
-  Alcotest.(check (pair int int)) "fault counts" (1, 0) (Engine.fault_counts engine)
+  Alcotest.(check (pair int int)) "fault counts" (1, 0) (fault_counts engine)
 
 let test_fault_script_duplicate () =
   (* The copy is re-timed as if sent [extra_delay] later: +2 stays inside
@@ -445,7 +450,7 @@ let test_fault_random_replayable () =
         ()
     in
     ignore (Engine.run engine);
-    (Engine.outputs engine, Engine.fault_counts engine)
+    (Engine.outputs engine, fault_counts engine)
   in
   let (outs1, counts1) = run () and (outs2, counts2) = run () in
   Alcotest.(check bool) "same fault trace, same run" true (outs1 = outs2);
@@ -490,7 +495,7 @@ let test_fault_state_survives_clone () =
   Alcotest.(check bool) "same outputs" true (Engine.outputs engine = Engine.outputs copy);
   Alcotest.(check (pair int int))
     "same fault counts"
-    (Engine.fault_counts engine) (Engine.fault_counts copy)
+    (fault_counts engine) (fault_counts copy)
 
 let test_fault_plan_validation () =
   Alcotest.check_raises "rate out of range"
@@ -1289,11 +1294,10 @@ let crashed_input_property =
         ( result,
           Engine.outputs engine,
           Engine.trace engine,
-          Engine.fault_counts engine,
           Engine.now engine,
           Engine.probe engine )
       in
-      let ((_, outputs, trace, _, _, probe) as a) = run values in
+      let ((_, outputs, trace, _, probe) as a) = run values in
       let b = run changed in
       if a <> b then
         QCheck.Test.fail_reportf

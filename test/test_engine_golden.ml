@@ -27,13 +27,13 @@ let protocols =
 
 let wan_latency ~src ~dst = 20 + (10 * ((src + (3 * dst)) mod 4))
 
-let nets : (string * (unit -> Proto.Value.t Dsim.Network.t)) list =
+let nets : (string * Dsim.Network.t) list =
   [
-    ("sync-arrival", fun () -> Sync_rounds { delta; order = Dsim.Network.Arrival });
-    ("sync-random", fun () -> Sync_rounds { delta; order = Dsim.Network.Random_order });
-    ("partial", fun () -> Partial_sync { delta; gst = 3 * delta; max_pre_gst = 150 });
-    ("uniform", fun () -> Uniform { min_delay = 30; max_delay = 170 });
-    ("wan", fun () -> Wan { latency = wan_latency; jitter = 15 });
+    ("sync-arrival", Sync_rounds { delta; order = Dsim.Network.Arrival });
+    ("sync-random", Sync_rounds { delta; order = Dsim.Network.Random_order });
+    ("partial", Partial_sync { delta; gst = 3 * delta; max_pre_gst = 150 });
+    ("uniform", Uniform { min_delay = 30; max_delay = 170 });
+    ("wan", Wan { latency = wan_latency; jitter = 15 });
   ]
 
 let fault_plans =
@@ -56,27 +56,9 @@ let fault_plans =
    content, not just event shapes. *)
 let jsonl_of_run (module P : Proto.Protocol.S) ~n ~e ~f ~net ~faults ~seed =
   let automaton = P.make ~n ~e ~f ~delta in
-  (* The net constructor is re-evaluated per run: network values are pure
-     descriptions, this just keeps the table below readable. *)
-  let network : P.msg Dsim.Network.t =
-    match net with
-    | Dsim.Network.Sync_rounds { delta; order } ->
-        let order : P.msg Dsim.Network.order =
-          match order with
-          | Dsim.Network.Arrival -> Dsim.Network.Arrival
-          | Dsim.Network.Random_order -> Dsim.Network.Random_order
-          | Dsim.Network.Favor p -> Dsim.Network.Favor p
-          | Dsim.Network.Sort_by _ -> assert false
-        in
-        Dsim.Network.Sync_rounds { delta; order }
-    | Dsim.Network.Partial_sync p -> Dsim.Network.Partial_sync p
-    | Dsim.Network.Uniform u -> Dsim.Network.Uniform u
-    | Dsim.Network.Wan w -> Dsim.Network.Wan w
-    | Dsim.Network.Manual -> Dsim.Network.Manual
-  in
   let inputs = List.init n (fun i -> (0, i, n - 1 - i)) in
   let engine =
-    Dsim.Engine.create ~automaton ~n ~network ~seed ~inputs ~faults ()
+    Dsim.Engine.create ~automaton ~n ~network:net ~seed ~inputs ~faults ()
   in
   ignore (Dsim.Engine.run ~until:4000 engine : Dsim.Engine.run_result);
   let enc_msg m = Json.String (Format.asprintf "%a" P.pp_msg m) in
@@ -96,11 +78,11 @@ let cells () =
   List.concat_map
     (fun (pname, proto, n, e, f) ->
       List.concat_map
-        (fun (nname, mknet) ->
+        (fun (nname, net) ->
           List.map
             (fun (fname, faults) ->
               let label = Printf.sprintf "%s/%s/%s" pname nname fname in
-              (label, lazy (digest_of_cell proto ~n ~e ~f ~net:(mknet ()) ~faults)))
+              (label, lazy (digest_of_cell proto ~n ~e ~f ~net ~faults)))
             fault_plans)
         nets)
     protocols

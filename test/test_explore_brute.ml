@@ -19,7 +19,7 @@
    runs, fault runs, drops and dups), the same multiset of leaf outcomes
    and the same first violation; its [truncated] flag must be set exactly
    when the oracle hit the budget with schedules left or used the
-   two-order fallback.
+   two-order fallback, and its report must name the same cuts.
 
    With a visited set the oracle still rebuilds every node from time 0,
    keys it with Engine.fingerprint and its round, and expands it only on
@@ -42,7 +42,6 @@ type choice = { drop : int list; dup : int list; deliver : int list }
 
 let outcome_of ~n engine =
   let trace = Engine.trace engine in
-  let dropped, duplicated = Engine.fault_counts engine in
   {
     Scenario.decisions = Engine.outputs engine;
     proposals = Dsim.Trace.inputs trace;
@@ -50,8 +49,8 @@ let outcome_of ~n engine =
     n;
     horizon = Engine.now engine;
     messages = Dsim.Trace.message_count trace;
-    dropped;
-    duplicated;
+    dropped = Dsim.Trace.drop_count trace;
+    duplicated = Dsim.Trace.duplicate_count trace;
     latencies = Engine.decision_latencies engine;
     engine_result = Engine.Quiescent;
   }
@@ -213,6 +212,12 @@ let check_tallies ~label ~rounds o (t : Explore.Run_report.totals) =
   Alcotest.(check int) (label ^ ": drops") (sum (fun l -> l.dropped)) t.drops;
   Alcotest.(check int) (label ^ ": dups") (sum (fun l -> l.duplicated)) t.dups
 
+(* The explorer's account of which cut truncated it: the budget and the
+   two-order fallback, each as the oracle saw it. *)
+let check_cuts ~label o (s : Explore.Run_report.sched) =
+  Alcotest.(check bool) (label ^ ": budget cut") o.cut s.budget_cut;
+  Alcotest.(check bool) (label ^ ": perm-limit fallback") o.fallback s.fallback
+
 let check_against_oracle ?(crashes = []) ?(disable_timers = true)
     ?(faults = Explore.no_faults) ?(budget = 1_000_000) ~label protocol ~n ~e ~f ~proposals
     ~rounds check =
@@ -232,6 +237,7 @@ let check_against_oracle ?(crashes = []) ?(disable_timers = true)
   Alcotest.(check int) (label ^ ": explored") (List.length o.leaves) r.Explore.explored;
   Alcotest.(check int) (label ^ ": violations") (List.length violating) r.Explore.violations;
   check_tallies ~label ~rounds o report.Explore.Run_report.totals;
+  check_cuts ~label o report.Explore.Run_report.sched;
   Alcotest.(check bool)
     (label ^ ": truncated iff cut or fallback")
     (o.cut || o.fallback) r.Explore.truncated;
@@ -273,6 +279,7 @@ let check_dedup_against_oracle ?(crashes = []) ?(disable_timers = true)
   Alcotest.(check int) (label ^ ": dedup hits") o.hits t.dedup_hits;
   Alcotest.(check int) (label ^ ": pruned subtrees") o.pruned t.pruned_subtrees;
   check_tallies ~label ~rounds o t;
+  check_cuts ~label o report.Explore.Run_report.sched;
   Alcotest.(check bool)
     (label ^ ": truncated iff cut or fallback")
     (o.cut || o.fallback) r.Explore.truncated;
