@@ -19,20 +19,21 @@ type dedup = Off | Exact
 
 (* Partial-order reduction policy. [Sleep] cuts, per destination, the
    delivery orders of one round's batch down to outcome representatives:
-   before expanding a node, each candidate order is trial-run against a
-   scratch clone that delivers only that destination's batch, and orders
-   landing on the fingerprint (plus output history) of an earlier sibling
-   order are commuted away — the sleep set of already-covered
-   interleavings. Deliveries to distinct destinations need no trial at
-   all: a delivery only steps its destination process, so cross-group
-   orders commute structurally (and the enumeration never multiplies them
-   out). The independence relation comes entirely from the engine's
-   pending pool ({!Dsim.Engine.pending_delivery_groups}) — no
-   per-protocol knowledge. Timer fires, crashes and fault branches are
-   inside the trial context (they land at the same boundary instant), so
-   an intervening event that breaks commutation shows up as differing
-   trial fingerprints and defeats the pruning. Sound for the same reason
-   — and up to the same hash-compaction caveat — as [Exact] dedup. *)
+   before expanding a node, each candidate order is trial-run on that
+   destination's batch alone, and orders landing on the fingerprint (plus
+   new outputs) of an earlier sibling order are commuted away — the sleep
+   set of already-covered interleavings. Deliveries to distinct
+   destinations need no trial at all: a delivery only steps its
+   destination process, so cross-group orders commute structurally (and
+   the enumeration never multiplies them out). The independence relation
+   comes entirely from the engine's pending pool
+   ({!Dsim.Engine.pending_delivery_groups}) — no per-protocol knowledge.
+   Where the engine cannot predict a node's children, the trial is a
+   scratch clone, and timer fires and crashes at the boundary instant run
+   inside it, so an intervening event that breaks commutation shows up as
+   differing trial fingerprints and defeats the pruning. Sound for the
+   same reason — and up to the same hash-compaction caveat — as [Exact]
+   dedup. *)
 type por = No_por | Sleep
 
 type fault_bounds = { max_drops : int; max_dups : int }
@@ -119,11 +120,9 @@ module Run_report = struct
     end
 end
 
-type ('s, 'm) engine = ('s, 'm, Proto.Value.t, Proto.Value.t) Dsim.Engine.t
-
-(* One destination's delivery order at a round boundary, with the trial
-   engine that delivered exactly that order, when one was run. *)
-type ('s, 'm) leg = { order : int list; trial : (Pid.t * ('s, 'm) engine) option }
+(* One destination's delivery order at a round boundary, with the
+   engine's trial of exactly that order, when one was run. *)
+type leg = { order : int list; trial : Proto.Value.t Dsim.Engine.trial option }
 
 (* One round boundary's worth of scheduling decisions: which pending
    messages the adversary loses, which it duplicates (the copy stays in
@@ -132,12 +131,7 @@ type ('s, 'm) leg = { order : int list; trial : (Pid.t * ('s, 'm) engine) option
    ascending, then the messages to crashed processes in arrival order.
    With fault bounds at zero this degenerates to the pure delivery-order
    choice. *)
-type ('s, 'm) round_choice = {
-  drop : int list;
-  dup : int list;
-  legs : ('s, 'm) leg list;
-  to_crashed : int list;
-}
+type round_choice = { drop : int list; dup : int list; legs : leg list; to_crashed : int list }
 
 let deliver_list c = List.concat_map (fun l -> l.order) c.legs @ c.to_crashed
 
@@ -172,12 +166,12 @@ let root_engine automaton ~n ~delta ~proposals ~crashes ~disable_timers =
    place instead of a clone — sound only once the parent is dead, i.e. for
    its last child in the DFS; an interior node with [k] children then
    costs [k - 1] clones. *)
-let extend ~delta ~reuse engine round { drop; dup; _ } ~deliver =
+let extend ~delta ~reuse engine round ({ drop; dup; _ } as choice) =
   let c = if reuse then engine else Dsim.Engine.clone engine in
   let at = round * delta in
   List.iter (fun id -> Dsim.Engine.drop_pending c ~id) drop;
   List.iter (fun id -> ignore (Dsim.Engine.duplicate_pending c ~id : int)) dup;
-  List.iter (fun id -> Dsim.Engine.deliver_pending c ~id ~at) deliver;
+  List.iter (fun id -> Dsim.Engine.deliver_pending c ~id ~at) (deliver_list choice);
   ignore (Dsim.Engine.run ~until:at c);
   advance ~delta c (round + 1);
   c
@@ -200,28 +194,29 @@ let extend ~delta ~reuse engine round { drop; dup; _ } ~deliver =
    lazy sequence: a node's fan-out can run to hundreds of thousands of
    choices, and only the one being explored needs to exist.
 
-   A trial delivers one destination's kept batch, in one order, to a
-   scratch clone of [engine] and runs it to the boundary. With [por =
+   A trial delivers one destination's kept batch, in one order, at the
+   boundary. Where [prediction] is the engine's
+   ({!Dsim.Engine.child_fingerprint}), the trial runs on a copy of that
+   destination's state alone; elsewhere it runs on a scratch clone of
+   [engine], which also runs any boundary-instant timer fire or crash
+   step (deliveries rank before timers at an instant). With [por =
    Sleep], each destination's order list is first reduced to
-   trial-outcome representatives: orders landing on an (engine
-   fingerprint, output history) pair already claimed by an earlier
-   sibling are suppressed and counted in [sleep_hits]. Any
-   boundary-instant timer fire or crash step runs inside the trial
-   (deliveries rank before timers at an instant), so an event that
-   breaks commutation differentiates the trial outcomes and keeps both
-   orders. The child a kept order generates is determined,
-   process-locally, by the per-destination trial classes jointly —
-   delivering a message only steps its destination — so every suppressed
-   combination would have rebuilt an already-generated child state (up to
-   the fingerprint's hash compaction, exactly like [Exact] dedup).
-   [por_pruned] counts the order combinations never multiplied out. With
-   [trial_all], every kept order is trialled — single-order batches and,
-   without POR, every order — and its leg keeps the trial for
-   {!Dsim.Engine.child_fingerprint}. Trials are memoized per kept batch,
-   so a batch's orders are trialled once per node even across fault
-   branches that keep it intact. *)
-let round_choices_of ~por ~trial_all ~fallback ~sleep_hits ~por_pruned ~boundary_at engine
-    ~drops_left ~dups_left =
+   trial-outcome representatives: orders landing on a (fingerprint, new
+   outputs) pair already claimed by an earlier sibling are suppressed and
+   counted in [sleep_hits]. An event that breaks commutation
+   differentiates the trial outcomes and keeps both orders. The child a
+   kept order generates is determined, process-locally, by the
+   per-destination trial classes jointly — delivering a message only
+   steps its destination — so every suppressed combination would have
+   rebuilt an already-generated child state (up to the fingerprint's
+   hash compaction, exactly like [Exact] dedup). [por_pruned] counts the
+   order combinations never multiplied out. With [trial_all], every kept
+   order is trialled — single-order batches and, without POR, every order
+   — so that each leg carries the trial record the child key reads.
+   Trials are memoized per kept batch, so a batch's orders are trialled
+   once per node even across fault branches that keep it intact. *)
+let round_choices_of ~por ~prediction ~trial_all ~fallback ~sleep_hits ~por_pruned
+    ~boundary_at engine ~drops_left ~dups_left =
   if Dsim.Engine.pending_count engine = 0 then None
   else begin
     let orders_for_batch ids =
@@ -241,15 +236,23 @@ let round_choices_of ~por ~trial_all ~fallback ~sleep_hits ~por_pruned ~boundary
            ~f:(fun acc ~id ~src:_ ~dst ~msg:_ ~sent_at:_ ->
              if Dsim.Engine.crashed engine dst then acc else id :: acc))
     in
-    let trial dst order =
-      let scratch = Dsim.Engine.clone engine in
-      List.iter (fun id -> Dsim.Engine.deliver_pending scratch ~id ~at:boundary_at) order;
-      ignore (Dsim.Engine.run ~until:boundary_at scratch);
-      (dst, scratch)
+    (* One order's sleep-set key, and its trial record when the engine
+       offers one. *)
+    let trial order =
+      match prediction with
+      | Some p ->
+          let r = p.Dsim.Engine.trial order in
+          ((r.Dsim.Engine.fingerprint, r.Dsim.Engine.outputs), Some r)
+      | None ->
+          let scratch = Dsim.Engine.clone engine in
+          List.iter (fun id -> Dsim.Engine.deliver_pending scratch ~id ~at:boundary_at) order;
+          ignore (Dsim.Engine.run ~until:boundary_at scratch);
+          let since = Dsim.Engine.output_count engine in
+          ((Dsim.Engine.fingerprint scratch, Dsim.Engine.recent_outputs scratch ~since), None)
     in
     (* A kept batch's order count before POR, and its legs after. *)
     let memo = Hashtbl.create 8 in
-    let legs_for dst batch =
+    let legs_for batch =
       match Hashtbl.find_opt memo batch with
       | Some entry -> entry
       | None ->
@@ -260,21 +263,19 @@ let round_choices_of ~por ~trial_all ~fallback ~sleep_hits ~por_pruned ~boundary
                 let seen = Hashtbl.create 8 in
                 List.filter_map
                   (fun order ->
-                    let ((_, scratch) as tried) = trial dst order in
-                    let key = (Dsim.Engine.fingerprint scratch, Dsim.Engine.outputs scratch) in
+                    let key, record = trial order in
                     if Hashtbl.mem seen key then begin
                       incr sleep_hits;
                       None
                     end
                     else begin
                       Hashtbl.add seen key ();
-                      Some { order; trial = (if trial_all then Some tried else None) }
+                      Some { order; trial = record }
                     end)
                   orders
             | _ ->
                 List.map
-                  (fun order ->
-                    { order; trial = (if trial_all then Some (trial dst order) else None) })
+                  (fun order -> { order; trial = (if trial_all then snd (trial order) else None) })
                   orders
           in
           let entry = (List.length orders, legs) in
@@ -287,11 +288,11 @@ let round_choices_of ~por ~trial_all ~fallback ~sleep_hits ~por_pruned ~boundary
       let full = ref 1 in
       let per_dst =
         List.filter_map
-          (fun (dst, batch) ->
+          (fun (_, batch) ->
             match List.filter (fun id -> not (List.mem id drop)) batch with
             | [] -> None
             | kept_batch ->
-                let orders, legs = legs_for dst kept_batch in
+                let orders, legs = legs_for kept_batch in
                 full := !full * orders;
                 Some legs)
           groups
@@ -368,18 +369,16 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
     Option.is_none visited
     || admit (key_of (Dsim.Engine.fingerprint engine) round) round
   in
-  (* Under [Exact] dedup a node's children are keyed before they are
-     built: [Dsim.Engine.child_fingerprint] predicts each child's exact
-     fingerprint from the node and its per-destination trials, and only a
-     child whose key is new is built. [None] — dedup off, or a node where
-     more than the boundary's deliveries could happen before the next one
-     — leaves the node on the build-then-check path. *)
-  let child_keys engine round =
-    match dedup with
-    | Exact ->
-        Dsim.Engine.child_fingerprint engine ~at:(round * delta)
-          ~until:(((round + 1) * delta) - 1)
-    | Off -> None
+  (* The engine's prediction for a node's children: its per-destination
+     trials, and under [Exact] dedup each child's exact fingerprint, so
+     only a child whose key is new is built. [None] — neither POR nor
+     dedup, or a node where more than the boundary's deliveries could
+     happen before the next one — leaves the node on clone trials and the
+     build-then-check path. *)
+  let predict engine round =
+    if por = Sleep || dedup = Exact then
+      Dsim.Engine.child_fingerprint engine ~at:(round * delta) ~until:(((round + 1) * delta) - 1)
+    else None
   in
   let evaluate engine ~depth =
     let outcome = outcome_of engine in
@@ -411,25 +410,25 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
   and expand engine round ~drops_left ~dups_left =
     if round > rounds then evaluate engine ~depth:rounds
     else begin
-      let keys = child_keys engine round in
+      let prediction = predict engine round in
+      let keys = match dedup with Exact -> prediction | Off -> None in
       match
-        round_choices_of ~por ~trial_all:(Option.is_some keys) ~fallback ~sleep_hits
-          ~por_pruned ~boundary_at:(round * delta) engine ~drops_left ~dups_left
+        round_choices_of ~por ~prediction ~trial_all:(Option.is_some keys) ~fallback
+          ~sleep_hits ~por_pruned ~boundary_at:(round * delta) engine ~drops_left ~dups_left
       with
       | None -> evaluate engine ~depth:(round - 1)
       | Some (count, choices) ->
           max_fanout := max !max_fanout count;
           let child ~last choice =
-            let deliver = deliver_list choice in
             let drops_left = drops_left - List.length choice.drop
             and dups_left = dups_left - List.length choice.dup in
-            let build () = extend ~delta ~reuse:last engine round choice ~deliver in
+            let build () = extend ~delta ~reuse:last engine round choice in
             match keys with
             | None -> dfs (build ()) (round + 1) ~drops_left ~dups_left
-            | Some key ->
+            | Some p ->
                 let predicted =
                   key_of
-                    (key ~drop:choice.drop ~dup:choice.dup ~deliver ~trials:(trials choice))
+                    (p.Dsim.Engine.key ~drop:choice.drop ~dup:choice.dup ~trials:(trials choice))
                     (round + 1)
                 in
                 if admit predicted (round + 1) then begin

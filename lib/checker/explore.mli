@@ -53,14 +53,16 @@
     node where nothing but the boundary's deliveries can happen before
     the next boundary (timers disabled, no crash or input due — the
     condition {!Dsim.Engine.child_fingerprint} checks), each child's
-    exact fingerprint is predicted from the node and per-destination trial
-    engines (one per kept batch and delivery order, memoised per node, the
-    same trials [Sleep] POR runs), entered into the visited set, and only
-    a child whose key is new is built. A built child whose fingerprint
-    differs from its prediction raises [Failure]. Every other node — and
-    every node under [Off] dedup — builds each child and then checks
-    it. Either way the same keys enter the visited set in the same
-    order, so every count in {!Run_report.totals} is the same.
+    exact fingerprint is predicted from the node and the engine's
+    per-destination trials (one per kept batch and delivery order,
+    memoised per node, the same trials [Sleep] POR reads; each runs one
+    destination's batch on a copy of that process's state, with no
+    engine clone), entered into the visited set, and only a child whose
+    key is new is built. A built child whose fingerprint differs from its
+    prediction raises [Failure]. Every other node — and every node under
+    [Off] dedup — builds each child and then checks it. Either way the
+    same keys enter the visited set in the same order, so every count in
+    {!Run_report.totals} is the same.
 
     Soundness: exact dedup can only merge genuinely identical
     states (up to the 62-bit hash-compaction collision probability of
@@ -154,16 +156,19 @@ type dedup = Off | Exact
     destination process — the independence relation is read off
     {!Dsim.Engine.pending_delivery_groups}, with no per-protocol
     knowledge), and within one destination's batch, each candidate order
-    is trial-run against a scratch clone; orders reaching the (engine
-    fingerprint, output history) of an earlier sibling order join the
-    sleep set and are never expanded. Timer fires, crashes and fault
-    branches execute inside the trial context, so an intervening event
-    that breaks commutation differentiates the trials and defeats the
-    pruning — never the verdict. Composes with [dedup] (POR prunes
-    first, the visited set catches cross-branch convergence) and
-    [faults]. Sound up to the same 62-bit hash-compaction caveat as
-    [Exact] dedup; requires a [state_fingerprint] hook
-    ([Invalid_argument] otherwise). *)
+    is trial-run; orders reaching the (engine fingerprint, new outputs) of
+    an earlier sibling order join the sleep set and are never expanded.
+    Where {!Dsim.Engine.child_fingerprint} admits the node, the trial is
+    the engine's: the batch runs on a copy of its destination's state
+    alone, and its fingerprint is that of the clone it stands for.
+    Elsewhere it runs against a scratch clone, where timer fires and
+    crashes at the boundary instant execute inside the trial context, so
+    an intervening event that breaks commutation differentiates the
+    trials and defeats the pruning — never the verdict. Composes with
+    [dedup] (POR prunes first, the visited set catches cross-branch
+    convergence) and [faults]. Sound up to the same 62-bit
+    hash-compaction caveat as [Exact] dedup; requires a
+    [state_fingerprint] hook ([Invalid_argument] otherwise). *)
 type por = No_por | Sleep
 
 type fault_bounds = { max_drops : int; max_dups : int }

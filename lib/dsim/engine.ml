@@ -948,31 +948,39 @@ let ensure_caches t =
     t.pd_fp <- cells
   end
 
-(* Everything pid-local: protocol state, crash flag, latency probes. *)
+(* Everything pid-local: the protocol state's digest [st] (see
+   [state_digest]), crash flag, latency probes. *)
+let local_fp st ~crashed ~first_input ~first_output =
+  let fp = Fp.mix st (Fp.bool crashed) in
+  let fp = Fp.mix fp (Fp.option Fp.int first_input) in
+  Fp.mix fp (Fp.option Fp.int first_output)
+
+let state_digest state_fp s = Fp.mix 59 (state_fp s)
+
 let cached_local t state_fp pid =
   let v = t.loc_fp.(pid) in
   if v <> stale then v
   else begin
-    let st = match t.states.(pid) with None -> 53 | Some s -> Fp.mix 59 (state_fp s) in
-    let fp = Fp.mix st (Fp.bool t.crashed_flags.(pid)) in
-    let fp = Fp.mix fp (Fp.option Fp.int t.first_input.(pid)) in
-    let v = Fp.mix fp (Fp.option Fp.int t.first_output.(pid)) in
+    let st = match t.states.(pid) with None -> 53 | Some s -> state_digest state_fp s in
+    let v =
+      local_fp st ~crashed:t.crashed_flags.(pid) ~first_input:t.first_input.(pid)
+        ~first_output:t.first_output.(pid)
+    in
     t.loc_fp.(pid) <- v;
     v
   end
 
 (* One pending message; the pool folds these commutatively. *)
+let slot_fp ~src ~dst msg ~sent_at =
+  Fp.mix
+    (Fp.mix (Fp.mix (Fp.mix 61 (Fp.int src)) (Fp.int dst)) (Fp.structural msg))
+    (Fp.int sent_at)
+
 let cached_slot t s =
   let v = t.pd_fp.(s) in
   if v <> stale then v
   else begin
-    let v =
-      Fp.mix
-        (Fp.mix
-           (Fp.mix (Fp.mix 61 (Fp.int t.pd_src.(s))) (Fp.int t.pd_dst.(s)))
-           (Fp.structural t.pd_msgs.(s)))
-        (Fp.int t.pd_sent.(s))
-    in
+    let v = slot_fp ~src:t.pd_src.(s) ~dst:t.pd_dst.(s) t.pd_msgs.(s) ~sent_at:t.pd_sent.(s) in
     t.pd_fp.(s) <- v;
     v
   end
@@ -1007,19 +1015,36 @@ let fingerprint t =
   let fp = fold_queue t queue_step (Fp.mix !fp (cached_pool t)) in
   Fp.mix fp (timers_fp t)
 
-(* The child of [t] that drops [drop], duplicates [dup], delivers
-   [deliver] at [at] and runs until [until] changes [t] in few places:
-   the clock (if anything is delivered), the send and fault counters, the
+type 'output trial = {
+  dst : Pid.t;
+  local : Fp.t;
+  sends : int;
+  sent : Fp.t;
+  batch : Fp.t;
+  outputs : (Time.t * Pid.t * 'output) list;
+  fingerprint : Fp.t;
+}
+
+type 'output prediction = {
+  trial : int list -> 'output trial;
+  key : drop:int list -> dup:int list -> trials:'output trial list -> Fp.t;
+}
+
+(* The child of [t] that drops [drop], duplicates [dup], delivers its
+   batches at [at] and runs until [until] changes [t] in few places: the
+   clock (if anything is delivered), the send and fault counters, the
    local content of each destination that took a delivery, and the pool —
    which loses the dropped and delivered messages and gains the copies
-   and whatever the destinations sent. Each destination's part is read off
-   its trial, a clone of [t] that delivered only that destination's
-   batch: a delivery steps its destination alone and its sends land in the
-   pool, so the parts do not interact. The pool is a sum of slot digests,
-   so it is updated by adding and subtracting; a trial's pool is [t]'s
-   minus its batch plus its sends, which gives the pool formula below.
+   and whatever the destinations sent. Each destination's part is a
+   trial: a delivery steps its destination alone, its sends land in the
+   pool with [sent_at = at], timer actions are no-ops and nothing else is
+   due, so one destination's batch can be run on a copy of that
+   destination's state alone, and the parts do not interact. The pool is
+   a sum of slot digests, so it is updated by adding and subtracting.
    Everything else — the queue beyond [until], the timers (none armed),
-   the other processes — is [t]'s. *)
+   the other processes — is [t]'s. A trial's own fingerprint is the same
+   composition with one leg and nothing dropped, duplicated or delivered
+   to a crashed process. *)
 let child_fingerprint t ~at ~until =
   let state_fp = state_fp_of t ~caller:"Engine.child_fingerprint" in
   let horizon = Int.max at until in
@@ -1042,44 +1067,102 @@ let child_fingerprint t ~at ~until =
     let locals = Array.init t.n (cached_local t state_fp) in
     let tail = List.rev (fold_queue t (fun acc p e -> (p, e) :: acc) []) in
     let timers = timers_fp t in
-    Some
-      (fun ~drop ~dup ~deliver ~trials ->
-        let slots ids = List.fold_left (fun acc id -> acc + cached_slot t id) 0 ids in
-        let to_crashed =
-          List.fold_left
-            (fun acc id -> if t.crashed_flags.(t.pd_dst.(id)) then acc + cached_slot t id else acc)
-            0 deliver
-        in
-        let sends = ref t.sends and pend = ref (pool - slots drop + slots dup - to_crashed) in
-        List.iter
-          (fun (_, trial) ->
-            ensure_caches trial;
-            sends := !sends + trial.sends - t.sends;
-            pend := !pend + cached_pool trial - pool)
-          trials;
-        let fp =
-          ref
-            (header_fp ~n:t.n
-               ~now:(if deliver = [] then t.now else at)
-               ~sends:!sends
-               ~dropped:(t.faults_dropped + List.length drop)
-               ~duplicated:(t.faults_duplicated + List.length dup))
-        in
-        let rec mix_locals pid trials =
-          if pid < t.n then
-            match trials with
-            | (dst, trial) :: rest when dst = pid ->
-                fp := Fp.mix !fp (cached_local trial state_fp pid);
-                mix_locals (pid + 1) rest
-            | _ ->
-                fp := Fp.mix !fp locals.(pid);
-                mix_locals (pid + 1) trials
-          else if trials <> [] then
-            invalid_arg "Engine.child_fingerprint: trials not in ascending destination order"
-        in
-        mix_locals 0 trials;
-        let fp = List.fold_left (fun acc (p, e) -> queue_step acc p e) (Fp.mix !fp !pend) tail in
-        Fp.mix fp timers)
+    (* A child delivers every message to a crashed process: a no-op that
+       only takes it out of the pool. *)
+    let to_crashed = ref 0 and any_to_crashed = ref false in
+    for s = 0 to t.pd_hwm - 1 do
+      if t.pd_src.(s) >= 0 && t.crashed_flags.(t.pd_dst.(s)) then begin
+        to_crashed := !to_crashed + cached_slot t s;
+        any_to_crashed := true
+      end
+    done;
+    let to_crashed = !to_crashed and any_to_crashed = !any_to_crashed in
+    let compose ~now ~sends ~dropped ~duplicated ~pend trials =
+      let fp = ref (header_fp ~n:t.n ~now ~sends ~dropped ~duplicated) in
+      let rec mix_locals pid trials =
+        if pid < t.n then
+          match trials with
+          | trial :: rest when trial.dst = pid ->
+              fp := Fp.mix !fp trial.local;
+              mix_locals (pid + 1) rest
+          | _ ->
+              fp := Fp.mix !fp locals.(pid);
+              mix_locals (pid + 1) trials
+        else if trials <> [] then
+          invalid_arg "Engine.child_fingerprint: trials not in ascending destination order"
+      in
+      mix_locals 0 trials;
+      let fp = List.fold_left (fun acc (p, e) -> queue_step acc p e) (Fp.mix !fp pend) tail in
+      Fp.mix fp timers
+    in
+    let trial ids =
+      let dst =
+        match ids with
+        | id :: _ when pending_live t id && not t.crashed_flags.(t.pd_dst.(id)) -> t.pd_dst.(id)
+        | _ -> invalid_arg "Engine.child_fingerprint: a trial takes live ids to a correct process"
+      in
+      let st = ref (t.automaton.Automaton.state_copy (state t dst)) in
+      let sends = ref 0 and sent = ref 0 and batch = ref 0 and outputs_rev = ref [] in
+      let send d msg =
+        incr sends;
+        sent := !sent + slot_fp ~src:dst ~dst:d msg ~sent_at:at
+      in
+      let rec act = function
+        | [] -> ()
+        | action :: rest ->
+            (match action with
+            | Automaton.Send (d, msg) -> send d msg
+            | Automaton.Broadcast msg ->
+                for d = 0 to t.n - 1 do
+                  if d <> dst then send d msg
+                done
+            | Automaton.Set_timer _ | Automaton.Cancel_timer _ -> ()
+            | Automaton.Output output -> outputs_rev := (at, dst, output) :: !outputs_rev);
+            act rest
+      in
+      List.iter
+        (fun id ->
+          if not (pending_live t id && t.pd_dst.(id) = dst) then
+            invalid_arg "Engine.child_fingerprint: a trial's ids must be live, to one process";
+          batch := !batch + cached_slot t id;
+          let s', actions = t.automaton.on_message !st ~src:t.pd_src.(id) t.pd_msgs.(id) in
+          st := s';
+          act actions)
+        ids;
+      let outputs = List.rev !outputs_rev in
+      let first_output =
+        match t.first_output.(dst) with None when outputs <> [] -> Some at | first -> first
+      in
+      let local =
+        local_fp (state_digest state_fp !st) ~crashed:false ~first_input:t.first_input.(dst)
+          ~first_output
+      in
+      let r =
+        { dst; local; sends = !sends; sent = !sent; batch = !batch; outputs; fingerprint = 0 }
+      in
+      {
+        r with
+        fingerprint =
+          compose ~now:at ~sends:(t.sends + !sends) ~dropped:t.faults_dropped
+            ~duplicated:t.faults_duplicated ~pend:(pool - !batch + !sent) [ r ];
+      }
+    in
+    let key ~drop ~dup ~trials =
+      let slots ids = List.fold_left (fun acc id -> acc + cached_slot t id) 0 ids in
+      let sends = ref t.sends and pend = ref (pool - slots drop + slots dup - to_crashed) in
+      List.iter
+        (fun trial ->
+          sends := !sends + trial.sends;
+          pend := !pend + trial.sent - trial.batch)
+        trials;
+      compose
+        ~now:(if trials = [] && not any_to_crashed then t.now else at)
+        ~sends:!sends
+        ~dropped:(t.faults_dropped + List.length drop)
+        ~duplicated:(t.faults_duplicated + List.length dup)
+        ~pend:!pend trials
+    in
+    Some { trial; key }
   end
 
 let decision_latencies t =

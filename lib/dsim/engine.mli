@@ -328,36 +328,57 @@ val fingerprint : ('state, 'msg, 'input, 'output) t -> Fingerprint.t
     Raises [Invalid_argument] when the automaton has no
     [state_fingerprint] hook ({!has_fingerprint} is [false]). *)
 
-val child_fingerprint :
-  ('state, 'msg, 'input, 'output) t ->
-  at:Time.t ->
-  until:Time.t ->
-  (drop:int list ->
-  dup:int list ->
-  deliver:int list ->
-  trials:(Pid.t * ('state, 'msg, 'input, 'output) t) list ->
-  Fingerprint.t)
-  option
-(** Predict the {!fingerprint} of a child of [t] without building
-    it. The child is what these steps make of a {!clone} of [t]:
-    {!drop_pending} each id of [drop], {!duplicate_pending} each id of
-    [dup], {!deliver_pending} each id of [deliver] at [at], in that order,
-    then [run ~until:at] and [run ~until]. [child_fingerprint t ~at
-    ~until] returns [Some key] when [t] admits the prediction, and [key
-    ~drop ~dup ~deliver ~trials] is that child's fingerprint.
+type 'output trial = private {
+  dst : Pid.t;  (** the batch's destination *)
+  local : Fingerprint.t;  (** [dst]'s local digest after the batch *)
+  sends : int;  (** messages [dst] sent while taking the batch *)
+  sent : Fingerprint.t;  (** the sum of those messages' slot digests *)
+  batch : Fingerprint.t;  (** the sum of the batch's slot digests *)
+  outputs : (Time.t * Pid.t * 'output) list;  (** outputs emitted, in order *)
+  fingerprint : Fingerprint.t;  (** {!fingerprint} of the engine the trial stands for *)
+}
+(** One destination's batch of deliveries at a round boundary, run on a
+    copy of that destination's state alone. [fingerprint] and [outputs]
+    are what a {!clone} of the engine would show after {!deliver_pending}
+    of the batch at {!child_fingerprint}'s [at] and [run ~until:at]: its
+    {!fingerprint}, and the
+    outputs it emitted past the source's {!output_count}. The other
+    fields are what {!prediction}'s [key] reads. *)
 
-    [trials] holds one [(dst, trial)] pair for every correct destination
-    of [deliver], in ascending [dst] order. [trial] is a clone of [t] that
-    delivered (with {!deliver_pending} at [at]) exactly the ids of
-    [deliver] addressed to [dst], in their order in [deliver], and then ran
-    [run ~until:at]. Ids must be live, distinct, and [drop] disjoint from
-    [dup] and [deliver]. Nothing checks this contract: a violation yields
-    a wrong key, not an error.
+type 'output prediction = {
+  trial : int list -> 'output trial;
+  key : drop:int list -> dup:int list -> trials:'output trial list -> Fingerprint.t;
+}
+(** What {!child_fingerprint} offers at a node that admits it. *)
+
+val child_fingerprint :
+  ('state, 'msg, 'input, 'output) t -> at:Time.t -> until:Time.t -> 'output prediction option
+(** Predict the {!fingerprint} of a child of [t] without building it.
+    The child is what these steps make of a {!clone} of [t]:
+    {!drop_pending} each id of [drop], {!duplicate_pending} each id of
+    [dup], {!deliver_pending} at [at] each id of every trial's batch and
+    every pending id addressed to a crashed process, then [run ~until:at]
+    and [run ~until]. [child_fingerprint t ~at ~until] returns [Some p]
+    when [t] admits the prediction.
+
+    [p.trial ids] delivers [ids], in order, to a [state_copy] of their
+    one destination's state, which must be a correct process. It neither
+    clones nor steps [t]. [p.key ~drop ~dup ~trials] is the child's
+    fingerprint, where [trials] holds [p.trial] of the child's batch for
+    every correct destination that takes one, in ascending destination
+    order. [p.key] costs O(n + [drop] + [dup] + [trials]) plus the queue
+    beyond [until]. Ids must be live and distinct; [drop] and [dup] must
+    be addressed to correct processes, and [drop] must be disjoint from
+    [dup] and from every batch. Nothing checks this contract beyond a
+    trial's ids and the order of [trials]: a violation yields a wrong key,
+    not an error.
 
     Returns [None] unless nothing but those deliveries can happen before
     [until]: timers disabled, a {!Network.Manual} network, no fault plan,
     [at >= now t], no event in the heap or the input calendar at or before
     [max at until], and at least {!pending_count} steps left in the
-    [max_steps] budget. [key] fills [t]'s and the trials' caches, and
+    [max_steps] budget. [child_fingerprint] fills [t]'s caches, and [p]
     stays valid until [t] is next stepped or mutated. Raises
-    [Invalid_argument] without a [state_fingerprint] hook. *)
+    [Invalid_argument] without a [state_fingerprint] hook, and [p.trial]
+    raises it for an empty batch, a dead id, ids to different processes
+    or a crashed destination. *)

@@ -3,7 +3,7 @@
     Every source of randomness in the simulator flows through an explicit
     [Rng.t] so that runs are replayable from a single integer seed. The
     generator is mutable but cheap to [copy] (an engine clone copies its
-    generators) and to [split]. *)
+    generators). *)
 
 type t
 
@@ -13,10 +13,6 @@ val create : seed:int -> t
 
 val copy : t -> t
 (** [copy t] is an independent generator with the same current state. *)
-
-val split : t -> t
-(** [split t] advances [t] and returns a new generator whose stream is
-    statistically independent of the remainder of [t]'s stream. *)
 
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)

@@ -565,13 +565,12 @@ let explore_dedup_sound_property =
 (* The configurations of the pinned-totals tests: (n, e, f, rounds,
    explored fault bounds, dedup), with pid i proposing n - 1 - i and a
    property that fails wherever p0 decides, under an ample budget. *)
-let explore_totals ?(por = Explore.No_por) (n, e, f, rounds, faults, dedup) =
+let explore_totals ?(por = Explore.No_por) ?(budget = 1_000_000)
+    ?(check = fun o -> Scenario.decided_value o 0 = None) (n, e, f, rounds, faults, dedup) =
   let proposals = Scenario.all_proposals_at_zero ~n (List.init n (fun i -> n - 1 - i)) in
   (snd
-     (Explore.synchronous_report Core.Rgs.task ~n ~e ~f ~delta ~proposals ~rounds
-        ~budget:1_000_000 ~faults ~dedup ~por
-        ~check:(fun o -> Scenario.decided_value o 0 = None)
-        ()))
+     (Explore.synchronous_report Core.Rgs.task ~n ~e ~f ~delta ~proposals ~rounds ~budget ~faults
+        ~dedup ~por ~check ()))
     .Explore.Run_report.totals
 
 let drop_dup = { Explore.max_drops = 1; max_dups = 1 }
@@ -769,7 +768,9 @@ let test_explore_por_timer_between_deliveries () =
 let test_explore_por_totals_identical () =
   (* Sleep-POR totals, pinned like the exact-dedup ones: the former
      multi-domain search counted these same totals at every domain
-     count, POR counters included. *)
+     count, POR counters included. The trials behind the POR counters
+     and the child keys are the engine's single-destination trials
+     wherever it offers them. *)
   List.iter
     (fun (name, cfg, expected) ->
       Alcotest.check totals_testable (name ^ ": totals") expected
@@ -800,7 +801,28 @@ let test_explore_por_totals_identical () =
           por_pruned = 9128;
           sleep_hits = 7350;
         } );
-    ]
+    ];
+  (* The benchmark's set-up search: explore-faults-n6 one size down, at
+     the task bound n = 5 (e = 2, f = 1), checking safety. The benchmark
+     gates only its explored and distinct counts. *)
+  Alcotest.check totals_testable "benchmark set-up n=5 drop+dup: totals"
+    {
+      Explore.Run_report.explored = 2240;
+      violations = 0;
+      truncated = true;
+      depth_histogram = [| 0; 0; 2240 |];
+      fast_runs = 1708;
+      fault_runs = 2208;
+      drops = 2048;
+      dups = 1840;
+      distinct_states = 13185;
+      dedup_hits = 58240;
+      pruned_subtrees = 41568;
+      por_pruned = 89342;
+      sleep_hits = 65472;
+    }
+    (explore_totals ~por:Explore.Sleep ~budget:100_000 ~check:Safety.safe
+       (5, 2, 1, 2, drop_dup, Explore.Exact))
 
 let test_explore_por_n8_within_budget () =
   (* n = 8 at the task bound (e = 2, f = 4), three rounds: exact dedup

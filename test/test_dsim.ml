@@ -1075,18 +1075,23 @@ let test_timer_heap_semantics () =
    is combined with per-destination delivery orders: the whole product of
    the destinations' orders when it has at most 64 members, otherwise the
    k-th order of every destination for each k, which still puts every
-   order of every destination in some child. Each child is built with
-   [clone], [drop_pending], [duplicate_pending], [deliver_pending] and
-   [run], and its fingerprint must equal the key; so must the fingerprint
-   of the same child rebuilt from time 0, which starts with no digest
-   caches. The second boundary is reached through a seed-chosen child of
-   the first. *)
+   order of every destination in some child. Every (destination, order)
+   pair is trialled twice: by the prediction's [trial], and by a clone
+   that delivers the same batch; the two must agree on the fingerprint
+   and the new outputs, and neither may move the parent's fingerprint.
+   Each child is keyed from the trial records, built with [clone],
+   [drop_pending], [duplicate_pending], [deliver_pending] and [run], and
+   its fingerprint must equal the key; so must the fingerprint of the
+   same child rebuilt from time 0, which starts with no digest caches.
+   The second boundary is reached through a seed-chosen child of the
+   first. *)
 
 let key_delta = 100
 
 let key_protocols =
   [|
     ("rgs-task", Core.Rgs.task);
+    ("rgs-object", Core.Rgs.obj);
     ("fast-paxos", Baselines.Fast_paxos.protocol);
     ("paxos", Baselines.Paxos.protocol);
     ("epaxos", Epaxos.protocol);
@@ -1105,6 +1110,8 @@ let order_combos per_dst =
     let widest = List.fold_left (fun a l -> max a (List.length l)) 0 per_dst in
     List.init widest (fun k -> List.map (fun l -> List.nth l (k mod List.length l)) per_dst)
 
+let ids l = String.concat ";" (List.map string_of_int l)
+
 (* Check every child of [engine] at boundary [round]; returns the choices
    made, each with the child it builds and a function rebuilding that
    child from time 0. [fresh] rebuilds [engine] from time 0: an engine
@@ -1113,42 +1120,54 @@ let order_combos per_dst =
    inherited mostly from caches. *)
 let check_boundary ~fresh engine ~round ~drops_left ~dups_left =
   let at = round * key_delta and until = ((round + 1) * key_delta) - 1 in
-  let key =
+  let prediction =
     match Engine.child_fingerprint engine ~at ~until with
-    | Some key -> key
-    | None -> QCheck.Test.fail_reportf "boundary %d: no key function" round
+    | Some p -> p
+    | None -> QCheck.Test.fail_reportf "boundary %d: no prediction" round
   in
+  let parent = Engine.fingerprint engine and since = Engine.output_count engine in
   let groups, to_crashed = Engine.pending_delivery_groups engine in
   let live = List.concat_map snd groups in
   let trials = Hashtbl.create 16 in
-  let trial dst order =
+  let trial order =
     match Hashtbl.find_opt trials order with
-    | Some t -> (dst, t)
+    | Some r -> r
     | None ->
-        let t = Engine.clone engine in
-        List.iter (fun id -> Engine.deliver_pending t ~id ~at) order;
-        ignore (Engine.run ~until:at t);
-        Hashtbl.add trials order t;
-        (dst, t)
+        let r = prediction.Engine.trial order in
+        let clone = Engine.clone engine in
+        List.iter (fun id -> Engine.deliver_pending clone ~id ~at) order;
+        ignore (Engine.run ~until:at clone);
+        let fail what =
+          QCheck.Test.fail_reportf "boundary %d, trial [%s]: %s" round (ids order) what
+        in
+        if r.Engine.fingerprint <> Engine.fingerprint clone then
+          fail
+            (Printf.sprintf "fingerprint %d, clone's %d" r.Engine.fingerprint
+               (Engine.fingerprint clone));
+        if r.Engine.outputs <> Engine.recent_outputs clone ~since then
+          fail "outputs differ from the clone's new outputs";
+        if Engine.fingerprint engine <> parent then fail "the parent's fingerprint moved";
+        Hashtbl.add trials order r;
+        r
   in
   List.concat_map
     (fun drop ->
       let kept = List.filter (fun id -> not (List.mem id drop)) live in
       let per_dst =
         List.filter_map
-          (fun (dst, batch) ->
+          (fun (_, batch) ->
             match List.filter (fun id -> not (List.mem id drop)) batch with
             | [] -> None
-            | kept_batch -> Some (List.map (fun o -> (dst, o)) (orders kept_batch)))
+            | kept_batch -> Some (orders kept_batch))
           groups
       in
       List.concat_map
         (fun dup ->
           List.map
             (fun combo ->
-              let deliver = List.concat_map snd combo @ to_crashed in
+              let deliver = List.concat combo @ to_crashed in
               let predicted =
-                key ~drop ~dup ~deliver ~trials:(List.map (fun (d, o) -> trial d o) combo)
+                prediction.Engine.key ~drop ~dup ~trials:(List.map trial combo)
               in
               let extend node =
                 List.iter (fun id -> Engine.drop_pending node ~id) drop;
@@ -1163,10 +1182,7 @@ let check_boundary ~fresh engine ~round ~drops_left ~dups_left =
               let fail what digest =
                 QCheck.Test.fail_reportf
                   "boundary %d, drop [%s], dup [%s], deliver [%s]: key %d, %s %d" round
-                  (String.concat ";" (List.map string_of_int drop))
-                  (String.concat ";" (List.map string_of_int dup))
-                  (String.concat ";" (List.map string_of_int deliver))
-                  predicted what digest
+                  (ids drop) (ids dup) (ids deliver) predicted what digest
               in
               if Engine.fingerprint child <> predicted then
                 fail "child" (Engine.fingerprint child);
@@ -1234,6 +1250,61 @@ let child_key_property =
       no_key ~crashes:((key_delta, 0) :: crashes) "a crash at the boundary";
       no_key ~faults:(Network.Fault.random ~drop_rate:0.5 ()) "a fault plan";
       true)
+
+(* A process state with mutable fields, stepped in place, and the hooks
+   that go with it. Each process broadcasts its id plus one at time 0; a
+   process that has heard from two senders outputs their sum and answers
+   the second of them, so delivery orders differ in arrivals, outputs and
+   sends. A trial that stepped its source's state rather than a
+   [state_copy] of it would change the source's contents. *)
+type tally = { mutable arrivals : Pid.t list; mutable sum : int }
+
+let tally : (tally, int, unit, int) Automaton.t =
+  {
+    init = (fun ~self ~n:_ -> ({ arrivals = []; sum = 0 }, [ Automaton.Broadcast (self + 1) ]));
+    on_message =
+      (fun s ~src m ->
+        s.arrivals <- src :: s.arrivals;
+        s.sum <- s.sum + m;
+        let second = List.length s.arrivals = 2 in
+        (s, if second then [ Automaton.Output s.sum; Send (src, s.sum) ] else []));
+    on_input = Automaton.no_input;
+    on_timer = Automaton.no_timer;
+    state_copy = (fun s -> { arrivals = s.arrivals; sum = s.sum });
+    state_fingerprint = Some (fun s -> Fp.mix (Fp.list Fp.int s.arrivals) (Fp.int s.sum));
+  }
+
+let test_child_key_mutable_state () =
+  let n = 4 in
+  let positioned () =
+    let engine =
+      Engine.create ~automaton:tally ~n ~network:Network.Manual ~disable_timers:true ()
+    in
+    ignore (Engine.run ~until:(key_delta - 1) engine);
+    engine
+  in
+  let contents engine =
+    List.map
+      (fun p ->
+        let s = Engine.state engine p in
+        (s.arrivals, s.sum))
+      (Pid.all ~n)
+  in
+  let check_round ~fresh engine ~round ~drops_left ~dups_left =
+    let before = contents engine in
+    let children = check_boundary ~fresh engine ~round ~drops_left ~dups_left in
+    Alcotest.(check (list (pair (list int) int)))
+      (Printf.sprintf "boundary %d: the source's states are as they were" round)
+      before (contents engine);
+    children
+  in
+  let first = check_round ~fresh:positioned (positioned ()) ~round:1 ~drops_left:1 ~dups_left:1 in
+  let (drop, dup), next, replay = List.nth first (List.length first / 2) in
+  Alcotest.(check bool) "a second boundary" true (Engine.pending_count next > 0);
+  ignore
+    (check_round ~fresh:replay next ~round:2 ~drops_left:(1 - List.length drop)
+       ~dups_left:(1 - List.length dup)
+      : _ list)
 
 (* Inputs due at a crashed process. The engine drops them without a
    trace, so the values that processes crashed at time 0 propose cannot
@@ -1374,7 +1445,11 @@ let () =
             test_engine_fingerprint_stability;
           Alcotest.test_case "protocol digests" `Quick test_protocol_digests;
         ] );
-      ("child-key", [ QCheck_alcotest.to_alcotest child_key_property ]);
+      ( "child-key",
+        [
+          QCheck_alcotest.to_alcotest child_key_property;
+          Alcotest.test_case "mutable state" `Quick test_child_key_mutable_state;
+        ] );
       (* Labels no longer than "fingerprint": alcotest pads every label to
          the longest one and truncates test names to fit. *)
       ("crash-input", [ QCheck_alcotest.to_alcotest crashed_input_property ]);
