@@ -3,19 +3,16 @@
    Usage:
      dune exec bench/main.exe              # everything: T1-T4, F1-F5, the perf suites
      dune exec bench/main.exe -- t3 f2     # selected experiments
-     dune exec bench/main.exe -- bechamel  # microbenchmarks only
      dune exec bench/main.exe -- explore   # exploration perf suite -> BENCH_explore.json
      dune exec bench/main.exe -- engine    # engine throughput suite -> BENCH_engine.json
      dune exec bench/main.exe -- --explore-budget 200 explore   # CI smoke sizing
      dune exec bench/main.exe -- --help    # every flag and name
 
    Each T/F experiment regenerates one claim of the paper as a table or
-   series (see DESIGN.md section 3 and EXPERIMENTS.md). The bechamel suite
-   measures the cost of the building blocks themselves and prints its
-   estimates; every other perf suite (explore, faults, engine, smr and
-   lin) times the explorer, the engine or the SMR deployment and records
-   its rows machine-readably in a BENCH_<suite>.json file so successive
-   runs can compare. *)
+   series (see DESIGN.md section 3 and EXPERIMENTS.md). Every perf suite
+   (explore, faults, engine, smr and lin) times the explorer, the engine
+   or the SMR deployment and records its rows machine-readably in a
+   BENCH_<suite>.json file so successive runs can compare. *)
 
 module Json = Stdext.Json
 
@@ -72,10 +69,8 @@ type explore_row = {
   wall_ns : int;
   fast_path_rate : float;
   mean_depth : float;
-  dedup : string;
   distinct_states : int;
   dedup_hits : int;
-  por : string;
   por_pruned : int;
 }
 
@@ -85,32 +80,19 @@ type explore_row = {
 let all_samples : explore_row list ref = ref []
 
 (* The fraction of search-tree arrivals that landed on an already-visited
-   state — 0 with dedup off. *)
+   state. *)
 let dedup_hit_rate r =
   let arrivals = r.distinct_states + r.dedup_hits in
   if arrivals = 0 then 0. else float_of_int r.dedup_hits /. float_of_int arrivals
 
-(* n=5..7 at fixed rounds: the (e, f) pairs keep n exactly at the task
-   bound 2e+f so the configurations match the T2/T3 grids. The n=7 tree
-   holds 1,292 runs: the 1,000 budget cuts it, and the extra 10k-budget
-   row searches it to the end. *)
-let explore_configs = [ (5, 2, 1, 1_000); (6, 2, 2, 1_000); (7, 2, 3, 1_000); (7, 2, 3, 10_000) ]
-
-let explore_rounds = 3
-
-let dedup_name = function Checker.Explore.Off -> "off" | Checker.Explore.Exact -> "exact"
-
-let por_name = function Checker.Explore.No_por -> "off" | Checker.Explore.Sleep -> "sleep"
-
-let time_explore ~experiment ~n ~e ~f ~budget ~rounds ~faults ?(dedup = Checker.Explore.Off)
-    ?(por = Checker.Explore.No_por) () =
+let time_explore ~experiment ~n ~e ~f ~budget ~rounds ~faults =
   let proposals =
     Checker.Scenario.all_proposals_at_zero ~n (List.init n (fun i -> n - 1 - i))
   in
   let t0 = Unix.gettimeofday () in
   let r, report =
     Checker.Explore.synchronous_report Core.Rgs.task ~n ~e ~f ~delta:100 ~proposals
-      ~rounds ~budget ~faults ~dedup ~por
+      ~rounds ~budget ~faults
       ~check:(fun o -> Checker.Safety.safe o)
       ()
   in
@@ -128,10 +110,8 @@ let time_explore ~experiment ~n ~e ~f ~budget ~rounds ~faults ?(dedup = Checker.
     wall_ns;
     fast_path_rate = Checker.Explore.Run_report.fast_path_rate totals;
     mean_depth = Checker.Explore.Run_report.mean_depth totals;
-    dedup = dedup_name dedup;
     distinct_states = totals.Checker.Explore.Run_report.distinct_states;
     dedup_hits = totals.Checker.Explore.Run_report.dedup_hits;
-    por = por_name por;
     por_pruned = totals.Checker.Explore.Run_report.por_pruned;
   }
 
@@ -149,24 +129,20 @@ let explore_json s =
     ("states_per_sec", fixed 1 (per_sec s.explored s.wall_ns));
     ("fast_path_rate", fixed 4 s.fast_path_rate);
     ("mean_depth", fixed 2 s.mean_depth);
-    ("dedup", Json.String s.dedup);
     ("distinct_states", Json.Int s.distinct_states);
     ("dedup_hit_rate", fixed 4 (dedup_hit_rate s));
-    ("por", Json.String s.por);
     ("por_pruned", Json.Int s.por_pruned);
     ("distinct_states_per_sec", fixed 1 (per_sec s.distinct_states s.wall_ns));
   ]
 
 let print_sample_table samples =
   Format.fprintf fmt
-    "%-20s %3s %7s %5s %5s %-8s %-6s | %8s %10s %11s %5s %6s %9s %6s %9s@." "experiment" "n"
-    "budget" "drops" "dups" "dedup" "por" "explored" "wall-ms" "states/sec" "fast" "depth"
-    "distinct" "hit%" "pruned";
+    "%-20s %3s %7s %5s %5s | %8s %10s %11s %5s %6s %9s %6s %9s@." "experiment" "n" "budget"
+    "drops" "dups" "explored" "wall-ms" "states/sec" "fast" "depth" "distinct" "hit%" "pruned";
   List.iter
     (fun s ->
-      Format.fprintf fmt
-        "%-20s %3d %7d %5d %5d %-8s %-6s | %8d %10.1f %11.0f %5.2f %6.2f %9d %6.1f %9d@."
-        s.experiment s.n s.budget s.faults.max_drops s.faults.max_dups s.dedup s.por s.explored
+      Format.fprintf fmt "%-20s %3d %7d %5d %5d | %8d %10.1f %11.0f %5.2f %6.2f %9d %6.1f %9d@."
+        s.experiment s.n s.budget s.faults.max_drops s.faults.max_dups s.explored
         (float_of_int s.wall_ns /. 1e6)
         (per_sec s.explored s.wall_ns)
         s.fast_path_rate s.mean_depth s.distinct_states
@@ -176,125 +152,67 @@ let print_sample_table samples =
 let emit_samples samples =
   all_samples := !all_samples @ samples;
   print_sample_table samples;
-  write_bench ~suite:"explore" ~version:9 (List.map explore_json !all_samples)
+  write_bench ~suite:"explore" ~version:10 (List.map explore_json !all_samples)
+
+(* The search at the task bound max(2e+f, 2f+1) for n = 5..8, three
+   rounds. At n = 5 the bound needs f = 2, so e = 1. Exact dedup and
+   sleep POR finish each tree well inside [explore_budget] (n = 8 takes
+   256 runs); batches of more than 4 messages still get only the two
+   representative orders, so the rows from n = 6 up report the
+   perm-limit fallback. *)
+let explore_configs = [ (5, 1, 2); (6, 2, 2); (7, 2, 3); (8, 2, 4) ]
+
+let explore_rounds = 3
+
+let explore_budget = 2_000
 
 let run_explore_suite ~budget_override () =
   Format.fprintf fmt "@.%s@.B2. Exploration@.%s@." (String.make 78 '-') (String.make 78 '-');
-  let configs =
-    let with_budget =
-      match budget_override with
-      | None -> explore_configs
-      | Some b -> List.map (fun (n, e, f, _) -> (n, e, f, b)) explore_configs
-    in
-    List.sort_uniq compare with_budget
-  in
-  let cases = List.map (fun cfg -> (cfg, Checker.Explore.Off)) configs in
-  (* The dedup trajectory: an explicit on-vs-off pair at every n >= 6
-     config (the off rows are above). The n=7 10k-budget pair is the
-     headline — dedup is what turns that budget-truncated search
-     exhaustive. *)
-  let dedup_cases =
-    List.filter_map
-      (fun (n, e, f, b) ->
-        if n >= 6 then Some ((n, e, f, b), Checker.Explore.Exact) else None)
-      configs
-  in
-  let samples =
-    List.map
-      (fun ((n, e, f, budget), dedup) ->
-        let experiment =
-          Printf.sprintf "explore-n%d%s" n
-            (if budget = 1_000 then "" else Printf.sprintf "-b%d" budget)
-        in
-        time_explore ~experiment ~n ~e ~f ~budget ~rounds:explore_rounds
-          ~faults:Checker.Explore.no_faults ~dedup ())
-      (cases @ dedup_cases)
-  in
-  (* POR trajectory: a fixed-budget on/off pair per n >= 6 config, run at
-     a budget large enough that both sides are exhaustive — so the
-     schedules-enumerated ratio measures the tree, not a budget artifact —
-     plus the POR+dedup composition row. Deliberately independent of
-     --explore-budget: POR makes these cheap. *)
-  let por_budget = 5_000 in
-  let por_samples =
-    List.concat_map
-      (fun (n, e, f, _) ->
-        if n < 6 then []
-        else
-          let experiment = Printf.sprintf "por-n%d" n in
-          List.map
-            (fun (dedup, por) ->
-              time_explore ~experiment ~n ~e ~f ~budget:por_budget
-                ~rounds:explore_rounds ~faults:Checker.Explore.no_faults ~dedup ~por ())
-            [
-              (Checker.Explore.Off, Checker.Explore.No_por);
-              (Checker.Explore.Off, Checker.Explore.Sleep);
-              (Checker.Explore.Exact, Checker.Explore.Sleep);
-            ])
-      (List.sort_uniq compare (List.map (fun (n, e, f, _) -> (n, e, f, 0)) configs))
-  in
-  (* The acceptance gate: POR with exact dedup must enumerate at
-     most half the schedules POR-off enumerates, with identical (clean)
-     verdicts — time_explore already fails on any violation. *)
-  List.iter
-    (fun (n, _, _, _) ->
-      if n >= 7 then begin
-        let find por dedup =
-          List.find
-            (fun s ->
-              s.experiment = Printf.sprintf "por-n%d" n
-              && s.por = por && s.dedup = dedup)
-            por_samples
-        in
-        let off = find "off" "off" in
-        let on = find "sleep" "exact" in
-        if on.explored * 2 > off.explored then
-          failwith
-            (Printf.sprintf
-               "POR regression at n=%d: sleep enumerates %d of %d schedules (> 50%%)" n
-               on.explored off.explored)
-      end)
-    (List.sort_uniq compare (List.map (fun (n, e, f, _) -> (n, e, f, 0)) configs));
-  (* The reduced search at n=8 (the task bound for e=2, f=4): exact dedup
-     and sleep POR finish its tree in 256 runs, so the budget does not
-     cut it; the perm-limit fallback still marks it truncated. Honours
-     --explore-budget for CI smoke sizing. *)
-  let n8_budget = match budget_override with None -> 2_000 | Some b -> b in
-  let n8_sample =
-    time_explore ~experiment:"por-n8" ~n:8 ~e:2 ~f:4 ~budget:n8_budget ~rounds:explore_rounds
-      ~faults:Checker.Explore.no_faults ~dedup:Checker.Explore.Exact ~por:Checker.Explore.Sleep
-      ()
-  in
-  emit_samples (samples @ por_samples @ [ n8_sample ])
+  let budget = Option.value budget_override ~default:explore_budget in
+  emit_samples
+    (List.map
+       (fun (n, e, f) ->
+         time_explore ~experiment:(Printf.sprintf "explore-n%d" n) ~n ~e ~f ~budget
+           ~rounds:explore_rounds ~faults:Checker.Explore.no_faults)
+       explore_configs)
 
-(* Fault-injection exploration: the same explorer with drop/duplication
-   branching enabled. Fault subsets widen the tree by orders of magnitude,
-   so these run at [fault_rounds] = 2 and lean on the budget cut; the
-   interesting signal is the states/sec cost of fault branching relative
-   to the no-fault rows. *)
-let fault_configs = [ (5, 2, 1, 2_000); (6, 2, 2, 2_000) ]
+(* Fault-injection exploration: the same search with drop/duplication
+   branching enabled, at [fault_rounds] = 2 under a [fault_budget] that
+   neither row reaches. faults-n6 is the benchmark's explore-faults-n6
+   search (n = 6, e = f = 2) and must read its pinned counts; faults-n5
+   is the benchmark's set-up search, which runs one size down at e = 2,
+   f = 1, outside the model's e <= f (the library accepts it). Both rows
+   keep their budget under --explore-budget, since a cut faults-n6 would
+   no longer be the benchmark's search. *)
+let fault_configs = [ (5, 2, 1); (6, 2, 2) ]
 
 let fault_rounds = 2
 
+let fault_budget = 100_000
+
 let fault_bounds = { Checker.Explore.max_drops = 1; max_dups = 1 }
 
-let run_faults_suite ~budget_override () =
+let run_faults_suite () =
   Format.fprintf fmt "@.%s@.B3. Fault-injection exploration (<=%d drops, <=%d dups)@.%s@."
     (String.make 78 '-') fault_bounds.Checker.Explore.max_drops
     fault_bounds.Checker.Explore.max_dups (String.make 78 '-');
-  let configs =
-    match budget_override with
-    | None -> fault_configs
-    | Some b -> List.sort_uniq compare (List.map (fun (n, e, f, _) -> (n, e, f, b)) fault_configs)
-  in
   let samples =
     List.map
-      (fun (n, e, f, budget) ->
+      (fun (n, e, f) ->
         time_explore
           ~experiment:(Printf.sprintf "faults-n%d" n)
-          ~n ~e ~f ~budget ~rounds:fault_rounds ~faults:fault_bounds ())
-      configs
+          ~n ~e ~f ~budget:fault_budget ~rounds:fault_rounds ~faults:fault_bounds)
+      fault_configs
   in
+  List.iter
+    (fun s ->
+      if s.experiment = "faults-n6" && (s.explored, s.distinct_states) <> (6_336, 44_865) then
+        failwith
+          (Printf.sprintf
+             "faults bench: faults-n6 read %d explored, %d distinct; the benchmark pins \
+              6336 and 44865"
+             s.explored s.distinct_states))
+    samples;
   emit_samples samples
 
 (* -- Engine throughput suite -------------------------------------------- *)
@@ -815,96 +733,6 @@ let run_lin_suite ~clients ~horizon () =
     samples;
   write_bench ~suite:"lin" ~version:2 (List.map lin_json samples)
 
-(* -- Bechamel microbenchmarks ------------------------------------------ *)
-
-let bench_sync_fast_path protocol name =
-  let run () =
-    let proposals = Checker.Scenario.all_proposals_at_zero ~n:5 [ 0; 1; 2; 3; 4 ] in
-    Checker.Scenario.run protocol ~n:5 ~e:2 ~f:2 ~delta
-      ~net:(Checker.Scenario.Sync (`Favor 4)) ~proposals ~disable_timers:true
-      ~until:(3 * delta) ()
-  in
-  Bechamel.Test.make ~name (Bechamel.Staged.stage (fun () -> ignore (run ())))
-
-let bench_recovery_select =
-  let replies =
-    List.init 10 (fun i ->
-        {
-          Core.Recovery.sender = i;
-          vbal = 0;
-          value = (if i < 4 then Some 7 else if i < 7 then Some 3 else None);
-          proposer = Some (100 + (i mod 2));
-          decided = None;
-        })
-  in
-  Bechamel.Test.make ~name:"recovery.select (10 replies)"
-    (Bechamel.Staged.stage (fun () ->
-         ignore (Core.Recovery.select ~n:13 ~e:3 ~f:3 ~initial:(Some 1) ~replies)))
-
-let bench_witness =
-  Bechamel.Test.make ~name:"witness.task_scenario n=6"
-    (Bechamel.Staged.stage (fun () ->
-         ignore (Lowerbound.Witness.task_scenario ~n:6 ~e:2 ~f:2 ())))
-
-let bench_partial_sync_run =
-  Bechamel.Test.make ~name:"rgs-task partial-sync run to decision (n=6)"
-    (Bechamel.Staged.stage (fun () ->
-         let proposals = Checker.Scenario.all_proposals_at_zero ~n:6 [ 5; 4; 3; 2; 1; 0 ] in
-         ignore
-           (Checker.Scenario.run Core.Rgs.task ~n:6 ~e:2 ~f:2 ~delta
-              ~net:(Checker.Scenario.Partial { gst = 3 * delta; max_pre_gst = 2 * delta })
-              ~proposals ~seed:1 ~until:(40 * delta) ())))
-
-let bench_rng =
-  let rng = Stdext.Rng.create ~seed:7 in
-  Bechamel.Test.make ~name:"rng.bits64"
-    (Bechamel.Staged.stage (fun () -> ignore (Stdext.Rng.bits64 rng)))
-
-let bench_pqueue =
-  Bechamel.Test.make ~name:"pqueue push+pop x100"
-    (Bechamel.Staged.stage (fun () ->
-         let q = Stdext.Pqueue.create () in
-         for i = 0 to 99 do
-           Stdext.Pqueue.push q ~priority:(i * 7 mod 31) i
-         done;
-         while not (Stdext.Pqueue.is_empty q) do
-           ignore (Stdext.Pqueue.pop q)
-         done))
-
-let run_bechamel () =
-  let open Bechamel in
-  Format.fprintf fmt "@.%s@.B1. Microbenchmarks (Bechamel, OLS estimate per run)@.%s@."
-    (String.make 78 '-') (String.make 78 '-');
-  let tests =
-    Test.make_grouped ~name:"twostep"
-      [
-        bench_rng;
-        bench_pqueue;
-        bench_recovery_select;
-        bench_sync_fast_path Core.Rgs.task "rgs-task sync fast path (n=5)";
-        bench_sync_fast_path Baselines.Fast_paxos.protocol "fast-paxos sync fast path (n=5)";
-        bench_witness;
-        bench_partial_sync_run;
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] tests in
-  let ols = Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold (fun name result acc -> (name, result) :: acc) results []
-    |> List.sort compare
-  in
-  Format.fprintf fmt "%-55s | %15s | %6s@." "benchmark" "ns/run" "r^2";
-  List.iter
-    (fun (name, result) ->
-      let estimate =
-        match Analyze.OLS.estimates result with Some (x :: _) -> x | _ -> nan
-      in
-      let r2 = Option.value ~default:nan (Analyze.OLS.r_square result) in
-      Format.fprintf fmt "%-55s | %15.1f | %6.4f@." name estimate r2)
-    rows
-
 (* -- dispatch ----------------------------------------------------------- *)
 
 let () =
@@ -913,9 +741,8 @@ let () =
   let smr_horizon = ref 10_000 and check_baseline = ref None and names = ref [] in
   let suites =
     [
-      ("bechamel", run_bechamel);
       ("explore", fun () -> run_explore_suite ~budget_override:!explore_budget ());
-      ("faults", fun () -> run_faults_suite ~budget_override:!explore_budget ());
+      ("faults", run_faults_suite);
       ( "engine",
         fun () -> run_engine_suite ~iters:!engine_iters ~check_baseline:!check_baseline () );
       ( "smr",
@@ -945,7 +772,7 @@ let () =
        [
          positive "--explore-budget"
            (fun b -> explore_budget := Some b)
-           "N run budget of every explore and faults row";
+           "N run budget of every explore row (default 2000)";
          positive "--engine-iters" (( := ) engine_iters)
            "N runs per engine workload (default 2000)";
          positive "--smr-clients" (( := ) smr_clients)

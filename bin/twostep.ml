@@ -34,43 +34,25 @@ let n_arg =
     & opt (some int) None
     & info [ "n" ] ~docv:"N" ~doc:"Number of processes (defaults to the protocol's bound).")
 
+(* -n, -e and -f together. A command derives its default n from e and
+   f, and only when -n is absent. Every default is one of the paper's
+   bounds, which assume 0 <= e <= f ({!Proto.Bounds.required}), so
+   outside that range a missing -n is a usage error (exit 124). *)
+let size_term =
+  let size n e f =
+    match n with
+    | None when e < 0 || f < e ->
+        `Error
+          ( true,
+            Printf.sprintf "-n is required: the default n assumes 0 <= e <= f (e = %d, f = %d)" e
+              f )
+    | _ -> `Ok (n, e, f)
+  in
+  Term.(ret (const size $ n_arg $ e_arg $ f_arg))
+
 let seed_arg = Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
 let delta = 100
-
-(* -- dedup plumbing ------------------------------------------------------ *)
-
-let dedup_arg =
-  Arg.(
-    value
-    & opt (enum [ ("off", Checker.Explore.Off); ("exact", Checker.Explore.Exact) ])
-        Checker.Explore.Exact
-    & info [ "dedup" ] ~docv:"MODE"
-        ~doc:
-          "State deduplication: $(b,off) or $(b,exact) (the default). The explorer \
-           prunes subtrees rooted at already-visited engine states; the faults and \
-           report sweeps count distinct terminal states.")
-
-let dedup_name = function Checker.Explore.Off -> "off" | Checker.Explore.Exact -> "exact"
-
-(* Terminal-state dedup for seed/target sweeps: collect each run's final
-   engine fingerprint in a Stateset and summarise distinct-vs-repeated end
-   states. Returns the [?final_fingerprint] argument for {!Scenario.run}
-   and a printer for the summary line. *)
-let final_dedup dedup =
-  match dedup with
-  | Checker.Explore.Off -> (None, fun _fmt -> ())
-  | Checker.Explore.Exact ->
-      let set = Stdext.Stateset.create () in
-      let runs = ref 0 and distinct = ref 0 in
-      let record fp =
-        incr runs;
-        if Stdext.Stateset.add set fp then incr distinct
-      in
-      ( Some record,
-        fun fmt ->
-          Format.fprintf fmt "end states (%s dedup): %d distinct over %d runs, %d hits@."
-            (dedup_name dedup) !distinct !runs (!runs - !distinct) )
 
 (* -- metrics plumbing --------------------------------------------------- *)
 
@@ -154,9 +136,9 @@ let run_cmd =
   let until_arg =
     Arg.(value & opt int (60 * delta) & info [ "until" ] ~docv:"T" ~doc:"Horizon (ticks).")
   in
-  let run protocol n e f proposals crashes net until seed =
+  let run protocol (n, e, f) proposals crashes net until seed =
     let (module P : Proto.Protocol.S) = protocol in
-    let n = Option.value ~default:(P.min_n ~e ~f) n in
+    let n = match n with Some n -> n | None -> P.min_n ~e ~f in
     let proposals =
       match proposals with
       | [] -> Checker.Scenario.all_proposals_at_zero ~n (List.init n Fun.id)
@@ -183,7 +165,7 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Run one consensus scenario and print decisions and verdict.")
     Term.(
-      const run $ protocol_arg $ n_arg $ e_arg $ f_arg $ proposals_arg $ crashes_arg ()
+      const run $ protocol_arg $ size_term $ proposals_arg $ crashes_arg ()
       $ net_arg $ until_arg $ seed_arg)
 
 (* -- check -------------------------------------------------------------- *)
@@ -195,9 +177,9 @@ let check_cmd =
       & opt (enum [ ("task", `Task); ("object", `Object) ]) `Task
       & info [ "kind" ] ~docv:"KIND" ~doc:"Definition to check: task (Def 4) or object (Def A.1).")
   in
-  let run protocol n e f kind =
+  let run protocol (n, e, f) kind =
     let (module P : Proto.Protocol.S) = protocol in
-    let n = Option.value ~default:(P.min_n ~e ~f) n in
+    let n = match n with Some n -> n | None -> P.min_n ~e ~f in
     let r =
       match kind with
       | `Task -> Checker.Twostep.check_task protocol ~n ~e ~f ~delta ~values:[ 0; 1 ] ()
@@ -208,7 +190,7 @@ let check_cmd =
   in
   Cmd.v
     (Cmd.info "check" ~doc:"Verify the e-two-step property over all E and configurations.")
-    Term.(const run $ protocol_arg $ n_arg $ e_arg $ f_arg $ kind_arg)
+    Term.(const run $ protocol_arg $ size_term $ kind_arg)
 
 (* -- witness ------------------------------------------------------------ *)
 
@@ -219,13 +201,16 @@ let witness_cmd =
       & opt (enum [ ("task", `Task); ("object", `Object) ]) `Task
       & info [ "mode" ] ~docv:"MODE" ~doc:"Which theorem's witness: task (Thm 5) or object (Thm 6).")
   in
-  let run mode n e f =
-    let bound =
-      Proto.Bounds.required
-        (match mode with `Task -> Proto.Bounds.Task | `Object -> Proto.Bounds.Object)
-        ~e ~f
+  let run mode (n, e, f) =
+    let n =
+      match n with
+      | Some n -> n
+      | None ->
+          Proto.Bounds.required
+            (match mode with `Task -> Proto.Bounds.Task | `Object -> Proto.Bounds.Object)
+            ~e ~f
+          - 1
     in
-    let n = Option.value ~default:(bound - 1) n in
     let r =
       match mode with
       | `Task -> Lowerbound.Witness.task_scenario ~n ~e ~f ()
@@ -236,7 +221,7 @@ let witness_cmd =
   Cmd.v
     (Cmd.info "witness"
        ~doc:"Replay the adversarial tightness choreography (default: one below the bound).")
-    Term.(const run $ mode_arg $ n_arg $ e_arg $ f_arg)
+    Term.(const run $ mode_arg $ size_term)
 
 (* -- audit --------------------------------------------------------------- *)
 
@@ -247,13 +232,17 @@ let audit_cmd =
       & opt (enum [ ("task", Core.Rgs.Task); ("object", Core.Rgs.Object) ]) Core.Rgs.Task
       & info [ "mode" ] ~docv:"MODE" ~doc:"Recovery rule variant to audit.")
   in
-  let run mode n e f =
-    let bound =
-      Proto.Bounds.required
-        (match mode with Core.Rgs.Task -> Proto.Bounds.Task | Core.Rgs.Object -> Proto.Bounds.Object)
-        ~e ~f
+  let run mode (n, e, f) =
+    let n =
+      match n with
+      | Some n -> n
+      | None ->
+          Proto.Bounds.required
+            (match mode with
+            | Core.Rgs.Task -> Proto.Bounds.Task
+            | Core.Rgs.Object -> Proto.Bounds.Object)
+            ~e ~f
     in
-    let n = Option.value ~default:bound n in
     let s = Lowerbound.Audit.check ~mode ~n ~e ~f in
     Format.printf "%a mode at n=%d e=%d f=%d: %a@." Core.Rgs.pp_mode mode n e f
       Lowerbound.Audit.pp_stats s;
@@ -261,7 +250,7 @@ let audit_cmd =
   in
   Cmd.v
     (Cmd.info "audit" ~doc:"Exhaustively audit the recovery rule (Lemma 7 / Lemma C.2).")
-    Term.(const run $ mode_arg $ n_arg $ e_arg $ f_arg)
+    Term.(const run $ mode_arg $ size_term)
 
 (* -- explore ------------------------------------------------------------- *)
 
@@ -282,27 +271,15 @@ let explore_cmd =
       & info [ "rounds" ] ~docv:"R"
           ~doc:"Synchronous round horizon to branch delivery orders over.")
   in
-  let por_arg =
-    Arg.(
-      value
-      & opt (enum [ ("off", `Off); ("sleep", `Sleep) ]) `Off
-      & info [ "por" ] ~docv:"MODE"
-          ~doc:
-            "Partial-order reduction: $(b,off) (the default) or $(b,sleep). Sleep-set \
-             reduction prunes commuting delivery orders before expansion — same \
-             verdict, a fraction of the schedules.")
-  in
-  let run protocol n e f rounds budget dedup por crashes metrics_out =
+  let run protocol (n, e, f) rounds budget crashes metrics_out =
     let (module P : Proto.Protocol.S) = protocol in
-    let n = Option.value ~default:(P.min_n ~e ~f) n in
+    let n = match n with Some n -> n | None -> P.min_n ~e ~f in
     let proposals = Checker.Scenario.all_proposals_at_zero ~n (List.init n Fun.id) in
-    let por = match por with `Off -> Checker.Explore.No_por | `Sleep -> Checker.Explore.Sleep in
-    let por_name = function Checker.Explore.No_por -> "off" | Checker.Explore.Sleep -> "sleep" in
     let r, report =
       with_metrics metrics_out (fun registry ->
           let r, report =
             Checker.Explore.synchronous_report protocol ~n ~e ~f ~delta ~proposals ~crashes
-              ~rounds ~budget ~dedup ~por ~metrics:registry
+              ~rounds ~budget ~metrics:registry
               ~check:(fun o -> Checker.Safety.safe o)
               ()
           in
@@ -310,8 +287,7 @@ let explore_cmd =
             Checker.Explore.Run_report.record registry report;
           (r, report))
     in
-    Format.printf "%s n=%d e=%d f=%d rounds=%d (budget %d, dedup %s, por %s)@." P.name n e f
-      rounds budget (dedup_name dedup) (por_name por);
+    Format.printf "%s n=%d e=%d f=%d rounds=%d (budget %d)@." P.name n e f rounds budget;
     let cuts =
       let sched = report.Checker.Explore.Run_report.sched in
       List.filter_map
@@ -335,10 +311,10 @@ let explore_cmd =
     (Cmd.info "explore"
        ~doc:
          "Exhaustively explore synchronous delivery schedules and check safety on \
-          every run; $(b,--por sleep) prunes commuting orders.")
+          every run. The search prunes revisited states (exact dedup) and commuting \
+          delivery orders (sleep-set POR).")
     Term.(
-      const run $ protocol_arg $ n_arg $ e_arg $ f_arg $ rounds_arg $ budget_arg
-      $ dedup_arg $ por_arg
+      const run $ protocol_arg $ size_term $ rounds_arg $ budget_arg
       $ crashes_arg
           ~doc:
             "Crash schedule as time:pid pairs. The search runs with timers off, so no \
@@ -393,10 +369,10 @@ let faults_cmd =
   let until_arg =
     Arg.(value & opt int (60 * delta) & info [ "until" ] ~docv:"T" ~doc:"Horizon (ticks).")
   in
-  let run protocol n e f drop_rate dup_rate max_drops max_dups max_extra_delay crashes
-      seeds seed until dedup metrics_out =
+  let run protocol (n, e, f) drop_rate dup_rate max_drops max_dups max_extra_delay crashes
+      seeds seed until metrics_out =
     let (module P : Proto.Protocol.S) = protocol in
-    let n = Option.value ~default:(P.min_n ~e ~f) n in
+    let n = match n with Some n -> n | None -> P.min_n ~e ~f in
     let proposals = Checker.Scenario.all_proposals_at_zero ~n (List.init n Fun.id) in
     let faults =
       Dsim.Network.Fault.random ~drop_rate ~dup_rate ~max_drops ~max_dups
@@ -407,7 +383,6 @@ let faults_cmd =
       n e f drop_rate max_drops dup_rate max_dups seeds
       (if seeds = 1 then "" else "s");
     let violations = ref 0 in
-    let final_fingerprint, pp_dedup = final_dedup dedup in
     with_metrics metrics_out (fun registry ->
         (* One registry across the sweep: the engine.* counters aggregate
            over all seeds. *)
@@ -415,8 +390,7 @@ let faults_cmd =
           let o =
             Checker.Scenario.run protocol ~n ~e ~f ~delta
               ~net:(Checker.Scenario.Partial { gst = 5 * delta; max_pre_gst = 3 * delta })
-              ~proposals ~crashes ~seed:s ~faults ~metrics:registry ?final_fingerprint
-              ~until ()
+              ~proposals ~crashes ~seed:s ~faults ~metrics:registry ~until ()
           in
           let verdict = Checker.Safety.check o in
           if not (Checker.Safety.safe o) then incr violations;
@@ -425,7 +399,6 @@ let faults_cmd =
             (List.length o.decisions)
             n Checker.Safety.pp_verdict verdict
         done);
-    pp_dedup Format.std_formatter;
     if !violations > 0 then begin
       Format.printf "%d of %d seeds violated safety@." !violations seeds;
       exit 1
@@ -438,10 +411,10 @@ let faults_cmd =
          "Sweep seeded loss/duplication/crash fault plans over one protocol and check \
           safety on every run.")
     Term.(
-      const run $ protocol_arg $ n_arg $ e_arg $ f_arg $ drop_rate_arg 0.1 $ dup_rate_arg 0.1
+      const run $ protocol_arg $ size_term $ drop_rate_arg 0.1 $ dup_rate_arg 0.1
       $ max_drops_arg 8 $ max_dups_arg 8 $ max_extra_delay_arg
       $ crashes_arg ~doc:"Crash schedule as time:pid pairs (composes with the fault plan)." ()
-      $ seeds_arg $ seed_arg $ until_arg $ dedup_arg $ metrics_out_arg)
+      $ seeds_arg $ seed_arg $ until_arg $ metrics_out_arg)
 
 (* -- report -------------------------------------------------------------- *)
 
@@ -452,22 +425,13 @@ let report_cmd =
       & info [ "json" ]
           ~doc:"Emit one JSON object per protocol (Checker.Report.to_json) instead of text.")
   in
-  let run n e f json dedup metrics_out =
+  let run (n, e, f) json metrics_out =
     with_metrics metrics_out (fun registry ->
         List.iter
           (fun (_, protocol) ->
-            (* Per-protocol set: the interesting number is how many distinct
-               end states the n favored runs of one protocol reach. *)
-            let final_fingerprint, pp_dedup = final_dedup dedup in
-            let r =
-              Checker.Report.conflict_free protocol ?n ~e ~f ~delta ~metrics:registry
-                ?final_fingerprint ()
-            in
+            let r = Checker.Report.conflict_free protocol ?n ~e ~f ~delta ~metrics:registry () in
             if json then print_endline (Stdext.Json.to_string (Checker.Report.to_json r))
-            else begin
-              Format.printf "%a@." Checker.Report.pp r;
-              pp_dedup Format.std_formatter
-            end)
+            else Format.printf "%a@." Checker.Report.pp r)
           Experiments.protocols)
   in
   Cmd.v
@@ -476,7 +440,7 @@ let report_cmd =
          "Per-protocol fast-path telemetry: run the conflict-free synchronous scenario \
           at each protocol's bound and print the fast-path rate and decision-latency \
           histogram — the two-step claim as numbers.")
-    Term.(const run $ n_arg $ e_arg $ f_arg $ json_arg $ dedup_arg $ metrics_out_arg)
+    Term.(const run $ size_term $ json_arg $ metrics_out_arg)
 
 (* -- smr / lin / spans shared fleet arguments ---------------------------- *)
 
@@ -571,8 +535,8 @@ type fleet = {
 }
 
 let fleet_term =
-  let make protocol n e f topology clients rate mode think pipeline batch_max keys hot_rate
-      horizon jitter seed =
+  let make protocol (n, e, f) topology clients rate mode think pipeline batch_max keys
+      hot_rate horizon jitter seed =
     let (module P : Proto.Protocol.S) = protocol in
     let arrival =
       match mode with
@@ -581,7 +545,7 @@ let fleet_term =
     in
     {
       protocol;
-      n = Option.value ~default:(P.min_n ~e ~f) n;
+      n = (match n with Some n -> n | None -> P.min_n ~e ~f);
       e;
       f;
       topology;
@@ -593,7 +557,7 @@ let fleet_term =
     }
   in
   Term.(
-    const make $ protocol_arg $ n_arg $ e_arg $ f_arg $ topology_arg $ clients_arg $ rate_arg
+    const make $ protocol_arg $ size_term $ topology_arg $ clients_arg $ rate_arg
     $ mode_arg $ think_arg $ pipeline_arg $ batch_max_arg $ keys_arg $ hot_rate_arg
     $ horizon_arg $ jitter_arg $ seed_arg)
 

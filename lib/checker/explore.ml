@@ -12,29 +12,10 @@ type result = {
   truncated : bool;
 }
 
-(* Visited-set policy. [Exact] keys each search-tree node on its engine
-   fingerprint and prunes the subtree below an already-seen state — sound
-   up to 62-bit hash-compaction collisions (see {!Stdext.Stateset}). *)
-type dedup = Off | Exact
+(* Kept only for [benchmark/workloads.ml]; see explore.mli. *)
+type dedup = Exact
 
-(* Partial-order reduction policy. [Sleep] cuts, per destination, the
-   delivery orders of one round's batch down to outcome representatives:
-   before expanding a node, each candidate order is trial-run on that
-   destination's batch alone, and orders landing on the fingerprint (plus
-   new outputs) of an earlier sibling order are commuted away — the sleep
-   set of already-covered interleavings. Deliveries to distinct
-   destinations need no trial at all: a delivery only steps its
-   destination process, so cross-group orders commute structurally (and
-   the enumeration never multiplies them out). The independence relation
-   comes entirely from the engine's pending pool
-   ({!Dsim.Engine.pending_delivery_groups}) — no per-protocol knowledge.
-   Where the engine cannot predict a node's children, the trial is a
-   scratch clone, and timer fires and crashes at the boundary instant run
-   inside it, so an intervening event that breaks commutation shows up as
-   differing trial fingerprints and defeats the pruning. Sound for the
-   same reason — and up to the same hash-compaction caveat — as [Exact]
-   dedup. *)
-type por = No_por | Sleep
+type por = Sleep
 
 type fault_bounds = { max_drops : int; max_dups : int }
 
@@ -199,24 +180,25 @@ let extend ~delta ~reuse engine round ({ drop; dup; _ } as choice) =
    ({!Dsim.Engine.child_fingerprint}), the trial runs on a copy of that
    destination's state alone; elsewhere it runs on a scratch clone of
    [engine], which also runs any boundary-instant timer fire or crash
-   step (deliveries rank before timers at an instant). With [por =
-   Sleep], each destination's order list is first reduced to
-   trial-outcome representatives: orders landing on a (fingerprint, new
-   outputs) pair already claimed by an earlier sibling are suppressed and
-   counted in [sleep_hits]. An event that breaks commutation
-   differentiates the trial outcomes and keeps both orders. The child a
-   kept order generates is determined, process-locally, by the
-   per-destination trial classes jointly — delivering a message only
-   steps its destination — so every suppressed combination would have
-   rebuilt an already-generated child state (up to the fingerprint's
-   hash compaction, exactly like [Exact] dedup). [por_pruned] counts the
-   order combinations never multiplied out. With [trial_all], every kept
-   order is trialled — single-order batches and, without POR, every order
-   — so that each leg carries the trial record the child key reads.
-   Trials are memoized per kept batch, so a batch's orders are trialled
-   once per node even across fault branches that keep it intact. *)
-let round_choices_of ~por ~prediction ~trial_all ~fallback ~sleep_hits ~por_pruned
-    ~boundary_at engine ~drops_left ~dups_left =
+   step (deliveries rank before timers at an instant). A batch with
+   several orders goes through the sleep set: each order is trialled,
+   and one landing on a (fingerprint, new outputs) pair already claimed
+   by an earlier sibling is suppressed and counted in [sleep_hits]. An
+   event that breaks commutation differentiates the trial outcomes and
+   keeps both orders. The child a kept order generates is determined,
+   process-locally, by the per-destination trial classes jointly —
+   delivering a message only steps its destination — so every
+   suppressed combination would have rebuilt an already-generated child
+   state (up to the fingerprint's hash compaction, exactly like the
+   visited set). [por_pruned] counts the order combinations never
+   multiplied out. A batch with one order needs no sleep set; it gets
+   the engine's trial where [prediction] is given, so that every leg
+   carries the trial record the child key reads, and no trial
+   elsewhere. Trials are memoized per kept batch, so a batch's orders
+   are trialled once per node even across fault branches that keep it
+   intact. *)
+let round_choices_of ~prediction ~fallback ~sleep_hits ~por_pruned ~boundary_at engine
+    ~drops_left ~dups_left =
   if Dsim.Engine.pending_count engine = 0 then None
   else begin
     let orders_for_batch ids =
@@ -258,8 +240,10 @@ let round_choices_of ~por ~prediction ~trial_all ~fallback ~sleep_hits ~por_prun
       | None ->
           let orders = orders_for_batch batch in
           let legs =
-            match (por, orders) with
-            | Sleep, _ :: _ :: _ ->
+            match orders with
+            | [ order ] ->
+                [ { order; trial = Option.map (fun p -> p.Dsim.Engine.trial order) prediction } ]
+            | _ ->
                 let seen = Hashtbl.create 8 in
                 List.filter_map
                   (fun order ->
@@ -272,10 +256,6 @@ let round_choices_of ~por ~prediction ~trial_all ~fallback ~sleep_hits ~por_prun
                       Hashtbl.add seen key ();
                       Some { order; trial = record }
                     end)
-                  orders
-            | _ ->
-                List.map
-                  (fun order -> { order; trial = (if trial_all then snd (trial order) else None) })
                   orders
           in
           let entry = (List.length orders, legs) in
@@ -320,30 +300,25 @@ let round_choices_of ~por ~prediction ~trial_all ~fallback ~sleep_hits ~por_prun
 
 let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
     ?(crashes = []) ~rounds ?(budget = 20_000) ?(disable_timers = true) ?domains:_
-    ?clamp_domains:_ ?(faults = no_faults) ?(dedup = Off) ?(por = No_por)
-    ?(metrics = Metrics.disabled) ~check () =
+    ?clamp_domains:_ ?(faults = no_faults) ?dedup:_ ?por:_ ?(metrics = Metrics.disabled)
+    ~check () =
   if faults.max_drops < 0 || faults.max_dups < 0 then
     invalid_arg "Explore.synchronous_report: fault bounds must be non-negative";
   let budget = max budget 0 in
   let root =
     root_engine (P.make ~n ~e ~f ~delta) ~n ~delta ~proposals ~crashes ~disable_timers
   in
-  if por = Sleep && not (Dsim.Engine.has_fingerprint root) then
+  if not (Dsim.Engine.has_fingerprint root) then
     invalid_arg
-      "Explore.synchronous_report: POR requires the automaton to supply state_fingerprint";
+      "Explore.synchronous_report: the automaton must supply state_fingerprint";
+  (* Pre-sized so a full-budget exploration never resizes mid-search:
+     every evaluated run inserts at most a handful of interior nodes
+     beyond its leaf, so 2x the run budget is a comfortable ceiling
+     (capped — capacity is performance-only, the set still grows). *)
   let visited =
-    match dedup with
-    | Off -> None
-    | Exact ->
-        if not (Dsim.Engine.has_fingerprint root) then
-          invalid_arg
-            "Explore.synchronous_report: dedup requires the automaton to supply state_fingerprint";
-        (* Pre-sized so a full-budget exploration never resizes mid-search:
-           every evaluated run inserts at most a handful of interior nodes
-           beyond its leaf, so 2x the run budget is a comfortable ceiling
-           (capped — capacity is performance-only, the set still grows). *)
-        let capacity = min (1 lsl 22) (Stateset.recommended_capacity ~expected:(2 * budget)) in
-        Some (Stateset.create ~capacity ())
+    Stateset.create
+      ~capacity:(min (1 lsl 22) (Stateset.recommended_capacity ~expected:(2 * budget)))
+      ()
   in
   (* The totals, tallied as the search goes. *)
   let explored = ref 0 and violations = ref 0 and first_violation = ref None in
@@ -352,33 +327,14 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
   let pruned = ref 0 in
   let sleep_hits = ref 0 and por_pruned = ref 0 and max_fanout = ref 0 in
   let cut = ref false and fallback = ref false in
-  (* A node's visited-set key. The round number is mixed in so a quiescent
+  (* [true] = first arrival at a node with fingerprint [fp]: expand it.
+     The round number is mixed into the visited-set key so a quiescent
      engine reached at two different depths cannot alias (its clock may
      not have advanced). *)
-  let key_of fp round = Fingerprint.mix fp (Fingerprint.int round) in
-  (* [true] = first arrival (or dedup off): expand this node. *)
-  let admit key round =
-    match visited with
-    | None -> true
-    | Some vs ->
-        let fresh = Stateset.add vs key in
-        if (not fresh) && round <= rounds then incr pruned;
-        fresh
-  in
-  let check_visited engine round =
-    Option.is_none visited
-    || admit (key_of (Dsim.Engine.fingerprint engine) round) round
-  in
-  (* The engine's prediction for a node's children: its per-destination
-     trials, and under [Exact] dedup each child's exact fingerprint, so
-     only a child whose key is new is built. [None] — neither POR nor
-     dedup, or a node where more than the boundary's deliveries could
-     happen before the next one — leaves the node on clone trials and the
-     build-then-check path. *)
-  let predict engine round =
-    if por = Sleep || dedup = Exact then
-      Dsim.Engine.child_fingerprint engine ~at:(round * delta) ~until:(((round + 1) * delta) - 1)
-    else None
+  let admit fp round =
+    let fresh = Stateset.add visited (Fingerprint.mix fp (Fingerprint.int round)) in
+    if (not fresh) && round <= rounds then incr pruned;
+    fresh
   in
   let evaluate engine ~depth =
     let outcome = outcome_of engine in
@@ -406,15 +362,23 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
   (* The last choice of a node reuses its engine, whether or not an
      earlier choice was built. *)
   let rec dfs engine round ~drops_left ~dups_left =
-    if check_visited engine round then expand engine round ~drops_left ~dups_left
+    if admit (Dsim.Engine.fingerprint engine) round then expand engine round ~drops_left ~dups_left
   and expand engine round ~drops_left ~dups_left =
     if round > rounds then evaluate engine ~depth:rounds
     else begin
-      let prediction = predict engine round in
-      let keys = match dedup with Exact -> prediction | Off -> None in
+      (* The engine's prediction for the node's children: its
+         per-destination trials and each child's exact fingerprint, so
+         only a child whose key is new is built. [None] — a node where
+         more than the boundary's deliveries could happen before the next
+         one — leaves the node on clone trials and the build-then-check
+         path. *)
+      let prediction =
+        Dsim.Engine.child_fingerprint engine ~at:(round * delta)
+          ~until:(((round + 1) * delta) - 1)
+      in
       match
-        round_choices_of ~por ~prediction ~trial_all:(Option.is_some keys) ~fallback
-          ~sleep_hits ~por_pruned ~boundary_at:(round * delta) engine ~drops_left ~dups_left
+        round_choices_of ~prediction ~fallback ~sleep_hits ~por_pruned
+          ~boundary_at:(round * delta) engine ~drops_left ~dups_left
       with
       | None -> evaluate engine ~depth:(round - 1)
       | Some (count, choices) ->
@@ -423,17 +387,15 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
             let drops_left = drops_left - List.length choice.drop
             and dups_left = dups_left - List.length choice.dup in
             let build () = extend ~delta ~reuse:last engine round choice in
-            match keys with
+            match prediction with
             | None -> dfs (build ()) (round + 1) ~drops_left ~dups_left
             | Some p ->
                 let predicted =
-                  key_of
-                    (p.Dsim.Engine.key ~drop:choice.drop ~dup:choice.dup ~trials:(trials choice))
-                    (round + 1)
+                  p.Dsim.Engine.key ~drop:choice.drop ~dup:choice.dup ~trials:(trials choice)
                 in
                 if admit predicted (round + 1) then begin
                   let built = build () in
-                  if key_of (Dsim.Engine.fingerprint built) (round + 1) <> predicted then
+                  if Dsim.Engine.fingerprint built <> predicted then
                     failwith "Explore: a built child's fingerprint differs from its prediction";
                   expand built (round + 1) ~drops_left ~dups_left
                 end
@@ -452,7 +414,7 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
   in
   if allowed () then
     dfs root 1 ~drops_left:faults.max_drops ~dups_left:faults.max_dups;
-  Option.iter (Stateset.record metrics) visited;
+  Stateset.record metrics visited;
   let res =
     {
       explored = !explored;
@@ -473,8 +435,8 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
           fault_runs = !fault_runs;
           drops = !drops;
           dups = !dups;
-          distinct_states = Option.fold ~none:0 ~some:Stateset.cardinal visited;
-          dedup_hits = Option.fold ~none:0 ~some:Stateset.hits visited;
+          distinct_states = Stateset.cardinal visited;
+          dedup_hits = Stateset.hits visited;
           pruned_subtrees = !pruned;
           por_pruned = !por_pruned;
           sleep_hits = !sleep_hits;

@@ -19,9 +19,7 @@
     round — O(depth) incremental stepping instead of re-executing every
     path from time 0. A node's last child reuses the parent engine in
     place (it is dead afterwards), so an interior node with [k] children
-    costs [k - 1] clones. The test suite cross-validates this search
-    against a brute-force oracle that does re-execute every schedule from
-    time 0.
+    costs [k - 1] clones.
 
     The search is one sequential depth-first traversal. It tallies its
     totals as each run is evaluated, so {!Run_report.totals} covers
@@ -39,34 +37,51 @@
     occurred, i.e. whether the exploration was exhaustive, and
     {!Run_report.sched} says which of the two it was.
 
-    {b Deduplication.} Many schedules converge to the same simulation
-    state (deliver two messages to different recipients in either order,
-    say). With [dedup = Exact] the explorer keys every
-    search-tree node on its {!Dsim.Engine.fingerprint} in a
-    {!Stdext.Stateset} and prunes the subtree under a state it has
-    already expanded — turning the search over {e schedules} into a search
-    over {e distinct states}, which is what makes deep horizons exhaustive
-    within real budgets. Pruned branches evaluate no run, so they spend
-    no budget.
+    {b One search: exact dedup with sleep-set POR.} Every search prunes
+    twice, and no option turns either off.
 
-    Under [Exact] dedup, children are keyed before they are built: at a
-    node where nothing but the boundary's deliveries can happen before
-    the next boundary (timers disabled, no crash or input due — the
-    condition {!Dsim.Engine.child_fingerprint} checks), each child's
-    exact fingerprint is predicted from the node and the engine's
-    per-destination trials (one per kept batch and delivery order,
-    memoised per node, the same trials [Sleep] POR reads; each runs one
-    destination's batch on a copy of that process's state, with no
-    engine clone), entered into the visited set, and only a child whose
-    key is new is built. A built child whose fingerprint differs from its
-    prediction raises [Failure]. Every other node — and every node under
-    [Off] dedup — builds each child and then checks it. Either way the
-    same keys enter the visited set in the same order, so every count in
-    {!Run_report.totals} is the same.
+    - {e Sleep-set partial-order reduction} cuts commuting delivery
+      orders {e before} expansion. At a round boundary, deliveries to
+      distinct destinations commute structurally (a delivery only steps
+      its destination process — the independence relation is read off
+      {!Dsim.Engine.pending_delivery_groups}, with no per-protocol
+      knowledge), so their combinations are never multiplied out. Within
+      one destination's batch, each candidate order is trial-run, and an
+      order reaching the (engine fingerprint, new outputs) of an earlier
+      sibling order joins the sleep set and is never expanded
+      ([sleep_hits], [por_pruned]). A timer fire or
+      crash at the boundary instant that breaks commutation
+      differentiates the trials and defeats the pruning — never the
+      verdict.
+    - {e Exact deduplication} keys every search-tree node on its
+      {!Dsim.Engine.fingerprint} (and round) in a {!Stdext.Stateset} and
+      prunes the subtree under a state it has already expanded, so the
+      search runs over {e distinct states} rather than schedules. Pruned
+      branches evaluate no run, so they spend no budget.
 
-    Soundness: exact dedup can only merge genuinely identical
-    states (up to the 62-bit hash-compaction collision probability of
-    {!Stdext.Stateset}). *)
+    Children are keyed before they are built where the engine can
+    predict them: at a node where nothing but the boundary's deliveries
+    can happen before the next boundary (timers disabled, no crash or
+    input due — the condition {!Dsim.Engine.child_fingerprint} checks),
+    each trial runs one destination's batch on a copy of that process's
+    state, with no engine clone, and each child's exact fingerprint is
+    predicted from the node and those trials, entered into the visited
+    set, and only a child whose key is new is built. A built child whose
+    fingerprint differs from its prediction raises [Failure]. At every
+    other node a trial runs against a scratch clone of the node, where
+    boundary-instant timer fires and crashes execute too, and each child
+    is built and then checked. Either way the same keys enter the
+    visited set in the same order.
+
+    Soundness: both reductions drop only children whose state equals one
+    already kept (up to the 62-bit hash-compaction collision probability
+    of {!Stdext.Stateset}). The test suite checks this search, leaf for
+    leaf and in order, against a brute-force oracle that re-executes
+    every schedule from time 0 and keys each node in its own visited set:
+    both see the same runs and the same distinct states, the first
+    violation is also the unreduced oracle's, and on a search the budget
+    does not cut, [dedup_hits + por_pruned] equals the oracle's
+    revisits. *)
 
 type result = {
   explored : int;  (** complete runs evaluated *)
@@ -98,17 +113,17 @@ module Run_report : sig
     drops : int;  (** total dropped messages across counted runs *)
     dups : int;  (** total duplicated messages across counted runs *)
     distinct_states : int;
-        (** search-tree nodes admitted by the visited set (0 with dedup
-            off). For an exhaustive exploration this is the number of
-            distinct reachable (state, round) pairs. *)
+        (** search-tree nodes admitted by the visited set. For an
+            exhaustive exploration this is the number of distinct
+            reachable (state, round) pairs. *)
     dedup_hits : int;  (** arrivals at an already-visited state *)
     pruned_subtrees : int;
         (** dedup hits at interior nodes — each cut a whole subtree *)
     por_pruned : int;
         (** children never generated because every path to them was a
-            commuted recombination of kept delivery orders (0 with POR
-            off). Each unit is a whole subtree the search never entered —
-            pruning {e before} expansion, where dedup prunes after. *)
+            commuted recombination of kept delivery orders. Each unit is
+            a whole subtree the search never entered — pruning {e before}
+            expansion, where dedup prunes after. *)
     sleep_hits : int;
         (** per-destination delivery orders suppressed by the sleep set —
             the trial-equivalence classes behind [por_pruned] *)
@@ -142,34 +157,13 @@ module Run_report : sig
       [Invalid_argument] (histogram bounds conflict). *)
 end
 
-(** Visited-set policy: [Off] explores every schedule (the historical
-    behaviour and the library default); [Exact] prunes subtrees under
-    states already expanded. [Exact] requires the protocol's automaton to
-    supply a [state_fingerprint] hook (all bundled protocols do);
-    [Invalid_argument] otherwise. *)
-type dedup = Off | Exact
+(** The one configuration of the search, as the benchmark harness
+    ([benchmark/workloads.ml]) still names it: it passes [~dedup:Exact
+    ~por:Sleep]. {!synchronous_report} accepts and ignores both labels;
+    the next change to the benchmark drops them with these types. *)
+type dedup = Exact
 
-(** Partial-order reduction policy: [No_por] (the default) enumerates
-    every delivery-order combination; [Sleep] prunes commuting orders
-    {e before} expansion. At a round boundary, deliveries to distinct
-    destinations commute structurally (a delivery only steps its
-    destination process — the independence relation is read off
-    {!Dsim.Engine.pending_delivery_groups}, with no per-protocol
-    knowledge), and within one destination's batch, each candidate order
-    is trial-run; orders reaching the (engine fingerprint, new outputs) of
-    an earlier sibling order join the sleep set and are never expanded.
-    Where {!Dsim.Engine.child_fingerprint} admits the node, the trial is
-    the engine's: the batch runs on a copy of its destination's state
-    alone, and its fingerprint is that of the clone it stands for.
-    Elsewhere it runs against a scratch clone, where timer fires and
-    crashes at the boundary instant execute inside the trial context, so
-    an intervening event that breaks commutation differentiates the
-    trials and defeats the pruning — never the verdict. Composes with
-    [dedup] (POR prunes first, the visited set catches cross-branch
-    convergence) and [faults]. Sound up to the same 62-bit
-    hash-compaction caveat as [Exact] dedup; requires a
-    [state_fingerprint] hook ([Invalid_argument] otherwise). *)
-type por = No_por | Sleep
+type por = Sleep
 
 type fault_bounds = { max_drops : int; max_dups : int }
 (** Bounds on the fault choices the explorer may enumerate per run: the
@@ -202,34 +196,29 @@ val synchronous_report :
   unit ->
   result * Run_report.t
 (** [check] returns [false] on a violating run. [budget] defaults to 20_000
-    runs, [disable_timers] to [true], [faults] to {!no_faults}, [dedup] to
-    {!Off}, [por] to {!No_por}. The visited set is pre-sized from [budget]
+    runs, [disable_timers] to [true], [faults] to {!no_faults}. Raises
+    [Invalid_argument] when the protocol's automaton supplies no
+    [state_fingerprint] hook (every bundled protocol does) or a fault
+    bound is negative. The visited set is pre-sized from [budget]
     ({!Stdext.Stateset.recommended_capacity} on twice the run budget,
-    capped) so a full-budget dedup exploration never pays a resize stall.
+    capped) so a full-budget exploration never pays a resize stall.
     [metrics] (default disabled) receives the visited set's [stateset.*]
-    counters ({!Stdext.Stateset.record}) when the search returns, and
-    none without dedup; the [explore.*] report metrics are still recorded
-    separately via {!Run_report.record}. The report's [totals] agree with
-    [result], and its [distinct_states] and [dedup_hits] are the visited
-    set's {!Stdext.Stateset.cardinal} and {!Stdext.Stateset.hits}.
+    counters ({!Stdext.Stateset.record}) when the search returns; the
+    [explore.*] report metrics are recorded separately via
+    {!Run_report.record}. The report's [totals] agree with [result], and
+    its [distinct_states] and [dedup_hits] are the visited set's
+    {!Stdext.Stateset.cardinal} and {!Stdext.Stateset.hits}.
 
     [budget] bounds complete runs, not work. A child pruned as a revisit
     costs no budget, and one node can have millions of children (the
     product of its destinations' delivery orders and fault subsets), so
-    a search with a wide fan-out has no time bound: an n = 5 epaxos
-    search with [rounds = 3], [budget = 1500], exact dedup and POR off
-    ran for more than 10 minutes on a 2-core machine without finishing.
+    a search with a wide fan-out has no time bound.
 
-    [domains] and [clamp_domains] are accepted and ignored: the search
-    always runs sequentially on the caller's domain. They remain only
-    because the benchmark harness ([benchmark/workloads.ml]) still passes
-    them; the next change to the benchmark drops them.
-
-    With [por = Sleep] the explored tree is a sub-tree of the [No_por]
-    one with the same reachable verdicts: violation/no-violation and the
-    {e existence} of a first violation are preserved (the particular
-    witness may differ, as with [dedup]), while [explored] shrinks by the
-    number of commuted order combinations ([totals.por_pruned]).
+    [domains], [clamp_domains], [dedup] and [por] are accepted and
+    ignored: the search always runs sequentially on the caller's domain,
+    with exact dedup and sleep-set POR. They remain only because the
+    benchmark harness ([benchmark/workloads.ml]) still passes them; the
+    next change to the benchmark drops all four.
 
     With non-zero [faults] bounds, each round boundary additionally
     branches on which pending messages are dropped and which are

@@ -45,7 +45,7 @@ let record registry report =
    same in every run; a fixed-leader protocol (Paxos) is fast only for
    the leader, rate 1/n. *)
 let conflict_free (module P : Proto.Protocol.S) ?n ~e ~f ~delta ?(value = 1)
-    ?(metrics = Metrics.disabled) ?final_fingerprint () =
+    ?(metrics = Metrics.disabled) () =
   let n = match n with Some n -> n | None -> P.min_n ~e ~f in
   let proposals = Scenario.all_proposals_at_zero ~n (List.init n (fun _ -> value)) in
   let messages = ref 0 in
@@ -57,7 +57,7 @@ let conflict_free (module P : Proto.Protocol.S) ?n ~e ~f ~delta ?(value = 1)
             (module P)
             ~n ~e ~f ~delta
             ~net:(Scenario.Sync (`Favor target))
-            ~proposals ~disable_timers:true ~metrics ?final_fingerprint
+            ~proposals ~disable_timers:true ~metrics
             ~until:(20 * delta) ()
         in
         messages := !messages + outcome.Scenario.messages;

@@ -40,7 +40,6 @@ val conflict_free :
   delta:int ->
   ?value:Proto.Value.t ->
   ?metrics:Stdext.Metrics.t ->
-  ?final_fingerprint:(Dsim.Fingerprint.t -> unit) ->
   unit ->
   t
 (** Run the conflict-free synchronous scenario once per target process
@@ -51,10 +50,7 @@ val conflict_free :
     engine's probe, so the [engine.*] counters sum over the [n] runs
     ([engine.sent] = [messages]). It then receives the report itself
     under [report.<protocol>.*] names (counters for
-    [decided]/[fast]/[messages] and the [latency_delays] histogram).
-    [final_fingerprint] is forwarded to each {!Scenario.run} — the
-    callback fires once per target run with the terminal engine
-    fingerprint, letting callers count distinct end states. *)
+    [decided]/[fast]/[messages] and the [latency_delays] histogram). *)
 
 val pp : Format.formatter -> t -> unit
 (** Multi-line human rendering: the rate line and the latency histogram. *)

@@ -53,7 +53,7 @@ let outcome_of ~engine_result engine =
 
 let run (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~net ~proposals ?(crashes = [])
     ?(seed = 0) ?(disable_timers = false) ?(faults = Dsim.Network.Fault.none)
-    ?(metrics = Stdext.Metrics.disabled) ?final_fingerprint ~until () =
+    ?(metrics = Stdext.Metrics.disabled) ~until () =
   let automaton = P.make ~n ~e ~f ~delta in
   let engine =
     Dsim.Engine.create ~automaton ~n
@@ -63,9 +63,6 @@ let run (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~net ~proposals ?(crashes 
   let engine_result = Dsim.Engine.run ~until engine in
   if Stdext.Metrics.is_enabled metrics then
     Dsim.Engine.Probe.record metrics (Dsim.Engine.probe engine);
-  (match final_fingerprint with
-  | Some k when Dsim.Engine.has_fingerprint engine -> k (Dsim.Engine.fingerprint engine)
-  | Some _ | None -> ());
   outcome_of ~engine_result engine
 
 let decided_value outcome p =

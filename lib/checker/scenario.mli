@@ -53,7 +53,6 @@ val run :
   ?disable_timers:bool ->
   ?faults:Dsim.Network.Fault.plan ->
   ?metrics:Stdext.Metrics.t ->
-  ?final_fingerprint:(Dsim.Fingerprint.t -> unit) ->
   until:Dsim.Time.t ->
   unit ->
   outcome
@@ -63,11 +62,7 @@ val run :
     duplications and mid-broadcast crashes on top of [net]'s timing; the
     fault trace is a pure function of [seed]. [metrics] (default disabled)
     receives the engine's probe ({!Dsim.Engine.Probe.record}) once the
-    run returns; nothing is recorded into a disabled registry.
-    [final_fingerprint], when given, is called with the
-    {!Dsim.Engine.fingerprint} of the terminal engine state — a cheap way
-    for sweep drivers to count distinct end states across seeds; it is
-    silently skipped for automatons without a [state_fingerprint] hook. *)
+    run returns; nothing is recorded into a disabled registry. *)
 
 val decided_value : outcome -> Dsim.Pid.t -> (Dsim.Time.t * Proto.Value.t) option
 (** First decision of a process, if any. *)

@@ -289,7 +289,7 @@ val decision_latencies : ('state, 'msg, 'input, 'output) t -> (Pid.t * int) list
 (** {2 Fingerprinting}
 
     Structural digest of the engine's {e future-relevant} state, keying
-    the explorer's visited set ({!Checker.Explore}'s dedup modes). *)
+    the explorer's visited set (the exact dedup of {!Checker.Explore}). *)
 
 val has_fingerprint : ('state, 'msg, 'input, 'output) t -> bool
 (** Whether the automaton supplies a [state_fingerprint] hook. *)

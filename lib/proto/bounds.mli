@@ -9,7 +9,14 @@ val pp_formulation : Format.formatter -> formulation -> unit
 
 val required : formulation -> e:int -> f:int -> int
 (** Minimal [n]: [max{2e+f+1, 2f+1}] / [max{2e+f, 2f+1}] /
-    [max{2e+f-1, 2f+1}]. Requires [0 <= e <= f]. *)
+    [max{2e+f-1, 2f+1}]. Requires [0 <= e <= f] and raises
+    [Invalid_argument] otherwise. That is stricter than the rest of the
+    library on purpose: the bounds are the paper's, stated for at most
+    [f] crashes of which the fast path tolerates [e <= f], and outside
+    that range no formula here is a proved bound. The protocols only size
+    their quorums from [e] and [f] ([n - e], [n - f]), so the engine and
+    the checkers run any [n], [e] and [f] they are given; the benchmark's
+    explorer set-up search runs rgs-task at [n = 5], [e = 2], [f = 1]. *)
 
 val feasible : formulation -> n:int -> e:int -> f:int -> bool
 (** [n >= required]. *)

@@ -14,21 +14,26 @@
    reversed), so the n = 6 configuration stays comparable. Like the
    explorer, it stops after [budget] leaves in DFS order.
 
-   The explorer, with dedup and POR off, must report the same explored
-   and violation counts, the same run tallies (depth histogram, fast
-   runs, fault runs, drops and dups), the same multiset of leaf outcomes
-   and the same first violation; its [truncated] flag must be set exactly
-   when the oracle hit the budget with schedules left or used the
-   two-order fallback, and its report must name the same cuts.
-
    With a visited set the oracle still rebuilds every node from time 0,
    keys it with Engine.fingerprint and its round, and expands it only on
-   the key's first arrival. The explorer with exact dedup (POR off) must
-   then also agree on distinct states, dedup hits and pruned subtrees.
-   That explorer keys most children before building them
-   (Engine.child_fingerprint) and never builds a child whose predicted
-   key was seen, so these counts are what checks the predictions it
-   never verifies itself. The run tallies must agree here too. *)
+   the key's first arrival. The explorer's one search (exact dedup with
+   sleep-set POR) is checked against that oracle on every configuration
+   here. It must see the same leaves in the same DFS order, report the
+   same explored and violation counts, run tallies (depth histogram, fast
+   runs, fault runs, drops and dups) and distinct states, and set
+   [truncated] exactly when the oracle hit the budget with schedules left
+   or used the two-order fallback, naming the same cuts. Its first
+   violation must be the oracle's, and also the first violating leaf of
+   the oracle without a visited set under the same budget. Where neither
+   side is cut, every revisit the oracle makes must be a child the
+   explorer never built: dedup hits + POR-pruned combinations = oracle
+   revisits.
+
+   The explorer keys most children before building them
+   (Engine.child_fingerprint) and builds no child whose predicted key was
+   seen, and its sleep set drops orders on the strength of trials alone,
+   so these counts are what check the predictions and trials it never
+   verifies itself. *)
 
 module Engine = Dsim.Engine
 module Combinat = Stdext.Combinat
@@ -128,15 +133,16 @@ let replay fresh path =
 
 (* The first [budget] schedules in DFS order, each re-executed; with
    [dedup], only the first arrival at each (fingerprint, round) key is
-   expanded. *)
-let brute ?(dedup = false) (module P : Proto.Protocol.S) ~n ~e ~f ~proposals ~crashes
-    ~rounds ~disable_timers ~(faults : Explore.fault_bounds) ~budget =
+   expanded. With [until_violation], the search also stops after its
+   first leaf that fails that property. *)
+let brute ?(dedup = false) ?until_violation (module P : Proto.Protocol.S) ~n ~e ~f
+    ~proposals ~crashes ~rounds ~disable_timers ~(faults : Explore.fault_bounds) ~budget =
   let fresh () =
     Engine.create ~automaton:(P.make ~n ~e ~f ~delta) ~n ~network:Dsim.Network.Manual
       ~seed:0 ~disable_timers ~record_trace:true ~inputs:proposals ~crashes ()
   in
   let fallback = ref false and cut = ref false and to_crashed = ref 0 in
-  let leaves = ref [] and leaf_rounds = ref [] and count = ref 0 in
+  let leaves = ref [] and leaf_rounds = ref [] and count = ref 0 and stop = ref false in
   let visited = Stdext.Stateset.create () in
   let distinct = ref 0 and hits = ref 0 and pruned = ref 0 in
   let keyed = ref 0 and unkeyed = ref 0 in
@@ -158,9 +164,11 @@ let brute ?(dedup = false) (module P : Proto.Protocol.S) ~n ~e ~f ~proposals ~cr
     let engine = replay fresh (List.rev rev_path) in
     if first_arrival engine round then
       if round > rounds || Engine.pending_count engine = 0 then begin
-        leaves := outcome_of ~n engine :: !leaves;
+        let leaf = outcome_of ~n engine in
+        leaves := leaf :: !leaves;
         leaf_rounds := round :: !leaf_rounds;
-        incr count
+        incr count;
+        Option.iter (fun check -> if not (check leaf) then stop := true) until_violation
       end
       else begin
         (match
@@ -170,7 +178,8 @@ let brute ?(dedup = false) (module P : Proto.Protocol.S) ~n ~e ~f ~proposals ~cr
         | None -> incr unkeyed);
         List.iter
           (fun c ->
-            if !count >= budget then cut := true
+            if !stop then ()
+            else if !count >= budget then cut := true
             else
               go (c :: rev_path) (round + 1)
                 ~drops_left:(drops_left - List.length c.drop)
@@ -218,9 +227,18 @@ let check_cuts ~label o (s : Explore.Run_report.sched) =
   Alcotest.(check bool) (label ^ ": budget cut") o.cut s.budget_cut;
   Alcotest.(check bool) (label ^ ": perm-limit fallback") o.fallback s.fallback
 
+(* The explorer's one search against the oracle with a visited set, on
+   one configuration: the same leaves in the same DFS order, the same
+   counts, tallies and cuts, and the same first violation, which must
+   also be the first violating leaf of the unreduced oracle under the
+   same budget. Where neither side is cut, every revisit the oracle
+   makes is a child the explorer never built: a visited-set hit, or an
+   order combination the sleep set pruned. [keyed], when given: whether
+   Engine.child_fingerprint must key every expanded node (timers off, no
+   crash pending) or none (timers on). *)
 let check_against_oracle ?(crashes = []) ?(disable_timers = true)
-    ?(faults = Explore.no_faults) ?(budget = 1_000_000) ~label protocol ~n ~e ~f ~proposals
-    ~rounds check =
+    ?(faults = Explore.no_faults) ?(budget = 1_000_000) ?keyed ~label protocol ~n ~e ~f
+    ~proposals ~rounds check =
   let seen = ref [] in
   let r, report =
     Explore.synchronous_report protocol ~n ~e ~f ~delta ~proposals ~crashes ~rounds ~budget
@@ -230,189 +248,176 @@ let check_against_oracle ?(crashes = []) ?(disable_timers = true)
         check o)
       ()
   in
-  let o =
-    brute protocol ~n ~e ~f ~proposals ~crashes ~rounds ~disable_timers ~faults ~budget
+  let t = report.Explore.Run_report.totals and sched = report.Explore.Run_report.sched in
+  let brute ?dedup ?until_violation () =
+    brute ?dedup ?until_violation protocol ~n ~e ~f ~proposals ~crashes ~rounds
+      ~disable_timers ~faults ~budget
   in
-  let violating = List.filter (fun o -> not (check o)) o.leaves in
-  Alcotest.(check int) (label ^ ": explored") (List.length o.leaves) r.Explore.explored;
-  Alcotest.(check int) (label ^ ": violations") (List.length violating) r.Explore.violations;
-  check_tallies ~label ~rounds o report.Explore.Run_report.totals;
-  check_cuts ~label o report.Explore.Run_report.sched;
-  Alcotest.(check bool)
-    (label ^ ": truncated iff cut or fallback")
-    (o.cut || o.fallback) r.Explore.truncated;
-  Alcotest.(check bool)
-    (label ^ ": same leaf outcomes")
-    true
-    (List.sort compare o.leaves = List.sort compare !seen);
-  Alcotest.(check bool)
-    (label ^ ": same first violation")
-    true
-    (r.Explore.first_violation = List.nth_opt violating 0);
-  (r, o)
-
-(* The explorer with exact dedup against the oracle with a visited set.
-   [keyed]: whether Engine.child_fingerprint must key every expanded node
-   (timers off, no crash pending) or none (timers on). *)
-let check_dedup_against_oracle ?(crashes = []) ?(disable_timers = true)
-    ?(faults = Explore.no_faults) ?(budget = 1_000_000) ~keyed ~label protocol ~n ~e ~f
-    ~proposals ~rounds check =
-  let label = label ^ ", exact dedup" in
-  let seen = ref [] in
-  let r, report =
-    Explore.synchronous_report protocol ~n ~e ~f ~delta ~proposals ~crashes ~rounds ~budget
-      ~disable_timers ~faults ~dedup:Explore.Exact ~por:Explore.No_por
-      ~check:(fun o ->
-        seen := o :: !seen;
-        check o)
-      ()
-  in
-  let t = report.Explore.Run_report.totals in
-  let o =
-    brute ~dedup:true protocol ~n ~e ~f ~proposals ~crashes ~rounds ~disable_timers ~faults
-      ~budget
-  in
+  let o = brute ~dedup:true () in
   let violating = List.filter (fun o -> not (check o)) o.leaves in
   Alcotest.(check int) (label ^ ": explored") (List.length o.leaves) r.Explore.explored;
   Alcotest.(check int) (label ^ ": violations") (List.length violating) r.Explore.violations;
   Alcotest.(check int) (label ^ ": distinct states") o.distinct t.distinct_states;
-  Alcotest.(check int) (label ^ ": dedup hits") o.hits t.dedup_hits;
-  Alcotest.(check int) (label ^ ": pruned subtrees") o.pruned t.pruned_subtrees;
   check_tallies ~label ~rounds o t;
-  check_cuts ~label o report.Explore.Run_report.sched;
+  check_cuts ~label o sched;
   Alcotest.(check bool)
     (label ^ ": truncated iff cut or fallback")
     (o.cut || o.fallback) r.Explore.truncated;
-  Alcotest.(check bool)
-    (label ^ ": same leaf outcomes")
-    true
-    (List.sort compare o.leaves = List.sort compare !seen);
+  Alcotest.(check bool) (label ^ ": same leaves, in DFS order") true (o.leaves = List.rev !seen);
   Alcotest.(check bool)
     (label ^ ": same first violation")
     true
     (r.Explore.first_violation = List.nth_opt violating 0);
-  Alcotest.(check bool) (label ^ ": dedup hit something") true (o.hits > 0);
-  if keyed then
-    Alcotest.(check (pair bool int))
-      (label ^ ": every expanded node keys its children")
-      (true, 0)
-      (o.keyed > 0, o.unkeyed)
-  else Alcotest.(check int) (label ^ ": no node keys its children") 0 o.keyed;
-  o
+  let unreduced = brute ~until_violation:check () in
+  Alcotest.(check bool)
+    (label ^ ": first violation of the unreduced oracle")
+    true
+    (r.Explore.first_violation = List.find_opt (fun o -> not (check o)) unreduced.leaves);
+  if not o.cut then
+    Alcotest.(check int)
+      (label ^ ": dedup hits + POR pruned = oracle revisits")
+      o.hits
+      (t.dedup_hits + t.por_pruned);
+  (match keyed with
+  | Some true ->
+      Alcotest.(check (pair bool int))
+        (label ^ ": every expanded node keys its children")
+        (true, 0)
+        (o.keyed > 0, o.unkeyed)
+  | Some false -> Alcotest.(check int) (label ^ ": no node keys its children") 0 o.keyed
+  | None -> ());
+  (r, o)
 
 let safe o = Safety.safe o
 
 let p0_undecided o = Scenario.decided_value o 0 = None
 
-let test_task_bound () =
-  (* T2-style configuration at the task bound (n = 2e + f), three rounds:
-     a clean property, and one violated wherever p0 decides — searched
-     exhaustively and cut by a budget of 400 mid-tree. *)
+let lossless o = o.Scenario.dropped = 0
+
+(* T2-style configuration at the task bound (n = 2e + f), three rounds:
+   a clean property, and one violated wherever p0 decides. *)
+let task_bound ?budget label check =
   let n = 6 and e = 2 and f = 2 in
   let proposals = Scenario.all_proposals_at_zero ~n [ 5; 4; 3; 2; 1; 0 ] in
-  let go ?budget label check =
-    check_against_oracle ?budget ~label Core.Rgs.task ~n ~e ~f ~proposals ~rounds:3 check
-  in
-  let r, _ = go "safe" safe in
-  Alcotest.(check bool) "non-trivial" true (r.Explore.explored > 400 && r.Explore.violations = 0);
-  let r, _ = go "p0 undecided" p0_undecided in
-  Alcotest.(check bool) "violations found" true (r.Explore.violations > 0);
-  let _, o = go ~budget:400 "safe, budget 400" safe in
-  Alcotest.(check bool) "budget 400 cuts" true o.cut;
-  let r, o = go ~budget:400 "p0 undecided, budget 400" p0_undecided in
-  Alcotest.(check bool) "budget 400 cuts" true o.cut;
-  Alcotest.(check bool) "violations found within budget" true (r.Explore.violations > 0)
+  check_against_oracle ?budget ~keyed:true ~label Core.Rgs.task ~n ~e ~f ~proposals ~rounds:3
+    check
+
+(* T3-flavoured configurations: p2 crashes mid-run with timers enabled,
+   so timer fires land between boundaries and later boundaries hold
+   messages addressed to the crashed process. No node admits a child
+   key. *)
+let crash_with_timers ~crash_at ~proposals ~rounds ?budget label check =
+  let n = 3 and e = 1 and f = 1 in
+  check_against_oracle ~label ~keyed:false ~crashes:[ (crash_at, 2) ] ~disable_timers:false
+    ?budget Core.Rgs.task ~n ~e ~f ~proposals ~rounds check
+
+(* Explored faults: at most one drop and one duplication per run. *)
+let drop_dup ?(protocol = Core.Rgs.task) ?(proposals = [ (0, 0, 7) ]) ~n ~e ~f label check =
+  check_against_oracle ~label ~keyed:true ~faults:{ Explore.max_drops = 1; max_dups = 1 }
+    protocol ~n ~e ~f ~proposals ~rounds:2 check
+
+(* The three shapes, each searched to the end. *)
+let test_task_bound () =
+  let r, o = task_bound "safe" safe in
+  Alcotest.(check bool) "non-trivial" true (o.distinct > 100 && r.Explore.violations = 0);
+  let r, _ = task_bound "p0 undecided" p0_undecided in
+  Alcotest.(check bool) "violations found" true (r.Explore.violations > 0)
 
 let test_crash_with_timers () =
-  (* T3-flavoured configurations: p2 crashes mid-run with timers enabled,
-     so timer fires land between boundaries and later boundaries hold
-     messages addressed to the crashed process. *)
-  let n = 3 and e = 1 and f = 1 in
-  let go ~crash_at ~proposals ~rounds ?budget label check =
-    check_against_oracle ~label ~crashes:[ (crash_at, 2) ] ~disable_timers:false ?budget
-      Core.Rgs.task ~n ~e ~f ~proposals ~rounds check
+  (* One proposer and a crash at Δ+1, so the second boundary already has
+     p2 dead. *)
+  let go label check =
+    crash_with_timers ~crash_at:(delta + 1) ~proposals:[ (0, 0, 7) ] ~rounds:2 label check
   in
-  (* All three propose and p2 crashes at 2Δ+1, over five rounds: the
-     first 20,000 schedules in DFS order, so boundaries 3Δ–5Δ are
-     explored with p2 dead. *)
-  let r, o =
-    go ~crash_at:((2 * delta) + 1)
-      ~proposals:(Scenario.all_proposals_at_zero ~n [ 0; 1; 2 ])
-      ~rounds:5 ~budget:20_000 "three proposers, budget 20,000" safe
-  in
-  Alcotest.(check bool) "budget binds" true (o.cut && r.Explore.explored = 20_000);
+  let _, o = go "one proposer, safe" safe in
+  Alcotest.(check bool) "exhaustive" true ((not o.cut) && o.distinct > 10);
   Alcotest.(check bool) "messages to the crashed process" true (o.to_crashed > 0);
-  (* One proposer and a crash at Δ+1, so the second boundary already
-     has p2 dead: small enough to search exhaustively. *)
-  let go_small label check =
-    go ~crash_at:(delta + 1) ~proposals:[ (0, 0, 7) ] ~rounds:2 label check
-  in
-  let r, o = go_small "one proposer, safe" safe in
-  Alcotest.(check bool) "exhaustive" true ((not o.cut) && r.Explore.explored > 1_000);
-  Alcotest.(check bool) "messages to the crashed process (exhaustive)" true (o.to_crashed > 0);
-  let r, _ = go_small "one proposer, p0 undecided" p0_undecided in
+  let r, _ = go "one proposer, p0 undecided" p0_undecided in
   Alcotest.(check bool) "violations found" true (r.Explore.violations > 0)
 
 let test_drop_dup () =
-  (* Explored faults: at most one drop and one duplication per run, with
-     one proposer. *)
-  let n = 3 and e = 1 and f = 1 in
-  let faults = { Explore.max_drops = 1; max_dups = 1 } in
-  let go label check =
-    check_against_oracle ~label ~faults Core.Rgs.task ~n ~e ~f ~proposals:[ (0, 0, 7) ]
-      ~rounds:2 check
-  in
-  let r, _ = go "safe" safe in
-  Alcotest.(check bool) "non-trivial" true (r.Explore.explored > 100);
-  let r, _ = go "lossless" (fun o -> o.Scenario.dropped = 0) in
+  let _, o = drop_dup ~n:3 ~e:1 ~f:1 "safe" safe in
+  Alcotest.(check bool) "non-trivial" true (o.distinct > 50);
+  let r, _ = drop_dup ~n:3 ~e:1 ~f:1 "lossless" lossless in
   Alcotest.(check bool) "lossy runs found" true (r.Explore.violations > 0)
 
-(* The three configurations above, with exact dedup on both sides. *)
+(* Budget cuts, and searches whose revisits outnumber their runs. *)
 let test_dedup_task_bound () =
-  let n = 6 and e = 2 and f = 2 in
-  let proposals = Scenario.all_proposals_at_zero ~n [ 5; 4; 3; 2; 1; 0 ] in
-  let go ?budget label check =
-    check_dedup_against_oracle ?budget ~keyed:true ~label Core.Rgs.task ~n ~e ~f ~proposals
-      ~rounds:3 check
-  in
-  ignore (go "safe" safe : oracle);
-  ignore (go "p0 undecided" p0_undecided : oracle);
-  (* Dedup leaves 64 of the 3-round search's runs: budgets below that cut
-     it. *)
-  Alcotest.(check bool) "budget 40 cuts" true (go ~budget:40 "safe, budget 40" safe).cut;
+  (* The search finishes in 64 runs: budgets below that cut it. *)
+  Alcotest.(check bool) "budget 40 cuts" true
+    (snd (task_bound ~budget:40 "safe, budget 40" safe)).cut;
   Alcotest.(check bool) "budget 20 cuts" true
-    (go ~budget:20 "p0 undecided, budget 20" p0_undecided).cut
+    (snd (task_bound ~budget:20 "p0 undecided, budget 20" p0_undecided)).cut
 
 let test_dedup_crash_with_timers () =
-  let n = 3 and e = 1 and f = 1 in
-  let go ~crash_at ~proposals ~rounds ?budget label check =
-    check_dedup_against_oracle ~keyed:false ~label ~crashes:[ (crash_at, 2) ]
-      ~disable_timers:false ?budget Core.Rgs.task ~n ~e ~f ~proposals ~rounds check
-  in
-  (* Dedup leaves 32 runs of the three-proposer search; a budget of 16
-     cuts it halfway, and keeps the oracle, which replays every arrival
-     from time 0, quick. *)
-  let o =
-    go ~crash_at:((2 * delta) + 1)
-      ~proposals:(Scenario.all_proposals_at_zero ~n [ 0; 1; 2 ])
+  (* All three propose and p2 crashes at 2Δ+1, over five rounds. The
+     search holds 32 runs; a budget of 16 cuts it halfway, so boundaries
+     3Δ–5Δ are explored with p2 dead, and keeps the oracle, which replays
+     every arrival from time 0, quick. *)
+  let r, o =
+    crash_with_timers ~crash_at:((2 * delta) + 1)
+      ~proposals:(Scenario.all_proposals_at_zero ~n:3 [ 0; 1; 2 ])
       ~rounds:5 ~budget:16 "three proposers, budget 16" safe
   in
-  Alcotest.(check bool) "budget 16 cuts" true o.cut;
-  List.iter
-    (fun (label, check) ->
-      ignore
-        (go ~crash_at:(delta + 1) ~proposals:[ (0, 0, 7) ] ~rounds:2 label check : oracle))
-    [ ("one proposer, safe", safe); ("one proposer, p0 undecided", p0_undecided) ]
+  Alcotest.(check bool) "budget 16 cuts" true (o.cut && r.Explore.explored = 16);
+  Alcotest.(check bool) "messages to the crashed process" true (o.to_crashed > 0)
 
 let test_dedup_drop_dup () =
-  let n = 3 and e = 1 and f = 1 in
-  let faults = { Explore.max_drops = 1; max_dups = 1 } in
-  let go label check =
-    check_dedup_against_oracle ~keyed:true ~label ~faults Core.Rgs.task ~n ~e ~f
-      ~proposals:[ (0, 0, 7) ] ~rounds:2 check
-  in
-  ignore (go "safe" safe : oracle);
-  ignore (go "lossless" (fun o -> o.Scenario.dropped = 0) : oracle)
+  (* n = 4, all proposing (test_checker pins this search's totals), and
+     the object variant at n = 3. *)
+  let proposals = Scenario.all_proposals_at_zero ~n:4 [ 3; 2; 1; 0 ] in
+  let _, o = drop_dup ~proposals ~n:4 ~e:1 ~f:2 "n = 4, p0 undecided" p0_undecided in
+  Alcotest.(check bool) "revisits outnumber runs" true (o.hits > 10 * List.length o.leaves);
+  ignore
+    (drop_dup ~protocol:Core.Rgs.obj ~n:3 ~e:1 ~f:1 "rgs-object, lossless" lossless
+      : Explore.result * oracle)
+
+(* The soundness grids: the one search against the oracle over random
+   configurations, with and without a mid-run crash (timers off, so only
+   the nodes before the crash go unkeyed), and over both protocols with
+   an explored drop or duplication under a budget of 20,000 runs. *)
+let explore_dedup_sound_property =
+  QCheck.Test.make ~name:"explore: dedup preserves verdict and canonical witness" ~count:12
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let pick l k = List.nth l (seed / k mod List.length l) in
+      let n, e, f = pick [ (3, 1, 1); (4, 1, 1) ] 1 in
+      let rounds = pick [ 2; 3 ] 2 in
+      let values = pick [ List.init n (fun i -> n - i); List.init n (fun _ -> 5) ] 4 in
+      let crashes = pick [ []; [ (delta + 1, n - 1) ] ] 8 in
+      let check = pick [ safe; p0_undecided ] 16 in
+      let proposals = Scenario.all_proposals_at_zero ~n values in
+      ignore
+        (check_against_oracle ~crashes ~label:(Printf.sprintf "seed %d" seed) Core.Rgs.task ~n
+           ~e ~f ~proposals ~rounds check
+          : Explore.result * oracle);
+      true)
+
+let explore_por_sound_property =
+  QCheck.Test.make ~name:"explore: POR preserves verdict and violation existence" ~count:12
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let pick l k = List.nth l (seed / k mod List.length l) in
+      let protocol = pick [ Core.Rgs.task; Core.Rgs.obj ] 1 in
+      let n, e, f = pick [ (3, 1, 1); (4, 1, 1) ] 2 in
+      let rounds = pick [ 2; 3 ] 4 in
+      let values = pick [ List.init n (fun i -> n - i); List.init n (fun _ -> 5) ] 8 in
+      let faults =
+        pick
+          [
+            Explore.no_faults;
+            { Explore.max_drops = 1; max_dups = 0 };
+            { Explore.max_drops = 0; max_dups = 1 };
+          ]
+          16
+      in
+      let check = pick [ safe; p0_undecided ] 48 in
+      let proposals = Scenario.all_proposals_at_zero ~n values in
+      ignore
+        (check_against_oracle ~faults ~budget:20_000 ~keyed:true
+           ~label:(Printf.sprintf "seed %d" seed) protocol ~n ~e ~f ~proposals ~rounds check
+          : Explore.result * oracle);
+      true)
 
 let () =
   Alcotest.run "explore_brute"
@@ -431,4 +436,6 @@ let () =
           Alcotest.test_case "visited set matches exact dedup (drop+dup)" `Quick
             test_dedup_drop_dup;
         ] );
+      ("dedup", [ QCheck_alcotest.to_alcotest explore_dedup_sound_property ]);
+      ("por", [ QCheck_alcotest.to_alcotest explore_por_sound_property ]);
     ]
