@@ -201,6 +201,8 @@ let witness_cmd =
       & opt (enum [ ("task", `Task); ("object", `Object) ]) `Task
       & info [ "mode" ] ~docv:"MODE" ~doc:"Which theorem's witness: task (Thm 5) or object (Thm 6).")
   in
+  (* The choreography covers e >= 2, f >= 2 and n >= e+f+1 (task) or
+     n >= e+f (object); any other size is a usage error (exit 124). *)
   let run mode (n, e, f) =
     let n =
       match n with
@@ -211,17 +213,26 @@ let witness_cmd =
             ~e ~f
           - 1
     in
-    let r =
-      match mode with
-      | `Task -> Lowerbound.Witness.task_scenario ~n ~e ~f ()
-      | `Object -> Lowerbound.Witness.object_scenario ~n ~e ~f ()
-    in
-    Format.printf "%a@." Lowerbound.Witness.pp_result r
+    let min_n, name = match mode with `Task -> (e + f + 1, "e+f+1") | `Object -> (e + f, "e+f") in
+    if e < 2 || f < 2 || n < min_n then
+      `Error
+        ( true,
+          Printf.sprintf "the witness needs e >= 2, f >= 2 and n >= %s (n = %d, e = %d, f = %d)"
+            name n e f )
+    else begin
+      let r =
+        match mode with
+        | `Task -> Lowerbound.Witness.task_scenario ~n ~e ~f ()
+        | `Object -> Lowerbound.Witness.object_scenario ~n ~e ~f ()
+      in
+      Format.printf "%a@." Lowerbound.Witness.pp_result r;
+      `Ok ()
+    end
   in
   Cmd.v
     (Cmd.info "witness"
        ~doc:"Replay the adversarial tightness choreography (default: one below the bound).")
-    Term.(const run $ mode_arg $ size_term)
+    Term.(ret (const run $ mode_arg $ size_term))
 
 (* -- audit --------------------------------------------------------------- *)
 

@@ -36,6 +36,8 @@ module Run_report = struct
     pruned_subtrees : int;  (* hits at interior nodes (a whole subtree cut) *)
     por_pruned : int;  (* children never generated: commuted order combinations *)
     sleep_hits : int;  (* per-destination orders suppressed by trial equivalence *)
+    trials : int;  (* orders trial-run *)
+    table_hits : int;  (* batches answered from the search's table, with no trial *)
   }
 
   type sched = { budget : int; budget_cut : bool; fallback : bool; max_fanout : int }
@@ -63,13 +65,14 @@ module Run_report = struct
        fast runs: %d (rate %.3f); fault runs: %d (drops %d, dups %d)@,\
        dedup: distinct states %d, hits %d, pruned subtrees %d@,\
        por: pruned %d, sleep hits %d@,\
+       trials: run %d, table hits %d@,\
        sched: budget %d (cut %b), perm-limit fallback %b, max fan-out %d@]"
       t.totals.explored t.totals.violations t.totals.truncated pp_arr
       t.totals.depth_histogram (mean_depth t.totals) t.totals.fast_runs
       (fast_path_rate t.totals) t.totals.fault_runs t.totals.drops t.totals.dups
       t.totals.distinct_states t.totals.dedup_hits t.totals.pruned_subtrees
-      t.totals.por_pruned t.totals.sleep_hits t.sched.budget t.sched.budget_cut
-      t.sched.fallback t.sched.max_fanout
+      t.totals.por_pruned t.totals.sleep_hits t.totals.trials t.totals.table_hits t.sched.budget
+      t.sched.budget_cut t.sched.fallback t.sched.max_fanout
 
   let record registry t =
     let c name v = Metrics.add (Metrics.counter registry name) v in
@@ -85,6 +88,8 @@ module Run_report = struct
     c "explore.pruned_subtrees" t.totals.pruned_subtrees;
     c "explore.por_pruned" t.totals.por_pruned;
     c "explore.sleep_hits" t.totals.sleep_hits;
+    c "explore.trials" t.totals.trials;
+    c "explore.table_hits" t.totals.table_hits;
     Metrics.record_max (Metrics.gauge registry "explore.max_fanout") t.sched.max_fanout;
     let nbuckets = Array.length t.totals.depth_histogram in
     if nbuckets > 1 then begin
@@ -102,7 +107,8 @@ module Run_report = struct
 end
 
 (* One destination's delivery order at a round boundary, with the
-   engine's trial of exactly that order, when one was run. *)
+   engine's trial record of exactly that order where the node has a
+   prediction. *)
 type leg = { order : int list; trial : Proto.Value.t Dsim.Engine.trial option }
 
 (* One round boundary's worth of scheduling decisions: which pending
@@ -157,6 +163,33 @@ let extend ~delta ~reuse engine round ({ drop; dup; _ } as choice) =
   advance ~delta c (round + 1);
   c
 
+(* A destination batch's sleep-set classes: its order count before POR,
+   and its kept orders as positions in the batch (send order), each with
+   its engine trial record when the node offered one. *)
+type classes = { orders : int; kept : (int list * Proto.Value.t Dsim.Engine.trial option) list }
+
+module Batches = Hashtbl.Make (Int)
+
+(* What [round_choices_of] keeps across the nodes of one search, keyed
+   by {!Dsim.Engine.prediction}'s digests: the classes of every batch the
+   engine's trials classified, under the batch's digest in send order;
+   the record of every order a sleep set kept, under that order's
+   digest; and the counts the report takes from them. *)
+type pruning = {
+  table : classes Batches.t;
+  records : Proto.Value.t Dsim.Engine.trial Batches.t;
+  mutable sleep_hits : int;
+  mutable por_pruned : int;
+  mutable fallback : bool;
+  mutable trials : int;
+  mutable table_hits : int;
+}
+
+(* Every order of a batch of [k] messages, as positions. *)
+let orders_of_size k =
+  let positions = List.init k Fun.id in
+  if k <= perm_limit then Combinat.permutations positions else [ positions; List.rev positions ]
+
 (* Enumerate one round's scheduling decisions: which live pending messages
    to drop (within the remaining drop bound), which of the kept ones to
    duplicate (within the dup bound; the copy stays pooled for a later
@@ -182,117 +215,181 @@ let extend ~delta ~reuse engine round ({ drop; dup; _ } as choice) =
    [engine], which also runs any boundary-instant timer fire or crash
    step (deliveries rank before timers at an instant). A batch with
    several orders goes through the sleep set: each order is trialled,
-   and one landing on a (fingerprint, new outputs) pair already claimed
-   by an earlier sibling is suppressed and counted in [sleep_hits]. An
-   event that breaks commutation differentiates the trial outcomes and
-   keeps both orders. The child a kept order generates is determined,
-   process-locally, by the per-destination trial classes jointly —
-   delivering a message only steps its destination — so every
-   suppressed combination would have rebuilt an already-generated child
-   state (up to the fingerprint's hash compaction, exactly like the
-   visited set). [por_pruned] counts the order combinations never
-   multiplied out. A batch with one order needs no sleep set; it gets
-   the engine's trial where [prediction] is given, so that every leg
-   carries the trial record the child key reads, and no trial
-   elsewhere. Trials are memoized per kept batch, so a batch's orders
-   are trialled once per node even across fault branches that keep it
-   intact. *)
-let round_choices_of ~prediction ~fallback ~sleep_hits ~por_pruned ~boundary_at engine
-    ~drops_left ~dups_left =
+   and one whose outcome an earlier sibling order already reached is
+   suppressed and counted in [sleep_hits]. The outcome is the new local
+   digest, send count, sent-digest sum and outputs of an engine trial —
+   within one batch at one node they fix the one-destination child — or
+   the clone's fingerprint and new outputs. An event that breaks
+   commutation differentiates the trial outcomes and keeps both orders.
+   The child a kept order generates is determined, process-locally, by
+   the per-destination trial classes jointly — delivering a message only
+   steps its destination — so every suppressed combination would have
+   rebuilt an already-generated child state (up to the fingerprint's
+   hash compaction, exactly like the visited set). [por_pruned] counts
+   the order combinations never multiplied out. A batch with one order
+   needs no sleep set; it gets the engine's trial where [prediction] is
+   given, so that every leg carries the trial record the child key
+   reads, and no trial elsewhere.
+
+   Where [prediction] is given, a batch's classes are kept in
+   [pruning.table] under its digest, which mixes everything a trial
+   reads, so a batch met again — at this node under another drop
+   subset, or at any later node — costs one digest and one lookup and
+   runs no trial. A batch met for the first time looks each order up in
+   [pruning.records] before trialling it; an order enters that table as
+   soon as the sleep set keeps it, so the orders of one batch are looked
+   up by their own digests too. Each distinct kept batch of a
+   node adds its suppressed orders to [sleep_hits] once, whether its
+   classes came from trials or from the table. *)
+let round_choices_of ~prediction pruning ~boundary_at engine ~drops_left ~dups_left =
   if Dsim.Engine.pending_count engine = 0 then None
   else begin
-    let orders_for_batch ids =
-      if List.length ids <= perm_limit then Combinat.permutations ids
-      else begin
-        fallback := true;
-        [ ids; List.rev ids ]
-      end
-    in
-    let groups, crashed_ids = Dsim.Engine.pending_delivery_groups engine in
-    (* Drop subsets are enumerated over the live ids in global send order —
-       the same order the pre-POR explorer used — so the DFS visits fault
-       branches in an unchanged sequence. *)
-    let live_ids =
-      List.rev
-        (Dsim.Engine.fold_pending engine ~init:[]
-           ~f:(fun acc ~id ~src:_ ~dst ~msg:_ ~sent_at:_ ->
-             if Dsim.Engine.crashed engine dst then acc else id :: acc))
-    in
-    (* One order's sleep-set key, and its trial record when the engine
-       offers one. *)
-    let trial order =
-      match prediction with
-      | Some p ->
-          let r = p.Dsim.Engine.trial order in
-          ((r.Dsim.Engine.fingerprint, r.Dsim.Engine.outputs), Some r)
-      | None ->
-          let scratch = Dsim.Engine.clone engine in
-          List.iter (fun id -> Dsim.Engine.deliver_pending scratch ~id ~at:boundary_at) order;
-          ignore (Dsim.Engine.run ~until:boundary_at scratch);
-          let since = Dsim.Engine.output_count engine in
-          ((Dsim.Engine.fingerprint scratch, Dsim.Engine.recent_outputs scratch ~since), None)
-    in
-    (* A kept batch's order count before POR, and its legs after. *)
-    let memo = Hashtbl.create 8 in
-    let legs_for batch =
-      match Hashtbl.find_opt memo batch with
-      | Some entry -> entry
-      | None ->
-          let orders = orders_for_batch batch in
-          let legs =
-            match orders with
-            | [ order ] ->
-                [ { order; trial = Option.map (fun p -> p.Dsim.Engine.trial order) prediction } ]
-            | _ ->
-                let seen = Hashtbl.create 8 in
-                List.filter_map
-                  (fun order ->
-                    let key, record = trial order in
-                    if Hashtbl.mem seen key then begin
-                      incr sleep_hits;
-                      None
-                    end
-                    else begin
-                      Hashtbl.add seen key ();
-                      Some { order; trial = record }
-                    end)
-                  orders
+    (* One pass over the pool in send order: the live messages as (id,
+       destination), each correct destination's batch, and the ids to
+       crashed processes. Drop subsets are enumerated over the live
+       messages in this order — the order the search has always used —
+       so the DFS visits fault branches in an unchanged sequence. *)
+    let batches = Array.make (Dsim.Engine.n engine) [] in
+    let live_rev = ref [] and crashed_rev = ref [] in
+    Dsim.Engine.iter_pending engine (fun ~id ~src:_ ~dst ~msg:_ ~sent_at:_ ->
+        if Dsim.Engine.crashed engine dst then crashed_rev := id :: !crashed_rev
+        else begin
+          live_rev := (id, dst) :: !live_rev;
+          batches.(dst) <- id :: batches.(dst)
+        end);
+    let live = List.rev !live_rev and crashed_ids = List.rev !crashed_rev in
+    (* The sleep set over a batch of [k] messages: [trial] maps an order's
+       positions to its outcome and record, [single] gives the one order
+       of a one-message batch its record, and [keep] sees each kept order
+       as soon as it is kept. *)
+    let classify k ~single ~trial ~keep =
+      match orders_of_size k with
+      | [ positions ] ->
+          let record = single positions in
+          keep positions record;
+          { orders = 1; kept = [ (positions, record) ] }
+      | orders ->
+          let seen = Hashtbl.create 8 in
+          let kept =
+            List.filter_map
+              (fun positions ->
+                let outcome, record = trial positions in
+                if Hashtbl.mem seen outcome then None
+                else begin
+                  Hashtbl.add seen outcome ();
+                  keep positions record;
+                  Some (positions, record)
+                end)
+              orders
           in
-          let entry = (List.length orders, legs) in
-          Hashtbl.add memo batch entry;
-          entry
+          { orders = List.length orders; kept }
     in
+    (* A kept batch's order count before POR, and its legs after; [count]
+       adds its suppressed orders to [sleep_hits]. *)
+    let legs_for ~count batch =
+      let ids = Array.of_list batch in
+      let k = Array.length ids in
+      if k > perm_limit then pruning.fallback <- true;
+      let order positions = List.map (Array.get ids) positions in
+      let c =
+        match prediction with
+        | None ->
+            classify k
+              ~single:(fun _ -> None)
+              ~keep:(fun _ _ -> ())
+              ~trial:(fun positions ->
+                pruning.trials <- pruning.trials + 1;
+                let scratch = Dsim.Engine.clone engine in
+                List.iter
+                  (fun id -> Dsim.Engine.deliver_pending scratch ~id ~at:boundary_at)
+                  (order positions);
+                ignore (Dsim.Engine.run ~until:boundary_at scratch);
+                let since = Dsim.Engine.output_count engine in
+                ( (Dsim.Engine.fingerprint scratch, Dsim.Engine.recent_outputs scratch ~since),
+                  None ))
+        | Some p -> (
+            let digest = p.Dsim.Engine.digest batch in
+            match Batches.find_opt pruning.table digest with
+            | Some c ->
+                pruning.table_hits <- pruning.table_hits + 1;
+                c
+            | None ->
+                let trial positions =
+                  let order = order positions in
+                  match Batches.find_opt pruning.records (p.Dsim.Engine.digest order) with
+                  | Some r -> r
+                  | None ->
+                      pruning.trials <- pruning.trials + 1;
+                      p.Dsim.Engine.trial order
+                in
+                let c =
+                  classify k
+                    ~single:(fun positions -> Some (trial positions))
+                    ~keep:(fun positions record ->
+                      Option.iter
+                        (Batches.replace pruning.records (p.Dsim.Engine.digest (order positions)))
+                        record)
+                    ~trial:(fun positions ->
+                      let r = trial positions in
+                      (Dsim.Engine.(r.local, r.sends, r.sent, r.outputs), Some r))
+                in
+                Batches.add pruning.table digest c;
+                c)
+      in
+      if count then pruning.sleep_hits <- pruning.sleep_hits + c.orders - List.length c.kept;
+      (c.orders, List.map (fun (positions, trial) -> { order = order positions; trial }) c.kept)
+    in
+    let whole =
+      List.filter_map
+        (fun dst ->
+          match batches.(dst) with
+          | [] -> None
+          | rev ->
+              let batch = List.rev rev in
+              Some (dst, batch, legs_for ~count:true batch))
+        (List.init (Array.length batches) Fun.id)
+    in
+    (* A drop subset changes only the batches it drops from. Each such
+       kept batch is counted under the drop subset that lies within it,
+       the first to produce it. *)
     let block drop =
-      let kept = List.filter (fun id -> not (List.mem id drop)) live_ids in
-      let dup_sets = Combinat.subsets_up_to dups_left kept in
-      let full = ref 1 in
+      let dropped id = List.mem_assoc id drop in
       let per_dst =
         List.filter_map
-          (fun (_, batch) ->
-            match List.filter (fun id -> not (List.mem id drop)) batch with
-            | [] -> None
-            | kept_batch ->
-                let orders, legs = legs_for kept_batch in
-                full := !full * orders;
-                Some legs)
-          groups
+          (fun (dst, batch, legs) ->
+            if not (List.exists (fun (_, d) -> d = dst) drop) then Some legs
+            else
+              match List.filter (fun id -> not (dropped id)) batch with
+              | [] -> None
+              | kept -> Some (legs_for ~count:(List.for_all (fun (_, d) -> d = dst) drop) kept))
+          whole
       in
-      let reduced = List.fold_left (fun a l -> a * List.length l) 1 per_dst in
-      if !full > reduced then
-        por_pruned := !por_pruned + ((!full - reduced) * List.length dup_sets);
-      (drop, dup_sets, per_dst, List.length dup_sets * reduced)
+      let product f = List.fold_left (fun acc legs -> acc * f legs) 1 per_dst in
+      let full = product fst and reduced = product (fun (_, legs) -> List.length legs) in
+      let kept_count = List.length live - List.length drop in
+      let dup_sets =
+        List.fold_left ( + ) 0
+          (List.init (min dups_left kept_count + 1) (Combinat.choose kept_count))
+      in
+      if full > reduced then
+        pruning.por_pruned <- pruning.por_pruned + ((full - reduced) * dup_sets);
+      (drop, List.map snd per_dst, dup_sets * reduced)
     in
-    let blocks = List.map block (Combinat.subsets_up_to drops_left live_ids) in
-    let count = List.fold_left (fun a (_, _, _, c) -> a + c) 0 blocks in
+    let blocks = List.map block (Combinat.subsets_up_to drops_left live) in
+    let count = List.fold_left (fun a (_, _, c) -> a + c) 0 blocks in
     let choices =
       Seq.flat_map
-        (fun (drop, dup_sets, per_dst, _) ->
+        (fun (drop, per_dst, _) ->
+          let kept =
+            List.filter_map (fun (id, _) -> if List.mem_assoc id drop then None else Some id) live
+          in
+          let drop = List.map fst drop in
           Seq.flat_map
             (fun dup ->
               Seq.map
                 (fun legs -> { drop; dup; legs; to_crashed = crashed_ids })
                 (Combinat.cartesian_seq per_dst))
-            (List.to_seq dup_sets))
+            (List.to_seq (Combinat.subsets_up_to dups_left kept)))
         (List.to_seq blocks)
     in
     Some (count, choices)
@@ -311,22 +408,23 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
   if not (Dsim.Engine.has_fingerprint root) then
     invalid_arg
       "Explore.synchronous_report: the automaton must supply state_fingerprint";
-  (* Pre-sized so a full-budget exploration never resizes mid-search:
-     every evaluated run inserts at most a handful of interior nodes
-     beyond its leaf, so 2x the run budget is a comfortable ceiling
-     (capped — capacity is performance-only, the set still grows). *)
-  let visited =
-    Stateset.create
-      ~capacity:(min (1 lsl 22) (Stateset.recommended_capacity ~expected:(2 * budget)))
-      ()
+  let visited = Stateset.create () in
+  let pruning =
+    {
+      table = Batches.create 1024;
+      records = Batches.create 1024;
+      sleep_hits = 0;
+      por_pruned = 0;
+      fallback = false;
+      trials = 0;
+      table_hits = 0;
+    }
   in
   (* The totals, tallied as the search goes. *)
   let explored = ref 0 and violations = ref 0 and first_violation = ref None in
   let depth_histogram = Array.make (rounds + 1) 0 in
   let fast = ref 0 and fault_runs = ref 0 and drops = ref 0 and dups = ref 0 in
-  let pruned = ref 0 in
-  let sleep_hits = ref 0 and por_pruned = ref 0 and max_fanout = ref 0 in
-  let cut = ref false and fallback = ref false in
+  let pruned = ref 0 and max_fanout = ref 0 and cut = ref false in
   (* [true] = first arrival at a node with fingerprint [fp]: expand it.
      The round number is mixed into the visited-set key so a quiescent
      engine reached at two different depths cannot alias (its clock may
@@ -377,8 +475,8 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
           ~until:(((round + 1) * delta) - 1)
       in
       match
-        round_choices_of ~prediction ~fallback ~sleep_hits ~por_pruned
-          ~boundary_at:(round * delta) engine ~drops_left ~dups_left
+        round_choices_of ~prediction pruning ~boundary_at:(round * delta) engine ~drops_left
+          ~dups_left
       with
       | None -> evaluate engine ~depth:(round - 1)
       | Some (count, choices) ->
@@ -420,7 +518,7 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
       explored = !explored;
       violations = !violations;
       first_violation = !first_violation;
-      truncated = !cut || !fallback;
+      truncated = !cut || pruning.fallback;
     }
   in
   ( res,
@@ -438,9 +536,16 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
           distinct_states = Stateset.cardinal visited;
           dedup_hits = Stateset.hits visited;
           pruned_subtrees = !pruned;
-          por_pruned = !por_pruned;
-          sleep_hits = !sleep_hits;
+          por_pruned = pruning.por_pruned;
+          sleep_hits = pruning.sleep_hits;
+          trials = pruning.trials;
+          table_hits = pruning.table_hits;
         };
       sched =
-        { Run_report.budget; budget_cut = !cut; fallback = !fallback; max_fanout = !max_fanout };
+        {
+          Run_report.budget;
+          budget_cut = !cut;
+          fallback = pruning.fallback;
+          max_fanout = !max_fanout;
+        };
     } )

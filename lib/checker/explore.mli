@@ -29,7 +29,9 @@
     A round boundary's choices — drop subsets × duplication subsets ×
     per-destination delivery orders — are generated lazily, one child at
     a time; only the per-destination orders and their POR trials are
-    computed up front for each node.
+    computed up front for each node, and a destination's batch is
+    trial-run at the first node that meets it, not at every node (see
+    "One table per search" below).
 
     A destination's batch of more than 4 messages falls back to two
     representative orders (arrival and reversed) to keep the product
@@ -44,15 +46,17 @@
       orders {e before} expansion. At a round boundary, deliveries to
       distinct destinations commute structurally (a delivery only steps
       its destination process — the independence relation is read off
-      {!Dsim.Engine.pending_delivery_groups}, with no per-protocol
+      each pending message's destination, with no per-protocol
       knowledge), so their combinations are never multiplied out. Within
       one destination's batch, each candidate order is trial-run, and an
-      order reaching the (engine fingerprint, new outputs) of an earlier
-      sibling order joins the sleep set and is never expanded
-      ([sleep_hits], [por_pruned]). A timer fire or
-      crash at the boundary instant that breaks commutation
-      differentiates the trials and defeats the pruning — never the
-      verdict.
+      order reaching the outcome of an earlier sibling order joins the
+      sleep set and is never expanded ([sleep_hits], [por_pruned]). The
+      outcome is the destination's new local digest, send count, sent
+      messages and new outputs where the engine predicts the node's
+      children, and the scratch clone's fingerprint and new outputs
+      elsewhere. A timer fire or crash at the boundary instant that
+      breaks commutation differentiates the trials and defeats the
+      pruning — never the verdict.
     - {e Exact deduplication} keys every search-tree node on its
       {!Dsim.Engine.fingerprint} (and round) in a {!Stdext.Stateset} and
       prunes the subtree under a state it has already expanded, so the
@@ -73,11 +77,38 @@
     is built and then checked. Either way the same keys enter the
     visited set in the same order.
 
+    {b One table per search.} Where the engine predicts a node's
+    children, a destination's batch is looked up by its
+    {!Dsim.Engine.prediction} [digest] — the destination's local digest,
+    the boundary instant and the batch's messages in send order — in a
+    table that lives as long as the search. The first node that meets a
+    batch trial-runs its orders, runs the sleep set over them, and enters
+    the batch's classes: its order count and its kept orders as positions
+    in the batch, each with its trial record. Every later meeting, at
+    this node under another drop subset or at any other node, maps the
+    stored positions to its own pending ids, adds the suppressed orders
+    to [sleep_hits] once per node, and runs no trial ([table_hits]). A
+    second table keeps the record of every order a sleep set kept under
+    that order's own digest, and a batch met for the first time looks
+    each of its orders up there before trial-running it ([trials] counts
+    the orders run). The records hold nothing node-specific: a
+    destination's new local digest, its sends, the digest sums of its
+    sends and of the batch, and its outputs. Both tables are freed with
+    the search, and nothing turns them off. Clone trials, at nodes the
+    engine does not predict, are not tabled.
+
     Soundness: both reductions drop only children whose state equals one
     already kept (up to the 62-bit hash-compaction collision probability
-    of {!Stdext.Stateset}). The test suite checks this search, leaf for
-    leaf and in order, against a brute-force oracle that re-executes
-    every schedule from time 0 and keys each node in its own visited set:
+    of {!Stdext.Stateset}). The table rests on the same assumption as the
+    visited set: a delivery steps only its destination, its sends carry
+    the boundary instant, and [n] and the automaton are fixed for the
+    search, so two batches with equal digests behave equally, up to hash
+    compaction. Every child the search builds is re-executed and its
+    fingerprint compared with its prediction, which re-checks every
+    record the table answered for it. The test suite checks this search,
+    leaf for leaf and in order, against a brute-force oracle that
+    re-executes every schedule from time 0 and keys each node in its own
+    visited set:
     both see the same runs and the same distinct states, the first
     violation is also the unreduced oracle's, and on a search the budget
     does not cut, [dedup_hits + por_pruned] equals the oracle's
@@ -127,6 +158,12 @@ module Run_report : sig
     sleep_hits : int;
         (** per-destination delivery orders suppressed by the sleep set —
             the trial-equivalence classes behind [por_pruned] *)
+    trials : int;
+        (** delivery orders trial-run, on a copy of one destination's
+            state or on a scratch clone of the node *)
+    table_hits : int;
+        (** destination batches whose sleep-set classes and trial records
+            the search's table answered, with no trial *)
   }
 
   type sched = {
@@ -199,10 +236,9 @@ val synchronous_report :
     runs, [disable_timers] to [true], [faults] to {!no_faults}. Raises
     [Invalid_argument] when the protocol's automaton supplies no
     [state_fingerprint] hook (every bundled protocol does) or a fault
-    bound is negative. The visited set is pre-sized from [budget]
-    ({!Stdext.Stateset.recommended_capacity} on twice the run budget,
-    capped) so a full-budget exploration never pays a resize stall.
-    [metrics] (default disabled) receives the visited set's [stateset.*]
+    bound is negative. The visited set starts at {!Stdext.Stateset}'s
+    default size and grows with the states it holds. [metrics] (default
+    disabled) receives the visited set's [stateset.*]
     counters ({!Stdext.Stateset.record}) when the search returns; the
     [explore.*] report metrics are recorded separately via
     {!Run_report.record}. The report's [totals] agree with [result], and

@@ -512,31 +512,6 @@ let pending t =
     (fold_pending t ~init:[] ~f:(fun acc ~id ~src ~dst ~msg ~sent_at ->
          { id; src; dst; msg; sent_at } :: acc))
 
-(* Commutativity metadata for the explorer's partial-order reduction: the
-   live pool bucketed by destination. A delivery only ever steps its
-   destination process (messages sent during the step land back in the
-   pool, not in the same instant), so deliveries in distinct groups
-   commute; order within a group is the recipient's observable arrival
-   order and stays send-ordered here. Ids to crashed destinations are
-   split off — delivering them is a no-op, so they belong to no
-   commutation class. *)
-let pending_delivery_groups t =
-  let slots = live_slots_in_send_order t in
-  let groups = Array.make t.n [] in
-  let crashed_rev = ref [] in
-  Array.iter
-    (fun packed ->
-      let s = packed land (pd_slot_limit - 1) in
-      let dst = t.pd_dst.(s) in
-      if t.crashed_flags.(dst) then crashed_rev := s :: !crashed_rev
-      else groups.(dst) <- s :: groups.(dst))
-    slots;
-  let live = ref [] in
-  for d = t.n - 1 downto 0 do
-    match groups.(d) with [] -> () | rev -> live := (d, List.rev rev) :: !live
-  done;
-  (!live, List.rev !crashed_rev)
-
 (* -- sending ------------------------------------------------------------ *)
 
 (* Queue a send for delivery at [at] — or, under [Manual] timing, park it
@@ -1022,10 +997,10 @@ type 'output trial = {
   sent : Fp.t;
   batch : Fp.t;
   outputs : (Time.t * Pid.t * 'output) list;
-  fingerprint : Fp.t;
 }
 
 type 'output prediction = {
+  digest : int list -> Fp.t;
   trial : int list -> 'output trial;
   key : drop:int list -> dup:int list -> trials:'output trial list -> Fp.t;
 }
@@ -1042,9 +1017,9 @@ type 'output prediction = {
    destination's state alone, and the parts do not interact. The pool is
    a sum of slot digests, so it is updated by adding and subtracting.
    Everything else — the queue beyond [until], the timers (none armed),
-   the other processes — is [t]'s. A trial's own fingerprint is the same
-   composition with one leg and nothing dropped, duplicated or delivered
-   to a crashed process. *)
+   the other processes — is [t]'s. A trial reads only its destination's
+   local content, [at] and its batch's messages in order, so [digest]
+   mixes exactly those. *)
 let child_fingerprint t ~at ~until =
   let state_fp = state_fp_of t ~caller:"Engine.child_fingerprint" in
   let horizon = Int.max at until in
@@ -1077,30 +1052,29 @@ let child_fingerprint t ~at ~until =
       end
     done;
     let to_crashed = !to_crashed and any_to_crashed = !any_to_crashed in
-    let compose ~now ~sends ~dropped ~duplicated ~pend trials =
-      let fp = ref (header_fp ~n:t.n ~now ~sends ~dropped ~duplicated) in
-      let rec mix_locals pid trials =
-        if pid < t.n then
-          match trials with
-          | trial :: rest when trial.dst = pid ->
-              fp := Fp.mix !fp trial.local;
-              mix_locals (pid + 1) rest
-          | _ ->
-              fp := Fp.mix !fp locals.(pid);
-              mix_locals (pid + 1) trials
-        else if trials <> [] then
-          invalid_arg "Engine.child_fingerprint: trials not in ascending destination order"
-      in
-      mix_locals 0 trials;
-      let fp = List.fold_left (fun acc (p, e) -> queue_step acc p e) (Fp.mix !fp pend) tail in
-      Fp.mix fp timers
-    in
-    let trial ids =
+    (* The one correct process a batch goes to. *)
+    let batch_dst ids =
       let dst =
         match ids with
         | id :: _ when pending_live t id && not t.crashed_flags.(t.pd_dst.(id)) -> t.pd_dst.(id)
         | _ -> invalid_arg "Engine.child_fingerprint: a trial takes live ids to a correct process"
       in
+      List.iter
+        (fun id ->
+          if not (pending_live t id && t.pd_dst.(id) = dst) then
+            invalid_arg "Engine.child_fingerprint: a trial's ids must be live, to one process")
+        ids;
+      dst
+    in
+    let digest ids =
+      let dst = batch_dst ids in
+      List.fold_left
+        (fun acc id -> Fp.mix acc (cached_slot t id))
+        (Fp.mix (Fp.mix 79 locals.(dst)) (Fp.int at))
+        ids
+    in
+    let trial ids =
+      let dst = batch_dst ids in
       let st = ref (t.automaton.Automaton.state_copy (state t dst)) in
       let sends = ref 0 and sent = ref 0 and batch = ref 0 and outputs_rev = ref [] in
       let send d msg =
@@ -1122,8 +1096,6 @@ let child_fingerprint t ~at ~until =
       in
       List.iter
         (fun id ->
-          if not (pending_live t id && t.pd_dst.(id) = dst) then
-            invalid_arg "Engine.child_fingerprint: a trial's ids must be live, to one process";
           batch := !batch + cached_slot t id;
           let s', actions = t.automaton.on_message !st ~src:t.pd_src.(id) t.pd_msgs.(id) in
           st := s';
@@ -1137,15 +1109,7 @@ let child_fingerprint t ~at ~until =
         local_fp (state_digest state_fp !st) ~crashed:false ~first_input:t.first_input.(dst)
           ~first_output
       in
-      let r =
-        { dst; local; sends = !sends; sent = !sent; batch = !batch; outputs; fingerprint = 0 }
-      in
-      {
-        r with
-        fingerprint =
-          compose ~now:at ~sends:(t.sends + !sends) ~dropped:t.faults_dropped
-            ~duplicated:t.faults_duplicated ~pend:(pool - !batch + !sent) [ r ];
-      }
+      { dst; local; sends = !sends; sent = !sent; batch = !batch; outputs }
     in
     let key ~drop ~dup ~trials =
       let slots ids = List.fold_left (fun acc id -> acc + cached_slot t id) 0 ids in
@@ -1155,14 +1119,31 @@ let child_fingerprint t ~at ~until =
           sends := !sends + trial.sends;
           pend := !pend + trial.sent - trial.batch)
         trials;
-      compose
-        ~now:(if trials = [] && not any_to_crashed then t.now else at)
-        ~sends:!sends
-        ~dropped:(t.faults_dropped + List.length drop)
-        ~duplicated:(t.faults_duplicated + List.length dup)
-        ~pend:!pend trials
+      let fp =
+        ref
+          (header_fp ~n:t.n
+             ~now:(if trials = [] && not any_to_crashed then t.now else at)
+             ~sends:!sends
+             ~dropped:(t.faults_dropped + List.length drop)
+             ~duplicated:(t.faults_duplicated + List.length dup))
+      in
+      let rec mix_locals pid trials =
+        if pid < t.n then
+          match trials with
+          | trial :: rest when trial.dst = pid ->
+              fp := Fp.mix !fp trial.local;
+              mix_locals (pid + 1) rest
+          | _ ->
+              fp := Fp.mix !fp locals.(pid);
+              mix_locals (pid + 1) trials
+        else if trials <> [] then
+          invalid_arg "Engine.child_fingerprint: trials not in ascending destination order"
+      in
+      mix_locals 0 trials;
+      let fp = List.fold_left (fun acc (p, e) -> queue_step acc p e) (Fp.mix !fp !pend) tail in
+      Fp.mix fp timers
     in
-    Some { trial; key }
+    Some { digest; trial; key }
   end
 
 let decision_latencies t =

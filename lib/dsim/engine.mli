@@ -238,21 +238,6 @@ val fold_pending :
 (** Fold over undelivered sends in send order; same contract as
     {!iter_pending}. *)
 
-val pending_delivery_groups :
-  ('state, 'msg, 'input, 'output) t -> (Pid.t * int list) list * int list
-(** The live pending pool bucketed by destination, plus the ids addressed
-    to crashed processes: [(groups, crashed)] where [groups] lists
-    [(dst, ids)] for every non-crashed destination with at least one
-    undelivered send (destinations ascending, ids in send order within
-    each group) and [crashed] holds the remaining ids in send order.
-    This is the commutativity metadata for partial-order reduction:
-    delivering a message only ever steps its destination process, so
-    same-instant deliveries in distinct groups commute, while the order
-    within a group is the recipient's observable arrival order.
-    Delivering to a crashed process is a no-op, so [crashed] ids belong
-    to no commutation class. Ids obey the {!drop_pending} lifetime
-    caveat: valid only until the next pool mutation. *)
-
 val deliver_pending : ('state, 'msg, 'input, 'output) t -> id:int -> at:Time.t -> unit
 (** Schedule pending message [id] for delivery at [at] (must be [>= now]).
     Raises [Not_found] for unknown ids. *)
@@ -335,17 +320,18 @@ type 'output trial = private {
   sent : Fingerprint.t;  (** the sum of those messages' slot digests *)
   batch : Fingerprint.t;  (** the sum of the batch's slot digests *)
   outputs : (Time.t * Pid.t * 'output) list;  (** outputs emitted, in order *)
-  fingerprint : Fingerprint.t;  (** {!fingerprint} of the engine the trial stands for *)
 }
 (** One destination's batch of deliveries at a round boundary, run on a
-    copy of that destination's state alone. [fingerprint] and [outputs]
-    are what a {!clone} of the engine would show after {!deliver_pending}
-    of the batch at {!child_fingerprint}'s [at] and [run ~until:at]: its
-    {!fingerprint}, and the
-    outputs it emitted past the source's {!output_count}. The other
-    fields are what {!prediction}'s [key] reads. *)
+    copy of that destination's state alone. [outputs] are what a {!clone}
+    of the engine would emit past the source's {!output_count} after
+    {!deliver_pending} of the batch at {!child_fingerprint}'s [at] and
+    [run ~until:at]; the other fields are what {!prediction}'s [key]
+    reads. No field depends on the node beyond what
+    {!prediction}'s [digest] of the batch mixes, so a record stands for
+    the same batch wherever the digest is equal. *)
 
 type 'output prediction = {
+  digest : int list -> Fingerprint.t;
   trial : int list -> 'output trial;
   key : drop:int list -> dup:int list -> trials:'output trial list -> Fingerprint.t;
 }
@@ -363,7 +349,15 @@ val child_fingerprint :
 
     [p.trial ids] delivers [ids], in order, to a [state_copy] of their
     one destination's state, which must be a correct process. It neither
-    clones nor steps [t]. [p.key ~drop ~dup ~trials] is the child's
+    clones nor steps [t]. [p.digest ids] mixes everything [p.trial ids]
+    reads: the destination's local digest (as {!fingerprint} mixes it),
+    [at], and each id's slot digest (source, destination, message and
+    send instant) in the given order. Between engines of one automaton
+    and [n], equal digests mean equal trial records, up to the
+    fingerprint's hash compaction, so a caller may answer a batch from
+    the record of an earlier batch with the same digest, at any node.
+    [p.digest] costs O([ids]) and runs no automaton code.
+    [p.key ~drop ~dup ~trials] is the child's
     fingerprint, where [trials] holds [p.trial] of the child's batch for
     every correct destination that takes one, in ascending destination
     order. [p.key] costs O(n + [drop] + [dup] + [trials]) plus the queue
@@ -380,5 +374,5 @@ val child_fingerprint :
     [max_steps] budget. [child_fingerprint] fills [t]'s caches, and [p]
     stays valid until [t] is next stepped or mutated. Raises
     [Invalid_argument] without a [state_fingerprint] hook, and [p.trial]
-    raises it for an empty batch, a dead id, ids to different processes
-    or a crashed destination. *)
+    and [p.digest] raise it for an empty batch, a dead id, ids to
+    different processes or a crashed destination. *)

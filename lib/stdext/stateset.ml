@@ -25,11 +25,6 @@ type t = {
 
 let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (k * 2)
 
-(* [create]'s capacity that absorbs [expected] keys with no resize: the
-   table grows at 3/4 load, so ask for a third more slots than keys and
-   let [create]'s power-of-two rounding only ever round up. *)
-let recommended_capacity ~expected = max 1024 ((max 0 expected * 4 / 3) + 1)
-
 let create ?(capacity = 1024) () =
   {
     table = Array.make (pow2_at_least (max 4 capacity) 4) empty_slot;

@@ -23,13 +23,6 @@ val create : ?capacity:int -> unit -> t
 (** [capacity] (default 1024, rounded up to a power of two) is the initial
     slot count; it only affects performance. *)
 
-val recommended_capacity : expected:int -> int
-(** A [capacity] for {!create} that absorbs [expected] distinct keys
-    without triggering a single resize (the table doubles at 3/4 load;
-    the power-of-two rounding in [create] only rounds up). Use it to
-    pre-size a visited set from a search budget instead of paying resize
-    stalls mid-exploration. *)
-
 val add : t -> int -> bool
 (** Insert a fingerprint. [true] = newly added, [false] = already
     present. *)

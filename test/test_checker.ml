@@ -522,17 +522,18 @@ let totals_testable =
     (fun fmt (t : Explore.Run_report.totals) ->
       Format.fprintf fmt
         "explored %d, violations %d, truncated %b, depths [%s], fast %d, fault runs %d, \
-         drops %d, dups %d, distinct %d, hits %d, pruned %d, por pruned %d, sleep hits %d"
+         drops %d, dups %d, distinct %d, hits %d, pruned %d, por pruned %d, sleep hits %d, \
+         trials %d, table hits %d"
         t.explored t.violations t.truncated
         (String.concat " " (Array.to_list (Array.map string_of_int t.depth_histogram)))
         t.fast_runs t.fault_runs t.drops t.dups t.distinct_states t.dedup_hits
-        t.pruned_subtrees t.por_pruned t.sleep_hits)
+        t.pruned_subtrees t.por_pruned t.sleep_hits t.trials t.table_hits)
     ( = )
 
 (* Totals with no fault runs and no fast runs; [depths] is the depth
    histogram. *)
 let clean_totals ~explored ~violations ~truncated ~depths ~distinct ~hits ~pruned ~por_pruned
-    ~sleep_hits =
+    ~sleep_hits ~trials ~table_hits =
   {
     Explore.Run_report.explored;
     violations;
@@ -547,6 +548,8 @@ let clean_totals ~explored ~violations ~truncated ~depths ~distinct ~hits ~prune
     pruned_subtrees = pruned;
     por_pruned;
     sleep_hits;
+    trials;
+    table_hits;
   }
 
 let test_explore_dedup_totals_identical () =
@@ -558,7 +561,7 @@ let test_explore_dedup_totals_identical () =
   Alcotest.check totals_testable "n=3: totals"
     {
       (clean_totals ~explored:8 ~violations:8 ~truncated:false ~depths:[| 0; 0; 8 |]
-         ~distinct:17 ~hits:0 ~pruned:0 ~por_pruned:13820 ~sleep_hits:70)
+         ~distinct:17 ~hits:0 ~pruned:0 ~por_pruned:13820 ~sleep_hits:70 ~trials:80 ~table_hits:6)
       with
       fast_runs = 8;
     }
@@ -604,7 +607,8 @@ let test_explore_por_totals_identical () =
       ( "por + exact dedup",
         (6, 2, 2, 3, Explore.no_faults),
         clean_totals ~explored:64 ~violations:44 ~truncated:true ~depths:[| 0; 0; 20; 44 |]
-          ~distinct:173 ~hits:0 ~pruned:0 ~por_pruned:508 ~sleep_hits:508 );
+          ~distinct:173 ~hits:0 ~pruned:0 ~por_pruned:508 ~sleep_hits:508
+          ~trials:324 ~table_hits:354 );
       ( "por + exact dedup n=4 drop+dup",
         (4, 1, 2, 2, drop_dup),
         {
@@ -621,6 +625,8 @@ let test_explore_por_totals_identical () =
           pruned_subtrees = 7448;
           por_pruned = 9128;
           sleep_hits = 7350;
+          trials = 1192;
+          table_hits = 6027;
         } );
     ];
   (* The benchmark's set-up search: explore-faults-n6 one size down, at
@@ -642,6 +648,8 @@ let test_explore_por_totals_identical () =
       pruned_subtrees = 41568;
       por_pruned = 89342;
       sleep_hits = 65472;
+      trials = 4700;
+      table_hits = 36463;
     }
     (explore_totals ~budget:100_000 ~check:Safety.safe (5, 2, 1, 2, drop_dup))
 
@@ -693,10 +701,12 @@ let test_run_report_totals_identical () =
     [
       ( 40,
         clean_totals ~explored:40 ~violations:29 ~truncated:true ~depths:[| 0; 0; 11; 29 |]
-          ~distinct:110 ~hits:0 ~pruned:0 ~por_pruned:340 ~sleep_hits:340 );
+          ~distinct:110 ~hits:0 ~pruned:0 ~por_pruned:340 ~sleep_hits:340
+          ~trials:275 ~table_hits:211 );
       ( 2_000,
         clean_totals ~explored:64 ~violations:44 ~truncated:true ~depths:[| 0; 0; 20; 44 |]
-          ~distinct:173 ~hits:0 ~pruned:0 ~por_pruned:508 ~sleep_hits:508 );
+          ~distinct:173 ~hits:0 ~pruned:0 ~por_pruned:508 ~sleep_hits:508
+          ~trials:324 ~table_hits:354 );
     ];
   (* Derived figures come out of the totals. *)
   let r = go ~budget:2_000 in

@@ -1075,16 +1075,20 @@ let test_timer_heap_semantics () =
    is combined with per-destination delivery orders: the whole product of
    the destinations' orders when it has at most 64 members, otherwise the
    k-th order of every destination for each k, which still puts every
-   order of every destination in some child. Every (destination, order)
-   pair is trialled twice: by the prediction's [trial], and by a clone
-   that delivers the same batch; the two must agree on the fingerprint
-   and the new outputs, and neither may move the parent's fingerprint.
-   Each child is keyed from the trial records, built with [clone],
+   order of every destination in some child. One table, shared by every
+   node checked, holds a trial record under each order's [digest]; a
+   node takes its record from there when an earlier node, or an earlier
+   child of its own, met the same digest, and runs the prediction's
+   [trial] otherwise. Every record a node uses is checked once against a
+   clone that delivers that batch and every message to a crashed process:
+   the key of that one leg must be the clone's fingerprint, the record's
+   outputs the clone's new outputs, and the parent's fingerprint must not
+   move. Each child is keyed from the records, built with [clone],
    [drop_pending], [duplicate_pending], [deliver_pending] and [run], and
    its fingerprint must equal the key; so must the fingerprint of the
    same child rebuilt from time 0, which starts with no digest caches.
-   The second boundary is reached through a seed-chosen child of the
-   first. *)
+   The second boundary is checked at two seed-chosen children of the
+   first, so the second of them takes records from its sibling. *)
 
 let key_delta = 100
 
@@ -1112,13 +1116,31 @@ let order_combos per_dst =
 
 let ids l = String.concat ";" (List.map string_of_int l)
 
+(* The live pool by correct destination, ascending, ids in send order
+   within each; and the ids to crashed processes, in send order. *)
+let delivery_groups engine =
+  let live, crashed =
+    List.partition
+      (fun (p : _ Engine.pending) -> not (Engine.crashed engine p.dst))
+      (Engine.pending engine)
+  in
+  let dsts = List.sort_uniq compare (List.map (fun (p : _ Engine.pending) -> p.dst) live) in
+  let ids_to d =
+    List.filter_map (fun (p : _ Engine.pending) -> if p.dst = d then Some p.id else None) live
+  in
+  ( List.map (fun d -> (d, ids_to d)) dsts,
+    List.map (fun (p : _ Engine.pending) -> p.id) crashed )
+
 (* Check every child of [engine] at boundary [round]; returns the choices
    made, each with the child it builds and a function rebuilding that
    child from time 0. [fresh] rebuilds [engine] from time 0: an engine
    never fingerprinted has no digest caches, so its first digest is
    computed from scratch and must equal the child's, which the clone
-   inherited mostly from caches. *)
-let check_boundary ~fresh engine ~round ~drops_left ~dups_left =
+   inherited mostly from caches. [table] is the trial records' table
+   shared across nodes; [on_record] sees each record the node uses, with
+   its order, once. *)
+let check_boundary ~table ?(on_record = fun _ _ -> ()) ~fresh engine ~round ~drops_left
+    ~dups_left =
   let at = round * key_delta and until = ((round + 1) * key_delta) - 1 in
   let prediction =
     match Engine.child_fingerprint engine ~at ~until with
@@ -1126,29 +1148,38 @@ let check_boundary ~fresh engine ~round ~drops_left ~dups_left =
     | None -> QCheck.Test.fail_reportf "boundary %d: no prediction" round
   in
   let parent = Engine.fingerprint engine and since = Engine.output_count engine in
-  let groups, to_crashed = Engine.pending_delivery_groups engine in
+  let groups, to_crashed = delivery_groups engine in
   let live = List.concat_map snd groups in
-  let trials = Hashtbl.create 16 in
+  let checked = Hashtbl.create 16 in
   let trial order =
-    match Hashtbl.find_opt trials order with
-    | Some r -> r
-    | None ->
-        let r = prediction.Engine.trial order in
-        let clone = Engine.clone engine in
-        List.iter (fun id -> Engine.deliver_pending clone ~id ~at) order;
-        ignore (Engine.run ~until:at clone);
-        let fail what =
-          QCheck.Test.fail_reportf "boundary %d, trial [%s]: %s" round (ids order) what
-        in
-        if r.Engine.fingerprint <> Engine.fingerprint clone then
-          fail
-            (Printf.sprintf "fingerprint %d, clone's %d" r.Engine.fingerprint
-               (Engine.fingerprint clone));
-        if r.Engine.outputs <> Engine.recent_outputs clone ~since then
-          fail "outputs differ from the clone's new outputs";
-        if Engine.fingerprint engine <> parent then fail "the parent's fingerprint moved";
-        Hashtbl.add trials order r;
-        r
+    let digest = prediction.Engine.digest order in
+    let r =
+      match Hashtbl.find_opt table digest with
+      | Some r -> r
+      | None ->
+          let r = prediction.Engine.trial order in
+          Hashtbl.add table digest r;
+          r
+    in
+    if not (Hashtbl.mem checked order) then begin
+      Hashtbl.add checked order ();
+      on_record order r;
+      let clone = Engine.clone engine in
+      List.iter (fun id -> Engine.deliver_pending clone ~id ~at) (order @ to_crashed);
+      ignore (Engine.run ~until:at clone);
+      let fail what =
+        QCheck.Test.fail_reportf "boundary %d, trial [%s]: %s" round (ids order) what
+      in
+      let key = prediction.Engine.key ~drop:[] ~dup:[] ~trials:[ r ] in
+      if key <> Engine.fingerprint clone then
+        fail
+          (Printf.sprintf "one-leg key %d, clone's fingerprint %d" key
+             (Engine.fingerprint clone));
+      if r.Engine.outputs <> Engine.recent_outputs clone ~since then
+        fail "outputs differ from the clone's new outputs";
+      if Engine.fingerprint engine <> parent then fail "the parent's fingerprint moved"
+    end;
+    r
   in
   List.concat_map
     (fun drop ->
@@ -1220,18 +1251,22 @@ let child_key_property =
         engine
       in
       let engine = positioned () in
+      let table = Hashtbl.create 64 in
       if Engine.pending_count engine > 0 then begin
         let first =
-          check_boundary ~fresh:positioned engine ~round:1 ~drops_left:1 ~dups_left:1
+          check_boundary ~table ~fresh:positioned engine ~round:1 ~drops_left:1 ~dups_left:1
         in
-        let (drop, dup), next, replay =
-          List.nth first (Random.State.int rng (List.length first))
-        in
-        if Engine.pending_count next > 0 then
-          ignore
-            (check_boundary ~fresh:replay next ~round:2 ~drops_left:(1 - List.length drop)
-               ~dups_left:(1 - List.length dup)
-              : _ list)
+        let siblings = Array.of_list first in
+        List.iter
+          (fun i ->
+            let (drop, dup), next, replay = siblings.(i) in
+            if Engine.pending_count next > 0 then
+              ignore
+                (check_boundary ~table ~fresh:replay next ~round:2
+                   ~drops_left:(1 - List.length drop) ~dups_left:(1 - List.length dup)
+                  : _ list))
+          (List.sort_uniq compare
+             (List.init 2 (fun _ -> Random.State.int rng (Array.length siblings))))
       end;
       (* Anything but the boundary's deliveries before the next boundary
          rules the key out. *)
@@ -1274,6 +1309,12 @@ let tally : (tally, int, unit, int) Automaton.t =
     state_fingerprint = Some (fun s -> Fp.mix (Fp.list Fp.int s.arrivals) (Fp.int s.sum));
   }
 
+(* The tally at its first boundary, and at the second one after every
+   child of the first that neither drops nor duplicates: those children
+   differ in their destinations' arrival orders, and some of them send
+   the same answers, so one batch reaches its destination in two
+   different states. The records the shared table gives those two
+   arrivals must be two records. *)
 let test_child_key_mutable_state () =
   let n = 4 in
   let positioned () =
@@ -1290,21 +1331,60 @@ let test_child_key_mutable_state () =
         (s.arrivals, s.sum))
       (Pid.all ~n)
   in
+  let table = Hashtbl.create 64 in
+  (* Each record used, under its batch's messages and instant, with the
+     destination's contents when the batch arrived. *)
+  let arrivals = Hashtbl.create 64 and two_states = ref 0 in
   let check_round ~fresh engine ~round ~drops_left ~dups_left =
     let before = contents engine in
-    let children = check_boundary ~fresh engine ~round ~drops_left ~dups_left in
+    let pool = Engine.pending engine in
+    let on_record order (r : int Engine.trial) =
+      let batch =
+        List.map
+          (fun id ->
+            let p = List.find (fun (p : _ Engine.pending) -> p.id = id) pool in
+            (p.src, p.dst, p.msg, p.sent_at))
+          order
+      in
+      let state = List.nth before r.Engine.dst in
+      let earlier = Option.value ~default:[] (Hashtbl.find_opt arrivals (round, batch)) in
+      List.iter
+        (fun (state', r') ->
+          if state' <> state then begin
+            incr two_states;
+            if r' == r then
+              Alcotest.failf "boundary %d: one record for a batch to p%d in two states" round
+                r.Engine.dst
+          end)
+        earlier;
+      Hashtbl.replace arrivals (round, batch) ((state, r) :: earlier)
+    in
+    let children =
+      check_boundary ~table ~on_record ~fresh engine ~round ~drops_left ~dups_left
+    in
     Alcotest.(check (list (pair (list int) int)))
       (Printf.sprintf "boundary %d: the source's states are as they were" round)
       before (contents engine);
     children
   in
   let first = check_round ~fresh:positioned (positioned ()) ~round:1 ~drops_left:1 ~dups_left:1 in
-  let (drop, dup), next, replay = List.nth first (List.length first / 2) in
-  Alcotest.(check bool) "a second boundary" true (Engine.pending_count next > 0);
-  ignore
-    (check_round ~fresh:replay next ~round:2 ~drops_left:(1 - List.length drop)
-       ~dups_left:(1 - List.length dup)
-      : _ list)
+  let copied =
+    match
+      List.find_map
+        (fun ((drop, dup), _, _) -> match (drop, dup) with [], [ id ] -> Some id | _ -> None)
+        first
+    with
+    | Some id -> id
+    | None -> Alcotest.fail "no child duplicates a message"
+  in
+  let siblings = List.filter (fun ((drop, dup), _, _) -> drop = [] && dup = [ copied ]) first in
+  Alcotest.(check bool) "several children copy one message" true (List.length siblings > 1);
+  List.iter
+    (fun (_, next, replay) ->
+      Alcotest.(check bool) "a second boundary" true (Engine.pending_count next > 0);
+      ignore (check_round ~fresh:replay next ~round:2 ~drops_left:1 ~dups_left:0 : _ list))
+    siblings;
+  Alcotest.(check bool) "a batch reached its destination in two states" true (!two_states > 0)
 
 (* Inputs due at a crashed process. The engine drops them without a
    trace, so the values that processes crashed at time 0 propose cannot

@@ -658,23 +658,6 @@ let test_stateset_probing_and_resize () =
   Alcotest.(check bool) "resizes happened" true
     (Metrics.get_counter metrics "stateset.resizes" > 0)
 
-let test_stateset_recommended_capacity () =
-  (* A set pre-sized by [recommended_capacity ~expected:k] takes k
-     distinct keys without a single resize. *)
-  List.iter
-    (fun k ->
-      let s = Stateset.create ~capacity:(Stateset.recommended_capacity ~expected:k) () in
-      for i = 1 to k do
-        ignore (Stateset.add s ((i * 0x9E3779B1) + 3) : bool)
-      done;
-      let metrics = Metrics.create () in
-      Stateset.record metrics s;
-      Alcotest.(check (pair int int))
-        (Printf.sprintf "k = %d: (resizes, cardinal)" k)
-        (0, k)
-        (Metrics.get_counter metrics "stateset.resizes", Stateset.cardinal s))
-    [ 1_000; 10_000; 12_288; 24_576; 49_152; 98_304; 200_000 ]
-
 (* -- json --------------------------------------------------------------- *)
 
 let test_json_roundtrip () =
@@ -881,7 +864,6 @@ let () =
           Alcotest.test_case "add and mem" `Quick test_stateset_add_mem;
           Alcotest.test_case "62-bit hash compaction" `Quick test_stateset_hash_compaction;
           Alcotest.test_case "probing and resize" `Quick test_stateset_probing_and_resize;
-          Alcotest.test_case "recommended capacity" `Quick test_stateset_recommended_capacity;
         ] );
       ( "json",
         [
