@@ -113,6 +113,21 @@ let pairs_conv ~what =
   in
   Arg.conv (parse, print)
 
+(* Run [k] unless a check fails. A failed check is a usage error (exit
+   124) that names the constraint, as a size outside the witness's range
+   is. *)
+let checked checks k =
+  match List.find_map Fun.id checks with Some msg -> `Error (true, msg) | None -> `Ok (k ())
+
+(* Every pid of [what] must name one of the [n] processes. *)
+let pids_within ~n ~what pids =
+  List.find_map
+    (fun p ->
+      if p < 0 || p >= n then
+        Some (Printf.sprintf "%s: pid %d is outside 0..%d (n = %d)" what p (n - 1) n)
+      else None)
+    pids
+
 let crashes_arg ?(doc = "Crash schedule as time:pid pairs.") () =
   Arg.(
     value
@@ -139,6 +154,12 @@ let run_cmd =
   let run protocol (n, e, f) proposals crashes net until seed =
     let (module P : Proto.Protocol.S) = protocol in
     let n = match n with Some n -> n | None -> P.min_n ~e ~f in
+    checked
+      [
+        pids_within ~n ~what:"--proposals" (List.map fst proposals);
+        pids_within ~n ~what:"--crashes" (List.map snd crashes);
+      ]
+    @@ fun () ->
     let proposals =
       match proposals with
       | [] -> Checker.Scenario.all_proposals_at_zero ~n (List.init n Fun.id)
@@ -165,8 +186,9 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Run one consensus scenario and print decisions and verdict.")
     Term.(
-      const run $ protocol_arg $ size_term $ proposals_arg $ crashes_arg ()
-      $ net_arg $ until_arg $ seed_arg)
+      ret
+        (const run $ protocol_arg $ size_term $ proposals_arg $ crashes_arg ()
+        $ net_arg $ until_arg $ seed_arg))
 
 (* -- check -------------------------------------------------------------- *)
 
@@ -285,6 +307,13 @@ let explore_cmd =
   let run protocol (n, e, f) rounds budget crashes metrics_out =
     let (module P : Proto.Protocol.S) = protocol in
     let n = match n with Some n -> n | None -> P.min_n ~e ~f in
+    checked
+      [
+        (if rounds < 0 then Some (Printf.sprintf "--rounds must be >= 0 (got %d)" rounds)
+         else None);
+        pids_within ~n ~what:"--crashes" (List.map snd crashes);
+      ]
+    @@ fun () ->
     let proposals = Checker.Scenario.all_proposals_at_zero ~n (List.init n Fun.id) in
     let r, report =
       with_metrics metrics_out (fun registry ->
@@ -325,13 +354,14 @@ let explore_cmd =
           every run. The search prunes revisited states (exact dedup) and commuting \
           delivery orders (sleep-set POR).")
     Term.(
-      const run $ protocol_arg $ size_term $ rounds_arg $ budget_arg
-      $ crashes_arg
-          ~doc:
-            "Crash schedule as time:pid pairs. The search runs with timers off, so no \
-             recovery runs: no timeout fires, and no leader change or slow ballot starts."
-          ()
-      $ metrics_out_arg)
+      ret
+        (const run $ protocol_arg $ size_term $ rounds_arg $ budget_arg
+        $ crashes_arg
+            ~doc:
+              "Crash schedule as time:pid pairs. The search runs with timers off, so no \
+               recovery runs: no timeout fires, and no leader change or slow ballot starts."
+            ()
+        $ metrics_out_arg))
 
 (* -- seeded fault-plan flags --------------------------------------------- *)
 
@@ -384,6 +414,7 @@ let faults_cmd =
       seeds seed until metrics_out =
     let (module P : Proto.Protocol.S) = protocol in
     let n = match n with Some n -> n | None -> P.min_n ~e ~f in
+    checked [ pids_within ~n ~what:"--crashes" (List.map snd crashes) ] @@ fun () ->
     let proposals = Checker.Scenario.all_proposals_at_zero ~n (List.init n Fun.id) in
     let faults =
       Dsim.Network.Fault.random ~drop_rate ~dup_rate ~max_drops ~max_dups
@@ -422,10 +453,11 @@ let faults_cmd =
          "Sweep seeded loss/duplication/crash fault plans over one protocol and check \
           safety on every run.")
     Term.(
-      const run $ protocol_arg $ size_term $ drop_rate_arg 0.1 $ dup_rate_arg 0.1
-      $ max_drops_arg 8 $ max_dups_arg 8 $ max_extra_delay_arg
-      $ crashes_arg ~doc:"Crash schedule as time:pid pairs (composes with the fault plan)." ()
-      $ seeds_arg $ seed_arg $ until_arg $ metrics_out_arg)
+      ret
+        (const run $ protocol_arg $ size_term $ drop_rate_arg 0.1 $ dup_rate_arg 0.1
+        $ max_drops_arg 8 $ max_dups_arg 8 $ max_extra_delay_arg
+        $ crashes_arg ~doc:"Crash schedule as time:pid pairs (composes with the fault plan)." ()
+        $ seeds_arg $ seed_arg $ until_arg $ metrics_out_arg))
 
 (* -- report -------------------------------------------------------------- *)
 

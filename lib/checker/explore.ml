@@ -107,9 +107,8 @@ module Run_report = struct
 end
 
 (* One destination's delivery order at a round boundary, with the
-   engine's trial record of exactly that order where the node has a
-   prediction. *)
-type leg = { order : int list; trial : Proto.Value.t Dsim.Engine.trial option }
+   engine's trial record of exactly that order. *)
+type leg = { order : int list; trial : Proto.Value.t Dsim.Engine.trial }
 
 (* One round boundary's worth of scheduling decisions: which pending
    messages the adversary loses, which it duplicates (the copy stays in
@@ -122,7 +121,7 @@ type round_choice = { drop : int list; dup : int list; legs : leg list; to_crash
 
 let deliver_list c = List.concat_map (fun l -> l.order) c.legs @ c.to_crashed
 
-let trials c = List.filter_map (fun l -> l.trial) c.legs
+let trials c = List.map (fun l -> l.trial) c.legs
 
 (* An explored run ends at a round boundary, not where a [run] call
    returned, and is reported as [Quiescent]. *)
@@ -151,8 +150,8 @@ let root_engine automaton ~n ~delta ~proposals ~crashes ~disable_timers =
    determinism — duplication allocates fresh pending ids in [dup] order),
    then the prescribed delivery order. With [reuse] it extends [engine] in
    place instead of a clone — sound only once the parent is dead, i.e. for
-   its last child in the DFS; an interior node with [k] children then
-   costs [k - 1] clones. *)
+   its last child in the DFS; an interior node with [k] admitted children
+   then costs at most [k - 1] clones. *)
 let extend ~delta ~reuse engine round ({ drop; dup; _ } as choice) =
   let c = if reuse then engine else Dsim.Engine.clone engine in
   let at = round * delta in
@@ -165,8 +164,8 @@ let extend ~delta ~reuse engine round ({ drop; dup; _ } as choice) =
 
 (* A destination batch's sleep-set classes: its order count before POR,
    and its kept orders as positions in the batch (send order), each with
-   its engine trial record when the node offered one. *)
-type classes = { orders : int; kept : (int list * Proto.Value.t Dsim.Engine.trial option) list }
+   its engine trial record. *)
+type classes = { orders : int; kept : (int list * Proto.Value.t Dsim.Engine.trial) list }
 
 module Batches = Hashtbl.Make (Int)
 
@@ -197,9 +196,9 @@ let orders_of_size k =
    messages. Fault subsets are enumerated in ascending size with the empty
    choice first, so under a tight budget the no-fault schedules are
    explored before any faulty ones. Messages to crashed processes are
-   irrelevant and are appended in arrival order. Returns [None] when
-   nothing is pending, else the number of choices and the choices
-   themselves (fan-out telemetry stays with the caller).
+   irrelevant and are appended in arrival order. The pool must not be
+   empty. Returns the number of choices and the choices themselves
+   (fan-out telemetry stays with the caller).
 
    Each drop subset's per-destination orders, and the trials and POR
    bookkeeping behind them, are computed here, eagerly, so [sleep_hits]
@@ -208,192 +207,153 @@ let orders_of_size k =
    lazy sequence: a node's fan-out can run to hundreds of thousands of
    choices, and only the one being explored needs to exist.
 
-   A trial delivers one destination's kept batch, in one order, at the
-   boundary. Where [prediction] is the engine's
-   ({!Dsim.Engine.child_fingerprint}), the trial runs on a copy of that
-   destination's state alone; elsewhere it runs on a scratch clone of
-   [engine], which also runs any boundary-instant timer fire or crash
-   step (deliveries rank before timers at an instant). A batch with
-   several orders goes through the sleep set: each order is trialled,
-   and one whose outcome an earlier sibling order already reached is
-   suppressed and counted in [sleep_hits]. The outcome is the new local
-   digest, send count, sent-digest sum and outputs of an engine trial —
-   within one batch at one node they fix the one-destination child — or
-   the clone's fingerprint and new outputs. An event that breaks
-   commutation differentiates the trial outcomes and keeps both orders.
+   A trial is [prediction]'s ({!Dsim.Engine.child_fingerprint}): it
+   delivers one destination's kept batch, in one order, on a copy of
+   that destination's state, and runs what else that process has due
+   before the next boundary (its timers, inputs and crash). Each order
+   of a batch is trialled, and one whose outcome an earlier sibling
+   order already reached is suppressed and counted in [sleep_hits]. The
+   outcome is the destination's new local digest, armed timers, last
+   event instant, send count, sent-digest sum and outputs: within one
+   batch at one node they fix the one-destination child. An event that
+   breaks commutation differentiates the outcomes and keeps both orders.
    The child a kept order generates is determined, process-locally, by
-   the per-destination trial classes jointly — delivering a message only
-   steps its destination — so every suppressed combination would have
+   the per-destination trial classes jointly — nothing crosses processes
+   between boundaries — so every suppressed combination would have
    rebuilt an already-generated child state (up to the fingerprint's
    hash compaction, exactly like the visited set). [por_pruned] counts
    the order combinations never multiplied out. A batch with one order
-   needs no sleep set; it gets the engine's trial where [prediction] is
-   given, so that every leg carries the trial record the child key
-   reads, and no trial elsewhere.
+   is trialled too, so that every leg carries the record the child key
+   reads.
 
-   Where [prediction] is given, a batch's classes are kept in
-   [pruning.table] under its digest, which mixes everything a trial
-   reads, so a batch met again — at this node under another drop
-   subset, or at any later node — costs one digest and one lookup and
-   runs no trial. A batch met for the first time looks each order up in
-   [pruning.records] before trialling it; an order enters that table as
-   soon as the sleep set keeps it, so the orders of one batch are looked
-   up by their own digests too. Each distinct kept batch of a
-   node adds its suppressed orders to [sleep_hits] once, whether its
-   classes came from trials or from the table. *)
-let round_choices_of ~prediction pruning ~boundary_at engine ~drops_left ~dups_left =
-  if Dsim.Engine.pending_count engine = 0 then None
-  else begin
-    (* One pass over the pool in send order: the live messages as (id,
-       destination), each correct destination's batch, and the ids to
-       crashed processes. Drop subsets are enumerated over the live
-       messages in this order — the order the search has always used —
-       so the DFS visits fault branches in an unchanged sequence. *)
-    let batches = Array.make (Dsim.Engine.n engine) [] in
-    let live_rev = ref [] and crashed_rev = ref [] in
-    Dsim.Engine.iter_pending engine (fun ~id ~src:_ ~dst ~msg:_ ~sent_at:_ ->
-        if Dsim.Engine.crashed engine dst then crashed_rev := id :: !crashed_rev
-        else begin
-          live_rev := (id, dst) :: !live_rev;
-          batches.(dst) <- id :: batches.(dst)
-        end);
-    let live = List.rev !live_rev and crashed_ids = List.rev !crashed_rev in
-    (* The sleep set over a batch of [k] messages: [trial] maps an order's
-       positions to its outcome and record, [single] gives the one order
-       of a one-message batch its record, and [keep] sees each kept order
-       as soon as it is kept. *)
-    let classify k ~single ~trial ~keep =
-      match orders_of_size k with
-      | [ positions ] ->
-          let record = single positions in
-          keep positions record;
-          { orders = 1; kept = [ (positions, record) ] }
-      | orders ->
-          let seen = Hashtbl.create 8 in
-          let kept =
-            List.filter_map
-              (fun positions ->
-                let outcome, record = trial positions in
-                if Hashtbl.mem seen outcome then None
-                else begin
-                  Hashtbl.add seen outcome ();
-                  keep positions record;
-                  Some (positions, record)
-                end)
-              orders
-          in
-          { orders = List.length orders; kept }
-    in
-    (* A kept batch's order count before POR, and its legs after; [count]
-       adds its suppressed orders to [sleep_hits]. *)
-    let legs_for ~count batch =
-      let ids = Array.of_list batch in
-      let k = Array.length ids in
-      if k > perm_limit then pruning.fallback <- true;
-      let order positions = List.map (Array.get ids) positions in
-      let c =
-        match prediction with
-        | None ->
-            classify k
-              ~single:(fun _ -> None)
-              ~keep:(fun _ _ -> ())
-              ~trial:(fun positions ->
-                pruning.trials <- pruning.trials + 1;
-                let scratch = Dsim.Engine.clone engine in
-                List.iter
-                  (fun id -> Dsim.Engine.deliver_pending scratch ~id ~at:boundary_at)
-                  (order positions);
-                ignore (Dsim.Engine.run ~until:boundary_at scratch);
-                let since = Dsim.Engine.output_count engine in
-                ( (Dsim.Engine.fingerprint scratch, Dsim.Engine.recent_outputs scratch ~since),
-                  None ))
-        | Some p -> (
-            let digest = p.Dsim.Engine.digest batch in
-            match Batches.find_opt pruning.table digest with
-            | Some c ->
-                pruning.table_hits <- pruning.table_hits + 1;
-                c
-            | None ->
-                let trial positions =
-                  let order = order positions in
-                  match Batches.find_opt pruning.records (p.Dsim.Engine.digest order) with
-                  | Some r -> r
-                  | None ->
-                      pruning.trials <- pruning.trials + 1;
-                      p.Dsim.Engine.trial order
-                in
-                let c =
-                  classify k
-                    ~single:(fun positions -> Some (trial positions))
-                    ~keep:(fun positions record ->
-                      Option.iter
-                        (Batches.replace pruning.records (p.Dsim.Engine.digest (order positions)))
-                        record)
-                    ~trial:(fun positions ->
-                      let r = trial positions in
-                      (Dsim.Engine.(r.local, r.sends, r.sent, r.outputs), Some r))
-                in
-                Batches.add pruning.table digest c;
-                c)
-      in
-      if count then pruning.sleep_hits <- pruning.sleep_hits + c.orders - List.length c.kept;
-      (c.orders, List.map (fun (positions, trial) -> { order = order positions; trial }) c.kept)
-    in
-    let whole =
+   A batch's classes are kept in [pruning.table] under its digest, which
+   mixes everything a trial reads, so a batch met again — at this node
+   under another drop subset, or at any later node — costs one digest
+   and one lookup and runs no trial. A batch met for the first time
+   looks each order up in [pruning.records] before trialling it; an
+   order enters that table as soon as the sleep set keeps it, so the
+   orders of one batch are looked up by their own digests too. Each
+   distinct kept batch of a node adds its suppressed orders to
+   [sleep_hits] once, whether its classes came from trials or from the
+   table. *)
+let round_choices_of prediction pruning engine ~drops_left ~dups_left =
+  (* One pass over the pool in send order: the live messages as (id,
+     destination), each correct destination's batch, and the ids to
+     crashed processes. Drop subsets are enumerated over the live
+     messages in this order — the order the search has always used — so
+     the DFS visits fault branches in an unchanged sequence. *)
+  let batches = Array.make (Dsim.Engine.n engine) [] in
+  let live_rev = ref [] and crashed_rev = ref [] in
+  Dsim.Engine.iter_pending engine (fun ~id ~src:_ ~dst ~msg:_ ~sent_at:_ ->
+      if Dsim.Engine.crashed engine dst then crashed_rev := id :: !crashed_rev
+      else begin
+        live_rev := (id, dst) :: !live_rev;
+        batches.(dst) <- id :: batches.(dst)
+      end);
+  let live = List.rev !live_rev and crashed_ids = List.rev !crashed_rev in
+  let digest = prediction.Dsim.Engine.digest in
+  (* The sleep set over a batch met for the first time: each order's
+     record, looked up or trialled, and the classes its outcomes make. *)
+  let order ids positions = List.map (Array.get ids) positions in
+  let classify ids =
+    let orders = orders_of_size (Array.length ids) in
+    let seen = Hashtbl.create 8 in
+    let kept =
       List.filter_map
-        (fun dst ->
-          match batches.(dst) with
-          | [] -> None
-          | rev ->
-              let batch = List.rev rev in
-              Some (dst, batch, legs_for ~count:true batch))
-        (List.init (Array.length batches) Fun.id)
-    in
-    (* A drop subset changes only the batches it drops from. Each such
-       kept batch is counted under the drop subset that lies within it,
-       the first to produce it. *)
-    let block drop =
-      let dropped id = List.mem_assoc id drop in
-      let per_dst =
-        List.filter_map
-          (fun (dst, batch, legs) ->
-            if not (List.exists (fun (_, d) -> d = dst) drop) then Some legs
-            else
-              match List.filter (fun id -> not (dropped id)) batch with
-              | [] -> None
-              | kept -> Some (legs_for ~count:(List.for_all (fun (_, d) -> d = dst) drop) kept))
-          whole
-      in
-      let product f = List.fold_left (fun acc legs -> acc * f legs) 1 per_dst in
-      let full = product fst and reduced = product (fun (_, legs) -> List.length legs) in
-      let kept_count = List.length live - List.length drop in
-      let dup_sets =
-        List.fold_left ( + ) 0
-          (List.init (min dups_left kept_count + 1) (Combinat.choose kept_count))
-      in
-      if full > reduced then
-        pruning.por_pruned <- pruning.por_pruned + ((full - reduced) * dup_sets);
-      (drop, List.map snd per_dst, dup_sets * reduced)
-    in
-    let blocks = List.map block (Combinat.subsets_up_to drops_left live) in
-    let count = List.fold_left (fun a (_, _, c) -> a + c) 0 blocks in
-    let choices =
-      Seq.flat_map
-        (fun (drop, per_dst, _) ->
-          let kept =
-            List.filter_map (fun (id, _) -> if List.mem_assoc id drop then None else Some id) live
+        (fun positions ->
+          let order = order ids positions in
+          let d = digest order in
+          let r =
+            match Batches.find_opt pruning.records d with
+            | Some r -> r
+            | None ->
+                pruning.trials <- pruning.trials + 1;
+                prediction.Dsim.Engine.trial order
           in
-          let drop = List.map fst drop in
-          Seq.flat_map
-            (fun dup ->
-              Seq.map
-                (fun legs -> { drop; dup; legs; to_crashed = crashed_ids })
-                (Combinat.cartesian_seq per_dst))
-            (List.to_seq (Combinat.subsets_up_to dups_left kept)))
-        (List.to_seq blocks)
+          let outcome = Dsim.Engine.(r.local, r.timers, r.last, r.sends, r.sent, r.outputs) in
+          if Hashtbl.mem seen outcome then None
+          else begin
+            Hashtbl.add seen outcome ();
+            Batches.replace pruning.records d r;
+            Some (positions, r)
+          end)
+        orders
     in
-    Some (count, choices)
-  end
+    { orders = List.length orders; kept }
+  in
+  (* A kept batch's order count before POR, and its legs after; [count]
+     adds its suppressed orders to [sleep_hits]. *)
+  let legs_for ~count batch =
+    let ids = Array.of_list batch in
+    if Array.length ids > perm_limit then pruning.fallback <- true;
+    let c =
+      let d = digest batch in
+      match Batches.find_opt pruning.table d with
+      | Some c ->
+          pruning.table_hits <- pruning.table_hits + 1;
+          c
+      | None ->
+          let c = classify ids in
+          Batches.add pruning.table d c;
+          c
+    in
+    if count then pruning.sleep_hits <- pruning.sleep_hits + c.orders - List.length c.kept;
+    (c.orders, List.map (fun (positions, trial) -> { order = order ids positions; trial }) c.kept)
+  in
+  let whole =
+    List.filter_map
+      (fun dst ->
+        match batches.(dst) with
+        | [] -> None
+        | rev ->
+            let batch = List.rev rev in
+            Some (dst, batch, legs_for ~count:true batch))
+      (List.init (Array.length batches) Fun.id)
+  in
+  (* A drop subset changes only the batches it drops from. Each such
+     kept batch is counted under the drop subset that lies within it,
+     the first to produce it. *)
+  let block drop =
+    let dropped id = List.mem_assoc id drop in
+    let per_dst =
+      List.filter_map
+        (fun (dst, batch, legs) ->
+          if not (List.exists (fun (_, d) -> d = dst) drop) then Some legs
+          else
+            match List.filter (fun id -> not (dropped id)) batch with
+            | [] -> None
+            | kept -> Some (legs_for ~count:(List.for_all (fun (_, d) -> d = dst) drop) kept))
+        whole
+    in
+    let product f = List.fold_left (fun acc legs -> acc * f legs) 1 per_dst in
+    let full = product fst and reduced = product (fun (_, legs) -> List.length legs) in
+    let kept_count = List.length live - List.length drop in
+    let dup_sets =
+      List.fold_left ( + ) 0
+        (List.init (min dups_left kept_count + 1) (Combinat.choose kept_count))
+    in
+    if full > reduced then
+      pruning.por_pruned <- pruning.por_pruned + ((full - reduced) * dup_sets);
+    (drop, List.map snd per_dst, dup_sets * reduced)
+  in
+  let blocks = List.map block (Combinat.subsets_up_to drops_left live) in
+  let count = List.fold_left (fun a (_, _, c) -> a + c) 0 blocks in
+  let choices =
+    Seq.flat_map
+      (fun (drop, per_dst, _) ->
+        let kept =
+          List.filter_map (fun (id, _) -> if List.mem_assoc id drop then None else Some id) live
+        in
+        let drop = List.map fst drop in
+        Seq.flat_map
+          (fun dup ->
+            Seq.map
+              (fun legs -> { drop; dup; legs; to_crashed = crashed_ids })
+              (Combinat.cartesian_seq per_dst))
+          (List.to_seq (Combinat.subsets_up_to dups_left kept)))
+      (List.to_seq blocks)
+  in
+  (count, choices)
 
 let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
     ?(crashes = []) ~rounds ?(budget = 20_000) ?(disable_timers = true) ?domains:_
@@ -401,6 +361,7 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
     ~check () =
   if faults.max_drops < 0 || faults.max_dups < 0 then
     invalid_arg "Explore.synchronous_report: fault bounds must be non-negative";
+  if rounds < 0 then invalid_arg "Explore.synchronous_report: rounds must be non-negative";
   let budget = max budget 0 in
   let root =
     root_engine (P.make ~n ~e ~f ~delta) ~n ~delta ~proposals ~crashes ~disable_timers
@@ -457,61 +418,46 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
     if !explored >= budget then cut := true;
     not !cut
   in
-  (* The last choice of a node reuses its engine, whether or not an
-     earlier choice was built. *)
-  let rec dfs engine round ~drops_left ~dups_left =
-    if admit (Dsim.Engine.fingerprint engine) round then expand engine round ~drops_left ~dups_left
-  and expand engine round ~drops_left ~dups_left =
+  (* The engine's prediction for a node's children: its per-destination
+     trials and each child's exact fingerprint, so only a child whose key
+     is new is built. The last choice of a node reuses its engine. *)
+  let rec expand engine round ~drops_left ~dups_left =
     if round > rounds then evaluate engine ~depth:rounds
+    else if Dsim.Engine.pending_count engine = 0 then evaluate engine ~depth:(round - 1)
     else begin
-      (* The engine's prediction for the node's children: its
-         per-destination trials and each child's exact fingerprint, so
-         only a child whose key is new is built. [None] — a node where
-         more than the boundary's deliveries could happen before the next
-         one — leaves the node on clone trials and the build-then-check
-         path. *)
       let prediction =
         Dsim.Engine.child_fingerprint engine ~at:(round * delta)
           ~until:(((round + 1) * delta) - 1)
       in
-      match
-        round_choices_of ~prediction pruning ~boundary_at:(round * delta) engine ~drops_left
-          ~dups_left
-      with
-      | None -> evaluate engine ~depth:(round - 1)
-      | Some (count, choices) ->
-          max_fanout := max !max_fanout count;
-          let child ~last choice =
-            let drops_left = drops_left - List.length choice.drop
-            and dups_left = dups_left - List.length choice.dup in
-            let build () = extend ~delta ~reuse:last engine round choice in
-            match prediction with
-            | None -> dfs (build ()) (round + 1) ~drops_left ~dups_left
-            | Some p ->
-                let predicted =
-                  p.Dsim.Engine.key ~drop:choice.drop ~dup:choice.dup ~trials:(trials choice)
-                in
-                if admit predicted (round + 1) then begin
-                  let built = build () in
-                  if Dsim.Engine.fingerprint built <> predicted then
-                    failwith "Explore: a built child's fingerprint differs from its prediction";
-                  expand built (round + 1) ~drops_left ~dups_left
-                end
-          in
-          let rec walk = function
-            | Seq.Nil -> ()
-            | Seq.Cons (choice, rest) ->
-                if allowed () then begin
-                  let next = rest () in
-                  child ~last:(match next with Seq.Nil -> true | Seq.Cons _ -> false) choice;
-                  walk next
-                end
-          in
-          walk (choices ())
+      let count, choices = round_choices_of prediction pruning engine ~drops_left ~dups_left in
+      max_fanout := max !max_fanout count;
+      let child ~last choice =
+        let predicted =
+          prediction.Dsim.Engine.key ~drop:choice.drop ~dup:choice.dup ~trials:(trials choice)
+        in
+        if admit predicted (round + 1) then begin
+          let built = extend ~delta ~reuse:last engine round choice in
+          if Dsim.Engine.fingerprint built <> predicted then
+            failwith "Explore: a built child's fingerprint differs from its prediction";
+          expand built (round + 1)
+            ~drops_left:(drops_left - List.length choice.drop)
+            ~dups_left:(dups_left - List.length choice.dup)
+        end
+      in
+      let rec walk = function
+        | Seq.Nil -> ()
+        | Seq.Cons (choice, rest) ->
+            if allowed () then begin
+              let next = rest () in
+              child ~last:(match next with Seq.Nil -> true | Seq.Cons _ -> false) choice;
+              walk next
+            end
+      in
+      walk (choices ())
     end
   in
-  if allowed () then
-    dfs root 1 ~drops_left:faults.max_drops ~dups_left:faults.max_dups;
+  if allowed () && admit (Dsim.Engine.fingerprint root) 1 then
+    expand root 1 ~drops_left:faults.max_drops ~dups_left:faults.max_dups;
   Stateset.record metrics visited;
   let res =
     {

@@ -15,11 +15,12 @@
     lower-bound runs itself is an open item ("An explorer that reaches
     recovery" in ROADMAP.md).
 
-    Each branch extends an {!Dsim.Engine.clone} of its parent node by one
-    round — O(depth) incremental stepping instead of re-executing every
-    path from time 0. A node's last child reuses the parent engine in
-    place (it is dead afterwards), so an interior node with [k] children
-    costs [k - 1] clones.
+    Each child the visited set admits is built once, by extending an
+    {!Dsim.Engine.clone} of its parent node by one round — O(depth)
+    incremental stepping instead of re-executing every path from time 0.
+    A node's last child reuses the parent engine in place (it is dead
+    afterwards), so an interior node with [k] admitted children costs at
+    most [k - 1] clones. The engine is cloned for nothing else.
 
     The search is one sequential depth-first traversal. It tallies its
     totals as each run is evaluated, so {!Run_report.totals} covers
@@ -51,37 +52,34 @@
       one destination's batch, each candidate order is trial-run, and an
       order reaching the outcome of an earlier sibling order joins the
       sleep set and is never expanded ([sleep_hits], [por_pruned]). The
-      outcome is the destination's new local digest, send count, sent
-      messages and new outputs where the engine predicts the node's
-      children, and the scratch clone's fingerprint and new outputs
-      elsewhere. A timer fire or crash at the boundary instant that
-      breaks commutation differentiates the trials and defeats the
-      pruning — never the verdict.
+      outcome is the destination's local digest, armed timers, last
+      event instant, send count, sent messages and outputs at the next
+      boundary: a trial runs the process's own timers, inputs and crash
+      due before then after its batch. A timer fire or crash that breaks
+      commutation differentiates the trials and defeats the pruning —
+      never the verdict.
     - {e Exact deduplication} keys every search-tree node on its
       {!Dsim.Engine.fingerprint} (and round) in a {!Stdext.Stateset} and
       prunes the subtree under a state it has already expanded, so the
       search runs over {e distinct states} rather than schedules. Pruned
       branches evaluate no run, so they spend no budget.
 
-    Children are keyed before they are built where the engine can
-    predict them: at a node where nothing but the boundary's deliveries
-    can happen before the next boundary (timers disabled, no crash or
-    input due — the condition {!Dsim.Engine.child_fingerprint} checks),
-    each trial runs one destination's batch on a copy of that process's
-    state, with no engine clone, and each child's exact fingerprint is
+    Every child is keyed before it is built
+    ({!Dsim.Engine.child_fingerprint}), with timers on or off and with
+    crashes and inputs due between boundaries. Between two boundaries
+    nothing crosses processes in the explorer's [Manual] network, so
+    each trial runs one destination's batch, and then that process's own
+    timers, inputs and crash due before the next boundary, on a copy of
+    its state, with no engine clone. Each child's exact fingerprint is
     predicted from the node and those trials, entered into the visited
     set, and only a child whose key is new is built. A built child whose
-    fingerprint differs from its prediction raises [Failure]. At every
-    other node a trial runs against a scratch clone of the node, where
-    boundary-instant timer fires and crashes execute too, and each child
-    is built and then checked. Either way the same keys enter the
-    visited set in the same order.
+    fingerprint differs from its prediction raises [Failure].
 
-    {b One table per search.} Where the engine predicts a node's
-    children, a destination's batch is looked up by its
+    {b One table per search.} A destination's batch is looked up by its
     {!Dsim.Engine.prediction} [digest] — the destination's local digest,
-    the boundary instant and the batch's messages in send order — in a
-    table that lives as long as the search. The first node that meets a
+    armed timers and events due before the next boundary, the boundary
+    instant and the batch's messages in send order — in a table that
+    lives as long as the search. The first node that meets a
     batch trial-runs its orders, runs the sleep set over them, and enters
     the batch's classes: its order count and its kept orders as positions
     in the batch, each with its trial record. Every later meeting, at
@@ -92,18 +90,18 @@
     that order's own digest, and a batch met for the first time looks
     each of its orders up there before trial-running it ([trials] counts
     the orders run). The records hold nothing node-specific: a
-    destination's new local digest, its sends, the digest sums of its
-    sends and of the batch, and its outputs. Both tables are freed with
-    the search, and nothing turns them off. Clone trials, at nodes the
-    engine does not predict, are not tabled.
+    destination's new local digest, armed timers, last event instant and
+    step count, its sends, the digest sums of its sends and of the batch,
+    and its outputs. Both tables are freed with the search, and nothing
+    turns them off.
 
     Soundness: both reductions drop only children whose state equals one
     already kept (up to the 62-bit hash-compaction collision probability
     of {!Stdext.Stateset}). The table rests on the same assumption as the
-    visited set: a delivery steps only its destination, its sends carry
-    the boundary instant, and [n] and the automaton are fixed for the
-    search, so two batches with equal digests behave equally, up to hash
-    compaction. Every child the search builds is re-executed and its
+    visited set: a delivery, timer fire or input steps only its own
+    process, every send waits in the pool, and [n], the automaton and the
+    timer setting are fixed for the search, so two batches with equal
+    digests behave equally, up to hash compaction. Every child the search builds is re-executed and its
     fingerprint compared with its prediction, which re-checks every
     record the table answered for it. The test suite checks this search,
     leaf for leaf and in order, against a brute-force oracle that
@@ -159,8 +157,8 @@ module Run_report : sig
         (** per-destination delivery orders suppressed by the sleep set —
             the trial-equivalence classes behind [por_pruned] *)
     trials : int;
-        (** delivery orders trial-run, on a copy of one destination's
-            state or on a scratch clone of the node *)
+        (** delivery orders trial-run, each on a copy of one
+            destination's state *)
     table_hits : int;
         (** destination batches whose sleep-set classes and trial records
             the search's table answered, with no trial *)
@@ -235,8 +233,8 @@ val synchronous_report :
 (** [check] returns [false] on a violating run. [budget] defaults to 20_000
     runs, [disable_timers] to [true], [faults] to {!no_faults}. Raises
     [Invalid_argument] when the protocol's automaton supplies no
-    [state_fingerprint] hook (every bundled protocol does) or a fault
-    bound is negative. The visited set starts at {!Stdext.Stateset}'s
+    [state_fingerprint] hook (every bundled protocol does), [rounds] or a
+    fault bound is negative, or a crash or proposal names no process. The visited set starts at {!Stdext.Stateset}'s
     default size and grows with the states it holds. [metrics] (default
     disabled) receives the visited set's [stateset.*]
     counters ({!Stdext.Stateset.record}) when the search returns; the

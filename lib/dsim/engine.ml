@@ -64,6 +64,8 @@ type ('msg, 'input) event =
 
 let input_rank = 2
 
+let deliver_rank = 3
+
 (* Events at equal time are processed by rank; see the .mli. Rank 4 is the
    timers', which live in their own heap, so no two sources ever tie at a
    timer's priority. *)
@@ -71,7 +73,7 @@ let rank = function
   | Ev_crash _ -> 0
   | Ev_init _ -> 1
   | Ev_input _ -> input_rank
-  | Ev_deliver _ -> 3
+  | Ev_deliver _ -> deliver_rank
 
 let timer_rank = 4
 
@@ -248,11 +250,17 @@ let calendar_of inputs =
    from the single user-facing seed. *)
 let fault_seed_mix = 0x2545F4914F6CDD1D
 
+let check_pid ~caller ~what ~n p =
+  if p < 0 || p >= n then
+    invalid_arg (Printf.sprintf "%s: %s pid %d outside [0, %d)" caller what p n)
+
 let create ~automaton ~n ~network ?(seed = 0) ?(record_trace = true)
     ?(disable_timers = false) ?(max_steps = 5_000_000) ?(inputs = []) ?(crashes = [])
     ?(faults = Network.Fault.none) ?causality () =
   if n < 1 then invalid_arg "Engine.create: n must be >= 1";
   Network.validate network;
+  List.iter (fun (_, p) -> check_pid ~caller:"Engine.create" ~what:"crash" ~n p) crashes;
+  List.iter (fun (_, p, _) -> check_pid ~caller:"Engine.create" ~what:"input" ~n p) inputs;
   let t =
     {
       automaton;
@@ -381,10 +389,12 @@ let recent_outputs t ~since =
   end
 
 let schedule_input t ~at p input =
+  check_pid ~caller:"Engine.schedule_input" ~what:"input" ~n:t.n p;
   if at < t.now then invalid_arg "Engine.schedule_input: at < now";
   push_event t ~at (Ev_input (p, input))
 
 let schedule_crash t ~at p =
+  check_pid ~caller:"Engine.schedule_crash" ~what:"crash" ~n:t.n p;
   if at < t.now then invalid_arg "Engine.schedule_crash: at < now";
   push_event t ~at (Ev_crash p)
 
@@ -794,14 +804,23 @@ let run ?until t =
 
 (* -- manual network control --------------------------------------------- *)
 
+(* The delivery of live pending message [id]. *)
+let delivery t id =
+  Ev_deliver
+    {
+      src = t.pd_src.(id);
+      dst = t.pd_dst.(id);
+      msg = t.pd_msgs.(id);
+      sent_at = t.pd_sent.(id);
+      origin = t.pd_origin.(id);
+    }
+
 let deliver_pending t ~id ~at =
   if not (pending_live t id) then raise Not_found;
   if at < t.now then invalid_arg "Engine.deliver_pending: at < now";
-  let src = t.pd_src.(id) and dst = t.pd_dst.(id) and sent_at = t.pd_sent.(id) in
-  let origin = t.pd_origin.(id) in
-  let msg = t.pd_msgs.(id) in
+  let ev = delivery t id in
   free_pending t id;
-  push_event t ~at (Ev_deliver { src; dst; msg; sent_at; origin })
+  push_event t ~at ev
 
 let drop_pending t ~id =
   if pending_live t id then begin
@@ -877,40 +896,57 @@ let header_fp ~n ~now ~sends ~dropped ~duplicated =
   let fp = Fp.mix fp (Fp.int dropped) in
   Fp.mix fp (Fp.int duplicated)
 
+let event_pid = function
+  | Ev_crash pid | Ev_init pid | Ev_input (pid, _) -> pid
+  | Ev_deliver { dst; _ } -> dst
+
 (* Feed [f] the event queue — heap and unread calendar merged — in pop
-   order, as (priority digest, event digest) pairs. *)
-let fold_queue t f init =
-  let acc = ref init in
+   order, with each calendar entry as the input event it stands for. *)
+let iter_queue t f =
   let cal = t.calendar in
   let c = ref t.cal_next in
-  let fold_calendar_upto bound =
+  let calendar_upto bound =
     while !c < Array.length cal.cal_times && input_priority cal.cal_times.(!c) <= bound do
-      let prio = input_priority cal.cal_times.(!c) in
-      acc := f !acc (Fp.int prio) (input_fp cal.cal_pids.(!c) cal.cal_inputs.(!c));
+      f (input_priority cal.cal_times.(!c)) (Ev_input (cal.cal_pids.(!c), cal.cal_inputs.(!c)));
       incr c
     done
   in
   if not (Pqueue.is_empty t.queue) then
     Pqueue.iter_in_order t.queue (fun prio ev ->
-        fold_calendar_upto prio;
-        acc := f !acc (Fp.int prio) (event_fp ev));
-  fold_calendar_upto max_int;
-  !acc
+        calendar_upto prio;
+        f prio ev);
+  calendar_upto max_int
 
 let queue_step acc prio ev = Fp.mix (Fp.mix acc prio) ev
 
-(* Armed timers as (pid, id, deadline) in pop order; the bare tag 73 when
-   none is armed. *)
-let timers_fp t =
-  let timers = ref 73 in
-  if not (Iheap.is_empty t.timers) then
+(* Each process's armed timers as (timer id, deadline), in pop order. *)
+let armed t =
+  let by_pid = Array.make t.n [] in
+  if not (Iheap.is_empty t.timers) then begin
     Iheap.iter_in_order t.timers (fun ~id:cell ~priority ->
-        timers :=
-          Fp.mix !timers
-            (Fp.mix
-               (Fp.mix (Fp.mix 71 (Fp.int (cell mod t.n))) (Fp.int (cell / t.n)))
-               (Fp.int (time_of_priority priority))));
-  !timers
+        let pid = cell mod t.n in
+        by_pid.(pid) <- (cell / t.n, time_of_priority priority) :: by_pid.(pid));
+    Array.iteri (fun pid timers -> by_pid.(pid) <- List.rev timers) by_pid
+  end;
+  by_pid
+
+(* One process's armed timers, (id, deadline) in its pop order; 0 when
+   none is armed. Equal deadlines pop in the order the process armed
+   them, so the order is the process's own history. *)
+let pid_timers_fp pid = function
+  | [] -> 0
+  | timers ->
+      List.fold_left
+        (fun acc (id, deadline) -> Fp.mix acc (Fp.mix (Fp.int id) (Fp.int deadline)))
+        (Fp.mix 71 (Fp.int pid))
+        timers
+
+(* The processes' timer digests, summed: the global arm order that breaks
+   ties between processes leaves no mark. The bare tag 73 when none is
+   armed. *)
+let timers_fp t =
+  if Iheap.is_empty t.timers then 73
+  else Array.fold_left Fp.commute 73 (Array.mapi pid_timers_fp (armed t))
 
 (* -- digest caches -- *)
 
@@ -930,13 +966,13 @@ let local_fp st ~crashed ~first_input ~first_output =
   let fp = Fp.mix fp (Fp.option Fp.int first_input) in
   Fp.mix fp (Fp.option Fp.int first_output)
 
-let state_digest state_fp s = Fp.mix 59 (state_fp s)
+let state_digest state_fp = function None -> 53 | Some s -> Fp.mix 59 (state_fp s)
 
 let cached_local t state_fp pid =
   let v = t.loc_fp.(pid) in
   if v <> stale then v
   else begin
-    let st = match t.states.(pid) with None -> 53 | Some s -> state_digest state_fp s in
+    let st = state_digest state_fp t.states.(pid) in
     let v =
       local_fp st ~crashed:t.crashed_flags.(pid) ~first_input:t.first_input.(pid)
         ~first_output:t.first_output.(pid)
@@ -987,12 +1023,16 @@ let fingerprint t =
   for pid = 0 to t.n - 1 do
     fp := Fp.mix !fp (cached_local t state_fp pid)
   done;
-  let fp = fold_queue t queue_step (Fp.mix !fp (cached_pool t)) in
-  Fp.mix fp (timers_fp t)
+  fp := Fp.mix !fp (cached_pool t);
+  iter_queue t (fun prio ev -> fp := queue_step !fp (Fp.int prio) (event_fp ev));
+  Fp.mix !fp (timers_fp t)
 
 type 'output trial = {
   dst : Pid.t;
   local : Fp.t;
+  timers : Fp.t;
+  last : Time.t;
+  steps : int;
   sends : int;
   sent : Fp.t;
   batch : Fp.t;
@@ -1006,145 +1046,283 @@ type 'output prediction = {
 }
 
 (* The child of [t] that drops [drop], duplicates [dup], delivers its
-   batches at [at] and runs until [until] changes [t] in few places: the
-   clock (if anything is delivered), the send and fault counters, the
-   local content of each destination that took a delivery, and the pool —
-   which loses the dropped and delivered messages and gains the copies
-   and whatever the destinations sent. Each destination's part is a
-   trial: a delivery steps its destination alone, its sends land in the
-   pool with [sent_at = at], timer actions are no-ops and nothing else is
-   due, so one destination's batch can be run on a copy of that
-   destination's state alone, and the parts do not interact. The pool is
-   a sum of slot digests, so it is updated by adding and subtracting.
-   Everything else — the queue beyond [until], the timers (none armed),
-   the other processes — is [t]'s. A trial reads only its destination's
-   local content, [at] and its batch's messages in order, so [digest]
-   mixes exactly those. *)
+   batches at [at] and runs to the horizon [max at until] differs from [t]
+   in few places: the clock, the send and fault counters, the local
+   content and armed timers of each process that takes a step, the queue,
+   which loses every event due by the horizon, and the pool, which loses
+   the dropped and delivered messages and gains the copies and whatever
+   was sent. Under [Manual] timing nothing crosses processes before the
+   horizon: a delivery, an input or a timer fire steps its own process, a
+   crash stops its own, and every send waits in the pool. So each
+   process's part is its own evolution on a copy of its state — its batch
+   if it takes one, then its own events and timers in the engine's order —
+   and the parts do not interact. A destination's part is a trial; a
+   process that takes no batch but has something due evolves once per
+   node, inside [key]. The pool and the timers are sums of per-slot and
+   per-process digests, so they are updated by adding and subtracting.
+   Everything else — the queue beyond the horizon, the processes with
+   nothing to do — is [t]'s. A trial reads its destination's local
+   digest, armed timers and events due by the horizon, the horizon,
+   whether timers are on, [at] and its batch's messages in order, so
+   [digest] mixes exactly those. *)
 let child_fingerprint t ~at ~until =
   let state_fp = state_fp_of t ~caller:"Engine.child_fingerprint" in
+  (match t.network with
+  | Network.Manual -> ()
+  | _ -> invalid_arg "Engine.child_fingerprint: the network is not Manual");
+  (match t.fault_plan with
+  | Network.Fault.No_faults -> ()
+  | _ -> invalid_arg "Engine.child_fingerprint: the engine has a fault plan");
+  if at < t.now then invalid_arg "Engine.child_fingerprint: at < now";
   let horizon = Int.max at until in
-  let quiet =
-    (Pqueue.is_empty t.queue || time_of_priority (Pqueue.peek_prio t.queue) > horizon)
-    && (t.cal_next >= Array.length t.calendar.cal_times
-       || t.calendar.cal_times.(t.cal_next) > horizon)
-  in
-  let predictable =
-    t.disable_timers
-    && (match t.network with Network.Manual -> true | _ -> false)
-    && (match t.fault_plan with Network.Fault.No_faults -> true | _ -> false)
-    && at >= t.now && quiet
-    && t.steps + t.pd_live <= t.max_steps
-  in
-  if not predictable then None
-  else begin
-    ensure_caches t;
-    let pool = cached_pool t in
-    let locals = Array.init t.n (cached_local t state_fp) in
-    let tail = List.rev (fold_queue t (fun acc p e -> (p, e) :: acc) []) in
-    let timers = timers_fp t in
-    (* A child delivers every message to a crashed process: a no-op that
-       only takes it out of the pool. *)
-    let to_crashed = ref 0 and any_to_crashed = ref false in
-    for s = 0 to t.pd_hwm - 1 do
-      if t.pd_src.(s) >= 0 && t.crashed_flags.(t.pd_dst.(s)) then begin
-        to_crashed := !to_crashed + cached_slot t s;
-        any_to_crashed := true
+  ensure_caches t;
+  let pool = cached_pool t in
+  let locals = Array.init t.n (cached_local t state_fp) in
+  (* Each process's events due by the horizon, in pop order, and the
+     queue beyond it as (priority, event) digests. *)
+  let due = Array.make t.n [] and tail_rev = ref [] in
+  iter_queue t (fun prio ev ->
+      if time_of_priority prio <= horizon then begin
+        let pid = event_pid ev in
+        due.(pid) <- (prio, ev) :: due.(pid)
       end
-    done;
-    let to_crashed = !to_crashed and any_to_crashed = !any_to_crashed in
-    (* The one correct process a batch goes to. *)
-    let batch_dst ids =
-      let dst =
-        match ids with
-        | id :: _ when pending_live t id && not t.crashed_flags.(t.pd_dst.(id)) -> t.pd_dst.(id)
-        | _ -> invalid_arg "Engine.child_fingerprint: a trial takes live ids to a correct process"
-      in
-      List.iter
-        (fun id ->
-          if not (pending_live t id && t.pd_dst.(id) = dst) then
-            invalid_arg "Engine.child_fingerprint: a trial's ids must be live, to one process")
-        ids;
-      dst
-    in
-    let digest ids =
-      let dst = batch_dst ids in
+      else tail_rev := (Fp.int prio, event_fp ev) :: !tail_rev);
+  let tail = List.rev !tail_rev in
+  let armed = armed t in
+  (* Per process: its armed timers' digest, whether it steps before the
+     horizon without a batch, and what its evolution reads beyond its
+     local digest, [at] and its batch. *)
+  let timers = Array.make t.n 0 and busy = Array.make t.n false and window = Array.make t.n 0 in
+  let base = Fp.mix (Fp.int horizon) (Fp.bool t.disable_timers) in
+  for pid = 0 to t.n - 1 do
+    let events = List.rev due.(pid) in
+    due.(pid) <- events;
+    timers.(pid) <- pid_timers_fp pid armed.(pid);
+    busy.(pid) <-
+      (match (events, armed.(pid)) with
+      | [], [] -> false
+      | [], (_, deadline) :: _ -> deadline <= horizon
+      | _ :: _, _ -> true);
+    window.(pid) <-
       List.fold_left
-        (fun acc id -> Fp.mix acc (cached_slot t id))
-        (Fp.mix (Fp.mix 79 locals.(dst)) (Fp.int at))
-        ids
+        (fun acc (prio, ev) -> queue_step acc (Fp.int prio) (event_fp ev))
+        (Fp.mix base timers.(pid))
+        events
+  done;
+  (* A child delivers every message to a crashed process: a no-op that
+     only takes it out of the pool. *)
+  let to_crashed = ref 0 and delivered_to_crashed = ref 0 in
+  for s = 0 to t.pd_hwm - 1 do
+    if t.pd_src.(s) >= 0 && t.crashed_flags.(t.pd_dst.(s)) then begin
+      to_crashed := !to_crashed + cached_slot t s;
+      incr delivered_to_crashed
+    end
+  done;
+  let to_crashed = !to_crashed and delivered_to_crashed = !delivered_to_crashed in
+  (* The one correct process a batch goes to. *)
+  let batch_dst ids =
+    let dst =
+      match ids with
+      | id :: _ when pending_live t id && not t.crashed_flags.(t.pd_dst.(id)) -> t.pd_dst.(id)
+      | _ -> invalid_arg "Engine.child_fingerprint: a trial takes live ids to a correct process"
     in
-    let trial ids =
-      let dst = batch_dst ids in
-      let st = ref (t.automaton.Automaton.state_copy (state t dst)) in
-      let sends = ref 0 and sent = ref 0 and batch = ref 0 and outputs_rev = ref [] in
-      let send d msg =
-        incr sends;
-        sent := !sent + slot_fp ~src:dst ~dst:d msg ~sent_at:at
-      in
-      let rec act = function
-        | [] -> ()
-        | action :: rest ->
-            (match action with
-            | Automaton.Send (d, msg) -> send d msg
-            | Automaton.Broadcast msg ->
-                for d = 0 to t.n - 1 do
-                  if d <> dst then send d msg
-                done
-            | Automaton.Set_timer _ | Automaton.Cancel_timer _ -> ()
-            | Automaton.Output output -> outputs_rev := (at, dst, output) :: !outputs_rev);
-            act rest
-      in
-      List.iter
-        (fun id ->
-          batch := !batch + cached_slot t id;
-          let s', actions = t.automaton.on_message !st ~src:t.pd_src.(id) t.pd_msgs.(id) in
-          st := s';
-          act actions)
-        ids;
-      let outputs = List.rev !outputs_rev in
-      let first_output =
-        match t.first_output.(dst) with None when outputs <> [] -> Some at | first -> first
-      in
-      let local =
-        local_fp (state_digest state_fp !st) ~crashed:false ~first_input:t.first_input.(dst)
-          ~first_output
-      in
-      { dst; local; sends = !sends; sent = !sent; batch = !batch; outputs }
+    List.iter
+      (fun id ->
+        if not (pending_live t id && t.pd_dst.(id) = dst) then
+          invalid_arg "Engine.child_fingerprint: a trial's ids must be live, to one process")
+      ids;
+    dst
+  in
+  let digest ids =
+    let dst = batch_dst ids in
+    List.fold_left
+      (fun acc id -> Fp.mix acc (cached_slot t id))
+      (Fp.mix (Fp.mix (Fp.mix 79 locals.(dst)) (Fp.int at)) window.(dst))
+      ids
+  in
+  let budget = t.max_steps - t.steps in
+  (* [pid]'s own evolution to the horizon on a copy of its state: [batch]
+     delivered at [at] after the deliveries already queued at that
+     priority, its due events, and its timers, the earliest first only
+     when strictly below the next event — [run]'s merge restricted to one
+     process. Equal deadlines fire in the order they were last armed. *)
+  let evolve pid batch =
+    let automaton = t.automaton in
+    let st = ref (Option.map automaton.Automaton.state_copy t.states.(pid)) in
+    let crashed = ref t.crashed_flags.(pid) in
+    let first_input = ref t.first_input.(pid) and first_output = ref t.first_output.(pid) in
+    let armed = ref armed.(pid) in
+    let steps = ref 0 and last = ref min_int in
+    let sends = ref 0 and sent = ref 0 and outputs_rev = ref [] in
+    let send now d msg =
+      incr sends;
+      sent := !sent + slot_fp ~src:pid ~dst:d msg ~sent_at:now
     in
-    let key ~drop ~dup ~trials =
-      let slots ids = List.fold_left (fun acc id -> acc + cached_slot t id) 0 ids in
-      let sends = ref t.sends and pend = ref (pool - slots drop + slots dup - to_crashed) in
-      List.iter
-        (fun trial ->
-          sends := !sends + trial.sends;
-          pend := !pend + trial.sent - trial.batch)
-        trials;
-      let fp =
-        ref
-          (header_fp ~n:t.n
-             ~now:(if trials = [] && not any_to_crashed then t.now else at)
-             ~sends:!sends
-             ~dropped:(t.faults_dropped + List.length drop)
-             ~duplicated:(t.faults_duplicated + List.length dup))
-      in
-      let rec mix_locals pid trials =
-        if pid < t.n then
-          match trials with
-          | trial :: rest when trial.dst = pid ->
-              fp := Fp.mix !fp trial.local;
-              mix_locals (pid + 1) rest
-          | _ ->
-              fp := Fp.mix !fp locals.(pid);
-              mix_locals (pid + 1) trials
-        else if trials <> [] then
-          invalid_arg "Engine.child_fingerprint: trials not in ascending destination order"
-      in
-      mix_locals 0 trials;
-      let fp = List.fold_left (fun acc (p, e) -> queue_step acc p e) (Fp.mix !fp !pend) tail in
-      Fp.mix fp timers
+    let disarm id = List.filter (fun (id', _) -> id' <> id) !armed in
+    let rec act now = function
+      | [] -> ()
+      | action :: rest ->
+          (match action with
+          | Automaton.Send (d, msg) -> send now d msg
+          | Automaton.Broadcast msg ->
+              for d = 0 to t.n - 1 do
+                if d <> pid then send now d msg
+              done
+          | Automaton.Set_timer { id; after } ->
+              if not t.disable_timers then begin
+                ignore (timer_cell t ~pid ~id : int);
+                let deadline = now + max 0 after in
+                let rec insert = function
+                  | (_, d) as timer :: later when d <= deadline -> timer :: insert later
+                  | later -> (id, deadline) :: later
+                in
+                armed := insert (disarm id)
+              end
+          | Automaton.Cancel_timer id ->
+              if not t.disable_timers then begin
+                ignore (timer_cell t ~pid ~id : int);
+                armed := disarm id
+              end
+          | Automaton.Output output ->
+              outputs_rev := (now, pid, output) :: !outputs_rev;
+              if Option.is_none !first_output then first_output := Some now);
+          act now rest
     in
-    Some { digest; trial; key }
-  end
+    let step now (s, actions) =
+      st := Some s;
+      act now actions
+    in
+    let handle now = function
+      | Ev_crash _ ->
+          if not !crashed then begin
+            if Option.is_none !st then st := Some (fst (automaton.init ~self:pid ~n:t.n));
+            crashed := true
+          end
+      | Ev_init _ -> if not !crashed then step now (automaton.init ~self:pid ~n:t.n)
+      | Ev_input (_, input) -> (
+          if (not !crashed) && Option.is_none !first_input then first_input := Some now;
+          match !st with
+          | Some s when not !crashed -> step now (automaton.on_input s input)
+          | _ -> ())
+      | Ev_deliver { src; msg; _ } -> (
+          match !st with
+          | Some s when not !crashed -> step now (automaton.on_message s ~src msg)
+          | _ -> ())
+    in
+    let tick now =
+      if !steps >= budget then
+        invalid_arg "Engine.child_fingerprint: the child would exhaust the step budget";
+      incr steps;
+      last := now
+    in
+    let rec loop events =
+      let event_prio = match events with (prio, _) :: _ -> prio | [] -> max_int in
+      match !armed with
+      | (id, deadline) :: later when deadline <= horizon && (deadline * 8) + timer_rank < event_prio
+        ->
+          tick deadline;
+          armed := later;
+          (match !st with
+          | Some s when not !crashed -> step deadline (automaton.on_timer s id)
+          | _ -> ());
+          loop events
+      | _ -> (
+          match events with
+          | [] -> ()
+          | (prio, ev) :: rest ->
+              let now = time_of_priority prio in
+              tick now;
+              handle now ev;
+              loop rest)
+    in
+    let batch_prio = (at * 8) + deliver_rank in
+    let deliveries = List.map (fun id -> (batch_prio, delivery t id)) batch in
+    let rec with_batch = function
+      | (prio, _) as event :: rest when prio <= batch_prio -> event :: with_batch rest
+      | rest -> deliveries @ rest
+    in
+    loop (with_batch due.(pid));
+    {
+      dst = pid;
+      local =
+        local_fp (state_digest state_fp !st) ~crashed:!crashed ~first_input:!first_input
+          ~first_output:!first_output;
+      timers = pid_timers_fp pid !armed;
+      last = !last;
+      steps = !steps;
+      sends = !sends;
+      sent = !sent;
+      batch = List.fold_left (fun acc id -> acc + cached_slot t id) 0 batch;
+      outputs = List.rev !outputs_rev;
+    }
+  in
+  let trial ids = evolve (batch_dst ids) ids in
+  (* Each process's part of a child in which it takes no batch: its
+     evolution when something is due by the horizon, else [t]'s.
+     Computed once per process, when a key first needs it. *)
+  let idle = Array.make t.n None in
+  let idle_part pid =
+    match idle.(pid) with
+    | Some r -> r
+    | None ->
+        let r =
+          if busy.(pid) then evolve pid []
+          else
+            {
+              dst = pid;
+              local = locals.(pid);
+              timers = timers.(pid);
+              last = t.now;
+              steps = 0;
+              sends = 0;
+              sent = 0;
+              batch = 0;
+              outputs = [];
+            }
+        in
+        idle.(pid) <- Some r;
+        r
+  in
+  let slots ids = List.fold_left (fun acc id -> acc + cached_slot t id) 0 ids in
+  (* Scratch for [key]'s first pass; each call overwrites every cell. *)
+  let child_locals = Array.make t.n 0 in
+  let key ~drop ~dup ~trials =
+    let sends = ref t.sends and pend = ref (pool - slots drop + slots dup - to_crashed) in
+    let now = ref (if delivered_to_crashed > 0 then at else t.now) in
+    let steps = ref (t.steps + delivered_to_crashed) and timers_sum = ref 73 in
+    let rest = ref trials in
+    for pid = 0 to t.n - 1 do
+      let r =
+        match !rest with
+        | r :: more when r.dst = pid ->
+            rest := more;
+            r
+        | _ -> idle_part pid
+      in
+      sends := !sends + r.sends;
+      pend := !pend + r.sent - r.batch;
+      now := Int.max !now r.last;
+      steps := !steps + r.steps;
+      timers_sum := Fp.commute !timers_sum r.timers;
+      child_locals.(pid) <- r.local
+    done;
+    if !rest <> [] then
+      invalid_arg "Engine.child_fingerprint: trials not in ascending destination order";
+    if !steps > t.max_steps then
+      invalid_arg "Engine.child_fingerprint: the child would exhaust the step budget";
+    let fp =
+      ref
+        (header_fp ~n:t.n ~now:!now ~sends:!sends
+           ~dropped:(t.faults_dropped + List.length drop)
+           ~duplicated:(t.faults_duplicated + List.length dup))
+    in
+    for pid = 0 to t.n - 1 do
+      fp := Fp.mix !fp child_locals.(pid)
+    done;
+    let fp = List.fold_left (fun acc (p, e) -> queue_step acc p e) (Fp.mix !fp !pend) tail in
+    Fp.mix fp !timers_sum
+  in
+  { digest; trial; key }
 
 let decision_latencies t =
   let acc = ref [] in

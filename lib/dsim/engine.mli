@@ -124,8 +124,9 @@ val create :
     mid-broadcast sender crashes on top of [network]'s timing.
     [record_trace] defaults to [true]; [max_steps] (default 5_000_000)
     bounds {!Probe.steps}, so it counts effective events only. Raises [Invalid_argument] if [network] fails
-    {!Network.validate} or an input's time is outside the event-queue
-    packing range (see the header).
+    {!Network.validate}, a crash or an input names a pid outside
+    [\[0, n)], or an input's time is outside the event-queue packing range
+    (see the header).
 
     [causality] (default none) attaches a {!Causality} span tracer: every
     effective event is recorded with a link to the event that caused it
@@ -203,9 +204,11 @@ val recent_outputs :
     Raises [Invalid_argument] on a negative [since]. *)
 
 val schedule_input : ('state, 'msg, 'input, 'output) t -> at:Time.t -> Pid.t -> 'input -> unit
-(** Enqueue a future input; [at] must be [>= now]. *)
+(** Enqueue a future input; [at] must be [>= now] and the pid within
+    [\[0, n)] ([Invalid_argument] otherwise). *)
 
 val schedule_crash : ('state, 'msg, 'input, 'output) t -> at:Time.t -> Pid.t -> unit
+(** Enqueue a future crash, with the same checks as {!schedule_input}. *)
 
 (** {2 Manual network control}
 
@@ -281,22 +284,30 @@ val has_fingerprint : ('state, 'msg, 'input, 'output) t -> bool
 
 val fingerprint : ('state, 'msg, 'input, 'output) t -> Fingerprint.t
 (** Digest of everything that can influence the engine's remaining
-    behaviour under a deterministic network model: the clock, [n], the
+    behaviour under {!Network.Manual} timing: the clock, [n], the
     send index and fault counters (they key fault scripts and budgets),
     every process's state (via the automaton hook), crash flag and
     first-input/first-output instants, the pending pool as a multiset
     (pending {e ids} are allocation accidents with no semantics), the
     event queue in pop order — including the unread inputs of the input
-    calendar, merged in as {!run} would take them — and the armed timers
-    as (pid, timer id, deadline) in pop order. Excluded: step count,
-    trace and output history (past, not future), including the arm and
-    cancel history behind the armed timers (two engines with the same
-    armed deadlines digest equal), and the RNG streams — they are opaque,
-    and under the explorer's setting ({!Network.Manual} timing with scripted faults)
-    never consulted, so two engines with equal fingerprints behave
-    identically there. Under a {e stochastic} network model equal
-    fingerprints do not imply equal futures; don't key dedup on them in
-    that setting.
+    calendar, merged in as {!run} would take them — and the armed timers:
+    each process's (timer id, deadline) pairs in that process's pop order,
+    summed over the processes. Equal deadlines of one process pop in the
+    order it armed them, and two such timers need not commute, so that
+    order is kept. Between processes the tie is broken by a global arm
+    order that no single process's history fixes; under [Manual] timing
+    the two fires commute (each steps its own process, and its sends
+    wait in the pool), so the sum leaves that order out. Excluded: step
+    count, trace and output history (past, not future), including the
+    arm and cancel history behind the armed timers (two engines with the
+    same armed deadlines, in the same per-process order, digest equal),
+    and the RNG streams — they are opaque, and under the explorer's
+    setting ({!Network.Manual} timing with scripted faults) never
+    consulted, so two engines with equal fingerprints behave identically
+    there. Under any other network model equal fingerprints do not imply
+    equal futures — delays draw from the RNG, and sends queued by timers
+    that fire at one instant line up in the order they fired — so don't
+    key dedup on them in that setting.
 
     {b Caches.} The digest is assembled from two caches that the first
     call allocates: each process's local digest (state, crash flag, first
@@ -314,19 +325,24 @@ val fingerprint : ('state, 'msg, 'input, 'output) t -> Fingerprint.t
     [state_fingerprint] hook ({!has_fingerprint} is [false]). *)
 
 type 'output trial = private {
-  dst : Pid.t;  (** the batch's destination *)
-  local : Fingerprint.t;  (** [dst]'s local digest after the batch *)
-  sends : int;  (** messages [dst] sent while taking the batch *)
+  dst : Pid.t;  (** the process *)
+  local : Fingerprint.t;  (** its local digest at the horizon *)
+  timers : Fingerprint.t;  (** its armed timers at the horizon, as {!fingerprint} sums them *)
+  last : Time.t;  (** the instant of its last event up to the horizon *)
+  steps : int;  (** the events it took, timer pops included *)
+  sends : int;  (** messages it sent *)
   sent : Fingerprint.t;  (** the sum of those messages' slot digests *)
   batch : Fingerprint.t;  (** the sum of the batch's slot digests *)
   outputs : (Time.t * Pid.t * 'output) list;  (** outputs emitted, in order *)
 }
-(** One destination's batch of deliveries at a round boundary, run on a
-    copy of that destination's state alone. [outputs] are what a {!clone}
-    of the engine would emit past the source's {!output_count} after
-    {!deliver_pending} of the batch at {!child_fingerprint}'s [at] and
-    [run ~until:at]; the other fields are what {!prediction}'s [key]
-    reads. No field depends on the node beyond what
+(** One process's evolution from a node to the horizon [max at until] of
+    {!child_fingerprint}, run on a copy of its state alone: its batch of
+    deliveries at [at], then its own inputs, crash, and timer fires and
+    pops due by the horizon, in {!run}'s order. [outputs] are that
+    process's entries among what a {!clone} of the engine would emit past
+    the source's {!output_count} after {!deliver_pending} of the batch at
+    [at], [run ~until:at] and [run ~until]; the other fields are what
+    {!prediction}'s [key] reads. No field depends on the node beyond what
     {!prediction}'s [digest] of the batch mixes, so a record stands for
     the same batch wherever the digest is equal. *)
 
@@ -335,44 +351,55 @@ type 'output prediction = {
   trial : int list -> 'output trial;
   key : drop:int list -> dup:int list -> trials:'output trial list -> Fingerprint.t;
 }
-(** What {!child_fingerprint} offers at a node that admits it. *)
+(** What {!child_fingerprint} offers at a node. *)
 
 val child_fingerprint :
-  ('state, 'msg, 'input, 'output) t -> at:Time.t -> until:Time.t -> 'output prediction option
+  ('state, 'msg, 'input, 'output) t -> at:Time.t -> until:Time.t -> 'output prediction
 (** Predict the {!fingerprint} of a child of [t] without building it.
     The child is what these steps make of a {!clone} of [t]:
     {!drop_pending} each id of [drop], {!duplicate_pending} each id of
     [dup], {!deliver_pending} at [at] each id of every trial's batch and
     every pending id addressed to a crashed process, then [run ~until:at]
-    and [run ~until]. [child_fingerprint t ~at ~until] returns [Some p]
-    when [t] admits the prediction.
+    and [run ~until]. Call the horizon [max at until].
+
+    A key exists at every node of a {!Network.Manual} engine without a
+    fault plan, with timers on or off and whatever is due before the
+    horizon. Nothing crosses processes there: a delivery, an input or a
+    timer fire steps only its own process, a crash stops only its own,
+    and every send waits in the pool. So a child is fixed by each
+    process's own evolution to the horizon, plus the pool.
 
     [p.trial ids] delivers [ids], in order, to a [state_copy] of their
-    one destination's state, which must be a correct process. It neither
-    clones nor steps [t]. [p.digest ids] mixes everything [p.trial ids]
-    reads: the destination's local digest (as {!fingerprint} mixes it),
+    one destination's state, which must be a correct process, and goes on
+    with that process's own events to the horizon (see {!trial}). It
+    neither clones nor steps [t]. [p.digest ids] mixes everything
+    [p.trial ids] reads: the destination's local digest (as
+    {!fingerprint} mixes it), its armed timers in its pop order, its
+    events due by the horizon, the horizon, whether timers are disabled,
     [at], and each id's slot digest (source, destination, message and
     send instant) in the given order. Between engines of one automaton
     and [n], equal digests mean equal trial records, up to the
     fingerprint's hash compaction, so a caller may answer a batch from
     the record of an earlier batch with the same digest, at any node.
     [p.digest] costs O([ids]) and runs no automaton code.
-    [p.key ~drop ~dup ~trials] is the child's
-    fingerprint, where [trials] holds [p.trial] of the child's batch for
-    every correct destination that takes one, in ascending destination
-    order. [p.key] costs O(n + [drop] + [dup] + [trials]) plus the queue
-    beyond [until]. Ids must be live and distinct; [drop] and [dup] must
-    be addressed to correct processes, and [drop] must be disjoint from
-    [dup] and from every batch. Nothing checks this contract beyond a
-    trial's ids and the order of [trials]: a violation yields a wrong key,
-    not an error.
 
-    Returns [None] unless nothing but those deliveries can happen before
-    [until]: timers disabled, a {!Network.Manual} network, no fault plan,
-    [at >= now t], no event in the heap or the input calendar at or before
-    [max at until], and at least {!pending_count} steps left in the
-    [max_steps] budget. [child_fingerprint] fills [t]'s caches, and [p]
-    stays valid until [t] is next stepped or mutated. Raises
-    [Invalid_argument] without a [state_fingerprint] hook, and [p.trial]
-    and [p.digest] raise it for an empty batch, a dead id, ids to
-    different processes or a crashed destination. *)
+    [p.key ~drop ~dup ~trials] is the child's fingerprint, where [trials]
+    holds [p.trial] of the child's batch for every correct destination
+    that takes one, in ascending destination order. A process that takes
+    no batch but has an event or a timer due by the horizon evolves the
+    same way with an empty batch, once per [p], inside [key]. [p.key]
+    costs O(n + [drop] + [dup] + [trials]) plus the queue beyond the
+    horizon and those evolutions. Ids must be live and distinct; [drop]
+    and [dup] must be addressed to correct processes, and [drop] must be
+    disjoint from [dup] and from every batch. Nothing checks this
+    contract beyond a trial's ids and the order of [trials]: a violation
+    yields a wrong key, not an error.
+
+    [child_fingerprint] fills [t]'s caches, and [p] stays valid until [t]
+    is next stepped or mutated. Raises [Invalid_argument] without a
+    [state_fingerprint] hook, on a network other than {!Network.Manual}
+    (its delays draw from the engine-wide stream), on a fault plan (its
+    decisions do too), and when [at < now t]. [p.trial] and [p.digest]
+    raise it for an empty batch, a dead id, ids to different processes or
+    a crashed destination, and [p.trial] and [p.key] raise it when the
+    child would exhaust the [max_steps] budget. *)

@@ -502,6 +502,22 @@ let test_explore_crashes_mid_run () =
   in
   Alcotest.(check int) "no violations with mid-run crash" 0 r.violations
 
+let test_explore_rejects_negative_bounds () =
+  let n = 3 and e = 1 and f = 1 in
+  let proposals = Scenario.all_proposals_at_zero ~n [ 0; 1; 2 ] in
+  let go ?(faults = Explore.no_faults) ~rounds () =
+    ignore
+      (Explore.synchronous_report Core.Rgs.task ~n ~e ~f ~delta ~proposals ~rounds ~faults
+         ~check:(fun _ -> true) ()
+        : Explore.result * Explore.Run_report.t)
+  in
+  Alcotest.check_raises "negative rounds"
+    (Invalid_argument "Explore.synchronous_report: rounds must be non-negative") (go ~rounds:(-1));
+  Alcotest.check_raises "negative drop bound"
+    (Invalid_argument "Explore.synchronous_report: fault bounds must be non-negative")
+    (go ~faults:{ Explore.max_drops = -1; max_dups = 0 } ~rounds:2);
+  go ~rounds:0 ()
+
 (* -- dedup and por: the search's pinned totals ---------------------------- *)
 
 (* The configurations of the pinned-totals tests: (n, e, f, rounds,
@@ -568,15 +584,16 @@ let test_explore_dedup_totals_identical () =
     (explore_totals (3, 1, 1, 2, Explore.no_faults))
 
 let test_explore_por_timer_between_deliveries () =
-  (* A timer firing between deliveries is NOT treated as commuting: trial
-     execution re-runs the boundary timers inside every candidate order,
-     so two orders only collapse when the full engine state — including
-     timer effects — coincides. With timers enabled and a mid-run crash
-     (the T3-flavoured configuration) no node admits a child key, so
-     every trial is a clone; the search must still finish (truncated =
-     false), and a property violated on every run that decides p0 must
-     be violated on every kept run. test_explore_brute checks the same
-     kind of search against its oracle. *)
+  (* A timer firing between deliveries is NOT treated as commuting: each
+     trial runs the destination's timers and crash due before the next
+     boundary after its batch, so two orders only collapse when the
+     destination's state, armed timers, clock, sends and outputs all
+     coincide there. With timers enabled and a mid-run crash (the
+     T3-flavoured configuration) every node is keyed this way; the search
+     must still finish (truncated = false), and a property violated on
+     every run that decides p0 must be violated on every kept run.
+     test_explore_brute checks the same kind of search against its
+     oracle. *)
   let n = 3 and e = 1 and f = 1 in
   let proposals = Scenario.all_proposals_at_zero ~n [ 0; 1; 2 ] in
   let go check =
@@ -599,7 +616,7 @@ let test_explore_por_totals_identical () =
   (* The search's totals, POR counters included, pinned: the former
      multi-domain search counted these same totals at every domain
      count. The trials behind the POR counters and the child keys are
-     the engine's single-destination trials wherever it offers them. *)
+     the engine's single-destination trials. *)
   List.iter
     (fun (name, cfg, expected) ->
       Alcotest.check totals_testable (name ^ ": totals") expected (explore_totals cfg))
@@ -871,6 +888,8 @@ let () =
           Alcotest.test_case "detects violations" `Quick test_explore_finds_seeded_bug;
           Alcotest.test_case "budget truncation" `Quick test_explore_budget_truncation;
           Alcotest.test_case "mid-run crashes" `Quick test_explore_crashes_mid_run;
+          Alcotest.test_case "negative bounds rejected" `Quick
+            test_explore_rejects_negative_bounds;
         ] );
       ( "dedup",
         [

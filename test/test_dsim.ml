@@ -158,6 +158,27 @@ let test_timer_rearm_replaces () =
   ignore (Engine.run engine);
   Alcotest.(check int) "re-armed timer fires once" 1 !fired
 
+(* A crash or an input naming no process is refused where it is
+   scheduled, not when it comes due. *)
+let test_bad_pids_rejected () =
+  let create ?(inputs = []) ?(crashes = []) () =
+    ignore (Engine.create ~automaton:echo ~n:3 ~network:sync_net ~inputs ~crashes ())
+  in
+  Alcotest.check_raises "crash pid 3"
+    (Invalid_argument "Engine.create: crash pid 3 outside [0, 3)")
+    (create ~crashes:[ (10, 3) ]);
+  Alcotest.check_raises "input pid -1"
+    (Invalid_argument "Engine.create: input pid -1 outside [0, 3)")
+    (create ~inputs:[ (0, -1, 7) ]);
+  let engine = Engine.create ~automaton:echo ~n:3 ~network:sync_net () in
+  Alcotest.check_raises "scheduled crash pid 5"
+    (Invalid_argument "Engine.schedule_crash: crash pid 5 outside [0, 3)") (fun () ->
+      Engine.schedule_crash engine ~at:5 5);
+  Alcotest.check_raises "scheduled input pid 3"
+    (Invalid_argument "Engine.schedule_input: input pid 3 outside [0, 3)") (fun () ->
+      Engine.schedule_input engine ~at:5 3 1);
+  create ~inputs:[ (0, 2, 7) ] ~crashes:[ (10, 0) ] ()
+
 let test_run_until_resumable () =
   let engine =
     Engine.create ~automaton:echo ~n:2 ~network:sync_net
@@ -846,8 +867,8 @@ let pinned_protocol_digests =
       ] );
     ( ("rgs-task", true),
       [
-        0x6FA120A374403FF2; 0x54B72C8D4DB19D9C; 0x3342046AC35CBB4B;
-        0x4E69F1711C59A36F; 0x41BACC3F879AB37C; 0x29B6DB7F358DBD0B;
+        0x1C691CAB889575D8; 0x3C797F411A052F7F; 0x3D9DDCD754CAA827;
+        0x2194E85FCD07327A; 0x2A32E043B99F37E0; 0x73DBAB6D7F0433F0;
       ] );
     ( ("rgs-object", false),
       [
@@ -856,8 +877,8 @@ let pinned_protocol_digests =
       ] );
     ( ("rgs-object", true),
       [
-        0x6C1DC8BD5D420C70; 0x43B75BEE1CA38D04; 0x2BF451577D6ED6BF;
-        0x65C6F3C97D1F4FE2; 0x6A61245C9CA4F608; 0x23C7A309499F3DF9;
+        0x1F6251FF90E1DFB1; 0x404C63ADDB1EFACB; 0x48E1BE330593405C;
+        0x7561A4CF1F992E3E; 0x1A668552654DCBBA; 0x4126B9FCA6E93A69;
       ] );
     ( ("paxos", false),
       [
@@ -866,8 +887,8 @@ let pinned_protocol_digests =
       ] );
     ( ("paxos", true),
       [
-        0x643377734792A68A; 0x0F08CFE3705B3627; 0x74B0933CFE75E5A1;
-        0x5FCE0B003C839BEA; 0x7C58291CD4BFAFB6; 0x0A1357F084444F9A;
+        0x270B83962D72AE20; 0x05F10A0AAF38B54E; 0x048CA96BABE6041E;
+        0x6B2E2B5D80547204; 0x478E5FCECA1BB15E; 0x7F6F374F198A621F;
       ] );
     ( ("fast-paxos", false),
       [
@@ -876,8 +897,8 @@ let pinned_protocol_digests =
       ] );
     ( ("fast-paxos", true),
       [
-        0x1832769F15A7E53B; 0x22CBBE31B93FD686; 0x7CC1573C8225CEEF;
-        0x53F13382927369F1; 0x30BE4D3430E8074E; 0x7AF97177A5D07AB9;
+        0x4AB4105A5FF04364; 0x2A7E510EA8754E7E; 0x015B34274FF07F3D;
+        0x5537A9DD6D1578C6; 0x2CA0BE8BB08C42EA; 0x169588D795DFB953;
       ] );
     ( ("epaxos", false),
       [
@@ -886,8 +907,8 @@ let pinned_protocol_digests =
       ] );
     ( ("epaxos", true),
       [
-        0x7D85F4B55DD59943; 0x734BB6B8A6B1459F; 0x2AB7CF06B3D6F427;
-        0x7B6069040E80EC77; 0x4386F017386B5AEE; 0x23169B1ADF739E8B;
+        0x3D4E780738AB49DC; 0x6576D5B5C8C01337; 0x034886F77B0507CD;
+        0x7AA1D9F777DB0791; 0x70AA24E171E733CA; 0x399B532C006C608E;
       ] );
   ]
 
@@ -1070,25 +1091,32 @@ let test_timer_heap_semantics () =
 (* [Engine.child_fingerprint] against the children it describes. A
    protocol at its minimal n for e = f = 1 runs on a manual network; the
    seed picks the proposers and their values, and optionally a process
-   crashed at time 0. At each of the first two round boundaries, every
-   drop subset and every duplication subset (at most one of each per run)
-   is combined with per-destination delivery orders: the whole product of
-   the destinations' orders when it has at most 64 members, otherwise the
-   k-th order of every destination for each k, which still puts every
-   order of every destination in some child. One table, shared by every
-   node checked, holds a trial record under each order's [digest]; a
-   node takes its record from there when an earlier node, or an earlier
-   child of its own, met the same digest, and runs the prediction's
-   [trial] otherwise. Every record a node uses is checked once against a
-   clone that delivers that batch and every message to a crashed process:
-   the key of that one leg must be the clone's fingerprint, the record's
-   outputs the clone's new outputs, and the parent's fingerprint must not
-   move. Each child is keyed from the records, built with [clone],
-   [drop_pending], [duplicate_pending], [deliver_pending] and [run], and
-   its fingerprint must equal the key; so must the fingerprint of the
-   same child rebuilt from time 0, which starts with no digest caches.
-   The second boundary is checked at two seed-chosen children of the
-   first, so the second of them takes records from its sibling. *)
+   crashed at time 0. Each case checks that set-up with timers off and
+   nothing else due, and then a drawn variant of it: timers on or off,
+   and possibly a crash due mid-round, a crash at a boundary instant or a
+   proposal due mid-round (at 1.5Δ). At each of the first two round
+   boundaries, every drop subset and every duplication subset (at most
+   one of each per run) is combined with per-destination delivery
+   orders: the whole product of the destinations' orders when it has at
+   most 64 members, otherwise the k-th order of every destination for
+   each k, which still puts every order of every destination in some
+   child. One table, shared by every node of both set-ups, holds a trial
+   record under each order's [digest]; a node takes its record from there
+   when an earlier node, or an earlier child of its own, met the same
+   digest, and runs the prediction's [trial] otherwise. So a record the
+   plain set-up entered must not answer a batch whose destination has a
+   timer, a crash or an input the plain one lacked. Every record a node
+   uses is checked once against a clone that delivers that batch and
+   every message to a crashed process and runs to the next boundary: the
+   key of that one leg must be the clone's fingerprint, the record's
+   outputs the clone's new outputs at that destination, and the parent's
+   fingerprint must not move. Each child is keyed from the records,
+   built with [clone], [drop_pending], [duplicate_pending],
+   [deliver_pending] and [run], and its fingerprint must equal the key;
+   so must the fingerprint of the same child rebuilt from time 0, which
+   starts with no digest caches. The second boundary is checked at two
+   seed-chosen children of the first, so the second of them takes records
+   from its sibling. *)
 
 let key_delta = 100
 
@@ -1142,11 +1170,7 @@ let delivery_groups engine =
 let check_boundary ~table ?(on_record = fun _ _ -> ()) ~fresh engine ~round ~drops_left
     ~dups_left =
   let at = round * key_delta and until = ((round + 1) * key_delta) - 1 in
-  let prediction =
-    match Engine.child_fingerprint engine ~at ~until with
-    | Some p -> p
-    | None -> QCheck.Test.fail_reportf "boundary %d: no prediction" round
-  in
+  let prediction = Engine.child_fingerprint engine ~at ~until in
   let parent = Engine.fingerprint engine and since = Engine.output_count engine in
   let groups, to_crashed = delivery_groups engine in
   let live = List.concat_map snd groups in
@@ -1167,6 +1191,7 @@ let check_boundary ~table ?(on_record = fun _ _ -> ()) ~fresh engine ~round ~dro
       let clone = Engine.clone engine in
       List.iter (fun id -> Engine.deliver_pending clone ~id ~at) (order @ to_crashed);
       ignore (Engine.run ~until:at clone);
+      ignore (Engine.run ~until clone);
       let fail what =
         QCheck.Test.fail_reportf "boundary %d, trial [%s]: %s" round (ids order) what
       in
@@ -1175,8 +1200,10 @@ let check_boundary ~table ?(on_record = fun _ _ -> ()) ~fresh engine ~round ~dro
         fail
           (Printf.sprintf "one-leg key %d, clone's fingerprint %d" key
              (Engine.fingerprint clone));
-      if r.Engine.outputs <> Engine.recent_outputs clone ~since then
-        fail "outputs differ from the clone's new outputs";
+      if
+        r.Engine.outputs
+        <> List.filter (fun (_, p, _) -> p = r.Engine.dst) (Engine.recent_outputs clone ~since)
+      then fail "outputs differ from the clone's new outputs at the destination";
       if Engine.fingerprint engine <> parent then fail "the parent's fingerprint moved"
     end;
     r
@@ -1224,14 +1251,48 @@ let check_boundary ~table ?(on_record = fun _ _ -> ()) ~fresh engine ~round ~dro
         (Stdext.Combinat.subsets_up_to dups_left kept))
     (Stdext.Combinat.subsets_up_to drops_left live)
 
+(* What a case adds to its set-up beyond the time-0 proposals and crash. *)
+type due = Nothing | Crash_mid_round | Crash_at_boundary | Input_mid_round
+
+let due_name = function
+  | Nothing -> "nothing"
+  | Crash_mid_round -> "a crash mid-round"
+  | Crash_at_boundary -> "a crash at a boundary"
+  | Input_mid_round -> "an input mid-round"
+
+(* An engine that has not run time 0 yet, and then the same engine with
+   its pool emptied at each of the first three boundaries, timers armed
+   if they are on: at each of these nodes the key of the child that
+   takes no batch must be the fingerprint of the node run to the next
+   boundary. Before time 0 every initialisation, and any crash or input
+   at 0, is due in the window. *)
+let check_empty_pool engine =
+  for round = 0 to 3 do
+    let at = round * key_delta and until = ((round + 1) * key_delta) - 1 in
+    List.iter
+      (fun (p : _ Engine.pending) -> Engine.drop_pending engine ~id:p.id)
+      (Engine.pending engine);
+    let key = (Engine.child_fingerprint engine ~at ~until).Engine.key ~drop:[] ~dup:[] ~trials:[] in
+    ignore (Engine.run ~until:at engine);
+    ignore (Engine.run ~until engine);
+    if key <> Engine.fingerprint engine then
+      QCheck.Test.fail_reportf "empty pool, boundary %d: key %d, fingerprint %d" round key
+        (Engine.fingerprint engine)
+  done
+
 let child_key_property =
   QCheck.Test.make ~name:"child key = fingerprint of the built child" ~count:30
     QCheck.(
       make
-        ~print:(fun (p, seed, crash) ->
-          Printf.sprintf "%s, seed %d, crash at 0: %b" (fst key_protocols.(p)) seed crash)
-        Gen.(triple (int_bound (Array.length key_protocols - 1)) (int_bound 1_000_000) bool))
-    (fun (p, seed, crash) ->
+        ~print:(fun (p, seed, crash, timers, due) ->
+          Printf.sprintf "%s, seed %d, crash at 0: %b, timers %b, %s" (fst key_protocols.(p)) seed
+            crash timers (due_name due))
+        Gen.(
+          tup5
+            (int_bound (Array.length key_protocols - 1))
+            (int_bound 1_000_000) bool bool
+            (oneofl [ Nothing; Crash_mid_round; Crash_at_boundary; Input_mid_round ])))
+    (fun (p, seed, crash, timers, due) ->
       let (module P : Proto.Protocol.S) = snd key_protocols.(p) in
       let n = P.min_n ~e:1 ~f:1 in
       let rng = Random.State.make [| seed |] in
@@ -1242,48 +1303,61 @@ let child_key_property =
       in
       let proposals = List.map (fun pid -> (0, pid, Random.State.int rng 3)) proposers in
       let crashes = if crash then [ (0, Random.State.int rng n) ] else [] in
-      let positioned ?(disable_timers = true) ?(crashes = crashes) ?faults () =
-        let engine =
-          Engine.create ~automaton:(P.make ~n ~e:1 ~f:1 ~delta:key_delta) ~n
-            ~network:Network.Manual ~disable_timers ~inputs:proposals ~crashes ?faults ()
-        in
+      let target = Random.State.int rng n in
+      let more_crashes, more_inputs =
+        match due with
+        | Nothing -> ([], [])
+        | Crash_mid_round -> ([ (key_delta + 1 + Random.State.int rng (key_delta - 1), target) ], [])
+        | Crash_at_boundary -> ([ ((1 + Random.State.int rng 2) * key_delta, target) ], [])
+        | Input_mid_round -> ([], [ (3 * key_delta / 2, target, Random.State.int rng 3) ])
+      in
+      let create ?(network = Network.Manual) ?faults ~timers ~crashes ~inputs () =
+        Engine.create ~automaton:(P.make ~n ~e:1 ~f:1 ~delta:key_delta) ~n ~network
+          ~disable_timers:(not timers) ~inputs ~crashes ?faults ()
+      in
+      let positioned ?network ?faults ~timers ~crashes ~inputs () =
+        let engine = create ?network ?faults ~timers ~crashes ~inputs () in
         ignore (Engine.run ~until:(key_delta - 1) engine);
         engine
       in
-      let engine = positioned () in
       let table = Hashtbl.create 64 in
-      if Engine.pending_count engine > 0 then begin
-        let first =
-          check_boundary ~table ~fresh:positioned engine ~round:1 ~drops_left:1 ~dups_left:1
-        in
-        let siblings = Array.of_list first in
-        List.iter
-          (fun i ->
-            let (drop, dup), next, replay = siblings.(i) in
-            if Engine.pending_count next > 0 then
-              ignore
-                (check_boundary ~table ~fresh:replay next ~round:2
-                   ~drops_left:(1 - List.length drop) ~dups_left:(1 - List.length dup)
-                  : _ list))
-          (List.sort_uniq compare
-             (List.init 2 (fun _ -> Random.State.int rng (Array.length siblings))))
-      end;
-      (* Anything but the boundary's deliveries before the next boundary
-         rules the key out. *)
-      let no_key ?disable_timers ?crashes ?faults why =
-        match
-          Engine.child_fingerprint
-            (positioned ?disable_timers ?crashes ?faults ())
-            ~at:key_delta
-            ~until:((2 * key_delta) - 1)
-        with
-        | None -> ()
-        | Some _ -> QCheck.Test.fail_reportf "a key despite %s" why
+      let check_set_up ~timers ~crashes ~inputs =
+        let fresh = positioned ~timers ~crashes ~inputs in
+        let engine = fresh () in
+        if Engine.pending_count engine > 0 then begin
+          let first =
+            check_boundary ~table ~fresh engine ~round:1 ~drops_left:1 ~dups_left:1
+          in
+          let siblings = Array.of_list first in
+          List.iter
+            (fun i ->
+              let (drop, dup), next, replay = siblings.(i) in
+              if Engine.pending_count next > 0 then
+                ignore
+                  (check_boundary ~table ~fresh:replay next ~round:2
+                     ~drops_left:(1 - List.length drop) ~dups_left:(1 - List.length dup)
+                    : _ list))
+            (List.sort_uniq compare
+               (List.init 2 (fun _ -> Random.State.int rng (Array.length siblings))))
+        end;
+        check_empty_pool (create ~timers ~crashes ~inputs ())
       in
-      no_key ~disable_timers:false "timers";
-      no_key ~crashes:((key_delta + Random.State.int rng key_delta, 0) :: crashes) "a crash due";
-      no_key ~crashes:((key_delta, 0) :: crashes) "a crash at the boundary";
-      no_key ~faults:(Network.Fault.random ~drop_rate:0.5 ()) "a fault plan";
+      check_set_up ~timers:false ~crashes ~inputs:proposals;
+      check_set_up ~timers ~crashes:(crashes @ more_crashes) ~inputs:(proposals @ more_inputs);
+      (* Stochastic delays and fault decisions draw from engine-wide
+         streams: no key there. *)
+      let refused why engine =
+        match Engine.child_fingerprint engine ~at:key_delta ~until:((2 * key_delta) - 1) with
+        | _ -> QCheck.Test.fail_reportf "a prediction despite %s" why
+        | exception Invalid_argument _ -> ()
+      in
+      refused "a network other than Manual"
+        (positioned
+           ~network:(Network.Sync_rounds { delta = key_delta; order = Network.Arrival })
+           ~timers ~crashes ~inputs:proposals ());
+      refused "a fault plan"
+        (positioned ~faults:(Network.Fault.random ~drop_rate:0.5 ()) ~timers ~crashes
+           ~inputs:proposals ());
       true)
 
 (* A process state with mutable fields, stepped in place, and the hooks
@@ -1475,6 +1549,7 @@ let () =
           Alcotest.test_case "timer fire and cancel" `Quick test_timer_fires_and_cancel;
           Alcotest.test_case "timer re-arm" `Quick test_timer_rearm_replaces;
           Alcotest.test_case "run until / resume" `Quick test_run_until_resumable;
+          Alcotest.test_case "bad pids rejected" `Quick test_bad_pids_rejected;
           Alcotest.test_case "step budget" `Quick test_step_budget;
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "clone independence" `Quick test_clone_independent;

@@ -29,11 +29,12 @@
    explorer never built: dedup hits + POR-pruned combinations = oracle
    revisits.
 
-   The explorer keys most children before building them
-   (Engine.child_fingerprint) and builds no child whose predicted key was
-   seen, and its sleep set drops orders on the strength of trials alone,
-   so these counts are what check the predictions and trials it never
-   verifies itself. *)
+   The explorer keys every child before building it
+   (Engine.child_fingerprint), timers, crashes and inputs due mid-round
+   included, and builds no child whose predicted key was seen, and its
+   sleep set drops orders on the strength of trials alone, so these
+   counts are what check the predictions and trials it never verifies
+   itself. *)
 
 module Engine = Dsim.Engine
 module Combinat = Stdext.Combinat
@@ -65,9 +66,8 @@ let outcome_of ~n engine =
    stopped it with schedules left, whether some batch needed
    the two-order fallback, and how many expanded boundaries had messages
    addressed to a crashed process. With a visited set: first arrivals at
-   a key, later arrivals, later arrivals at interior nodes (each cuts a
-   subtree), and how many expanded boundaries Engine.child_fingerprint
-   would and would not key. *)
+   a key, later arrivals, and later arrivals at interior nodes (each cuts
+   a subtree). *)
 type oracle = {
   leaves : Scenario.outcome list;
   leaf_rounds : int list;
@@ -77,8 +77,6 @@ type oracle = {
   distinct : int;
   hits : int;
   pruned : int;
-  keyed : int;
-  unkeyed : int;
 }
 
 (* Every scheduling decision at the coming round boundary of [engine]. *)
@@ -145,7 +143,6 @@ let brute ?(dedup = false) ?until_violation (module P : Proto.Protocol.S) ~n ~e 
   let leaves = ref [] and leaf_rounds = ref [] and count = ref 0 and stop = ref false in
   let visited = Stdext.Stateset.create () in
   let distinct = ref 0 and hits = ref 0 and pruned = ref 0 in
-  let keyed = ref 0 and unkeyed = ref 0 in
   let first_arrival engine round =
     (not dedup)
     ||
@@ -170,12 +167,7 @@ let brute ?(dedup = false) ?until_violation (module P : Proto.Protocol.S) ~n ~e 
         incr count;
         Option.iter (fun check -> if not (check leaf) then stop := true) until_violation
       end
-      else begin
-        (match
-           Engine.child_fingerprint engine ~at:(round * delta) ~until:(((round + 1) * delta) - 1)
-         with
-        | Some _ -> incr keyed
-        | None -> incr unkeyed);
+      else
         List.iter
           (fun c ->
             if !stop then ()
@@ -185,7 +177,6 @@ let brute ?(dedup = false) ?until_violation (module P : Proto.Protocol.S) ~n ~e 
                 ~drops_left:(drops_left - List.length c.drop)
                 ~dups_left:(dups_left - List.length c.dup))
           (choices ~fallback ~to_crashed engine ~drops_left ~dups_left)
-      end
   in
   go [] 1 ~drops_left:faults.max_drops ~dups_left:faults.max_dups;
   {
@@ -197,8 +188,6 @@ let brute ?(dedup = false) ?until_violation (module P : Proto.Protocol.S) ~n ~e 
     distinct = !distinct;
     hits = !hits;
     pruned = !pruned;
-    keyed = !keyed;
-    unkeyed = !unkeyed;
   }
 
 (* The explorer's run tallies against the oracle's leaves. A leaf
@@ -233,11 +222,9 @@ let check_cuts ~label o (s : Explore.Run_report.sched) =
    also be the first violating leaf of the unreduced oracle under the
    same budget. Where neither side is cut, every revisit the oracle
    makes is a child the explorer never built: a visited-set hit, or an
-   order combination the sleep set pruned. [keyed], when given: whether
-   Engine.child_fingerprint must key every expanded node (timers off, no
-   crash pending) or none (timers on). *)
+   order combination the sleep set pruned. *)
 let check_against_oracle ?(crashes = []) ?(disable_timers = true)
-    ?(faults = Explore.no_faults) ?(budget = 1_000_000) ?keyed ~label protocol ~n ~e ~f
+    ?(faults = Explore.no_faults) ?(budget = 1_000_000) ~label protocol ~n ~e ~f
     ~proposals ~rounds check =
   let seen = ref [] in
   let r, report =
@@ -278,14 +265,6 @@ let check_against_oracle ?(crashes = []) ?(disable_timers = true)
       (label ^ ": dedup hits + POR pruned = oracle revisits")
       o.hits
       (t.dedup_hits + t.por_pruned);
-  (match keyed with
-  | Some true ->
-      Alcotest.(check (pair bool int))
-        (label ^ ": every expanded node keys its children")
-        (true, 0)
-        (o.keyed > 0, o.unkeyed)
-  | Some false -> Alcotest.(check int) (label ^ ": no node keys its children") 0 o.keyed
-  | None -> ());
   (r, o)
 
 let safe o = Safety.safe o
@@ -299,21 +278,20 @@ let lossless o = o.Scenario.dropped = 0
 let task_bound ?budget label check =
   let n = 6 and e = 2 and f = 2 in
   let proposals = Scenario.all_proposals_at_zero ~n [ 5; 4; 3; 2; 1; 0 ] in
-  check_against_oracle ?budget ~keyed:true ~label Core.Rgs.task ~n ~e ~f ~proposals ~rounds:3
+  check_against_oracle ?budget ~label Core.Rgs.task ~n ~e ~f ~proposals ~rounds:3
     check
 
 (* T3-flavoured configurations: p2 crashes mid-run with timers enabled,
    so timer fires land between boundaries and later boundaries hold
-   messages addressed to the crashed process. No node admits a child
-   key. *)
+   messages addressed to the crashed process. *)
 let crash_with_timers ~crash_at ~proposals ~rounds ?budget label check =
   let n = 3 and e = 1 and f = 1 in
-  check_against_oracle ~label ~keyed:false ~crashes:[ (crash_at, 2) ] ~disable_timers:false
-    ?budget Core.Rgs.task ~n ~e ~f ~proposals ~rounds check
+  check_against_oracle ~label ~crashes:[ (crash_at, 2) ] ~disable_timers:false ?budget
+    Core.Rgs.task ~n ~e ~f ~proposals ~rounds check
 
 (* Explored faults: at most one drop and one duplication per run. *)
 let drop_dup ?(protocol = Core.Rgs.task) ?(proposals = [ (0, 0, 7) ]) ~n ~e ~f label check =
-  check_against_oracle ~label ~keyed:true ~faults:{ Explore.max_drops = 1; max_dups = 1 }
+  check_against_oracle ~label ~faults:{ Explore.max_drops = 1; max_dups = 1 }
     protocol ~n ~e ~f ~proposals ~rounds:2 check
 
 (* The three shapes, each searched to the end. *)
@@ -333,6 +311,27 @@ let test_crash_with_timers () =
   Alcotest.(check bool) "exhaustive" true ((not o.cut) && o.distinct > 10);
   Alcotest.(check bool) "messages to the crashed process" true (o.to_crashed > 0);
   let r, _ = go "one proposer, p0 undecided" p0_undecided in
+  Alcotest.(check bool) "violations found" true (r.Explore.violations > 0)
+
+(* Timers on, and something due at or between boundaries: p2 crashing
+   at the second boundary instant (crashes rank before that instant's
+   deliveries, so the batches to p2 there are trialled against a process
+   that crashes first), and p1 proposing at 1.5Δ, between the first two
+   boundaries. *)
+let test_due_with_timers () =
+  let _, o =
+    crash_with_timers ~crash_at:(2 * delta) ~proposals:[ (0, 0, 7) ] ~rounds:2
+      "crash at the boundary, safe" safe
+  in
+  Alcotest.(check bool) "exhaustive" true ((not o.cut) && o.distinct > 10);
+  let mid_round label check =
+    check_against_oracle ~disable_timers:false ~label Core.Rgs.task ~n:3 ~e:1 ~f:1
+      ~proposals:[ (0, 0, 7); (3 * delta / 2, 1, 3) ]
+      ~rounds:2 check
+  in
+  let _, o = mid_round "proposal at 1.5Δ, safe" safe in
+  Alcotest.(check bool) "exhaustive" true ((not o.cut) && o.distinct > 10);
+  let r, _ = mid_round "proposal at 1.5Δ, p0 undecided" p0_undecided in
   Alcotest.(check bool) "violations found" true (r.Explore.violations > 0)
 
 let test_drop_dup () =
@@ -414,7 +413,7 @@ let explore_por_sound_property =
       let check = pick [ safe; p0_undecided ] 48 in
       let proposals = Scenario.all_proposals_at_zero ~n values in
       ignore
-        (check_against_oracle ~faults ~budget:20_000 ~keyed:true
+        (check_against_oracle ~faults ~budget:20_000
            ~label:(Printf.sprintf "seed %d" seed) protocol ~n ~e ~f ~proposals ~rounds check
           : Explore.result * oracle);
       true)
@@ -426,6 +425,8 @@ let () =
         [
           Alcotest.test_case "snapshot matches replay" `Quick test_task_bound;
           Alcotest.test_case "snapshot matches replay (crashes)" `Quick test_crash_with_timers;
+          Alcotest.test_case "snapshot matches replay (due mid-round)" `Quick
+            test_due_with_timers;
           Alcotest.test_case "snapshot matches replay (drop+dup)" `Quick test_drop_dup;
         ] );
       ( "exact-dedup",
