@@ -28,6 +28,9 @@ let pp_msg fmt = function
   | Decide v -> Format.fprintf fmt "Decide(%a)" Value.pp v
   | Omega_msg m -> Omega.pp_msg fmt m
 
+let omega =
+  { Omega.wrap = (fun m -> Omega_msg m); unwrap = (function Omega_msg m -> Some m | _ -> None) }
+
 type leading = {
   lballot : Ballot.t;
   one_bs : (Ballot.t * Value.t option) Pid.Map.t;
@@ -274,4 +277,6 @@ let protocol : Proto.Protocol.t =
     let min_n ~e ~f = Proto.Bounds.required Proto.Bounds.Lamport_fast ~e ~f
 
     let make ~n ~e ~f ~delta = make ~n ~e ~f ~delta
+
+    let omega = Some omega
   end)

@@ -25,6 +25,9 @@ let pp_msg fmt = function
   | Decide v -> Format.fprintf fmt "Decide(%a)" Value.pp v
   | Omega_msg m -> Omega.pp_msg fmt m
 
+let omega =
+  { Omega.wrap = (fun m -> Omega_msg m); unwrap = (function Omega_msg m -> Some m | _ -> None) }
+
 (* Leader-side bookkeeping for the ballot this process runs. Ballot 0 is
    owned by p0 and skips phase 1. *)
 type leading = {
@@ -290,4 +293,6 @@ let protocol : Proto.Protocol.t =
     let min_n ~e:_ ~f = (2 * f) + 1
 
     let make ~n ~e:_ ~f ~delta = make ~n ~f ~delta
+
+    let omega = Some omega
   end)

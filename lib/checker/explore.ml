@@ -197,15 +197,18 @@ let orders_of_size k =
    choice first, so under a tight budget the no-fault schedules are
    explored before any faulty ones. Messages to crashed processes are
    irrelevant and are appended in arrival order. The pool must not be
-   empty. Returns the number of choices and the choices themselves
-   (fan-out telemetry stays with the caller).
+   empty. Returns the number of choices, the live messages as (id,
+   destination), the ids to crashed processes, and one block per drop
+   subset: its drop and each kept batch's legs (fan-out telemetry stays
+   with the caller).
 
    Each drop subset's per-destination orders, and the trials and POR
    bookkeeping behind them, are computed here, eagerly, so [sleep_hits]
    and [por_pruned] do not depend on how much of the product a budget
-   lets the caller visit. The drop × dup × order product itself is a
-   lazy sequence: a node's fan-out can run to hundreds of thousands of
-   choices, and only the one being explored needs to exist.
+   lets the caller visit. The drop × dup × order product itself is left
+   to the caller to walk: a node's fan-out can run to hundreds of
+   thousands of choices, and only the one being explored needs to
+   exist.
 
    A trial is [prediction]'s ({!Dsim.Engine.child_fingerprint}): it
    delivers one destination's kept batch, in one order, on a copy of
@@ -334,26 +337,10 @@ let round_choices_of prediction pruning engine ~drops_left ~dups_left =
     in
     if full > reduced then
       pruning.por_pruned <- pruning.por_pruned + ((full - reduced) * dup_sets);
-    (drop, List.map snd per_dst, dup_sets * reduced)
+    (dup_sets * reduced, (drop, List.map snd per_dst))
   in
   let blocks = List.map block (Combinat.subsets_up_to drops_left live) in
-  let count = List.fold_left (fun a (_, _, c) -> a + c) 0 blocks in
-  let choices =
-    Seq.flat_map
-      (fun (drop, per_dst, _) ->
-        let kept =
-          List.filter_map (fun (id, _) -> if List.mem_assoc id drop then None else Some id) live
-        in
-        let drop = List.map fst drop in
-        Seq.flat_map
-          (fun dup ->
-            Seq.map
-              (fun legs -> { drop; dup; legs; to_crashed = crashed_ids })
-              (Combinat.cartesian_seq per_dst))
-          (List.to_seq (Combinat.subsets_up_to dups_left kept)))
-      (List.to_seq blocks)
-  in
-  (count, choices)
+  (List.fold_left (fun a (c, _) -> a + c) 0 blocks, live, crashed_ids, List.map snd blocks)
 
 let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
     ?(crashes = []) ~rounds ?(budget = 20_000) ?(disable_timers = true) ?domains:_
@@ -429,9 +416,14 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
         Dsim.Engine.child_fingerprint engine ~at:(round * delta)
           ~until:(((round + 1) * delta) - 1)
       in
-      let count, choices = round_choices_of prediction pruning engine ~drops_left ~dups_left in
+      let count, live, to_crashed, blocks =
+        round_choices_of prediction pruning engine ~drops_left ~dups_left
+      in
       max_fanout := max !max_fanout count;
-      let child ~last choice =
+      let walked = ref 0 in
+      let child choice =
+        incr walked;
+        let last = !walked = count in
         let predicted =
           prediction.Dsim.Engine.key ~drop:choice.drop ~dup:choice.dup ~trials:(trials choice)
         in
@@ -444,16 +436,42 @@ let synchronous_report (module P : Proto.Protocol.S) ~n ~e ~f ~delta ~proposals
             ~dups_left:(dups_left - List.length choice.dup)
         end
       in
-      let rec walk = function
-        | Seq.Nil -> ()
-        | Seq.Cons (choice, rest) ->
-            if allowed () then begin
-              let next = rest () in
-              child ~last:(match next with Seq.Nil -> true | Seq.Cons _ -> false) choice;
-              walk next
-            end
+      (* The drop × dup × order product, in the order the search has
+         always used: drop subsets, then dup subsets, then one leg per
+         destination, the last destination turning fastest (an odometer
+         over the destinations' legs). *)
+      let block (drop, per_dst) =
+        let kept =
+          List.filter_map (fun (id, _) -> if List.mem_assoc id drop then None else Some id) live
+        in
+        let drop = List.map fst drop in
+        let legs = Array.of_list (List.map Array.of_list per_dst) in
+        let k = Array.length legs in
+        let digits = Array.make k 0 in
+        (* Step to the next combination; false after the last one, with
+           every digit back at 0. *)
+        let rec turn d =
+          if d < 0 then false
+          else if digits.(d) + 1 < Array.length legs.(d) then begin
+            digits.(d) <- digits.(d) + 1;
+            true
+          end
+          else begin
+            digits.(d) <- 0;
+            turn (d - 1)
+          end
+        in
+        List.iter
+          (fun dup ->
+            let more = ref true in
+            while !more && allowed () do
+              child
+                { drop; dup; legs = List.init k (fun d -> legs.(d).(digits.(d))); to_crashed };
+              more := turn (k - 1)
+            done)
+          (Combinat.subsets_up_to dups_left kept)
       in
-      walk (choices ())
+      List.iter (fun b -> if not !cut then block b) blocks
     end
   in
   if allowed () && admit (Dsim.Engine.fingerprint root) 1 then

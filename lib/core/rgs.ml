@@ -38,6 +38,9 @@ let pp_msg fmt = function
   | Two_a { bal; value } -> Format.fprintf fmt "2A(%a,%a)" Ballot.pp bal Value.pp value
   | Omega_msg m -> Omega.pp_msg fmt m
 
+let omega =
+  { Omega.wrap = (fun m -> Omega_msg m); unwrap = (function Omega_msg m -> Some m | _ -> None) }
+
 (* Leader-side bookkeeping for one slow ballot this process started. *)
 type slow = {
   sballot : Ballot.t;
@@ -344,6 +347,8 @@ let package mode name describe formulation : Proto.Protocol.t =
     let min_n ~e ~f = Proto.Bounds.required formulation ~e ~f
 
     let make ~n ~e ~f ~delta = make ~mode ~n ~e ~f ~delta
+
+    let omega = Some omega
   end in
   (module P)
 

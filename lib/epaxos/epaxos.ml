@@ -716,6 +716,8 @@ module Consensus = struct
         inner.Automaton.state_fingerprint
     in
     { Automaton.init; on_message; on_input; on_timer; state_copy; state_fingerprint }
+
+  let omega = None
 end
 
 let protocol : Proto.Protocol.t = (module Consensus)

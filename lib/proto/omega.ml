@@ -5,6 +5,8 @@ type msg = Heartbeat
 
 let pp_msg fmt Heartbeat = Format.pp_print_string fmt "heartbeat"
 
+type 'm embedding = { wrap : msg -> 'm; unwrap : 'm -> msg option }
+
 type state = {
   self : Pid.t;
   n : int;
@@ -47,6 +49,8 @@ let leader state =
   match candidates with
   | p :: _ -> p
   | [] -> state.self  (* unreachable: self is never suspected *)
+
+let suspected state = state.suspected
 
 let on_message state ~src Heartbeat =
   let state = { state with suspected = Pid.Set.remove src state.suspected } in

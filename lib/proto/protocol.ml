@@ -13,6 +13,8 @@ module type S = sig
 
   val make :
     n:int -> e:int -> f:int -> delta:int -> (state, msg, Value.t, Value.t) Dsim.Automaton.t
+
+  val omega : msg Omega.embedding option
 end
 
 type t = (module S)

@@ -28,6 +28,13 @@ module type S = sig
   (** Build the automaton for a system of [n] processes tolerating [f]
       crashes with fast-path threshold [e], where one expected message delay
       is [delta] ticks. *)
+
+  val omega : msg Omega.embedding option
+  (** [Some] when the protocol embeds an {!Omega}: how its messages carry
+      Ω's. [None] when it has none (EPaxos). The SMR replica
+      ({!Smr.Replica}) reads it to recognise a slot instance's Ω messages
+      and to feed the instance its own Ω's suspicions; nothing else
+      does. *)
 end
 
 type t = (module S)

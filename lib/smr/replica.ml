@@ -1,21 +1,25 @@
 module Pid = Dsim.Pid
 module Automaton = Dsim.Automaton
 module Value = Proto.Value
+module Omega = Proto.Omega
 module Iset = Set.Make (Int)
 
 type mutation = Stale_reads of Pid.t
 
-type 'pmsg msg = { slot : int; payload : 'pmsg }
+type 'pmsg msg = Slot of { slot : int; payload : 'pmsg } | Omega_msg of Omega.msg
 
-let pp_msg pp_payload fmt m = Format.fprintf fmt "[slot %d] %a" m.slot pp_payload m.payload
+let pp_msg pp_payload fmt = function
+  | Slot { slot; payload } -> Format.fprintf fmt "[slot %d] %a" slot pp_payload payload
+  | Omega_msg m -> Format.fprintf fmt "[replica] %a" Omega.pp_msg m
 
 (* Timers are virtualized through a small pool of {e lanes}: a slot that
    needs timers borrows a lane, global timer id = lane * stride + inner id,
    and the lane is reclaimed (all armed timers cancelled) the moment the
    slot decides.  This keeps the engine's flat timer table bounded by the
-   number of {e undecided} slots rather than the total slot count — a
-   pipelined run commits thousands of slots, and without reclamation every
-   decided slot's Ω heartbeat would keep re-arming forever. *)
+   number of {e undecided} slots rather than the total slot count.  Lanes
+   hold protocol timers only, which stay below [Omega.timer_base]; the
+   replica's own Ω arms Ω's ids [timer_base .. timer_base + n] as they
+   are, in the unused top of lane 0, so the timer cells stay dense. *)
 let lane_stride = 2048
 
 let max_lanes = 256
@@ -50,6 +54,7 @@ type 'pstate state = {
   slot_of_lane : int array;  (* -1 for a free lane *)
   armed : Iset.t array;  (* per lane: inner timer ids armed and not cancelled *)
   mutable free_lanes : int list;  (* reused LIFO *)
+  mutable omega : Omega.state;  (* the replica's Ω; idle for a protocol without one *)
 }
 
 let applied s = List.rev s.applied_rev
@@ -87,6 +92,18 @@ let make (type pm ps) ?(pipeline = 1) ?(batch_max = 1) ?pack ?expand ?mutation
   in
   let expand = match expand with Some expand -> expand | None -> fun v -> [ v ] in
   let inner = P.make ~n ~e ~f ~delta in
+  let has_omega = Option.is_some P.omega in
+  if has_omega && Omega.timer_base + n >= lane_stride then
+    invalid_arg "Replica.make: n too large for the replica's Ω timer ids";
+  (* A slot instance's own Ω stays silent: the replica's Ω stands in for
+     it. Its messages are recognised through the protocol's [omega] hook,
+     its timers by Ω's reserved ids. *)
+  let omega_msg, wrap_omega =
+    match P.omega with
+    | Some o -> ((fun payload -> Option.is_some (o.Omega.unwrap payload)), o.Omega.wrap)
+    | None -> ((fun _ -> false), fun _ -> invalid_arg "Replica: the protocol has no Ω")
+  in
+  let omega_timer s id = has_omega && Omega.owns_timer s.omega id in
   let alloc_lane s slot sl =
     if sl.lane < 0 then
       match s.free_lanes with
@@ -97,17 +114,25 @@ let make (type pm ps) ?(pipeline = 1) ?(batch_max = 1) ?pack ?expand ?mutation
           s.slot_of_lane.(lane) <- slot
   in
   (* Rewrite one instance transition's actions into the multiplexed space;
-     timer actions allocate and update the slot's lane. *)
-  let wrap_actions s slot sl actions =
+     timer actions allocate and update the slot's lane. The instance's Ω
+     actions are dropped, except that [announce] keeps its messages: the
+     init heartbeat of a slot this replica opens announces the slot to
+     every replica, which is what moves their [top] past it. *)
+  let wrap_actions ?(announce = false) s slot sl actions =
     List.filter_map
       (function
-        | Automaton.Send (dst, payload) -> Some (Automaton.Send (dst, { slot; payload }))
-        | Automaton.Broadcast payload -> Some (Automaton.Broadcast { slot; payload })
+        | Automaton.Send (dst, payload) ->
+            if (not announce) && omega_msg payload then None
+            else Some (Automaton.Send (dst, Slot { slot; payload }))
+        | Automaton.Broadcast payload ->
+            if (not announce) && omega_msg payload then None
+            else Some (Automaton.Broadcast (Slot { slot; payload }))
+        | Automaton.Set_timer { id; _ } | Automaton.Cancel_timer id when omega_timer s id -> None
         | Automaton.Set_timer { id; after } ->
             assert (id >= 0 && id < lane_stride);
-            (* Decided slots get no timers (this is what retires their Ω
-               heartbeats); losing a timer is liveness-only, so it is
-               also the safe degradation when lanes run out. *)
+            (* Decided slots get no timers; losing a timer is
+               liveness-only, so it is also the safe degradation when
+               lanes run out. *)
             if sl.decided then None
             else begin
               alloc_lane s slot sl;
@@ -138,19 +163,27 @@ let make (type pm ps) ?(pipeline = 1) ?(batch_max = 1) ?pack ?expand ?mutation
   in
   (* Run one instance transition, harvesting any decision from its
      actions. *)
-  let step_instance s slot transition =
+  let step_instance ?announce s slot transition =
     let sl, init_actions =
       match find s slot with
       | Some sl -> (sl, [])
       | None ->
           (* Lazy instance creation: the slot's init timers land in a
-             freshly borrowed lane. *)
-          let ps, actions = inner.init ~self:s.self ~n:s.n in
+             freshly borrowed lane, and the instance starts from the
+             replica's current suspicions, fed in as fires of Ω's suspect
+             timers (which decide nothing). *)
+          let seed q (ps, actions) =
+            let ps, more = inner.on_timer ps (Omega.suspect_timer q) in
+            (ps, actions @ more)
+          in
+          let ps, actions =
+            Pid.Set.fold seed (Omega.suspected s.omega) (inner.init ~self:s.self ~n:s.n)
+          in
           let sl =
             { inst = ps; decided = false; value = 0; inflight = false; mine = 0; lane = -1 }
           in
           install s slot sl;
-          (sl, wrap_actions s slot sl actions)
+          (sl, wrap_actions ?announce s slot sl actions)
     in
     let pstate', actions = transition sl.inst in
     let decision =
@@ -169,7 +202,9 @@ let make (type pm ps) ?(pipeline = 1) ?(batch_max = 1) ?pack ?expand ?mutation
     if s.inflight_count >= pipeline || s.queue_len = 0 then []
     else begin
       let value = match take_batch s batch_max [] with [ v ] -> v | ops -> pack ops in
-      let sl, actions, decision = step_instance s s.top (fun ps -> inner.on_input ps value) in
+      let sl, actions, decision =
+        step_instance ~announce:true s s.top (fun ps -> inner.on_input ps value)
+      in
       assert (decision = None);
       sl.inflight <- true;
       sl.mine <- value;
@@ -260,6 +295,7 @@ let make (type pm ps) ?(pipeline = 1) ?(batch_max = 1) ?pack ?expand ?mutation
   in
   let init ~self ~n:n' =
     assert (n = n');
+    let omega, omega_actions = Omega.init ~self ~n ~delta () in
     ( {
         self;
         n;
@@ -276,8 +312,10 @@ let make (type pm ps) ?(pipeline = 1) ?(batch_max = 1) ?pack ?expand ?mutation
         slot_of_lane = Array.make max_lanes (-1);
         armed = Array.make max_lanes Iset.empty;
         free_lanes = List.init max_lanes Fun.id;
+        omega;
       },
-      [] )
+      if has_omega then Automaton.map_msg (fun m -> Omega_msg m) omega_actions
+      else [] )
   in
   let step s slot transition =
     let sl, actions, decision = step_instance s slot transition in
@@ -285,8 +323,41 @@ let make (type pm ps) ?(pipeline = 1) ?(batch_max = 1) ?pack ?expand ?mutation
     | None -> (s, actions)
     | Some value -> (s, actions @ handle_decision s sl value)
   in
-  let on_message s ~src { slot; payload } =
-    step s slot (fun ps -> inner.on_message ps ~src payload)
+  (* Feed one of Ω's inputs to every live instance, in slot order: only
+     slots from [next_apply] up can be undecided. *)
+  let relay s transition =
+    let top = s.top in
+    let rec go slot acc =
+      if slot >= top then List.concat (List.rev acc)
+      else
+        match find s slot with
+        | Some sl when not sl.decided -> go (slot + 1) (snd (step s slot transition) :: acc)
+        | _ -> go (slot + 1) acc
+    in
+    go s.next_apply []
+  in
+  (* The replica's Ω takes a transition; if its suspicions changed, every
+     live instance takes [relayed], the same input, through its own Ω. *)
+  let omega_step s transition relayed =
+    let before = Omega.suspected s.omega in
+    let omega, actions = transition s.omega in
+    s.omega <- omega;
+    let actions = Automaton.map_msg (fun m -> Omega_msg m) actions in
+    if Pid.Set.equal before (Omega.suspected omega) then (s, actions)
+    else (s, actions @ relay s relayed)
+  in
+  let on_message s ~src = function
+    | Slot { slot; payload } ->
+        if omega_msg payload then
+          (* An announcement: the slot exists, and its instance's Ω
+             follows the replica's alone. *)
+          let _, actions, _ = step_instance s slot (fun ps -> (ps, [])) in
+          (s, actions)
+        else step s slot (fun ps -> inner.on_message ps ~src payload)
+    | Omega_msg m ->
+        omega_step s
+          (fun omega -> Omega.on_message omega ~src m)
+          (fun ps -> inner.on_message ps ~src (wrap_omega m))
   in
   let on_input s cmd =
     s.queue_back <- cmd :: s.queue_back;
@@ -294,9 +365,12 @@ let make (type pm ps) ?(pipeline = 1) ?(batch_max = 1) ?pack ?expand ?mutation
     (s, refill s)
   in
   let on_timer s id =
-    let slot = s.slot_of_lane.(id / lane_stride) in
-    if slot < 0 then (s, []) (* stale fire from a reclaimed lane *)
-    else step s slot (fun ps -> inner.on_timer ps (id mod lane_stride))
+    if omega_timer s id then
+      omega_step s (fun omega -> Omega.on_timer omega id) (fun ps -> inner.on_timer ps id)
+    else
+      let slot = s.slot_of_lane.(id / lane_stride) in
+      if slot < 0 then (s, []) (* stale fire from a reclaimed lane *)
+      else step s slot (fun ps -> inner.on_timer ps (id mod lane_stride))
   in
   (* The state is mutable: copy the slot table, every slot record (with its
      instance state, through the inner automaton) and the lane arrays. *)

@@ -20,9 +20,25 @@
     {e and return values} are observable — the latter is what the
     object-level linearizability checker consumes.
 
+    Ω is per replica, not per slot, as in the paper (§C.1). For a protocol
+    that embeds an {!Proto.Omega} (its {!Proto.Protocol.S.omega} hook is
+    [Some]), each replica runs one Ω of its own: it heartbeats every Δ on
+    a replica-level message and arms Ω's reserved timer ids. A slot
+    instance keeps its embedded Ω state but sends no heartbeat and arms
+    no Ω timer: the replica seeds each new instance with its current
+    suspicions and relays every change of them into each live instance,
+    through Ω's own inputs (a suspect-timer fire, a heartbeat). One Ω
+    message per slot stays: the replica that opens a slot with its own
+    proposal announces it to every replica with the instance's initial
+    heartbeat, which tells the other proxies that the slot is taken; a
+    replica that receives it creates the instance and delivers nothing
+    to it. A protocol without Ω (EPaxos) gets no replica Ω. Since the
+    replica's Ω beats forever, an engine of these replicas over a
+    protocol with Ω is never quiescent: run it with [~until].
+
     Timers are virtualized through a bounded pool of lanes reclaimed when
     a slot decides, so long pipelined runs do not accumulate timer state
-    (or Ω heartbeat chatter) for decided slots.
+    for decided slots. Lanes hold protocol timers only.
 
     Per-slot bookkeeping is one flat slot table: a growable array indexed
     by slot number whose entries are mutable records holding the slot's
@@ -79,7 +95,8 @@ val make :
     object-level bug for checker mutation testing. Outputs are
     [(slot, command, response)] triples; a word outside the single-op
     range responds [0] and leaves the store untouched. Raises
-    [Invalid_argument] if either knob is [< 1]. *)
+    [Invalid_argument] if either knob is [< 1], or if the protocol has Ω
+    and [n >= 1048] (the replica's Ω timer ids would leave lane 0). *)
 
 (** Existentially packaged SMR engine, so callers never name the underlying
     protocol's state and message types. *)
@@ -116,6 +133,8 @@ module Instance : sig
       Recording never perturbs the run. *)
 
   val run : ?until:Dsim.Time.t -> t -> Dsim.Engine.run_result
+  (** Without [until], a protocol with Ω runs until the step budget is
+      spent: its replicas' Ω never goes quiet (see above). *)
 
   val now : t -> Dsim.Time.t
 

@@ -28,11 +28,6 @@ let rec cartesian = function
       let tails = cartesian rest in
       List.concat_map (fun c -> List.map (fun t -> c :: t) tails) choices
 
-let rec cartesian_seq = function
-  | [] -> Seq.return []
-  | choices :: rest ->
-      Seq.flat_map (fun c -> Seq.map (fun t -> c :: t) (cartesian_seq rest)) (List.to_seq choices)
-
 let choose n k =
   if k < 0 || k > n then 0
   else begin

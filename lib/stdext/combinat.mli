@@ -18,9 +18,5 @@ val cartesian : 'a list list -> 'a list list
 (** [cartesian [xs1; xs2; ...]] is the cartesian product, each choice list
     picking one element per input list. [cartesian [] = [[]]]. *)
 
-val cartesian_seq : 'a list list -> 'a list Seq.t
-(** The same product as {!cartesian}, in the same order, built on demand:
-    only the choice lists still to be visited are ever allocated. *)
-
 val choose : int -> int -> int
 (** Binomial coefficient [choose n k]; 0 when [k < 0] or [k > n]. *)

@@ -188,7 +188,9 @@ let run ~protocol ~e ~f ?n ~topology ?(jitter = 0) ?(pipeline = 1) ?(batch_max =
     t := min horizon (!t + tick);
     (match Smr.Replica.Instance.run ~until:!t inst with
     | Dsim.Engine.Quiescent ->
-        (* Nothing left to process and, open-loop, nothing more arrives. *)
+        (* Nothing left to process and, open-loop, nothing more arrives.
+           Replicas that run Ω never get here: their Ω beats forever, so
+           they run to the horizon. *)
         Smr.Replica.Instance.drain_new_outputs inst ~f:on_apply;
         (match arrival with Open _ -> quiescent := true | Closed _ -> ())
     | Dsim.Engine.Reached_until -> Smr.Replica.Instance.drain_new_outputs inst ~f:on_apply

@@ -289,6 +289,13 @@ module P0_decides_first_propose : Proto.Protocol.S = struct
       state_copy = (fun s -> { s with inner = rgs.state_copy s.inner });
       state_fingerprint = None;
     }
+
+  let omega =
+    Some
+      {
+        Proto.Omega.wrap = (fun m -> Core.Rgs.Omega_msg m);
+        unwrap = (function Core.Rgs.Omega_msg m -> Some m | _ -> None);
+      }
 end
 
 let p0_mutant : Proto.Protocol.t = (module P0_decides_first_propose)

@@ -417,21 +417,21 @@ let golden_cells () =
 let golden =
   [
     ("rgs-task/p1b1/none", "e9bcdb9d422471d59da325563cbeec9a");
-    ("rgs-task/p1b1/dropdup", "e4a949826bce778d7c43822663c1ba12");
+    ("rgs-task/p1b1/dropdup", "bd3661e2b0645a3b2434960fc20b1990");
     ("rgs-task/p16b64/none", "cb6a8943cfd5312963a867a6fba587df");
-    ("rgs-task/p16b64/dropdup", "b8042fbd445e5ae4ce5a5fa0d2a70b1d");
+    ("rgs-task/p16b64/dropdup", "95adf36d3774e46c393ce97becd3c963");
     ("rgs-object/p1b1/none", "2ed248834a9f62b4a155e80968f1010f");
-    ("rgs-object/p1b1/dropdup", "e850e94ca3f574d0b2a556314b49e586");
+    ("rgs-object/p1b1/dropdup", "e531529f5ccf8150738836d5710b5612");
     ("rgs-object/p16b64/none", "d128d7eab4db1c4d270f656f78aa3174");
-    ("rgs-object/p16b64/dropdup", "3d3f98a61904c535e0ec03584e0b9844");
+    ("rgs-object/p16b64/dropdup", "b2235f6f3c755add7b33e89c9a537575");
     ("paxos/p1b1/none", "2b7def99ee818dd5a875ac8e1abd6273");
-    ("paxos/p1b1/dropdup", "23606764afb9cccdbe67f04790bf5c98");
+    ("paxos/p1b1/dropdup", "b98f333b5646722ccba077b9f1be1d07");
     ("paxos/p16b64/none", "1d3427df2edda6ef78b60609b508add3");
-    ("paxos/p16b64/dropdup", "f75d0f0327249793bc98b91c25347ab2");
+    ("paxos/p16b64/dropdup", "28759db03cf53be145abde8761e6ce45");
     ("fast-paxos/p1b1/none", "f4d0d499bc008b647c5fd5d703299d9e");
-    ("fast-paxos/p1b1/dropdup", "31f786f38b4eaa217fc608f79367d065");
+    ("fast-paxos/p1b1/dropdup", "bc6744dcf0300a6bfbd2a2e54d4794c5");
     ("fast-paxos/p16b64/none", "6f7eafc03a043ae1bb2b84a89ac18b3d");
-    ("fast-paxos/p16b64/dropdup", "86b8584edc254ef841318dde350fb4bf");
+    ("fast-paxos/p16b64/dropdup", "7bb9362f3d528b80354d698f418f19b7");
     ("epaxos/p1b1/none", "781d956573efcba129b1a88803f682d4");
     ("epaxos/p1b1/dropdup", "65e44bd539668f8fee4d37eb1b8dbde1");
     ("epaxos/p16b64/none", "fe455a19b545b7c5c98fcf90651a77ce");
@@ -481,6 +481,135 @@ let test_clone_independence () =
   Alcotest.check outputs "clone = unbranched" unbranched from_clone;
   Alcotest.check outputs "original after clone = unbranched" unbranched from_original
 
+(* -- one Ω per replica ----------------------------------------------------- *)
+
+(* p0, the initial Ω leader, crashes at 5 s while 400 commands arrive at
+   the other replicas over the first 10 s. The replicas' Ω must move the
+   leadership on, in the slots open at the crash and in every slot opened
+   after it, so every command is applied at every correct replica. *)
+let test_leader_crash () =
+  List.iter
+    (fun (name, (module P : Proto.Protocol.S)) ->
+      let n = P.min_n ~e:2 ~f:2 in
+      let commands =
+        List.init 400 (fun i -> (i * 25, 1 + (i mod (n - 1)), cmd i (i mod 16) (i mod 1024)))
+      in
+      let t =
+        Instance.create
+          ~protocol:(module P)
+          ~n ~e:2 ~f:2 ~delta:planet5_delta
+          ~net:(Checker.Scenario.Wan { latency = Workload.Topology.latency_fn planet5; jitter = 0 })
+          ~seed:1 ~pipeline:4 ~batch_max:8 ~commands
+          ~crashes:[ (5_000, 0) ]
+          ()
+      in
+      ignore (Instance.run ~until:60_000 t);
+      Alcotest.(check bool) (name ^ ": logs converge") true (Instance.converged t);
+      let offered = List.sort compare (List.map (fun (_, _, c) -> c) commands) in
+      List.iter
+        (fun p ->
+          Alcotest.(check (list int))
+            (Printf.sprintf "%s: p%d applied every command once" name p)
+            offered
+            (List.sort compare (List.map snd (Instance.applied_log t p))))
+        (List.tl (Pid.all ~n)))
+    [
+      ("paxos", Baselines.Paxos.protocol);
+      ("fast-paxos", Baselines.Fast_paxos.protocol);
+      ("rgs-task", Core.Rgs.task);
+    ]
+
+(* A protocol that does nothing but probe its Ω leader, on a proposal and
+   on its one timer, so the replica's actions show whom a slot instance
+   takes for the leader. *)
+module Leader_probe = struct
+  module Omega = Proto.Omega
+
+  type msg = Beat of Omega.msg | Probe
+
+  type state = Omega.state
+
+  let name = "leader-probe"
+
+  let pp_msg fmt = function
+    | Beat m -> Omega.pp_msg fmt m
+    | Probe -> Format.pp_print_string fmt "probe"
+
+  let describe = "sends a probe to its Ω leader"
+
+  let min_n ~e:_ ~f:_ = 1
+
+  let make ~n:_ ~e:_ ~f:_ ~delta =
+    let lift (s, actions) = (s, Dsim.Automaton.map_msg (fun m -> Beat m) actions) in
+    let probe s = (s, [ Dsim.Automaton.Send (Omega.leader s, Probe) ]) in
+    {
+      Dsim.Automaton.init =
+        (fun ~self ~n ->
+          let s, actions = lift (Omega.init ~self ~n ~delta ()) in
+          (s, Dsim.Automaton.Set_timer { id = 0; after = delta } :: actions));
+      on_message =
+        (fun s ~src -> function Beat m -> lift (Omega.on_message s ~src m) | Probe -> (s, []));
+      on_input = (fun s _ -> probe s);
+      on_timer =
+        (fun s id -> if Omega.owns_timer s id then lift (Omega.on_timer s id) else probe s);
+      state_copy = Fun.id;
+      state_fingerprint = None;
+    }
+
+  let omega =
+    Some { Omega.wrap = (fun m -> Beat m); unwrap = (function Beat m -> Some m | Probe -> None) }
+end
+
+(* A slot instance never runs its own Ω: it starts from the replica's
+   suspicions, whether this replica opens the slot or hears of it, and
+   follows every later change of them. *)
+let test_slots_follow_replica_omega () =
+  let module A = Dsim.Automaton in
+  let n = 3 in
+  let a = Smr.Replica.make (module Leader_probe) ~n ~e:0 ~f:1 ~delta in
+  let replica self = fst (a.init ~self ~n) in
+  let probed actions = List.filter_map (function A.Send (dst, _) -> Some dst | _ -> None) actions in
+  let broadcasts actions = List.filter (function A.Broadcast _ -> true | _ -> false) actions in
+  let timers actions =
+    List.filter_map (function A.Set_timer { id; _ } -> Some id | _ -> None) actions
+  in
+  let heartbeat_of_p0 =
+    match snd (a.init ~self:0 ~n) with
+    | A.Broadcast m :: _ -> m
+    | _ -> Alcotest.fail "a replica's Ω heartbeats from time 0"
+  in
+  let suspect_p0 s = fst (a.on_timer s (Proto.Omega.suspect_timer 0)) in
+  (* Opened under suspicion: the proposal probes p1, one announcement
+     goes out, and the slot arms its protocol timer and no Ω timer. *)
+  let s = suspect_p0 (replica 2) in
+  let _, opened = a.on_input s (cmd 0 1 1) in
+  Alcotest.(check (list int)) "opened under suspicion" [ 1 ] (probed opened);
+  Alcotest.(check int) "one announcement" 1 (List.length (broadcasts opened));
+  Alcotest.(check int) "no Ω timer in the slot" 1 (List.length (timers opened));
+  (* Heard of under suspicion: p1's announcement of its slot reaches p2,
+     whose new instance probes p1 when its timer fires. *)
+  let announcement =
+    match broadcasts (snd (a.on_input (replica 1) (cmd 0 1 1))) with
+    | [ A.Broadcast m ] -> m
+    | _ -> Alcotest.fail "p1 announces its slot"
+  in
+  let s = suspect_p0 (replica 2) in
+  let s, heard = a.on_message s ~src:1 announcement in
+  Alcotest.(check (list int)) "an announcement sends nothing" [] (probed heard);
+  let _, fired = a.on_timer s (List.hd (timers heard)) in
+  Alcotest.(check (list int)) "heard of under suspicion" [ 1 ] (probed fired);
+  (* Opened before the suspicion: the instance follows the replica's Ω
+     as it suspects p0 and as p0's heartbeat clears it. *)
+  let s, opened = a.on_input (replica 2) (cmd 0 1 1) in
+  Alcotest.(check (list int)) "opened trusting p0" [ 0 ] (probed opened);
+  let timer = List.hd (timers opened) in
+  let s = suspect_p0 s in
+  let s, fired = a.on_timer s timer in
+  Alcotest.(check (list int)) "suspicion relayed" [ 1 ] (probed fired);
+  let s, _ = a.on_message s ~src:0 heartbeat_of_p0 in
+  let _, fired = a.on_timer s timer in
+  Alcotest.(check (list int)) "heartbeat relayed" [ 0 ] (probed fired)
+
 let () =
   match Sys.getenv_opt "GOLDEN_PRINT" with
   | Some _ ->
@@ -514,6 +643,9 @@ let () =
           Alcotest.test_case "read results + stale mutation" `Quick
             test_read_results_and_stale_mutation;
           Alcotest.test_case "clone independence" `Quick test_clone_independence;
+          Alcotest.test_case "leader crash" `Quick test_leader_crash;
+          Alcotest.test_case "slots follow the replica's Ω" `Quick
+            test_slots_follow_replica_omega;
         ] );
       ( "golden",
         [ Alcotest.test_case "replica output digests (protocol x shape x faults)" `Quick

@@ -245,12 +245,12 @@ let test_fleet_metrics_recorded () =
   Alcotest.(check (list (pair string int)))
     "engine counts"
     [
-      ("engine.steps", 5150);
-      ("engine.sent", 4809);
-      ("engine.delivered", 4701);
+      ("engine.steps", 3691);
+      ("engine.sent", 3442);
+      ("engine.delivered", 3387);
       ("engine.dropped", 32);
       ("engine.duplicated", 32);
-      ("engine.timer_fires", 364);
+      ("engine.timer_fires", 219);
       ("engine.crashes", 0);
       ("engine.decides", 290);
     ]
@@ -261,7 +261,7 @@ let test_fleet_metrics_recorded () =
          "engine.duplicated"; "engine.timer_fires"; "engine.crashes"; "engine.decides";
        ]);
   Alcotest.(check bool) "engine.queue_hwm" true
-    (M.find metrics "engine.queue_hwm" = Some (M.Gauge 318))
+    (M.find metrics "engine.queue_hwm" = Some (M.Gauge 216))
 
 let test_proposer_subset () =
   let rng = Rng.create ~seed:3 in
