@@ -50,8 +50,6 @@ let leader state =
   | p :: _ -> p
   | [] -> state.self  (* unreachable: self is never suspected *)
 
-let suspected state = state.suspected
-
 let on_message state ~src Heartbeat =
   let state = { state with suspected = Pid.Set.remove src state.suspected } in
   (state, [ Automaton.Set_timer { id = suspect_timer src; after = state.suspicion_delay } ])

@@ -7,16 +7,10 @@
     arrive within Δ, so suspicions stabilise and all correct processes
     eventually agree on the smallest correct process as leader.
 
-    Ω has two uses. A protocol embeds [Omega.state] in its own state,
-    wraps {!msg} in its message type, forwards heartbeat deliveries and
-    timer fires here, and says how it wraps them through
-    {!Protocol.S.omega}. Ω reserves timer ids
-    [timer_base .. timer_base + n]. The SMR replica ({!Smr.Replica}) runs
-    one more Ω of its own per replica, on a replica-level message and on
-    these same ids, and keeps each slot instance's embedded Ω silent: it
-    seeds a new instance with its current suspicions and relays every
-    change of them, through this module's own inputs ({!suspect_timer}
-    fires and heartbeats). *)
+    A protocol embeds [Omega.state] in its own state, wraps {!msg} in its
+    message type, forwards heartbeat deliveries and timer fires here, and
+    says how it wraps them through {!Protocol.S.omega}. Ω reserves timer
+    ids [timer_base .. timer_base + n]. *)
 
 type msg = Heartbeat
 
@@ -53,9 +47,6 @@ val fingerprint : state -> Dsim.Fingerprint.t
 val leader : state -> Dsim.Pid.t
 (** Current Ω output: smallest pid not suspected (self is never
     suspected). *)
-
-val suspected : state -> Dsim.Pid.Set.t
-(** The processes Ω suspects now. *)
 
 val on_message :
   state -> src:Dsim.Pid.t -> msg -> state * (msg, 'output) Dsim.Automaton.action list

@@ -18,11 +18,16 @@ let pp_msg pp_payload fmt = function
    slot decides.  This keeps the engine's flat timer table bounded by the
    number of {e undecided} slots rather than the total slot count.  Lanes
    hold protocol timers only, which stay below [Omega.timer_base]; the
-   replica's own Ω arms Ω's ids [timer_base .. timer_base + n] as they
-   are, in the unused top of lane 0, so the timer cells stay dense. *)
+   replica's beat timer takes [Omega.timer_base] itself, in the unused
+   top of lane 0, so the timer cells stay dense. *)
 let lane_stride = 2048
 
 let max_lanes = 256
+
+let beat_timer = Omega.timer_base
+
+(* Beats of silence after which the replica suspects a peer: Ω's 3Δ. *)
+let suspicion_beats = 3
 
 (* One consensus slot as this replica sees it. A slot exists once its
    instance does; [value] and [mine] are meaningful only while [decided]
@@ -54,12 +59,19 @@ type 'pstate state = {
   slot_of_lane : int array;  (* -1 for a free lane *)
   armed : Iset.t array;  (* per lane: inner timer ids armed and not cancelled *)
   mutable free_lanes : int list;  (* reused LIFO *)
-  mutable omega : Omega.state;  (* the replica's Ω; idle for a protocol without one *)
+  (* The failure detector behind the slots' Ω (see the .mli). Beats are
+     numbered from 0, the one of [init] at time 0. *)
+  mutable beat : int;  (* the next beat's number *)
+  heard : int array;  (* per peer: the value of [beat] when its last message arrived *)
+  sent : bool array;  (* per peer: something went out on the link since the last beat *)
+  mutable suspected : Pid.Set.t;
 }
 
 let applied s = List.rev s.applied_rev
 
 let decided_slots s = s.decided_count
+
+let suspected s = s.suspected
 
 let find s slot = if slot < Array.length s.slots then s.slots.(slot) else None
 
@@ -93,17 +105,28 @@ let make (type pm ps) ?(pipeline = 1) ?(batch_max = 1) ?pack ?expand ?mutation
   let expand = match expand with Some expand -> expand | None -> fun v -> [ v ] in
   let inner = P.make ~n ~e ~f ~delta in
   let has_omega = Option.is_some P.omega in
-  if has_omega && Omega.timer_base + n >= lane_stride then
-    invalid_arg "Replica.make: n too large for the replica's Ω timer ids";
-  (* A slot instance's own Ω stays silent: the replica's Ω stands in for
-     it. Its messages are recognised through the protocol's [omega] hook,
-     its timers by Ω's reserved ids. *)
+  (* A fresh instance depends only on (self, n): build each replica's
+     once, and hand every new slot a copy of it. *)
+  let fresh = Array.make n None in
+  let fresh_instance self =
+    let ps, actions =
+      match fresh.(self) with
+      | Some cached -> cached
+      | None ->
+          let built = inner.init ~self ~n in
+          fresh.(self) <- Some built;
+          built
+    in
+    (inner.state_copy ps, actions)
+  in
+  (* A slot instance's own Ω stays silent: the replica's detector stands
+     in for it. Its messages are recognised through the protocol's [omega]
+     hook, its timers by Ω's reserved ids. *)
   let omega_msg, wrap_omega =
     match P.omega with
     | Some o -> ((fun payload -> Option.is_some (o.Omega.unwrap payload)), o.Omega.wrap)
     | None -> ((fun _ -> false), fun _ -> invalid_arg "Replica: the protocol has no Ω")
   in
-  let omega_timer s id = has_omega && Omega.owns_timer s.omega id in
   let alloc_lane s slot sl =
     if sl.lane < 0 then
       match s.free_lanes with
@@ -114,20 +137,28 @@ let make (type pm ps) ?(pipeline = 1) ?(batch_max = 1) ?pack ?expand ?mutation
           s.slot_of_lane.(lane) <- slot
   in
   (* Rewrite one instance transition's actions into the multiplexed space;
-     timer actions allocate and update the slot's lane. The instance's Ω
-     actions are dropped, except that [announce] keeps its messages: the
-     init heartbeat of a slot this replica opens announces the slot to
-     every replica, which is what moves their [top] past it. *)
+     timer actions allocate and update the slot's lane, and every send
+     marks its links busy until the next beat. The instance's Ω actions
+     are dropped, except that [announce] keeps its messages: the init
+     heartbeat of a slot this replica opens announces the slot to every
+     replica, which is what moves their [top] past it. *)
   let wrap_actions ?(announce = false) s slot sl actions =
     List.filter_map
       (function
         | Automaton.Send (dst, payload) ->
             if (not announce) && omega_msg payload then None
-            else Some (Automaton.Send (dst, Slot { slot; payload }))
+            else begin
+              s.sent.(dst) <- true;
+              Some (Automaton.Send (dst, Slot { slot; payload }))
+            end
         | Automaton.Broadcast payload ->
             if (not announce) && omega_msg payload then None
-            else Some (Automaton.Broadcast (Slot { slot; payload }))
-        | Automaton.Set_timer { id; _ } | Automaton.Cancel_timer id when omega_timer s id -> None
+            else begin
+              Array.fill s.sent 0 s.n true;
+              Some (Automaton.Broadcast (Slot { slot; payload }))
+            end
+        | Automaton.Set_timer { id; _ } | Automaton.Cancel_timer id when id >= Omega.timer_base ->
+            None
         | Automaton.Set_timer { id; after } ->
             assert (id >= 0 && id < lane_stride);
             (* Decided slots get no timers; losing a timer is
@@ -176,9 +207,7 @@ let make (type pm ps) ?(pipeline = 1) ?(batch_max = 1) ?pack ?expand ?mutation
             let ps, more = inner.on_timer ps (Omega.suspect_timer q) in
             (ps, actions @ more)
           in
-          let ps, actions =
-            Pid.Set.fold seed (Omega.suspected s.omega) (inner.init ~self:s.self ~n:s.n)
-          in
+          let ps, actions = Pid.Set.fold seed s.suspected (fresh_instance s.self) in
           let sl =
             { inst = ps; decided = false; value = 0; inflight = false; mine = 0; lane = -1 }
           in
@@ -295,7 +324,6 @@ let make (type pm ps) ?(pipeline = 1) ?(batch_max = 1) ?pack ?expand ?mutation
   in
   let init ~self ~n:n' =
     assert (n = n');
-    let omega, omega_actions = Omega.init ~self ~n ~delta () in
     ( {
         self;
         n;
@@ -312,9 +340,17 @@ let make (type pm ps) ?(pipeline = 1) ?(batch_max = 1) ?pack ?expand ?mutation
         slot_of_lane = Array.make max_lanes (-1);
         armed = Array.make max_lanes Iset.empty;
         free_lanes = List.init max_lanes Fun.id;
-        omega;
+        beat = 1;
+        heard = Array.make n 0;
+        sent = Array.make n false;
+        suspected = Pid.Set.empty;
       },
-      if has_omega then Automaton.map_msg (fun m -> Omega_msg m) omega_actions
+      (* Beat 0: a heartbeat on every link. *)
+      if has_omega then
+        [
+          Automaton.Broadcast (Omega_msg Omega.Heartbeat);
+          Automaton.Set_timer { id = beat_timer; after = delta };
+        ]
       else [] )
   in
   let step s slot transition =
@@ -336,28 +372,53 @@ let make (type pm ps) ?(pipeline = 1) ?(batch_max = 1) ?pack ?expand ?mutation
     in
     go s.next_apply []
   in
-  (* The replica's Ω takes a transition; if its suspicions changed, every
-     live instance takes [relayed], the same input, through its own Ω. *)
-  let omega_step s transition relayed =
-    let before = Omega.suspected s.omega in
-    let omega, actions = transition s.omega in
-    s.omega <- omega;
-    let actions = Automaton.map_msg (fun m -> Omega_msg m) actions in
-    if Pid.Set.equal before (Omega.suspected omega) then (s, actions)
-    else (s, actions @ relay s relayed)
+  (* Any message from [src] is a heartbeat. One from a suspected peer
+     first relays the trust into every live instance, as a heartbeat. *)
+  let hear s src =
+    s.heard.(src) <- s.beat;
+    if not (Pid.Set.mem src s.suspected) then []
+    else begin
+      s.suspected <- Pid.Set.remove src s.suspected;
+      relay s (fun ps -> inner.on_message ps ~src (wrap_omega Omega.Heartbeat))
+    end
   in
-  let on_message s ~src = function
+  let on_message s ~src msg =
+    let trusted = hear s src in
+    match msg with
     | Slot { slot; payload } ->
-        if omega_msg payload then
-          (* An announcement: the slot exists, and its instance's Ω
-             follows the replica's alone. *)
-          let _, actions, _ = step_instance s slot (fun ps -> (ps, [])) in
-          (s, actions)
-        else step s slot (fun ps -> inner.on_message ps ~src payload)
-    | Omega_msg m ->
-        omega_step s
-          (fun omega -> Omega.on_message omega ~src m)
-          (fun ps -> inner.on_message ps ~src (wrap_omega m))
+        let actions =
+          if omega_msg payload then
+            (* An announcement: the slot exists, and its instance's Ω
+               follows the replica's detector alone. *)
+            let _, actions, _ = step_instance s slot (fun ps -> (ps, [])) in
+            actions
+          else snd (step s slot (fun ps -> inner.on_message ps ~src payload))
+        in
+        (s, trusted @ actions)
+    | Omega_msg Omega.Heartbeat -> (s, trusted)
+  in
+  (* A beat: suspect each peer silent for [suspicion_beats] whole beat
+     periods, relaying the suspicion into every live instance as a fire
+     of Ω's suspect timer, then heartbeat the links nothing went out on
+     since the last beat. *)
+  let on_beat s =
+    let beat = s.beat in
+    s.beat <- beat + 1;
+    let relayed = ref [] in
+    for q = 0 to s.n - 1 do
+      if q <> s.self && beat - s.heard.(q) >= suspicion_beats && not (Pid.Set.mem q s.suspected)
+      then begin
+        s.suspected <- Pid.Set.add q s.suspected;
+        relayed := relay s (fun ps -> inner.on_timer ps (Omega.suspect_timer q)) :: !relayed
+      end
+    done;
+    let actions = ref [ Automaton.Set_timer { id = beat_timer; after = delta } ] in
+    for q = s.n - 1 downto 0 do
+      if q <> s.self && not s.sent.(q) then
+        actions := Automaton.Send (q, Omega_msg Omega.Heartbeat) :: !actions;
+      s.sent.(q) <- false
+    done;
+    (s, List.concat (List.rev !relayed) @ !actions)
   in
   let on_input s cmd =
     s.queue_back <- cmd :: s.queue_back;
@@ -365,15 +426,15 @@ let make (type pm ps) ?(pipeline = 1) ?(batch_max = 1) ?pack ?expand ?mutation
     (s, refill s)
   in
   let on_timer s id =
-    if omega_timer s id then
-      omega_step s (fun omega -> Omega.on_timer omega id) (fun ps -> inner.on_timer ps id)
+    if id = beat_timer then on_beat s
     else
       let slot = s.slot_of_lane.(id / lane_stride) in
       if slot < 0 then (s, []) (* stale fire from a reclaimed lane *)
       else step s slot (fun ps -> inner.on_timer ps (id mod lane_stride))
   in
   (* The state is mutable: copy the slot table, every slot record (with its
-     instance state, through the inner automaton) and the lane arrays. *)
+     instance state, through the inner automaton), the lane arrays and the
+     detector's per-peer arrays. *)
   let copy_slot sl = { sl with inst = inner.Automaton.state_copy sl.inst } in
   let state_copy s =
     {
@@ -381,6 +442,8 @@ let make (type pm ps) ?(pipeline = 1) ?(batch_max = 1) ?pack ?expand ?mutation
       slots = Array.map (Option.map copy_slot) s.slots;
       slot_of_lane = Array.copy s.slot_of_lane;
       armed = Array.copy s.armed;
+      heard = Array.copy s.heard;
+      sent = Array.copy s.sent;
     }
   in
   (* Not explored with dedup: the SMR wrapper runs under stochastic

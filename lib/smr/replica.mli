@@ -22,19 +22,39 @@
 
     Ω is per replica, not per slot, as in the paper (§C.1). For a protocol
     that embeds an {!Proto.Omega} (its {!Proto.Protocol.S.omega} hook is
-    [Some]), each replica runs one Ω of its own: it heartbeats every Δ on
-    a replica-level message and arms Ω's reserved timer ids. A slot
-    instance keeps its embedded Ω state but sends no heartbeat and arms
-    no Ω timer: the replica seeds each new instance with its current
-    suspicions and relays every change of them into each live instance,
-    through Ω's own inputs (a suspect-timer fire, a heartbeat). One Ω
-    message per slot stays: the replica that opens a slot with its own
-    proposal announces it to every replica with the instance's initial
-    heartbeat, which tells the other proxies that the slot is taken; a
-    replica that receives it creates the instance and delivers nothing
-    to it. A protocol without Ω (EPaxos) gets no replica Ω. Since the
-    replica's Ω beats forever, an engine of these replicas over a
-    protocol with Ω is never quiescent: run it with [~until].
+    [Some]), each replica runs one failure detector of its own, driven by
+    one beat timer that fires every Δ from time 0, so all replicas beat
+    in phase. It keeps three rules:
+    - {e Any message is a heartbeat.} Every message the replica receives
+      from [q], a slot's or a replica-level heartbeat, resets [q]'s
+      silence; if [q] was suspected, it is trusted again.
+    - {e Suspicion at a beat.} A peer becomes suspected at the first beat
+      at least 3Δ after its last message, never earlier: at least 3Δ and
+      less than 4Δ after it (the engine delivers a message due at a
+      beat's instant before the beat). An embedded Ω that runs its own
+      timers suspects at exactly 3Δ.
+    - {e Heartbeats only on idle links.} At each beat the replica sends a
+      heartbeat only on the links it sent nothing on since its previous
+      beat; the beat at time 0 heartbeats every link. Every send counts,
+      slot announcements and relay output included, and so does a send
+      the fault plan drops: the replica cannot know it was dropped.
+
+    In a fault-free run every link carries something in every beat
+    period, so sends on it are at most 2Δ apart; while message delays
+    vary by less than Δ, receipts stay under 3Δ apart and nobody is
+    suspected. A slot instance keeps its embedded Ω state but sends no
+    heartbeat and arms no Ω timer: the replica seeds each new instance
+    with its current suspicions and relays every change of them into each
+    live instance, through Ω's own inputs (a suspect-timer fire, a
+    heartbeat). A message from a suspected peer relays the trust before
+    its payload reaches its slot. One Ω message per slot stays: the
+    replica that opens a slot with its own proposal announces it to every
+    replica with the instance's initial heartbeat, which tells the other
+    proxies that the slot is taken; a replica that receives it creates
+    the instance and delivers nothing to it. A protocol without Ω (EPaxos)
+    gets no detector. Since the replica beats forever, an engine of these
+    replicas over a protocol with Ω is never quiescent: run it with
+    [~until].
 
     Timers are virtualized through a bounded pool of lanes reclaimed when
     a slot decides, so long pipelined runs do not accumulate timer state
@@ -75,6 +95,10 @@ val applied : 'pstate state -> (int * Proto.Value.t) list
 val decided_slots : 'pstate state -> int
 (** Number of slots known decided (not necessarily contiguous). *)
 
+val suspected : 'pstate state -> Dsim.Pid.Set.t
+(** The peers the replica's detector suspects now; always empty for a
+    protocol without Ω. *)
+
 val make :
   ?pipeline:int ->
   ?batch_max:int ->
@@ -95,8 +119,7 @@ val make :
     object-level bug for checker mutation testing. Outputs are
     [(slot, command, response)] triples; a word outside the single-op
     range responds [0] and leaves the store untouched. Raises
-    [Invalid_argument] if either knob is [< 1], or if the protocol has Ω
-    and [n >= 1048] (the replica's Ω timer ids would leave lane 0). *)
+    [Invalid_argument] if either knob is [< 1]. *)
 
 (** Existentially packaged SMR engine, so callers never name the underlying
     protocol's state and message types. *)
@@ -134,7 +157,7 @@ module Instance : sig
 
   val run : ?until:Dsim.Time.t -> t -> Dsim.Engine.run_result
   (** Without [until], a protocol with Ω runs until the step budget is
-      spent: its replicas' Ω never goes quiet (see above). *)
+      spent: its replicas' beat timers never go quiet (see above). *)
 
   val now : t -> Dsim.Time.t
 

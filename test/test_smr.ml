@@ -417,21 +417,21 @@ let golden_cells () =
 let golden =
   [
     ("rgs-task/p1b1/none", "e9bcdb9d422471d59da325563cbeec9a");
-    ("rgs-task/p1b1/dropdup", "bd3661e2b0645a3b2434960fc20b1990");
+    ("rgs-task/p1b1/dropdup", "7338fe29f8320dd21b5fd57fa4290a86");
     ("rgs-task/p16b64/none", "cb6a8943cfd5312963a867a6fba587df");
-    ("rgs-task/p16b64/dropdup", "95adf36d3774e46c393ce97becd3c963");
+    ("rgs-task/p16b64/dropdup", "c893936f25bca7217b6367149b5f6fe5");
     ("rgs-object/p1b1/none", "2ed248834a9f62b4a155e80968f1010f");
-    ("rgs-object/p1b1/dropdup", "e531529f5ccf8150738836d5710b5612");
+    ("rgs-object/p1b1/dropdup", "82f16d4ff59d961de3a06ea945e5fd5b");
     ("rgs-object/p16b64/none", "d128d7eab4db1c4d270f656f78aa3174");
-    ("rgs-object/p16b64/dropdup", "b2235f6f3c755add7b33e89c9a537575");
+    ("rgs-object/p16b64/dropdup", "19033179a32d0ace61b66940a7082152");
     ("paxos/p1b1/none", "2b7def99ee818dd5a875ac8e1abd6273");
-    ("paxos/p1b1/dropdup", "b98f333b5646722ccba077b9f1be1d07");
+    ("paxos/p1b1/dropdup", "f9032608ca23b2566d45dffe3e717f46");
     ("paxos/p16b64/none", "1d3427df2edda6ef78b60609b508add3");
-    ("paxos/p16b64/dropdup", "28759db03cf53be145abde8761e6ce45");
+    ("paxos/p16b64/dropdup", "4ae198c1c77ec988eff9b2e7a02aa807");
     ("fast-paxos/p1b1/none", "f4d0d499bc008b647c5fd5d703299d9e");
-    ("fast-paxos/p1b1/dropdup", "bc6744dcf0300a6bfbd2a2e54d4794c5");
+    ("fast-paxos/p1b1/dropdup", "aac3a98b7269c0990701cefc64852a8f");
     ("fast-paxos/p16b64/none", "6f7eafc03a043ae1bb2b84a89ac18b3d");
-    ("fast-paxos/p16b64/dropdup", "7bb9362f3d528b80354d698f418f19b7");
+    ("fast-paxos/p16b64/dropdup", "0a84c2c38b627eea37b6337d0542cb80");
     ("epaxos/p1b1/none", "781d956573efcba129b1a88803f682d4");
     ("epaxos/p1b1/dropdup", "65e44bd539668f8fee4d37eb1b8dbde1");
     ("epaxos/p16b64/none", "fe455a19b545b7c5c98fcf90651a77ce");
@@ -520,12 +520,12 @@ let test_leader_crash () =
     ]
 
 (* A protocol that does nothing but probe its Ω leader, on a proposal and
-   on its one timer, so the replica's actions show whom a slot instance
-   takes for the leader. *)
+   on its one timer, and echo every probe it receives to its Ω leader, so
+   the replica's actions show whom a slot instance takes for the leader. *)
 module Leader_probe = struct
   module Omega = Proto.Omega
 
-  type msg = Beat of Omega.msg | Probe
+  type msg = Beat of Omega.msg | Probe | Echo
 
   type state = Omega.state
 
@@ -534,6 +534,7 @@ module Leader_probe = struct
   let pp_msg fmt = function
     | Beat m -> Omega.pp_msg fmt m
     | Probe -> Format.pp_print_string fmt "probe"
+    | Echo -> Format.pp_print_string fmt "echo"
 
   let describe = "sends a probe to its Ω leader"
 
@@ -541,49 +542,74 @@ module Leader_probe = struct
 
   let make ~n:_ ~e:_ ~f:_ ~delta =
     let lift (s, actions) = (s, Dsim.Automaton.map_msg (fun m -> Beat m) actions) in
-    let probe s = (s, [ Dsim.Automaton.Send (Omega.leader s, Probe) ]) in
+    let to_leader m s = (s, [ Dsim.Automaton.Send (Omega.leader s, m) ]) in
     {
       Dsim.Automaton.init =
         (fun ~self ~n ->
           let s, actions = lift (Omega.init ~self ~n ~delta ()) in
           (s, Dsim.Automaton.Set_timer { id = 0; after = delta } :: actions));
       on_message =
-        (fun s ~src -> function Beat m -> lift (Omega.on_message s ~src m) | Probe -> (s, []));
-      on_input = (fun s _ -> probe s);
+        (fun s ~src -> function
+          | Beat m -> lift (Omega.on_message s ~src m)
+          | Probe -> to_leader Echo s
+          | Echo -> (s, []));
+      on_input = (fun s _ -> to_leader Probe s);
       on_timer =
-        (fun s id -> if Omega.owns_timer s id then lift (Omega.on_timer s id) else probe s);
+        (fun s id ->
+          if Omega.owns_timer s id then lift (Omega.on_timer s id) else to_leader Probe s);
       state_copy = Fun.id;
       state_fingerprint = None;
     }
 
   let omega =
-    Some { Omega.wrap = (fun m -> Beat m); unwrap = (function Beat m -> Some m | Probe -> None) }
+    Some
+      {
+        Omega.wrap = (fun m -> Beat m);
+        unwrap = (function Beat m -> Some m | Probe | Echo -> None);
+      }
 end
+
+(* Three replicas over [Leader_probe], driven by hand. *)
+let probe_n = 3
+
+let probe_replicas () = Smr.Replica.make (module Leader_probe) ~n:probe_n ~e:0 ~f:1 ~delta
+
+let sends actions =
+  List.filter_map (function Dsim.Automaton.Send (dst, _) -> Some dst | _ -> None) actions
+
+let timers actions =
+  List.filter_map (function Dsim.Automaton.Set_timer { id; _ } -> Some id | _ -> None) actions
+
+let suspects s q = Pid.Set.mem q (Smr.Replica.suspected s)
+
+(* What a replica does at time 0: heartbeat every peer, then arm its beat
+   timer for Δ. Returns the heartbeat and the beat timer. *)
+let heartbeat_and_beat_timer (a : (_, _, _, _) Dsim.Automaton.t) =
+  match snd (a.init ~self:0 ~n:probe_n) with
+  | [ Dsim.Automaton.Broadcast m; Set_timer { id; after } ] when after = delta -> (m, id)
+  | _ -> Alcotest.fail "a replica's Ω heartbeats from time 0, then beats every Δ"
+
+(* A replica's beat, after a heartbeat from p1 and nothing from p0. *)
+let beat_hearing_p1 (a : (_, _, _, _) Dsim.Automaton.t) s =
+  let heartbeat, beat_timer = heartbeat_and_beat_timer a in
+  fst (a.on_timer (fst (a.on_message s ~src:1 heartbeat)) beat_timer)
 
 (* A slot instance never runs its own Ω: it starts from the replica's
    suspicions, whether this replica opens the slot or hears of it, and
    follows every later change of them. *)
 let test_slots_follow_replica_omega () =
   let module A = Dsim.Automaton in
-  let n = 3 in
-  let a = Smr.Replica.make (module Leader_probe) ~n ~e:0 ~f:1 ~delta in
-  let replica self = fst (a.init ~self ~n) in
-  let probed actions = List.filter_map (function A.Send (dst, _) -> Some dst | _ -> None) actions in
+  let a = probe_replicas () in
+  let replica self = fst (a.init ~self ~n:probe_n) in
   let broadcasts actions = List.filter (function A.Broadcast _ -> true | _ -> false) actions in
-  let timers actions =
-    List.filter_map (function A.Set_timer { id; _ } -> Some id | _ -> None) actions
-  in
-  let heartbeat_of_p0 =
-    match snd (a.init ~self:0 ~n) with
-    | A.Broadcast m :: _ -> m
-    | _ -> Alcotest.fail "a replica's Ω heartbeats from time 0"
-  in
-  let suspect_p0 s = fst (a.on_timer s (Proto.Omega.suspect_timer 0)) in
+  let heartbeat_of_p0, _ = heartbeat_and_beat_timer a in
+  (* Three beats without a message from p0. *)
+  let suspect_p0 s = beat_hearing_p1 a (beat_hearing_p1 a (beat_hearing_p1 a s)) in
   (* Opened under suspicion: the proposal probes p1, one announcement
      goes out, and the slot arms its protocol timer and no Ω timer. *)
   let s = suspect_p0 (replica 2) in
   let _, opened = a.on_input s (cmd 0 1 1) in
-  Alcotest.(check (list int)) "opened under suspicion" [ 1 ] (probed opened);
+  Alcotest.(check (list int)) "opened under suspicion" [ 1 ] (sends opened);
   Alcotest.(check int) "one announcement" 1 (List.length (broadcasts opened));
   Alcotest.(check int) "no Ω timer in the slot" 1 (List.length (timers opened));
   (* Heard of under suspicion: p1's announcement of its slot reaches p2,
@@ -595,20 +621,153 @@ let test_slots_follow_replica_omega () =
   in
   let s = suspect_p0 (replica 2) in
   let s, heard = a.on_message s ~src:1 announcement in
-  Alcotest.(check (list int)) "an announcement sends nothing" [] (probed heard);
+  Alcotest.(check (list int)) "an announcement sends nothing" [] (sends heard);
   let _, fired = a.on_timer s (List.hd (timers heard)) in
-  Alcotest.(check (list int)) "heard of under suspicion" [ 1 ] (probed fired);
+  Alcotest.(check (list int)) "heard of under suspicion" [ 1 ] (sends fired);
   (* Opened before the suspicion: the instance follows the replica's Ω
      as it suspects p0 and as p0's heartbeat clears it. *)
   let s, opened = a.on_input (replica 2) (cmd 0 1 1) in
-  Alcotest.(check (list int)) "opened trusting p0" [ 0 ] (probed opened);
+  Alcotest.(check (list int)) "opened trusting p0" [ 0 ] (sends opened);
   let timer = List.hd (timers opened) in
   let s = suspect_p0 s in
   let s, fired = a.on_timer s timer in
-  Alcotest.(check (list int)) "suspicion relayed" [ 1 ] (probed fired);
+  Alcotest.(check (list int)) "suspicion relayed" [ 1 ] (sends fired);
   let s, _ = a.on_message s ~src:0 heartbeat_of_p0 in
   let _, fired = a.on_timer s timer in
-  Alcotest.(check (list int)) "heartbeat relayed" [ 0 ] (probed fired)
+  Alcotest.(check (list int)) "heartbeat relayed" [ 0 ] (sends fired)
+
+(* A beat heartbeats exactly the links the replica sent nothing on since
+   its previous beat. *)
+let test_heartbeats_on_idle_links () =
+  let a = probe_replicas () in
+  let heartbeat, beat_timer = heartbeat_and_beat_timer a in
+  let beat s = a.on_timer s beat_timer in
+  let s, idle = beat (fst (a.init ~self:2 ~n:probe_n)) in
+  Alcotest.(check (list int)) "nothing went out since time 0" [ 0; 1 ] (sends idle);
+  (* The proposal announces its slot on every link and probes p0. *)
+  let s, opened = a.on_input s (cmd 0 1 1) in
+  let s, busy = beat s in
+  Alcotest.(check (list int)) "an announcement is traffic" [] (sends busy);
+  let s, fired = a.on_timer s (List.hd (timers opened)) in
+  Alcotest.(check (list int)) "the slot probes p0" [ 0 ] (sends fired);
+  let s, one = beat s in
+  Alcotest.(check (list int)) "a probe is traffic" [ 1 ] (sends one);
+  let s, _ = a.on_message s ~src:1 heartbeat in
+  let _, again = beat s in
+  Alcotest.(check (list int)) "a receipt and a beat's own heartbeats are not" [ 0; 1 ] (sends again)
+
+(* Replica 2 hears p1 before every beat. A message from p0 that lands at
+   a beat's instant is delivered before that beat: p0 is suspected three
+   beats later, 3Δ after it. One that lands just after a beat makes it
+   four beats, just under 4Δ. *)
+let test_suspicion_after_3delta () =
+  let a = probe_replicas () in
+  let heartbeat, _ = heartbeat_and_beat_timer a in
+  let hear_p0 s = fst (a.on_message s ~src:0 heartbeat) in
+  let beat = beat_hearing_p1 a in
+  let rec beats_to_suspicion k s =
+    if suspects s 0 || k > 10 then k else beats_to_suspicion (k + 1) (beat s)
+  in
+  let s = beat (hear_p0 (fst (a.init ~self:2 ~n:probe_n))) in
+  let at_beat = beat (hear_p0 (a.state_copy s)) in
+  Alcotest.(check int) "heard at a beat's instant" 3 (beats_to_suspicion 0 at_beat);
+  let after_beat = hear_p0 (beat (a.state_copy s)) in
+  Alcotest.(check int) "heard just after a beat" 4 (beats_to_suspicion 0 after_beat);
+  Alcotest.(check bool) "p1 stays trusted" false (suspects after_beat 1)
+
+(* A message from a suspected peer relays the trust into the live slots
+   before its payload reaches its slot: the slot echoes p0's probe back to
+   p0, not to p1. *)
+let test_trust_before_payload () =
+  let module A = Dsim.Automaton in
+  let a = probe_replicas () in
+  (* p1 opens slot 0 and probes p0 in it: delivered to p2 as if from p0,
+     that probe is a slot message from p0. *)
+  let probe_from_p0 =
+    match
+      List.filter_map
+        (function A.Send (dst, m) -> Some (dst, m) | _ -> None)
+        (snd (a.on_input (fst (a.init ~self:1 ~n:probe_n)) (cmd 0 1 1)))
+    with
+    | [ (0, m) ] -> m
+    | _ -> Alcotest.fail "p1 probes p0 in its slot"
+  in
+  let s, _ = a.on_input (fst (a.init ~self:2 ~n:probe_n)) (cmd 0 1 1) in
+  let s = beat_hearing_p1 a (beat_hearing_p1 a (beat_hearing_p1 a s)) in
+  Alcotest.(check bool) "p0 suspected" true (suspects s 0);
+  let s, echoed = a.on_message s ~src:0 probe_from_p0 in
+  Alcotest.(check bool) "p0 trusted again" false (suspects s 0);
+  Alcotest.(check (list int)) "trust first, then the probe" [ 0 ] (sends echoed)
+
+(* Five replicas over [Leader_probe] on planet5, with no command, or with
+   a command at each replica every 300 ms. *)
+let probe_cluster ?(commands = false) ?(crashes = []) () =
+  let n = 5 in
+  let inputs =
+    if commands then List.init 200 (fun i -> (i * 60, i mod n, cmd 0 (i mod 16) i)) else []
+  in
+  Dsim.Engine.create
+    ~automaton:(Smr.Replica.make (module Leader_probe) ~n ~e:0 ~f:1 ~delta:planet5_delta)
+    ~n
+    ~network:(Network.Wan { latency = Workload.Topology.latency_fn planet5; jitter = 0 })
+    ~seed:1 ~record_trace:true ~inputs ~crashes ()
+
+(* Without commands each replica heartbeats every peer at every beat,
+   n(n - 1) messages per beat, and nobody is ever suspected. *)
+let test_idle_cluster () =
+  let engine = probe_cluster () in
+  let n = Dsim.Engine.n engine in
+  for beat = 0 to 30 do
+    ignore (Dsim.Engine.run ~until:(beat * planet5_delta) engine : Dsim.Engine.run_result);
+    let probe = Dsim.Engine.probe engine in
+    Alcotest.(check (pair int int))
+      (Printf.sprintf "messages and beats by beat %d" beat)
+      ((beat + 1) * n * (n - 1), beat * n)
+      (probe.sent, probe.timer_fires);
+    List.iter
+      (fun p ->
+        Alcotest.(check (list int)) "nobody suspected" []
+          (Pid.Set.elements (Smr.Replica.suspected (Dsim.Engine.state engine p))))
+      (Pid.all ~n)
+  done
+
+(* p0 crashes at 10.3 beats under commands. Every correct replica
+   suspects it at a beat at least 3Δ and less than 4Δ after its last
+   message from p0, and nobody suspects anyone before that. *)
+let test_crash_suspected_after_3delta () =
+  let crash_at = (10 * planet5_delta) + (planet5_delta / 3) in
+  let engine = probe_cluster ~commands:true ~crashes:[ (crash_at, 0) ] () in
+  let n = Dsim.Engine.n engine in
+  let suspected_at = Array.make n (-1) in
+  for beat = 0 to 20 do
+    let now = beat * planet5_delta in
+    ignore (Dsim.Engine.run ~until:now engine : Dsim.Engine.run_result);
+    List.iter
+      (fun p ->
+        match Pid.Set.elements (Smr.Replica.suspected (Dsim.Engine.state engine p)) with
+        | [] -> ()
+        | [ 0 ] -> if suspected_at.(p) < 0 then suspected_at.(p) <- now
+        | _ -> Alcotest.failf "p%d suspects a correct replica" p)
+      (Dsim.Engine.correct_pids engine)
+  done;
+  let last_from_p0 p =
+    List.fold_left
+      (fun last -> function
+        | Dsim.Trace.Delivered { time; src = 0; dst; _ } when dst = p -> max last time
+        | _ -> last)
+      (-1) (Dsim.Engine.trace engine)
+  in
+  List.iter
+    (fun p ->
+      let last = last_from_p0 p and at = suspected_at.(p) in
+      Alcotest.(check bool) (Printf.sprintf "p%d heard p0 after 10 beats" p) true
+        (last > 10 * planet5_delta);
+      Alcotest.(check bool)
+        (Printf.sprintf "p%d suspects p0 in [3Δ, 4Δ) after its last message (at %d, last %d)" p at
+           last)
+        true
+        (at - last >= 3 * planet5_delta && at - last < 4 * planet5_delta))
+    (Dsim.Engine.correct_pids engine)
 
 let () =
   match Sys.getenv_opt "GOLDEN_PRINT" with
@@ -646,6 +805,16 @@ let () =
           Alcotest.test_case "leader crash" `Quick test_leader_crash;
           Alcotest.test_case "slots follow the replica's Ω" `Quick
             test_slots_follow_replica_omega;
+        ] );
+      ( "detector",
+        [
+          Alcotest.test_case "heartbeats on idle links only" `Quick test_heartbeats_on_idle_links;
+          Alcotest.test_case "suspicion 3Δ after the last message" `Quick
+            test_suspicion_after_3delta;
+          Alcotest.test_case "trust relayed before the payload" `Quick test_trust_before_payload;
+          Alcotest.test_case "idle cluster" `Quick test_idle_cluster;
+          Alcotest.test_case "crashed peer suspected after 3Δ" `Quick
+            test_crash_suspected_after_3delta;
         ] );
       ( "golden",
         [ Alcotest.test_case "replica output digests (protocol x shape x faults)" `Quick

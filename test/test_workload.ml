@@ -245,14 +245,14 @@ let test_fleet_metrics_recorded () =
   Alcotest.(check (list (pair string int)))
     "engine counts"
     [
-      ("engine.steps", 3691);
-      ("engine.sent", 3442);
-      ("engine.delivered", 3387);
+      ("engine.steps", 3274);
+      ("engine.sent", 2986);
+      ("engine.delivered", 2952);
       ("engine.dropped", 32);
       ("engine.duplicated", 32);
-      ("engine.timer_fires", 219);
+      ("engine.timer_fires", 237);
       ("engine.crashes", 0);
-      ("engine.decides", 290);
+      ("engine.decides", 280);
     ]
     (List.map
        (fun name -> (name, counter name))
@@ -261,7 +261,7 @@ let test_fleet_metrics_recorded () =
          "engine.duplicated"; "engine.timer_fires"; "engine.crashes"; "engine.decides";
        ]);
   Alcotest.(check bool) "engine.queue_hwm" true
-    (M.find metrics "engine.queue_hwm" = Some (M.Gauge 216))
+    (M.find metrics "engine.queue_hwm" = Some (M.Gauge 179))
 
 let test_proposer_subset () =
   let rng = Rng.create ~seed:3 in
